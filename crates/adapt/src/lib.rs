@@ -32,7 +32,10 @@
 //! adaptation episode is reconstructible from the trace ring.
 
 // The control plane must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod controller;
 pub mod drift;

@@ -3,8 +3,8 @@
 //! Every table and figure of the paper's evaluation has a function here
 //! that regenerates it against the simulated testbed; the `experiments`
 //! binary renders them as a markdown report (this is how
-//! `EXPERIMENTS.md` is produced). Criterion microbenchmarks live under
-//! `benches/`.
+//! `EXPERIMENTS.md` is produced). Timing lives in `benchmark/`, the
+//! repository's one measurement harness.
 
 pub mod experiments;
 pub mod report;

@@ -37,7 +37,10 @@
 //! error of the predict path; see [`error`] for the hierarchy.
 
 // The predict path must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod baselines;
 pub mod categories;

@@ -16,7 +16,11 @@ use std::path::Path;
 /// v2: `KccaPredictor` stores an `AnnIndex` (brute/IVF enum) where v1
 /// stored a bare `NearestNeighbors`, and `PredictorOptions` gained the
 /// `ann` block.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// v3: `Kcca` keeps the `rank x rank` ICD pivot block in place of the
+/// whole `n x rank` factor, and no longer stores the performance-side
+/// kernel.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Errors from model (de)serialization.
 #[derive(Debug)]
@@ -220,7 +224,7 @@ mod tests {
     fn envelope_records_current_version() {
         let (m, _) = model();
         let json = to_json(&m).unwrap();
-        assert!(json.contains("\"format_version\":2"));
+        assert!(json.contains(&format!("\"format_version\":{FORMAT_VERSION}")));
         assert!(json.contains("fnv1a64:"));
     }
 
@@ -228,13 +232,17 @@ mod tests {
     fn future_version_rejected_with_typed_error() {
         let (m, _) = model();
         let json = to_json(&m).unwrap();
-        let bumped = json.replace("\"format_version\":2", "\"format_version\":99");
-        match from_json(&bumped) {
-            Err(ModelIoError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, 99);
-                assert_eq!(supported, FORMAT_VERSION);
+        let current = format!("\"format_version\":{FORMAT_VERSION}");
+        // A future version, and the v2 envelope this build superseded.
+        for version in [99, 2] {
+            let other = json.replace(&current, &format!("\"format_version\":{version}"));
+            match from_json(&other) {
+                Err(ModelIoError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 

@@ -15,7 +15,7 @@ use crate::dataset::Dataset;
 use crate::error::{QppError, ResultExt};
 use crate::features::{feature_dim, query_features, query_features_to, FeatureKind};
 use qpp_engine::{PerfMetrics, Plan};
-use qpp_linalg::{stats::Standardizer, vector, Matrix, MatrixView};
+use qpp_linalg::{stats::Standardizer, vector, LinalgError, Matrix, MatrixView};
 use qpp_ml::{
     AnnIndex, AnnOptions, DistanceMetric, Kcca, KccaOptions, KnnScratch, NeighborWeighting,
     ProjectionScratch,
@@ -281,6 +281,23 @@ impl KccaPredictor {
         &self.index
     }
 
+    /// Rejects feature input whose width is not the width the model
+    /// was fitted on. Without it a short or long vector is zipped to the
+    /// shorter length downstream and yields a confident wrong answer.
+    // qpp-lint: hot-path
+    fn check_width(&self, rows: usize, width: usize) -> Result<(), QppError> {
+        let fitted = self.scaler.means().len();
+        if width == fitted {
+            return Ok(());
+        }
+        Err(LinalgError::ShapeMismatch {
+            op: "predict features",
+            lhs: (1, fitted),
+            rhs: (rows, width),
+        })
+        .ctx("checking feature width against the fitted model")
+    }
+
     /// Predicts from a raw query feature vector.
     ///
     /// The steady-state hot path: standardization, kernel row, ICD
@@ -290,6 +307,7 @@ impl KccaPredictor {
     /// allocations** (guarded by the `alloc_regression` test).
     // qpp-lint: hot-path
     pub fn predict_features(&self, features: &[f64]) -> Result<Prediction, QppError> {
+        self.check_width(1, features.len())?;
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             {
@@ -328,6 +346,7 @@ impl KccaPredictor {
         &self,
         rows: MatrixView<'_>,
     ) -> Result<Vec<Prediction>, QppError> {
+        self.check_width(rows.rows(), rows.cols())?;
         let mut batch_span = qpp_obs::span(qpp_obs::Stage::PredictBatch);
         batch_span.set_value(rows.rows() as u64);
         let mut scaled = Matrix::zeros(rows.rows(), rows.cols());
@@ -572,12 +591,64 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let train = dataset(60, 11);
+        // Both neighbor-index arms: brute at the default threshold, IVF
+        // once the threshold is below the training size.
+        for ivf_threshold in [AnnOptions::default().ivf_threshold, 16] {
+            let mut opts = PredictorOptions::default();
+            opts.ann.ivf_threshold = ivf_threshold;
+            let model = KccaPredictor::train(&train, opts).unwrap();
+            assert_eq!(model.index().is_ivf(), ivf_threshold < 60);
+            let json = serde_json::to_string(&model).unwrap();
+            let back: KccaPredictor = serde_json::from_str(&json).unwrap();
+            assert_eq!(back.index().is_ivf(), model.index().is_ivf());
+            let r = &train.records[3];
+            let a = model.predict(&r.spec, &r.optimized.plan).unwrap();
+            let b = back.predict(&r.spec, &r.optimized.plan).unwrap();
+            assert_eq!(a.metrics, b.metrics);
+            assert_eq!(a.neighbor_indices, b.neighbor_indices);
+        }
+    }
+
+    /// Regression: a feature vector of the wrong width used to be
+    /// zipped to the shorter length by the standardizer and the kernel
+    /// row, returning `Ok` with a confident wrong answer.
+    #[test]
+    fn wrong_width_features_are_rejected_not_answered() {
+        let train = dataset(120, 1);
         let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
-        let json = serde_json::to_string(&model).unwrap();
-        let back: KccaPredictor = serde_json::from_str(&json).unwrap();
-        let r = &train.records[3];
-        let a = model.predict(&r.spec, &r.optimized.plan).unwrap();
-        let b = back.predict(&r.spec, &r.optimized.plan).unwrap();
-        assert_eq!(a.metrics, b.metrics);
+        let dim = feature_dim(FeatureKind::QueryPlan);
+        for bad in [vec![1.0, 2.0], vec![1.0; 500], Vec::new()] {
+            let err = model.predict_features(&bad).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    QppError::Linalg {
+                        source: LinalgError::ShapeMismatch { lhs, rhs, .. },
+                        ..
+                    } if lhs == (1, dim) && rhs == (1, bad.len())
+                ),
+                "width {}: {err:?}",
+                bad.len()
+            );
+        }
+        let narrow = Matrix::zeros(3, dim - 1);
+        assert!(matches!(
+            model.predict_features_batch(narrow.view()),
+            Err(QppError::Linalg {
+                source: LinalgError::ShapeMismatch { .. },
+                ..
+            })
+        ));
+        // The right width still predicts, single and batched alike.
+        let r = &train.records[7];
+        let features = query_features(FeatureKind::QueryPlan, &r.spec, &r.optimized.plan);
+        let single = model.predict_features(&features).unwrap();
+        let wide = Matrix::from_vec(1, dim, features).unwrap();
+        let batched = model.predict_features_batch(wide.view()).unwrap();
+        assert_eq!(single.metrics, batched[0].metrics);
+        assert_eq!(
+            single.metrics,
+            model.predict(&r.spec, &r.optimized.plan).unwrap().metrics
+        );
     }
 }

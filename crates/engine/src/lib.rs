@@ -21,7 +21,10 @@
 //!   configuration, and run-to-run noise.
 
 // Library code must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod catalog;
 pub mod config;

@@ -212,28 +212,73 @@ impl IncompleteCholesky {
     /// so steady-state embeddings allocate nothing.
     // qpp-lint: hot-path
     pub fn transform_new_into(&self, kernel_at_pivots: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let r = self.rank();
-        if kernel_at_pivots.len() != r {
-            return Err(LinalgError::ShapeMismatch {
-                op: "icd transform_new",
-                lhs: (r, 1),
-                rhs: (kernel_at_pivots.len(), 1),
-            });
-        }
-        // Forward substitution against the lower-triangular pivot block
-        // G[pivots, :] (triangular in selection order by construction).
-        out.clear();
-        out.resize(r, 0.0);
-        for t in 0..r {
-            let p = self.pivots[t];
-            let mut v = kernel_at_pivots[t];
-            for s in 0..t {
-                v -= out[s] * self.g[(p, s)];
-            }
-            out[t] = v / self.g[(p, t)];
-        }
-        Ok(())
+        substitute_into(
+            self.rank(),
+            |t| self.g.row(self.pivots[t]),
+            kernel_at_pivots,
+            out,
+        )
     }
+
+    /// The `rank() x rank()` pivot block `G[pivots, :]` — everything
+    /// embedding a new point reads, without the `n x rank()` factor.
+    pub fn pivot_block(&self) -> PivotBlock {
+        PivotBlock {
+            rows: self.g.select_rows(&self.pivots),
+        }
+    }
+}
+
+/// The lower-triangular pivot block of an [`IncompleteCholesky`]: what
+/// a fitted model keeps to embed new points. Embeddings are bitwise
+/// equal to [`IncompleteCholesky::transform_new_into`] on the factor it
+/// came from.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PivotBlock {
+    rows: Matrix,
+}
+
+impl PivotBlock {
+    /// Rank of the factorization the block was taken from.
+    pub fn rank(&self) -> usize {
+        self.rows.rows()
+    }
+
+    /// See [`IncompleteCholesky::transform_new_into`].
+    // qpp-lint: hot-path
+    pub fn transform_new_into(&self, kernel_at_pivots: &[f64], out: &mut Vec<f64>) -> Result<()> {
+        substitute_into(self.rank(), |t| self.rows.row(t), kernel_at_pivots, out)
+    }
+}
+
+/// Forward substitution against the lower-triangular pivot block
+/// `G[pivots, :]` (triangular in selection order by construction);
+/// `pivot_row(t)` is its row `t`.
+// qpp-lint: hot-path
+fn substitute_into<'a>(
+    r: usize,
+    pivot_row: impl Fn(usize) -> &'a [f64],
+    kernel_at_pivots: &[f64],
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    if kernel_at_pivots.len() != r {
+        return Err(LinalgError::ShapeMismatch {
+            op: "icd transform_new",
+            lhs: (r, 1),
+            rhs: (kernel_at_pivots.len(), 1),
+        });
+    }
+    out.clear();
+    out.resize(r, 0.0);
+    for t in 0..r {
+        let row = pivot_row(t);
+        let mut v = kernel_at_pivots[t];
+        for s in 0..t {
+            v -= out[s] * row[s];
+        }
+        out[t] = v / row[t];
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -331,6 +376,11 @@ mod tests {
                 .map(|&p| kernel(&pts[probe], &pts[p]))
                 .collect();
             let emb = icd.transform_new(&k_row).unwrap();
+            let mut from_block = Vec::new();
+            icd.pivot_block()
+                .transform_new_into(&k_row, &mut from_block)
+                .unwrap();
+            assert_eq!(emb, from_block, "pivot block embeds bit for bit");
             for (t, v) in emb.iter().enumerate() {
                 assert!(
                     (v - icd.g()[(probe, t)]).abs() < 1e-6,

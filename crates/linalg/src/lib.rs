@@ -28,7 +28,10 @@
 //!   path's crate boundaries.
 
 // Library code must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cholesky;
 pub mod eigen;
@@ -46,7 +49,7 @@ pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
 pub use error::{LinalgError, Result};
 pub use geneig::GeneralizedEigen;
-pub use icd::{IcdOptions, IncompleteCholesky};
+pub use icd::{IcdOptions, IncompleteCholesky, PivotBlock};
 pub use matrix::Matrix;
 pub use qr::{LeastSquares, QrDecomposition};
 pub use svd::{truncated_svd, SvdOptions, TruncatedSvd};

@@ -9,7 +9,7 @@
 //! it:
 //!
 //! 1. **Hot-path propagation** — BFS from every `// qpp-lint: hot-path`
-//!    root; the alloc/unwrap/wallclock rules fire in any reachable
+//!    root; the alloc/wallclock rules fire in any reachable
 //!    function, with the call chain attached as provenance.
 //!    `// qpp-lint: cold-path` marks a deliberate slow-path boundary
 //!    and stops the propagation.
@@ -706,7 +706,6 @@ fn propagate_hot(g: &Graph<'_>, out: &mut Vec<Diagnostic>, stats: &mut GraphStat
                 continue;
             }
             let name = f.text(t);
-            let txt = |k: usize| f.lexed.tokens.get(k).map(|t| &f.src[t.start..t.end]);
             // no-wallclock-in-model: crates already covered by the
             // per-file rule are skipped (no duplicates); obs is the
             // sanctioned clock layer, bench never serves.
@@ -731,21 +730,6 @@ fn propagate_hot(g: &Graph<'_>, out: &mut Vec<Diagnostic>, stats: &mut GraphStat
                     msg,
                     chain.clone(),
                 );
-            }
-            // no-unwrap-lib: the per-file rule already covers library
-            // code; extend only to contexts it exempts (bins, bench).
-            if (f.is_bin_file || crate_name == "bench")
-                && ((matches!(name, "unwrap" | "expect")
-                    && txt(i.wrapping_sub(1)) == Some(".")
-                    && txt(i + 1) == Some("("))
-                    || (name == "panic" && txt(i + 1) == Some("!")))
-            {
-                let msg = format!(
-                    "`{name}` in `{}`, reachable from a `qpp-lint: hot-path` root — \
-                     a panic here tears down the serving path; return a typed error",
-                    g.display(v)
-                );
-                emit_at(g.files, out, "no-unwrap-lib", fi, i, msg, chain.clone());
             }
         }
     }

@@ -465,7 +465,8 @@ mod tests {
         // directive-looking body must lex as ONE literal: leaking any of
         // it would corrupt brace matching, char-literal detection, or
         // the allow-directive parser in the scanner.
-        let src = r###"let s = r#"can't { } // qpp-lint: allow(no-unwrap-lib) fn fake() {"#; x.unwrap();"###;
+        let src =
+            r###"let s = r#"can't { } // qpp-lint: allow(no-vecvec) fn fake() {"#; x.unwrap();"###;
         let lexed = lex(src);
         assert_eq!(lexed.comments.len(), 0, "no comment inside a raw string");
         let ids = idents(src);

@@ -9,7 +9,7 @@
 //! emitting span-accurate diagnostics.
 //!
 //! Run it over the workspace (`cargo run -p qpp-lint -- crates`), ask
-//! it to explain a rule (`--explain no-unwrap-lib`), or get
+//! it to explain a rule (`--explain no-alloc-hot-path`), or get
 //! machine-readable output (`--json`). Opt out per line with
 //! `// qpp-lint: allow(<rule>)`; mark zero-allocation functions with
 //! `// qpp-lint: hot-path`.
@@ -85,13 +85,6 @@ pub fn lint_report(roots: &[String]) -> LintReport {
     }
 }
 
-/// Compatibility wrapper around [`lint_report`] for callers that only
-/// need the diagnostics and errors.
-pub fn lint_paths(roots: &[String]) -> (Vec<Diagnostic>, Vec<String>) {
-    let r = lint_report(roots);
-    (r.diagnostics, r.errors)
-}
-
 fn walk(dir: &Path, depth: usize, files: &mut Vec<PathBuf>, errors: &mut Vec<String>) {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -155,12 +148,12 @@ mod tests {
 
     #[test]
     fn lint_source_reports_sorted_spans() {
-        let src = "fn f() {\n    let x = a.unwrap();\n    let y = b.unwrap();\n}\n";
-        let d = lint_source("crates/demo/src/lib.rs", src.to_string());
+        let src = "fn f() {\n    let x = Instant::now();\n    let y = Instant::now();\n}\n";
+        let d = lint_source("crates/ml/src/lib.rs", src.to_string());
         assert_eq!(d.len(), 2);
-        assert_eq!(d[0].rule, "no-unwrap-lib");
-        assert_eq!((d[0].line, d[0].col), (2, 15));
-        assert_eq!((d[1].line, d[1].col), (3, 15));
-        assert!(d[0].snippet.contains("a.unwrap()"));
+        assert_eq!(d[0].rule, "no-wallclock-in-model");
+        assert_eq!((d[0].line, d[0].col), (2, 13));
+        assert_eq!((d[1].line, d[1].col), (3, 13));
+        assert!(d[0].snippet.contains("Instant::now()"));
     }
 }

@@ -1,4 +1,5 @@
-//! The rule engine: six rules wired to the workspace's real invariants.
+//! The rule engine: the per-file rules, wired to the workspace's real
+//! invariants.
 //!
 //! Every rule matches on the token stream of a [`FileModel`], honors
 //! per-line `// qpp-lint: allow(<rule>)` directives, and reports
@@ -13,7 +14,7 @@ use crate::scanner::FileModel;
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule identifier, e.g. `no-unwrap-lib`.
+    /// Rule identifier, e.g. `no-vecvec`.
     pub rule: &'static str,
     /// File path as given to the linter.
     pub path: String,
@@ -120,27 +121,6 @@ escape (e.g. summing values) may opt out with\n\
 `// qpp-lint: allow(no-hashmap-iter-order)`.",
     },
     RuleInfo {
-        id: "no-unwrap-lib",
-        summary: "no unwrap/expect/panic! in non-test library code",
-        explain: "\
-Every fallible library path returns the unified `QppError` hierarchy\n\
-(PR 3); a panic in library code tears down a serving worker instead of\n\
-degrading into a typed error the caller can route. Production studies\n\
-of learned QPP systems put operational error handling, not accuracy,\n\
-at the top of the trust budget.\n\
-\n\
-Fires on: `.unwrap()`, `.expect(..)`, and `panic!(..)` in non-test\n\
-library code of every serving/model crate (files under tests/,\n\
-examples/, benches/, src/bin/, `#[cfg(test)]` / `#[test]` items, and\n\
-the offline qpp-bench harness are exempt; so are `unwrap_or*`,\n\
-`unwrap_err`, `expect_err`, and assert macros).\n\
-\n\
-Fix: return a typed error (`QppError`, or the crate's error enum)\n\
-with `ResultExt::ctx` context. Invariants that genuinely cannot fail\n\
-(e.g. lock poisoning recovery, fatal pool spawn) may opt out with\n\
-`// qpp-lint: allow(no-unwrap-lib)` plus a justification comment.",
-    },
-    RuleInfo {
         id: "no-wallclock-in-model",
         summary: "no wall-clock reads in deterministic model code",
         explain: "\
@@ -230,7 +210,6 @@ pub fn check_file(m: &FileModel) -> Vec<Diagnostic> {
     no_alloc_hot_path(m, &mut out);
     no_unordered_float_reduce(m, &mut out);
     no_hashmap_iter_order(m, &mut out);
-    no_unwrap_lib(m, &mut out);
     no_wallclock_in_model(m, &mut out);
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
@@ -557,39 +536,6 @@ fn no_hashmap_iter_order(m: &FileModel, out: &mut Vec<Diagnostic>) {
                 ),
             );
         }
-    }
-}
-
-/// `.unwrap()` / `.expect(..)` / `panic!` in non-test library code.
-fn no_unwrap_lib(m: &FileModel, out: &mut Vec<Diagnostic>) {
-    if m.is_test_file || m.is_bin_file {
-        return;
-    }
-    // qpp-bench is an offline experiment harness: failing fast on a
-    // broken experiment is correct there, and it serves no traffic.
-    if m.crate_name.as_deref() == Some("bench") {
-        return;
-    }
-    let toks = &m.lexed.tokens;
-    let txt = |k: usize| toks.get(k).map(|t| &m.src[t.start..t.end]);
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || m.in_test_region(t.start) {
-            continue;
-        }
-        let name = m.text(t);
-        let prev = if i > 0 { txt(i - 1) } else { None };
-        let next = txt(i + 1);
-        let msg = match name {
-            "unwrap" | "expect" if prev == Some(".") && next == Some("(") => format!(
-                "`.{name}()` in library code — return a typed `QppError` \
-                 (or annotate a true invariant with an allow comment)"
-            ),
-            "panic" if next == Some("!") => "`panic!` in library code — return a typed \
-                 `QppError` instead of tearing down the caller"
-                .to_string(),
-            _ => continue,
-        };
-        emit(m, out, "no-unwrap-lib", i, msg);
     }
 }
 

@@ -800,7 +800,7 @@ mod tests {
         let (c, t, b) = classify("crates/lint/tests/fixtures/x/crates/ml/src/fires.rs");
         assert_eq!(c.as_deref(), Some("ml"));
         assert!(!t && !b);
-        let (c, t, b) = classify("crates/bench/src/bin/loadgen.rs");
+        let (c, t, b) = classify("crates/bench/src/bin/experiments.rs");
         assert_eq!(c.as_deref(), Some("bench"));
         assert!(!t && b);
     }
@@ -837,10 +837,10 @@ mod tests {
     #[test]
     fn allow_directives_cover_their_line_and_the_next() {
         let m = model(
-            "// qpp-lint: allow(no-unwrap-lib)\nlet a = x.unwrap();\nlet b = y.unwrap(); // qpp-lint: allow(no-unwrap-lib, no-vecvec)\n",
+            "// qpp-lint: allow(lock-order)\nlet a = x.lock();\nlet b = y.lock(); // qpp-lint: allow(lock-order, no-vecvec)\n",
         );
-        assert!(m.is_allowed(2, "no-unwrap-lib"));
-        assert!(m.is_allowed(3, "no-unwrap-lib"));
+        assert!(m.is_allowed(2, "lock-order"));
+        assert!(m.is_allowed(3, "lock-order"));
         assert!(m.is_allowed(3, "no-vecvec"));
         assert!(!m.is_allowed(2, "no-vecvec"));
     }

@@ -61,13 +61,13 @@ fn json_carries_provenance_for_workspace_findings() {
 fn json_escapes_special_characters() {
     let diags = qpp_lint::lint_source(
         "virtual/crates/core/src/lib.rs",
-        "pub fn f(v: Option<u64>) -> u64 {\n    v.expect(\"tab\\there\")\n}\n".to_string(),
+        "pub fn f() {\n    let rows: Vec<Vec<f64>> = parse(\"tab\\there\");\n}\n".to_string(),
     );
     assert_eq!(diags.len(), 1);
     let stats = qpp_lint::GraphStats::default();
     let out = json::to_json(&diags, &stats);
     // The snippet contains a quoted string: it must arrive escaped.
-    assert!(out.contains(r#"v.expect(\"tab\\there\")"#), "{out}");
+    assert!(out.contains(r#"parse(\"tab\\there\")"#), "{out}");
     let empty = json::to_json(&[], &stats);
     assert!(empty.contains("\"count\": 0"), "{empty}");
 }

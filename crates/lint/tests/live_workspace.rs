@@ -4,13 +4,14 @@
 //! the test suite means `cargo test` alone catches a regression in any
 //! crate — including edits that bypass ci.sh.
 
-use qpp_lint::lint_paths;
+use qpp_lint::lint_report;
 
 #[test]
 fn live_workspace_has_no_violations() {
     let crates_dir = format!("{}/../../crates", env!("CARGO_MANIFEST_DIR"));
-    let (diags, errors) = lint_paths(&[crates_dir]);
-    assert!(errors.is_empty(), "walk errors: {errors:?}");
+    let report = lint_report(&[crates_dir]);
+    assert!(report.errors.is_empty(), "walk errors: {:?}", report.errors);
+    let diags = report.diagnostics;
     assert!(
         diags.is_empty(),
         "workspace must be lint-clean; run `cargo run -p qpp-lint -- crates`:\n{}",
@@ -25,8 +26,9 @@ fn live_workspace_has_no_violations() {
 #[test]
 fn obs_crate_is_lint_clean_with_no_alloc_waivers() {
     let obs_dir = format!("{}/../../crates/obs", env!("CARGO_MANIFEST_DIR"));
-    let (diags, errors) = lint_paths(std::slice::from_ref(&obs_dir));
-    assert!(errors.is_empty(), "walk errors: {errors:?}");
+    let report = lint_report(std::slice::from_ref(&obs_dir));
+    assert!(report.errors.is_empty(), "walk errors: {:?}", report.errors);
+    let diags = report.diagnostics;
     assert!(
         diags.is_empty(),
         "qpp-obs must be lint-clean:\n{}",
@@ -102,8 +104,9 @@ fn workspace_has_zero_atomic_ordering_waivers() {
 #[test]
 fn serve_hot_paths_stay_marked_and_waiver_free() {
     let serve_dir = format!("{}/../../crates/serve", env!("CARGO_MANIFEST_DIR"));
-    let (diags, errors) = lint_paths(std::slice::from_ref(&serve_dir));
-    assert!(errors.is_empty(), "walk errors: {errors:?}");
+    let report = lint_report(std::slice::from_ref(&serve_dir));
+    assert!(report.errors.is_empty(), "walk errors: {:?}", report.errors);
+    let diags = report.diagnostics;
     assert!(
         diags.is_empty(),
         "qpp-serve must be lint-clean:\n{}",
@@ -151,8 +154,9 @@ fn serve_hot_paths_stay_marked_and_waiver_free() {
 #[test]
 fn adapt_crate_is_lint_clean_with_no_waivers() {
     let adapt_dir = format!("{}/../../crates/adapt", env!("CARGO_MANIFEST_DIR"));
-    let (diags, errors) = lint_paths(std::slice::from_ref(&adapt_dir));
-    assert!(errors.is_empty(), "walk errors: {errors:?}");
+    let report = lint_report(std::slice::from_ref(&adapt_dir));
+    assert!(report.errors.is_empty(), "walk errors: {:?}", report.errors);
+    let diags = report.diagnostics;
     assert!(
         diags.is_empty(),
         "qpp-adapt must be lint-clean:\n{}",

@@ -15,7 +15,10 @@
 //! spilled records.
 
 // Library code must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cluster;
 pub mod job;

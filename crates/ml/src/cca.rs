@@ -16,16 +16,15 @@
 //! Because `B` is block-diagonal the dense problem factors exactly: the
 //! canonical correlations are the singular values of
 //! `M = Lx⁻¹ Cxy Ly⁻ᵀ` (`p x q`, with `Bx = Lx Lxᵀ`, `By = Ly Lyᵀ`),
-//! and `wx = Lx⁻ᵀ u`, `wy = Ly⁻ᵀ v`. The default
-//! [`CcaMethod::ReducedSvd`] path exploits this, extracting only the
-//! top `components` triplets by deterministic subspace iteration
-//! ([`qpp_linalg::svd`]) instead of Jacobi-sweeping the full
-//! `(p+q) x (p+q)` generalized problem — the difference between a
-//! ~3.7 s and a millisecond-scale eigensolve at ICD rank 256. The dense
-//! [`CcaMethod::DenseGeneralized`] path is retained for equivalence
-//! testing.
+//! and `wx = Lx⁻ᵀ u`, `wy = Ly⁻ᵀ v`. [`Cca::fit`] exploits this,
+//! extracting only the top `components` triplets by deterministic
+//! subspace iteration ([`qpp_linalg::svd`]) instead of Jacobi-sweeping
+//! the full `(p+q) x (p+q)` generalized problem — the difference between
+//! a ~3.7 s and a millisecond-scale eigensolve at ICD rank 256. The
+//! dense solve ([`qpp_linalg::GeneralizedEigen`]) is the oracle
+//! `tests/svd_equivalence.rs` checks this path against.
 
-use qpp_linalg::{stats, svd, vector, Cholesky, GeneralizedEigen, LinalgError, Matrix, SvdOptions};
+use qpp_linalg::{stats, svd, vector, Cholesky, LinalgError, Matrix, SvdOptions};
 use serde::{Deserialize, Serialize};
 
 /// Slack on the mathematical bound `|ρ| <= 1`: values within the slack
@@ -34,20 +33,6 @@ use serde::{Deserialize, Serialize};
 /// laundered into a perfect correlation of 1.0.
 const CORRELATION_SLACK: f64 = 1e-6;
 
-/// Which eigensolver backs [`Cca::fit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CcaMethod {
-    /// Reduce to the `p x q` correlation matrix via block Cholesky and
-    /// extract the top `components` singular triplets by deterministic
-    /// blocked subspace iteration. The default: cost scales with the
-    /// number of components kept, not the full spectrum.
-    ReducedSvd,
-    /// Assemble the dense `(p+q) x (p+q)` generalized eigenproblem and
-    /// Jacobi-solve the whole spectrum. Retained as the reference
-    /// implementation for equivalence tests.
-    DenseGeneralized,
-}
-
 /// Options for [`Cca::fit`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CcaOptions {
@@ -55,8 +40,6 @@ pub struct CcaOptions {
     pub components: usize,
     /// Ridge regularization κ added to the within-set covariances.
     pub regularization: f64,
-    /// Eigensolver selection (see [`CcaMethod`]).
-    pub method: CcaMethod,
 }
 
 impl Default for CcaOptions {
@@ -64,7 +47,6 @@ impl Default for CcaOptions {
         CcaOptions {
             components: 8,
             regularization: 1e-3,
-            method: CcaMethod::ReducedSvd,
         }
     }
 }
@@ -116,12 +98,7 @@ impl Cca {
         let kappa = opts.regularization * avg_var.max(1e-12);
 
         let keep = opts.components.min(p.min(q));
-        let (correlations, wx, wy) = match opts.method {
-            CcaMethod::ReducedSvd => Cca::fit_reduced_svd(&cxx, &cyy, &cxy, kappa, keep)?,
-            CcaMethod::DenseGeneralized => {
-                Cca::fit_dense_generalized(&cxx, &cyy, &cxy, kappa, keep)?
-            }
-        };
+        let (correlations, wx, wy) = Cca::fit_reduced_svd(&cxx, &cyy, &cxy, kappa, keep)?;
         Ok(Cca {
             correlations,
             wx,
@@ -131,7 +108,7 @@ impl Cca {
         })
     }
 
-    /// Reduced path: with block-diagonal `B` the generalized problem
+    /// With block-diagonal `B` the generalized problem
     /// factors into a plain SVD. Factor `Bx = Lx Lxᵀ`, `By = Ly Lyᵀ`,
     /// form `M = Lx⁻¹ Cxy Ly⁻ᵀ` (`p x q`), take its top `keep` singular
     /// triplets by subspace iteration, and back-transform
@@ -182,43 +159,6 @@ impl Cca {
             }
             for j in 0..q {
                 wy[(j, k)] = v[j];
-            }
-        }
-        Ok((correlations, wx, wy))
-    }
-
-    /// Dense reference path: assemble the full `(p+q) x (p+q)` blocked
-    /// generalized eigenproblem and Jacobi-solve the whole spectrum.
-    fn fit_dense_generalized(
-        cxx: &Matrix,
-        cyy: &Matrix,
-        cxy: &Matrix,
-        kappa: f64,
-        keep: usize,
-    ) -> Result<(Vec<f64>, Matrix, Matrix), LinalgError> {
-        let (p, q) = cxy.shape();
-        let d = p + q;
-        let mut a = Matrix::zeros(d, d);
-        a.set_block(0, p, cxy);
-        a.set_block(p, 0, &cxy.transpose());
-        let mut b = Matrix::zeros(d, d);
-        b.set_block(0, 0, cxx);
-        b.set_block(p, p, cyy);
-        b.add_diagonal(kappa);
-
-        let eig = GeneralizedEigen::new(&a, &b)?;
-        let mut correlations = Vec::with_capacity(keep);
-        let mut wx = Matrix::zeros(p, keep);
-        let mut wy = Matrix::zeros(q, keep);
-        for k in 0..keep {
-            // Eigenvalues are sorted descending; the top `keep` are the
-            // positive half of the ± pairs.
-            correlations.push(validated_correlation(eig.values[k])?);
-            for i in 0..p {
-                wx[(i, k)] = eig.vectors[(i, k)];
-            }
-            for j in 0..q {
-                wy[(j, k)] = eig.vectors[(p + j, k)];
             }
         }
         Ok((correlations, wx, wy))
@@ -344,7 +284,6 @@ mod tests {
             CcaOptions {
                 components: 2,
                 regularization: 1e-4,
-                ..CcaOptions::default()
             },
         )
         .unwrap();
@@ -383,7 +322,6 @@ mod tests {
             CcaOptions {
                 components: 10,
                 regularization: 1e-3,
-                ..CcaOptions::default()
             },
         )
         .unwrap();
@@ -432,34 +370,6 @@ mod tests {
             validated_correlation(f64::NAN),
             Err(LinalgError::NonFinite { .. })
         ));
-    }
-
-    #[test]
-    fn dense_method_still_available_and_agrees_on_top_correlation() {
-        let (x, y) = correlated_data(200, 1);
-        let reduced = Cca::fit(
-            &x,
-            &y,
-            CcaOptions {
-                components: 2,
-                regularization: 1e-4,
-                method: CcaMethod::ReducedSvd,
-            },
-        )
-        .unwrap();
-        let dense = Cca::fit(
-            &x,
-            &y,
-            CcaOptions {
-                components: 2,
-                regularization: 1e-4,
-                method: CcaMethod::DenseGeneralized,
-            },
-        )
-        .unwrap();
-        for (r, d) in reduced.correlations.iter().zip(dense.correlations.iter()) {
-            assert!((r - d).abs() < 1e-8, "reduced {r} vs dense {d}");
-        }
     }
 
     fn pearson(a: &[f64], b: &[f64]) -> f64 {

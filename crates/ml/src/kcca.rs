@@ -19,7 +19,9 @@
 
 use crate::cca::{Cca, CcaOptions};
 use crate::kernel::GaussianKernel;
-use qpp_linalg::{vector, IcdOptions, IncompleteCholesky, LinalgError, Matrix, MatrixView};
+use qpp_linalg::{
+    vector, IcdOptions, IncompleteCholesky, LinalgError, Matrix, MatrixView, PivotBlock,
+};
 use serde::{Deserialize, Serialize};
 
 /// Options for [`Kcca::fit`].
@@ -59,10 +61,11 @@ impl Default for KccaOptions {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Kcca {
     x_kernel: GaussianKernel,
-    y_kernel: GaussianKernel,
     /// Query-side pivot points (rows of the training X at ICD pivots).
     x_pivots: Matrix,
-    x_icd: IncompleteCholesky,
+    /// Query-side ICD pivot block `G[pivots, :]`: all that embedding a
+    /// new query reads, so the `n x rank` factor is not kept.
+    x_pivot_block: PivotBlock,
     cca: Cca,
     /// Training query projection `Kx A` (one row per training point).
     x_projection: Matrix,
@@ -125,7 +128,6 @@ impl Kcca {
                 CcaOptions {
                     components: opts.components,
                     regularization: opts.regularization,
-                    ..CcaOptions::default()
                 },
             )?
         };
@@ -134,9 +136,8 @@ impl Kcca {
         let x_pivots = x.select_rows(x_icd.pivots());
         Ok(Kcca {
             x_kernel,
-            y_kernel,
             x_pivots,
-            x_icd,
+            x_pivot_block: x_icd.pivot_block(),
             cca,
             x_projection,
             y_projection,
@@ -165,17 +166,7 @@ impl Kcca {
 
     /// Achieved incomplete-Cholesky rank on the query side.
     pub fn x_rank(&self) -> usize {
-        self.x_icd.rank()
-    }
-
-    /// The fitted query-side kernel.
-    pub fn x_kernel(&self) -> GaussianKernel {
-        self.x_kernel
-    }
-
-    /// The fitted performance-side kernel.
-    pub fn y_kernel(&self) -> GaussianKernel {
-        self.y_kernel
+        self.x_pivot_block.rank()
     }
 
     /// Projects a *new* query feature vector into the query projection
@@ -256,7 +247,7 @@ impl Kcca {
                 .map(|p| self.x_kernel.eval(features, p)),
         );
         let similarity = vector::max_iter(0.0, scratch.k_row.iter().copied());
-        self.x_icd
+        self.x_pivot_block
             .transform_new_into(&scratch.k_row, &mut scratch.embedded)?;
         self.cca.project_x_into(&scratch.embedded, out);
         Ok(similarity)

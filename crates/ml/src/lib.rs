@@ -22,7 +22,10 @@
 //!   runtime-range baseline from the related work (§III).
 
 // Library code must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod ann;
 pub mod cca;
@@ -36,7 +39,7 @@ pub mod pca;
 pub mod regression;
 
 pub use ann::{AnnIndex, AnnOptions, IvfIndex, IvfOptions};
-pub use cca::{Cca, CcaMethod, CcaOptions};
+pub use cca::{Cca, CcaOptions};
 pub use decision_tree::{DecisionTree, TreeOptions};
 pub use kcca::{Kcca, KccaOptions, ProjectionScratch};
 pub use kernel::GaussianKernel;

@@ -10,7 +10,7 @@
 //! Every comparison is repeated under 1 and 8 worker threads — results
 //! must not depend on the pool size, at build time or query time.
 //!
-//! `ci.sh` gates on this suite actually running (≥ 7 tests), the same
+//! `ci.sh` gates on this suite actually running (≥ 8 tests), the same
 //! pattern as the svd_equivalence gate.
 
 use qpp_linalg::Matrix;
@@ -303,4 +303,30 @@ fn ivf_predictions_are_bitwise_equal_to_brute_predictions() {
             }
         }
     }
+}
+
+/// The sub-linear claim, counted rather than timed: the most distance
+/// evaluations one default-options query can cost (`nlist` centroids
+/// plus the `nprobe` longest lists) stays within 3x while the brute
+/// scan's count — the row count — grows 64x.
+#[test]
+fn worst_case_distance_evaluations_stay_flat_as_rows_grow() {
+    let worst_case = |rows: usize| {
+        let mut rng = StdRng::seed_from_u64(rows as u64);
+        let data = Matrix::from_fn(rows, 8, |_, _| rng.random_range(-1.0..1.0));
+        let ivf = IvfIndex::build(data, DistanceMetric::Euclidean, IvfOptions::default()).unwrap();
+        assert_eq!(ivf.len(), rows);
+        let mut lens: Vec<usize> = (0..ivf.nlist()).map(|c| ivf.list(c).len()).collect();
+        lens.sort_unstable_by(|a, b| b.cmp(a));
+        ivf.nlist() + lens[..ivf.nprobe()].iter().sum::<usize>()
+    };
+    let sizes = [1024, 8192, 65_536];
+    let evals = sizes.map(worst_case);
+    assert!(sizes[2] >= 64 * sizes[0]);
+    assert!(
+        evals[2] <= 3 * evals[0] && evals[1] <= 3 * evals[0],
+        "worst-case evaluations {evals:?} at {sizes:?} rows grew past 3x"
+    );
+    // Below `nprobe` lists the index is exhaustive: every row, once.
+    assert_eq!(evals[0], 1024 / 128 + 1024);
 }

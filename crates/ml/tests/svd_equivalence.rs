@@ -1,16 +1,16 @@
-//! Equivalence of the two CCA eigensolvers, and determinism of the new
-//! subspace-iteration path.
+//! Equivalence of `Cca::fit` with the dense oracle, and determinism of
+//! the subspace-iteration path.
 //!
-//! The reduced path (`CcaMethod::ReducedSvd`: block-Cholesky reduction
-//! plus truncated SVD by subspace iteration) must agree with the dense
-//! reference (`CcaMethod::DenseGeneralized`: full Jacobi on the
-//! `(p+q) x (p+q)` generalized problem) on random problems — the same
-//! canonical correlations, and the same canonical directions up to the
-//! per-path sign and normalization conventions. The reduced path must
-//! additionally be bitwise identical at 1 and 8 threads.
+//! `Cca::fit` (block-Cholesky reduction plus truncated SVD by subspace
+//! iteration) must agree with the dense reference (full Jacobi on the
+//! `(p+q) x (p+q)` generalized problem, `qpp_linalg::GeneralizedEigen`,
+//! assembled here) on random problems — the same canonical
+//! correlations, and the same canonical directions up to the per-path
+//! sign and normalization conventions. `Cca::fit` must additionally be
+//! bitwise identical at 1 and 8 threads.
 
-use qpp_linalg::{svd, vector, Matrix, SvdOptions};
-use qpp_ml::{Cca, CcaMethod, CcaOptions};
+use qpp_linalg::{stats, svd, vector, GeneralizedEigen, Matrix, SvdOptions};
+use qpp_ml::{Cca, CcaOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,17 +43,57 @@ fn latent_pair(n: usize, p: usize, q: usize, seed: u64) -> (Matrix, Matrix) {
     (x, y)
 }
 
-fn fit(x: &Matrix, y: &Matrix, components: usize, method: CcaMethod) -> Cca {
+const REGULARIZATION: f64 = 1e-3;
+
+fn fit(x: &Matrix, y: &Matrix, components: usize) -> Cca {
     Cca::fit(
         x,
         y,
         CcaOptions {
             components,
-            regularization: 1e-3,
-            method,
+            regularization: REGULARIZATION,
         },
     )
     .expect("cca fit")
+}
+
+/// The dense oracle: the same covariances and ridge as `Cca::fit`,
+/// assembled into the full `(p+q) x (p+q)` blocked generalized
+/// eigenproblem and Jacobi-solved for the whole spectrum. Returns the
+/// top `components` correlations and the x- and y-side projections of
+/// the training rows.
+fn dense_reference(x: &Matrix, y: &Matrix, components: usize) -> (Vec<f64>, Matrix, Matrix) {
+    let (n, p, q) = (x.rows(), x.cols(), y.cols());
+    let (x_means, y_means) = (stats::column_means(x), stats::column_means(y));
+    let xc = Matrix::from_fn(n, p, |i, j| x[(i, j)] - x_means[j]);
+    let yc = Matrix::from_fn(n, q, |i, j| y[(i, j)] - y_means[j]);
+    let scale = 1.0 / n as f64;
+    let cxx = xc.gram().scale(scale);
+    let cyy = yc.gram().scale(scale);
+    let cxy = xc.transpose().matmul(&yc).unwrap().scale(scale);
+    let trace: f64 =
+        (0..p).map(|i| cxx[(i, i)]).sum::<f64>() + (0..q).map(|j| cyy[(j, j)]).sum::<f64>();
+    let kappa = REGULARIZATION * (trace / (p + q) as f64).max(1e-12);
+
+    let mut a = Matrix::zeros(p + q, p + q);
+    a.set_block(0, p, &cxy);
+    a.set_block(p, 0, &cxy.transpose());
+    let mut b = Matrix::zeros(p + q, p + q);
+    b.set_block(0, 0, &cxx);
+    b.set_block(p, p, &cyy);
+    b.add_diagonal(kappa);
+    let eig = GeneralizedEigen::new(&a, &b).expect("dense generalized eigensolve");
+
+    // Eigenvalues are sorted descending; the top `keep` are the
+    // positive half of the ± pairs.
+    let keep = components.min(p.min(q));
+    let wx = Matrix::from_fn(p, keep, |i, k| eig.vectors[(i, k)]);
+    let wy = Matrix::from_fn(q, keep, |j, k| eig.vectors[(p + j, k)]);
+    (
+        eig.values[..keep].to_vec(),
+        xc.matmul(&wx).unwrap(),
+        yc.matmul(&wy).unwrap(),
+    )
 }
 
 /// |cos| of the angle between two vectors (1 = same direction up to
@@ -64,18 +104,19 @@ fn abs_cosine(a: &[f64], b: &[f64]) -> f64 {
     (vector::dot(a, b) / (na * nb)).abs()
 }
 
-/// Asserts both paths produce matching correlations, and matching
-/// projection directions for every well-separated component with
+/// Asserts `Cca::fit` and the dense oracle produce matching
+/// correlations, and matching projection directions for every
+/// well-separated component with
 /// non-trivial correlation (degenerate / near-zero components have
 /// ill-determined directions in exact arithmetic too).
 fn assert_paths_equivalent(x: &Matrix, y: &Matrix, components: usize) {
-    let reduced = fit(x, y, components, CcaMethod::ReducedSvd);
-    let dense = fit(x, y, components, CcaMethod::DenseGeneralized);
-    assert_eq!(reduced.components(), dense.components());
+    let reduced = fit(x, y, components);
+    let (dense_correlations, pd_x, pd_y) = dense_reference(x, y, components);
+    assert_eq!(reduced.components(), dense_correlations.len());
     for (k, (r, d)) in reduced
         .correlations
         .iter()
-        .zip(dense.correlations.iter())
+        .zip(dense_correlations.iter())
         .enumerate()
     {
         assert!(
@@ -87,9 +128,7 @@ fn assert_paths_equivalent(x: &Matrix, y: &Matrix, components: usize) {
     // (projection columns are invariant to the weight parameterization
     // up to per-component sign and scale).
     let pr_x = reduced.project_x_matrix(x);
-    let pd_x = dense.project_x_matrix(x);
     let pr_y = reduced.project_y_matrix(y);
-    let pd_y = dense.project_y_matrix(y);
     for k in 0..reduced.components() {
         let rho = reduced.correlations[k];
         let gap_ok =
@@ -140,13 +179,8 @@ fn reduced_matches_dense_on_rank_deficient_input() {
 #[test]
 fn reduced_fit_is_bitwise_identical_across_thread_counts() {
     let (x, y) = latent_pair(300, 8, 5, 71);
-    let opts = CcaOptions {
-        components: 4,
-        regularization: 1e-3,
-        method: CcaMethod::ReducedSvd,
-    };
-    let serial = qpp_par::with_threads(1, || Cca::fit(&x, &y, opts).unwrap());
-    let parallel = qpp_par::with_threads(8, || Cca::fit(&x, &y, opts).unwrap());
+    let serial = qpp_par::with_threads(1, || fit(&x, &y, 4));
+    let parallel = qpp_par::with_threads(8, || fit(&x, &y, 4));
     assert_eq!(serial.correlations, parallel.correlations);
     let ps = qpp_par::with_threads(1, || serial.project_x_matrix(&x));
     let pp = qpp_par::with_threads(8, || parallel.project_x_matrix(&x));

@@ -29,6 +29,11 @@
 //! across processes, which is all tracing needs.
 
 #![forbid(unsafe_code)]
+// Library code must degrade into typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod event;
 pub mod metrics;

@@ -30,7 +30,10 @@
 //! [`std::thread::available_parallelism`].
 
 // Library code must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -135,7 +138,6 @@ where
                 // run_chunks returns only after every chunk completed,
                 // so each slot is filled; silently dropping one would
                 // corrupt the merge order, hence the loud invariant.
-                // qpp-lint: allow(no-unwrap-lib)
                 .expect("every chunk ran")
         })
         .collect()
@@ -281,7 +283,6 @@ impl Pool {
                 })
                 // Thread-spawn failure means the process is out of
                 // resources; there is no useful degraded mode here.
-                // qpp-lint: allow(no-unwrap-lib)
                 .expect("spawn qpp-par worker");
         }
     }
@@ -325,6 +326,9 @@ fn help(region: &Region) {
 /// Runs `body(0..chunks)` with work-stealing across the pool; the
 /// calling thread participates and the call returns only when every
 /// chunk has completed and no worker remains inside the region.
+// The closing `panic!` re-raises a pooled worker's panic on the caller
+// (see the comment at the site); it is the one sanctioned use.
+#[allow(clippy::panic)]
 fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, body: &F) {
     if chunks == 0 {
         return;
@@ -371,7 +375,6 @@ fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, body: &F) {
     if helper_panicked {
         // Re-raises a panic that already tore down a pooled worker —
         // swallowing it would return incomplete results as if valid.
-        // qpp-lint: allow(no-unwrap-lib)
         panic!("qpp-par: a pooled worker panicked inside a parallel region");
     }
 }

@@ -42,7 +42,10 @@
 //! of the predict path (re-exported for embedders).
 
 // Serving must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod queue;
 pub mod registry;

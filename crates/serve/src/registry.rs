@@ -100,28 +100,18 @@ impl std::fmt::Display for SwapRace {
     }
 }
 
-/// Default lock-shard count for the registry.
-const DEFAULT_REGISTRY_SHARDS: usize = 8;
-
-/// Concurrent registry of prediction models, sharded by key hash.
+/// Concurrent registry of prediction models.
 ///
-/// Each shard is a `BTreeMap` behind its own `RwLock`: a key lives in
-/// exactly one shard (a stable FNV-1a hash of the key), so workers
-/// resolving models for different keys never contend on one lock, and
-/// every guarded operation on a key is linearized by that key's shard
-/// lock. Versions are minted from one registry-wide atomic counter, so
-/// the generation guards (`swap_if_current`, `demote_if_current`) stay
-/// correct across shards: a version uniquely identifies one entry no
-/// matter which shard holds it.
-///
-/// BTreeMaps (not hash maps) keep each shard's iteration sorted by
-/// `(config, feature tag)`; [`ModelRegistry::keys`] merges the shards'
-/// sorted runs in order, so listings are deterministic regardless of
-/// install order *and* shard count — hash-map iteration order is
-/// randomized per process and must never reach service output.
-#[derive(Debug)]
+/// One `BTreeMap` behind one `RwLock`: deployments install a handful of
+/// keys and `get` is a single read-lock per submit and per batch group,
+/// so every guarded operation (`swap_if_current`, `demote_if_current`)
+/// is linearized by the one write lock. A `BTreeMap` (not a hash map)
+/// keeps [`ModelRegistry::keys`] sorted by `(config, feature tag)`
+/// regardless of install order — hash-map iteration order is randomized
+/// per process and must never reach service output.
+#[derive(Debug, Default)]
 pub struct ModelRegistry {
-    shards: Vec<RwLock<BTreeMap<ModelKey, Arc<ModelEntry>>>>,
+    models: RwLock<BTreeMap<ModelKey, Arc<ModelEntry>>>,
     /// Total installs (first install counts); `swap_count()` reports
     /// installs that *replaced* an existing entry.
     installs: AtomicU64,
@@ -129,49 +119,10 @@ pub struct ModelRegistry {
     demotions: AtomicU64,
 }
 
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        Self::with_shards(DEFAULT_REGISTRY_SHARDS)
-    }
-}
-
 impl ModelRegistry {
-    /// An empty registry with the default shard count.
+    /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty registry with an explicit shard count (tests exercise
-    /// listing determinism across counts; embedders can right-size).
-    pub fn with_shards(shards: usize) -> Self {
-        ModelRegistry {
-            shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
-            installs: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard holding `key`: a stable FNV-1a hash over the key's
-    /// config name and feature tag, so placement never depends on
-    /// process-randomized hashing.
-    // qpp-lint: hot-path
-    fn shard_of(&self, key: &ModelKey) -> &RwLock<BTreeMap<ModelKey, Arc<ModelEntry>>> {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in key.config.bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for b in key.tag.bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
     /// Installs (or hot-swaps) a model under `key`, returning the new
@@ -190,10 +141,10 @@ impl ModelRegistry {
             version,
             degraded: false,
         });
-        let replaced = self.shard_of(&key).write().insert(key, entry).is_some();
+        let replaced = self.models.write().insert(key, entry).is_some();
         if replaced {
-            // ordering: pure statistic; the shard write lock above is
-            // what orders the install itself.
+            // ordering: pure statistic; the write lock above is what
+            // orders the install itself.
             self.swaps.fetch_add(1, Ordering::Relaxed);
         }
         // Untraced marker (trace 0): installs happen outside any request,
@@ -207,7 +158,7 @@ impl ModelRegistry {
     fn next_version(&self) -> u64 {
         // ordering: fetch_add is atomic at any ordering, which is all
         // version uniqueness needs; monotonic publication of the entry
-        // itself rides on the shard locks.
+        // itself rides on the map lock.
         self.installs.fetch_add(1, Ordering::Relaxed) + 1
     }
 
@@ -228,11 +179,9 @@ impl ModelRegistry {
         predictor: KccaPredictor,
         fallback: OptimizerCostModel,
     ) -> Result<u64, SwapRace> {
-        // The guard and the insert happen under one shard write lock:
-        // concurrent guarded operations on the same key serialize on
-        // that shard, which is all the generation guard needs — entries
-        // for other keys (other shards) proceed untouched.
-        let mut models = self.shard_of(&key).write();
+        // The guard and the insert happen under one write lock, which
+        // is all the generation guard needs.
+        let mut models = self.models.write();
         let found = models.get(&key).map(|e| e.version);
         if found != Some(expected) {
             return Err(SwapRace { expected, found });
@@ -249,7 +198,7 @@ impl ModelRegistry {
         );
         drop(models);
         // ordering: pure statistic; the guarded swap was ordered by the
-        // shard write lock above.
+        // write lock above.
         self.swaps.fetch_add(1, Ordering::Relaxed);
         qpp_obs::recorder().record_mark(0, qpp_obs::Stage::ModelSwap, version);
         Ok(version)
@@ -261,7 +210,7 @@ impl ModelRegistry {
     /// decided against one model can never demote a newer one that was
     /// installed while the decision was being made.
     pub fn demote_if_current(&self, key: ModelKey, expected: u64) -> Result<u64, SwapRace> {
-        let mut models = self.shard_of(&key).write();
+        let mut models = self.models.write();
         let current = match models.get(&key) {
             Some(e) if e.version == expected && !e.degraded => Arc::clone(e),
             other => {
@@ -283,7 +232,7 @@ impl ModelRegistry {
         );
         drop(models);
         // ordering: pure statistic; the guarded demotion was ordered by
-        // the shard write lock above.
+        // the write lock above.
         self.demotions.fetch_add(1, Ordering::Relaxed);
         qpp_obs::recorder().record_mark(0, qpp_obs::Stage::KillSwitch, version);
         Ok(version)
@@ -291,7 +240,7 @@ impl ModelRegistry {
 
     /// Version of the currently installed entry for `key`, if any.
     pub fn current_version(&self, key: &ModelKey) -> Option<u64> {
-        self.shard_of(key).read().get(key).map(|e| e.version)
+        self.models.read().get(key).map(|e| e.version)
     }
 
     /// Installs a model from its serialized JSON envelope (see
@@ -321,44 +270,12 @@ impl ModelRegistry {
     /// valid (and internally consistent) across concurrent swaps.
     // qpp-lint: hot-path
     pub fn get(&self, key: &ModelKey) -> Option<Arc<ModelEntry>> {
-        self.shard_of(key).read().get(key).cloned()
+        self.models.read().get(key).cloned()
     }
 
     /// Installed keys, sorted by `(config, feature tag)`.
-    ///
-    /// Ordered k-way merge of the shards' already-sorted runs: each key
-    /// lives in exactly one shard, so repeatedly taking the smallest
-    /// head yields the global sorted listing — identical for any shard
-    /// count.
     pub fn keys(&self) -> Vec<ModelKey> {
-        let mut runs: Vec<Vec<ModelKey>> = self
-            .shards
-            .iter()
-            .map(|s| s.read().keys().cloned().collect())
-            .collect();
-        let mut heads = vec![0usize; runs.len()];
-        let total: usize = runs.iter().map(Vec::len).sum();
-        let mut merged = Vec::with_capacity(total);
-        for _ in 0..total {
-            let mut best: Option<usize> = None;
-            for (i, run) in runs.iter().enumerate() {
-                if heads[i] < run.len() && best.is_none_or(|b| run[heads[i]] < runs[b][heads[b]]) {
-                    best = Some(i);
-                }
-            }
-            // `total` counted a remaining key, so a head always exists;
-            // breaking (not panicking) keeps this library-safe anyway.
-            let Some(b) = best else { break };
-            merged.push(std::mem::replace(
-                &mut runs[b][heads[b]],
-                ModelKey {
-                    config: String::new(),
-                    tag: "",
-                },
-            ));
-            heads[b] += 1;
-        }
-        merged
+        self.models.read().keys().cloned().collect()
     }
 
     /// Number of installs that replaced an existing model.
@@ -532,62 +449,6 @@ mod tests {
         assert_eq!(listed, sorted, "registry listing must be sorted");
         assert_eq!(listed[0], "alpha-1/query-plan");
         assert_eq!(listed[5], "zeta-9/sql-text");
-    }
-
-    /// The sharded registry must list keys identically for *any* shard
-    /// count: keys scatter across shards by hash, and the ordered merge
-    /// has to reassemble the same sorted listing a single BTreeMap
-    /// would produce.
-    #[test]
-    fn keys_listing_is_deterministic_across_shard_counts() {
-        let (m, f) = trained(16);
-        let configs = [
-            "zeta-9",
-            "alpha-1",
-            "neoview-4",
-            "mu-5",
-            "beta-2",
-            "omega-7",
-            "kappa-3",
-        ];
-        let mut listings: Vec<Vec<String>> = Vec::new();
-        for shards in [1, 2, 3, 8, 16] {
-            let registry = ModelRegistry::with_shards(shards);
-            assert_eq!(registry.shard_count(), shards);
-            for config in configs {
-                registry.install(
-                    ModelKey::new(config, FeatureKind::SqlText),
-                    m.clone(),
-                    f.clone(),
-                );
-                registry.install(
-                    ModelKey::new(config, FeatureKind::QueryPlan),
-                    m.clone(),
-                    f.clone(),
-                );
-            }
-            let listed: Vec<String> = registry.keys().iter().map(|k| k.to_string()).collect();
-            let mut sorted = listed.clone();
-            sorted.sort();
-            assert_eq!(listed, sorted, "listing must be sorted at {shards} shards");
-            assert_eq!(listed.len(), configs.len() * 2);
-            listings.push(listed);
-        }
-        for other in &listings[1..] {
-            assert_eq!(
-                &listings[0], other,
-                "listing must not depend on shard count"
-            );
-        }
-        // And guarded operations stay correct on a sharded registry.
-        let registry = ModelRegistry::with_shards(3);
-        let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
-        let v1 = registry.install(key.clone(), m.clone(), f.clone());
-        let v2 = registry
-            .swap_if_current(key.clone(), v1, m.clone(), f.clone())
-            .unwrap();
-        assert!(v2 > v1);
-        assert!(registry.swap_if_current(key, v1, m, f).is_err());
     }
 
     #[test]

@@ -100,31 +100,7 @@ pub struct ServiceStats {
     pub degraded_answers: Counter,
 }
 
-impl Default for ServiceStats {
-    fn default() -> Self {
-        ServiceStats::with_shape(1, 1)
-    }
-}
-
 impl ServiceStats {
-    /// Single-shard, single-tenant stats (unit tests, simple embeds).
-    pub fn new() -> Self {
-        ServiceStats::with_shape(1, 1)
-    }
-
-    /// Stats sized `shards x tenants` with synthetic tenant labels
-    /// (dense index as ID, weight 1).
-    pub fn with_shape(shards: usize, tenants: usize) -> Self {
-        let labels = (0..tenants.max(1))
-            .map(|idx| TenantLabel {
-                id: idx as u32,
-                name: format!("tenant-{idx}"),
-                weight: 1,
-            })
-            .collect();
-        ServiceStats::with_labels(shards, labels)
-    }
-
     /// Stats sized for `shards` shards and the tenants of `table`,
     /// carrying the table's names/weights into snapshots.
     pub fn for_tenants(shards: usize, table: &TenantTable) -> Self {
@@ -192,13 +168,6 @@ impl ServiceStats {
     // qpp-lint: hot-path
     pub fn record_rejected_quota(&self, tenant: usize) {
         self.rejected_quota[tenant].incr();
-    }
-
-    /// Records one end-to-end request latency into cell (0, 0); kept
-    /// for single-tenant embeds and tests. Workers use
-    /// [`ServiceStats::cell`] directly.
-    pub fn record_latency(&self, latency: Duration) {
-        self.cells[0].record_latency(latency);
     }
 
     /// Records a drained micro-batch of `len` requests.
@@ -449,15 +418,20 @@ mod tests {
     use super::*;
     use crate::tenant::{TenantId, TenantSpec};
 
+    /// One shard, the default tenant only.
+    fn single() -> ServiceStats {
+        ServiceStats::for_tenants(1, &TenantTable::new(Vec::new()))
+    }
+
     #[test]
     fn latency_quantiles_track_buckets() {
-        let stats = ServiceStats::new();
+        let stats = single();
         // 90 fast samples (~8 µs), 10 slow (~1024 µs).
         for _ in 0..90 {
-            stats.record_latency(Duration::from_micros(8));
+            stats.cell(0, 0).record_latency(Duration::from_micros(8));
         }
         for _ in 0..10 {
-            stats.record_latency(Duration::from_micros(1024));
+            stats.cell(0, 0).record_latency(Duration::from_micros(1024));
         }
         let snap = stats.snapshot(0);
         assert!(
@@ -477,13 +451,13 @@ mod tests {
 
     #[test]
     fn tail_latency_beyond_histogram_is_reported_saturated() {
-        let stats = ServiceStats::new();
+        let stats = single();
         // 40 s exceeds the last finite bucket edge (2^25 µs ≈ 33.5 s);
         // the old code reported p99 as a finite 2^26 µs ≈ 67 s bound.
         for _ in 0..5 {
-            stats.record_latency(Duration::from_micros(100));
+            stats.cell(0, 0).record_latency(Duration::from_micros(100));
         }
-        stats.record_latency(Duration::from_secs(40));
+        stats.cell(0, 0).record_latency(Duration::from_secs(40));
         let snap = stats.snapshot(0);
         assert!(!snap.p50_latency.saturated);
         assert!(snap.p99_latency.saturated, "p99 {:?}", snap.p99_latency);
@@ -499,9 +473,9 @@ mod tests {
     /// slower.
     #[test]
     fn low_quantiles_cannot_report_an_empty_bucket() {
-        let stats = ServiceStats::new();
+        let stats = single();
         for _ in 0..10 {
-            stats.record_latency(Duration::from_micros(1024)); // bucket 10
+            stats.cell(0, 0).record_latency(Duration::from_micros(1024)); // bucket 10
         }
         let counts = {
             let mut c = [0u64; qpp_obs::BUCKETS];
@@ -522,7 +496,7 @@ mod tests {
 
     #[test]
     fn batch_and_depth_accounting() {
-        let stats = ServiceStats::new();
+        let stats = single();
         stats.record_batch(4);
         stats.record_batch(8);
         stats.observe_queue_depth(3);
@@ -536,7 +510,7 @@ mod tests {
 
     #[test]
     fn empty_stats_have_zero_quantiles() {
-        let snap = ServiceStats::new().snapshot(0);
+        let snap = single().snapshot(0);
         assert_eq!(snap.p50_latency.bound_us, 0);
         assert!(!snap.p50_latency.saturated);
         assert_eq!(snap.fallback_rate, 0.0);
@@ -545,8 +519,8 @@ mod tests {
 
     #[test]
     fn display_is_total() {
-        let stats = ServiceStats::new();
-        stats.record_latency(Duration::from_micros(100));
+        let stats = single();
+        stats.cell(0, 0).record_latency(Duration::from_micros(100));
         let text = format!("{}", stats.snapshot(2));
         assert!(text.contains("p50"));
         assert!(text.contains("model swaps"));

@@ -139,49 +139,71 @@ fn drr_drain_order_is_reproducible_for_a_fixed_script() {
 
 /// Fairness property: with every tenant lane fully backlogged, the
 /// deficit-round-robin drain serves each tenant within one weight
-/// quantum of its exact fair share, for seeded random weights.
+/// quantum of its exact fair share of what its shard handed out, for
+/// seeded random weights — through the worker's real entry point,
+/// `drain_owned`, pinned to one shard and rotating over two owned
+/// shards (tenants sit on their primary shard; nothing spills at this
+/// capacity).
 #[test]
 fn backlogged_drain_shares_track_weights() {
-    for seed in 0..100u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9fb2_1c65_1e98_df25) + 1);
-        let weights: Vec<u64> = (0..3).map(|_| rng.range(1, 5)).collect();
-        let table = TenantTable::new(vec![
-            TenantSpec::new(TenantId(1), "a").weight(weights[0] as u32),
-            TenantSpec::new(TenantId(2), "b").weight(weights[1] as u32),
-            TenantSpec::new(TenantId(3), "c").weight(weights[2] as u32),
-        ]);
-        let q: ShardedQueue<(usize, u64)> = ShardedQueue::new(1, 4096, &table);
-        // Deep backlogs: every lane always has work, so shares are
-        // governed purely by the weights.
-        let backlog = 100;
-        for i in 0..backlog {
-            for id in 1..=3u32 {
-                let t = table.resolve(TenantId(id));
-                q.try_push(t, (t, i as u64)).expect("fits");
-            }
+    for shards in [1, 2] {
+        for seed in 0..100u64 {
+            drain_shares_track_weights(shards, seed);
         }
-        // Drain a window that keeps every lane non-empty throughout.
-        let total_weight: u64 = weights.iter().sum();
-        let cycles = 20;
-        let want = cycles * total_weight;
-        let mut got = [0u64; 4];
-        let mut drained = 0;
-        let mut out = Vec::new();
-        while drained < want {
-            let n = q.try_drain(0, (want - drained).min(16) as usize, &mut out);
-            assert!(n > 0, "seed {seed}: backlog cannot run dry here");
-            for (t, _) in &out {
-                got[*t] += 1;
-            }
-            drained += n as u64;
+    }
+}
+
+fn drain_shares_track_weights(shards: usize, seed: u64) {
+    let mut rng = Rng(seed.wrapping_mul(0x9fb2_1c65_1e98_df25) + 1);
+    let weights: Vec<u64> = (0..3).map(|_| rng.range(1, 5)).collect();
+    let table = TenantTable::new(vec![
+        TenantSpec::new(TenantId(1), "a").weight(weights[0] as u32),
+        TenantSpec::new(TenantId(2), "b").weight(weights[1] as u32),
+        TenantSpec::new(TenantId(3), "c").weight(weights[2] as u32),
+    ]);
+    let q: ShardedQueue<(usize, u64)> = ShardedQueue::new(shards, 4096, &table);
+    // Deep backlogs: every lane always has work, so shares are
+    // governed purely by the weights.
+    let backlog = 100;
+    for i in 0..backlog {
+        for id in 1..=3u32 {
+            let t = table.resolve(TenantId(id));
+            q.try_push(t, (t, i as u64)).expect("fits");
         }
-        for (i, &w) in weights.iter().enumerate() {
-            let t = i + 1; // dense index (default tenant is 0)
-            let exact = cycles * w;
-            let diff = got[t].abs_diff(exact);
+    }
+    // Drain a window that keeps every lane non-empty throughout
+    // (half as long over two shards: a tenant alone on its shard is
+    // handed every other batch whatever its weight).
+    let total_weight: u64 = weights.iter().sum();
+    let want = 20 / shards as u64 * total_weight;
+    let owned: Vec<usize> = (0..shards).collect();
+    let mut rotation = 0;
+    let mut got = vec![[0u64; 4]; shards];
+    let mut drained = 0;
+    let mut out = Vec::new();
+    while drained < want {
+        let max_batch = (want - drained).min(16) as usize;
+        let shard = q
+            .drain_owned(&owned, &mut rotation, max_batch, &mut out)
+            .expect("backlog cannot run dry here");
+        for (t, _) in &out {
+            got[shard][*t] += 1;
+        }
+        drained += out.len() as u64;
+    }
+    for (shard, got) in got.iter().enumerate() {
+        // Dense tenant indices 1..=3 (the default tenant is 0).
+        let here: Vec<usize> = (1..=3).filter(|&t| q.shard_pair(t).0 == shard).collect();
+        let shard_weight: u64 = here.iter().map(|&t| weights[t - 1]).sum();
+        let handed_out: u64 = got.iter().sum();
+        for &t in &here {
+            // |got - handed_out * w / shard_weight| <= w, in integers.
+            let w = weights[t - 1];
+            let diff = (got[t] * shard_weight).abs_diff(handed_out * w);
             assert!(
-                diff <= w,
-                "seed {seed}: tenant {t} served {} of {want}, exact share {exact} (weight {w})",
+                diff <= w * shard_weight,
+                "seed {seed}, {shards} shard(s): tenant {t} served {} of the {handed_out} \
+                 shard {shard} handed out (weight {w} of {shard_weight})",
                 got[t]
             );
         }

@@ -16,7 +16,10 @@
 //! prediction, exactly as the paper found.
 
 // Library code must degrade into typed errors, never panics.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod customer;
 pub mod features;
