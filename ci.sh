@@ -92,8 +92,8 @@ echo "==> benchmark: the one measurement harness builds, passes its checks, leav
 # what the driver's parent-vs-change comparison of train_refit,
 # serve_paced and serve_saturated end-to-end metrics catches on every
 # PR; the machine-independent halves live on as cargo tests (IVF
-# worst-case evaluations in ann_equivalence, DRR shares through
-# drain_owned in fair_share).
+# worst-case evaluations in ann_equivalence, DRR shares through the
+# workers' blocking drain in fair_share).
 (cd benchmark && cargo test --offline -q)
 bash benchmark/run.sh --seconds 2 >/dev/null
 if [ -n "$(git status --porcelain benchmark BENCHMARK.json)" ]; then
@@ -134,7 +134,7 @@ echo "==> size ratchet: lines of Rust per crate"
 # ROADMAP aim 2: lines of code per crate is a tracked number and goes
 # down. The ceiling is the total after the last diet PR; lower it when a
 # PR removes code, and never raise it without a sentence here saying why.
-MAX_RUST_LINES=31334
+MAX_RUST_LINES=31107
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

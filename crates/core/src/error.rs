@@ -58,13 +58,14 @@ pub enum QppError {
         source: Arc<ModelIoError>,
     },
     /// The serving queue was full; the request was shed (capacity is
-    /// the queue's configured limit).
+    /// the queue's configured limit, all of which any one tenant may
+    /// fill).
     QueueFull {
         /// Configured queue capacity.
         capacity: usize,
     },
     /// A tenant exceeded its admission quota: the request was shed
-    /// before touching any queue shard, so one tenant flooding the
+    /// before taking the queue lock, so one tenant flooding the
     /// gateway cannot displace another tenant's traffic.
     TenantQuotaExceeded {
         /// Numeric tenant ID whose quota was exhausted.

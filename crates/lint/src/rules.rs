@@ -144,7 +144,7 @@ in a different crate.",
         id: "atomic-ordering-audit",
         summary: "every atomic Ordering use carries an `// ordering:` justification",
         explain: "\
-The lock-free plumbing (obs ring buffer, sharded admission queue,\n\
+The lock-free plumbing (obs ring buffer, admission quota counters,\n\
 registry epoch counters, adapt trackers) is exactly the code where a\n\
 wrong memory ordering is invisible to every test and fatal under load.\n\
 This rule turns each `Ordering::{Relaxed,Acquire,Release,AcqRel,\n\
@@ -184,7 +184,7 @@ graph. The diagnostic points at the first edge's acquisition site and\n\
 carries the full witness path (every edge with its file:line) in the\n\
 provenance, so the report is actionable without re-deriving the\n\
 analysis. Locks are identified by (crate, field-or-constructor name);\n\
-two instances of the same field (e.g. per-shard locks ordered by\n\
+two instances of the same field (e.g. an array of locks ordered by\n\
 index) are indistinguishable, so same-lock self-edges are not\n\
 reported.\n\
 \n\

@@ -94,8 +94,8 @@ fn workspace_has_zero_atomic_ordering_waivers() {
     assert!(sources > 50, "workspace walk found only {sources} sources");
 }
 
-/// The sharded serve data plane (queue push/drain, stats cells, tenant
-/// resolution, registry routing) is covered by `no-alloc-hot-path`
+/// The serve data plane (queue push/drain, stats cells, tenant
+/// resolution, registry lookup) is covered by `no-alloc-hot-path`
 /// markers rather than exempted from them: the admission gate and the
 /// deficit-round-robin drain run on every request, so they must stay
 /// allocation-free by construction. This pins both directions — the

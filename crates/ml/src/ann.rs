@@ -37,7 +37,7 @@
 
 use crate::kmeans::KMeans;
 use crate::knn::{
-    combine_neighbors, merge_top_k_into, push_top_k, DistanceMetric, KnnError, KnnScratch,
+    merge_top_k_into, predict_with, push_top_k, DistanceMetric, KnnError, KnnScratch,
     NearestNeighbors, Neighbor, NeighborWeighting,
 };
 use qpp_linalg::Matrix;
@@ -310,8 +310,8 @@ impl IvfIndex {
     }
 
     /// Like [`IvfIndex::predict`], writing into reusable buffers; the
-    /// combination tail is shared with the brute path, so predictions
-    /// agree bitwise whenever the neighbor sets do.
+    /// body is the brute path's [`predict_with`], so predictions agree
+    /// bitwise whenever the neighbor sets do.
     // qpp-lint: hot-path
     pub fn predict_into(
         &self,
@@ -322,27 +322,9 @@ impl IvfIndex {
         scratch: &mut KnnScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), KnnError> {
-        if targets.rows() != self.len() {
-            return Err(KnnError::TargetMismatch {
-                targets: targets.rows(),
-                reference: self.len(),
-            });
-        }
-        if self.is_empty() {
-            return Err(KnnError::EmptyReference);
-        }
-        self.query_into(probe, k, scratch);
-        if scratch.neighbors.is_empty() {
-            return Err(KnnError::NoFiniteNeighbors);
-        }
-        combine_neighbors(
-            targets,
-            &scratch.neighbors,
-            weighting,
-            &mut scratch.weights,
-            out,
-        );
-        Ok(())
+        predict_with(self.len(), targets, weighting, scratch, out, |scratch| {
+            self.query_into(probe, k, scratch)
+        })
     }
 }
 
@@ -466,12 +448,9 @@ impl AnnIndex {
         scratch: &mut KnnScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), KnnError> {
-        match self {
-            AnnIndex::Brute { scan } => {
-                scan.predict_into(probe, targets, k, weighting, scratch, out)
-            }
-            AnnIndex::Ivf { ivf } => ivf.predict_into(probe, targets, k, weighting, scratch, out),
-        }
+        predict_with(self.len(), targets, weighting, scratch, out, |scratch| {
+            self.query_into(probe, k, scratch)
+        })
     }
 }
 

@@ -270,28 +270,46 @@ impl NearestNeighbors {
         scratch: &mut KnnScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), KnnError> {
-        if targets.rows() != self.len() {
-            return Err(KnnError::TargetMismatch {
-                targets: targets.rows(),
-                reference: self.len(),
-            });
-        }
-        if self.is_empty() {
-            return Err(KnnError::EmptyReference);
-        }
-        self.query_into(probe, k, &mut scratch.neighbors);
-        if scratch.neighbors.is_empty() {
-            return Err(KnnError::NoFiniteNeighbors);
-        }
-        combine_neighbors(
-            targets,
-            &scratch.neighbors,
-            weighting,
-            &mut scratch.weights,
-            out,
-        );
-        Ok(())
+        predict_with(self.len(), targets, weighting, scratch, out, |scratch| {
+            self.query_into(probe, k, &mut scratch.neighbors)
+        })
     }
+}
+
+/// The one `validate → query → combine` body behind every
+/// `predict_into`: the brute scan and the IVF index differ only in the
+/// `query` that fills `scratch.neighbors`, so the error order
+/// (misaligned targets, then empty reference, then no finite neighbor)
+/// and the combination cannot drift apart between arms.
+// qpp-lint: hot-path
+pub(crate) fn predict_with(
+    reference_rows: usize,
+    targets: &Matrix,
+    weighting: NeighborWeighting,
+    scratch: &mut KnnScratch,
+    out: &mut Vec<f64>,
+    query: impl FnOnce(&mut KnnScratch),
+) -> Result<(), KnnError> {
+    if targets.rows() != reference_rows {
+        return Err(KnnError::TargetMismatch {
+            targets: targets.rows(),
+            reference: reference_rows,
+        });
+    }
+    if reference_rows == 0 {
+        return Err(KnnError::EmptyReference);
+    }
+    query(scratch);
+    if scratch.neighbors.is_empty() {
+        return Err(KnnError::NoFiniteNeighbors);
+    }
+    weighting.weights_into(&scratch.neighbors, &mut scratch.weights);
+    out.clear();
+    out.resize(targets.cols(), 0.0);
+    for (n, &w) in scratch.neighbors.iter().zip(scratch.weights.iter()) {
+        vector::axpy(w, targets.row(n.index), out);
+    }
+    Ok(())
 }
 
 /// Offers `(index, distance)` to a sorted top-`k` buffer.
@@ -315,25 +333,6 @@ pub(crate) fn push_top_k(best: &mut Vec<Neighbor>, k: usize, index: usize, dista
         if best.len() > k {
             best.pop();
         }
-    }
-}
-
-/// Combines the `targets` rows of already-found neighbors into a
-/// prediction under `weighting` — the shared tail of
-/// [`NearestNeighbors::predict_into`] and the IVF predict path.
-// qpp-lint: hot-path
-pub(crate) fn combine_neighbors(
-    targets: &Matrix,
-    neighbors: &[Neighbor],
-    weighting: NeighborWeighting,
-    weights: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
-    weighting.weights_into(neighbors, weights);
-    out.clear();
-    out.resize(targets.cols(), 0.0);
-    for (n, &w) in neighbors.iter().zip(weights.iter()) {
-        vector::axpy(w, targets.row(n.index), out);
     }
 }
 

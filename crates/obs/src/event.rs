@@ -72,12 +72,12 @@ pub enum Stage {
     /// optimizer-cost baseline (mark; `value` = demoted generation).
     KillSwitch,
     /// The admission gateway shed a request (mark; `value` packs the
-    /// tenant/shard tags — see [`crate::pack_tags`] — around a reason
-    /// code: 0 = every candidate queue shard was full, 1 = the tenant's
-    /// own quota was exhausted).
+    /// tenant tag — see [`crate::pack_tags`] — beside a reason code:
+    /// 0 = the queue was full, 1 = the tenant's own quota was
+    /// exhausted).
     AdmissionReject,
-    /// One deficit-round-robin drain cycle on a queue shard (mark;
-    /// `value` packs the shard tag around the drained batch size).
+    /// One deficit-round-robin drain cycle on the serve queue (mark;
+    /// `value` = the drained batch size).
     FairShare,
 }
 

@@ -250,28 +250,26 @@ pub fn with_trace<R>(trace_id: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Payload bits available next to the shard/tenant tags in a packed
-/// event value (see [`pack_tags`]).
-pub const TAG_PAYLOAD_BITS: u32 = 40;
+/// Payload bits available next to the tenant tag in a packed event
+/// value (see [`pack_tags`]).
+pub const TAG_PAYLOAD_BITS: u32 = 48;
 
-/// Packs multi-tenant serve tags into an event's free-form `value`
-/// word: `[tenant:16][shard:8][payload:40]`. The serve layer stamps
-/// admission / queue-wait / worker spans (and `admission_reject` /
-/// `fair_share` marks) with the tenant and queue shard that handled
-/// the request, so a trace reader can attribute every span without a
-/// side table. Payloads wider than 40 bits are truncated; tenant IDs
-/// above `u16::MAX` and shard indices above `u8::MAX` wrap (tags are
+/// Packs the multi-tenant serve tag into an event's free-form `value`
+/// word: `[tenant:16][payload:48]`. The serve layer stamps admission /
+/// queue-wait / worker spans (and `admission_reject` marks) with the
+/// tenant the request was accounted under, so a trace reader can
+/// attribute every span without a side table. Payloads wider than 48
+/// bits are truncated; tenant IDs above `u16::MAX` wrap (tags are
 /// diagnostics, never control flow).
 // qpp-lint: hot-path
-pub fn pack_tags(tenant: u16, shard: u8, payload: u64) -> u64 {
-    ((tenant as u64) << 48) | ((shard as u64) << 40) | (payload & ((1u64 << TAG_PAYLOAD_BITS) - 1))
+pub fn pack_tags(tenant: u16, payload: u64) -> u64 {
+    ((tenant as u64) << TAG_PAYLOAD_BITS) | (payload & ((1u64 << TAG_PAYLOAD_BITS) - 1))
 }
 
-/// Inverse of [`pack_tags`]: `(tenant, shard, payload)`.
-pub fn unpack_tags(value: u64) -> (u16, u8, u64) {
+/// Inverse of [`pack_tags`]: `(tenant, payload)`.
+pub fn unpack_tags(value: u64) -> (u16, u64) {
     (
-        (value >> 48) as u16,
-        ((value >> 40) & 0xff) as u8,
+        (value >> TAG_PAYLOAD_BITS) as u16,
         value & ((1u64 << TAG_PAYLOAD_BITS) - 1),
     )
 }
@@ -495,19 +493,17 @@ mod tests {
 
     #[test]
     fn tag_packing_round_trips() {
-        for (tenant, shard, payload) in [
-            (0u16, 0u8, 0u64),
-            (7, 3, 12345),
-            (u16::MAX, u8::MAX, (1u64 << TAG_PAYLOAD_BITS) - 1),
+        for (tenant, payload) in [
+            (0u16, 0u64),
+            (7, 12345),
+            (u16::MAX, (1u64 << TAG_PAYLOAD_BITS) - 1),
         ] {
-            let packed = pack_tags(tenant, shard, payload);
-            assert_eq!(unpack_tags(packed), (tenant, shard, payload));
+            let packed = pack_tags(tenant, payload);
+            assert_eq!(unpack_tags(packed), (tenant, payload));
         }
-        // Oversized payloads truncate instead of corrupting the tags.
-        let packed = pack_tags(9, 2, u64::MAX);
-        let (tenant, shard, payload) = unpack_tags(packed);
-        assert_eq!((tenant, shard), (9, 2));
-        assert_eq!(payload, (1u64 << TAG_PAYLOAD_BITS) - 1);
+        // Oversized payloads truncate instead of corrupting the tag.
+        let packed = pack_tags(9, u64::MAX);
+        assert_eq!(unpack_tags(packed), (9, (1u64 << TAG_PAYLOAD_BITS) - 1));
     }
 
     #[test]

@@ -5,20 +5,19 @@
 //! that answers "should we run this query?" while the database is live:
 //!
 //! - [`ModelRegistry`]: versioned models keyed by system configuration
-//!   and feature kind, sharded by key hash so lookups on different keys
-//!   never contend, hot-swappable (atomic `Arc` replacement) without
-//!   stopping the service, loaded through `qpp_core::model_io`'s
-//!   versioned, checksummed envelopes.
+//!   and feature kind in one read-mostly map, hot-swappable (atomic
+//!   `Arc` replacement) without stopping the service, loaded through
+//!   `qpp_core::model_io`'s versioned, checksummed envelopes.
 //! - [`TenantId`] / [`TenantSpec`] / [`TenantTable`]: the multi-tenant
 //!   identity layer — per-tenant fair-share weights and admission
 //!   quotas, with a catch-all default tenant.
-//! - [`ShardedQueue`]: N queue shards (hash-by-tenant placement with
-//!   power-of-two-choices on overflow), each holding one FIFO lane per
-//!   tenant and draining them by weighted deficit round-robin;
-//!   reject-on-full and reject-over-quota backpressure.
-//! - [`PredictionService`]: a worker pool where each worker drains a
-//!   slice of the shards, orders each fair-share micro-batch by
-//!   predicted cost class (feather / golf ball / bowling ball), and
+//! - [`TenantQueue`]: one bounded queue — one lock, one condvar —
+//!   holding one FIFO lane per tenant and draining them by weighted
+//!   deficit round-robin; reject-on-full and reject-over-quota
+//!   backpressure.
+//! - [`PredictionService`]: a worker pool where every worker blocks on
+//!   that queue, orders each fair-share micro-batch by predicted cost
+//!   class (feather / golf ball / bowling ball), and
 //!   answers each (model, class) group with a single batched KCCA
 //!   projection + kNN pass, composing the prediction with
 //!   `qpp_core::workload_mgmt` admission policies (admit with
@@ -27,14 +26,14 @@
 //!   KCCA answer lands, the caller is answered from the O(1)
 //!   optimizer-cost baseline instead — bounded latency, graceful
 //!   degradation.
-//! - [`ServiceStats`]: lock-free counters and latency histograms
-//!   sharded per (queue shard, tenant), merged in fixed order into a
-//!   [`StatsSnapshot`] with a per-tenant breakdown — deterministic
-//!   totals and quantiles regardless of worker timing.
+//! - [`ServiceStats`]: lock-free counters and latency histograms per
+//!   tenant, folded in fixed order into a [`StatsSnapshot`] with a
+//!   per-tenant breakdown — deterministic totals and quantiles
+//!   regardless of worker timing.
 //! - Tracing: every request gets a `qpp_obs` trace ID at admission,
 //!   carried through the queue, the worker, and the prediction — and
 //!   through *rejections*, which record tagged `admission_reject` marks;
-//!   spans pack their shard/tenant into the value word
+//!   spans pack their tenant into the value word
 //!   (`qpp_obs::pack_tags`). The ID is returned on
 //!   [`ServeResponse::trace_id`].
 //!
@@ -54,7 +53,7 @@ pub mod stats;
 pub mod tenant;
 
 pub use qpp_core::{QppError, QppResult};
-pub use queue::{PushError, PushReceipt, QueueShard, ShardedQueue};
+pub use queue::{PushError, TenantQueue};
 pub use registry::{ModelEntry, ModelKey, ModelRegistry, SwapRace};
 pub use service::{
     AnswerSource, CompletionObserver, PendingPrediction, PredictRequest, PredictionService,

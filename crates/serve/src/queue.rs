@@ -1,34 +1,37 @@
-//! Sharded, tenant-aware request queue with weighted fair-share
-//! draining and reject-on-full / reject-over-quota backpressure.
+//! Tenant-aware request queue with weighted fair-share draining and
+//! reject-on-full / reject-over-quota backpressure.
 //!
-//! The single global bounded queue of the early service serialized
-//! every producer and every worker on one mutex and let any tenant
-//! monopolize the worker pool. This module replaces it with:
+//! One mutex-guarded set of per-tenant lanes and one condition variable
+//! that every worker blocks on:
 //!
-//! - **N queue shards** ([`QueueShard`]): a tenant's requests hash to a
-//!   primary shard; on overflow the push consults one alternate shard
-//!   (power-of-two-choices) before shedding. Producers on different
-//!   shards never contend.
 //! - **Per-tenant quotas**: a tenant may hold at most `quota` queued
-//!   requests across all shards; submissions beyond that are rejected
-//!   with [`PushError::QuotaExceeded`] *before* touching any shard, so
+//!   requests; submissions beyond that are rejected with
+//!   [`PushError::QuotaExceeded`] *before* the queue lock is taken, so
 //!   a flooding tenant sheds its own overload, not everyone's.
-//! - **Deficit round-robin draining**: each shard keeps one FIFO lane
-//!   per tenant and drains them by weighted deficit round-robin — a
-//!   backlogged tenant's completion share converges to its fair-share
-//!   weight, and a tenant with an empty lane costs nothing.
+//! - **One capacity**: the queue holds `capacity` requests in total and
+//!   any tenant may fill all of it (quota permitting); the next push is
+//!   rejected with [`PushError::Full`], never blocked.
+//! - **Deficit round-robin draining**: one FIFO lane per tenant,
+//!   drained by weighted deficit round-robin — a backlogged tenant's
+//!   completion share converges to its fair-share weight across
+//!   *everything* the queue hands out, and a tenant with an empty lane
+//!   costs nothing. Any idle worker takes the next micro-batch, so one
+//!   busy tenant can occupy the whole pool.
 //!
-//! Determinism: shard assignment is a pure hash of the tenant index,
-//! and the DRR cursor/deficit state advances only on push/drain, so a
-//! fixed arrival script drained single-threadedly yields a reproducible
-//! service order (see `tests/fair_share.rs`).
+//! One lock is enough here: a push or a drain holds it for a few
+//! `VecDeque` operations, against tens of microseconds of model work
+//! per request outside it.
+//!
+//! Determinism: the DRR cursor/deficit state advances only on
+//! push/drain, so a fixed arrival script drained single-threadedly
+//! yields a reproducible service order (see `tests/fair_share.rs`).
 //!
 //! The queue records no observability events itself: rejection marks
 //! (which must carry the admission trace ID) and queue-wait spans are
 //! recorded at the service layer, keeping this container generic.
 
 use crate::tenant::TenantTable;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -36,10 +39,9 @@ use std::time::Duration;
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PushError {
-    /// The primary and alternate shards were both at capacity; retry
-    /// later or shed load upstream.
+    /// The queue was at capacity; retry later or shed load upstream.
     Full {
-        /// Total configured capacity across all shards.
+        /// The configured capacity.
         capacity: usize,
     },
     /// The tenant already holds `quota` queued requests.
@@ -67,55 +69,23 @@ impl std::fmt::Display for PushError {
     }
 }
 
-/// Where an accepted push landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushReceipt {
-    /// Shard index the request was queued on.
-    pub shard: usize,
-    /// That shard's depth *after* the push (for depth watermarks).
-    pub shard_depth: usize,
-}
-
-/// Per-shard state: one FIFO lane per tenant plus the deficit
+/// What the lock guards: one FIFO lane per tenant plus the deficit
 /// round-robin scheduler's cursor and deficits.
 #[derive(Debug)]
-struct ShardState<T> {
+struct QueueState<T> {
     lanes: Vec<VecDeque<T>>,
-    /// Items across all lanes of this shard.
+    /// Items across all lanes.
     occupancy: usize,
     deficits: Vec<u64>,
     cursor: usize,
     shutdown: bool,
 }
 
-/// One queue shard: a mutex-guarded set of per-tenant lanes with a
-/// condition variable for its worker slice.
+/// The multi-tenant queue. See the module docs for semantics.
 #[derive(Debug)]
-pub struct QueueShard<T> {
-    state: Mutex<ShardState<T>>,
+pub struct TenantQueue<T> {
+    state: Mutex<QueueState<T>>,
     not_empty: Condvar,
-}
-
-impl<T> QueueShard<T> {
-    fn new(tenants: usize) -> Self {
-        QueueShard {
-            state: Mutex::new(ShardState {
-                lanes: (0..tenants).map(|_| VecDeque::new()).collect(),
-                occupancy: 0,
-                deficits: vec![0; tenants],
-                cursor: 0,
-                shutdown: false,
-            }),
-            not_empty: Condvar::new(),
-        }
-    }
-}
-
-/// The sharded multi-tenant queue. See the module docs for semantics.
-#[derive(Debug)]
-pub struct ShardedQueue<T> {
-    shards: Vec<QueueShard<T>>,
-    per_shard_capacity: usize,
     capacity: usize,
     /// Fair-share weights by dense tenant index.
     weights: Vec<u64>,
@@ -123,32 +93,24 @@ pub struct ShardedQueue<T> {
     quotas: Vec<usize>,
     /// Numeric tenant IDs by dense tenant index (for typed rejections).
     ids: Vec<u32>,
-    /// Queued requests per tenant, across shards (quota accounting).
+    /// Queued requests per tenant (quota accounting).
     queued: Vec<AtomicUsize>,
 }
 
-/// SplitMix64 finalizer: cheap, deterministic shard hashing.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-impl<T> ShardedQueue<T> {
-    /// Creates `shards` shards holding at most `capacity` requests in
-    /// total (split evenly, each shard at least 1), with per-tenant
-    /// weights/quotas taken from `tenants`.
-    pub fn new(shards: usize, capacity: usize, tenants: &TenantTable) -> Self {
-        let shards = shards.max(1);
-        let capacity = capacity.max(1);
-        let per_shard_capacity = capacity.div_ceil(shards).max(1);
-        ShardedQueue {
-            shards: (0..shards)
-                .map(|_| QueueShard::new(tenants.len()))
-                .collect(),
-            per_shard_capacity,
-            capacity,
+impl<T> TenantQueue<T> {
+    /// A queue holding at most `capacity` requests (at least 1), with
+    /// per-tenant weights/quotas taken from `tenants`.
+    pub fn new(capacity: usize, tenants: &TenantTable) -> Self {
+        TenantQueue {
+            state: Mutex::new(QueueState {
+                lanes: (0..tenants.len()).map(|_| VecDeque::new()).collect(),
+                occupancy: 0,
+                deficits: vec![0; tenants.len()],
+                cursor: 0,
+                shutdown: false,
+            }),
+            not_empty: Condvar::new(),
+            capacity: capacity.max(1),
             weights: tenants.weights(),
             quotas: tenants.quotas(),
             ids: tenants.specs().iter().map(|s| s.id.0).collect(),
@@ -156,22 +118,14 @@ impl<T> ShardedQueue<T> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total configured capacity across shards.
+    /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Current total depth (racy; for monitoring only).
+    /// Current depth (racy; for monitoring only).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().occupancy)
-            .sum::<usize>()
+        self.state.lock().occupancy
     }
 
     /// True when no requests are queued (racy; for monitoring only).
@@ -179,7 +133,7 @@ impl<T> ShardedQueue<T> {
         self.len() == 0
     }
 
-    /// Requests tenant `tenant_idx` currently holds across shards.
+    /// Requests tenant `tenant_idx` currently holds.
     pub fn queued_for(&self, tenant_idx: usize) -> usize {
         // ordering: Acquire pairs with the AcqRel updates in
         // `try_push`/`drr_drain` so monitors never see a count ahead of
@@ -187,26 +141,11 @@ impl<T> ShardedQueue<T> {
         self.queued[tenant_idx].load(Ordering::Acquire)
     }
 
-    /// The (primary, alternate) shard pair for a tenant. Pure in the
-    /// tenant index and shard count: shard assignment is reproducible
-    /// run to run.
-    // qpp-lint: hot-path
-    pub fn shard_pair(&self, tenant_idx: usize) -> (usize, usize) {
-        let n = self.shards.len() as u64;
-        let h = splitmix64(tenant_idx as u64 + 1);
-        let primary = (h % n) as usize;
-        let mut alternate = ((h >> 32) % n) as usize;
-        if alternate == primary {
-            alternate = (primary + 1) % n as usize;
-        }
-        (primary, alternate)
-    }
-
     /// Attempts to enqueue for tenant `tenant_idx` without blocking:
-    /// quota gate first, then the tenant's primary shard, then (on
-    /// overflow only) its power-of-two alternate.
+    /// quota gate first, then the capacity check under the lock.
+    /// Returns the queue depth *after* the push (for depth watermarks).
     // qpp-lint: hot-path
-    pub fn try_push(&self, tenant_idx: usize, item: T) -> Result<PushReceipt, PushError> {
+    pub fn try_push(&self, tenant_idx: usize, item: T) -> Result<usize, PushError> {
         let quota = self.quotas[tenant_idx];
         // ordering: AcqRel makes the quota reservation a single
         // read-modify-write total order across tenant threads — two
@@ -221,68 +160,86 @@ impl<T> ShardedQueue<T> {
                 quota,
             });
         }
-        let (primary, alternate) = self.shard_pair(tenant_idx);
-        for (attempt, shard) in [primary, alternate].into_iter().enumerate() {
-            let mut state = self.shards[shard].state.lock();
-            if state.shutdown {
-                drop(state);
-                // ordering: AcqRel keeps the rollback in the same total
-                // order as the reservation above.
-                self.queued[tenant_idx].fetch_sub(1, Ordering::AcqRel);
-                return Err(PushError::ShuttingDown);
+        let mut state = self.state.lock();
+        let refused = if state.shutdown {
+            PushError::ShuttingDown
+        } else if state.occupancy == self.capacity {
+            PushError::Full {
+                capacity: self.capacity,
             }
-            if state.occupancy < self.per_shard_capacity {
-                state.lanes[tenant_idx].push_back(item);
-                state.occupancy += 1;
-                let depth = state.occupancy;
-                drop(state);
-                self.shards[shard].not_empty.notify_one();
-                return Ok(PushReceipt {
-                    shard,
-                    shard_depth: depth,
-                });
-            }
+        } else {
+            state.lanes[tenant_idx].push_back(item);
+            state.occupancy += 1;
+            let depth = state.occupancy;
             drop(state);
-            // Power-of-two-choices: on primary overflow fall through to
-            // the alternate once; two full shards mean shed the request.
-            if attempt == 0 && alternate == primary {
-                break;
-            }
-        }
+            self.not_empty.notify_one();
+            return Ok(depth);
+        };
+        drop(state);
         // ordering: AcqRel keeps the rollback in the same total order
         // as the reservation above.
         self.queued[tenant_idx].fetch_sub(1, Ordering::AcqRel);
-        Err(PushError::Full {
-            capacity: self.capacity,
-        })
+        Err(refused)
     }
 
-    /// One deficit-round-robin pass over `shard`'s lanes, appending up
-    /// to `max_batch` items to `out` (which is cleared first). Returns
-    /// the number drained (0: shard empty). Non-blocking.
+    /// One deficit-round-robin pass over the lanes, appending up to
+    /// `max_batch` items to `out` (which is cleared first). Returns the
+    /// number drained (0: queue empty). Non-blocking.
     // qpp-lint: hot-path
-    pub fn try_drain(&self, shard: usize, max_batch: usize, out: &mut Vec<T>) -> usize {
+    pub fn try_drain(&self, max_batch: usize, out: &mut Vec<T>) -> usize {
+        self.take(self.state.lock(), max_batch, out)
+    }
+
+    /// Blocks until the queue has work, then drains a fair-share
+    /// micro-batch into `out` and returns `true`; returns `false` once
+    /// the queue is shut down *and* empty — no accepted request is ever
+    /// lost. Every worker blocks here, on the same condvar.
+    // qpp-lint: hot-path
+    pub fn drain(&self, max_batch: usize, out: &mut Vec<T>) -> bool {
+        let mut state = self.state.lock();
+        loop {
+            if state.occupancy > 0 {
+                self.take(state, max_batch, out);
+                return true;
+            }
+            if state.shutdown {
+                out.clear();
+                return false;
+            }
+            // Timed wait so a missed notification can never wedge the
+            // worker forever.
+            self.not_empty
+                .wait_for(&mut state, Duration::from_millis(50));
+        }
+    }
+
+    /// Drains one micro-batch under the held lock, releases it, and
+    /// wakes a sibling worker if work remains.
+    // qpp-lint: hot-path
+    fn take(
+        &self,
+        mut state: MutexGuard<'_, QueueState<T>>,
+        max_batch: usize,
+        out: &mut Vec<T>,
+    ) -> usize {
         out.clear();
-        let max_batch = max_batch.max(1);
-        let mut state = self.shards[shard].state.lock();
-        let drained = self.drr_drain(&mut state, max_batch, out);
+        let drained = self.drr_drain(&mut state, max_batch.max(1), out);
         let more = state.occupancy > 0;
         drop(state);
         if more {
-            // Wake a sibling worker for the remainder.
-            self.shards[shard].not_empty.notify_one();
+            self.not_empty.notify_one();
         }
         drained
     }
 
-    /// Deficit round-robin over the shard's tenant lanes. Each visit to
-    /// a backlogged lane adds the tenant's weight to its deficit and
-    /// pops one item per deficit unit, so backlogged tenants are served
-    /// in proportion to their weights; an emptied lane forfeits its
+    /// Deficit round-robin over the tenant lanes. Each visit to a
+    /// backlogged lane adds the tenant's weight to its deficit and pops
+    /// one item per deficit unit, so backlogged tenants are served in
+    /// proportion to their weights; an emptied lane forfeits its
     /// leftover deficit (standard DRR, keeps idle tenants from hoarding
     /// credit). Deterministic: cursor and deficits advance only here.
     // qpp-lint: hot-path
-    fn drr_drain(&self, state: &mut ShardState<T>, max_batch: usize, out: &mut Vec<T>) -> usize {
+    fn drr_drain(&self, state: &mut QueueState<T>, max_batch: usize, out: &mut Vec<T>) -> usize {
         let tenants = self.weights.len();
         let mut drained = 0;
         while drained < max_batch && state.occupancy > 0 {
@@ -314,66 +271,11 @@ impl<T> ShardedQueue<T> {
         drained
     }
 
-    /// Blocks until one of the worker's `owned` shards has work (or all
-    /// are shut down and drained), then drains a fair-share micro-batch
-    /// from the first shard (in rotation order) that has any. Returns
-    /// the shard drained, or `None` when every owned shard is shut down
-    /// *and* empty — no accepted request is ever lost.
-    ///
-    /// `rotation` is the worker's private scan cursor: it persists
-    /// across calls so a worker that owns several shards serves them
-    /// round-robin instead of favoring the lowest index.
-    pub fn drain_owned(
-        &self,
-        owned: &[usize],
-        rotation: &mut usize,
-        max_batch: usize,
-        out: &mut Vec<T>,
-    ) -> Option<usize> {
-        assert!(!owned.is_empty(), "a worker must own at least one shard");
-        // A worker pinned to one shard can park on its condvar for a
-        // long beat; a worker covering several shards polls with a
-        // short timed wait so work landing on a non-primary shard is
-        // picked up promptly even if its notification was missed.
-        let park = if owned.len() == 1 {
-            Duration::from_millis(50)
-        } else {
-            Duration::from_millis(1)
-        };
-        loop {
-            let mut ended = 0;
-            for k in 0..owned.len() {
-                let slot = (*rotation + k) % owned.len();
-                let shard = owned[slot];
-                if self.try_drain(shard, max_batch, out) > 0 {
-                    *rotation = (slot + 1) % owned.len();
-                    return Some(shard);
-                }
-                let state = self.shards[shard].state.lock();
-                if state.shutdown && state.occupancy == 0 {
-                    ended += 1;
-                }
-            }
-            if ended == owned.len() {
-                return None;
-            }
-            let shard = owned[*rotation % owned.len()];
-            let mut state = self.shards[shard].state.lock();
-            if state.occupancy == 0 && !state.shutdown {
-                // Timed wait so a missed notification can never wedge
-                // the worker forever.
-                self.shards[shard].not_empty.wait_for(&mut state, park);
-            }
-        }
-    }
-
-    /// Marks every shard as shutting down and wakes all workers.
-    /// Already queued requests are still drained.
+    /// Marks the queue as shutting down and wakes all workers. Already
+    /// queued requests are still drained.
     pub fn shutdown(&self) {
-        for shard in &self.shards {
-            shard.state.lock().shutdown = true;
-            shard.not_empty.notify_all();
-        }
+        self.state.lock().shutdown = true;
+        self.not_empty.notify_all();
     }
 }
 
@@ -381,7 +283,7 @@ impl<T> ShardedQueue<T> {
 mod tests {
     use super::*;
     use crate::tenant::{TenantId, TenantSpec};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc, Barrier};
     use std::time::Instant;
 
     fn table(specs: Vec<TenantSpec>) -> TenantTable {
@@ -394,55 +296,58 @@ mod tests {
 
     #[test]
     fn push_over_capacity_rejects_immediately() {
-        let t = single_tenant();
-        let q: ShardedQueue<u32> = ShardedQueue::new(1, 2, &t);
-        assert!(q.try_push(0, 1).is_ok());
-        assert!(q.try_push(0, 2).is_ok());
-        let start = Instant::now();
-        assert_eq!(q.try_push(0, 3), Err(PushError::Full { capacity: 2 }));
-        // Rejection must be immediate, never a block.
-        assert!(start.elapsed() < Duration::from_millis(100));
-        assert_eq!(q.len(), 2);
+        // 512 is the serving example's capacity: one tenant alone must
+        // be able to fill all of it, not a per-worker fraction.
+        for capacity in [2usize, 512] {
+            let t = single_tenant();
+            let q: TenantQueue<usize> = TenantQueue::new(capacity, &t);
+            for i in 0..capacity {
+                assert_eq!(q.try_push(0, i), Ok(i + 1));
+            }
+            let start = Instant::now();
+            assert_eq!(q.try_push(0, capacity), Err(PushError::Full { capacity }));
+            // Rejection must be immediate, never a block.
+            assert!(start.elapsed() < Duration::from_millis(100));
+            assert_eq!(q.len(), capacity);
+        }
     }
 
     #[test]
     fn drain_is_fifo_and_bounded_by_batch_size() {
         let t = single_tenant();
-        let q: ShardedQueue<u32> = ShardedQueue::new(1, 10, &t);
+        let q: TenantQueue<u32> = TenantQueue::new(10, &t);
         for i in 0..5 {
             q.try_push(0, i).unwrap();
         }
         let mut out = Vec::new();
-        assert_eq!(q.try_drain(0, 3, &mut out), 3);
+        assert_eq!(q.try_drain(3, &mut out), 3);
         assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(q.try_drain(0, 3, &mut out), 2);
+        assert_eq!(q.try_drain(3, &mut out), 2);
         assert_eq!(out, vec![3, 4]);
     }
 
     #[test]
     fn shutdown_drains_remaining_then_ends() {
         let t = single_tenant();
-        let q: ShardedQueue<u32> = ShardedQueue::new(1, 10, &t);
+        let q: TenantQueue<u32> = TenantQueue::new(10, &t);
         q.try_push(0, 7).unwrap();
         q.shutdown();
         assert_eq!(q.try_push(0, 8), Err(PushError::ShuttingDown));
         let mut out = Vec::new();
-        let mut rot = 0;
-        assert_eq!(q.drain_owned(&[0], &mut rot, 4, &mut out), Some(0));
+        assert!(q.drain(4, &mut out));
         assert_eq!(out, vec![7]);
-        assert!(q.drain_owned(&[0], &mut rot, 4, &mut out).is_none());
+        assert!(!q.drain(4, &mut out));
     }
 
     #[test]
     fn blocked_consumer_wakes_on_push() {
         let t = single_tenant();
-        let q: Arc<ShardedQueue<u32>> = Arc::new(ShardedQueue::new(1, 4, &t));
+        let q: Arc<TenantQueue<u32>> = Arc::new(TenantQueue::new(4, &t));
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut out = Vec::new();
-                let mut rot = 0;
-                q.drain_owned(&[0], &mut rot, 4, &mut out).map(|_| out)
+                q.drain(4, &mut out).then_some(out)
             })
         };
         std::thread::sleep(Duration::from_millis(20));
@@ -450,11 +355,49 @@ mod tests {
         assert_eq!(consumer.join().unwrap().unwrap(), vec![42]);
     }
 
+    /// One tenant's backlog reaches every worker: four consumers each
+    /// take one item and only return once all four hold one, so a queue
+    /// that hands a tenant's work to a subset of the pool never gets
+    /// past the barrier.
+    #[test]
+    fn one_tenant_can_occupy_every_worker() {
+        let t = single_tenant();
+        let q: Arc<TenantQueue<u32>> = Arc::new(TenantQueue::new(16, &t));
+        let barrier = Arc::new(Barrier::new(4));
+        let (done, joined) = mpsc::channel();
+        let consumers: Vec<_> = (0..4)
+            .map(|_| {
+                let (q, barrier, done) = (Arc::clone(&q), Arc::clone(&barrier), done.clone());
+                std::thread::spawn(move || {
+                    let mut out = Vec::new();
+                    assert!(q.drain(1, &mut out));
+                    barrier.wait();
+                    done.send(out[0]).unwrap();
+                })
+            })
+            .collect();
+        for i in 0..4 {
+            q.try_push(0, i).unwrap();
+        }
+        let mut got: Vec<u32> = (0..4)
+            .map(|_| {
+                joined
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("a consumer never woke: three of four must not park")
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3]);
+        for c in consumers {
+            c.join().unwrap();
+        }
+    }
+
     #[test]
     fn quota_rejects_carry_the_tenant_and_release_on_drain() {
         let t = table(vec![TenantSpec::new(TenantId(5), "capped").quota(2)]);
         let capped = t.resolve(TenantId(5));
-        let q: ShardedQueue<u32> = ShardedQueue::new(2, 100, &t);
+        let q: TenantQueue<u32> = TenantQueue::new(100, &t);
         assert!(q.try_push(capped, 1).is_ok());
         assert!(q.try_push(capped, 2).is_ok());
         assert_eq!(
@@ -467,29 +410,9 @@ mod tests {
         // The default tenant is unaffected by tenant 5's quota.
         assert!(q.try_push(0, 9).is_ok());
         // Draining releases quota.
-        let (shard, _) = q.shard_pair(capped);
         let mut out = Vec::new();
-        assert!(q.try_drain(shard, 16, &mut out) >= 1);
+        assert!(q.try_drain(16, &mut out) >= 1);
         assert!(q.try_push(capped, 4).is_ok());
-    }
-
-    #[test]
-    fn overflow_spills_to_the_alternate_shard_before_shedding() {
-        let t = single_tenant();
-        // 2 shards x 2 slots; tenant 0 always hashes to the same
-        // primary, so pushes 3 and 4 must spill to the alternate.
-        let q: ShardedQueue<u32> = ShardedQueue::new(2, 4, &t);
-        let (primary, alternate) = q.shard_pair(0);
-        assert_ne!(primary, alternate);
-        let mut shards = Vec::new();
-        for i in 0..4 {
-            shards.push(q.try_push(0, i).unwrap().shard);
-        }
-        assert_eq!(shards[0], primary);
-        assert_eq!(shards[1], primary);
-        assert_eq!(shards[2], alternate);
-        assert_eq!(shards[3], alternate);
-        assert_eq!(q.try_push(0, 9), Err(PushError::Full { capacity: 4 }));
     }
 
     #[test]
@@ -500,13 +423,13 @@ mod tests {
         ]);
         let heavy = t.resolve(TenantId(1));
         let light = t.resolve(TenantId(2));
-        let q: ShardedQueue<(usize, u32)> = ShardedQueue::new(1, 64, &t);
+        let q: TenantQueue<(usize, u32)> = TenantQueue::new(64, &t);
         for i in 0..12 {
             q.try_push(heavy, (heavy, i)).unwrap();
             q.try_push(light, (light, i)).unwrap();
         }
         let mut out = Vec::new();
-        assert_eq!(q.try_drain(0, 8, &mut out), 8);
+        assert_eq!(q.try_drain(8, &mut out), 8);
         let heavy_got = out.iter().filter(|(t, _)| *t == heavy).count();
         let light_got = out.iter().filter(|(t, _)| *t == light).count();
         assert_eq!(
@@ -514,18 +437,5 @@ mod tests {
             (6, 2),
             "weight 3:1 over a backlogged batch of 8: {out:?}"
         );
-    }
-
-    #[test]
-    fn shard_assignment_is_reproducible() {
-        let t = table(vec![
-            TenantSpec::new(TenantId(1), "a"),
-            TenantSpec::new(TenantId(2), "b"),
-        ]);
-        let a: ShardedQueue<u32> = ShardedQueue::new(4, 64, &t);
-        let b: ShardedQueue<u32> = ShardedQueue::new(4, 64, &t);
-        for idx in 0..t.len() {
-            assert_eq!(a.shard_pair(idx), b.shard_pair(idx));
-        }
     }
 }

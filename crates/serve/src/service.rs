@@ -1,23 +1,22 @@
-//! The online prediction service: a worker pool over the sharded
-//! multi-tenant request queue, answering each request with a batched
-//! KCCA prediction, an admission decision, and a deadline-bounded
-//! fallback.
+//! The online prediction service: a worker pool over the multi-tenant
+//! request queue, answering each request with a batched KCCA
+//! prediction, an admission decision, and a deadline-bounded fallback.
 //!
 //! Flow per request:
 //!
 //! 1. `submit` (or `submit_async`) resolves the request's [`TenantId`],
 //!    classifies it by predicted cost (feather / golf ball / bowling
 //!    ball from the O(1) optimizer-cost estimate), and pushes onto the
-//!    tenant's queue shard. Admission is a real gate: an over-quota
-//!    tenant is rejected with [`QppError::TenantQuotaExceeded`], two
-//!    full shards reject with [`QppError::QueueFull`] — both recorded
-//!    as tagged `admission_reject` marks carrying the request's trace
-//!    ID.
-//! 2. A worker drains a weighted fair-share micro-batch from its owned
-//!    shards (deficit round-robin over tenant lanes), sorts it by cost
-//!    class so cheap feathers are not stuck behind bowling balls in
-//!    the same batch, groups by (model key, class), and answers each
-//!    group with *one* batched KCCA projection + kNN pass
+//!    tenant's lane of the queue. Admission is a real gate: an
+//!    over-quota tenant is rejected with
+//!    [`QppError::TenantQuotaExceeded`], a full queue rejects with
+//!    [`QppError::QueueFull`] — both recorded as tagged
+//!    `admission_reject` marks carrying the request's trace ID.
+//! 2. Whichever worker is idle drains a weighted fair-share micro-batch
+//!    (deficit round-robin over tenant lanes), sorts it by cost class
+//!    so cheap feathers are not stuck behind bowling balls in the same
+//!    batch, groups by (model key, class), and answers each group with
+//!    *one* batched KCCA projection + kNN pass
 //!    (`KccaPredictor::predict_batch`).
 //! 3. The admission gateway turns the prediction into an
 //!    [`AdmissionDecision`] under the service's [`AdmissionPolicy`].
@@ -27,10 +26,10 @@
 //!    get a bounded-latency answer.
 //!
 //! Every span and mark a request produces (admission, queue wait,
-//! worker, rejection) carries its shard and tenant packed into the
-//! value word via [`qpp_obs::pack_tags`].
+//! worker, rejection) carries its tenant packed into the value word via
+//! [`qpp_obs::pack_tags`].
 
-use crate::queue::{PushError, ShardedQueue};
+use crate::queue::{PushError, TenantQueue};
 use crate::registry::{ModelEntry, ModelKey, ModelRegistry};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::tenant::{TenantId, TenantSpec, TenantTable};
@@ -44,8 +43,8 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Reason code packed into `admission_reject` marks: every candidate
-/// shard was full.
+/// Reason code packed into `admission_reject` marks: the queue was at
+/// capacity.
 pub const REJECT_QUEUE_FULL: u64 = 0;
 /// Reason code packed into `admission_reject` marks: the tenant's own
 /// quota was exhausted.
@@ -143,13 +142,7 @@ pub struct ServeOptions {
     /// request is answered by the deadline fallback) and is used by the
     /// backpressure tests.
     pub workers: usize,
-    /// Queue shards. 0 (the default) sizes the shard count to the
-    /// worker pool (`workers.max(1)`); set it explicitly when shard
-    /// layout must be identical across different worker counts (the
-    /// thread-invariance tests do).
-    pub shards: usize,
-    /// Bounded total queue capacity, split evenly across shards;
-    /// submissions beyond it are rejected.
+    /// Bounded queue capacity; submissions beyond it are rejected.
     pub queue_capacity: usize,
     /// Max requests a worker answers with one batched KCCA pass.
     pub max_batch: usize,
@@ -165,7 +158,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             workers: 4,
-            shards: 0,
             queue_capacity: 256,
             max_batch: 16,
             policy: AdmissionPolicy::default(),
@@ -210,8 +202,6 @@ pub struct PendingPrediction {
     request: PredictRequest,
     submitted_at: Instant,
     trace_id: u64,
-    /// Shard the request was queued on (for fallback stats attribution).
-    shard: usize,
     tenant_idx: usize,
     tenant: TenantId,
     registry: Arc<ModelRegistry>,
@@ -223,11 +213,6 @@ impl PendingPrediction {
     /// The trace ID assigned to this request at submission.
     pub fn trace_id(&self) -> u64 {
         self.trace_id
-    }
-
-    /// The shard the request was queued on.
-    pub fn shard(&self) -> usize {
-        self.shard
     }
 
     /// Blocks until the worker answers or the request's deadline
@@ -271,22 +256,10 @@ impl PendingPrediction {
             .ok_or_else(|| QppError::UnknownModel {
                 key: self.request.key.to_string(),
             })?;
-        let elapsed = entry.fallback.predict_elapsed(&self.request.plan);
-        let prediction = Prediction {
-            metrics: PerfMetrics {
-                elapsed_seconds: elapsed,
-                ..PerfMetrics::zero()
-            },
-            neighbor_indices: NeighborIds::new(),
-            // The cost model has no notion of projection-space
-            // confidence; report perfect confidence so the gateway
-            // judges the elapsed estimate on resource limits alone.
-            confidence_distance: 0.0,
-            max_kernel_similarity: 1.0,
-        };
+        let prediction = cost_model_prediction(&entry, &self.request.plan);
         let decision = decide(&self.policy, &prediction);
         record_decision(&self.stats, &decision);
-        let cell = self.stats.cell(self.shard, self.tenant_idx);
+        let cell = self.stats.cell(self.tenant_idx);
         cell.fallbacks.incr();
         let rec = qpp_obs::recorder();
         rec.record_mark(self.trace_id, Stage::Fallback, entry.version);
@@ -305,6 +278,25 @@ impl PendingPrediction {
     }
 }
 
+/// The O(1) optimizer-cost answer, shared by the client-side deadline
+/// fallback and the worker-side degraded path so the two can never
+/// answer differently: an elapsed-time estimate, every other metric
+/// zero.
+fn cost_model_prediction(entry: &ModelEntry, plan: &Plan) -> Prediction {
+    Prediction {
+        metrics: PerfMetrics {
+            elapsed_seconds: entry.fallback.predict_elapsed(plan),
+            ..PerfMetrics::zero()
+        },
+        neighbor_indices: NeighborIds::new(),
+        // The cost model has no notion of projection-space
+        // confidence; report perfect confidence so the gateway
+        // judges the elapsed estimate on resource limits alone.
+        confidence_distance: 0.0,
+        max_kernel_similarity: 1.0,
+    }
+}
+
 fn record_decision(stats: &ServiceStats, decision: &AdmissionDecision) {
     match decision {
         AdmissionDecision::Admit { .. } => {
@@ -319,10 +311,10 @@ fn record_decision(stats: &ServiceStats, decision: &AdmissionDecision) {
     }
 }
 
-/// The running service: registry + sharded queue + worker pool + stats.
+/// The running service: registry + tenant queue + worker pool + stats.
 pub struct PredictionService {
     registry: Arc<ModelRegistry>,
-    queue: Arc<ShardedQueue<Queued>>,
+    queue: Arc<TenantQueue<Queued>>,
     stats: Arc<ServiceStats>,
     tenants: Arc<TenantTable>,
     policy: AdmissionPolicy,
@@ -330,39 +322,21 @@ pub struct PredictionService {
     completion: RwLock<Option<Arc<dyn CompletionObserver>>>,
 }
 
-/// The shard slice worker `worker_idx` drains. With fewer workers than
-/// shards a worker covers every shard congruent to it mod `workers`
-/// (all shards stay drained); with at least one worker per shard,
-/// workers spread round-robin so every shard gets a dedicated slice.
-fn owned_shards(worker_idx: usize, workers: usize, shards: usize) -> Vec<usize> {
-    if workers >= shards {
-        vec![worker_idx % shards]
-    } else {
-        (0..shards).filter(|s| s % workers == worker_idx).collect()
-    }
-}
-
 impl PredictionService {
     /// Starts the worker pool against `registry`.
     pub fn start(registry: Arc<ModelRegistry>, options: ServeOptions) -> Self {
-        let shards = if options.shards == 0 {
-            options.workers.max(1)
-        } else {
-            options.shards
-        };
         let tenants = Arc::new(TenantTable::new(options.tenants.clone()));
-        let queue = Arc::new(ShardedQueue::new(shards, options.queue_capacity, &tenants));
-        let stats = Arc::new(ServiceStats::for_tenants(shards, &tenants));
+        let queue = Arc::new(TenantQueue::new(options.queue_capacity, &tenants));
+        let stats = Arc::new(ServiceStats::for_tenants(&tenants));
         let workers = (0..options.workers)
-            .map(|worker_idx| {
+            .map(|_| {
                 let queue = Arc::clone(&queue);
                 let registry = Arc::clone(&registry);
                 let stats = Arc::clone(&stats);
                 let policy = options.policy;
                 let max_batch = options.max_batch;
-                let owned = owned_shards(worker_idx, options.workers, shards);
                 std::thread::spawn(move || {
-                    worker_loop(&queue, &registry, &stats, &policy, max_batch, &owned)
+                    worker_loop(&queue, &registry, &stats, &policy, max_batch)
                 })
             })
             .collect();
@@ -437,26 +411,21 @@ impl PredictionService {
             responder: tx,
         };
         match self.queue.try_push(tenant_idx, queued) {
-            Ok(receipt) => {
-                self.stats.cell(receipt.shard, tenant_idx).submitted.incr();
-                self.stats.observe_queue_depth(receipt.shard_depth);
+            Ok(depth) => {
+                self.stats.cell(tenant_idx).submitted.incr();
+                self.stats.observe_queue_depth(depth);
                 rec.record_span(
                     trace_id,
                     Stage::Admission,
                     admit_start,
                     rec.now_ns().saturating_sub(admit_start),
-                    pack_tags(
-                        tenant.0 as u16,
-                        receipt.shard as u8,
-                        receipt.shard_depth as u64,
-                    ),
+                    pack_tags(tenant.0 as u16, depth as u64),
                 );
                 Ok(PendingPrediction {
                     rx,
                     request,
                     submitted_at: now,
                     trace_id,
-                    shard: receipt.shard,
                     tenant_idx,
                     tenant,
                     registry: Arc::clone(&self.registry),
@@ -466,11 +435,8 @@ impl PredictionService {
             }
             Err(e) => {
                 // The rejection mark carries the admission trace ID and
-                // the tenant/shard tags: a shed request is still a
-                // traceable event, not a silent drop. (The pre-shard
-                // service lost the trace ID here — the mark landed on
-                // trace 0 and per-tenant attribution was impossible.)
-                let (primary, _) = self.queue.shard_pair(tenant_idx);
+                // the tenant tag: a shed request is still a traceable
+                // event, not a silent drop.
                 let reason = match &e {
                     PushError::QuotaExceeded { .. } => {
                         self.stats.record_rejected_quota(tenant_idx);
@@ -484,7 +450,7 @@ impl PredictionService {
                 rec.record_mark(
                     trace_id,
                     Stage::AdmissionReject,
-                    pack_tags(tenant.0 as u16, primary as u8, reason),
+                    pack_tags(tenant.0 as u16, reason),
                 );
                 Err(e.into())
             }
@@ -498,7 +464,7 @@ impl PredictionService {
     }
 
     /// Point-in-time statistics, including the registry's swap and
-    /// demotion counts, merged across shards and broken out per tenant.
+    /// demotion counts, totalled and broken out per tenant.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.model_swaps.set(self.registry.swap_count());
         self.stats.model_demotions.set(self.registry.demote_count());
@@ -524,37 +490,31 @@ impl Drop for PredictionService {
     }
 }
 
-/// Worker body: drain a fair-share micro-batch from the worker's owned
-/// shards, order it by predicted cost class, group by (model key,
-/// class), answer each group with one batched prediction pass.
+/// Worker body: drain a fair-share micro-batch, order it by predicted
+/// cost class, group by (model key, class), answer each group with one
+/// batched prediction pass.
 fn worker_loop(
-    queue: &ShardedQueue<Queued>,
+    queue: &TenantQueue<Queued>,
     registry: &ModelRegistry,
     stats: &ServiceStats,
     policy: &AdmissionPolicy,
     max_batch: usize,
-    owned: &[usize],
 ) {
-    let mut rotation = 0usize;
     let mut batch: Vec<Queued> = Vec::with_capacity(max_batch.max(1));
-    while let Some(shard) = queue.drain_owned(owned, &mut rotation, max_batch, &mut batch) {
+    while queue.drain(max_batch, &mut batch) {
         stats.record_batch(batch.len());
         let rec = qpp_obs::recorder();
         let drained_ns = rec.now_ns();
-        // One fair_share mark per drain cycle: which shard served and
-        // how large the DRR micro-batch was.
-        rec.record_mark(
-            0,
-            Stage::FairShare,
-            pack_tags(0, shard as u8, batch.len() as u64),
-        );
+        // One fair_share mark per drain cycle: how large the DRR
+        // micro-batch was.
+        rec.record_mark(0, Stage::FairShare, batch.len() as u64);
         for queued in &batch {
             rec.record_span(
                 queued.trace_id,
                 Stage::QueueWait,
                 queued.enqueued_ns,
                 drained_ns.saturating_sub(queued.enqueued_ns),
-                pack_tags(queued.tenant.0 as u16, shard as u8, batch.len() as u64),
+                pack_tags(queued.tenant.0 as u16, batch.len() as u64),
             );
         }
         // Cost-class-aware micro-batching: answer predicted-cheap work
@@ -576,7 +536,7 @@ fn worker_loop(
             }
         }
         for (key, _, group) in groups {
-            answer_group(registry, stats, policy, &key, group, shard, drained_ns);
+            answer_group(registry, stats, policy, &key, group, drained_ns);
         }
     }
 }
@@ -587,7 +547,6 @@ fn answer_group(
     policy: &AdmissionPolicy,
     key: &ModelKey,
     group: Vec<Queued>,
-    shard: usize,
     drained_ns: u64,
 ) {
     // Resolve the model once per group: every request in the group is
@@ -606,16 +565,7 @@ fn answer_group(
     // baseline until a healthy model is installed over it.
     if entry.degraded {
         for queued in group {
-            let elapsed = entry.fallback.predict_elapsed(&queued.request.plan);
-            let prediction = Prediction {
-                metrics: PerfMetrics {
-                    elapsed_seconds: elapsed,
-                    ..PerfMetrics::zero()
-                },
-                neighbor_indices: NeighborIds::new(),
-                confidence_distance: 0.0,
-                max_kernel_similarity: 1.0,
-            };
+            let prediction = cost_model_prediction(&entry, &queued.request.plan);
             stats.degraded_answers.incr();
             qpp_obs::recorder().record_mark(queued.trace_id, Stage::Fallback, entry.version);
             respond(
@@ -624,7 +574,6 @@ fn answer_group(
                 &entry,
                 queued,
                 prediction,
-                shard,
                 drained_ns,
                 AnswerSource::CostModelFallback,
             );
@@ -666,7 +615,6 @@ fn answer_group(
                     &entry,
                     queued,
                     prediction,
-                    shard,
                     drained_ns,
                     AnswerSource::Kcca,
                 );
@@ -682,14 +630,12 @@ fn answer_group(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn respond(
     stats: &ServiceStats,
     policy: &AdmissionPolicy,
     entry: &ModelEntry,
     queued: Queued,
     prediction: Prediction,
-    shard: usize,
     drained_ns: u64,
     source: AnswerSource,
 ) {
@@ -707,17 +653,17 @@ fn respond(
     let rec = qpp_obs::recorder();
     // Record the worker span *before* handing the answer over: once the
     // client holds the response it may export the trace, and the span
-    // must already be in the ring. The value word packs tenant/shard
-    // around the model version that answered.
+    // must already be in the ring. The value word packs the tenant
+    // beside the model version that answered.
     rec.record_span(
         queued.trace_id,
         Stage::Worker,
         drained_ns,
         rec.now_ns().saturating_sub(drained_ns),
-        pack_tags(queued.tenant.0 as u16, shard as u8, entry.version),
+        pack_tags(queued.tenant.0 as u16, entry.version),
     );
     if queued.responder.send(Ok(response)).is_ok() {
-        let cell = stats.cell(shard, queued.tenant_idx);
+        let cell = stats.cell(queued.tenant_idx);
         cell.completed.incr();
         cell.record_latency(latency);
         record_decision(stats, &decision);

@@ -1,4 +1,4 @@
-//! Service statistics, sharded per queue shard and tenant.
+//! Service statistics, kept per tenant.
 //!
 //! The primitives live in `qpp-obs` ([`qpp_obs::Counter`],
 //! [`qpp_obs::Histogram`], [`LatencyQuantile`]) so the serving stats,
@@ -6,16 +6,14 @@
 //! and one set of quantile conventions; this module is the serving
 //! view over them.
 //!
-//! Layout: one [`StatsCell`] per (shard, tenant) pair holds the
-//! counters workers bump on the hot path — submissions, completions,
-//! fallbacks, and a log-spaced latency histogram — so workers on
-//! different shards never contend on a cache line, and per-tenant
-//! latency distributions come for free. Rejections are per-tenant only
-//! (a shed request never reached a shard). [`ServiceStats::snapshot`]
-//! performs an *ordered merge*: cells are folded in fixed
-//! shard-major/tenant-minor index order, histograms by summing bucket
-//! counts, so the reported totals and quantiles are deterministic for a
-//! given set of recorded events regardless of worker count or timing.
+//! Layout: one [`StatsCell`] per tenant holds the counters clients and
+//! workers bump on the hot path — submissions, completions, fallbacks,
+//! and a log-spaced latency histogram — so per-tenant latency
+//! distributions come for free; rejections are counted per tenant
+//! beside them. [`ServiceStats::snapshot`] folds the cells in dense
+//! tenant order, histograms by summing bucket counts, so the reported
+//! totals and quantiles are deterministic for a given set of recorded
+//! events regardless of worker count or timing.
 
 use crate::tenant::TenantTable;
 use qpp_obs::{quantile_of, Counter, Histogram, BUCKETS};
@@ -23,10 +21,10 @@ use std::time::{Duration, Instant};
 
 pub use qpp_obs::LatencyQuantile;
 
-/// Hot-path counters for one (shard, tenant) pair.
+/// Hot-path counters for one tenant.
 #[derive(Debug, Default)]
 pub struct StatsCell {
-    /// Requests accepted into this shard for this tenant.
+    /// Requests accepted into the queue for this tenant.
     pub submitted: Counter,
     /// Requests answered by a worker through the KCCA model.
     pub completed: Counter,
@@ -61,12 +59,10 @@ struct TenantLabel {
 #[derive(Debug)]
 pub struct ServiceStats {
     started: Option<Instant>,
-    shards: usize,
     labels: Vec<TenantLabel>,
-    /// Row-major `[shard][tenant]` cells.
+    /// One cell per tenant, in dense tenant order.
     cells: Vec<StatsCell>,
-    /// Per-tenant: submissions rejected because every candidate shard
-    /// was full.
+    /// Per-tenant: submissions rejected because the queue was full.
     rejected_full: Vec<Counter>,
     /// Per-tenant: submissions rejected because the tenant was over its
     /// admission quota.
@@ -85,7 +81,7 @@ pub struct ServiceStats {
     /// Requests carried by those batches (mean batch size = this /
     /// `batches`).
     pub batched_requests: Counter,
-    /// Largest shard depth observed at submission time.
+    /// Largest queue depth observed at submission time.
     pub max_queue_depth: Counter,
     /// Model hot-swaps observed via the registry.
     pub model_swaps: Counter,
@@ -101,10 +97,10 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Stats sized for `shards` shards and the tenants of `table`,
-    /// carrying the table's names/weights into snapshots.
-    pub fn for_tenants(shards: usize, table: &TenantTable) -> Self {
-        let labels = table
+    /// Stats sized for the tenants of `table`, carrying the table's
+    /// names/weights into snapshots.
+    pub fn for_tenants(table: &TenantTable) -> Self {
+        let labels: Vec<TenantLabel> = table
             .specs()
             .iter()
             .map(|s| TenantLabel {
@@ -113,19 +109,11 @@ impl ServiceStats {
                 weight: s.weight,
             })
             .collect();
-        ServiceStats::with_labels(shards, labels)
-    }
-
-    fn with_labels(shards: usize, labels: Vec<TenantLabel>) -> Self {
-        let shards = shards.max(1);
         let tenants = labels.len();
         ServiceStats {
             started: Some(Instant::now()),
-            shards,
             labels,
-            cells: (0..shards * tenants)
-                .map(|_| StatsCell::default())
-                .collect(),
+            cells: (0..tenants).map(|_| StatsCell::default()).collect(),
             rejected_full: (0..tenants).map(|_| Counter::default()).collect(),
             rejected_quota: (0..tenants).map(|_| Counter::default()).collect(),
             late_answers: Counter::default(),
@@ -142,20 +130,10 @@ impl ServiceStats {
         }
     }
 
-    /// Number of stats shards (matches the queue's shard count).
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// The hot-path cell for a (shard, tenant) pair.
+    /// The hot-path cell for `tenant`.
     // qpp-lint: hot-path
-    pub fn cell(&self, shard: usize, tenant: usize) -> &StatsCell {
-        &self.cells[shard * self.labels.len() + tenant]
+    pub fn cell(&self, tenant: usize) -> &StatsCell {
+        &self.cells[tenant]
     }
 
     /// Counts a queue-full rejection for `tenant`.
@@ -185,10 +163,9 @@ impl ServiceStats {
 
     /// An immutable view of the counters plus derived rates/quantiles.
     ///
-    /// The merge is *ordered*: cells fold in shard-major, tenant-minor
-    /// index order and histograms merge by summing per-bucket counts,
-    /// so two snapshots of identical recorded events are identical
-    /// regardless of which workers recorded them.
+    /// Cells fold in dense tenant order and histograms merge by summing
+    /// per-bucket counts, so two snapshots of identical recorded events
+    /// are identical regardless of which workers recorded them.
     pub fn snapshot(&self, queue_depth: usize) -> StatsSnapshot {
         let tenants = self.labels.len();
         let mut submitted = 0u64;
@@ -196,20 +173,11 @@ impl ServiceStats {
         let mut fallbacks = 0u64;
         let mut merged = [0u64; BUCKETS];
         let mut per_tenant = Vec::with_capacity(tenants);
-        for (t, label) in self.labels.iter().enumerate() {
-            let mut cell_submitted = 0u64;
-            let mut cell_completed = 0u64;
-            let mut cell_fallbacks = 0u64;
-            let mut cell_hist = [0u64; BUCKETS];
-            for shard in 0..self.shards {
-                let cell = self.cell(shard, t);
-                cell_submitted += cell.submitted.get();
-                cell_completed += cell.completed.get();
-                cell_fallbacks += cell.fallbacks.get();
-                for (acc, n) in cell_hist.iter_mut().zip(cell.latency.counts()) {
-                    *acc += n;
-                }
-            }
+        for (t, (label, cell)) in self.labels.iter().zip(&self.cells).enumerate() {
+            let cell_submitted = cell.submitted.get();
+            let cell_completed = cell.completed.get();
+            let cell_fallbacks = cell.fallbacks.get();
+            let cell_hist = cell.latency.counts();
             submitted += cell_submitted;
             completed += cell_completed;
             fallbacks += cell_fallbacks;
@@ -275,8 +243,7 @@ impl ServiceStats {
     }
 }
 
-/// Per-tenant slice of a [`StatsSnapshot`] (merged across shards in
-/// fixed shard order).
+/// Per-tenant slice of a [`StatsSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSnapshot {
     /// Numeric tenant ID.
@@ -291,7 +258,7 @@ pub struct TenantSnapshot {
     pub completed: u64,
     /// Requests answered by the deadline fallback.
     pub fallbacks: u64,
-    /// Submissions shed because every candidate shard was full.
+    /// Submissions shed because the queue was full.
     pub rejected_queue_full: u64,
     /// Submissions shed because the tenant was over quota.
     pub rejected_quota: u64,
@@ -314,7 +281,7 @@ pub struct StatsSnapshot {
     pub fallbacks: u64,
     /// Worker answers that arrived after a client fallback.
     pub late_answers: u64,
-    /// Submissions rejected because every candidate shard was full.
+    /// Submissions rejected because the queue was full.
     pub rejected_queue_full: u64,
     /// Submissions rejected because a tenant was over quota.
     pub rejected_quota: u64,
@@ -326,7 +293,7 @@ pub struct StatsSnapshot {
     pub review_required: u64,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
-    /// Highest shard depth observed.
+    /// Highest queue depth observed.
     pub max_queue_depth: u64,
     /// Mean micro-batch size drained by workers.
     pub mean_batch_size: f64,
@@ -418,9 +385,9 @@ mod tests {
     use super::*;
     use crate::tenant::{TenantId, TenantSpec};
 
-    /// One shard, the default tenant only.
+    /// The default tenant only.
     fn single() -> ServiceStats {
-        ServiceStats::for_tenants(1, &TenantTable::new(Vec::new()))
+        ServiceStats::for_tenants(&TenantTable::new(Vec::new()))
     }
 
     #[test]
@@ -428,10 +395,10 @@ mod tests {
         let stats = single();
         // 90 fast samples (~8 µs), 10 slow (~1024 µs).
         for _ in 0..90 {
-            stats.cell(0, 0).record_latency(Duration::from_micros(8));
+            stats.cell(0).record_latency(Duration::from_micros(8));
         }
         for _ in 0..10 {
-            stats.cell(0, 0).record_latency(Duration::from_micros(1024));
+            stats.cell(0).record_latency(Duration::from_micros(1024));
         }
         let snap = stats.snapshot(0);
         assert!(
@@ -455,9 +422,9 @@ mod tests {
         // 40 s exceeds the last finite bucket edge (2^25 µs ≈ 33.5 s);
         // the old code reported p99 as a finite 2^26 µs ≈ 67 s bound.
         for _ in 0..5 {
-            stats.cell(0, 0).record_latency(Duration::from_micros(100));
+            stats.cell(0).record_latency(Duration::from_micros(100));
         }
-        stats.cell(0, 0).record_latency(Duration::from_secs(40));
+        stats.cell(0).record_latency(Duration::from_secs(40));
         let snap = stats.snapshot(0);
         assert!(!snap.p50_latency.saturated);
         assert!(snap.p99_latency.saturated, "p99 {:?}", snap.p99_latency);
@@ -475,7 +442,7 @@ mod tests {
     fn low_quantiles_cannot_report_an_empty_bucket() {
         let stats = single();
         for _ in 0..10 {
-            stats.cell(0, 0).record_latency(Duration::from_micros(1024)); // bucket 10
+            stats.cell(0).record_latency(Duration::from_micros(1024)); // bucket 10
         }
         let counts = {
             let mut c = [0u64; qpp_obs::BUCKETS];
@@ -520,26 +487,24 @@ mod tests {
     #[test]
     fn display_is_total() {
         let stats = single();
-        stats.cell(0, 0).record_latency(Duration::from_micros(100));
+        stats.cell(0).record_latency(Duration::from_micros(100));
         let text = format!("{}", stats.snapshot(2));
         assert!(text.contains("p50"));
         assert!(text.contains("model swaps"));
     }
 
     #[test]
-    fn sharded_cells_merge_in_fixed_order() {
+    fn tenant_cells_merge_in_fixed_order() {
         let table = TenantTable::new(vec![
             TenantSpec::new(TenantId(3), "etl").weight(2),
             TenantSpec::new(TenantId(9), "adhoc"),
         ]);
-        let stats = ServiceStats::for_tenants(4, &table);
-        // Scatter the same logical events across different shards; the
-        // merged view must not depend on which shard recorded them.
-        for shard in 0..4 {
-            for tenant in 0..3 {
-                let cell = stats.cell(shard, tenant);
-                cell.submitted.add(2);
-                cell.completed.incr();
+        let stats = ServiceStats::for_tenants(&table);
+        for tenant in 0..3 {
+            let cell = stats.cell(tenant);
+            cell.submitted.add(8);
+            cell.completed.add(4);
+            for _ in 0..4 {
                 cell.record_latency(Duration::from_micros(64 << tenant));
             }
         }

@@ -42,9 +42,9 @@ pub struct TenantSpec {
     /// backlogged. Clamped to at least 1.
     pub weight: u32,
     /// Admission quota: maximum requests this tenant may have queued at
-    /// once, across all shards. Submissions beyond it are rejected with
-    /// `QppError::TenantQuotaExceeded` *before* touching any shard, so
-    /// a flooding tenant sheds its own overload instead of everyone's.
+    /// once. Submissions beyond it are rejected with
+    /// `QppError::TenantQuotaExceeded` *before* taking the queue lock,
+    /// so a flooding tenant sheds its own overload instead of everyone's.
     pub quota: usize,
 }
 
@@ -77,7 +77,7 @@ impl TenantSpec {
 /// Tenants get dense indices in ascending-ID order; index 0 is always
 /// the catch-all [`DEFAULT_TENANT`] (either the embedder's own spec for
 /// ID 0 or an implicit weight-1 unlimited-quota one). Everything
-/// per-tenant in the serve layer — queue shards, quota counters, stats
+/// per-tenant in the serve layer — queue lanes, quota counters, stats
 /// blocks — is an array indexed by these dense indices, so the hot path
 /// never hashes.
 #[derive(Debug)]

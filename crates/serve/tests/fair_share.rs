@@ -1,9 +1,9 @@
-//! Property tests for the sharded multi-tenant queue: quota isolation
+//! Property tests for the multi-tenant queue: quota isolation
 //! under flooding, deterministic deficit-round-robin ordering, and
 //! weight-proportional service — each checked over hundreds of seeded
 //! arrival scripts.
 
-use qpp_serve::{PushError, ShardedQueue, TenantId, TenantSpec, TenantTable};
+use qpp_serve::{PushError, TenantId, TenantQueue, TenantSpec, TenantTable};
 
 /// SplitMix64: the scripts' deterministic RNG (no external dep, stable
 /// across runs and platforms).
@@ -24,16 +24,15 @@ impl Rng {
     }
 }
 
-/// Backpressure property (no cross-tenant starvation): under a full
-/// shard, a tenant flooding past its quota is shed exactly in
-/// proportion to its over-quota submission, and a bystander tenant
-/// within its own quota is never rejected — over 220 seeded arrival
-/// scripts varying quota, flood volume, shard count, and interleaving.
+/// Backpressure property (no cross-tenant starvation): a tenant
+/// flooding past its quota is shed exactly in proportion to its
+/// over-quota submission, and a bystander tenant within its own quota
+/// is never rejected — over 220 seeded arrival scripts varying quota,
+/// flood volume, and interleaving.
 #[test]
 fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
     for seed in 0..220u64 {
         let mut rng = Rng(seed.wrapping_mul(0x0de1_7c5e_11ed) + 1);
-        let shards = rng.range(1, 2) as usize;
         let quota = rng.range(2, 8) as usize;
         let floods = quota as u64 + rng.range(1, 40); // always over quota
         let bystander_n = rng.range(1, 8);
@@ -43,11 +42,10 @@ fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
         ]);
         let flooder = table.resolve(TenantId(1));
         let bystander = table.resolve(TenantId(2));
-        // Capacity 16 with at most 2 shards: the power-of-two push can
-        // always reach every slot, so the flooder's *quota* (never raw
-        // capacity) is the only thing that can shed its traffic, and
-        // the bystander's 8 slots always fit beside the flooder's <= 8.
-        let q: ShardedQueue<u64> = ShardedQueue::new(shards, 16, &table);
+        // Capacity 16: the flooder's *quota* (never raw capacity) is
+        // the only thing that can shed its traffic, and the bystander's
+        // 8 slots always fit beside the flooder's <= 8.
+        let q: TenantQueue<u64> = TenantQueue::new(16, &table);
 
         // Random interleaving of the two tenants' arrivals.
         let mut script: Vec<usize> = Vec::new();
@@ -118,13 +116,13 @@ fn drr_drain_order_is_reproducible_for_a_fixed_script() {
         let batch = rng.range(1, 7) as usize;
 
         let run = |table: &TenantTable| -> Vec<u64> {
-            let q: ShardedQueue<u64> = ShardedQueue::new(1, 1024, table);
+            let q: TenantQueue<u64> = TenantQueue::new(1024, table);
             for (i, &t) in script.iter().enumerate() {
                 q.try_push(t, i as u64).expect("capacity 1024 never fills");
             }
             let mut order = Vec::new();
             let mut out = Vec::new();
-            while q.try_drain(0, batch, &mut out) > 0 {
+            while q.try_drain(batch, &mut out) > 0 {
                 order.extend_from_slice(&out);
             }
             order
@@ -139,71 +137,51 @@ fn drr_drain_order_is_reproducible_for_a_fixed_script() {
 
 /// Fairness property: with every tenant lane fully backlogged, the
 /// deficit-round-robin drain serves each tenant within one weight
-/// quantum of its exact fair share of what its shard handed out, for
-/// seeded random weights — through the worker's real entry point,
-/// `drain_owned`, pinned to one shard and rotating over two owned
-/// shards (tenants sit on their primary shard; nothing spills at this
-/// capacity).
+/// quantum of its exact fair share of *everything* the queue handed
+/// out, for seeded random weights — through the worker's real blocking
+/// entry point, `drain`.
 #[test]
 fn backlogged_drain_shares_track_weights() {
-    for shards in [1, 2] {
-        for seed in 0..100u64 {
-            drain_shares_track_weights(shards, seed);
+    for seed in 0..100u64 {
+        let mut rng = Rng(seed.wrapping_mul(0x9fb2_1c65_1e98_df25) + 1);
+        let weights: Vec<u64> = (0..3).map(|_| rng.range(1, 5)).collect();
+        let table = TenantTable::new(vec![
+            TenantSpec::new(TenantId(1), "a").weight(weights[0] as u32),
+            TenantSpec::new(TenantId(2), "b").weight(weights[1] as u32),
+            TenantSpec::new(TenantId(3), "c").weight(weights[2] as u32),
+        ]);
+        let q: TenantQueue<(usize, u64)> = TenantQueue::new(4096, &table);
+        // Deep backlogs: every lane always has work, so shares are
+        // governed purely by the weights.
+        let backlog = 100;
+        for i in 0..backlog {
+            for id in 1..=3u32 {
+                let t = table.resolve(TenantId(id));
+                q.try_push(t, (t, i as u64)).expect("fits");
+            }
         }
-    }
-}
-
-fn drain_shares_track_weights(shards: usize, seed: u64) {
-    let mut rng = Rng(seed.wrapping_mul(0x9fb2_1c65_1e98_df25) + 1);
-    let weights: Vec<u64> = (0..3).map(|_| rng.range(1, 5)).collect();
-    let table = TenantTable::new(vec![
-        TenantSpec::new(TenantId(1), "a").weight(weights[0] as u32),
-        TenantSpec::new(TenantId(2), "b").weight(weights[1] as u32),
-        TenantSpec::new(TenantId(3), "c").weight(weights[2] as u32),
-    ]);
-    let q: ShardedQueue<(usize, u64)> = ShardedQueue::new(shards, 4096, &table);
-    // Deep backlogs: every lane always has work, so shares are
-    // governed purely by the weights.
-    let backlog = 100;
-    for i in 0..backlog {
-        for id in 1..=3u32 {
-            let t = table.resolve(TenantId(id));
-            q.try_push(t, (t, i as u64)).expect("fits");
+        // Drain a window that keeps every lane non-empty throughout.
+        let total_weight: u64 = weights.iter().sum();
+        let total = 20 * total_weight;
+        let mut got = [0u64; 4];
+        let mut drained = 0;
+        let mut out = Vec::new();
+        while drained < total {
+            let max_batch = (total - drained).min(16) as usize;
+            assert!(q.drain(max_batch, &mut out), "backlog cannot run dry");
+            for (t, _) in &out {
+                got[*t] += 1;
+            }
+            drained += out.len() as u64;
         }
-    }
-    // Drain a window that keeps every lane non-empty throughout
-    // (half as long over two shards: a tenant alone on its shard is
-    // handed every other batch whatever its weight).
-    let total_weight: u64 = weights.iter().sum();
-    let want = 20 / shards as u64 * total_weight;
-    let owned: Vec<usize> = (0..shards).collect();
-    let mut rotation = 0;
-    let mut got = vec![[0u64; 4]; shards];
-    let mut drained = 0;
-    let mut out = Vec::new();
-    while drained < want {
-        let max_batch = (want - drained).min(16) as usize;
-        let shard = q
-            .drain_owned(&owned, &mut rotation, max_batch, &mut out)
-            .expect("backlog cannot run dry here");
-        for (t, _) in &out {
-            got[shard][*t] += 1;
-        }
-        drained += out.len() as u64;
-    }
-    for (shard, got) in got.iter().enumerate() {
         // Dense tenant indices 1..=3 (the default tenant is 0).
-        let here: Vec<usize> = (1..=3).filter(|&t| q.shard_pair(t).0 == shard).collect();
-        let shard_weight: u64 = here.iter().map(|&t| weights[t - 1]).sum();
-        let handed_out: u64 = got.iter().sum();
-        for &t in &here {
-            // |got - handed_out * w / shard_weight| <= w, in integers.
+        for t in 1..=3usize {
+            // |got - total * w / total_weight| <= w, in integers.
             let w = weights[t - 1];
-            let diff = (got[t] * shard_weight).abs_diff(handed_out * w);
+            let diff = (got[t] * total_weight).abs_diff(total * w);
             assert!(
-                diff <= w * shard_weight,
-                "seed {seed}, {shards} shard(s): tenant {t} served {} of the {handed_out} \
-                 shard {shard} handed out (weight {w} of {shard_weight})",
+                diff <= w * total_weight,
+                "seed {seed}: tenant {t} served {} of {total} (weight {w} of {total_weight})",
                 got[t]
             );
         }

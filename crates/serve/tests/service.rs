@@ -396,8 +396,8 @@ fn unknown_model_fails_fast() {
 
 /// Satellite regression: a queue-full rejection must record a tagged
 /// `admission_reject` mark carrying the request's admission trace ID
-/// and tenant. (The pre-shard service lost the trace ID on this path —
-/// the rejection was only a global counter bump, invisible to traces.)
+/// and tenant — a shed request stays visible to traces, not just to a
+/// counter.
 #[test]
 fn queue_full_rejection_records_tagged_mark_with_trace_id() {
     use qpp_obs::{unpack_tags, EventKind, Stage};
@@ -458,7 +458,7 @@ fn queue_full_rejection_records_tagged_mark_with_trace_id() {
             mark.trace_id, 0,
             "the rejection mark must carry the admission trace ID"
         );
-        let (tenant, _shard, reason) = unpack_tags(mark.value);
+        let (tenant, reason) = unpack_tags(mark.value);
         assert_eq!(tenant, 777);
         assert_eq!(reason, qpp_serve::REJECT_QUEUE_FULL);
     }
@@ -475,7 +475,7 @@ fn queue_full_rejection_records_tagged_mark_with_trace_id() {
 }
 
 /// An over-quota tenant is rejected with a typed error before touching
-/// any shard, records a tagged mark with its trace ID, and cannot
+/// the queue, records a tagged mark with its trace ID, and cannot
 /// displace other tenants' capacity.
 #[test]
 fn over_quota_tenant_is_rejected_with_typed_error_and_tagged_mark() {
@@ -549,7 +549,7 @@ fn over_quota_tenant_is_rejected_with_typed_error_and_tagged_mark() {
     assert_eq!(rejects[0].kind, EventKind::Mark);
     assert_ne!(rejects[0].trace_id, 0);
     assert_eq!(
-        unpack_tags(rejects[0].value).2,
+        unpack_tags(rejects[0].value).1,
         qpp_serve::REJECT_OVER_QUOTA
     );
 

@@ -60,7 +60,6 @@ fn main() {
                     .quota(8),
                 TenantSpec::new(BATCH, "batch").weight(1).quota(4),
             ],
-            ..ServeOptions::default()
         },
     );
 

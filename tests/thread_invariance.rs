@@ -153,15 +153,14 @@ fn tracing_does_not_perturb_prediction_bits() {
     );
 }
 
-/// The sharded multi-tenant serve pipeline is worker-count invariant:
-/// the same scripted arrival sequence produces identical per-tenant
-/// admission, completion, and rejection ledgers whether one worker
-/// drains all four shards or eight workers race over them. Shard
-/// assignment is a pure function of the tenant, and the stats merge
-/// folds cells in fixed shard-major order, so nothing about worker
-/// scheduling may leak into the merged counts.
+/// The multi-tenant serve pipeline is worker-count invariant: the same
+/// scripted arrival sequence produces identical per-tenant admission,
+/// completion, and rejection ledgers whether one worker drains the
+/// queue or eight workers race over it. Every count is attributed to
+/// the request's tenant, never to the worker that answered, so nothing
+/// about worker scheduling may leak into the ledger.
 #[test]
-fn sharded_serve_ledger_is_identical_across_worker_counts() {
+fn serve_ledger_is_identical_across_worker_counts() {
     use qpp::core::baselines::OptimizerCostModel;
     use qpp::core::FeatureKind;
     use qpp::serve::{
@@ -189,7 +188,6 @@ fn sharded_serve_ledger_is_identical_across_worker_counts() {
             Arc::clone(&registry),
             ServeOptions {
                 workers,
-                shards: 4,
                 queue_capacity: 1024,
                 max_batch: 8,
                 tenants: vec![
@@ -215,7 +213,7 @@ fn sharded_serve_ledger_is_identical_across_worker_counts() {
                         plan: r.optimized.plan.clone(),
                         deadline: Duration::from_secs(30),
                     })
-                    .expect("capacity 1024 over 4 shards never fills");
+                    .expect("capacity 1024 never fills");
                 (expect, p)
             })
             .collect();
