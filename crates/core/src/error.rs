@@ -20,19 +20,14 @@
 //! }
 //! assert!(project().unwrap_err().to_string().contains("projecting"));
 //! ```
-//!
-//! `QppError` is `Clone` (serving fans one failure out to every request
-//! in a micro-batch), which is why the `ModelIo` variant wraps its
-//! source in an `Arc`: `std::io::Error` is not `Clone`.
 
 use crate::model_io::ModelIoError;
 use qpp_linalg::LinalgError;
 use qpp_ml::KnnError;
 use std::fmt;
-use std::sync::Arc;
 
 /// Workspace-level error for the train/predict/serve path.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum QppError {
     /// A linear-algebra failure (shape mismatch, non-convergence, …).
     Linalg {
@@ -53,9 +48,8 @@ pub enum QppError {
     ModelIo {
         /// What the caller was doing, or `""` when converted via `?`.
         context: &'static str,
-        /// The underlying model-io error (`Arc` because `io::Error` is
-        /// not `Clone` and serving clones errors across a micro-batch).
-        source: Arc<ModelIoError>,
+        /// The underlying model-io error.
+        source: ModelIoError,
     },
     /// The serving queue was full; the request was shed (capacity is
     /// the queue's configured limit, all of which any one tenant may
@@ -140,7 +134,7 @@ impl std::error::Error for QppError {
         match self {
             QppError::Linalg { source, .. } => Some(source),
             QppError::Knn { source, .. } => Some(source),
-            QppError::ModelIo { source, .. } => Some(source.as_ref()),
+            QppError::ModelIo { source, .. } => Some(source),
             QppError::QueueFull { .. }
             | QppError::TenantQuotaExceeded { .. }
             | QppError::ShuttingDown
@@ -171,7 +165,7 @@ impl From<ModelIoError> for QppError {
     fn from(source: ModelIoError) -> Self {
         QppError::ModelIo {
             context: "",
-            source: Arc::new(source),
+            source,
         }
     }
 }
@@ -222,17 +216,6 @@ mod tests {
         let r: Result<(), LinalgError> = Err(LinalgError::Empty("kcca needs >= 4 rows"));
         let e = r.ctx("fitting kcca").unwrap_err();
         assert!(e.to_string().contains("while fitting kcca"));
-    }
-
-    #[test]
-    fn errors_are_cloneable_for_batch_fanout() {
-        let e: QppError = ModelIoError::ChecksumMismatch {
-            recorded: "1".to_string(),
-            computed: "2".to_string(),
-        }
-        .into();
-        let copies: Vec<QppError> = (0..4).map(|_| e.clone()).collect();
-        assert_eq!(copies.len(), 4);
     }
 
     #[test]

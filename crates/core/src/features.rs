@@ -46,11 +46,7 @@ impl PlanFeatures {
     pub fn from_plan(plan: &Plan) -> Self {
         let mut counts = vec![0.0; OpKind::ALL.len()];
         let mut sums = vec![0.0; OpKind::ALL.len()];
-        for node in &plan.nodes {
-            let k = node.kind.index();
-            counts[k] += 1.0;
-            sums[k] += node.est_rows;
-        }
+        accumulate_plan(plan, &mut counts, &mut sums);
         PlanFeatures {
             counts,
             cardinality_sums: sums,
@@ -77,12 +73,24 @@ impl PlanFeatures {
     }
 }
 
-/// Extracts the configured query feature vector.
-pub fn query_features(kind: FeatureKind, spec: &QuerySpec, plan: &Plan) -> Vec<f64> {
-    match kind {
-        FeatureKind::QueryPlan => PlanFeatures::from_plan(plan).to_vec(),
-        FeatureKind::SqlText => SqlTextFeatures::from_spec(spec).to_vec(),
+/// Adds every plan node to its operator's instance count and
+/// estimated-cardinality sum, in plan-node order (the one accumulation
+/// order, so the owned and in-place extractors agree bit for bit).
+// qpp-lint: hot-path
+fn accumulate_plan(plan: &Plan, counts: &mut [f64], sums: &mut [f64]) {
+    for node in &plan.nodes {
+        let k = node.kind.index();
+        counts[k] += 1.0;
+        sums[k] += node.est_rows;
     }
+}
+
+/// Extracts the configured query feature vector — the owned wrapper
+/// over [`query_features_to`].
+pub fn query_features(kind: FeatureKind, spec: &QuerySpec, plan: &Plan) -> Vec<f64> {
+    let mut out = vec![0.0; feature_dim(kind)];
+    query_features_to(kind, spec, plan, &mut out);
+    out
 }
 
 /// Dimensionality of [`query_features`]'s output for `kind`.
@@ -93,11 +101,28 @@ pub fn feature_dim(kind: FeatureKind) -> usize {
     }
 }
 
-/// Writes the configured query feature vector into a preallocated row
-/// of length [`feature_dim`]`(kind)` — the contiguous batch-assembly
-/// path (one matrix row per query, no per-query row vectors escaping).
+/// Writes the configured query feature vector straight into `out`,
+/// which must hold [`feature_dim`]`(kind)` values: a matrix row when a
+/// dataset is assembled, the per-thread scratch buffer on the predict
+/// path. Allocates nothing. Plan features land as
+/// [`PlanFeatures::to_vec`] lays them out — counts, then
+/// `ln(1 + cardinality_sum)` per operator.
+// qpp-lint: hot-path
 pub fn query_features_to(kind: FeatureKind, spec: &QuerySpec, plan: &Plan, out: &mut [f64]) {
-    out.copy_from_slice(&query_features(kind, spec, plan));
+    assert_eq!(out.len(), feature_dim(kind), "feature row width");
+    match kind {
+        FeatureKind::QueryPlan => {
+            out.fill(0.0);
+            let (counts, sums) = out.split_at_mut(OpKind::ALL.len());
+            accumulate_plan(plan, counts, sums);
+            for sum in sums {
+                *sum = (1.0 + *sum).ln();
+            }
+        }
+        FeatureKind::SqlText => {
+            out.copy_from_slice(&SqlTextFeatures::from_spec(spec).to_array());
+        }
+    }
 }
 
 /// Log-transforms a raw performance vector for kernelization:
@@ -156,6 +181,11 @@ mod tests {
     #[test]
     fn feature_kind_dispatch() {
         let (q, plan) = sample_plan();
+        // The in-place extractor overwrites a dirty row with exactly the
+        // PlanFeatures layout.
+        let mut row = vec![f64::NAN; PlanFeatures::DIM];
+        query_features_to(FeatureKind::QueryPlan, &q, &plan, &mut row);
+        assert_eq!(row, PlanFeatures::from_plan(&plan).to_vec());
         assert_eq!(
             query_features(FeatureKind::QueryPlan, &q, &plan).len(),
             PlanFeatures::DIM

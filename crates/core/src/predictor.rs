@@ -13,7 +13,7 @@
 
 use crate::dataset::Dataset;
 use crate::error::{QppError, ResultExt};
-use crate::features::{feature_dim, query_features, query_features_to, FeatureKind};
+use crate::features::{feature_dim, query_features_to, FeatureKind};
 use qpp_engine::{PerfMetrics, Plan};
 use qpp_linalg::{stats::Standardizer, vector, LinalgError, Matrix, MatrixView};
 use qpp_ml::{
@@ -198,12 +198,15 @@ pub struct KccaPredictor {
     log_performance: Matrix,
 }
 
-/// Per-thread reusable buffers for the single-query predict path. One
-/// instance per worker thread (thread-local), so concurrent serving
-/// threads never contend, and a warmed-up thread performs zero heap
-/// allocations per [`KccaPredictor::predict_features`] call.
+/// Per-thread reusable buffers for the predict path. One instance per
+/// thread (thread-local), so concurrent serving and pool threads never
+/// contend, and a warmed-up thread performs zero heap allocations per
+/// [`KccaPredictor::predict`] or [`KccaPredictor::predict_features`]
+/// call.
 #[derive(Debug, Default)]
 struct PredictScratch {
+    /// Raw feature vector `predict` extracts from the plan.
+    features: Vec<f64>,
     scaled: Vec<f64>,
     projection: ProjectionScratch,
     projected: Vec<f64>,
@@ -281,107 +284,57 @@ impl KccaPredictor {
         &self.index
     }
 
-    /// Rejects feature input whose width is not the width the model
-    /// was fitted on. Without it a short or long vector is zipped to the
-    /// shorter length downstream and yields a confident wrong answer.
-    // qpp-lint: hot-path
-    fn check_width(&self, rows: usize, width: usize) -> Result<(), QppError> {
-        let fitted = self.scaler.means().len();
-        if width == fitted {
-            return Ok(());
-        }
-        Err(LinalgError::ShapeMismatch {
-            op: "predict features",
-            lhs: (1, fitted),
-            rhs: (rows, width),
-        })
-        .ctx("checking feature width against the fitted model")
-    }
-
     /// Predicts from a raw query feature vector.
     ///
-    /// The steady-state hot path: standardization, kernel row, ICD
+    /// The one implementation of prediction (every other entry point
+    /// is a loop over it or feeds it): standardization, kernel row, ICD
     /// embedding, CCA projection and kNN combine all write into
     /// thread-local scratch buffers, so once a thread's buffers have
     /// warmed up to the model's dimensions this performs **zero heap
     /// allocations** (guarded by the `alloc_regression` test).
     // qpp-lint: hot-path
     pub fn predict_features(&self, features: &[f64]) -> Result<Prediction, QppError> {
-        self.check_width(1, features.len())?;
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            {
-                let _s = qpp_obs::span(qpp_obs::Stage::PredictStandardize);
-                self.scaler
-                    .transform_row_into(features, &mut scratch.scaled);
-            }
-            let max_kernel_similarity = {
-                let _s = qpp_obs::span(qpp_obs::Stage::PredictProject);
-                self.kcca.project_query_into(
-                    &scratch.scaled,
-                    &mut scratch.projection,
-                    &mut scratch.projected,
-                )
-            }
-            .ctx("projecting query features")?;
-            self.finish_prediction_with(
-                &scratch.projected,
-                &mut scratch.knn,
-                &mut scratch.combined,
-                max_kernel_similarity,
-            )
-        })
+        SCRATCH.with(|cell| self.predict_row(features, &mut cell.borrow_mut()))
     }
 
-    /// Predicts a batch of raw query feature vectors (one per row) in
-    /// one pass.
-    ///
-    /// Entry `i` is bitwise identical to
-    /// `self.predict_features(rows.row(i))`: both paths execute the same
-    /// per-row floating-point operations in the same order, the batch
-    /// path merely shares one contiguous scaled matrix and amortizes
-    /// scratch buffers across queries (see
-    /// `Kcca::project_queries_with_similarity`).
-    pub fn predict_features_batch(
-        &self,
-        rows: MatrixView<'_>,
-    ) -> Result<Vec<Prediction>, QppError> {
-        self.check_width(rows.rows(), rows.cols())?;
-        let mut batch_span = qpp_obs::span(qpp_obs::Stage::PredictBatch);
-        batch_span.set_value(rows.rows() as u64);
-        let mut scaled = Matrix::zeros(rows.rows(), rows.cols());
-        for i in 0..rows.rows() {
-            self.scaler.transform_row_to(rows.row(i), scaled.row_mut(i));
-        }
-        let projections = self
-            .kcca
-            .project_queries_with_similarity(scaled.view())
-            .ctx("projecting query batch")?;
-        let mut knn = KnnScratch::new();
-        let mut combined = Vec::new();
-        projections
-            .into_iter()
-            .map(|(projected, similarity)| {
-                self.finish_prediction_with(&projected, &mut knn, &mut combined, similarity)
-            })
-            .collect()
-    }
-
-    /// Shared tail of single and batched prediction: kNN combine in
-    /// projection space plus the confidence signals, through caller-
-    /// provided scratch buffers.
+    /// The predict body, through one thread's scratch buffers.
     ///
     /// Fails (instead of silently predicting zeros, as it once did)
     /// when no usable neighbor exists — an empty reference or a probe
     /// whose projection is entirely non-finite.
     // qpp-lint: hot-path
-    fn finish_prediction_with(
+    fn predict_row(
         &self,
-        projected: &[f64],
-        knn: &mut KnnScratch,
-        combined: &mut Vec<f64>,
-        max_kernel_similarity: f64,
+        features: &[f64],
+        scratch: &mut PredictScratch,
     ) -> Result<Prediction, QppError> {
+        // A vector of another width than the model was fitted on would
+        // be zipped to the shorter length downstream and yield a
+        // confident wrong answer.
+        let fitted = self.scaler.means().len();
+        if features.len() != fitted {
+            return Err(LinalgError::ShapeMismatch {
+                op: "predict features",
+                lhs: (1, fitted),
+                rhs: (1, features.len()),
+            })
+            .ctx("checking feature width against the fitted model");
+        }
+        {
+            let _s = qpp_obs::span(qpp_obs::Stage::PredictStandardize);
+            self.scaler
+                .transform_row_into(features, &mut scratch.scaled);
+        }
+        let max_kernel_similarity = {
+            let _s = qpp_obs::span(qpp_obs::Stage::PredictProject);
+            self.kcca.project_query_into(
+                &scratch.scaled,
+                &mut scratch.projection,
+                &mut scratch.projected,
+            )
+        }
+        .ctx("projecting query features")?;
+
         let targets = if self.options.log_space_average {
             &self.log_performance
         } else {
@@ -391,26 +344,26 @@ impl KccaPredictor {
         knn_span.set_value(self.options.neighbors as u64);
         self.index
             .predict_into(
-                projected,
+                &scratch.projected,
                 targets,
                 self.options.neighbors,
                 self.options.weighting,
-                knn,
-                combined,
+                &mut scratch.knn,
+                &mut scratch.combined,
             )
             .ctx("combining neighbor metrics")?;
         if self.options.log_space_average {
-            for v in combined.iter_mut() {
+            for v in scratch.combined.iter_mut() {
                 *v = v.exp_m1().max(0.0);
             }
         }
         drop(knn_span);
         // `predict_into` never leaves an empty neighbor list on success.
-        let found = &knn.neighbors;
+        let found = &scratch.knn.neighbors;
         let confidence_distance =
             vector::sum_iter(found.iter().map(|n| n.distance)) / found.len() as f64;
         Ok(Prediction {
-            metrics: PerfMetrics::from_vec(combined),
+            metrics: PerfMetrics::from_vec(&scratch.combined),
             // NeighborIds stores up to `INLINE` indices without heap;
             // k ≤ 8 in every supported configuration.
             // qpp-lint: allow(no-alloc-hot-path)
@@ -420,43 +373,93 @@ impl KccaPredictor {
         })
     }
 
-    /// Predicts for a query given its optimizer plan — the compile-time
-    /// entry point (no execution required).
-    pub fn predict(&self, spec: &QuerySpec, plan: &Plan) -> Result<Prediction, QppError> {
-        let features = query_features(self.options.feature_kind, spec, plan);
-        self.predict_features(&features)
+    /// Predicts every row of a feature matrix. Entry `i` is
+    /// `self.predict_features(rows.row(i))`; large inputs fan out across
+    /// the `qpp-par` pool, each pool thread predicting through its own
+    /// thread-local scratch, so results are bitwise independent of the
+    /// thread count.
+    pub fn predict_features_batch(
+        &self,
+        rows: MatrixView<'_>,
+    ) -> Result<Vec<Prediction>, QppError> {
+        predict_each(rows.rows(), |i| self.predict_features(rows.row(i)))
     }
 
-    /// Predicts a batch of queries in one pass (micro-batched serving
-    /// and the experiment hot loops). Results are bitwise identical to
-    /// per-query [`KccaPredictor::predict`] calls in the same order.
+    /// Predicts for a query given its optimizer plan — the compile-time
+    /// entry point (no execution required), and the call the serve
+    /// worker makes per request. Features are extracted into the
+    /// thread-local scratch, so a warm call allocates nothing.
+    // qpp-lint: hot-path
+    pub fn predict(&self, spec: &QuerySpec, plan: &Plan) -> Result<Prediction, QppError> {
+        let kind = self.options.feature_kind;
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            // Lend the feature buffer out so the row body can borrow the
+            // rest of the scratch (the empty placeholder is not an
+            // allocation).
+            let mut features = std::mem::take(&mut scratch.features);
+            features.resize(feature_dim(kind), 0.0);
+            query_features_to(kind, spec, plan, &mut features);
+            let prediction = self.predict_row(&features, scratch);
+            scratch.features = features;
+            prediction
+        })
+    }
+
+    /// Predicts a batch of queries: entry `i` is
+    /// `self.predict(queries[i].0, queries[i].1)`, fanned out like
+    /// [`KccaPredictor::predict_features_batch`].
     pub fn predict_batch(
         &self,
         queries: &[(&QuerySpec, &Plan)],
     ) -> Result<Vec<Prediction>, QppError> {
-        let mut features = Matrix::zeros(queries.len(), feature_dim(self.options.feature_kind));
-        for (i, (spec, plan)) in queries.iter().enumerate() {
-            query_features_to(self.options.feature_kind, spec, plan, features.row_mut(i));
-        }
-        self.predict_features_batch(features.view())
+        predict_each(queries.len(), |i| self.predict(queries[i].0, queries[i].1))
     }
 
-    /// Predicts every record of a dataset (e.g. a held-out test set)
-    /// through the batched path.
+    /// Predicts every record of a dataset (e.g. a held-out test set).
     pub fn predict_dataset(&self, dataset: &Dataset) -> Result<Vec<Prediction>, QppError> {
-        let queries: Vec<(&QuerySpec, &Plan)> = dataset
-            .records
-            .iter()
-            .map(|r| (&r.spec, &r.optimized.plan))
-            .collect();
-        self.predict_batch(&queries)
+        let records = &dataset.records;
+        predict_each(records.len(), |i| {
+            self.predict(&records[i].spec, &records[i].optimized.plan)
+        })
     }
+}
+
+/// `predict_one(0..n)` in row order; the first failure (in row order)
+/// is the result. More rows than one chunk fan out across the
+/// `qpp-par` pool chunk by chunk; a single chunk would run on the
+/// calling thread anyway, so it skips the pool's per-call bookkeeping
+/// and allocates only the returned vector.
+fn predict_each(
+    n: usize,
+    predict_one: impl Fn(usize) -> Result<Prediction, QppError> + Sync,
+) -> Result<Vec<Prediction>, QppError> {
+    const ROWS_PER_CHUNK: usize = 16;
+    let mut out = Vec::with_capacity(n);
+    if n <= ROWS_PER_CHUNK {
+        for i in 0..n {
+            out.push(predict_one(i)?);
+        }
+        return Ok(out);
+    }
+    // Pool threads inherit the caller's trace, so a traced call keeps
+    // every row's spans whichever thread ran its chunk.
+    let trace = qpp_obs::current_trace();
+    for chunk in qpp_par::parallel_for_chunks(n, ROWS_PER_CHUNK, |chunk| {
+        qpp_obs::with_trace(trace, || chunk.range.map(&predict_one).collect::<Vec<_>>())
+    }) {
+        for prediction in chunk {
+            out.push(prediction?);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use crate::features::query_features;
     use qpp_engine::SystemConfig;
     use qpp_ml::{fraction_within, predictive_risk};
     use qpp_workload::{Schema, WorkloadGenerator};

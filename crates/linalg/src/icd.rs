@@ -195,31 +195,6 @@ impl IncompleteCholesky {
         self.residual_trace
     }
 
-    /// Embeds a *new* point into the same `r`-dimensional feature space.
-    ///
-    /// `kernel_at_pivots[t]` must be `k(x_new, pivot_t)` in pivot order.
-    /// The embedding satisfies `g_new · g_iᵀ ≈ k(x_new, x_i)` for training
-    /// points `i`, i.e. new points live in the same approximate feature
-    /// space as the training rows of `G`.
-    pub fn transform_new(&self, kernel_at_pivots: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.rank());
-        self.transform_new_into(kernel_at_pivots, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`IncompleteCholesky::transform_new`], writing into a
-    /// reusable buffer: after warmup the buffer's capacity is retained,
-    /// so steady-state embeddings allocate nothing.
-    // qpp-lint: hot-path
-    pub fn transform_new_into(&self, kernel_at_pivots: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        substitute_into(
-            self.rank(),
-            |t| self.g.row(self.pivots[t]),
-            kernel_at_pivots,
-            out,
-        )
-    }
-
     /// The `rank() x rank()` pivot block `G[pivots, :]` — everything
     /// embedding a new point reads, without the `n x rank()` factor.
     pub fn pivot_block(&self) -> PivotBlock {
@@ -229,10 +204,9 @@ impl IncompleteCholesky {
     }
 }
 
-/// The lower-triangular pivot block of an [`IncompleteCholesky`]: what
-/// a fitted model keeps to embed new points. Embeddings are bitwise
-/// equal to [`IncompleteCholesky::transform_new_into`] on the factor it
-/// came from.
+/// The lower-triangular pivot block of an [`IncompleteCholesky`]
+/// (triangular in selection order by construction): what a fitted model
+/// keeps to embed new points.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PivotBlock {
     rows: Matrix,
@@ -244,41 +218,37 @@ impl PivotBlock {
         self.rows.rows()
     }
 
-    /// See [`IncompleteCholesky::transform_new_into`].
+    /// Embeds a *new* point into the factorization's `rank()`-dimensional
+    /// feature space by forward substitution against the block.
+    ///
+    /// `kernel_at_pivots[t]` must be `k(x_new, pivot_t)` in pivot order.
+    /// The embedding satisfies `g_new · g_iᵀ ≈ k(x_new, x_i)` for training
+    /// points `i`, i.e. new points live in the same approximate feature
+    /// space as the training rows of `G`. Writes into a reusable buffer:
+    /// after warmup its capacity is retained, so steady-state embeddings
+    /// allocate nothing.
     // qpp-lint: hot-path
     pub fn transform_new_into(&self, kernel_at_pivots: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        substitute_into(self.rank(), |t| self.rows.row(t), kernel_at_pivots, out)
-    }
-}
-
-/// Forward substitution against the lower-triangular pivot block
-/// `G[pivots, :]` (triangular in selection order by construction);
-/// `pivot_row(t)` is its row `t`.
-// qpp-lint: hot-path
-fn substitute_into<'a>(
-    r: usize,
-    pivot_row: impl Fn(usize) -> &'a [f64],
-    kernel_at_pivots: &[f64],
-    out: &mut Vec<f64>,
-) -> Result<()> {
-    if kernel_at_pivots.len() != r {
-        return Err(LinalgError::ShapeMismatch {
-            op: "icd transform_new",
-            lhs: (r, 1),
-            rhs: (kernel_at_pivots.len(), 1),
-        });
-    }
-    out.clear();
-    out.resize(r, 0.0);
-    for t in 0..r {
-        let row = pivot_row(t);
-        let mut v = kernel_at_pivots[t];
-        for s in 0..t {
-            v -= out[s] * row[s];
+        let r = self.rank();
+        if kernel_at_pivots.len() != r {
+            return Err(LinalgError::ShapeMismatch {
+                op: "icd transform_new",
+                lhs: (r, 1),
+                rhs: (kernel_at_pivots.len(), 1),
+            });
         }
-        out[t] = v / row[t];
+        out.clear();
+        out.resize(r, 0.0);
+        for t in 0..r {
+            let row = self.rows.row(t);
+            let mut v = kernel_at_pivots[t];
+            for s in 0..t {
+                v -= out[s] * row[s];
+            }
+            out[t] = v / row[t];
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -375,12 +345,10 @@ mod tests {
                 .iter()
                 .map(|&p| kernel(&pts[probe], &pts[p]))
                 .collect();
-            let emb = icd.transform_new(&k_row).unwrap();
-            let mut from_block = Vec::new();
+            let mut emb = Vec::new();
             icd.pivot_block()
-                .transform_new_into(&k_row, &mut from_block)
+                .transform_new_into(&k_row, &mut emb)
                 .unwrap();
-            assert_eq!(emb, from_block, "pivot block embeds bit for bit");
             for (t, v) in emb.iter().enumerate() {
                 assert!(
                     (v - icd.g()[(probe, t)]).abs() < 1e-6,

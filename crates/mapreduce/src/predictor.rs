@@ -75,9 +75,9 @@ impl JobPredictor {
     /// Predicts a job's outcome from its spec alone.
     pub fn predict(&self, job: &JobSpec) -> Result<JobPrediction, QppError> {
         let scaled = self.scaler.transform_row(&job.features());
-        let projected = self
+        let (projected, _) = self
             .kcca
-            .project_query(&scaled)
+            .project_query_with_similarity(&scaled)
             .ctx("projecting job features")?;
         let (combined, found) = self
             .neighbors

@@ -293,23 +293,7 @@ impl IvfIndex {
         merge_top_k_into(&lists[..probed.len()], k, heads, neighbors);
     }
 
-    /// Predicts a target vector for `probe` — allocating convenience
-    /// over [`IvfIndex::predict_into`], mirroring
-    /// [`NearestNeighbors::predict`].
-    pub fn predict(
-        &self,
-        probe: &[f64],
-        targets: &Matrix,
-        k: usize,
-        weighting: NeighborWeighting,
-    ) -> Result<(Vec<f64>, Vec<Neighbor>), KnnError> {
-        let mut scratch = KnnScratch::new();
-        let mut out = Vec::with_capacity(targets.cols());
-        self.predict_into(probe, targets, k, weighting, &mut scratch, &mut out)?;
-        Ok((out, scratch.neighbors))
-    }
-
-    /// Like [`IvfIndex::predict`], writing into reusable buffers; the
+    /// Predicts a target vector for `probe` into reusable buffers; the
     /// body is the brute path's [`predict_with`], so predictions agree
     /// bitwise whenever the neighbor sets do.
     // qpp-lint: hot-path
@@ -422,21 +406,7 @@ impl AnnIndex {
         }
     }
 
-    /// Predicts a target vector for `probe` (allocating convenience).
-    pub fn predict(
-        &self,
-        probe: &[f64],
-        targets: &Matrix,
-        k: usize,
-        weighting: NeighborWeighting,
-    ) -> Result<(Vec<f64>, Vec<Neighbor>), KnnError> {
-        match self {
-            AnnIndex::Brute { scan } => scan.predict(probe, targets, k, weighting),
-            AnnIndex::Ivf { ivf } => ivf.predict(probe, targets, k, weighting),
-        }
-    }
-
-    /// Like [`AnnIndex::predict`], writing into reusable buffers —
+    /// Predicts a target vector for `probe` into reusable buffers —
     /// alloc-free with warm scratch on both arms.
     // qpp-lint: hot-path
     pub fn predict_into(

@@ -187,11 +187,6 @@ impl Cca {
         project_into(row, &self.x_means, &self.wx, out)
     }
 
-    /// Projects one y-side row into a reusable buffer.
-    pub fn project_y_into(&self, row: &[f64], out: &mut Vec<f64>) {
-        project_into(row, &self.y_means, &self.wy, out)
-    }
-
     /// Projects every row of an x-side matrix.
     pub fn project_x_matrix(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(x.rows(), self.components());

@@ -170,12 +170,7 @@ impl Kcca {
     }
 
     /// Projects a *new* query feature vector into the query projection
-    /// space (paper Fig. 7, step 1).
-    pub fn project_query(&self, features: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        Ok(self.project_query_with_similarity(features)?.0)
-    }
-
-    /// Like [`Kcca::project_query`], additionally returning the largest
+    /// space (paper Fig. 7, step 1), additionally returning the largest
     /// kernel evaluation against the pivot points.
     ///
     /// A value near zero means the query is unlike *everything* in the
@@ -183,56 +178,24 @@ impl Kcca {
     /// collapses toward a fixed point, so neighbor distances alone can
     /// no longer flag it as anomalous. Callers should treat low
     /// similarity as low prediction confidence.
+    ///
+    /// The one owned wrapper: [`Kcca::project_query_into`] with cold
+    /// buffers, so the two can never drift apart.
     pub fn project_query_with_similarity(
         &self,
         features: &[f64],
     ) -> Result<(Vec<f64>, f64), LinalgError> {
-        // One pipeline, two entry points: the owned path is just the
-        // `_into` path with cold buffers, so the kernel-row/similarity/
-        // ICD steps can never drift apart again (they used to be
-        // hand-duplicated here).
         let mut scratch = ProjectionScratch::new();
         let mut out = Vec::with_capacity(self.components());
         let similarity = self.project_query_into(features, &mut scratch, &mut out)?;
         Ok((out, similarity))
     }
 
-    /// Projects a batch of query feature vectors (one per row of the
-    /// view), amortizing the kernel-row and embedding buffers across
-    /// queries within a chunk.
-    ///
-    /// Row `i` of the result is exactly what
-    /// [`Kcca::project_query_with_similarity`] returns for `rows.row(i)`
-    /// — per-row work is independent and runs the identical per-row
-    /// floating-point operations in the identical order, so results are
-    /// bitwise equal to single-query projection for any thread count.
-    /// Chunks of 16 queries fan out across the `qpp-par` pool (the
-    /// qpp-serve micro-batch path and the experiment hot loops).
-    pub fn project_queries_with_similarity(
-        &self,
-        rows: MatrixView<'_>,
-    ) -> Result<Vec<(Vec<f64>, f64)>, LinalgError> {
-        let per_chunk = qpp_par::parallel_for_chunks(rows.rows(), 16, |chunk| {
-            let mut scratch = ProjectionScratch::new();
-            chunk
-                .range
-                .map(|i| {
-                    let mut out = Vec::with_capacity(self.components());
-                    let similarity =
-                        self.project_query_into(rows.row(i), &mut scratch, &mut out)?;
-                    Ok((out, similarity))
-                })
-                .collect::<Vec<_>>()
-        });
-        per_chunk.into_iter().flatten().collect()
-    }
-
     /// Projects a query into a reusable output buffer, returning the
     /// largest kernel evaluation against the pivots. `scratch` holds the
     /// kernel-row and ICD-embedding buffers; once all three buffers have
     /// warmed up to the model's dimensions, this performs no heap
-    /// allocation. Bitwise equal to
-    /// [`Kcca::project_query_with_similarity`].
+    /// allocation.
     // qpp-lint: hot-path
     pub fn project_query_into(
         &self,
@@ -313,7 +276,7 @@ mod tests {
         // projection (the paper's clustering-effect claim, Fig. 6).
         let (x, y) = nonlinear_pair(120, 7);
         let model = Kcca::fit(x.view(), y.view(), KccaOptions::default()).unwrap();
-        let p0 = model.project_query(x.row(0)).unwrap();
+        let (p0, _) = model.project_query_with_similarity(x.row(0)).unwrap();
         // Training projection of point 0 should match its out-of-sample
         // projection (same point).
         let stored = model.query_projection().row(0);
@@ -330,7 +293,7 @@ mod tests {
         let (x, y) = nonlinear_pair(200, 9);
         let model = Kcca::fit(x.view(), y.view(), KccaOptions::default()).unwrap();
         // Leave point 0 out conceptually: find nearest *other* neighbor.
-        let probe = model.project_query(x.row(0)).unwrap();
+        let (probe, _) = model.project_query_with_similarity(x.row(0)).unwrap();
         let mut best = (usize::MAX, f64::INFINITY);
         for i in 1..x.rows() {
             let d = vector::dist(&probe, model.query_projection().row(i));

@@ -1,6 +1,6 @@
 //! Gaussian kernels with the paper's scale heuristic.
 
-use qpp_linalg::{Matrix, MatrixView};
+use qpp_linalg::MatrixView;
 use serde::{Deserialize, Serialize};
 
 /// Gaussian (RBF) kernel `k(x, y) = exp(-||x - y||² / τ)`.
@@ -45,67 +45,6 @@ impl GaussianKernel {
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         (-qpp_linalg::vector::sq_dist(a, b) / self.tau).exp()
     }
-
-    /// Full `n x n` kernel matrix over the rows of `data`.
-    ///
-    /// Row chunks are computed in parallel, each row in full. Symmetry
-    /// is preserved bitwise without a mirror pass because `sq_dist` is
-    /// exactly symmetric: `(x−y)²` and `(y−x)²` are the same float.
-    pub fn matrix(&self, data: MatrixView<'_>) -> Matrix {
-        let n = data.rows();
-        // A few thousand evaluations per chunk; depends only on `n`.
-        let rows_per_chunk = (16_384 / n.max(1)).clamp(4, 256);
-        let parts = qpp_par::parallel_for_chunks(n, rows_per_chunk, |chunk| {
-            let mut buf = Vec::with_capacity(chunk.range.len() * n);
-            for i in chunk.range.clone() {
-                let ri = data.row(i);
-                for j in 0..n {
-                    buf.push(if i == j {
-                        1.0
-                    } else {
-                        self.eval(ri, data.row(j))
-                    });
-                }
-            }
-            buf
-        });
-        let mut flat = Vec::with_capacity(n * n);
-        for part in parts {
-            flat.extend(part);
-        }
-        if flat.is_empty() {
-            return Matrix::zeros(n, n);
-        }
-        // `flat` holds exactly n*n entries by construction, so from_vec
-        // cannot fail; the fallback keeps this path panic-free.
-        Matrix::from_vec(n, n, flat).unwrap_or_else(|_| Matrix::zeros(n, n))
-    }
-
-    /// Kernel evaluations of one new point against every row of `data`.
-    pub fn row(&self, data: MatrixView<'_>, point: &[f64]) -> Vec<f64> {
-        qpp_par::parallel_for_chunks(data.rows(), 1024, |chunk| {
-            chunk
-                .range
-                .map(|i| self.eval(data.row(i), point))
-                .collect::<Vec<f64>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// Like [`GaussianKernel::row`], writing into a reusable buffer.
-    ///
-    /// Runs serially (the predict path evaluates against a few hundred
-    /// pivots — below any useful parallel grain) and allocates nothing
-    /// once the buffer has warmed up. Each evaluation is the identical
-    /// `eval(data.row(i), point)` of the parallel variant, in the same
-    /// row order, so the values are bitwise equal.
-    // qpp-lint: hot-path
-    pub fn row_into(&self, data: MatrixView<'_>, point: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(data.row_iter().map(|r| self.eval(r, point)));
-    }
 }
 
 /// Mean pairwise squared Euclidean distance over (a deterministic
@@ -149,6 +88,7 @@ fn mean_squared_distance(data: MatrixView<'_>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpp_linalg::Matrix;
 
     #[test]
     fn kernel_properties() {
@@ -167,18 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_symmetric_with_unit_diagonal() {
-        let data = Matrix::from_vec(3, 2, vec![0., 0., 1., 0., 5., 5.]).unwrap();
-        let k = GaussianKernel::new(1.0).matrix(data.view());
-        for i in 0..3 {
-            assert_eq!(k[(i, i)], 1.0);
-            for j in 0..3 {
-                assert_eq!(k[(i, j)], k[(j, i)]);
-            }
-        }
-    }
-
-    #[test]
     fn fit_anchors_tau_to_mean_squared_distance() {
         // Two rows at squared distance 4: mean pairwise d² = 4.
         let data = Matrix::from_vec(2, 2, vec![1., 0., 3., 0.]).unwrap();
@@ -194,30 +122,6 @@ mod tests {
         let data = Matrix::from_vec(2, 2, vec![1., 0., 1., 0.]).unwrap(); // identical rows
         let k = GaussianKernel::fit(data.view(), 0.1);
         assert!(k.tau >= 1e-6);
-    }
-
-    #[test]
-    fn row_matches_matrix_column() {
-        let data = Matrix::from_vec(3, 2, vec![0., 0., 1., 1., 2., 0.]).unwrap();
-        let kern = GaussianKernel::new(3.0);
-        let m = kern.matrix(data.view());
-        let r = kern.row(data.view(), data.row(1));
-        for i in 0..3 {
-            assert!((r[i] - m[(i, 1)]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn row_into_is_bitwise_equal_to_row() {
-        let data = Matrix::from_vec(4, 2, vec![0., 0., 1., 1., 2., 0., -1., 3.]).unwrap();
-        let kern = GaussianKernel::new(1.5);
-        let owned = kern.row(data.view(), &[0.5, 0.5]);
-        let mut buf = Vec::new();
-        kern.row_into(data.view(), &[0.5, 0.5], &mut buf);
-        assert_eq!(owned.len(), buf.len());
-        for (a, b) in owned.iter().zip(buf.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

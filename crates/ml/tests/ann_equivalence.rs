@@ -15,7 +15,8 @@
 
 use qpp_linalg::Matrix;
 use qpp_ml::{
-    AnnIndex, AnnOptions, DistanceMetric, IvfIndex, IvfOptions, NearestNeighbors, NeighborWeighting,
+    AnnIndex, AnnOptions, DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NearestNeighbors,
+    NeighborWeighting,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -287,6 +288,7 @@ fn ivf_predictions_are_bitwise_equal_to_brute_predictions() {
         },
     )
     .unwrap();
+    let (mut scratch, mut ap) = (KnnScratch::new(), Vec::new());
     for weighting in [
         NeighborWeighting::Equal,
         NeighborWeighting::RankRatio,
@@ -295,8 +297,9 @@ fn ivf_predictions_are_bitwise_equal_to_brute_predictions() {
         for i in (0..data.rows()).step_by(31) {
             let probe = data.row(i);
             let (bp, bn) = nn.predict(probe, &targets, 3, weighting).unwrap();
-            let (ap, an) = ivf.predict(probe, &targets, 3, weighting).unwrap();
-            assert_bitwise_equal(&bn, &an, "prediction neighbors");
+            ivf.predict_into(probe, &targets, 3, weighting, &mut scratch, &mut ap)
+                .unwrap();
+            assert_bitwise_equal(&bn, &scratch.neighbors, "prediction neighbors");
             assert_eq!(bp.len(), ap.len());
             for (x, y) in bp.iter().zip(ap.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "prediction value differs");

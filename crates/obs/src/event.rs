@@ -19,17 +19,16 @@ pub enum Stage {
     QueueWait,
     /// Worker handling of one request, dequeue to response send.
     Worker,
-    /// The (possibly batched) KCCA prediction answering one request.
+    /// One request's own `KccaPredictor::predict` call on the worker;
+    /// its standardize / project / kNN sub-spans nest inside it.
     Predict,
     /// Client-side optimizer-cost fallback after a deadline miss.
     Fallback,
     /// A model install/hot-swap landed in the registry.
     ModelSwap,
-    /// Whole-batch KCCA projection + kNN pass (`predict_features_batch`).
-    PredictBatch,
-    /// Single-query standardization (`transform_row_into`).
+    /// Standardization of one query's features (`transform_row_into`).
     PredictStandardize,
-    /// Single-query kernel row + ICD embedding + CCA projection.
+    /// One query's kernel row + ICD embedding + CCA projection.
     PredictProject,
     /// kNN search + neighbor-metric combine.
     PredictKnn,
@@ -83,7 +82,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (sizes the per-stage accumulator arrays).
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 25;
 
     /// Every stage, in declaration order (stable for reports).
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -93,7 +92,6 @@ impl Stage {
         Stage::Predict,
         Stage::Fallback,
         Stage::ModelSwap,
-        Stage::PredictBatch,
         Stage::PredictStandardize,
         Stage::PredictProject,
         Stage::PredictKnn,
@@ -135,7 +133,6 @@ impl Stage {
             Stage::Predict => "predict",
             Stage::Fallback => "fallback",
             Stage::ModelSwap => "model_swap",
-            Stage::PredictBatch => "predict_batch",
             Stage::PredictStandardize => "predict_standardize",
             Stage::PredictProject => "predict_project",
             Stage::PredictKnn => "predict_knn",

@@ -9,14 +9,15 @@
 //!   [`Histogram`] with its quantile conventions ([`metrics`]);
 //! * a **trace context** — a thread-local current trace ID so spans
 //!   recorded anywhere down the call stack (admission → queue → worker
-//!   → `predict_features`) tag themselves to the request that caused
-//!   them, without threading an ID through every API.
+//!   → `predict`) tag themselves to the request that caused them,
+//!   without threading an ID through every API.
 //!
 //! Two design rules shape everything here:
 //!
 //! 1. **Recording never allocates.** Events are `Copy`, the ring is
-//!    pre-sized, counters are single atomic words. The serving predict
-//!    path measures 0.0 allocations/request with observability enabled
+//!    pre-sized, counters are single atomic words. The call the serve
+//!    worker makes per request, `KccaPredictor::predict`, measures 0
+//!    allocations with observability enabled
 //!    (`tests/alloc_regression.rs`), and recording must keep it there.
 //! 2. **Wall-clock reads live here and in the serving edge, never in
 //!    model code.** `qpp-core`/`qpp-ml`/`qpp-linalg` are bitwise

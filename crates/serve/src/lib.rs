@@ -17,9 +17,9 @@
 //!   backpressure.
 //! - [`PredictionService`]: a worker pool where every worker blocks on
 //!   that queue, orders each fair-share micro-batch by predicted cost
-//!   class (feather / golf ball / bowling ball), and
-//!   answers each (model, class) group with a single batched KCCA
-//!   projection + kNN pass, composing the prediction with
+//!   class (feather / golf ball / bowling ball), and answers its
+//!   requests one by one — one `KccaPredictor::predict` call each,
+//!   under the request's own trace ID — composing the prediction with
 //!   `qpp_core::workload_mgmt` admission policies (admit with
 //!   kill-timeout / reject / review).
 //! - Deadline fallback: when a request's deadline expires before the

@@ -471,7 +471,7 @@ mod tests {
             QppError::ModelIo { context, source } => {
                 assert_eq!(context, "installing model from json");
                 assert!(matches!(
-                    source.as_ref(),
+                    source,
                     qpp_core::model_io::ModelIoError::UnsupportedVersion { .. }
                 ));
             }

@@ -1,6 +1,6 @@
 //! The online prediction service: a worker pool over the multi-tenant
-//! request queue, answering each request with a batched KCCA
-//! prediction, an admission decision, and a deadline-bounded fallback.
+//! request queue, answering each request with a KCCA prediction, an
+//! admission decision, and a deadline-bounded fallback.
 //!
 //! Flow per request:
 //!
@@ -15,9 +15,11 @@
 //! 2. Whichever worker is idle drains a weighted fair-share micro-batch
 //!    (deficit round-robin over tenant lanes), sorts it by cost class
 //!    so cheap feathers are not stuck behind bowling balls in the same
-//!    batch, groups by (model key, class), and answers each group with
-//!    *one* batched KCCA projection + kNN pass
-//!    (`KccaPredictor::predict_batch`).
+//!    batch, and answers its requests in turn: one registry lookup and
+//!    one `KccaPredictor::predict` call each, under the request's own
+//!    trace ID. The micro-batch amortizes the queue lock and the
+//!    wake-up, not the model: every row of a KCCA prediction is
+//!    independent of every other, so there is no batched kernel to feed.
 //! 3. The admission gateway turns the prediction into an
 //!    [`AdmissionDecision`] under the service's [`AdmissionPolicy`].
 //! 4. If the worker misses the request's deadline, the client answers
@@ -41,7 +43,7 @@ use qpp_obs::{pack_tags, Stage};
 use qpp_workload::QuerySpec;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Reason code packed into `admission_reject` marks: the queue was at
 /// capacity.
@@ -88,7 +90,7 @@ pub struct PredictRequest {
 /// Which path produced an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerSource {
-    /// A worker answered through the batched KCCA model.
+    /// A worker answered through the KCCA model.
     Kcca,
     /// The client answered from the optimizer-cost fallback after the
     /// deadline expired.
@@ -144,7 +146,7 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Bounded queue capacity; submissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// Max requests a worker answers with one batched KCCA pass.
+    /// Max requests a worker takes from the queue per drain.
     pub max_batch: usize,
     /// Admission policy applied to every answered request.
     pub policy: AdmissionPolicy,
@@ -173,11 +175,12 @@ struct Queued {
     /// Resolved tenant ID (the default tenant for unregistered IDs).
     tenant: TenantId,
     /// Predicted cost class from the O(1) optimizer-cost estimate,
-    /// computed at admission so workers can group batches by it.
+    /// computed at admission so workers can order batches by it.
     class: QueryCategory,
-    enqueued_at: Instant,
-    /// Enqueue time on the obs clock, so the queue-wait span shares an
-    /// epoch with every other span in the trace.
+    /// The request's one timestamp, on the obs clock (which shares an
+    /// epoch with every span in the trace): the queue-wait span, the
+    /// response latency and the deadline's remaining time all count
+    /// from it.
     enqueued_ns: u64,
     trace_id: u64,
     responder: mpsc::Sender<Result<ServeResponse, QppError>>,
@@ -200,7 +203,8 @@ fn class_rank(class: QueryCategory) -> u8 {
 pub struct PendingPrediction {
     rx: mpsc::Receiver<Result<ServeResponse, QppError>>,
     request: PredictRequest,
-    submitted_at: Instant,
+    /// The queued request's `enqueued_ns` (same stamp, same clock).
+    submitted_ns: u64,
     trace_id: u64,
     tenant_idx: usize,
     tenant: TenantId,
@@ -229,7 +233,7 @@ impl PendingPrediction {
         let remaining = self
             .request
             .deadline
-            .saturating_sub(self.submitted_at.elapsed());
+            .saturating_sub(elapsed_since(self.submitted_ns));
         match self.rx.recv_timeout(remaining) {
             Ok(answer) => answer,
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -264,7 +268,7 @@ impl PendingPrediction {
         let rec = qpp_obs::recorder();
         rec.record_mark(self.trace_id, Stage::Fallback, entry.version);
         rec.fallback_answers.incr();
-        let latency = self.submitted_at.elapsed();
+        let latency = elapsed_since(self.submitted_ns);
         cell.record_latency(latency);
         Ok(ServeResponse {
             prediction,
@@ -276,6 +280,11 @@ impl PendingPrediction {
             trace_id: self.trace_id,
         })
     }
+}
+
+/// Time since `stamp_ns` on the obs clock.
+fn elapsed_since(stamp_ns: u64) -> Duration {
+    Duration::from_nanos(qpp_obs::recorder().now_ns().saturating_sub(stamp_ns))
 }
 
 /// The O(1) optimizer-cost answer, shared by the client-side deadline
@@ -395,18 +404,17 @@ impl PredictionService {
         let tenant_idx = self.tenants.resolve(request.tenant);
         let tenant = self.tenants.spec(tenant_idx).id;
         // Classify by the O(1) optimizer-cost estimate so the worker
-        // can group the micro-batch by predicted cost class. This is
+        // can order the micro-batch by predicted cost class. This is
         // the same estimate the fallback path would serve.
         let class = QueryCategory::of(entry.fallback.predict_elapsed(&request.plan));
         let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
+        let enqueued_ns = rec.now_ns();
         let queued = Queued {
             request: request.clone(),
             tenant_idx,
             tenant,
             class,
-            enqueued_at: now,
-            enqueued_ns: rec.now_ns(),
+            enqueued_ns,
             trace_id,
             responder: tx,
         };
@@ -424,7 +432,7 @@ impl PredictionService {
                 Ok(PendingPrediction {
                     rx,
                     request,
-                    submitted_at: now,
+                    submitted_ns: enqueued_ns,
                     trace_id,
                     tenant_idx,
                     tenant,
@@ -491,8 +499,7 @@ impl Drop for PredictionService {
 }
 
 /// Worker body: drain a fair-share micro-batch, order it by predicted
-/// cost class, group by (model key, class), answer each group with one
-/// batched prediction pass.
+/// cost class, answer its requests in turn.
 fn worker_loop(
     queue: &TenantQueue<Queued>,
     registry: &ModelRegistry,
@@ -522,125 +529,59 @@ fn worker_loop(
         // fair-share order the DRR drain produced) is preserved within
         // each class.
         batch.sort_by_key(|q| class_rank(q.class));
-        // Group while preserving the sorted order within each group.
-        // The number of distinct (key, class) pairs per batch is tiny
-        // (usually 1), so a linear scan beats a map here.
-        let mut groups: Vec<(ModelKey, QueryCategory, Vec<Queued>)> = Vec::new();
         for queued in batch.drain(..) {
-            match groups
-                .iter_mut()
-                .find(|(key, class, _)| *key == queued.request.key && *class == queued.class)
-            {
-                Some((_, _, group)) => group.push(queued),
-                None => groups.push((queued.request.key.clone(), queued.class, vec![queued])),
-            }
-        }
-        for (key, _, group) in groups {
-            answer_group(registry, stats, policy, &key, group, drained_ns);
+            answer(registry, stats, policy, queued, drained_ns);
         }
     }
 }
 
-fn answer_group(
+/// Answers one drained request: the installed model's prediction under
+/// the request's own trace ID (so its standardize / project / kNN
+/// sub-spans land in the request's trace), or the O(1) optimizer-cost
+/// baseline while the entry is kill-switched.
+fn answer(
     registry: &ModelRegistry,
     stats: &ServiceStats,
     policy: &AdmissionPolicy,
-    key: &ModelKey,
-    group: Vec<Queued>,
-    drained_ns: u64,
-) {
-    // Resolve the model once per group: every request in the group is
-    // answered by the same consistent entry even if a hot-swap lands
-    // mid-batch.
-    let Some(entry) = registry.get(key) else {
-        for queued in group {
-            let _ = queued.responder.send(Err(QppError::UnknownModel {
-                key: key.to_string(),
-            }));
-        }
-        return;
-    };
-    // Kill-switched entry: the KCCA model regressed post-swap and was
-    // demoted; answer every request from the O(1) optimizer-cost
-    // baseline until a healthy model is installed over it.
-    if entry.degraded {
-        for queued in group {
-            let prediction = cost_model_prediction(&entry, &queued.request.plan);
-            stats.degraded_answers.incr();
-            qpp_obs::recorder().record_mark(queued.trace_id, Stage::Fallback, entry.version);
-            respond(
-                stats,
-                policy,
-                &entry,
-                queued,
-                prediction,
-                drained_ns,
-                AnswerSource::CostModelFallback,
-            );
-        }
-        return;
-    }
-    let queries: Vec<(&QuerySpec, &Plan)> = group
-        .iter()
-        .map(|q| (&q.request.spec, &q.request.plan))
-        .collect();
-    let rec = qpp_obs::recorder();
-    // A single-member group runs the predictor under the request's own
-    // trace, so the core-layer sub-spans (standardize/project/kNN) tag
-    // themselves to it. A multi-member batch answers several traces at
-    // once; its sub-spans stay untraced (0), and each member instead
-    // gets a Predict span over the shared batch interval below.
-    let group_trace = if group.len() == 1 {
-        group[0].trace_id
-    } else {
-        0
-    };
-    let group_len = group.len() as u64;
-    let predict_start = rec.now_ns();
-    let result = qpp_obs::with_trace(group_trace, || entry.predictor.predict_batch(&queries));
-    let predict_dur = rec.now_ns().saturating_sub(predict_start);
-    match result {
-        Ok(predictions) => {
-            for (queued, prediction) in group.into_iter().zip(predictions) {
-                rec.record_span(
-                    queued.trace_id,
-                    Stage::Predict,
-                    predict_start,
-                    predict_dur,
-                    group_len,
-                );
-                respond(
-                    stats,
-                    policy,
-                    &entry,
-                    queued,
-                    prediction,
-                    drained_ns,
-                    AnswerSource::Kcca,
-                );
-            }
-        }
-        Err(e) => {
-            // One failure fans out to every member of the micro-batch;
-            // `QppError` is `Clone` precisely for this.
-            for queued in group {
-                let _ = queued.responder.send(Err(e.clone()));
-            }
-        }
-    }
-}
-
-fn respond(
-    stats: &ServiceStats,
-    policy: &AdmissionPolicy,
-    entry: &ModelEntry,
     queued: Queued,
-    prediction: Prediction,
     drained_ns: u64,
-    source: AnswerSource,
 ) {
+    let request = &queued.request;
+    let rec = qpp_obs::recorder();
+    // Resolved per request (a read lock and a map lookup): each answer
+    // comes from one consistent entry even if a hot-swap lands
+    // mid-batch.
+    let Some(entry) = registry.get(&request.key) else {
+        let _ = queued.responder.send(Err(QppError::UnknownModel {
+            key: request.key.to_string(),
+        }));
+        return;
+    };
+    let (prediction, source) = if entry.degraded {
+        // Kill-switched entry: the KCCA model regressed post-swap and
+        // was demoted; answer from the cost model until a healthy model
+        // is installed over it.
+        stats.degraded_answers.incr();
+        rec.record_mark(queued.trace_id, Stage::Fallback, entry.version);
+        (
+            cost_model_prediction(&entry, &request.plan),
+            AnswerSource::CostModelFallback,
+        )
+    } else {
+        let result = qpp_obs::with_trace(queued.trace_id, || {
+            let _predict = qpp_obs::span(Stage::Predict);
+            entry.predictor.predict(&request.spec, &request.plan)
+        });
+        match result {
+            Ok(prediction) => (prediction, AnswerSource::Kcca),
+            Err(e) => {
+                let _ = queued.responder.send(Err(e));
+                return;
+            }
+        }
+    };
     let decision = decide(policy, &prediction);
-    let latency = queued.enqueued_at.elapsed();
+    let latency = elapsed_since(queued.enqueued_ns);
     let response = ServeResponse {
         prediction,
         decision: decision.clone(),
@@ -650,7 +591,6 @@ fn respond(
         tenant: queued.tenant,
         trace_id: queued.trace_id,
     };
-    let rec = qpp_obs::recorder();
     // Record the worker span *before* handing the answer over: once the
     // client holds the response it may export the trace, and the span
     // must already be in the ring. The value word packs the tenant
@@ -674,5 +614,115 @@ fn respond(
     } else {
         // Client already fell back (deadline) or went away.
         stats.late_answers.incr();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qpp_core::baselines::OptimizerCostModel;
+    use qpp_core::{Dataset, FeatureKind, KccaPredictor, PredictorOptions};
+    use qpp_obs::EventKind;
+    use qpp_workload::{Schema, WorkloadGenerator};
+
+    /// Every member of a multi-member micro-batch gets its own complete
+    /// trace, model sub-spans included, and the batch is answered in
+    /// cost-class order (stable within a class). Deterministic: the four
+    /// requests are queued before anything drains, then the worker body
+    /// runs on this thread (shutdown drains what was accepted).
+    #[test]
+    fn every_member_of_a_batch_is_traced_and_answered_in_class_order() {
+        let queries = WorkloadGenerator::tpcds(1.0, 111).generate(60);
+        let config = qpp_engine::SystemConfig::neoview_4();
+        let train = Dataset::collect(&Schema::tpcds(1.0), queries, &config, 2);
+        let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
+        let fallback = OptimizerCostModel::train(&train).unwrap();
+        // Two requests of the most expensive class present, then two of
+        // the cheapest: the sort has to move the second pair ahead of
+        // the first and keep each pair in arrival order.
+        let rank = |r: &QueryRecord| {
+            class_rank(QueryCategory::of(
+                fallback.predict_elapsed(&r.optimized.plan),
+            ))
+        };
+        let mut by_cost: Vec<&QueryRecord> = train.records.iter().collect();
+        by_cost.sort_by_key(|r| std::cmp::Reverse(rank(r)));
+        let picks = [by_cost[0], by_cost[1], by_cost[58], by_cost[59]];
+        assert!(
+            rank(picks[1]) > rank(picks[2]),
+            "the fixture needs two cost classes"
+        );
+
+        let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
+        let registry = Arc::new(ModelRegistry::new());
+        registry.install(key.clone(), model, fallback.clone());
+        let options = ServeOptions {
+            workers: 0,
+            ..ServeOptions::default()
+        };
+        let service = PredictionService::start(registry, options.clone());
+        let pending = picks.map(|r| {
+            let request = PredictRequest {
+                key: key.clone(),
+                tenant: crate::DEFAULT_TENANT,
+                spec: r.spec.clone(),
+                plan: r.optimized.plan.clone(),
+                deadline: Duration::from_secs(30),
+            };
+            service.submit_async(request).expect("under capacity")
+        });
+        service.queue.shutdown();
+        let PredictionService {
+            queue,
+            registry,
+            stats,
+            policy,
+            ..
+        } = &service;
+        worker_loop(queue, registry, stats, policy, options.max_batch);
+        assert_eq!(
+            service.stats().mean_batch_size,
+            4.0,
+            "one drained batch of four"
+        );
+
+        // (start, end) of each request's Predict span, in arrival order.
+        let predict = pending.map(|p| {
+            let resp = p.wait().expect("the worker body answered");
+            assert_eq!(resp.source, AnswerSource::Kcca);
+            let events = qpp_obs::recorder().export_trace(resp.trace_id);
+            let [_, _, _, predict, model_spans @ ..] = [
+                Stage::Admission,
+                Stage::QueueWait,
+                Stage::Worker,
+                Stage::Predict,
+                Stage::PredictStandardize,
+                Stage::PredictProject,
+                Stage::PredictKnn,
+            ]
+            .map(|stage| {
+                let found: Vec<_> = events
+                    .iter()
+                    .filter(|e| e.stage == stage && e.kind == EventKind::Span)
+                    .collect();
+                assert_eq!(found.len(), 1, "one {stage} span per trace: {events:?}");
+                (found[0].start_ns, found[0].start_ns + found[0].dur_ns)
+            });
+            for sub in model_spans {
+                assert!(
+                    predict.0 <= sub.0 && sub.1 <= predict.1,
+                    "a model sub-span lies outside its request's predict span: {events:?}"
+                );
+            }
+            predict
+        });
+        for pair in [2usize, 3, 0, 1].windows(2) {
+            assert!(
+                predict[pair[0]].1 <= predict[pair[1]].0,
+                "request {} predicts entirely before request {}: {predict:?}",
+                pair[0],
+                pair[1]
+            );
+        }
     }
 }

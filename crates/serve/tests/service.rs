@@ -298,8 +298,8 @@ fn expired_deadline_falls_back_immediately() {
 }
 
 /// One served request produces a complete trace: admission, queue-wait,
-/// worker and predict spans all stamped with the trace ID the response
-/// reports.
+/// worker and predict spans, and the model's standardize / project /
+/// kNN sub-spans, all stamped with the trace ID the response reports.
 #[test]
 fn served_request_exports_a_complete_trace() {
     use qpp_obs::{EventKind, Stage};
@@ -330,6 +330,9 @@ fn served_request_exports_a_complete_trace() {
         Stage::QueueWait,
         Stage::Worker,
         Stage::Predict,
+        Stage::PredictStandardize,
+        Stage::PredictProject,
+        Stage::PredictKnn,
     ] {
         let found = events
             .iter()

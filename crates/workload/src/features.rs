@@ -55,8 +55,8 @@ impl SqlTextFeatures {
     }
 
     /// The feature vector as `f64`s, in the order listed by the paper.
-    pub fn to_vec(&self) -> Vec<f64> {
-        vec![
+    pub fn to_array(&self) -> [f64; Self::DIM] {
+        [
             self.nested_subqueries as f64,
             self.selection_predicates as f64,
             self.equality_predicates as f64,
@@ -151,7 +151,7 @@ mod tests {
     fn vector_has_nine_dims() {
         let mut g = WorkloadGenerator::tpcds(1.0, 17);
         let q = g.generate_one();
-        let v = SqlTextFeatures::from_spec(&q).to_vec();
+        let v = SqlTextFeatures::from_spec(&q).to_array();
         assert_eq!(v.len(), SqlTextFeatures::DIM);
         assert!(v.iter().all(|x| x.is_finite() && *x >= 0.0));
     }

@@ -1,6 +1,8 @@
-//! Steady-state allocation regression: after warm-up, a single-query
-//! `predict_features` call must perform ZERO heap allocations — the
-//! zero-copy data plane's core guarantee. The measured calls run under
+//! Steady-state allocation regression: after warm-up, the predict path
+//! production takes — `KccaPredictor::predict(spec, plan)`, what the
+//! serve worker calls per request — must perform ZERO heap allocations,
+//! as must `predict_features` beneath it; a small `predict_batch`
+//! allocates only the vector it returns. The measured calls run under
 //! an active qpp-obs trace, so the guarantee covers prediction *with
 //! observability enabled*: span recording into the pre-sized event ring
 //! is allocation-free by design. Runs in its own test binary because a
@@ -63,6 +65,38 @@ fn predict_features_steady_state_allocates_nothing() {
         warm.confidence_distance.to_bits(),
         last.confidence_distance.to_bits()
     );
+
+    // The entry point serving uses: feature extraction included. (The
+    // warm-up above already sized every buffer but the feature row.)
+    model.predict(&probe.spec, &probe.optimized.plan).unwrap();
+    let before = ALLOC.allocation_events();
+    let mut from_plan = None;
+    qpp::obs::with_trace(trace_id, || {
+        for _ in 0..32 {
+            from_plan = Some(model.predict(&probe.spec, &probe.optimized.plan).unwrap());
+        }
+    });
+    let events = ALLOC.allocation_events() - before;
+    assert_eq!(
+        events, 0,
+        "steady-state predict performed {events} heap allocations over 32 calls"
+    );
+    assert_eq!(warm.metrics, from_plan.unwrap().metrics);
+
+    // A serve-sized batch is that same call in a loop: the one
+    // allocation is the returned vector.
+    let queries: Vec<_> = train.records[..8]
+        .iter()
+        .map(|r| (&r.spec, &r.optimized.plan))
+        .collect();
+    let before = ALLOC.allocation_events();
+    let batch = model.predict_batch(&queries).unwrap();
+    let events = ALLOC.allocation_events() - before;
+    assert!(
+        events <= 1,
+        "warm predict_batch of 8 performed {events} heap allocations"
+    );
+    assert_eq!(batch.len(), 8);
 
     // Same guarantee for the IVF arm of the neighbor index: once the
     // probe/list/merge scratch has warmed up, the coarse probe, exact
