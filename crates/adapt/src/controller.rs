@@ -4,12 +4,13 @@
 //! [`AdaptiveController`] plugs into the serving layer as a
 //! [`CompletionObserver`]: every executed query's `(prediction,
 //! observed)` pair flows through [`AdaptiveController::observe`], which
-//! is cheap (tracker fold + one short mutex for the bookkeeping state)
-//! and never trains, scores, or swaps inline. Heavy work is packaged
-//! into a [`RetrainTask`] and executed by [`AdaptiveController::run_task`]
-//! — on the background [`crate::AdaptWorker`] thread in production, or
-//! synchronously via [`AdaptiveController::drain_pending`] in
-//! deterministic tests.
+//! is cheap (one short critical section on the controller's only mutex:
+//! error-ledger fold, window push, detector step, phase step) and never
+//! trains, scores, or swaps inline. Heavy work is packaged into a
+//! [`RetrainTask`], left in that same state for the taker, and executed
+//! by [`AdaptiveController::run_task`] — on the background
+//! [`crate::AdaptWorker`] thread in production, or synchronously via
+//! [`AdaptiveController::drain_pending`] in deterministic tests.
 //!
 //! The per-model phase machine (see DESIGN.md §13):
 //!
@@ -21,7 +22,7 @@
 //! ```
 
 use crate::drift::{DriftConfig, DriftDetector, DriftSignal, OVERALL};
-use crate::tracker::{log_ratio_errors, mean_error, ErrorTracker};
+use crate::tracker::{log_ratio_errors, mean_error, ErrorSnapshot, ErrorTracker, ERR_CLAMP};
 use parking_lot::{Condvar, Mutex};
 use qpp_core::baselines::OptimizerCostModel;
 use qpp_core::dataset::QueryRecord;
@@ -33,7 +34,6 @@ use qpp_serve::{
     AnswerSource, CompletionObserver, ModelKey, ModelRegistry, ServeResponse, SwapRace,
 };
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Control-plane tunables.
@@ -196,7 +196,7 @@ pub enum AdaptEvent {
 /// Lock-free adaptation counters and gauges (JSONL-exportable).
 #[derive(Debug, Default)]
 pub struct AdaptStats {
-    /// Completed KCCA-answered queries folded into the tracker.
+    /// Completed KCCA-answered queries folded into the error ledger.
     pub observations: Counter,
     /// Drift signals that queued a retrain.
     pub drift_signals: Counter,
@@ -248,15 +248,20 @@ impl AdaptStats {
     }
 }
 
-/// Mutable bookkeeping behind one short-lived mutex.
+/// Everything mutable, behind the controller's one mutex.
 #[derive(Debug)]
 struct ControlState {
+    tracker: ErrorTracker,
     detector: DriftDetector,
     window: SlidingWindowPredictor,
     holdout: VecDeque<QueryRecord>,
     epoch: u64,
     since_holdout: usize,
     phase: Phase,
+    /// The released retrain task until a worker takes it; one slot
+    /// suffices because [`Phase::RetrainQueued`] admits one in flight.
+    pending: Option<RetrainTask>,
+    shutdown: bool,
 }
 
 /// The continuous-learning control plane for one registry entry.
@@ -265,12 +270,10 @@ pub struct AdaptiveController {
     registry: Arc<ModelRegistry>,
     key: ModelKey,
     options: AdaptOptions,
-    tracker: ErrorTracker,
     stats: AdaptStats,
     state: Mutex<ControlState>,
-    tasks: Mutex<VecDeque<RetrainTask>>,
+    /// Signalled when `pending` or `shutdown` (both in `state`) is set.
     task_ready: Condvar,
-    shutdown: AtomicBool,
 }
 
 impl AdaptiveController {
@@ -288,25 +291,26 @@ impl AdaptiveController {
             registry,
             key,
             options,
-            tracker: ErrorTracker::new(),
             stats: AdaptStats::default(),
             state: Mutex::new(ControlState {
+                tracker: ErrorTracker::default(),
                 detector: DriftDetector::new(options.drift),
                 window,
                 holdout: VecDeque::with_capacity(options.holdout_capacity),
                 epoch: 0,
                 since_holdout: 0,
                 phase: Phase::Stable,
+                pending: None,
+                shutdown: false,
             }),
-            tasks: Mutex::new(VecDeque::new()),
             task_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         }
     }
 
-    /// The online error tracker (per-template and global error views).
-    pub fn tracker(&self) -> &ErrorTracker {
-        &self.tracker
+    /// The error ledger as of now: observations, dropped, global means
+    /// and the per-template rows, read under one lock acquisition.
+    pub fn error_snapshot(&self) -> ErrorSnapshot {
+        self.state.lock().tracker.snapshot()
     }
 
     /// Adaptation counters and gauges.
@@ -320,7 +324,7 @@ impl AdaptiveController {
     }
 
     /// Feeds one completed query. KCCA-answered queries update the
-    /// error tracker and drift detector; every executed query (any
+    /// error ledger and drift detector; every executed query (any
     /// answer source) refreshes the training window / holdout. Returns
     /// a notable event when one occurred at this observation.
     pub fn observe(&self, record: &QueryRecord, response: &ServeResponse) -> Option<AdaptEvent> {
@@ -332,19 +336,12 @@ impl AdaptiveController {
             Self::stash(&mut st, record, &self.options);
             return None;
         }
-        // Tenant-attributed: the serve layer resolved the request's
-        // tenant, so drift can be localized to the workload owner that
-        // produced it.
-        let errors = self.tracker.record_attributed(
-            &record.spec.template,
-            response.tenant.0,
-            &response.prediction.metrics,
-            &record.metrics,
-        );
+        let errors = log_ratio_errors(&response.prediction.metrics, &record.metrics);
         self.stats.observations.incr();
         let overall = mean_error(&errors);
 
         let mut st = self.state.lock();
+        st.tracker.record(&record.spec.template, &errors);
         st.epoch += 1;
         let epoch = st.epoch;
         Self::stash(&mut st, record, &self.options);
@@ -368,16 +365,14 @@ impl AdaptiveController {
                     pre_err,
                 };
                 if self.options.retrain_delay == 0 {
-                    st.phase = Phase::RetrainQueued;
-                    drop(st);
-                    self.enqueue(task);
+                    self.release(&mut st, task);
                 } else {
                     st.phase = Phase::Accumulating {
                         remaining: self.options.retrain_delay,
                         task,
                     };
-                    drop(st);
                 }
+                drop(st);
                 self.stats.drift_signals.incr();
                 record_mark(Stage::Drift, signal.metric as u64);
                 Some(AdaptEvent::DriftDetected(signal))
@@ -389,13 +384,26 @@ impl AdaptiveController {
                         task,
                     };
                 } else {
-                    st.phase = Phase::RetrainQueued;
-                    drop(st);
-                    self.enqueue(task);
+                    self.release(&mut st, task);
                 }
                 None
             }
-            Phase::RetrainQueued | Phase::Demoted => None,
+            Phase::RetrainQueued => None,
+            Phase::Demoted => {
+                // While demoted the workers answer from the cost model,
+                // so a KCCA answer stamped with the registry's current,
+                // healthy version means a model was installed: re-arm,
+                // calibrating on that model from scratch.
+                let healthy = self
+                    .registry
+                    .get(&self.key)
+                    .is_some_and(|e| !e.degraded && e.version == response.model_version);
+                if healthy {
+                    st.detector.reset();
+                    st.phase = Phase::Stable;
+                }
+                None
+            }
             Phase::PostSwap {
                 generation,
                 stream,
@@ -403,6 +411,18 @@ impl AdaptiveController {
                 observed,
                 err_sum,
             } => {
+                // Requests outstanding at swap time complete afterwards
+                // with the replaced incumbent's answers; only the
+                // canary's own answers are evidence about the canary.
+                if response.model_version < generation {
+                    return None;
+                }
+                if response.model_version > generation {
+                    // Someone installed mid-watch: the canary no longer
+                    // serves, and the newer model is not ours to judge.
+                    st.phase = Phase::Stable;
+                    return None;
+                }
                 let observed = observed + 1;
                 let err_sum = err_sum
                     + if stream == OVERALL {
@@ -452,6 +472,14 @@ impl AdaptiveController {
                 }
             }
         }
+    }
+
+    /// Leaves `task` for `wait_task` / `try_take_task` and wakes a
+    /// waiting worker.
+    fn release(&self, st: &mut ControlState, task: RetrainTask) {
+        st.phase = Phase::RetrainQueued;
+        st.pending = Some(task);
+        self.task_ready.notify_one();
     }
 
     /// Appends the record to the window, diverting every
@@ -587,34 +615,26 @@ impl AdaptiveController {
         st.phase = Phase::Stable;
     }
 
-    fn enqueue(&self, task: RetrainTask) {
-        self.tasks.lock().push_back(task);
-        self.task_ready.notify_one();
-    }
-
-    /// Blocks until a task is queued or [`shutdown_tasks`] is called.
+    /// Blocks until a task is released or [`shutdown_tasks`] is called.
     /// The background worker's main loop.
     ///
     /// [`shutdown_tasks`]: AdaptiveController::shutdown_tasks
     pub fn wait_task(&self) -> Option<RetrainTask> {
-        let mut queue = self.tasks.lock();
+        let mut st = self.state.lock();
         loop {
-            if let Some(task) = queue.pop_front() {
+            if let Some(task) = st.pending.take() {
                 return Some(task);
             }
-            // ordering: Acquire pairs with the Release store in
-            // `shutdown_tasks`, so a waiter woken by `notify_all` sees
-            // the flag and exits instead of re-blocking forever.
-            if self.shutdown.load(Ordering::Acquire) {
+            if st.shutdown {
                 return None;
             }
-            self.task_ready.wait(&mut queue);
+            self.task_ready.wait(&mut st);
         }
     }
 
-    /// Pops one queued task without blocking.
+    /// Takes the released task, if there is one, without blocking.
     pub fn try_take_task(&self) -> Option<RetrainTask> {
-        self.tasks.lock().pop_front()
+        self.state.lock().pending.take()
     }
 
     /// Runs every queued task synchronously on the calling thread —
@@ -632,9 +652,7 @@ impl AdaptiveController {
     ///
     /// [`wait_task`]: AdaptiveController::wait_task
     pub fn shutdown_tasks(&self) {
-        // ordering: Release publishes the flag before `notify_all`;
-        // pairs with the Acquire load in `wait_task`.
-        self.shutdown.store(true, Ordering::Release);
+        self.state.lock().shutdown = true;
         self.task_ready.notify_all();
     }
 }
@@ -666,7 +684,7 @@ fn shadow_score(predictor: &KccaPredictor, holdout: &[QueryRecord], stream: usiz
                     errors[stream]
                 };
             }
-            Err(_) => sum += 64.0,
+            Err(_) => sum += ERR_CLAMP,
         }
     }
     sum / holdout.len() as f64

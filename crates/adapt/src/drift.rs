@@ -170,7 +170,7 @@ pub struct DriftSignal {
 }
 
 /// Per-metric drift detectors over the error streams produced by
-/// [`crate::ErrorTracker::record`].
+/// [`crate::log_ratio_errors`].
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     cfg: DriftConfig,
@@ -220,11 +220,6 @@ impl DriftDetector {
         self.streams[stream].mean0
     }
 
-    /// Frozen calibration std of a stream (1.0 while calibrating).
-    pub fn calibration_sigma(&self, stream: usize) -> f64 {
-        self.streams[stream].sigma0
-    }
-
     /// Current Page–Hinkley statistic of a stream.
     pub fn score(&self, stream: usize) -> f64 {
         self.streams[stream].score()
@@ -241,11 +236,6 @@ impl DriftDetector {
     /// instead of alarming forever).
     pub fn reset(&mut self) {
         self.streams = std::array::from_fn(|_| StreamState::new(self.cfg.window));
-    }
-
-    /// The configuration this detector runs with.
-    pub fn config(&self) -> DriftConfig {
-        self.cfg
     }
 }
 

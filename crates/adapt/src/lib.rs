@@ -5,17 +5,18 @@
 //! model trained last month quietly degrades. This crate closes the
 //! loop around the serving layer:
 //!
-//! - [`ErrorTracker`]: lock-free, allocation-free streaming error
-//!   distributions over `(prediction, observed)` pairs — per query
-//!   template and global, for all six paper metrics — built on
-//!   `qpp_obs` counter/histogram primitives.
+//! - The error ledger ([`tracker`]): count and integer error sums over
+//!   `(prediction, observed)` pairs — per query template and global,
+//!   for all six paper metrics. Plain data inside the controller's
+//!   state; read it with [`AdaptiveController::error_snapshot`].
 //! - [`DriftDetector`]: a Page–Hinkley test per metric stream gated by
 //!   a windowed mean-ratio check. Deterministic: decisions depend only
 //!   on the error values and caller-supplied epochs, never a clock.
-//! - [`AdaptiveController`]: the phase machine wiring it together. It
-//!   plugs into `qpp_serve` as a [`qpp_serve::CompletionObserver`]; on
-//!   drift it queues a [`RetrainTask`] that trains a candidate on the
-//!   live [`qpp_core::retrain::SlidingWindowPredictor`] window,
+//! - [`AdaptiveController`]: the phase machine wiring it together,
+//!   all of its mutable state behind one mutex. It plugs into
+//!   `qpp_serve` as a [`qpp_serve::CompletionObserver`]; on drift it
+//!   queues a [`RetrainTask`] that trains a candidate on the live
+//!   [`qpp_core::retrain::SlidingWindowPredictor`] window,
 //!   shadow-scores it against the incumbent on held-out live traffic,
 //!   and hot-swaps through the registry's generation-guarded
 //!   [`qpp_serve::ModelRegistry::swap_if_current`] only when the
@@ -23,7 +24,8 @@
 //!   and fires the kill-switch
 //!   ([`qpp_serve::ModelRegistry::demote_if_current`]) if the canary
 //!   made things worse — serving falls back to the optimizer-cost
-//!   baseline rather than a bad model.
+//!   baseline rather than a bad model, and the loop re-arms on the
+//!   first answer from a healthy install.
 //! - [`AdaptWorker`]: the background thread that runs retrain tasks
 //!   off the serving threads.
 //!
@@ -46,5 +48,5 @@ pub use controller::{
     AdaptEvent, AdaptOptions, AdaptOutcome, AdaptStats, AdaptiveController, Phase, RetrainTask,
 };
 pub use drift::{stream_name, DriftConfig, DriftDetector, DriftSignal, OVERALL, STREAMS};
-pub use tracker::{log_ratio_errors, mean_error, ErrorTracker, TemplateErrors, TEMPLATE_SLOTS};
+pub use tracker::{log_ratio_errors, mean_error, ErrorSnapshot, TemplateErrors, TEMPLATE_SLOTS};
 pub use worker::AdaptWorker;

@@ -100,6 +100,51 @@ fn start_loop(train_n: usize, seed: u64) -> (Loop, Dataset) {
     start_loop_with(train_n, seed, test_options())
 }
 
+/// Reaches `PostSwap` exactly as production would — calibrate, drift,
+/// retrain, swap. Returns the loop, the replaced incumbent's version
+/// and the canary's.
+fn swap_in_canary() -> (Loop, u64, u64) {
+    let (lp, _train) = start_loop(96, 311);
+    let stable = SystemConfig::neoview_4();
+    for record in &collect(30, 312, &stable).records {
+        serve_and_observe(&lp.registry, &lp.key, &lp.controller, record);
+    }
+    for record in &collect(160, 313, &stable.clone().with_drift(3.0)).records {
+        serve_and_observe(&lp.registry, &lp.key, &lp.controller, record);
+    }
+    let incumbent = lp.registry.current_version(&lp.key).expect("installed");
+    let generation = match lp.controller.drain_pending().first() {
+        Some(AdaptOutcome::Swapped { generation, .. }) => *generation,
+        other => panic!("expected a swap, got {other:?}"),
+    };
+    (lp, incumbent, generation)
+}
+
+/// Trains a model on `data` and installs it over whatever serves, as an
+/// operator would. Returns the version minted.
+fn install_trained_on(lp: &Loop, data: &Dataset) -> u64 {
+    let predictor = KccaPredictor::train(data, PredictorOptions::default()).expect("train");
+    let fallback = OptimizerCostModel::train(data).expect("fallback");
+    lp.registry.install(lp.key.clone(), predictor, fallback)
+}
+
+/// A completed pair whose prediction is 30x off on every metric.
+fn garbage(record: &QueryRecord) -> Prediction {
+    Prediction {
+        metrics: PerfMetrics::from_vec(
+            &record
+                .metrics
+                .to_vec()
+                .iter()
+                .map(|v| v * 30.0)
+                .collect::<Vec<_>>(),
+        ),
+        neighbor_indices: [0usize; 0].into_iter().collect(),
+        confidence_distance: 0.0,
+        max_kernel_similarity: 1.0,
+    }
+}
+
 #[test]
 fn drift_triggers_retrain_and_canary_swap_then_recovers() {
     let (lp, _train) = start_loop(96, 301);
@@ -137,10 +182,10 @@ fn drift_triggers_retrain_and_canary_swap_then_recovers() {
     assert_eq!(lp.controller.phase(), Phase::RetrainQueued);
     let version_before = lp.registry.current_version(&lp.key).expect("installed");
 
-    // The tracker's per-template view saw the error rise too.
-    let rows = lp.controller.tracker().template_snapshot();
-    assert!(!rows.is_empty());
-    let elapsed_mean = lp.controller.tracker().global_mean(0);
+    // The ledger's per-template view saw the error rise too.
+    let ledger = lp.controller.error_snapshot();
+    assert!(!ledger.templates.is_empty());
+    let elapsed_mean = ledger.global_mean[0];
     assert!(
         elapsed_mean > calibration_err,
         "global elapsed error {elapsed_mean} should exceed calibration {calibration_err}"
@@ -197,23 +242,8 @@ fn drift_triggers_retrain_and_canary_swap_then_recovers() {
 
 #[test]
 fn kill_switch_demotes_a_regressing_canary() {
-    let (lp, _train) = start_loop(96, 311);
-    let stable = SystemConfig::neoview_4();
-    let drifted_cfg = stable.clone().with_drift(3.0);
-
-    // Reach PostSwap exactly as production would: calibrate, drift,
-    // retrain, swap.
-    for record in &collect(30, 312, &stable).records {
-        serve_and_observe(&lp.registry, &lp.key, &lp.controller, record);
-    }
-    for record in &collect(160, 313, &drifted_cfg).records {
-        serve_and_observe(&lp.registry, &lp.key, &lp.controller, record);
-    }
-    let outcomes = lp.controller.drain_pending();
-    let generation = match outcomes.first() {
-        Some(AdaptOutcome::Swapped { generation, .. }) => *generation,
-        other => panic!("expected a swap, got {other:?}"),
-    };
+    let (lp, _incumbent, generation) = swap_in_canary();
+    let drifted_cfg = SystemConfig::neoview_4().with_drift(3.0);
 
     // Post-swap traffic regresses badly: simulate a canary that looks
     // great on the holdout but falls apart live, by feeding completed
@@ -221,22 +251,9 @@ fn kill_switch_demotes_a_regressing_canary() {
     let live = collect(20, 314, &drifted_cfg);
     let mut fired = None;
     for record in &live.records {
-        let garbage = Prediction {
-            metrics: PerfMetrics {
-                elapsed_seconds: record.metrics.elapsed_seconds * 30.0,
-                disk_ios: record.metrics.disk_ios * 30.0,
-                message_count: record.metrics.message_count * 30.0,
-                message_bytes: record.metrics.message_bytes * 30.0,
-                records_accessed: record.metrics.records_accessed * 30.0,
-                records_used: record.metrics.records_used * 30.0,
-            },
-            neighbor_indices: [0usize; 0].into_iter().collect(),
-            confidence_distance: 0.0,
-            max_kernel_similarity: 1.0,
-        };
         if let Some(event) = lp
             .controller
-            .observe(record, &response(garbage, generation))
+            .observe(record, &response(garbage(record), generation))
         {
             fired = Some(event);
             break;
@@ -261,12 +278,97 @@ fn kill_switch_demotes_a_regressing_canary() {
     assert_eq!(lp.registry.demote_count(), 1);
     assert_eq!(lp.controller.stats().demotions.get(), 1);
 
-    // A fresh healthy install clears the demotion and re-arms the loop.
-    let retrain = collect(32, 315, &drifted_cfg);
-    let predictor = KccaPredictor::train(&retrain, PredictorOptions::default()).expect("train");
-    let fallback = OptimizerCostModel::train(&retrain).expect("fallback");
-    lp.registry.install(lp.key.clone(), predictor, fallback);
+    // A late answer from the demoted canary does not re-arm anything.
+    let late = &live.records[0];
+    lp.controller
+        .observe(late, &response(garbage(late), generation));
+    assert_eq!(lp.controller.phase(), Phase::Demoted);
+
+    // A fresh healthy install clears the demotion, and its first answer
+    // re-arms the loop.
+    install_trained_on(&lp, &collect(96, 315, &drifted_cfg));
     assert!(!lp.registry.get(&lp.key).expect("entry").degraded);
+    let calm = collect(30, 316, &drifted_cfg);
+    serve_and_observe(&lp.registry, &lp.key, &lp.controller, &calm.records[0]);
+    assert_eq!(lp.controller.phase(), Phase::Stable);
+
+    // Re-armed for real: the detector calibrates on the new model and
+    // declares the next drift.
+    for record in &calm.records[1..] {
+        let event = serve_and_observe(&lp.registry, &lp.key, &lp.controller, record);
+        assert!(event.is_none(), "calm traffic fired {event:?}");
+    }
+    let drifted_again = collect(160, 317, &SystemConfig::neoview_4().with_drift(9.0));
+    let declared = drifted_again.records.iter().any(|record| {
+        matches!(
+            serve_and_observe(&lp.registry, &lp.key, &lp.controller, record),
+            Some(AdaptEvent::DriftDetected(_))
+        )
+    });
+    assert!(declared, "a re-armed loop must declare the next drift");
+}
+
+#[test]
+fn post_swap_watch_counts_only_the_canarys_own_answers() {
+    let (lp, incumbent, generation) = swap_in_canary();
+    let drifted_cfg = SystemConfig::neoview_4().with_drift(3.0);
+    let live = collect(40, 334, &drifted_cfg);
+
+    // Requests that were outstanding at swap time complete with the
+    // replaced incumbent's version. However wrong, and however many,
+    // they say nothing about the canary: a whole kill window of them
+    // leaves the watch where it started.
+    for record in &live.records[..test_options().kill_window] {
+        let event = lp
+            .controller
+            .observe(record, &response(garbage(record), incumbent));
+        assert!(event.is_none(), "pre-swap answer fired {event:?}");
+    }
+    match lp.controller.phase() {
+        Phase::PostSwap {
+            generation: watched,
+            observed,
+            err_sum,
+            ..
+        } => assert_eq!((watched, observed, err_sum), (generation, 0, 0.0)),
+        other => panic!("expected PostSwap, got {other:?}"),
+    }
+    assert_eq!(lp.registry.demote_count(), 0);
+
+    // The canary's own answers are what the verdict is made of.
+    let mut passed = false;
+    for (i, record) in live.records.iter().enumerate() {
+        let event = serve_and_observe(&lp.registry, &lp.key, &lp.controller, record);
+        if let Some(AdaptEvent::CanaryPassed { .. }) = event {
+            assert_eq!(i + 1, test_options().kill_window, "one count per answer");
+            passed = true;
+            break;
+        }
+    }
+    assert!(passed, "the watch must complete on the canary's answers");
+    assert_eq!(lp.controller.phase(), Phase::Stable);
+}
+
+#[test]
+fn post_swap_watch_stands_down_when_a_newer_model_is_installed() {
+    let (lp, _incumbent, generation) = swap_in_canary();
+    let drifted_cfg = SystemConfig::neoview_4().with_drift(3.0);
+
+    // An operator installs a model while the canary is being watched.
+    let fresh = collect(96, 344, &drifted_cfg);
+    let installed = install_trained_on(&lp, &fresh);
+    assert!(installed > generation);
+
+    // Its first answer ends the watch: the canary no longer serves, and
+    // even a terrible answer from the newer model demotes nothing.
+    let record = &fresh.records[0];
+    let event = lp
+        .controller
+        .observe(record, &response(garbage(record), installed));
+    assert!(event.is_none(), "newer model's answer fired {event:?}");
+    assert_eq!(lp.controller.phase(), Phase::Stable);
+    assert_eq!(lp.registry.demote_count(), 0);
+    assert_eq!(lp.registry.current_version(&lp.key), Some(installed));
 }
 
 #[test]

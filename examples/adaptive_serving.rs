@@ -204,9 +204,9 @@ fn main() {
     );
     assert_eq!(registry.demote_count(), 0, "no kill-switch demotion");
 
-    // Per-template error ledger from the tracker.
+    // Per-template error ledger.
     println!("\nper-template elapsed-time error (top 5 by count):");
-    let mut rows = controller.tracker().template_snapshot();
+    let mut rows = controller.error_snapshot().templates;
     rows.sort_by_key(|row| std::cmp::Reverse(row.count));
     for row in rows.iter().take(5) {
         println!(

@@ -128,7 +128,7 @@ fn adaptive_loop_recovers_from_drift_through_the_real_service() {
     let (stable_err, events) = replay(&service, &key, &recording, &stable);
     assert!(events.is_empty(), "stable traffic fired {events:?}");
     assert_eq!(controller.phase(), Phase::Stable);
-    let calm_elapsed_mean = controller.tracker().global_mean(0);
+    let calm_elapsed_mean = controller.error_snapshot().global_mean[0];
 
     // Phase 2: the simulated system slows down 3x on elapsed time.
     // Per-template error rises, drift is declared, and a retrain task
@@ -150,10 +150,10 @@ fn adaptive_loop_recovers_from_drift_through_the_real_service() {
     assert_eq!(controller.phase(), Phase::RetrainQueued);
 
     // The per-template ledger saw the same story.
-    let rows = controller.tracker().template_snapshot();
-    assert!(!rows.is_empty(), "templates must be tracked");
+    let ledger = controller.error_snapshot();
+    assert!(!ledger.templates.is_empty(), "templates must be tracked");
     assert!(
-        controller.tracker().global_mean(0) > calm_elapsed_mean,
+        ledger.global_mean[0] > calm_elapsed_mean,
         "per-template elapsed error must rise under drift"
     );
 

@@ -282,12 +282,21 @@ fn serve_ledger_is_identical_across_worker_counts() {
 }
 
 /// The continuous-learning bookkeeping must be observationally free on
-/// the predict path: folding every `(prediction, observed)` pair into
-/// the adaptation error tracker — while other threads hammer the same
-/// tracker — must not change a single prediction bit.
+/// the predict path, and must itself not depend on who arrived first.
+/// The main thread predicts and reports each completion through
+/// `AdaptiveController::observe` — the entry point the serve workers
+/// take — while four other threads report theirs to the same
+/// controller: no prediction bit changes, no pair is lost, and the
+/// ledger equals a single-threaded replay of the same pairs bit for bit
+/// (the integer error sums exist for exactly this).
 #[test]
 fn adaptation_bookkeeping_does_not_perturb_prediction_bits() {
-    use std::sync::Arc;
+    use qpp::adapt::{AdaptOptions, AdaptiveController};
+    use qpp::core::retrain::SlidingWindowPredictor;
+    use qpp::core::workload_mgmt::AdmissionDecision;
+    use qpp::core::{FeatureKind, Prediction};
+    use qpp::serve::{AnswerSource, ModelKey, ModelRegistry, ServeResponse};
+    use std::sync::{Arc, Barrier};
 
     let config = SystemConfig::neoview_4();
     let train = collect_tpcds(120, 45, &config, 2);
@@ -301,40 +310,70 @@ fn adaptation_bookkeeping_does_not_perturb_prediction_bits() {
         .map(|r| model.predict(&r.spec, &r.optimized.plan).unwrap())
         .collect();
 
-    // Leg B: identical predictions with the tracker folding each pair
-    // in between, while four background threads record into the same
-    // tracker concurrently.
-    let tracker = Arc::new(qpp::adapt::ErrorTracker::new());
-    let hammers: Vec<_> = (0..4)
-        .map(|k| {
-            let tracker = Arc::clone(&tracker);
-            let noise = train.records.clone();
-            std::thread::spawn(move || {
-                for (i, r) in noise.iter().enumerate() {
-                    let scaled = qpp::engine::PerfMetrics::from_vec(
-                        &r.metrics
-                            .to_vec()
-                            .iter()
-                            .map(|v| v * (1.0 + (k + i) as f64 * 0.01))
-                            .collect::<Vec<_>>(),
-                    );
-                    tracker.record(&r.spec.template, &scaled, &r.metrics);
-                }
+    let new_controller = || {
+        AdaptiveController::new(
+            Arc::new(ModelRegistry::new()),
+            ModelKey::new("neoview_4", FeatureKind::QueryPlan),
+            SlidingWindowPredictor::new(
+                train.clone(),
+                train.len(),
+                usize::MAX,
+                PredictorOptions::default(),
+            ),
+            AdaptOptions::default(),
+        )
+    };
+    let answered = |prediction: Prediction| ServeResponse {
+        prediction,
+        decision: AdmissionDecision::Admit {
+            kill_timeout_seconds: 60.0,
+        },
+        source: AnswerSource::Kcca,
+        model_version: 1,
+        latency: std::time::Duration::ZERO,
+        tenant: qpp::serve::DEFAULT_TENANT,
+        trace_id: 0,
+    };
+    // Hammer `k` completes every training record, mispredicted by a
+    // factor that differs per thread and record.
+    let noise = |k: usize| -> Vec<ServeResponse> {
+        let scaled = |(i, r): (usize, &qpp::core::QueryRecord)| {
+            let factor = 1.0 + (k + i) as f64 * 0.01;
+            let metrics: Vec<f64> = r.metrics.to_vec().iter().map(|v| v * factor).collect();
+            answered(Prediction {
+                metrics: qpp::engine::PerfMetrics::from_vec(&metrics),
+                ..plain[0].clone()
             })
-        })
-        .collect();
-    let tracked: Vec<_> = test
-        .records
-        .iter()
-        .map(|r| {
-            let p = model.predict(&r.spec, &r.optimized.plan).unwrap();
-            tracker.record(&r.spec.template, &p.metrics, &r.metrics);
-            p
-        })
-        .collect();
-    for h in hammers {
-        h.join().unwrap();
-    }
+        };
+        train.records.iter().enumerate().map(scaled).collect()
+    };
+    let hammers: Vec<Vec<ServeResponse>> = (0..4).map(noise).collect();
+
+    // Leg B: identical predictions, each reported to the controller,
+    // with the four hammers released into the same controller at the
+    // same moment.
+    let racing = new_controller();
+    let start = Barrier::new(hammers.len() + 1);
+    let tracked: Vec<_> = std::thread::scope(|scope| {
+        let (racing, start, train) = (&racing, &start, &train);
+        for responses in &hammers {
+            scope.spawn(move || {
+                start.wait();
+                for (r, response) in train.records.iter().zip(responses) {
+                    racing.observe(r, response);
+                }
+            });
+        }
+        start.wait();
+        test.records
+            .iter()
+            .map(|r| {
+                let p = model.predict(&r.spec, &r.optimized.plan).unwrap();
+                racing.observe(r, &answered(p.clone()));
+                p
+            })
+            .collect()
+    });
 
     assert_eq!(plain.len(), tracked.len());
     for (a, b) in plain.iter().zip(tracked.iter()) {
@@ -351,9 +390,27 @@ fn adaptation_bookkeeping_does_not_perturb_prediction_bits() {
             b.max_kernel_similarity.to_bits()
         );
     }
-    // And the bookkeeping itself lost nothing.
-    assert_eq!(
-        tracker.observations() as usize,
-        4 * train.records.len() + test.records.len()
-    );
+
+    // The bookkeeping itself lost nothing ...
+    let total = (4 * train.records.len() + test.records.len()) as u64;
+    let ledger = racing.error_snapshot();
+    assert_eq!(ledger.observations, total);
+    assert_eq!(racing.stats().observations.get(), total);
+    let mut counted = ledger.dropped;
+    for row in &ledger.templates {
+        counted += row.count;
+    }
+    assert_eq!(counted, total, "per-template counts must sum to the total");
+
+    // ... and arrival order left no mark on it.
+    let serial = new_controller();
+    for responses in &hammers {
+        for (r, response) in train.records.iter().zip(responses) {
+            serial.observe(r, response);
+        }
+    }
+    for (r, p) in test.records.iter().zip(&plain) {
+        serial.observe(r, &answered(p.clone()));
+    }
+    assert_eq!(ledger, serial.error_snapshot());
 }
