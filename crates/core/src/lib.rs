@@ -39,7 +39,12 @@
 // The predict path must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::iter_over_hash_type
+    )
 )]
 
 pub mod baselines;

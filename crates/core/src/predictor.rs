@@ -47,7 +47,7 @@ pub struct PredictorOptions {
     pub log_space_average: bool,
     /// Neighbor-index selection: brute scan at paper scale, a
     /// deterministic IVF index once the reference outgrows
-    /// `ann.ivf_threshold` rows (DESIGN.md §17).
+    /// `ann.ivf_threshold` rows (DESIGN.md §16).
     pub ann: AnnOptions,
 }
 
@@ -225,7 +225,7 @@ impl KccaPredictor {
     /// kernel fit, ICD, eigensolve, kNN build), so
     /// `qpp_obs::recorder().stage_summary()` gives a per-stage training
     /// breakdown. All wall-clock reads live inside qpp-obs; this crate
-    /// stays free of `Instant` per the `no-wallclock-in-model` lint.
+    /// stays free of `Instant` (its `clippy.toml` disallows the type).
     pub fn train(dataset: &Dataset, options: PredictorOptions) -> Result<Self, QppError> {
         let mut total = qpp_obs::span(qpp_obs::Stage::TrainTotal);
         total.set_value(dataset.records.len() as u64);

@@ -14,12 +14,14 @@
 ///
 /// Bitwise identical to `a.iter().sum::<f64>()` — this is the
 /// sanctioned spelling of that reduction in library code.
+// qpp-lint: hot-path
 #[inline]
 pub fn sum(a: &[f64]) -> f64 {
     sum_iter(a.iter().copied())
 }
 
 /// Ordered sequential sum of an iterator: left to right, seed `0.0`.
+// qpp-lint: hot-path
 #[inline]
 pub fn sum_iter(it: impl IntoIterator<Item = f64>) -> f64 {
     // qpp-lint: allow(no-unordered-float-reduce) — the canonical ordered reduction
@@ -34,6 +36,7 @@ pub fn min_iter(seed: f64, it: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// Ordered sequential maximum: `fold(seed, f64::max)` left to right.
+// qpp-lint: hot-path
 #[inline]
 pub fn max_iter(seed: f64, it: impl IntoIterator<Item = f64>) -> f64 {
     // qpp-lint: allow(no-unordered-float-reduce) — the canonical ordered reduction
@@ -44,6 +47,7 @@ pub fn max_iter(seed: f64, it: impl IntoIterator<Item = f64>) -> f64 {
 ///
 /// Panics in debug builds when lengths differ; in release the shorter
 /// length wins (callers in this workspace always pass equal lengths).
+// qpp-lint: hot-path
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -52,12 +56,14 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Euclidean (L2) norm.
+// qpp-lint: hot-path
 #[inline]
 pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
 /// Squared Euclidean distance between two points.
+// qpp-lint: hot-path
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -72,12 +78,14 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Euclidean distance between two points.
+// qpp-lint: hot-path
 #[inline]
 pub fn dist(a: &[f64], b: &[f64]) -> f64 {
     sq_dist(a, b).sqrt()
 }
 
 /// Cosine distance `1 - cos(a, b)`; zero vectors are maximally distant.
+// qpp-lint: hot-path
 #[inline]
 pub fn cosine_dist(a: &[f64], b: &[f64]) -> f64 {
     let na = norm(a);
@@ -89,6 +97,7 @@ pub fn cosine_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// `y += alpha * x` in place.
+// qpp-lint: hot-path
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());

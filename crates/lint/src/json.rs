@@ -4,20 +4,20 @@
 //! for exactly the one shape we emit, with correct string escaping per
 //! RFC 8259.
 //!
-//! The v2 document adds the call-graph statistics and per-diagnostic
-//! provenance chains introduced by the workspace-level passes:
+//! The v3 document (v2 carried call-graph statistics and provenance
+//! chains, both gone with the call graph):
 //!
 //! ```text
 //! {
-//!   "version": 2,
+//!   "version": 3,
 //!   "count": N,
-//!   "graph": { "files": .., "functions": .., ... },
-//!   "diagnostics": [ { ..v1 fields.., "provenance": [".."] } ]
+//!   "stats": { "files": .., "hot_fns": .., "atomic_sites": .., "atomic_justified": .. },
+//!   "diagnostics": [ { "rule", "file", "line", "col", "message", "snippet" } ]
 //! }
 //! ```
 
-use crate::graph::GraphStats;
 use crate::rules::Diagnostic;
+use crate::Stats;
 use std::fmt::Write as _;
 
 /// Escapes `s` into `out` as a JSON string body (no surrounding quotes).
@@ -37,22 +37,17 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Serializes a full lint run as the stable, pretty-printed v2 JSON
+/// Serializes a full lint run as the stable, pretty-printed v3 JSON
 /// document described in the module docs.
-pub fn to_json(diags: &[Diagnostic], stats: &GraphStats) -> String {
+pub fn to_json(diags: &[Diagnostic], stats: &Stats) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"version\": 2,\n");
+    out.push_str("  \"version\": 3,\n");
     let _ = writeln!(out, "  \"count\": {},", diags.len());
-    out.push_str("  \"graph\": {\n");
+    out.push_str("  \"stats\": {\n");
     for (i, (k, v)) in [
         ("files", stats.files),
-        ("functions", stats.functions),
-        ("call_edges", stats.call_edges),
-        ("hot_roots", stats.hot_roots),
-        ("hot_propagated", stats.hot_propagated),
-        ("lock_sites", stats.lock_sites),
-        ("lock_edges", stats.lock_edges),
+        ("hot_fns", stats.hot_fns),
         ("atomic_sites", stats.atomic_sites),
         ("atomic_justified", stats.atomic_justified),
     ]
@@ -92,19 +87,7 @@ pub fn to_json(diags: &[Diagnostic], stats: &GraphStats) -> String {
             escape_into(&mut out, v);
             out.push('"');
         }
-        out.push_str(",\n      \"provenance\": [");
-        for (j, step) in d.provenance.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("\n        \"");
-            escape_into(&mut out, step);
-            out.push('"');
-        }
-        if !d.provenance.is_empty() {
-            out.push_str("\n      ");
-        }
-        out.push_str("]\n    }");
+        out.push_str("\n    }");
     }
     if !diags.is_empty() {
         out.push_str("\n  ");

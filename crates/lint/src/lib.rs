@@ -1,12 +1,17 @@
-//! qpp-lint: workspace static analysis for the qpp invariants.
+//! The qpp linter: workspace static analysis for the qpp invariants.
 //!
-//! PRs 2–3 bought three hard guarantees — bitwise-deterministic
-//! parallel training, a zero-allocation predict path, and the unified
-//! `QppError` hierarchy. This crate is the enforcement layer that keeps
-//! refactors from silently regressing them: a dependency-free static
-//! analyzer with a hand-rolled Rust lexer (comment/string/raw-string/
-//! char-literal aware), a lightweight item scanner, and a rule engine
-//! emitting span-accurate diagnostics.
+//! Three guarantees are expensive to win back once lost — bitwise-
+//! deterministic training, a zero-allocation predict/serve/trace path,
+//! and reviewed memory orderings. This crate keeps refactors from
+//! silently regressing the parts of them that only a *token* can see: a
+//! dependency-free analyzer with a hand-rolled Rust lexer (comment/
+//! string/raw-string/char-literal aware), a small scanner, and four
+//! rules plus a check on its own directives, all with span-accurate
+//! diagnostics. What a *type* or an *execution* can see is checked
+//! there instead: hash-order iteration and wall-clock reads by clippy
+//! (`iter_over_hash_type`, per-crate `disallowed-types`), transitive
+//! allocation freedom by the counting allocator in
+//! `tests/alloc_regression.rs`.
 //!
 //! Run it over the workspace (`cargo run -p qpp-lint -- crates`), ask
 //! it to explain a rule (`--explain no-alloc-hot-path`), or get
@@ -16,40 +21,50 @@
 //!
 //! See `DESIGN.md` §11 for the rule table and how to add a rule.
 
-pub mod graph;
+pub mod atomic;
 pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod scanner;
 
-pub use graph::GraphStats;
 pub use rules::{check_file, rule_info, Diagnostic, RuleInfo, RULES};
 pub use scanner::FileModel;
 
 use std::path::{Path, PathBuf};
 
 /// Lints one in-memory source file with the per-file rules only (the
-/// workspace passes need every file at once; see [`lint_report`]).
+/// atomic-ordering audit needs every file at once; see [`lint_report`]).
 pub fn lint_source(path: &str, src: String) -> Vec<Diagnostic> {
     check_file(&FileModel::build(path, src))
 }
 
-/// A full lint run: diagnostics from both the per-file rules and the
-/// workspace-level passes, walk errors, and call-graph statistics.
+/// Counters of a lint run, for `--json` and the committed `lint.json`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Stats {
+    /// Files linted.
+    pub files: usize,
+    /// Function bodies marked `// qpp-lint: hot-path`.
+    pub hot_fns: usize,
+    /// Atomic `Ordering::*` uses in non-test code.
+    pub atomic_sites: usize,
+    /// Of those, sites carrying an `// ordering:` justification.
+    pub atomic_justified: usize,
+}
+
+/// A full lint run: diagnostics, walk errors, and counters.
 pub struct LintReport {
     /// All findings, sorted by (file, line, col, rule).
     pub diagnostics: Vec<Diagnostic>,
     /// Unreadable paths.
     pub errors: Vec<String>,
-    /// Call-graph / lock-graph / atomic-audit counters.
-    pub stats: GraphStats,
+    /// What the run covered.
+    pub stats: Stats,
 }
 
 /// Lints every `.rs` file under `roots` (files are linted as given;
 /// directories are walked recursively in sorted order, skipping
-/// `target` and nested `fixtures` directories), then runs the
-/// workspace-level passes (hot-path propagation, lock-order,
-/// atomic-ordering audit) over the whole file set.
+/// `target` and nested `fixtures` directories): the per-file rules on
+/// each, then the atomic-ordering audit over the whole file set.
 pub fn lint_report(roots: &[String]) -> LintReport {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut errors: Vec<String> = Vec::new();
@@ -74,14 +89,18 @@ pub fn lint_report(roots: &[String]) -> LintReport {
         }
     }
     let mut diags: Vec<Diagnostic> = models.iter().flat_map(check_file).collect();
-    let (graph_diags, stats) = graph::check_workspace(&models);
-    diags.extend(graph_diags);
+    let (atomic_diags, atomic_sites, atomic_justified) = atomic::audit(&models);
+    diags.extend(atomic_diags);
     diags.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
-    diags.dedup();
     LintReport {
         diagnostics: diags,
         errors,
-        stats,
+        stats: Stats {
+            files: models.len(),
+            hot_fns: models.iter().map(|m| m.hot_fns.len()).sum(),
+            atomic_sites,
+            atomic_justified,
+        },
     }
 }
 
@@ -114,8 +133,8 @@ fn walk(dir: &Path, depth: usize, files: &mut Vec<PathBuf>, errors: &mut Vec<Str
     }
 }
 
-/// Renders diagnostics in the human `file:line:col` format with
-/// snippets and carets.
+/// Renders diagnostics in the human `file:line:col` format, each with
+/// its source line.
 pub fn render_human(diags: &[Diagnostic]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -126,9 +145,6 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
             d.path, d.line, d.col, d.rule, d.message
         );
         let _ = writeln!(out, "    {}", d.snippet);
-        for step in &d.provenance {
-            let _ = writeln!(out, "    note: {step}");
-        }
     }
     if !diags.is_empty() {
         let _ = writeln!(
@@ -148,12 +164,13 @@ mod tests {
 
     #[test]
     fn lint_source_reports_sorted_spans() {
-        let src = "fn f() {\n    let x = Instant::now();\n    let y = Instant::now();\n}\n";
+        let src =
+            "// qpp-lint: hot-path\nfn f() {\n    let x = Vec::new();\n    let y = x.clone();\n}\n";
         let d = lint_source("crates/ml/src/lib.rs", src.to_string());
         assert_eq!(d.len(), 2);
-        assert_eq!(d[0].rule, "no-wallclock-in-model");
-        assert_eq!((d[0].line, d[0].col), (2, 13));
-        assert_eq!((d[1].line, d[1].col), (3, 13));
-        assert!(d[0].snippet.contains("Instant::now()"));
+        assert_eq!(d[0].rule, "no-alloc-hot-path");
+        assert_eq!((d[0].line, d[0].col), (3, 13));
+        assert_eq!((d[1].line, d[1].col), (4, 15));
+        assert!(d[0].snippet.contains("Vec::new()"));
     }
 }

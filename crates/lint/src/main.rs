@@ -51,11 +51,13 @@ fn main() -> ExitCode {
         return match qpp_lint::rule_info(&rule) {
             Some(info) => {
                 println!("{} — {}\n\n{}", info.id, info.summary, info.explain);
-                println!(
-                    "\nOpt out per line with `// qpp-lint: allow({})` on the \
-                     offending line or alone on the line above it.",
-                    info.id
-                );
+                if info.id != qpp_lint::rules::DIRECTIVE {
+                    println!(
+                        "\nOpt out per line with `// qpp-lint: allow({})` on the \
+                         offending line or alone on the line above it.",
+                        info.id
+                    );
+                }
                 ExitCode::SUCCESS
             }
             None => {
@@ -76,11 +78,7 @@ fn main() -> ExitCode {
     if json {
         print!("{}", qpp_lint::json::to_json(&diags, &report.stats));
     } else if diags.is_empty() {
-        println!(
-            "qpp-lint: clean ({} rule{} enforced)",
-            qpp_lint::RULES.len(),
-            if qpp_lint::RULES.len() == 1 { "" } else { "s" }
-        );
+        println!("qpp-lint: clean ({} rules enforced)", qpp_lint::RULES.len());
     } else {
         print!("{}", qpp_lint::render_human(&diags));
     }

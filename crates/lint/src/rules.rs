@@ -3,13 +3,14 @@
 //!
 //! Every rule matches on the token stream of a [`FileModel`], honors
 //! per-line `// qpp-lint: allow(<rule>)` directives, and reports
-//! span-accurate diagnostics. Scope filters (test files, binaries,
-//! per-crate applicability) are data on the rule, not ad-hoc code, so
-//! adding a rule is: write a `check` function, add a [`RuleInfo`] row,
-//! add a fixture triple.
+//! span-accurate diagnostics. Adding a rule is: write a `check`
+//! function, add a [`RuleInfo`] row, add a fixture triple. Before
+//! adding one, check that clippy cannot express it by *type* — that is
+//! where `no-unwrap-lib`, `no-hashmap-iter-order` and
+//! `no-wallclock-in-model` went (see `--explain directive`).
 
 use crate::lexer::TokenKind;
-use crate::scanner::FileModel;
+use crate::scanner::{Directive, FileModel};
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,9 +27,6 @@ pub struct Diagnostic {
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
-    /// For workspace-level findings: the chain of call-graph /
-    /// lock-graph steps that led here (empty for per-file findings).
-    pub provenance: Vec<String>,
 }
 
 /// Static description of one rule.
@@ -40,6 +38,9 @@ pub struct RuleInfo {
     /// Long-form `--explain` documentation.
     pub explain: &'static str,
 }
+
+/// Id of the directive check: the one rule `allow(..)` cannot name.
+pub const DIRECTIVE: &str = "directive";
 
 /// All rules, in the order they run and report.
 pub const RULES: &[RuleInfo] = &[
@@ -63,11 +64,15 @@ fixtures may opt out with `// qpp-lint: allow(no-vecvec)` or the legacy\n\
         id: "no-alloc-hot-path",
         summary: "no heap allocation inside functions marked `// qpp-lint: hot-path`",
         explain: "\
-The steady-state predict path performs zero heap allocations per call\n\
-(enforced at runtime by tests/alloc_regression.rs with the counting\n\
-allocator). This rule is the static side of the same contract: inside\n\
-any function marked with a `// qpp-lint: hot-path` comment, allocating\n\
-constructs are rejected.\n\
+The steady-state predict, serve and trace paths perform zero heap\n\
+allocations per call. The *transitive* property — nothing reachable\n\
+from those entry points allocates, through closures and `dyn` calls\n\
+alike — is owned by tests/alloc_regression.rs, which counts exactly\n\
+with the counting allocator. This rule is the per-function side of the\n\
+contract: a `// qpp-lint: hot-path` comment marks one function, and\n\
+inside that function's own body allocating constructs are rejected at\n\
+the line that wrote them. A kernel the hot path calls carries its own\n\
+marker; nothing is inferred from call sites.\n\
 \n\
 Fires on: `Vec::new`, `Vec::with_capacity`, `vec![...]`, `.to_vec()`,\n\
 `.collect()`, `.clone()`, `.to_owned()`, `.to_string()`, `format!`,\n\
@@ -101,52 +106,14 @@ order), or give integer reductions an explicit integer turbofish\n\
 (`.sum::<u64>()`), which this rule recognizes as order-free.",
     },
     RuleInfo {
-        id: "no-hashmap-iter-order",
-        summary: "HashMap/HashSet iteration order must not escape",
-        explain: "\
-HashMap iteration order is randomized per process; anything that\n\
-iterates a map and lets the order reach results, output, or wire\n\
-formats is nondeterministic across runs. Reproducibility studies of\n\
-QPP pipelines exist precisely because this class of bug is invisible\n\
-in single-run tests.\n\
-\n\
-Fires on: `.iter()`, `.iter_mut()`, `.keys()`, `.values()`,\n\
-`.values_mut()`, `.into_iter()`, `.into_keys()`, `.into_values()`,\n\
-`.drain(..)` on a receiver declared with a `HashMap`/`HashSet` type in\n\
-the same file, and `for .. in` loops over such names, in library code.\n\
-\n\
-Fix: use a `BTreeMap` (ordered by key), or sort the collected keys\n\
-before the order can escape. Iteration whose order provably cannot\n\
-escape (e.g. summing values) may opt out with\n\
-`// qpp-lint: allow(no-hashmap-iter-order)`.",
-    },
-    RuleInfo {
-        id: "no-wallclock-in-model",
-        summary: "no wall-clock reads in deterministic model code",
-        explain: "\
-qpp-core, qpp-ml and qpp-linalg are the deterministic heart of the\n\
-system: identical inputs must produce bitwise-identical models and\n\
-predictions (tests/determinism.rs). A wall-clock read — timing-based\n\
-seeding, time-dependent tolerances, embedded timestamps — breaks that\n\
-contract in a way no fixed-seed test can catch.\n\
-\n\
-Fires on: any use of `Instant` or `SystemTime` (including imports) in\n\
-non-test code of qpp-core, qpp-ml, qpp-linalg, or qpp-adapt (drift\n\
-detection is epoch-driven: the caller injects logical time). Serving\n\
-and bench crates measure latency legitimately and are out of scope.\n\
-\n\
-Fix: accept timestamps as parameters from the caller, or move the\n\
-timing to the serving/bench layer. There is deliberately no sanctioned\n\
-in-crate opt-out pattern; if you think you need one, the code belongs\n\
-in a different crate.",
-    },
-    RuleInfo {
         id: "atomic-ordering-audit",
         summary: "every atomic Ordering use carries an `// ordering:` justification",
         explain: "\
-The lock-free plumbing (obs ring buffer, admission quota counters,\n\
-registry epoch counters, adapt trackers) is exactly the code where a\n\
-wrong memory ordering is invisible to every test and fatal under load.\n\
+The lock-free plumbing (obs ring buffer and metrics, the serve queue's\n\
+depth counters, the registry's version counter) is exactly the code\n\
+where a wrong memory ordering is invisible to every test and fatal\n\
+under load.\n\
+\n\
 This rule turns each `Ordering::{Relaxed,Acquire,Release,AcqRel,\n\
 SeqCst}` use into a reviewed decision: the statement must carry a\n\
 `// ordering: <why>` comment on the same line, within the statement,\n\
@@ -167,33 +134,29 @@ opt out with `// qpp-lint: allow(atomic-\
 ordering-audit)`.",
     },
     RuleInfo {
-        id: "lock-order",
-        summary: "lock acquisition order must be cycle-free across the workspace",
+        id: DIRECTIVE,
+        summary: "every `qpp-lint:` comment is `hot-path` on a fn body or `allow(<live rule>)`",
         explain: "\
-Two functions that take the same two locks in opposite orders deadlock\n\
-under the right interleaving — and the acquisitions are usually in\n\
-different files, composed through helper calls, where no local review\n\
-can see the cycle. This pass extracts every `Mutex::lock` /\n\
-`RwLock::{read,write}` / `Condvar::wait*` acquisition per function,\n\
-tracks guard lifetimes (let-bound guards to end of scope or `drop`,\n\
-temporaries to end of statement), composes held-sets through the call\n\
-graph, and reports any cycle in the resulting lock-order graph.\n\
+A directive the linter does not understand is a function it silently\n\
+stops checking: `// qpp-lint: hot_path` (typo) marks nothing, and an\n\
+`allow(..)` naming a rule that no longer exists waives nothing anyone\n\
+reviews. So every comment that starts with `qpp-lint:` must parse.\n\
 \n\
-Fires on: a cycle `A -> B -> ... -> A` in the workspace lock-order\n\
-graph. The diagnostic points at the first edge's acquisition site and\n\
-carries the full witness path (every edge with its file:line) in the\n\
-provenance, so the report is actionable without re-deriving the\n\
-analysis. Locks are identified by (crate, field-or-constructor name);\n\
-two instances of the same field (e.g. an array of locks ordered by\n\
-index) are indistinguishable, so same-lock self-edges are not\n\
-reported.\n\
+Fires on: (a) a word other than `hot-path` or `allow(<rule>, ..)`;\n\
+(b) an `allow(..)` naming anything but one of the rules `--list` shows\n\
+above this one; (c) a `hot-path` marker whose next `fn` has no body (a\n\
+trait method declaration) or that no `fn` follows. This check itself\n\
+cannot be waived.\n\
 \n\
-Fix: pick one global acquisition order (document it where the locks\n\
-are declared) and restructure the odd function out — usually by\n\
-dropping the first guard before taking the second, or by hoisting the\n\
-second acquisition out of the critical section. A cycle the analysis\n\
-cannot see past (e.g. instance-disambiguated ordering) may opt out\n\
-with `// qpp-lint: allow(lock-order)` on the witness line.",
+Fix: correct the spelling, or delete the directive. Rules that moved\n\
+to a stronger oracle need no waiver here: `no-unwrap-lib` is clippy's\n\
+unwrap_used/expect_used/panic; `no-hashmap-iter-order` is\n\
+clippy::iter_over_hash_type in every library crate's warn list;\n\
+`no-wallclock-in-model` is the `disallowed-types` entry in\n\
+crates/{core,ml,linalg,adapt}/clippy.toml; `lock-order` and the\n\
+`cold-path` marker went with the call graph (the lock hierarchy is\n\
+DESIGN.md §11 \"Locks\"; transitive allocation freedom is counted by\n\
+tests/alloc_regression.rs).",
     },
 ];
 
@@ -202,33 +165,85 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Runs every rule over one file model and returns its diagnostics,
-/// sorted by (line, col, rule).
+/// Runs every per-file rule over one file model and returns its
+/// diagnostics, sorted by (line, col, rule). The atomic-ordering audit
+/// needs all files at once and runs from [`crate::lint_report`].
 pub fn check_file(m: &FileModel) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     no_vecvec(m, &mut out);
     no_alloc_hot_path(m, &mut out);
     no_unordered_float_reduce(m, &mut out);
-    no_hashmap_iter_order(m, &mut out);
-    no_wallclock_in_model(m, &mut out);
+    directives(m, &mut out);
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
 }
 
-fn emit(m: &FileModel, out: &mut Vec<Diagnostic>, rule: &'static str, tok_idx: usize, msg: String) {
+/// Reports a finding at token `tok_idx` unless an allow directive
+/// covers its line.
+pub(crate) fn emit(
+    m: &FileModel,
+    out: &mut Vec<Diagnostic>,
+    rule: &'static str,
+    tok_idx: usize,
+    msg: String,
+) {
     let t = &m.lexed.tokens[tok_idx];
-    if m.is_allowed(t.line, rule) {
-        return;
+    if !m.is_allowed(t.line, rule) {
+        out.push(diagnostic(m, rule, t.line, t.col, msg));
     }
-    out.push(Diagnostic {
+}
+
+fn diagnostic(
+    m: &FileModel,
+    rule: &'static str,
+    line: u32,
+    col: u32,
+    message: String,
+) -> Diagnostic {
+    Diagnostic {
         rule,
         path: m.path.clone(),
-        line: t.line,
-        col: t.col,
-        message: msg,
-        snippet: m.line_text(t.line).trim_start().to_string(),
-        provenance: Vec::new(),
-    });
+        line,
+        col,
+        message,
+        snippet: m.line_text(line).trim_start().to_string(),
+    }
+}
+
+/// Every `qpp-lint:` comment must be one the linter acts on.
+fn directives(m: &FileModel, out: &mut Vec<Diagnostic>) {
+    for (ci, d) in &m.directives {
+        let msg = match d {
+            Directive::HotPath(Some(_)) => continue,
+            Directive::HotPath(None) => {
+                "hot-path marker attaches to no body — the next `fn` is a body-less \
+                 declaration (or there is none); mark the implementation instead"
+                    .to_string()
+            }
+            Directive::Allow(rules) => {
+                let dead: Vec<&str> = rules
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|r| *r == DIRECTIVE || rule_info(r).is_none())
+                    .collect();
+                if dead.is_empty() {
+                    continue;
+                }
+                format!(
+                    "`allow({})` names no live rule — it waives nothing; delete it \
+                     (see `qpp-lint --list`, and `--explain directive` for where \
+                     retired rules went)",
+                    dead.join(", ")
+                )
+            }
+            Directive::Unknown(word) => format!(
+                "unknown directive `qpp-lint: {word}` — expected `hot-path` or \
+                 `allow(<rule>)`; a misspelt marker leaves its function unlinted"
+            ),
+        };
+        let c = &m.lexed.comments[*ci];
+        out.push(diagnostic(m, DIRECTIVE, c.line, c.col, msg));
+    }
 }
 
 /// `Vec < Vec < f64` token sequence in non-test files.
@@ -254,10 +269,9 @@ fn no_vecvec(m: &FileModel, out: &mut Vec<Diagnostic>) {
 }
 
 /// Classifies token `i` as an allocating construct (`Vec::new`,
-/// `.collect()`, `vec![..]`, …). Shared by the per-file hot-path rule
-/// and the call-graph propagation pass; returns the construct name and
-/// a short reason.
-pub(crate) fn alloc_finding(m: &FileModel, i: usize) -> Option<(&str, &'static str)> {
+/// `.collect()`, `vec![..]`, …); returns the construct name and a short
+/// reason.
+fn alloc_finding(m: &FileModel, i: usize) -> Option<(&str, &'static str)> {
     let toks = &m.lexed.tokens;
     let t = toks.get(i)?;
     if t.kind != TokenKind::Ident {
@@ -441,130 +455,4 @@ fn fold_seed_is_integer(m: &FileModel, open: usize) -> bool {
     // No evidence either way: treat as float (the conservative default —
     // determinism bugs are worse than one allow comment).
     false
-}
-
-/// Iteration over HashMap/HashSet receivers in library code.
-fn no_hashmap_iter_order(m: &FileModel, out: &mut Vec<Diagnostic>) {
-    if m.is_test_file || m.map_idents.is_empty() {
-        return;
-    }
-    const ITERS: &[&str] = &[
-        "iter",
-        "iter_mut",
-        "keys",
-        "values",
-        "values_mut",
-        "into_iter",
-        "into_keys",
-        "into_values",
-        "drain",
-    ];
-    let toks = &m.lexed.tokens;
-    let txt = |k: usize| toks.get(k).map(|t| &m.src[t.start..t.end]);
-    for i in 1..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident || m.in_test_region(t.start) {
-            continue;
-        }
-        let name = m.text(t);
-        // `for pat in &map { ... }` — the loop header names the map.
-        if name == "for" {
-            let mut k = i + 1;
-            let mut hit: Option<usize> = None;
-            while k < toks.len() {
-                match txt(k) {
-                    Some("{") | Some(";") | None => break,
-                    Some(s) if toks[k].kind == TokenKind::Ident && m.map_idents.contains(s) => {
-                        hit = Some(k);
-                        break;
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            if let Some(k) = hit {
-                // Skip when the loop actually iterates a method result
-                // that the `.keys()` check below already covers.
-                let followed_by_call = txt(k + 1) == Some(".");
-                if !followed_by_call {
-                    emit(
-                        m,
-                        out,
-                        "no-hashmap-iter-order",
-                        k,
-                        format!(
-                            "iterating hash-ordered `{}` — order is randomized per \
-                             process; use a BTreeMap or sort first",
-                            m.text(&toks[k])
-                        ),
-                    );
-                }
-            }
-            continue;
-        }
-        if !ITERS.contains(&name) || txt(i - 1) != Some(".") || txt(i + 1) != Some("(") {
-            continue;
-        }
-        // Receiver scan: identifiers in the same method chain, walking
-        // back to the start of the statement.
-        let mut k = i - 1;
-        let mut receiver_is_map = false;
-        while k > 0 {
-            k -= 1;
-            let s = match txt(k) {
-                Some(s) => s,
-                None => break,
-            };
-            match s {
-                ";" | "{" | "}" | "=" | "," => break,
-                _ => {}
-            }
-            if toks[k].kind == TokenKind::Ident && m.map_idents.contains(s) {
-                receiver_is_map = true;
-                break;
-            }
-        }
-        if receiver_is_map {
-            emit(
-                m,
-                out,
-                "no-hashmap-iter-order",
-                i,
-                format!(
-                    "`.{name}()` on a hash-ordered map — order is randomized per \
-                     process; use a BTreeMap or sort before the order escapes"
-                ),
-            );
-        }
-    }
-}
-
-/// `Instant` / `SystemTime` anywhere in deterministic model crates.
-fn no_wallclock_in_model(m: &FileModel, out: &mut Vec<Diagnostic>) {
-    match m.crate_name.as_deref() {
-        Some("core") | Some("ml") | Some("linalg") | Some("adapt") => {}
-        _ => return,
-    }
-    if m.is_test_file {
-        return;
-    }
-    for (i, t) in m.lexed.tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || m.in_test_region(t.start) {
-            continue;
-        }
-        let name = m.text(t);
-        if name == "Instant" || name == "SystemTime" {
-            emit(
-                m,
-                out,
-                "no-wallclock-in-model",
-                i,
-                format!(
-                    "`{name}` in deterministic model code — identical inputs must \
-                     give bitwise-identical outputs; take time as a parameter or \
-                     move the timing to the serving layer"
-                ),
-            );
-        }
-    }
 }

@@ -2,8 +2,9 @@
 //!
 //! The JSON shape is consumed by CI tooling; changing it is a breaking
 //! change and must be deliberate — update the snapshot alongside the
-//! version field. v2 added the `graph` statistics block and the
-//! per-diagnostic `provenance` array.
+//! version field. v3 replaced v2's `graph` block with `stats` and
+//! dropped the per-diagnostic `provenance` array (both existed for the
+//! call graph).
 
 use qpp_lint::{json, lint_report};
 
@@ -13,16 +14,11 @@ fn json_output_matches_snapshot() {
     let r = lint_report(&[path.to_string()]);
     assert!(r.errors.is_empty(), "{:?}", r.errors);
     let expected = r#"{
-  "version": 2,
+  "version": 3,
   "count": 1,
-  "graph": {
+  "stats": {
     "files": 1,
-    "functions": 1,
-    "call_edges": 0,
-    "hot_roots": 0,
-    "hot_propagated": 0,
-    "lock_sites": 0,
-    "lock_edges": 0,
+    "hot_fns": 0,
     "atomic_sites": 0,
     "atomic_justified": 0
   },
@@ -33,28 +29,12 @@ fn json_output_matches_snapshot() {
       "line": 3,
       "col": 18,
       "message": "nested `Vec<Vec<f64>>` in library code — use a contiguous `Matrix`/`MatrixView` instead",
-      "snippet": "pub fn rows() -> Vec<Vec<f64>> {",
-      "provenance": []
+      "snippet": "pub fn rows() -> Vec<Vec<f64>> {"
     }
   ]
 }
 "#;
     assert_eq!(json::to_json(&r.diagnostics, &r.stats), expected);
-}
-
-#[test]
-fn json_carries_provenance_for_workspace_findings() {
-    let path = "tests/fixtures/lock-order/crates/serve/src/fires.rs";
-    let r = lint_report(&[path.to_string()]);
-    assert!(r.errors.is_empty(), "{:?}", r.errors);
-    let out = json::to_json(&r.diagnostics, &r.stats);
-    assert!(out.contains("\"rule\": \"lock-order\""), "{out}");
-    assert!(out.contains("\"lock_sites\": 4"), "{out}");
-    assert!(out.contains("\"lock_edges\": 2"), "{out}");
-    assert!(
-        out.contains("acquires `serve::a` while holding `serve::b`"),
-        "{out}"
-    );
 }
 
 #[test]
@@ -64,7 +44,7 @@ fn json_escapes_special_characters() {
         "pub fn f() {\n    let rows: Vec<Vec<f64>> = parse(\"tab\\there\");\n}\n".to_string(),
     );
     assert_eq!(diags.len(), 1);
-    let stats = qpp_lint::GraphStats::default();
+    let stats = qpp_lint::Stats::default();
     let out = json::to_json(&diags, &stats);
     // The snippet contains a quoted string: it must arrive escaped.
     assert!(out.contains(r#"parse(\"tab\\there\")"#), "{out}");

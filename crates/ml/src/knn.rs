@@ -85,6 +85,7 @@ pub enum DistanceMetric {
 
 impl DistanceMetric {
     /// Distance between two vectors under this metric.
+    // qpp-lint: hot-path
     pub fn distance(self, a: &[f64], b: &[f64]) -> f64 {
         match self {
             DistanceMetric::Euclidean => vector::dist(a, b),
@@ -188,10 +189,10 @@ impl NearestNeighbors {
     /// [`SCAN_CHUNK`]-row chunks across the worker pool, with per-chunk
     /// top-k buffers merged in `(distance, index)` order — exactly the
     /// serial scan's outcome, for any thread count.
-    // qpp-lint: cold-path — the chunked parallel scan allocates per-chunk
-    // buffers and result vectors by design; `query_into` only takes this
-    // branch when the reference outgrows a single scan chunk, where the
-    // scan itself dwarfs the allocations.
+    ///
+    /// Allocates per-chunk buffers and the result vector by design:
+    /// `query_into` only takes this branch when the reference outgrows a
+    /// single scan chunk, where the scan itself dwarfs the allocations.
     pub fn query(&self, probe: &[f64], k: usize) -> Vec<Neighbor> {
         let k = k.min(self.len());
         if k == 0 {

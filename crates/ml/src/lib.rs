@@ -6,7 +6,6 @@
 //!   fails (negative elapsed times, Figs. 3–4);
 //! * [`kmeans`] — partition clustering, considered and rejected (§V-B)
 //!   because it cannot relate *two* multivariate datasets;
-//! * [`pca`] — principal component analysis, single-dataset only (§V-C);
 //! * [`cca`] — linear canonical correlation analysis (§V-D);
 //! * [`kcca`] — kernel CCA with Gaussian kernels (§V-E, §VI), the
 //!   technique the paper adopts, implemented with pivoted incomplete
@@ -24,7 +23,12 @@
 // Library code must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::iter_over_hash_type
+    )
 )]
 
 pub mod ann;
@@ -35,7 +39,6 @@ pub mod kernel;
 pub mod kmeans;
 pub mod knn;
 pub mod metrics;
-pub mod pca;
 pub mod regression;
 
 pub use ann::{AnnIndex, AnnOptions, IvfIndex, IvfOptions};

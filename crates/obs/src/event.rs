@@ -210,6 +210,7 @@ pub struct Event {
 
 impl Event {
     /// Packs `kind` and `stage` into one word for ring storage.
+    // qpp-lint: hot-path
     pub(crate) fn tag(&self) -> u64 {
         ((self.kind as u64) << 8) | self.stage as u64
     }

@@ -22,8 +22,8 @@
 //! 2. **Wall-clock reads live here and in the serving edge, never in
 //!    model code.** `qpp-core`/`qpp-ml`/`qpp-linalg` are bitwise
 //!    deterministic; they call [`span`]/[`record_mark`], and the
-//!    `Instant` reads happen inside this crate, keeping the
-//!    `no-wallclock-in-model` lint clean with no new allow directives.
+//!    `Instant` reads happen inside this crate (the model crates'
+//!    `clippy.toml` disallows the clock types outright).
 //!
 //! Timestamps are monotonic nanoseconds since the recorder's epoch (its
 //! construction instant) — durable across the process, meaningless
@@ -33,7 +33,12 @@
 // Library code must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::iter_over_hash_type
+    )
 )]
 
 pub mod event;

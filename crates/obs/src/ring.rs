@@ -55,6 +55,7 @@ impl Slot {
 
 /// Payload checksum; mixes a constant so an all-zero event still
 /// produces a nonzero stored checksum.
+// qpp-lint: hot-path
 fn checksum(trace_id: u64, tag: u64, start_ns: u64, dur_ns: u64, value: u64) -> u64 {
     0x9e37_79b9_7f4a_7c15
         ^ trace_id

@@ -4,11 +4,11 @@
 
 use qpp_core::baselines::OptimizerCostModel;
 use qpp_core::predictor::PredictorOptions;
-use qpp_core::{Dataset, FeatureKind, KccaPredictor};
+use qpp_core::{Dataset, FeatureKind, KccaPredictor, QueryRecord};
 use qpp_engine::SystemConfig;
 use qpp_serve::{
-    AnswerSource, ModelKey, ModelRegistry, PredictRequest, PredictionService, QppError,
-    ServeOptions, TenantId, TenantSpec, DEFAULT_TENANT,
+    AnswerSource, CompletionObserver, ModelKey, ModelRegistry, PredictRequest, PredictionService,
+    QppError, ServeOptions, ServeResponse, TenantId, TenantSpec, DEFAULT_TENANT,
 };
 use qpp_workload::{Schema, WorkloadGenerator};
 use std::sync::Arc;
@@ -637,4 +637,43 @@ fn responses_and_stats_are_tenant_attributed() {
             .sum::<u64>(),
         snap.completed + snap.fallbacks
     );
+}
+
+/// An observer may reconfigure the service from inside its callback
+/// (the adapt controller's kill switch could hand the port to a
+/// successor). That returns only while `observe_completion` clones the
+/// observer out and drops `completion.read()` before calling it: held
+/// across the callback, the `write()` below waits on its own thread.
+#[test]
+fn observer_can_replace_itself_from_inside_the_callback() {
+    struct Handoff(std::sync::Weak<PredictionService>);
+    impl CompletionObserver for Handoff {
+        fn on_completion(&self, _: &QueryRecord, _: &ServeResponse) {
+            if let Some(service) = self.0.upgrade() {
+                service.set_completion_observer(Arc::new(Handoff(self.0.clone())));
+            }
+        }
+    }
+
+    let train = dataset(60, 131);
+    let (model, fallback) = trained(&train);
+    let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.install(key.clone(), model, fallback);
+    let service = Arc::new(PredictionService::start(registry, ServeOptions::default()));
+    service.set_completion_observer(Arc::new(Handoff(Arc::downgrade(&service))));
+    let response = service
+        .submit(request(&train, 0, &key, Duration::from_secs(10)))
+        .expect("answered");
+
+    let (done, returned) = std::sync::mpsc::channel();
+    let reporter = Arc::clone(&service);
+    std::thread::spawn(move || {
+        reporter.observe_completion(&train.records[0], &response);
+        let _ = done.send(());
+    });
+    returned
+        .recv_timeout(Duration::from_secs(10))
+        .expect("observe_completion deadlocked: it held completion.read() across the callback");
+    assert_eq!(service.stats().observed_completions, 1);
 }

@@ -18,7 +18,12 @@
 // Library code must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::iter_over_hash_type
+    )
 )]
 
 pub mod customer;

@@ -7,13 +7,28 @@
 //! observability enabled*: span recording into the pre-sized event ring
 //! is allocation-free by design. Runs in its own test binary because a
 //! process can have only one `#[global_allocator]`.
+//!
+//! This file is the *transitive* half of the `// qpp-lint: hot-path`
+//! contract. The linter checks each marked body for allocating
+//! constructs at the line that wrote them; what a marked function
+//! reaches — through calls, closures and `dyn` dispatch alike — is
+//! counted here, exactly, one test per family of roots: predict, obs,
+//! serve. The tests share a process, so each diffs the events of its
+//! own thread.
 
 use counting_alloc::CountingAllocator;
+use qpp::core::baselines::OptimizerCostModel;
 use qpp::core::pipeline::collect_tpcds;
-use qpp::core::{KccaPredictor, PredictorOptions};
+use qpp::core::{FeatureKind, KccaPredictor, PredictorOptions};
 use qpp::engine::SystemConfig;
 use qpp::linalg::Matrix;
 use qpp::ml::{DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NeighborWeighting};
+use qpp::obs::{Counter, Event, EventKind, EventRing, Histogram, Recorder, Stage};
+use qpp::serve::{
+    ModelKey, ModelRegistry, PushError, ServiceStats, TenantId, TenantQueue, TenantSpec,
+    TenantTable,
+};
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -36,7 +51,7 @@ fn predict_features_steady_state_allocates_nothing() {
     let warm = model.predict_features(&features).unwrap();
     let trace_id = qpp::obs::next_trace_id();
 
-    let before = ALLOC.allocation_events();
+    let before = ALLOC.thread_allocation_events();
     let recorded_before = qpp::obs::recorder().events_recorded();
     let mut last = None;
     qpp::obs::with_trace(trace_id, || {
@@ -44,7 +59,7 @@ fn predict_features_steady_state_allocates_nothing() {
             last = Some(model.predict_features(&features).unwrap());
         }
     });
-    let events = ALLOC.allocation_events() - before;
+    let events = ALLOC.thread_allocation_events() - before;
     let recorded = qpp::obs::recorder().events_recorded() - recorded_before;
     assert_eq!(
         events, 0,
@@ -69,14 +84,14 @@ fn predict_features_steady_state_allocates_nothing() {
     // The entry point serving uses: feature extraction included. (The
     // warm-up above already sized every buffer but the feature row.)
     model.predict(&probe.spec, &probe.optimized.plan).unwrap();
-    let before = ALLOC.allocation_events();
+    let before = ALLOC.thread_allocation_events();
     let mut from_plan = None;
     qpp::obs::with_trace(trace_id, || {
         for _ in 0..32 {
             from_plan = Some(model.predict(&probe.spec, &probe.optimized.plan).unwrap());
         }
     });
-    let events = ALLOC.allocation_events() - before;
+    let events = ALLOC.thread_allocation_events() - before;
     assert_eq!(
         events, 0,
         "steady-state predict performed {events} heap allocations over 32 calls"
@@ -89,9 +104,9 @@ fn predict_features_steady_state_allocates_nothing() {
         .iter()
         .map(|r| (&r.spec, &r.optimized.plan))
         .collect();
-    let before = ALLOC.allocation_events();
+    let before = ALLOC.thread_allocation_events();
     let batch = model.predict_batch(&queries).unwrap();
-    let events = ALLOC.allocation_events() - before;
+    let events = ALLOC.thread_allocation_events() - before;
     assert!(
         events <= 1,
         "warm predict_batch of 8 performed {events} heap allocations"
@@ -101,8 +116,6 @@ fn predict_features_steady_state_allocates_nothing() {
     // Same guarantee for the IVF arm of the neighbor index: once the
     // probe/list/merge scratch has warmed up, the coarse probe, exact
     // rescan, ordered merge, and weighted combine are all alloc-free.
-    // (Measured in this same test because the counting allocator is
-    // process-global — concurrent tests would see each other's traffic.)
     let data = Matrix::from_fn(3000, 4, |i, j| ((i * 31 + j * 7) % 211) as f64 * 0.125);
     let targets = Matrix::from_fn(3000, 6, |i, j| ((i * 13 + j) % 97) as f64);
     let probe: Vec<f64> = data.row(997).to_vec();
@@ -119,7 +132,7 @@ fn predict_features_steady_state_allocates_nothing() {
     )
     .unwrap();
     let warm_neighbors = scratch.neighbors.clone();
-    let before = ALLOC.allocation_events();
+    let before = ALLOC.thread_allocation_events();
     for _ in 0..32 {
         ivf.predict_into(
             &probe,
@@ -131,10 +144,127 @@ fn predict_features_steady_state_allocates_nothing() {
         )
         .unwrap();
     }
-    let ivf_events = ALLOC.allocation_events() - before;
+    let ivf_events = ALLOC.thread_allocation_events() - before;
     assert_eq!(
         ivf_events, 0,
         "steady-state IVF predict_into performed {ivf_events} heap allocations over 32 calls"
     );
     assert_eq!(scratch.neighbors, warm_neighbors);
+}
+
+/// The trace layer's roots, warm: recording a span or a mark, pushing
+/// into a ring that has already wrapped, moving the thread's trace ID,
+/// bumping a counter or a histogram.
+#[test]
+fn obs_roots_steady_state_allocate_nothing() {
+    let recorder = Recorder::with_capacity(64);
+    let ring = EventRing::new(64);
+    let (counter, histogram) = (Counter::new(), Histogram::new());
+    // First use sizes the global recorder's ring and this thread's
+    // trace cell.
+    qpp::obs::with_trace(qpp::obs::next_trace_id(), || {
+        drop(qpp::obs::span(Stage::Predict))
+    });
+
+    let before = ALLOC.thread_allocation_events();
+    for i in 1..=256u64 {
+        recorder.record_span(i, Stage::Predict, recorder.now_ns(), 5, i);
+        recorder.record_mark(i, Stage::ModelSwap, i);
+        ring.push(&Event {
+            trace_id: i,
+            kind: EventKind::Span,
+            stage: Stage::Worker,
+            start_ns: i,
+            dur_ns: 1,
+            value: qpp::obs::pack_tags(3, i),
+        });
+        qpp::obs::set_current_trace(i);
+        assert_eq!(qpp::obs::current_trace(), i);
+        let mut span = qpp::obs::span(Stage::QueueWait);
+        span.set_value(i);
+        drop(span);
+        qpp::obs::record_mark(Stage::Drift, i);
+        counter.incr();
+        counter.add(2);
+        counter.observe_max(i);
+        histogram.record(i);
+    }
+    let events = ALLOC.thread_allocation_events() - before;
+    qpp::obs::set_current_trace(0);
+    assert_eq!(
+        events, 0,
+        "warm obs roots performed {events} heap allocations"
+    );
+    assert_eq!(recorder.events_recorded(), 512);
+    assert_eq!((ring.recorded(), histogram.total()), (256, 256));
+}
+
+/// The serve data plane's roots, warm: tenant resolution, the admission
+/// push (accepted, over quota and queue full), the deficit-round-robin
+/// drain into a reused batch, the per-tenant stats cells, and the
+/// registry lookup a worker makes per batch group.
+#[test]
+fn serve_roots_steady_state_allocate_nothing() {
+    let table = TenantTable::new(vec![
+        TenantSpec::new(TenantId(5), "etl").weight(3),
+        TenantSpec::new(TenantId(6), "adhoc").quota(4),
+    ]);
+    let queue: TenantQueue<u64> = TenantQueue::new(24, &table);
+    let stats = ServiceStats::for_tenants(&table);
+    let train = collect_tpcds(60, 73, &SystemConfig::neoview_4(), 2);
+    let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
+    let registry = ModelRegistry::new();
+    registry.install(
+        key.clone(),
+        KccaPredictor::train(&train, PredictorOptions::default()).unwrap(),
+        OptimizerCostModel::train(&train).unwrap(),
+    );
+
+    let mut batch = Vec::new();
+    let mut version = 0;
+    let mut round = || {
+        // 48 pushes against capacity 24 and a quota of 4 on tenant 6
+        // (unregistered 9 folds into the default): every arm runs.
+        for i in 0..48u64 {
+            let idx = table.resolve(TenantId([5, 6, 9, 6][i as usize % 4]));
+            match queue.try_push(idx, i) {
+                Ok(depth) => {
+                    stats.cell(idx).submitted.incr();
+                    stats.observe_queue_depth(depth);
+                }
+                Err(PushError::QuotaExceeded { .. }) => stats.record_rejected_quota(idx),
+                Err(PushError::Full { .. }) => stats.record_rejected_full(idx),
+                Err(PushError::ShuttingDown) => unreachable!("the queue is never shut down"),
+            }
+        }
+        while queue.try_drain(8, &mut batch) > 0 {
+            stats.record_batch(batch.len());
+            version = registry.get(&key).map_or(0, |entry| entry.version);
+            for &item in &batch {
+                let cell = stats.cell(item as usize % table.len());
+                cell.completed.incr();
+                cell.record_latency(Duration::from_micros(40 + item));
+            }
+        }
+    };
+    // The first round grows the lanes and the batch to working size.
+    round();
+    let before = ALLOC.thread_allocation_events();
+    for _ in 0..32 {
+        round();
+    }
+    let events = ALLOC.thread_allocation_events() - before;
+    assert_eq!(
+        events, 0,
+        "warm serve roots performed {events} heap allocations"
+    );
+
+    let snap = stats.snapshot(queue.len());
+    assert_eq!(version, 1);
+    assert_eq!(
+        snap.completed, snap.submitted,
+        "every accepted push drained"
+    );
+    assert!(snap.rejected_queue_full > 0 && snap.rejected_quota > 0);
+    assert_eq!(snap.max_queue_depth, 24);
 }
