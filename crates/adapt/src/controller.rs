@@ -27,7 +27,7 @@ use parking_lot::{Condvar, Mutex};
 use qpp_core::baselines::OptimizerCostModel;
 use qpp_core::dataset::QueryRecord;
 use qpp_core::predictor::KccaPredictor;
-use qpp_core::retrain::SlidingWindowPredictor;
+use qpp_core::retrain::{SlidingWindowPredictor, MIN_TRAIN_WINDOW};
 use qpp_core::QppError;
 use qpp_obs::{record_mark, span, Counter, Gauge, Stage};
 use qpp_serve::{
@@ -504,18 +504,13 @@ impl AdaptiveController {
         self.stats.retrains.incr();
         // Snapshot the freshest data (the window kept filling while
         // this task waited in the queue).
-        let (dataset, holdout, predictor_options, min_train) = {
+        let (dataset, holdout, predictor_options) = {
             let st = self.state.lock();
             let skip = st.holdout.len().saturating_sub(self.options.shadow_slice);
             let holdout: Vec<QueryRecord> = st.holdout.iter().skip(skip).cloned().collect();
-            (
-                st.window.window_dataset(),
-                holdout,
-                st.window.options(),
-                st.window.min_train(),
-            )
+            (st.window.window_dataset(), holdout, st.window.options())
         };
-        if dataset.len() < min_train || holdout.len() < self.options.min_holdout {
+        if dataset.len() < MIN_TRAIN_WINDOW || holdout.len() < self.options.min_holdout {
             self.back_to_stable(false);
             return AdaptOutcome::InsufficientData {
                 window: dataset.len(),

@@ -18,14 +18,13 @@ use crate::dataset::Dataset;
 use crate::error::{QppError, ResultExt};
 use crate::features::{query_features, FeatureKind};
 use qpp_engine::{PerfMetrics, Plan};
-use qpp_linalg::{LinalgError, Matrix};
-use qpp_ml::MetricRegression;
+use qpp_linalg::{LeastSquares, LinalgError, Matrix};
 use qpp_workload::QuerySpec;
 
 /// Linear-regression baseline over plan features.
 #[derive(Debug, Clone)]
 pub struct RegressionPredictor {
-    model: MetricRegression,
+    model: LeastSquares,
     feature_kind: FeatureKind,
 }
 
@@ -35,7 +34,7 @@ impl RegressionPredictor {
         let x = dataset.feature_matrix(feature_kind);
         let y = dataset.performance_matrix();
         Ok(RegressionPredictor {
-            model: MetricRegression::fit(&x, &y).ctx("fitting ols baseline")?,
+            model: LeastSquares::fit(&x, &y).ctx("fitting ols baseline")?,
             feature_kind,
         })
     }
@@ -86,7 +85,7 @@ impl OptimizerCostModel {
             x[(i, 0)] = r.optimized.plan.optimizer_cost.max(1e-9).ln();
             y[(i, 0)] = r.metrics.elapsed_seconds.max(1e-9).ln();
         }
-        let ls = qpp_linalg::LeastSquares::fit(&x, &y).ctx("fitting cost line")?;
+        let ls = LeastSquares::fit(&x, &y).ctx("fitting cost line")?;
         let coef = ls.coefficients();
         Ok(OptimizerCostModel {
             intercept: coef[(0, 0)],

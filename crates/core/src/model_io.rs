@@ -20,7 +20,12 @@ use std::path::Path;
 /// v3: `Kcca` keeps the `rank x rank` ICD pivot block in place of the
 /// whole `n x rank` factor, and no longer stores the performance-side
 /// kernel.
-pub const FORMAT_VERSION: u32 = 3;
+///
+/// v4: the model keeps what an answer reads. `Kcca` drops the training
+/// performance projection, `KccaPredictor` stores one `targets` matrix
+/// (raw metrics, or `ln(1+x)` under `log_space_average`) in place of
+/// both, and `IvfOptions` is `nlist`/`nprobe` only.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Errors from model (de)serialization.
 #[derive(Debug)]
@@ -163,17 +168,6 @@ pub fn two_step_from_json(json: &str) -> Result<TwoStepPredictor, ModelIoError> 
     Ok(serde_json::from_str(&open(json)?)?)
 }
 
-/// Writes a two-step predictor to a file.
-pub fn save_two_step(model: &TwoStepPredictor, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
-    fs::write(path, two_step_to_json(model)?)?;
-    Ok(())
-}
-
-/// Loads a two-step predictor from a file.
-pub fn load_two_step(path: impl AsRef<Path>) -> Result<TwoStepPredictor, ModelIoError> {
-    two_step_from_json(&fs::read_to_string(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +220,12 @@ mod tests {
         let json = to_json(&m).unwrap();
         assert!(json.contains(&format!("\"format_version\":{FORMAT_VERSION}")));
         assert!(json.contains("fnv1a64:"));
+        // v4 ships what an answer reads: one targets matrix, no
+        // performance projection.
+        assert!(json.contains("targets"));
+        for gone in ["y_projection", "raw_performance", "log_performance"] {
+            assert!(!json.contains(gone), "{gone} is still serialized");
+        }
     }
 
     #[test]
@@ -233,8 +233,8 @@ mod tests {
         let (m, _) = model();
         let json = to_json(&m).unwrap();
         let current = format!("\"format_version\":{FORMAT_VERSION}");
-        // A future version, and the v2 envelope this build superseded.
-        for version in [99, 2] {
+        // A future version, and the v3 envelope this build superseded.
+        for version in [99, 3] {
             let other = json.replace(&current, &format!("\"format_version\":{version}"));
             match from_json(&other) {
                 Err(ModelIoError::UnsupportedVersion { found, supported }) => {

@@ -2,8 +2,8 @@
 //!
 //! Training: extract query-feature and performance-feature vectors for
 //! every executed training query, fit KCCA, and keep the training
-//! points' coordinates in the query projection alongside their *raw*
-//! measured metrics.
+//! points' coordinates in the query projection alongside their measured
+//! metrics.
 //!
 //! Prediction: project the new query's feature vector into the query
 //! projection, find its k nearest training neighbors there, and
@@ -13,7 +13,7 @@
 
 use crate::dataset::Dataset;
 use crate::error::{QppError, ResultExt};
-use crate::features::{feature_dim, query_features_to, FeatureKind};
+use crate::features::{feature_dim, performance_to_kernel_space, query_features_to, FeatureKind};
 use qpp_engine::{PerfMetrics, Plan};
 use qpp_linalg::{stats::Standardizer, vector, LinalgError, Matrix, MatrixView};
 use qpp_ml::{
@@ -191,11 +191,10 @@ pub struct KccaPredictor {
     scaler: Standardizer,
     kcca: Kcca,
     index: AnnIndex,
-    /// Raw measured metrics of training queries (row-aligned with the
-    /// query projection).
-    raw_performance: Matrix,
-    /// `ln(1+x)` metrics for geometric combination.
-    log_performance: Matrix,
+    /// What the neighbors' rows are averaged from, row-aligned with the
+    /// query projection: the raw measured metrics, or their `ln(1+x)`
+    /// when `options.log_space_average` combines geometrically.
+    targets: Matrix,
 }
 
 /// Per-thread reusable buffers for the predict path. One instance per
@@ -219,24 +218,55 @@ thread_local! {
 }
 
 impl KccaPredictor {
-    /// Trains on every record of `dataset`.
+    /// Trains on every record of `dataset`: [`KccaPredictor::fit`] on
+    /// its `options.feature_kind` feature matrix and its raw performance
+    /// matrix.
+    pub fn train(dataset: &Dataset, options: PredictorOptions) -> Result<Self, QppError> {
+        KccaPredictor::fit(
+            &dataset.feature_matrix(options.feature_kind),
+            dataset.performance_matrix(),
+            options,
+        )
+    }
+
+    /// Fits on paired rows: one raw feature vector and the six measured
+    /// metrics (raw, non-negative) per training point. Another system
+    /// changes only what the rows hold (paper §VIII) and answers through
+    /// [`KccaPredictor::predict_features`].
     ///
     /// Each pipeline stage records a `qpp_obs` span (standardize,
     /// kernel fit, ICD, eigensolve, kNN build), so
     /// `qpp_obs::recorder().stage_summary()` gives a per-stage training
     /// breakdown. All wall-clock reads live inside qpp-obs; this crate
     /// stays free of `Instant` (its `clippy.toml` disallows the type).
-    pub fn train(dataset: &Dataset, options: PredictorOptions) -> Result<Self, QppError> {
+    pub fn fit(
+        features: &Matrix,
+        performance: Matrix,
+        options: PredictorOptions,
+    ) -> Result<Self, QppError> {
+        // `Prediction::metrics` has six slots; another width would fit
+        // and then panic on every answer.
+        if performance.cols() != PerfMetrics::DIM {
+            return Err(LinalgError::ShapeMismatch {
+                op: "fit performance",
+                lhs: (features.rows(), PerfMetrics::DIM),
+                rhs: performance.shape(),
+            }
+            .into());
+        }
         let mut total = qpp_obs::span(qpp_obs::Stage::TrainTotal);
-        total.set_value(dataset.records.len() as u64);
-        let x_raw = dataset.feature_matrix(options.feature_kind);
+        total.set_value(features.rows() as u64);
         let (scaler, x) = {
             let _s = qpp_obs::span(qpp_obs::Stage::TrainStandardize);
-            let scaler = Standardizer::fit(&x_raw);
-            let x = scaler.transform(&x_raw);
+            let scaler = Standardizer::fit(features);
+            let x = scaler.transform(features);
             (scaler, x)
         };
-        let y = dataset.kernel_performance_matrix();
+        let mut y = Matrix::zeros(performance.rows(), performance.cols());
+        for (i, row) in performance.row_iter().enumerate() {
+            y.row_mut(i)
+                .copy_from_slice(&performance_to_kernel_space(row));
+        }
         let kcca = Kcca::fit(x.view(), y.view(), options.kcca).ctx("fitting kcca")?;
         let index = {
             let _s = qpp_obs::span(qpp_obs::Stage::TrainKnnBuild);
@@ -252,8 +282,11 @@ impl KccaPredictor {
             scaler,
             kcca,
             index,
-            raw_performance: dataset.performance_matrix(),
-            log_performance: y,
+            targets: if options.log_space_average {
+                y
+            } else {
+                performance
+            },
         })
     }
 
@@ -264,7 +297,7 @@ impl KccaPredictor {
 
     /// Number of training queries.
     pub fn training_size(&self) -> usize {
-        self.raw_performance.rows()
+        self.targets.rows()
     }
 
     /// Canonical correlations achieved during training.
@@ -335,17 +368,12 @@ impl KccaPredictor {
         }
         .ctx("projecting query features")?;
 
-        let targets = if self.options.log_space_average {
-            &self.log_performance
-        } else {
-            &self.raw_performance
-        };
         let mut knn_span = qpp_obs::span(qpp_obs::Stage::PredictKnn);
         knn_span.set_value(self.options.neighbors as u64);
         self.index
             .predict_into(
                 &scratch.projected,
-                targets,
+                &self.targets,
                 self.options.neighbors,
                 self.options.weighting,
                 &mut scratch.knn,
@@ -484,6 +512,33 @@ mod tests {
             assert_eq!(p.neighbor_indices.len(), 3);
             assert!(p.confidence_distance.is_finite());
         }
+    }
+
+    #[test]
+    fn fit_on_a_datasets_own_matrices_is_train() {
+        let train = dataset(120, 1);
+        for log_space_average in [false, true] {
+            let options = PredictorOptions {
+                log_space_average,
+                ..PredictorOptions::default()
+            };
+            let trained = KccaPredictor::train(&train, options).unwrap();
+            let fitted = KccaPredictor::fit(
+                &train.feature_matrix(options.feature_kind),
+                train.performance_matrix(),
+                options,
+            )
+            .unwrap();
+            // The serialized model is every bit a prediction can read.
+            assert_eq!(
+                serde_json::to_string(&fitted).unwrap(),
+                serde_json::to_string(&trained).unwrap()
+            );
+        }
+        // Five metrics per row cannot fill a `Prediction`: typed, at fit.
+        let x = train.feature_matrix(FeatureKind::QueryPlan);
+        let narrow = KccaPredictor::fit(&x, Matrix::zeros(120, 5), PredictorOptions::default());
+        assert!(matches!(narrow, Err(QppError::Linalg { .. })), "{narrow:?}");
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub struct SlidingWindowPredictor {
     capacity: usize,
     refresh_every: usize,
     seen_since_refresh: usize,
-    min_train: usize,
     options: PredictorOptions,
     model: Option<KccaPredictor>,
     /// Dataset template (config + schema) for rebuilding.
@@ -57,31 +56,24 @@ impl SlidingWindowPredictor {
             capacity,
             refresh_every,
             seen_since_refresh: 0,
-            min_train: MIN_TRAIN_WINDOW,
             options,
             model: None,
             template,
         }
     }
 
-    /// Overrides the minimum window size required before any retrain
-    /// (clamped to at least [`MIN_TRAIN_WINDOW`], at most `capacity`).
-    pub fn with_min_train(mut self, min_train: usize) -> Self {
-        self.min_train = min_train.clamp(MIN_TRAIN_WINDOW, self.capacity);
-        self
-    }
-
     /// Observes one newly executed query; retrains when due. Returns
     /// true when a retrain happened.
     ///
     /// Retraining is deferred until the window holds at least
-    /// `min_train` records: a fresh window seeded with too few records
-    /// (or none) used to retrain on the very first observation because
-    /// `model.is_none()`, handing KCCA a training set it cannot fit.
+    /// [`MIN_TRAIN_WINDOW`] records: a fresh window seeded with too few
+    /// records (or none) used to retrain on the very first observation
+    /// because `model.is_none()`, handing KCCA a training set it cannot
+    /// fit.
     pub fn observe(&mut self, record: QueryRecord) -> Result<bool, QppError> {
         self.push(record);
         self.seen_since_refresh += 1;
-        if self.window.len() < self.min_train {
+        if self.window.len() < MIN_TRAIN_WINDOW {
             return Ok(false);
         }
         if self.model.is_none() || self.seen_since_refresh >= self.refresh_every {
@@ -118,11 +110,6 @@ impl SlidingWindowPredictor {
             schema: self.template.schema.clone(),
             records: self.window.iter().cloned().collect(),
         }
-    }
-
-    /// Minimum window size required before a retrain is attempted.
-    pub fn min_train(&self) -> usize {
-        self.min_train
     }
 
     /// The predictor options a retrain would train with.

@@ -81,11 +81,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Consumes the decomposition, returning `L`.
-    pub fn into_l(self) -> Matrix {
-        self.l
-    }
-
     /// Solves `A x = b` via forward + back substitution.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let y = self.forward_substitute(b)?;

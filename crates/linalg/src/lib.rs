@@ -57,5 +57,5 @@ pub use geneig::GeneralizedEigen;
 pub use icd::{IcdOptions, IncompleteCholesky, PivotBlock};
 pub use matrix::Matrix;
 pub use qr::{LeastSquares, QrDecomposition};
-pub use svd::{truncated_svd, SvdOptions, TruncatedSvd};
+pub use svd::{truncated_svd, TruncatedSvd};
 pub use view::{MatrixView, MatrixViewMut};

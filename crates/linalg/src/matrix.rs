@@ -379,11 +379,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        crate::vector::sum_iter(self.data.iter().map(|v| v * v)).sqrt()
-    }
-
     /// Largest absolute entry.
     pub fn max_abs(&self) -> f64 {
         crate::vector::max_iter(0.0, self.data.iter().map(|v| v.abs()))

@@ -61,13 +61,6 @@ impl Standardizer {
         Standardizer { means, stds }
     }
 
-    /// Standardizes one row vector.
-    pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(row.len());
-        self.transform_row_into(row, &mut out);
-        out
-    }
-
     /// Standardizes one row into a reusable buffer. After warmup the
     /// buffer's capacity is retained, so steady-state calls allocate
     /// nothing.

@@ -15,7 +15,7 @@
 //! 3. Stop when the top-`k` Ritz values of `MᵀM` are stationary to a
 //!    relative tolerance — or when the iteration provably stagnates
 //!    below a documented accuracy cap (near-degenerate clusters
-//!    converge with ratio ≈ 1; see [`SvdOptions::stagnation_patience`])
+//!    converge with ratio ≈ 1; see `STAGNATION_PATIENCE`)
 //!    — then Rayleigh–Ritz: eigendecompose the small `b x b`
 //!    projection to rotate the block onto singular vectors. Stagnating
 //!    *above* the cap, or exhausting the budget, is a hard error.
@@ -33,56 +33,42 @@ use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::qr::QrDecomposition;
 
-/// Options for [`truncated_svd`].
-#[derive(Debug, Clone, Copy)]
-pub struct SvdOptions {
-    /// Extra subspace columns beyond the requested `k` (oversampling
-    /// accelerates convergence of the trailing requested triplets).
-    pub oversample: usize,
-    /// Hard cap on power iterations before the solve is declared
-    /// failed (the fixed part of the schedule).
-    pub max_iterations: usize,
-    /// Stationarity tolerance on the top-`k` Ritz values of `MᵀM`
-    /// (i.e. σ², not σ), relative to the dominant one (the convergence
-    /// part of the schedule). Comparing the *squared* values is what
-    /// makes a single fixed default safe: symmetric eigenvalue
-    /// perturbation is absolute (Weyl), so the rounding jitter of
-    /// every Ritz value of `MᵀM` is a few ULPs of `λ₁` regardless of
-    /// how ill-conditioned the kept block is — whereas deltas of σ
-    /// itself jitter like `eps · σ₁/σₖ` and stall above any fixed
-    /// tolerance once the spread is wide.
-    pub ritz_tolerance: f64,
-    /// Consecutive iterations without the delta improving on its best
-    /// value by at least 2% (cumulatively) before the iteration is
-    /// declared stagnant. The window is wide and the threshold low on
-    /// purpose: genuinely slow convergence (per-step ratio 0.999)
-    /// still clears 2% every ~20 iterations and is left to run, while
-    /// a true plateau oscillates with no systematic decay and cannot.
-    /// Plateaus happen on near-degenerate trailing clusters (kept
-    /// values tying with the oversampling buffer converge with ratio
-    /// ≈ 1): the delta sits far above `ritz_tolerance` without the
-    /// values being wrong — they are trapped inside the cluster,
-    /// within its width of the truth.
-    pub stagnation_patience: usize,
-    /// Hard accuracy cap for stagnation acceptance, relative to the
-    /// dominant Ritz value. A plateaued iteration is accepted only if
-    /// its delta is below this bound; stagnating above it is a
-    /// [`LinalgError::NoConvergence`] error with the achieved delta in
-    /// the payload — never a silent return.
-    pub stagnation_tolerance: f64,
-}
+/// Extra subspace columns beyond the requested `k` (oversampling
+/// accelerates convergence of the trailing requested triplets).
+const OVERSAMPLE: usize = 8;
 
-impl Default for SvdOptions {
-    fn default() -> Self {
-        SvdOptions {
-            oversample: 8,
-            max_iterations: 512,
-            ritz_tolerance: 1e-13,
-            stagnation_patience: 64,
-            stagnation_tolerance: 1e-8,
-        }
-    }
-}
+/// Hard cap on power iterations before the solve is declared failed
+/// (the fixed part of the schedule).
+const MAX_ITERATIONS: usize = 512;
+
+/// Stationarity tolerance on the top-`k` Ritz values of `MᵀM` (i.e. σ²,
+/// not σ), relative to the dominant one (the convergence part of the
+/// schedule). Comparing the *squared* values is what makes a single
+/// fixed value safe: symmetric eigenvalue perturbation is absolute
+/// (Weyl), so the rounding jitter of every Ritz value of `MᵀM` is a few
+/// ULPs of `λ₁` regardless of how ill-conditioned the kept block is —
+/// whereas deltas of σ itself jitter like `eps · σ₁/σₖ` and stall above
+/// any fixed tolerance once the spread is wide.
+const RITZ_TOLERANCE: f64 = 1e-13;
+
+/// Consecutive iterations without the delta improving on its best value
+/// by at least 2% (cumulatively) before the iteration is declared
+/// stagnant. The window is wide and the threshold low on purpose:
+/// genuinely slow convergence (per-step ratio 0.999) still clears 2%
+/// every ~20 iterations and is left to run, while a true plateau
+/// oscillates with no systematic decay and cannot. Plateaus happen on
+/// near-degenerate trailing clusters (kept values tying with the
+/// oversampling buffer converge with ratio ≈ 1): the delta sits far
+/// above [`RITZ_TOLERANCE`] without the values being wrong — they are
+/// trapped inside the cluster, within its width of the truth.
+const STAGNATION_PATIENCE: usize = 64;
+
+/// Hard accuracy cap for stagnation acceptance, relative to the dominant
+/// Ritz value. A plateaued iteration is accepted only if its delta is
+/// below this bound; stagnating above it is a
+/// [`LinalgError::NoConvergence`] error with the achieved delta in the
+/// payload — never a silent return.
+const STAGNATION_TOLERANCE: f64 = 1e-8;
 
 /// The top-`k` singular triplets of a dense matrix.
 #[derive(Debug, Clone)]
@@ -105,9 +91,14 @@ pub struct TruncatedSvd {
 ///
 /// `k` is capped at `min(p, q)`. Fails with
 /// [`LinalgError::NoConvergence`] if the Ritz values are still moving
-/// after `max_iterations` power steps, and with
+/// after `MAX_ITERATIONS` power steps, and with
 /// [`LinalgError::NonFinite`] if the input contains NaN or infinity.
-pub fn truncated_svd(m: &Matrix, k: usize, opts: SvdOptions) -> Result<TruncatedSvd> {
+pub fn truncated_svd(m: &Matrix, k: usize) -> Result<TruncatedSvd> {
+    subspace_iteration(m, k, MAX_ITERATIONS)
+}
+
+/// [`truncated_svd`] under an explicit power-iteration budget.
+fn subspace_iteration(m: &Matrix, k: usize, max_iterations: usize) -> Result<TruncatedSvd> {
     let (p, q) = m.shape();
     if p == 0 || q == 0 || k == 0 {
         return Err(LinalgError::Empty("truncated svd"));
@@ -121,7 +112,7 @@ pub fn truncated_svd(m: &Matrix, k: usize, opts: SvdOptions) -> Result<Truncated
     // of Mᵀ, so a wide matrix is handled by factoring the transpose and
     // swapping U and V.
     if q > p {
-        let t = truncated_svd(&m.transpose(), k, opts)?;
+        let t = subspace_iteration(&m.transpose(), k, max_iterations)?;
         return Ok(TruncatedSvd {
             singular_values: t.singular_values,
             u: t.v,
@@ -130,7 +121,7 @@ pub fn truncated_svd(m: &Matrix, k: usize, opts: SvdOptions) -> Result<Truncated
         });
     }
     let k = k.min(q);
-    let b = (k + opts.oversample).min(q);
+    let b = (k + OVERSAMPLE).min(q);
 
     // Fixed pseudorandom start: Ω (p x b) from a seeded splitmix64
     // stream, pushed through Mᵀ so V₀ already lies in the row space.
@@ -147,7 +138,7 @@ pub fn truncated_svd(m: &Matrix, k: usize, opts: SvdOptions) -> Result<Truncated
     let mut best_delta = f64::INFINITY;
     let mut since_improved = 0usize;
     let mut converged = false;
-    while iterations < opts.max_iterations {
+    while iterations < max_iterations {
         iterations += 1;
         // One power step on MᵀM with a Rayleigh quotient read mid-step:
         // T = Vᵀ (MᵀM V) is the b x b projection whose eigenvalues are
@@ -163,7 +154,7 @@ pub fn truncated_svd(m: &Matrix, k: usize, opts: SvdOptions) -> Result<Truncated
                     .zip(prev.iter())
                     .map(|(a, b)| (a - b).abs() / scale),
             );
-            if last_delta <= opts.ritz_tolerance {
+            if last_delta <= RITZ_TOLERANCE {
                 converged = true;
                 break;
             }
@@ -177,8 +168,8 @@ pub fn truncated_svd(m: &Matrix, k: usize, opts: SvdOptions) -> Result<Truncated
                 since_improved = 0;
             } else {
                 since_improved += 1;
-                if since_improved >= opts.stagnation_patience {
-                    if last_delta <= opts.stagnation_tolerance {
+                if since_improved >= STAGNATION_PATIENCE {
+                    if last_delta <= STAGNATION_TOLERANCE {
                         converged = true;
                         break;
                     }
@@ -186,7 +177,7 @@ pub fn truncated_svd(m: &Matrix, k: usize, opts: SvdOptions) -> Result<Truncated
                         algorithm: "subspace iteration (stagnated)",
                         iterations,
                         residual: last_delta,
-                        tolerance: opts.stagnation_tolerance,
+                        tolerance: STAGNATION_TOLERANCE,
                     });
                 }
             }
@@ -197,12 +188,12 @@ pub fn truncated_svd(m: &Matrix, k: usize, opts: SvdOptions) -> Result<Truncated
     // Budget exhaustion uses the same explicit accuracy cap as
     // stagnation: accept if the values are moving less than the cap
     // per step, error with full diagnostics otherwise.
-    if !converged && last_delta > opts.stagnation_tolerance {
+    if !converged && last_delta > STAGNATION_TOLERANCE {
         return Err(LinalgError::NoConvergence {
             algorithm: "subspace iteration",
             iterations,
             residual: last_delta,
-            tolerance: opts.stagnation_tolerance,
+            tolerance: STAGNATION_TOLERANCE,
         });
     }
 
@@ -260,7 +251,7 @@ fn orthonormalize(y: &Matrix) -> Result<Matrix> {
 /// Top-`k` Ritz values of `MᵀM` (projected eigenvalues clamped at 0 —
 /// deliberately NOT square-rooted: stationarity is judged on λ = σ²,
 /// where the rounding floor is condition-independent; see
-/// [`SvdOptions::ritz_tolerance`]).
+/// [`RITZ_TOLERANCE`]).
 fn ritz_values(t: &Matrix, k: usize) -> Result<Vec<f64>> {
     let eig = crate::eigen::SymmetricEigen::new(t)?;
     Ok(eig.values.iter().take(k).map(|l| l.max(0.0)).collect())
@@ -306,7 +297,7 @@ mod tests {
         m[(0, 0)] = 3.0;
         m[(1, 1)] = 5.0;
         m[(2, 2)] = 1.0;
-        let svd = truncated_svd(&m, 2, SvdOptions::default()).unwrap();
+        let svd = truncated_svd(&m, 2).unwrap();
         assert!((svd.singular_values[0] - 5.0).abs() < 1e-10);
         assert!((svd.singular_values[1] - 3.0).abs() < 1e-10);
     }
@@ -319,7 +310,7 @@ mod tests {
             vec![1., 2., 0.5, -1., 0.3, 2., 0.7, -0.2, 1.1, 2.2, 0.4, -0.9],
         )
         .unwrap();
-        let svd = truncated_svd(&m, 3, SvdOptions::default()).unwrap();
+        let svd = truncated_svd(&m, 3).unwrap();
         let eig = crate::eigen::SymmetricEigen::new(&m.gram()).unwrap();
         for (s, l) in svd.singular_values.iter().zip(eig.values.iter()) {
             assert!((s * s - l).abs() < 1e-9, "σ²={} vs λ={}", s * s, l);
@@ -337,7 +328,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let svd = truncated_svd(&m, 3, SvdOptions::default()).unwrap();
+        let svd = truncated_svd(&m, 3).unwrap();
         for j in 0..3 {
             let vj = svd.v.col(j);
             let uj = svd.u.col(j);
@@ -355,7 +346,7 @@ mod tests {
     #[test]
     fn wide_matrix_via_transpose() {
         let m = Matrix::from_vec(2, 4, vec![1., 0., 2., 0.5, 0., 3., -1., 0.2]).unwrap();
-        let svd = truncated_svd(&m, 2, SvdOptions::default()).unwrap();
+        let svd = truncated_svd(&m, 2).unwrap();
         assert_eq!(svd.u.shape(), (2, 2));
         assert_eq!(svd.v.shape(), (4, 2));
         let eig = crate::eigen::SymmetricEigen::new(&m.transpose().gram()).unwrap();
@@ -369,7 +360,7 @@ mod tests {
         // Rank-1 matrix: second singular value is 0 and its left vector
         // is pinned to zero rather than NaN.
         let m = Matrix::from_fn(4, 3, |i, j| (i + 1) as f64 * (j + 1) as f64);
-        let svd = truncated_svd(&m, 2, SvdOptions::default()).unwrap();
+        let svd = truncated_svd(&m, 2).unwrap();
         assert!(svd.singular_values[0] > 1.0);
         assert!(svd.singular_values[1].abs() < 1e-8);
         assert!(svd.u.col(1).iter().all(|x| x.is_finite()));
@@ -379,8 +370,8 @@ mod tests {
     #[test]
     fn sign_convention_is_fixed() {
         let m = Matrix::from_vec(3, 2, vec![2., 0.4, 0.1, 1.5, -0.3, 0.9]).unwrap();
-        let a = truncated_svd(&m, 2, SvdOptions::default()).unwrap();
-        let b = truncated_svd(&m, 2, SvdOptions::default()).unwrap();
+        let a = truncated_svd(&m, 2).unwrap();
+        let b = truncated_svd(&m, 2).unwrap();
         for j in 0..2 {
             let vj = a.v.col(j);
             let mut pivot = 0;
@@ -397,12 +388,12 @@ mod tests {
 
     #[test]
     fn rejects_empty_and_non_finite() {
-        assert!(truncated_svd(&Matrix::zeros(0, 3), 1, SvdOptions::default()).is_err());
-        assert!(truncated_svd(&Matrix::zeros(3, 3), 0, SvdOptions::default()).is_err());
+        assert!(truncated_svd(&Matrix::zeros(0, 3), 1).is_err());
+        assert!(truncated_svd(&Matrix::zeros(3, 3), 0).is_err());
         let mut m = Matrix::zeros(2, 2);
         m[(0, 1)] = f64::NAN;
         assert!(matches!(
-            truncated_svd(&m, 1, SvdOptions::default()),
+            truncated_svd(&m, 1),
             Err(LinalgError::NonFinite { .. })
         ));
     }
@@ -410,12 +401,9 @@ mod tests {
     #[test]
     fn exhausted_budget_errors_with_diagnostics() {
         let m = Matrix::from_vec(3, 2, vec![1., 0.5, 0.2, 2., 0.7, 0.1]).unwrap();
-        let opts = SvdOptions {
-            max_iterations: 1, // cannot even compare two Ritz snapshots
-            ..SvdOptions::default()
-        };
+        // One iteration cannot even compare two Ritz snapshots.
         assert!(matches!(
-            truncated_svd(&m, 1, opts),
+            subspace_iteration(&m, 1, 1),
             Err(LinalgError::NoConvergence { .. })
         ));
     }

@@ -1,13 +1,12 @@
-//! KCCA-based job performance prediction — the same machinery as the
-//! database predictor, with only the feature vectors swapped, proving
-//! the paper's §VIII claim.
+//! KCCA-based job performance prediction — the database predictor
+//! itself ([`KccaPredictor`]), with only the feature vectors swapped,
+//! proving the paper's §VIII claim.
 
 use crate::cluster::{run, ClusterConfig};
 use crate::job::{JobOutcome, JobSpec};
-use qpp_core::error::{QppError, ResultExt};
-use qpp_linalg::stats::Standardizer;
-use qpp_linalg::{vector, LinalgError, Matrix};
-use qpp_ml::{DistanceMetric, Kcca, KccaOptions, NearestNeighbors, NeighborWeighting};
+use qpp_core::error::QppError;
+use qpp_core::{KccaPredictor, PredictorOptions};
+use qpp_linalg::{LinalgError, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// A prediction for one job.
@@ -17,20 +16,20 @@ pub struct JobPrediction {
     pub outcome: JobOutcome,
     /// Mean neighbor distance (confidence; small = trustworthy).
     pub confidence_distance: f64,
+    /// Largest kernel similarity to any training pivot, in `(0, 1]`;
+    /// near zero means the job is unlike everything trained on.
+    pub max_kernel_similarity: f64,
 }
 
 /// KCCA predictor over MapReduce jobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobPredictor {
-    scaler: Standardizer,
-    kcca: Kcca,
-    neighbors: NearestNeighbors,
-    raw_outcomes: Matrix,
-    k: usize,
+    model: KccaPredictor,
 }
 
 impl JobPredictor {
-    /// Runs `jobs` on `cluster` (calibration) and trains the model.
+    /// Runs `jobs` on `cluster` (calibration) and trains the model, `k`
+    /// neighbors per prediction.
     pub fn train(
         jobs: &[JobSpec],
         cluster: &ClusterConfig,
@@ -40,67 +39,37 @@ impl JobPredictor {
             return Err(LinalgError::Empty("job training set").into());
         }
         let outcomes: Vec<JobOutcome> = jobs.iter().map(|j| run(j, cluster)).collect();
-        // Assemble all three training matrices directly into contiguous
-        // storage — no per-row vectors at the boundary.
-        let x_dim = jobs[0].features().len();
-        let mut x_raw = Matrix::zeros(jobs.len(), x_dim);
-        for (i, j) in jobs.iter().enumerate() {
-            x_raw.row_mut(i).copy_from_slice(&j.features());
+        let mut features = Matrix::zeros(jobs.len(), JobSpec::FEATURE_DIM);
+        let mut performance = Matrix::zeros(jobs.len(), JobOutcome::DIM);
+        for (i, (job, outcome)) in jobs.iter().zip(&outcomes).enumerate() {
+            features.row_mut(i).copy_from_slice(&job.features());
+            performance.row_mut(i).copy_from_slice(&outcome.to_vec());
         }
-        let scaler = Standardizer::fit(&x_raw);
-        let x = scaler.transform(&x_raw);
-        let y_dim = outcomes[0].to_vec().len();
-        let mut y = Matrix::zeros(outcomes.len(), y_dim);
-        let mut raw_outcomes = Matrix::zeros(outcomes.len(), y_dim);
-        for (i, o) in outcomes.iter().enumerate() {
-            let raw = o.to_vec();
-            raw_outcomes.row_mut(i).copy_from_slice(&raw);
-            for (dst, v) in y.row_mut(i).iter_mut().zip(raw.iter()) {
-                *dst = (1.0 + v).ln();
-            }
-        }
-        let kcca = Kcca::fit(x.view(), y.view(), KccaOptions::default()).ctx("fitting job kcca")?;
-        let neighbors =
-            NearestNeighbors::new(kcca.query_projection().clone(), DistanceMetric::Euclidean);
-        let model = JobPredictor {
-            scaler,
-            kcca,
-            neighbors,
-            raw_outcomes,
-            k,
+        let options = PredictorOptions {
+            neighbors: k,
+            ..PredictorOptions::default()
         };
-        Ok((model, outcomes))
+        let model = KccaPredictor::fit(&features, performance, options)?;
+        Ok((JobPredictor { model }, outcomes))
     }
 
     /// Predicts a job's outcome from its spec alone.
     pub fn predict(&self, job: &JobSpec) -> Result<JobPrediction, QppError> {
-        let scaled = self.scaler.transform_row(&job.features());
-        let (projected, _) = self
-            .kcca
-            .project_query_with_similarity(&scaled)
-            .ctx("projecting job features")?;
-        let (combined, found) = self
-            .neighbors
-            .predict(
-                &projected,
-                &self.raw_outcomes,
-                self.k,
-                NeighborWeighting::Equal,
-            )
-            .ctx("combining job neighbors")?;
-        // `predict` never returns an empty neighbor list on success.
-        let confidence_distance =
-            vector::sum_iter(found.iter().map(|n| n.distance)) / found.len() as f64;
+        let p = self.model.predict_features(&job.features())?;
+        // The model's six metric slots hold the outcome vector in
+        // `JobOutcome::to_vec` order.
+        let m = p.metrics.to_vec();
         Ok(JobPrediction {
             outcome: JobOutcome {
-                elapsed_seconds: combined[0],
-                map_output_records: combined[1],
-                shuffle_bytes: combined[2],
-                reduce_input_records: combined[3],
-                hdfs_bytes_read: combined[4],
-                spilled_records: combined[5],
+                elapsed_seconds: m[0],
+                map_output_records: m[1],
+                shuffle_bytes: m[2],
+                reduce_input_records: m[3],
+                hdfs_bytes_read: m[4],
+                spilled_records: m[5],
             },
-            confidence_distance,
+            confidence_distance: p.confidence_distance,
+            max_kernel_similarity: p.max_kernel_similarity,
         })
     }
 }

@@ -17,10 +17,10 @@
 //! * row-to-list assignment is a pure per-row function of the frozen
 //!   centroids, fanned out with [`qpp_par::parallel_for_chunks`] and
 //!   merged in chunk order — thread-count invariant;
-//! * inverted lists store row ids in ascending order, each probed list
-//!   is rescanned with the same finite-filtered `push_top_k` selection
-//!   the brute scan uses, and lists merge by `(distance, index)` —
-//!   identical tie-breaking to the serial scan.
+//! * every row of every probed list is offered to the one top-k buffer
+//!   through the `(distance, index)`-ordered, finite-filtered
+//!   `push_top_k` the brute scan uses, so ties break as in the serial
+//!   scan whichever list a row sits in.
 //!
 //! The rescan is *exact* over the probed cells, so whenever those cells
 //! cover the true top-k (always, when `nprobe == nlist`), results are
@@ -37,8 +37,8 @@
 
 use crate::kmeans::KMeans;
 use crate::knn::{
-    merge_top_k_into, predict_with, push_top_k, DistanceMetric, KnnError, KnnScratch,
-    NearestNeighbors, Neighbor, NeighborWeighting,
+    predict_with, push_top_k, DistanceMetric, KnnError, KnnScratch, NearestNeighbors, Neighbor,
+    NeighborWeighting,
 };
 use qpp_linalg::Matrix;
 use serde::{Deserialize, Serialize};
@@ -57,6 +57,20 @@ const TARGET_LIST_LEN: usize = 128;
 /// itself would start to dominate.
 const MAX_NLIST: usize = 4096;
 
+/// Seed for the k-means coarse quantizer — fixes the partition, and with
+/// it every query result, bitwise.
+const QUANTIZER_SEED: u64 = 0x1CDE_2009;
+
+/// Lloyd iterations for the quantizer. The partition only has to be
+/// balanced, not converged; a handful of rounds is plenty.
+const QUANTIZER_ITERS: usize = 5;
+
+/// Quantizer training-sample cap: the k-means runs on an
+/// every-`stride`-th-row sample of at most this many rows (never fewer
+/// than `nlist`), then all rows are assigned in one parallel pass. Keeps
+/// build time bounded for million-row references.
+const TRAIN_SAMPLE_CAP: usize = 32_768;
+
 /// Build-time options for [`IvfIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IvfOptions {
@@ -66,18 +80,6 @@ pub struct IvfOptions {
     /// Probed cells per query; clamped to `[1, nlist]` at build time.
     /// `nprobe == nlist` makes the index exact.
     pub nprobe: usize,
-    /// Seed for the k-means coarse quantizer — fixes the partition, and
-    /// with it every query result, bitwise. Keep within `2^53` so the
-    /// value survives the JSON number round-trip exactly.
-    pub seed: u64,
-    /// Lloyd iterations for the quantizer. The partition only has to be
-    /// balanced, not converged; a handful of rounds is plenty.
-    pub max_iters: usize,
-    /// Quantizer training-sample cap: the k-means runs on an
-    /// every-`stride`-th-row sample of at most this many rows (never
-    /// fewer than `nlist`), then all rows are assigned in one parallel
-    /// pass. Keeps build time bounded for million-row references.
-    pub train_sample_cap: usize,
 }
 
 impl Default for IvfOptions {
@@ -85,9 +87,6 @@ impl Default for IvfOptions {
         IvfOptions {
             nlist: 0,
             nprobe: 8,
-            seed: 0x1CDE_2009,
-            max_iters: 5,
-            train_sample_cap: 32_768,
         }
     }
 }
@@ -138,11 +137,11 @@ impl IvfIndex {
 
         // Deterministic stride sample for the quantizer; assignment
         // below still covers every row.
-        let sample_len = options.train_sample_cap.max(nlist).min(n);
+        let sample_len = TRAIN_SAMPLE_CAP.max(nlist).min(n);
         let stride = n / sample_len;
         let sample_ids: Vec<usize> = (0..sample_len).map(|i| i * stride).collect();
         let sample = reference.select_rows(&sample_ids);
-        let km = KMeans::fit(&sample, nlist, options.seed, options.max_iters)?;
+        let km = KMeans::fit(&sample, nlist, QUANTIZER_SEED, QUANTIZER_ITERS)?;
         let centroids = km.centroids;
 
         // Per-row assignment is a pure function of the frozen centroids,
@@ -167,7 +166,7 @@ impl IvfIndex {
         });
 
         // CSR layout: count, prefix-sum, then place ids in ascending row
-        // order so each list inherits the scan's tie-break order.
+        // order within each list.
         let mut offsets = vec![0usize; nlist + 1];
         for cells in &assign_chunks {
             for &c in cells {
@@ -247,9 +246,8 @@ impl IvfIndex {
         scratch.neighbors
     }
 
-    /// Probe + rescan + merge, writing neighbors into
-    /// `scratch.neighbors`. With warm scratch buffers (the per-list pool
-    /// is grow-only) this performs no heap allocation.
+    /// Probe + rescan, writing neighbors into `scratch.neighbors`. With
+    /// warm scratch buffers this performs no heap allocation.
     ///
     /// A probe at a non-finite distance from every centroid (e.g. a NaN
     /// component) probes nothing and yields no neighbors — the same
@@ -257,40 +255,24 @@ impl IvfIndex {
     // qpp-lint: hot-path
     pub fn query_into(&self, probe: &[f64], k: usize, scratch: &mut KnnScratch) {
         let KnnScratch {
-            neighbors,
-            probed,
-            lists,
-            heads,
-            ..
+            neighbors, probed, ..
         } = scratch;
         neighbors.clear();
-        let k = k.min(self.packed.rows());
-        if k == 0 {
-            return;
-        }
         // 1. Coarse probe: top-nprobe centroids by (distance, index).
         probed.clear();
         for c in 0..self.centroids.rows() {
             let d = self.metric.distance(probe, self.centroids.row(c));
             push_top_k(probed, self.nprobe, c, d);
         }
-        // 2. Exact rescan of each probed list into its own top-k buffer
-        //    — a sequential sweep over that list's packed strip,
-        //    reporting original row ids (ascending within the list, so
-        //    tie-breaks match the serial scan).
-        if lists.len() < probed.len() {
-            lists.resize_with(probed.len(), Default::default);
-        }
-        for (li, pc) in probed.iter().enumerate() {
-            let list = &mut lists[li];
-            list.clear();
+        // 2. Exact rescan: a sequential sweep over each probed list's
+        //    packed strip, every row offered to the one top-k buffer
+        //    under its original row id.
+        for pc in probed.iter() {
             for p in self.offsets[pc.index]..self.offsets[pc.index + 1] {
                 let d = self.metric.distance(probe, self.packed.row(p));
-                push_top_k(list, k, self.ids[p], d);
+                push_top_k(neighbors, k, self.ids[p], d);
             }
         }
-        // 3. Ordered merge, identical tie-breaking to the serial scan.
-        merge_top_k_into(&lists[..probed.len()], k, heads, neighbors);
     }
 
     /// Predicts a target vector for `probe` into reusable buffers; the
@@ -333,9 +315,9 @@ impl Default for AnnOptions {
 }
 
 /// Neighbor index behind [`KccaPredictor`](qpp_core): brute-force below
-/// the size threshold, IVF above it. Both arms share the selection,
-/// merge, and combination code, so switching arms never changes
-/// tie-breaking — only how many rows get scanned.
+/// the size threshold, IVF above it. Both arms share the selection and
+/// combination code, so switching arms never changes tie-breaking — only
+/// how many rows get scanned.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum AnnIndex {
     /// Exact linear scan ([`NearestNeighbors`]) — small references, and
@@ -486,7 +468,6 @@ mod tests {
             IvfOptions {
                 nlist: 16,
                 nprobe: 16,
-                ..IvfOptions::default()
             },
         )
         .unwrap();

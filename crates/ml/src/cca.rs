@@ -24,7 +24,7 @@
 //! dense solve ([`qpp_linalg::GeneralizedEigen`]) is the oracle
 //! `tests/svd_equivalence.rs` checks this path against.
 
-use qpp_linalg::{stats, svd, vector, Cholesky, LinalgError, Matrix, SvdOptions};
+use qpp_linalg::{stats, svd, vector, Cholesky, LinalgError, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Slack on the mathematical bound `|ρ| <= 1`: values within the slack
@@ -141,7 +141,7 @@ impl Cca {
 
         let decomposition = {
             let mut s = qpp_obs::span(qpp_obs::Stage::TrainEigenSubspace);
-            let svd = svd::truncated_svd(&m, keep, SvdOptions::default())?;
+            let svd = svd::truncated_svd(&m, keep)?;
             s.set_value(svd.iterations as u64);
             svd
         };

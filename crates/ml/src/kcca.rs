@@ -13,7 +13,9 @@
 //!    restricted to the span of the pivots.
 //!
 //! The result is a pair of maximally correlated projections: `Kx A`
-//! ("query projection") and `Ky B` ("performance projection"). New
+//! ("query projection") and `Ky B` ("performance projection"). Only the
+//! query side is kept — prediction looks neighbors up there and reads
+//! their measured metrics, never the performance projection. New
 //! queries are projected by evaluating the kernel against the pivot
 //! points only.
 
@@ -69,8 +71,6 @@ pub struct Kcca {
     cca: Cca,
     /// Training query projection `Kx A` (one row per training point).
     x_projection: Matrix,
-    /// Training performance projection `Ky B`.
-    y_projection: Matrix,
 }
 
 impl Kcca {
@@ -132,7 +132,6 @@ impl Kcca {
             )?
         };
         let x_projection = cca.project_x_matrix(x_icd.g());
-        let y_projection = cca.project_y_matrix(y_icd.g());
         let x_pivots = x.select_rows(x_icd.pivots());
         Ok(Kcca {
             x_kernel,
@@ -140,18 +139,12 @@ impl Kcca {
             x_pivot_block: x_icd.pivot_block(),
             cca,
             x_projection,
-            y_projection,
         })
     }
 
     /// The training query projection `Kx A` (`n x components`).
     pub fn query_projection(&self) -> &Matrix {
         &self.x_projection
-    }
-
-    /// The training performance projection `Ky B` (`n x components`).
-    pub fn performance_projection(&self) -> &Matrix {
-        &self.y_projection
     }
 
     /// Canonical correlations achieved on the training set.
@@ -170,8 +163,8 @@ impl Kcca {
     }
 
     /// Projects a *new* query feature vector into the query projection
-    /// space (paper Fig. 7, step 1), additionally returning the largest
-    /// kernel evaluation against the pivot points.
+    /// space (paper Fig. 7, step 1), returning the largest kernel
+    /// evaluation against the pivot points.
     ///
     /// A value near zero means the query is unlike *everything* in the
     /// training set: its kernel row vanishes and the projection
@@ -179,23 +172,9 @@ impl Kcca {
     /// no longer flag it as anomalous. Callers should treat low
     /// similarity as low prediction confidence.
     ///
-    /// The one owned wrapper: [`Kcca::project_query_into`] with cold
-    /// buffers, so the two can never drift apart.
-    pub fn project_query_with_similarity(
-        &self,
-        features: &[f64],
-    ) -> Result<(Vec<f64>, f64), LinalgError> {
-        let mut scratch = ProjectionScratch::new();
-        let mut out = Vec::with_capacity(self.components());
-        let similarity = self.project_query_into(features, &mut scratch, &mut out)?;
-        Ok((out, similarity))
-    }
-
-    /// Projects a query into a reusable output buffer, returning the
-    /// largest kernel evaluation against the pivots. `scratch` holds the
-    /// kernel-row and ICD-embedding buffers; once all three buffers have
-    /// warmed up to the model's dimensions, this performs no heap
-    /// allocation.
+    /// `scratch` holds the kernel-row and ICD-embedding buffers; once
+    /// all three buffers have warmed up to the model's dimensions, this
+    /// performs no heap allocation.
     // qpp-lint: hot-path
     pub fn project_query_into(
         &self,
@@ -259,6 +238,14 @@ mod tests {
         (x, y)
     }
 
+    fn project(model: &Kcca, features: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        model
+            .project_query_into(features, &mut ProjectionScratch::new(), &mut out)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn captures_nonlinear_correlation() {
         let (x, y) = nonlinear_pair(150, 2);
@@ -276,7 +263,7 @@ mod tests {
         // projection (the paper's clustering-effect claim, Fig. 6).
         let (x, y) = nonlinear_pair(120, 7);
         let model = Kcca::fit(x.view(), y.view(), KccaOptions::default()).unwrap();
-        let (p0, _) = model.project_query_with_similarity(x.row(0)).unwrap();
+        let p0 = project(&model, x.row(0));
         // Training projection of point 0 should match its out-of-sample
         // projection (same point).
         let stored = model.query_projection().row(0);
@@ -293,7 +280,7 @@ mod tests {
         let (x, y) = nonlinear_pair(200, 9);
         let model = Kcca::fit(x.view(), y.view(), KccaOptions::default()).unwrap();
         // Leave point 0 out conceptually: find nearest *other* neighbor.
-        let (probe, _) = model.project_query_with_similarity(x.row(0)).unwrap();
+        let probe = project(&model, x.row(0));
         let mut best = (usize::MAX, f64::INFINITY);
         for i in 1..x.rows() {
             let d = vector::dist(&probe, model.query_projection().row(i));

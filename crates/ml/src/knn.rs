@@ -15,12 +15,6 @@ use qpp_linalg::{vector, Matrix};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Reference rows scanned per parallel work chunk. Paper-scale indexes
-/// (~1000 training points) fit in one chunk — the scan stays serial and
-/// identical to the historical one — while larger references fan out
-/// across the pool.
-const SCAN_CHUNK: usize = 2048;
-
 /// Errors from neighbor prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KnnError {
@@ -179,55 +173,23 @@ impl NearestNeighbors {
         self.reference.rows() == 0
     }
 
-    /// The `k` nearest neighbors of `probe`, ascending by distance,
-    /// ties broken by ascending row index.
-    ///
-    /// Rows at a non-finite distance from the probe are skipped: a NaN
-    /// distance compares false against everything, which used to make
-    /// `partition_point` park the NaN neighbor unsorted at the *front*
-    /// of the result, poisoning the prediction. The scan runs in fixed
-    /// [`SCAN_CHUNK`]-row chunks across the worker pool, with per-chunk
-    /// top-k buffers merged in `(distance, index)` order — exactly the
-    /// serial scan's outcome, for any thread count.
-    ///
-    /// Allocates per-chunk buffers and the result vector by design:
-    /// `query_into` only takes this branch when the reference outgrows a
-    /// single scan chunk, where the scan itself dwarfs the allocations.
+    /// The `k` nearest neighbors of `probe`, ascending by
+    /// `(distance, index)` — allocating convenience over
+    /// [`NearestNeighbors::query_into`].
     pub fn query(&self, probe: &[f64], k: usize) -> Vec<Neighbor> {
-        let k = k.min(self.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        let per_chunk = qpp_par::parallel_for_chunks(self.len(), SCAN_CHUNK, |chunk| {
-            // Max-heap-free selection: keep a sorted buffer of size k.
-            let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-            for i in chunk.range.clone() {
-                let d = self.metric.distance(probe, self.reference.row(i));
-                push_top_k(&mut best, k, i, d);
-            }
-            best
-        });
-        merge_top_k(per_chunk, k)
+        let mut out = Vec::new();
+        self.query_into(probe, k, &mut out);
+        out
     }
 
-    /// Like [`NearestNeighbors::query`], writing into a reusable buffer.
-    ///
-    /// References that fit in a single scan chunk (the paper-scale case)
-    /// are scanned serially — the identical loop a one-chunk parallel
-    /// scan runs, so results are bitwise equal — and, once `out` has
-    /// warmed up to capacity `k + 1`, without any heap allocation.
-    /// Larger references delegate to the chunked parallel scan.
+    /// Fills `out` with the `k` nearest neighbors of `probe`, ascending
+    /// by `(distance, index)`: one serial pass, every row offered to
+    /// [`push_top_k`] (which skips non-finite distances). Once `out` has
+    /// capacity `k + 1` the scan allocates nothing, at any reference size.
     // qpp-lint: hot-path
     pub fn query_into(&self, probe: &[f64], k: usize, out: &mut Vec<Neighbor>) {
         out.clear();
         let k = k.min(self.len());
-        if k == 0 {
-            return;
-        }
-        if self.len() > SCAN_CHUNK {
-            out.extend(self.query(probe, k));
-            return;
-        }
         out.reserve(k + 1);
         for i in 0..self.len() {
             let d = self.metric.distance(probe, self.reference.row(i));
@@ -236,31 +198,15 @@ impl NearestNeighbors {
     }
 
     /// Predicts a target vector for `probe` by combining the `targets`
-    /// rows of the k nearest neighbors under `weighting`.
+    /// rows of the k nearest neighbors under `weighting`, writing the
+    /// prediction into `out` and the neighbors used into
+    /// `scratch.neighbors`. With warm buffers this performs no heap
+    /// allocation.
     ///
-    /// Returns the prediction and the neighbors used. Fails when the
-    /// targets are misaligned with the reference, when the reference is
-    /// empty, or when no reference row is at a finite distance from the
-    /// probe — the latter two used to yield a silent all-zero prediction
-    /// with an empty neighbor list.
-    pub fn predict(
-        &self,
-        probe: &[f64],
-        targets: &Matrix,
-        k: usize,
-        weighting: NeighborWeighting,
-    ) -> Result<(Vec<f64>, Vec<Neighbor>), KnnError> {
-        let mut scratch = KnnScratch::new();
-        let mut out = Vec::with_capacity(targets.cols());
-        self.predict_into(probe, targets, k, weighting, &mut scratch, &mut out)?;
-        Ok((out, scratch.neighbors))
-    }
-
-    /// Like [`NearestNeighbors::predict`], writing the prediction into
-    /// `out` and the neighbors used into `scratch.neighbors`. With warm
-    /// buffers and a reference that fits one scan chunk, this performs
-    /// no heap allocation. Bitwise equal to
-    /// [`NearestNeighbors::predict`].
+    /// Fails when the targets are misaligned with the reference, when
+    /// the reference is empty, or when no reference row is at a finite
+    /// distance from the probe — the latter two used to yield a silent
+    /// all-zero prediction with an empty neighbor list.
     // qpp-lint: hot-path
     pub fn predict_into(
         &self,
@@ -313,110 +259,56 @@ pub(crate) fn predict_with(
     Ok(())
 }
 
-/// Offers `(index, distance)` to a sorted top-`k` buffer.
+/// Offers `(index, distance)` to a top-`k` buffer kept sorted by
+/// `(distance, index)`.
 ///
-/// This is *the* selection step of every scan in this crate — the serial
-/// probe, each parallel chunk, and the IVF list rescans all funnel
-/// through it, which is what makes their results bitwise comparable.
-/// Non-finite distances are rejected (a NaN would land unsorted at the
-/// front, because `NaN <= d` is false for every `d`); finite ones are
-/// placed by `partition_point(|n| n.distance <= d)`, so equal distances
-/// keep first-seen (ascending-index) order, and the buffer never grows
-/// past `k` entries.
+/// This is *the* selection step of every scan in this crate — the brute
+/// scan, the IVF coarse probe and the IVF list rescan all funnel through
+/// it, which is what makes their results bitwise comparable. The order
+/// is total, not first-seen, so the result does not depend on the order
+/// rows are offered in: the IVF rescan offers list after list to the one
+/// buffer and still breaks ties as the ascending brute scan does.
+/// Non-finite distances are rejected (a NaN compares false against
+/// everything and would land unsorted at the front). A full buffer
+/// rejects a farther row on one float compare, inlined into the scan
+/// loops (as a call per row a 2,000-row scan takes 18 µs, not 15.5).
 // qpp-lint: hot-path
+#[inline]
 pub(crate) fn push_top_k(best: &mut Vec<Neighbor>, k: usize, index: usize, distance: f64) {
     if !distance.is_finite() {
         return;
     }
-    if best.len() < k || distance < best.last().map_or(f64::INFINITY, |n| n.distance) {
-        let pos = best.partition_point(|n| n.distance <= distance);
-        best.insert(pos, Neighbor { index, distance });
-        if best.len() > k {
-            best.pop();
+    if best.len() >= k {
+        let Some(last) = best.last() else { return };
+        if distance > last.distance || (distance == last.distance && index > last.index) {
+            return;
         }
+    }
+    let pos = best.partition_point(|n| (n.distance, n.index) < (distance, index));
+    best.insert(pos, Neighbor { index, distance });
+    if best.len() > k {
+        best.pop();
     }
 }
 
-/// Reusable buffers for [`NearestNeighbors::predict_into`] and the IVF
-/// probe path: the sorted neighbor list, the combination weights, and
-/// the per-list buffers the inverted-file rescan fills. One scratch per
-/// worker thread is enough; buffers grow on first use (the list pool is
-/// grow-only) and are then recycled.
+/// Reusable buffers for the `predict_into` / `query_into` family: the
+/// sorted neighbor list, the combination weights, and the IVF arm's
+/// probed centroids. One scratch per worker thread is enough; buffers
+/// grow on first use and are then recycled.
 #[derive(Debug, Default, Clone)]
 pub struct KnnScratch {
     /// Neighbors found by the last `predict_into` call, ascending by
-    /// distance.
+    /// `(distance, index)`.
     pub neighbors: Vec<Neighbor>,
     pub(crate) weights: Vec<f64>,
     /// Nearest coarse centroids (IVF probe step).
     pub(crate) probed: Vec<Neighbor>,
-    /// Per-probed-list top-k buffers, merged by [`merge_top_k_into`].
-    /// `Vec<Vec<Neighbor>>` is deliberate: each inner buffer must keep
-    /// its capacity across calls so the steady-state rescan is
-    /// alloc-free.
-    pub(crate) lists: Vec<Vec<Neighbor>>,
-    /// Merge cursors, one per probed list.
-    pub(crate) heads: Vec<usize>,
 }
 
 impl KnnScratch {
     /// Empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         KnnScratch::default()
-    }
-}
-
-/// Ordered k-way merge of per-chunk top-k lists (each already sorted by
-/// ascending distance, with chunk-local indexes ascending within ties).
-///
-/// Selecting the minimum by `(distance, index)` reproduces the serial
-/// scan's tie-breaking — first-seen (lowest-index) row wins — so the
-/// merged result is independent of how chunks were scheduled.
-fn merge_top_k(mut lists: Vec<Vec<Neighbor>>, k: usize) -> Vec<Neighbor> {
-    if let [single] = &mut lists[..] {
-        return std::mem::take(single);
-    }
-    let mut heads = Vec::with_capacity(lists.len());
-    let mut out = Vec::with_capacity(k);
-    merge_top_k_into(&lists, k, &mut heads, &mut out);
-    out
-}
-
-/// The allocation-free core of [`merge_top_k`], shared with the IVF
-/// probe path: `heads` holds one cursor per list, `out` receives at most
-/// `k` merged neighbors. Both buffers are cleared and refilled, so warm
-/// callers pay no heap traffic. An empty `lists` slice — or lists with
-/// fewer than `k` entries in total — simply yields fewer results.
-// qpp-lint: hot-path
-pub(crate) fn merge_top_k_into(
-    lists: &[Vec<Neighbor>],
-    k: usize,
-    heads: &mut Vec<usize>,
-    out: &mut Vec<Neighbor>,
-) {
-    heads.clear();
-    heads.resize(lists.len(), 0);
-    out.clear();
-    while out.len() < k {
-        let mut best: Option<(usize, Neighbor)> = None;
-        for (li, list) in lists.iter().enumerate() {
-            if let Some(&n) = list.get(heads[li]) {
-                let closer = match &best {
-                    None => true,
-                    Some((_, b)) => (n.distance, n.index) < (b.distance, b.index),
-                };
-                if closer {
-                    best = Some((li, n));
-                }
-            }
-        }
-        match best {
-            Some((li, n)) => {
-                heads[li] += 1;
-                out.push(n);
-            }
-            None => break,
-        }
     }
 }
 
@@ -433,6 +325,26 @@ mod tests {
             vec![10.0, 0.0],
         ])
         .unwrap()
+    }
+
+    /// `predict_into` through cold buffers: the prediction and the
+    /// neighbors it used.
+    fn predict(
+        nn: &NearestNeighbors,
+        probe: &[f64],
+        targets: &Matrix,
+    ) -> Result<(Vec<f64>, Vec<Neighbor>), KnnError> {
+        let mut scratch = KnnScratch::new();
+        let mut out = Vec::new();
+        nn.predict_into(
+            probe,
+            targets,
+            3,
+            NeighborWeighting::Equal,
+            &mut scratch,
+            &mut out,
+        )?;
+        Ok((out, scratch.neighbors))
     }
 
     #[test]
@@ -466,9 +378,7 @@ mod tests {
         let targets =
             Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0], vec![100.0], vec![100.0]])
                 .unwrap();
-        let (pred, neigh) = nn
-            .predict(&[0.0, 0.0], &targets, 3, NeighborWeighting::Equal)
-            .unwrap();
+        let (pred, neigh) = predict(&nn, &[0.0, 0.0], &targets).unwrap();
         assert_eq!(neigh.len(), 3);
         assert!((pred[0] - 2.0).abs() < 1e-12); // mean of 1, 2, 3
     }
@@ -484,7 +394,7 @@ mod tests {
             Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0], vec![100.0], vec![100.0]])
                 .unwrap();
         assert_eq!(
-            nn.predict(&[f64::NAN, 0.0], &targets, 3, NeighborWeighting::Equal),
+            predict(&nn, &[f64::NAN, 0.0], &targets),
             Err(KnnError::NoFiniteNeighbors)
         );
     }
@@ -508,37 +418,9 @@ mod tests {
         assert!(nn.query(&[0.0, 0.0], 3).is_empty());
         let targets = Matrix::zeros(0, 1);
         assert_eq!(
-            nn.predict(&[0.0, 0.0], &targets, 3, NeighborWeighting::Equal),
+            predict(&nn, &[0.0, 0.0], &targets),
             Err(KnnError::EmptyReference)
         );
-    }
-
-    #[test]
-    fn chunked_scan_matches_serial_scan_bitwise() {
-        // A reference big enough to span several scan chunks, probed
-        // under 1 and 8 threads: identical neighbors either way, and
-        // equal-distance ties resolve to the lowest index.
-        let rows: Vec<Vec<f64>> = // allow-vecvec: test fixture
-            (0..5000)
-                .map(|i| vec![(i % 97) as f64, ((i * 31) % 89) as f64])
-                .collect();
-        let nn =
-            NearestNeighbors::new(Matrix::from_rows(&rows).unwrap(), DistanceMetric::Euclidean);
-        let probe = [13.0, 42.0];
-        let serial = qpp_par::with_threads(1, || nn.query(&probe, 9));
-        let parallel = qpp_par::with_threads(8, || nn.query(&probe, 9));
-        assert_eq!(serial.len(), 9);
-        for (s, p) in serial.iter().zip(parallel.iter()) {
-            assert_eq!(s.index, p.index);
-            assert_eq!(s.distance.to_bits(), p.distance.to_bits());
-        }
-        // Sorted ascending with index tie-break.
-        for w in serial.windows(2) {
-            assert!(
-                w[0].distance < w[1].distance
-                    || (w[0].distance == w[1].distance && w[0].index < w[1].index)
-            );
-        }
     }
 
     #[test]
@@ -567,70 +449,37 @@ mod tests {
         assert!(w[0] > 0.99);
     }
 
-    fn n(index: usize, distance: f64) -> Neighbor {
-        Neighbor { index, distance }
-    }
-
     #[test]
-    fn merge_of_no_lists_is_empty() {
-        // The IVF probe path hits this when every probed list is empty
-        // (all-corrupt partitions) or nothing was probed at all.
-        assert!(merge_top_k(Vec::new(), 3).is_empty());
-        let mut heads = Vec::new();
-        let mut out = vec![n(9, 9.0)]; // stale content must be cleared
-        merge_top_k_into(&[], 3, &mut heads, &mut out);
-        assert!(out.is_empty());
-        merge_top_k_into(&[Vec::new(), Vec::new()], 3, &mut heads, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn merge_with_fewer_than_k_total_returns_everything_in_order() {
-        let lists = vec![vec![n(4, 2.0)], Vec::new(), vec![n(1, 0.5), n(7, 3.0)]];
-        let merged = merge_top_k(lists.clone(), 10);
-        assert_eq!(merged, vec![n(1, 0.5), n(4, 2.0), n(7, 3.0)]);
-        // The `_into` core agrees and reuses warm buffers.
-        let mut heads = Vec::new();
-        let mut out = Vec::new();
-        merge_top_k_into(&lists, 10, &mut heads, &mut out);
-        assert_eq!(out, merged);
-        assert_eq!(heads, vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn merge_ties_resolve_to_lowest_index_across_lists() {
-        // Equal distances in *different* lists must still come out in
-        // ascending index order — the serial scan's first-seen rule.
-        let lists = vec![vec![n(5, 1.0), n(6, 1.0)], vec![n(0, 1.0), n(9, 2.0)]];
-        let merged = merge_top_k(lists, 3);
-        assert_eq!(merged, vec![n(0, 1.0), n(5, 1.0), n(6, 1.0)]);
+    fn equal_distances_come_out_by_index_whatever_the_arrival_order() {
+        // The IVF rescan offers rows list by list, not in index order;
+        // ties must still resolve to the lowest index.
+        let mut best = Vec::new();
+        for index in (0..6).rev() {
+            push_top_k(&mut best, 4, index, 1.0);
+        }
+        let found: Vec<usize> = best.iter().map(|n| n.index).collect();
+        assert_eq!(found, vec![0, 1, 2, 3]);
     }
 
     proptest::proptest! {
         #[test]
-        fn merged_lists_match_serial_scan(
+        fn offer_order_does_not_change_the_result(
             // u8 distances collide often, exercising the index tie-break.
             raw in proptest::collection::vec(0u8..16, 0..64),
-            chunk in 1usize..9,
+            rotate in 0usize..64,
             k in 0usize..8,
         ) {
-            let mut serial = Vec::new();
+            let mut ascending = Vec::new();
             for (i, &d) in raw.iter().enumerate() {
-                push_top_k(&mut serial, k, i, d as f64);
+                push_top_k(&mut ascending, k, i, d as f64);
             }
-            let lists: Vec<Vec<Neighbor>> = raw
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, ds)| {
-                    let mut best = Vec::new();
-                    for (j, &d) in ds.iter().enumerate() {
-                        push_top_k(&mut best, k, ci * chunk + j, d as f64);
-                    }
-                    best
-                })
-                .collect();
-            let merged = merge_top_k(lists, k);
-            proptest::prop_assert_eq!(&merged, &serial);
+            // The same rows, descending from an arbitrary starting row.
+            let mut shuffled = Vec::new();
+            for step in 0..raw.len() {
+                let i = (rotate + raw.len() - step) % raw.len();
+                push_top_k(&mut shuffled, k, i, raw[i] as f64);
+            }
+            proptest::prop_assert_eq!(&shuffled, &ascending);
         }
     }
 }

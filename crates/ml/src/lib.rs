@@ -2,8 +2,8 @@
 //!
 //! Implements the full ladder of techniques the paper evaluates (§V):
 //!
-//! * [`regression`] — per-metric linear least squares, the baseline that
-//!   fails (negative elapsed times, Figs. 3–4);
+//! * per-metric linear least squares, the baseline that fails (negative
+//!   elapsed times, Figs. 3–4), is [`qpp_linalg::LeastSquares`] itself;
 //! * [`kmeans`] — partition clustering, considered and rejected (§V-B)
 //!   because it cannot relate *two* multivariate datasets;
 //! * [`cca`] — linear canonical correlation analysis (§V-D);
@@ -39,7 +39,6 @@ pub mod kernel;
 pub mod kmeans;
 pub mod knn;
 pub mod metrics;
-pub mod regression;
 
 pub use ann::{AnnIndex, AnnOptions, IvfIndex, IvfOptions};
 pub use cca::{Cca, CcaOptions};
@@ -51,4 +50,3 @@ pub use knn::{
     DistanceMetric, KnnError, KnnScratch, NearestNeighbors, Neighbor, NeighborWeighting,
 };
 pub use metrics::{fraction_within, predictive_risk};
-pub use regression::MetricRegression;

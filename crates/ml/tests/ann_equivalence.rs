@@ -63,7 +63,6 @@ fn exhaustive_probe_is_bitwise_identical_to_serial_brute() {
         IvfOptions {
             nlist: 32,
             nprobe: 32, // exhaustive: coverage holds for every probe
-            ..IvfOptions::default()
         },
     )
     .unwrap();
@@ -127,7 +126,6 @@ fn ties_resolve_identically_with_duplicated_rows() {
         IvfOptions {
             nlist: 12,
             nprobe: 12,
-            ..IvfOptions::default()
         },
     )
     .unwrap();
@@ -148,7 +146,6 @@ fn build_and_query_are_thread_count_invariant() {
     let opts = IvfOptions {
         nlist: 20,
         nprobe: 20,
-        ..IvfOptions::default()
     };
     let ivf1 = qpp_par::with_threads(1, || {
         IvfIndex::build(data.clone(), DistanceMetric::Euclidean, opts).unwrap()
@@ -194,7 +191,6 @@ fn non_finite_reference_rows_are_skipped_like_brute() {
         IvfOptions {
             nlist: 8,
             nprobe: 8,
-            ..IvfOptions::default()
         },
     )
     .unwrap();
@@ -223,7 +219,6 @@ fn fewer_finite_rows_than_k_yields_the_same_short_list() {
         IvfOptions {
             nlist: 2,
             nprobe: 2,
-            ..IvfOptions::default()
         },
     )
     .unwrap();
@@ -253,7 +248,6 @@ fn auto_switch_arms_agree_bitwise_across_the_threshold() {
             ivf: IvfOptions {
                 nlist: 16,
                 nprobe: 16,
-                ..IvfOptions::default()
             },
         },
     )
@@ -284,11 +278,11 @@ fn ivf_predictions_are_bitwise_equal_to_brute_predictions() {
         IvfOptions {
             nlist: 12,
             nprobe: 12,
-            ..IvfOptions::default()
         },
     )
     .unwrap();
     let (mut scratch, mut ap) = (KnnScratch::new(), Vec::new());
+    let (mut brute_scratch, mut bp) = (KnnScratch::new(), Vec::new());
     for weighting in [
         NeighborWeighting::Equal,
         NeighborWeighting::RankRatio,
@@ -296,10 +290,15 @@ fn ivf_predictions_are_bitwise_equal_to_brute_predictions() {
     ] {
         for i in (0..data.rows()).step_by(31) {
             let probe = data.row(i);
-            let (bp, bn) = nn.predict(probe, &targets, 3, weighting).unwrap();
+            nn.predict_into(probe, &targets, 3, weighting, &mut brute_scratch, &mut bp)
+                .unwrap();
             ivf.predict_into(probe, &targets, 3, weighting, &mut scratch, &mut ap)
                 .unwrap();
-            assert_bitwise_equal(&bn, &scratch.neighbors, "prediction neighbors");
+            assert_bitwise_equal(
+                &brute_scratch.neighbors,
+                &scratch.neighbors,
+                "prediction neighbors",
+            );
             assert_eq!(bp.len(), ap.len());
             for (x, y) in bp.iter().zip(ap.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "prediction value differs");

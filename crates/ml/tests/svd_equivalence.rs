@@ -9,7 +9,7 @@
 //! sign and normalization conventions. `Cca::fit` must additionally be
 //! bitwise identical at 1 and 8 threads.
 
-use qpp_linalg::{stats, svd, vector, GeneralizedEigen, Matrix, SvdOptions};
+use qpp_linalg::{stats, svd, vector, GeneralizedEigen, Matrix};
 use qpp_ml::{Cca, CcaOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -199,12 +199,8 @@ fn reduced_fit_is_bitwise_identical_across_thread_counts() {
 fn subspace_iteration_is_bitwise_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(5);
     let m = Matrix::from_fn(120, 80, |_, _| rng.random_range(-1.0..1.0));
-    let serial = qpp_par::with_threads(1, || {
-        svd::truncated_svd(&m, 12, SvdOptions::default()).unwrap()
-    });
-    let parallel = qpp_par::with_threads(8, || {
-        svd::truncated_svd(&m, 12, SvdOptions::default()).unwrap()
-    });
+    let serial = qpp_par::with_threads(1, || svd::truncated_svd(&m, 12).unwrap());
+    let parallel = qpp_par::with_threads(8, || svd::truncated_svd(&m, 12).unwrap());
     assert_eq!(serial.iterations, parallel.iterations);
     for (a, b) in serial
         .singular_values
@@ -222,7 +218,7 @@ fn truncated_svd_matches_dense_gram_spectrum_on_random_matrices() {
     for seed in [1, 9] {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = Matrix::from_fn(60, 40, |_, _| rng.random_range(-1.0..1.0));
-        let svd = svd::truncated_svd(&m, 6, SvdOptions::default()).unwrap();
+        let svd = svd::truncated_svd(&m, 6).unwrap();
         let eig = qpp_linalg::SymmetricEigen::new(&m.transpose().matmul(&m).unwrap()).unwrap();
         for (k, (s, l)) in svd
             .singular_values

@@ -296,12 +296,6 @@ impl SpanGuard {
     pub fn set_value(&mut self, value: u64) {
         self.value = value;
     }
-
-    /// Builder form of [`SpanGuard::set_value`].
-    pub fn with_value(mut self, value: u64) -> SpanGuard {
-        self.value = value;
-        self
-    }
 }
 
 impl Drop for SpanGuard {

@@ -11,7 +11,6 @@ use qpp_core::baselines::OptimizerCostModel;
 use qpp_core::model_io;
 use qpp_core::{FeatureKind, KccaPredictor, QppError, ResultExt};
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,11 +39,6 @@ impl ModelKey {
             config: config.into(),
             tag: kind_tag(kind),
         }
-    }
-
-    /// The feature-kind tag this key embeds.
-    pub fn feature_tag(&self) -> &'static str {
-        self.tag
     }
 }
 
@@ -252,17 +246,6 @@ impl ModelRegistry {
         fallback: OptimizerCostModel,
     ) -> Result<u64, QppError> {
         let predictor = model_io::from_json(json).ctx("installing model from json")?;
-        Ok(self.install(key, predictor, fallback))
-    }
-
-    /// Installs a model from a file written by `qpp_core::model_io`.
-    pub fn install_from_file(
-        &self,
-        key: ModelKey,
-        path: impl AsRef<Path>,
-        fallback: OptimizerCostModel,
-    ) -> Result<u64, QppError> {
-        let predictor = model_io::load(path).ctx("installing model from file")?;
         Ok(self.install(key, predictor, fallback))
     }
 

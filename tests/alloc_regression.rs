@@ -22,7 +22,9 @@ use qpp::core::pipeline::collect_tpcds;
 use qpp::core::{FeatureKind, KccaPredictor, PredictorOptions};
 use qpp::engine::SystemConfig;
 use qpp::linalg::Matrix;
-use qpp::ml::{DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NeighborWeighting};
+use qpp::ml::{
+    DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NearestNeighbors, NeighborWeighting,
+};
 use qpp::obs::{Counter, Event, EventKind, EventRing, Histogram, Recorder, Stage};
 use qpp::serve::{
     ModelKey, ModelRegistry, PushError, ServiceStats, TenantId, TenantQueue, TenantSpec,
@@ -114,11 +116,12 @@ fn predict_features_steady_state_allocates_nothing() {
     assert_eq!(batch.len(), 8);
 
     // Same guarantee for the IVF arm of the neighbor index: once the
-    // probe/list/merge scratch has warmed up, the coarse probe, exact
-    // rescan, ordered merge, and weighted combine are all alloc-free.
+    // scratch has warmed up, the coarse probe, exact rescan and weighted
+    // combine are all alloc-free.
     let data = Matrix::from_fn(3000, 4, |i, j| ((i * 31 + j * 7) % 211) as f64 * 0.125);
     let targets = Matrix::from_fn(3000, 6, |i, j| ((i * 13 + j) % 97) as f64);
     let probe: Vec<f64> = data.row(997).to_vec();
+    let brute = NearestNeighbors::new(data.clone(), DistanceMetric::Euclidean);
     let ivf = IvfIndex::build(data, DistanceMetric::Euclidean, IvfOptions::default()).unwrap();
     let mut scratch = KnnScratch::new();
     let mut combined = Vec::new();
@@ -150,6 +153,35 @@ fn predict_features_steady_state_allocates_nothing() {
         "steady-state IVF predict_into performed {ivf_events} heap allocations over 32 calls"
     );
     assert_eq!(scratch.neighbors, warm_neighbors);
+
+    // And for the brute arm at every size it is selected for (up to
+    // `ivf_threshold` = 4096 rows): one prediction is one serial scan
+    // and never a fork-join on the pool.
+    let mut found = Vec::new();
+    brute.query_into(&probe, 3, &mut found);
+    let before = ALLOC.thread_allocation_events();
+    for _ in 0..32 {
+        brute.query_into(&probe, 3, &mut found);
+    }
+    let brute_events = ALLOC.thread_allocation_events() - before;
+    assert_eq!(
+        brute_events, 0,
+        "warm 3000-row brute query_into performed {brute_events} heap allocations over 32 calls"
+    );
+
+    let train = collect_tpcds(2100, 79, &config, 2);
+    let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
+    assert!(!model.index().is_ivf() && model.training_size() > 2048);
+    model.predict_features(&features).unwrap();
+    let before = ALLOC.thread_allocation_events();
+    for _ in 0..32 {
+        model.predict_features(&features).unwrap();
+    }
+    let events = ALLOC.thread_allocation_events() - before;
+    assert_eq!(
+        events, 0,
+        "warm predict_features over a 2100-row brute model performed {events} heap allocations"
+    );
 }
 
 /// The trace layer's roots, warm: recording a span or a mark, pushing

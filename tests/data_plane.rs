@@ -1,7 +1,9 @@
 //! Zero-copy data-plane equivalence: every `*_into` scratch-buffer
-//! path must produce bitwise-identical results to the owned allocating
-//! path it replaced, for arbitrary inputs — the contract that lets the
-//! serving hot path reuse buffers without changing a single output bit.
+//! path must produce, through dirty, oversized, reused buffers, the
+//! bits it produces through cold ones (and the bits its owned or
+//! whole-matrix counterpart produces, where one exists), for arbitrary
+//! inputs — the contract that lets the serving hot path reuse buffers
+//! without changing a single output bit.
 
 use proptest::prelude::*;
 use qpp::linalg::stats::Standardizer;
@@ -47,31 +49,42 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `project_query_into` through fresh buffers: the projection and the
+/// max kernel similarity.
+fn project_cold(model: &Kcca, features: &[f64]) -> (Vec<f64>, f64) {
+    let mut out = Vec::new();
+    let similarity = model
+        .project_query_into(features, &mut ProjectionScratch::new(), &mut out)
+        .unwrap();
+    (out, similarity)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Standardizer scratch path is bitwise-equal to the owned path.
+    /// The standardizer's row path (predict time) is bitwise-equal to
+    /// its whole-matrix path (fit time) on every row.
     #[test]
     fn standardize_row_into_matches_owned(seed in 0u64..1_000, rows in 4usize..30, cols in 1usize..8) {
         let data = random_matrix(rows, cols, seed);
         let scaler = Standardizer::fit(&data);
-        let probe: Vec<f64> = data.row(0).to_vec();
-        let owned = scaler.transform_row(&probe);
+        let owned = scaler.transform(&data);
         let mut scratch = vec![f64::NAN; 1];
-        scaler.transform_row_into(&probe, &mut scratch);
-        prop_assert_eq!(bits(&owned), bits(&scratch));
+        for i in 0..rows {
+            scaler.transform_row_into(data.row(i), &mut scratch);
+            prop_assert_eq!(bits(owned.row(i)), bits(&scratch));
+        }
     }
 
     /// Full KCCA query projection through a dirty, oversized, reused
-    /// scratch yields the bits a cold one does (the owned wrapper runs
-    /// the same body over fresh buffers): same projection, same max
-    /// kernel similarity.
+    /// scratch yields the bits a cold one does: same projection, same
+    /// max kernel similarity.
     #[test]
     fn kcca_projection_into_matches_owned(seed in 0u64..200) {
         let (x, y) = correlated_pair(40, 6, 3, seed);
         let model = Kcca::fit(x.view(), y.view(), KccaOptions::default()).unwrap();
         let probe: Vec<f64> = x.row(7).to_vec();
-        let (owned, sim_owned) = model.project_query_with_similarity(&probe).unwrap();
+        let (owned, sim_owned) = project_cold(&model, &probe);
 
         // Dirty the scratch with a different query first, and hand in an
         // oversized, NaN-filled output buffer.
@@ -88,7 +101,8 @@ proptest! {
     }
 
     /// kNN prediction through reused scratch is bitwise-equal to the
-    /// owned path: combined metrics, neighbor ids, neighbor distances.
+    /// same call through cold buffers: combined metrics, neighbor ids,
+    /// neighbor distances.
     #[test]
     fn knn_predict_into_matches_owned(seed in 0u64..500, n in 8usize..60, k in 1usize..6) {
         let reference = random_matrix(n, 4, seed);
@@ -96,12 +110,31 @@ proptest! {
         let probe: Vec<f64> = reference.row(n / 3).to_vec();
         let knn = NearestNeighbors::new(reference, DistanceMetric::Euclidean);
 
-        let (owned, found_owned) = knn
-            .predict(&probe, &targets, k, NeighborWeighting::InverseDistance)
-            .unwrap();
+        let mut cold = KnnScratch::new();
+        let mut owned = Vec::new();
+        knn.predict_into(
+            &probe,
+            &targets,
+            k,
+            NeighborWeighting::InverseDistance,
+            &mut cold,
+            &mut owned,
+        )
+        .unwrap();
+        let found_owned = cold.neighbors;
 
+        // Dirty the scratch with a different probe and a larger k first.
         let mut scratch = KnnScratch::new();
         let mut combined = vec![f64::NAN; 1];
+        knn.predict_into(
+            &[0.5; 4],
+            &targets,
+            k + 2,
+            NeighborWeighting::Equal,
+            &mut scratch,
+            &mut combined,
+        )
+        .unwrap();
         for _ in 0..2 {
             knn.predict_into(
                 &probe,
@@ -131,7 +164,7 @@ proptest! {
         let ivf = IvfIndex::build(
             reference.clone(),
             DistanceMetric::Euclidean,
-            IvfOptions { nlist: 4, nprobe: 4, ..IvfOptions::default() },
+            IvfOptions { nlist: 4, nprobe: 4 },
         )
         .unwrap();
         let brute = NearestNeighbors::new(reference.clone(), DistanceMetric::Euclidean);
@@ -145,7 +178,7 @@ proptest! {
         }
         let mut scratch = KnnScratch::new();
         // Run twice through the same scratch: the second pass must not
-        // see residue from the first (per-list buffers are recycled).
+        // see residue from the first.
         for _ in 0..2 {
             ivf.query_into(&probe, k, &mut scratch);
             prop_assert_eq!(owned.len(), scratch.neighbors.len());
@@ -170,8 +203,8 @@ proptest! {
 
 /// Projecting the rows of a borrowed matrix view one after another
 /// through a single shared scratch — what every predicting thread does
-/// — equals row-by-row owned projection: reuse across *different*
-/// queries introduces no drift.
+/// — equals projecting each through cold buffers: reuse across
+/// *different* queries introduces no drift.
 #[test]
 fn batch_projection_matches_rowwise_owned() {
     let (x, y) = correlated_pair(60, 8, 4, 77);
@@ -182,7 +215,7 @@ fn batch_projection_matches_rowwise_owned() {
         let sim = model
             .project_query_into(row, &mut scratch, &mut proj)
             .unwrap();
-        let (owned, sim_owned) = model.project_query_with_similarity(row).unwrap();
+        let (owned, sim_owned) = project_cold(&model, row);
         assert_eq!(bits(&owned), bits(&proj));
         assert_eq!(sim_owned.to_bits(), sim.to_bits());
     }
