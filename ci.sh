@@ -140,7 +140,7 @@ echo "==> size ratchet: lines of Rust per crate"
 # ROADMAP aim 2: lines of code per crate is a tracked number and goes
 # down. The ceiling is the total after the last diet PR; lower it when a
 # PR removes code, and never raise it without a sentence here saying why.
-MAX_RUST_LINES=28450
+MAX_RUST_LINES=28122
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

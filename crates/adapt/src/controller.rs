@@ -36,22 +36,31 @@ use qpp_serve::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Every Nth completed query is diverted to the shadow-scoring holdout
+/// instead of the training window (so the canary is judged on queries
+/// the candidate never trained on).
+const HOLDOUT_EVERY: usize = 4;
+
+/// Most recent holdout records kept.
+const HOLDOUT_CAPACITY: usize = 64;
+
+/// Fewest holdout records required to shadow-score; below this the
+/// retrain is abandoned (better no swap than an unjudged swap).
+const MIN_HOLDOUT: usize = 8;
+
+/// Newest holdout records actually replayed per shadow score.
+const SHADOW_SLICE: usize = 24;
+
+/// Demote when post-swap mean error exceeds the pre-swap (drifted) mean
+/// error by this factor — the canary made things *worse* than the model
+/// it replaced.
+const KILL_RATIO: f64 = 1.5;
+
 /// Control-plane tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptOptions {
     /// Drift-detection configuration.
     pub drift: DriftConfig,
-    /// Every Nth completed query is diverted to the shadow-scoring
-    /// holdout instead of the training window (so the canary is judged
-    /// on queries the candidate never trained on).
-    pub holdout_every: usize,
-    /// Most recent holdout records kept.
-    pub holdout_capacity: usize,
-    /// Fewest holdout records required to shadow-score; below this the
-    /// retrain is abandoned (better no swap than an unjudged swap).
-    pub min_holdout: usize,
-    /// Newest holdout records actually replayed per shadow score.
-    pub shadow_slice: usize,
     /// The candidate must beat the incumbent's holdout error by this
     /// relative margin to be swapped in (0.05 = 5% better).
     pub shadow_margin: f64,
@@ -64,24 +73,15 @@ pub struct AdaptOptions {
     /// Completed queries watched after a swap before the kill-switch
     /// verdict.
     pub kill_window: usize,
-    /// Demote when post-swap mean error exceeds the pre-swap (drifted)
-    /// mean error by this factor — the canary made things *worse* than
-    /// the model it replaced.
-    pub kill_ratio: f64,
 }
 
 impl Default for AdaptOptions {
     fn default() -> Self {
         AdaptOptions {
             drift: DriftConfig::default(),
-            holdout_every: 4,
-            holdout_capacity: 64,
-            min_holdout: 8,
-            shadow_slice: 24,
             shadow_margin: 0.05,
             retrain_delay: 64,
             kill_window: 32,
-            kill_ratio: 1.5,
         }
     }
 }
@@ -296,7 +296,7 @@ impl AdaptiveController {
                 tracker: ErrorTracker::default(),
                 detector: DriftDetector::new(options.drift),
                 window,
-                holdout: VecDeque::with_capacity(options.holdout_capacity),
+                holdout: VecDeque::with_capacity(HOLDOUT_CAPACITY),
                 epoch: 0,
                 since_holdout: 0,
                 phase: Phase::Stable,
@@ -333,7 +333,7 @@ impl AdaptiveController {
             // score, but the executed query is still fresh training
             // data.
             let mut st = self.state.lock();
-            Self::stash(&mut st, record, &self.options);
+            Self::stash(&mut st, record);
             return None;
         }
         let errors = log_ratio_errors(&response.prediction.metrics, &record.metrics);
@@ -344,7 +344,7 @@ impl AdaptiveController {
         st.tracker.record(&record.spec.template, &errors);
         st.epoch += 1;
         let epoch = st.epoch;
-        Self::stash(&mut st, record, &self.options);
+        Self::stash(&mut st, record);
         let signal = st.detector.observe(epoch, &errors);
         self.stats
             .recent_mean_err
@@ -441,7 +441,7 @@ impl AdaptiveController {
                     return None;
                 }
                 let post_err = err_sum / observed as f64;
-                if post_err > pre_err * self.options.kill_ratio {
+                if post_err > pre_err * KILL_RATIO {
                     st.phase = Phase::Demoted;
                     drop(st);
                     match self
@@ -483,13 +483,13 @@ impl AdaptiveController {
     }
 
     /// Appends the record to the window, diverting every
-    /// `holdout_every`-th to the shadow holdout instead.
-    fn stash(st: &mut ControlState, record: &QueryRecord, options: &AdaptOptions) {
+    /// [`HOLDOUT_EVERY`]-th to the shadow holdout instead.
+    fn stash(st: &mut ControlState, record: &QueryRecord) {
         st.since_holdout += 1;
-        if st.since_holdout >= options.holdout_every {
+        if st.since_holdout >= HOLDOUT_EVERY {
             st.since_holdout = 0;
             st.holdout.push_back(record.clone());
-            while st.holdout.len() > options.holdout_capacity {
+            while st.holdout.len() > HOLDOUT_CAPACITY {
                 st.holdout.pop_front();
             }
         } else {
@@ -506,11 +506,11 @@ impl AdaptiveController {
         // this task waited in the queue).
         let (dataset, holdout, predictor_options) = {
             let st = self.state.lock();
-            let skip = st.holdout.len().saturating_sub(self.options.shadow_slice);
+            let skip = st.holdout.len().saturating_sub(SHADOW_SLICE);
             let holdout: Vec<QueryRecord> = st.holdout.iter().skip(skip).cloned().collect();
             (st.window.window_dataset(), holdout, st.window.options())
         };
-        if dataset.len() < MIN_TRAIN_WINDOW || holdout.len() < self.options.min_holdout {
+        if dataset.len() < MIN_TRAIN_WINDOW || holdout.len() < MIN_HOLDOUT {
             self.back_to_stable(false);
             return AdaptOutcome::InsufficientData {
                 window: dataset.len(),

@@ -11,15 +11,15 @@
 //! Page–Hinkley: a calibration mean `μ₀` and standard deviation `σ₀`
 //! are frozen over the first `warmup` samples; each later sample `x`
 //! accumulates the *normalized* deviation
-//! `mₜ = mₜ₋₁ + ((x − μ₀)/σ₀ − δ)`; the test statistic is
+//! `mₜ = mₜ₋₁ + ((x − μ₀)/σ₀ − δ)` (δ = `DELTA`); the test statistic is
 //! `mₜ − min(m)`, which stays bounded (the `−δ` drift pulls a
 //! stationary walk down faster than its `±1σ` steps push it up) and
 //! grows linearly once the mean shifts up by more than `δ·σ₀`.
 //! Normalizing by `σ₀` matters: per-query log-ratio errors are *noisy*
 //! (σ near the mean itself for KCCA predictions), and a fixed absolute
 //! slack is either deaf on quiet streams or alarm-happy on loud ones.
-//! Drift is declared when the statistic exceeds `λ` *and* the mean of
-//! the last `window` samples exceeds `μ₀ · min_ratio`.
+//! Drift is declared when the statistic exceeds λ = `LAMBDA` *and*
+//! the mean of the last `window` samples exceeds `μ₀ · MIN_RATIO`.
 
 use qpp_engine::PerfMetrics;
 use std::collections::VecDeque;
@@ -31,6 +31,17 @@ pub const OVERALL: usize = PerfMetrics::DIM;
 /// Streams tracked: six metrics + overall.
 pub const STREAMS: usize = PerfMetrics::DIM + 1;
 
+/// Page–Hinkley slack `δ` in calibration-σ units: mean shifts smaller
+/// than `δ·σ₀` never accumulate.
+const DELTA: f64 = 0.25;
+
+/// Page–Hinkley threshold `λ` on the normalized test statistic. A mean
+/// shift of `Δ·σ₀` fires after about `λ/(Δ−δ)` samples.
+const LAMBDA: f64 = 8.0;
+
+/// Recent mean must exceed `μ₀ ·` this for drift to be declared.
+const MIN_RATIO: f64 = 1.4;
+
 /// Drift-detection tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct DriftConfig {
@@ -38,14 +49,6 @@ pub struct DriftConfig {
     pub warmup: usize,
     /// Recent-window length for the mean-ratio gate.
     pub window: usize,
-    /// Page–Hinkley slack `δ` in calibration-σ units: mean shifts
-    /// smaller than `δ·σ₀` never accumulate.
-    pub delta: f64,
-    /// Page–Hinkley threshold `λ` on the normalized test statistic. A
-    /// mean shift of `Δ·σ₀` fires after about `λ/(Δ−δ)` samples.
-    pub lambda: f64,
-    /// Recent mean must exceed `μ₀ ·` this for drift to be declared.
-    pub min_ratio: f64,
 }
 
 impl Default for DriftConfig {
@@ -53,9 +56,6 @@ impl Default for DriftConfig {
         DriftConfig {
             warmup: 40,
             window: 16,
-            delta: 0.25,
-            lambda: 8.0,
-            min_ratio: 1.4,
         }
     }
 }
@@ -133,22 +133,22 @@ impl StreamState {
             }
             return None;
         }
-        self.mh += (x - self.mean0) / self.sigma0 - cfg.delta;
+        self.mh += (x - self.mean0) / self.sigma0 - DELTA;
         if self.mh < self.min_mh {
             self.min_mh = self.mh;
         }
         let score = self.score();
-        if score > cfg.lambda && self.recent_mean() > self.ratio_floor(cfg) {
+        if score > LAMBDA && self.recent_mean() > self.ratio_floor() {
             Some(score)
         } else {
             None
         }
     }
 
-    fn ratio_floor(&self, cfg: &DriftConfig) -> f64 {
+    fn ratio_floor(&self) -> f64 {
         // A tiny absolute floor keeps near-zero calibration means (a
         // near-perfect model) from declaring drift on harmless noise.
-        (self.mean0 * cfg.min_ratio).max(0.01)
+        (self.mean0 * MIN_RATIO).max(0.01)
     }
 }
 
@@ -306,8 +306,8 @@ mod tests {
         let sig = fired.expect("drift must be detected");
         assert_eq!(sig.metric, 0, "first drifted stream is metric 0");
         assert_eq!(sig.metric_name, "elapsed_time");
-        assert!(sig.score > cfg.lambda);
-        assert!(sig.recent_mean > sig.calibration_mean * cfg.min_ratio);
+        assert!(sig.score > LAMBDA);
+        assert!(sig.recent_mean > sig.calibration_mean * MIN_RATIO);
     }
 
     #[test]

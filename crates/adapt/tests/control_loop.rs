@@ -66,7 +66,6 @@ fn test_options() -> AdaptOptions {
         drift: DriftConfig {
             warmup: 24,
             window: 8,
-            ..DriftConfig::default()
         },
         kill_window: 16,
         ..AdaptOptions::default()

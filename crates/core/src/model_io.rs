@@ -4,7 +4,6 @@
 //! without any training infrastructure.
 
 use crate::predictor::KccaPredictor;
-use crate::two_step::TwoStepPredictor;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -158,16 +157,6 @@ pub fn load(path: impl AsRef<Path>) -> Result<KccaPredictor, ModelIoError> {
     from_json(&fs::read_to_string(path)?)
 }
 
-/// Serializes a two-step predictor to versioned, checksummed JSON.
-pub fn two_step_to_json(model: &TwoStepPredictor) -> Result<String, ModelIoError> {
-    seal(serde_json::to_string(model)?)
-}
-
-/// Deserializes a two-step predictor, verifying version and checksum.
-pub fn two_step_from_json(json: &str) -> Result<TwoStepPredictor, ModelIoError> {
-    Ok(serde_json::from_str(&open(json)?)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,17 +257,5 @@ mod tests {
             from_json(&corrupted),
             Err(ModelIoError::ChecksumMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn two_step_round_trips_through_envelope() {
-        let (_, d) = model();
-        let two = TwoStepPredictor::train(&d, PredictorOptions::default()).unwrap();
-        let json = two_step_to_json(&two).unwrap();
-        let back = two_step_from_json(&json).unwrap();
-        let r = &d.records[2];
-        let a = two.predict(&r.spec, &r.optimized.plan).unwrap();
-        let b = back.predict(&r.spec, &r.optimized.plan).unwrap();
-        assert_eq!(a.metrics, b.metrics);
     }
 }

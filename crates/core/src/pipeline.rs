@@ -1,8 +1,7 @@
 //! End-to-end conveniences: generate → execute → train → evaluate.
 
 use crate::dataset::Dataset;
-use crate::error::QppError;
-use crate::predictor::{KccaPredictor, Prediction, PredictorOptions};
+use crate::predictor::Prediction;
 use qpp_engine::{PerfMetrics, SystemConfig};
 use qpp_linalg::vector;
 use qpp_ml::{fraction_within, predictive_risk};
@@ -67,29 +66,18 @@ pub fn collect_tpcds(n: usize, seed: u64, config: &SystemConfig, threads: usize)
     Dataset::collect(&schema, queries, config, threads)
 }
 
-/// Trains on one dataset and evaluates on another; the everything
-/// helper used by examples and experiments.
-pub fn train_and_evaluate(
-    train: &Dataset,
-    test: &Dataset,
-    options: PredictorOptions,
-) -> Result<(KccaPredictor, Evaluation), QppError> {
-    let model = KccaPredictor::train(train, options)?;
-    let predictions = model.predict_dataset(test)?;
-    Ok((model, evaluate(&predictions, test)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::NeighborIds;
+    use crate::predictor::{KccaPredictor, NeighborIds, PredictorOptions};
 
     #[test]
     fn end_to_end_pipeline_runs() {
         let cfg = SystemConfig::neoview_4();
         let train = collect_tpcds(150, 101, &cfg, 2);
         let test = collect_tpcds(40, 102, &cfg, 2);
-        let (model, eval) = train_and_evaluate(&train, &test, PredictorOptions::default()).unwrap();
+        let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
+        let eval = evaluate(&model.predict_dataset(&test).unwrap(), &test);
         assert_eq!(model.training_size(), 150);
         assert_eq!(eval.predictive_risk.len(), PerfMetrics::DIM);
         // Records used is strongly determined by the plan: risk present

@@ -47,7 +47,7 @@ pub struct PredictorOptions {
     pub log_space_average: bool,
     /// Neighbor-index selection: brute scan at paper scale, a
     /// deterministic IVF index once the reference outgrows
-    /// `ann.ivf_threshold` rows (DESIGN.md §16).
+    /// `ann.ivf_threshold` rows (DESIGN.md §15).
     pub ann: AnnOptions,
 }
 

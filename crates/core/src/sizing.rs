@@ -80,20 +80,6 @@ pub fn recommend(
     })
 }
 
-/// Capacity planning: given a predictor for the *current* system and a
-/// predictor for an *upgraded* system, estimate the speedup of moving a
-/// workload.
-pub fn upgrade_speedup(
-    current: &KccaPredictor,
-    upgraded: &KccaPredictor,
-    workload_on_current: &Dataset,
-    workload_on_upgraded: &Dataset,
-) -> Result<f64, QppError> {
-    let now = predicted_serial_makespan(&current.predict_dataset(workload_on_current)?);
-    let then = predicted_serial_makespan(&upgraded.predict_dataset(workload_on_upgraded)?);
-    Ok(now / then.max(1e-9))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,8 +156,5 @@ mod tests {
         ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = ratios[ratios.len() / 2];
         assert!(median > 1.0, "median per-query speedup {median}");
-        // The aggregate helper stays exercised.
-        let speedup = upgrade_speedup(&m_small, &m_big, &wl_small, &wl_big).unwrap();
-        assert!(speedup.is_finite() && speedup > 0.0);
     }
 }

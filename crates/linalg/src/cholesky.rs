@@ -195,11 +195,6 @@ impl Cholesky {
         }
         Ok(out)
     }
-
-    /// Log-determinant of `A` (`= 2 Σ ln L[i,i]`).
-    pub fn log_det(&self) -> f64 {
-        crate::vector::sum_iter((0..self.l.rows()).map(|i| self.l[(i, i)].ln())) * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -287,12 +282,5 @@ mod tests {
         // L Y = B and Lᵀ X = Y compose to A X = B.
         let ax = a.matmul(&back).unwrap();
         assert!(ax.sub(&b).unwrap().max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn log_det_matches_2x2() {
-        let a = Matrix::from_vec(2, 2, vec![2., 0., 0., 8.]).unwrap();
-        let c = Cholesky::new(&a).unwrap();
-        assert!((c.log_det() - (16.0f64).ln()).abs() < 1e-12);
     }
 }

@@ -23,9 +23,9 @@
 //! * [`svd`] — truncated SVD via deterministic blocked subspace
 //!   iteration; the top-p eigensolver behind the scalable CCA path.
 //! * [`stats`] — means, variances, standardization helpers.
-//! * [`view`] — borrowed zero-copy [`MatrixView`] / [`MatrixViewMut`]
-//!   over contiguous row-major storage, the currency of the predict
-//!   path's crate boundaries.
+//! * [`view`] — borrowed zero-copy [`MatrixView`] over contiguous
+//!   row-major storage, the currency of the predict path's crate
+//!   boundaries.
 
 // Library code must degrade into typed errors, never panics.
 #![cfg_attr(
@@ -58,4 +58,4 @@ pub use icd::{IcdOptions, IncompleteCholesky, PivotBlock};
 pub use matrix::Matrix;
 pub use qr::{LeastSquares, QrDecomposition};
 pub use svd::{truncated_svd, TruncatedSvd};
-pub use view::{MatrixView, MatrixViewMut};
+pub use view::MatrixView;

@@ -81,14 +81,6 @@ impl Standardizer {
         })
     }
 
-    /// Inverse transform of one row.
-    pub fn inverse_row(&self, row: &[f64]) -> Vec<f64> {
-        row.iter()
-            .zip(self.means.iter().zip(self.stds.iter()))
-            .map(|(&v, (&mu, &sd))| v * sd + mu)
-            .collect()
-    }
-
     /// Fitted means.
     pub fn means(&self) -> &[f64] {
         &self.means
@@ -98,14 +90,6 @@ impl Standardizer {
     pub fn stds(&self) -> &[f64] {
         &self.stds
     }
-}
-
-/// Mean empirical variance of row norms — the quantity the paper scales
-/// its Gaussian-kernel τ by ("a fixed fraction of the empirical variance
-/// of the norms of the data points", §VI-A).
-pub fn norm_variance(m: &Matrix) -> f64 {
-    let norms: Vec<f64> = m.row_iter().map(crate::vector::norm).collect();
-    crate::vector::variance(&norms)
 }
 
 #[cfg(test)]
@@ -122,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn standardizer_round_trip() {
+    fn standardizer_centres_and_scales_columns() {
         let m = Matrix::from_vec(3, 2, vec![1., 5., 2., 7., 3., 9.]).unwrap();
         let sc = Standardizer::fit(&m);
         let t = sc.transform(&m);
@@ -135,9 +119,6 @@ mod tests {
         for sd in stds {
             assert!((sd - 1.0).abs() < 1e-9);
         }
-        let back = sc.inverse_row(t.row(1));
-        assert!((back[0] - 2.0).abs() < 1e-12);
-        assert!((back[1] - 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -147,11 +128,5 @@ mod tests {
         let t = sc.transform(&m);
         assert!(t.as_slice().iter().all(|v| v.is_finite()));
         assert_eq!(t[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn norm_variance_zero_for_equal_norm_rows() {
-        let m = Matrix::from_vec(2, 2, vec![1., 0., 0., 1.]).unwrap();
-        assert!(norm_variance(&m).abs() < 1e-12);
     }
 }

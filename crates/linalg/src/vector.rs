@@ -114,23 +114,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Arithmetic mean; 0 for empty input.
-pub fn mean(a: &[f64]) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    sum(a) / a.len() as f64
-}
-
-/// Population variance; 0 for inputs shorter than 2.
-pub fn variance(a: &[f64]) -> f64 {
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(a);
-    sum_iter(a.iter().map(|&v| (v - m) * (v - m))) / a.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,13 +163,5 @@ mod tests {
             max_iter(0.0, a.iter().copied()),
             a.iter().copied().fold(0.0, f64::max)
         );
-    }
-
-    #[test]
-    fn mean_variance() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2., 4.]), 3.0);
-        assert_eq!(variance(&[5.]), 0.0);
-        assert!((variance(&[1., 3.]) - 1.0).abs() < 1e-12);
     }
 }

@@ -80,13 +80,6 @@ impl<'a> MatrixView<'a> {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Owned copy of the viewed data.
-    pub fn to_matrix(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        out.as_mut_slice().copy_from_slice(self.data);
-        out
-    }
-
     /// Owned matrix keeping only the listed rows, in order.
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
@@ -107,65 +100,6 @@ impl Index<(usize, usize)> for MatrixView<'_> {
     }
 }
 
-/// A mutable, row-major view over borrowed contiguous storage — used to
-/// fill rows of a preallocated matrix in place (feature extraction,
-/// batch standardization) without intermediate row vectors.
-#[derive(Debug, PartialEq)]
-pub struct MatrixViewMut<'a> {
-    rows: usize,
-    cols: usize,
-    data: &'a mut [f64],
-}
-
-impl<'a> MatrixViewMut<'a> {
-    /// Creates a mutable view of `rows x cols` over `data`.
-    ///
-    /// Returns an error when `data.len() != rows * cols`.
-    pub fn new(rows: usize, cols: usize, data: &'a mut [f64]) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matrix view mut",
-                lhs: (rows, cols),
-                rhs: (data.len(), 1),
-            });
-        }
-        Ok(MatrixViewMut { rows, cols, data })
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Borrow of row `i` as a slice.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable borrow of row `i` as a slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Reborrows as an immutable view.
-    pub fn as_view(&self) -> MatrixView<'_> {
-        MatrixView {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data,
-        }
-    }
-}
-
 impl Matrix {
     /// Borrowed zero-copy view over the whole matrix.
     #[inline]
@@ -174,17 +108,6 @@ impl Matrix {
             rows: self.rows(),
             cols: self.cols(),
             data: self.as_slice(),
-        }
-    }
-
-    /// Borrowed mutable view over the whole matrix.
-    #[inline]
-    pub fn view_mut(&mut self) -> MatrixViewMut<'_> {
-        let (rows, cols) = self.shape();
-        MatrixViewMut {
-            rows,
-            cols,
-            data: self.as_mut_slice(),
         }
     }
 }
@@ -201,7 +124,6 @@ mod tests {
         assert_eq!(v.row(1), &[4., 5., 6.]);
         assert_eq!(v[(0, 2)], 3.0);
         assert!(std::ptr::eq(v.as_slice().as_ptr(), m.as_slice().as_ptr()));
-        assert_eq!(v.to_matrix(), m);
     }
 
     #[test]
@@ -222,18 +144,6 @@ mod tests {
     fn select_rows_matches_matrix_select() {
         let m = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]).unwrap();
         assert_eq!(m.view().select_rows(&[2, 0]), m.select_rows(&[2, 0]));
-    }
-
-    #[test]
-    fn mut_view_writes_through() {
-        let mut m = Matrix::zeros(2, 2);
-        {
-            let mut vm = m.view_mut();
-            vm.row_mut(1).copy_from_slice(&[7.0, 8.0]);
-            assert_eq!(vm.row(1), &[7.0, 8.0]);
-            assert_eq!(vm.as_view().row(0), &[0.0, 0.0]);
-        }
-        assert_eq!(m.row(1), &[7.0, 8.0]);
     }
 
     #[test]

@@ -51,20 +51,6 @@ pub fn fraction_within(predicted: &[f64], actual: &[f64], tolerance: f64) -> f64
     hits as f64 / actual.len() as f64
 }
 
-/// Mean relative error (for report tables).
-pub fn mean_relative_error(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "length mismatch");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    vector::sum_iter(
-        predicted
-            .iter()
-            .zip(actual.iter())
-            .map(|(&p, &a)| (p - a).abs() / a.abs().max(1e-12)),
-    ) / actual.len() as f64
-}
-
 /// Predictive risk after dropping the `drop_worst` largest squared
 /// residuals — the paper repeatedly reports "removing the furthest
 /// outlier increased the predictive risk to …".
@@ -135,13 +121,6 @@ mod tests {
         let trimmed = predictive_risk_dropping_outliers(&pred, &actual, 1);
         assert!(trimmed > full);
         assert!((trimmed - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_relative_error_basic() {
-        let actual = [10.0, 100.0];
-        let pred = [11.0, 90.0];
-        assert!((mean_relative_error(&pred, &actual) - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -118,12 +118,6 @@ impl Stage {
         self as usize
     }
 
-    /// Decodes an index back into a stage (export-time use; torn ring
-    /// slots can carry garbage, hence `Option`).
-    pub fn from_index(i: u64) -> Option<Stage> {
-        Stage::ALL.get(i as usize).copied()
-    }
-
     /// Stable snake_case name used in JSONL output.
     pub fn name(self) -> &'static str {
         match self {
@@ -173,14 +167,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    fn from_index(i: u64) -> Option<EventKind> {
-        match i {
-            0 => Some(EventKind::Span),
-            1 => Some(EventKind::Mark),
-            _ => None,
-        }
-    }
-
     fn name(self) -> &'static str {
         match self {
             EventKind::Span => "span",
@@ -190,7 +176,7 @@ impl EventKind {
 }
 
 /// One recorded observation. Fixed-size and `Copy`: recording one never
-/// allocates, and the ring stores it as plain atomic words.
+/// allocates, and the ring stores it by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Trace this event belongs to; 0 means "untraced" (background
@@ -209,19 +195,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// Packs `kind` and `stage` into one word for ring storage.
-    // qpp-lint: hot-path
-    pub(crate) fn tag(&self) -> u64 {
-        ((self.kind as u64) << 8) | self.stage as u64
-    }
-
-    /// Inverse of [`Event::tag`]; `None` on torn/garbage words.
-    pub(crate) fn untag(tag: u64) -> Option<(EventKind, Stage)> {
-        let kind = EventKind::from_index(tag >> 8)?;
-        let stage = Stage::from_index(tag & 0xff)?;
-        Some((kind, stage))
-    }
-
     /// One JSONL line (no trailing newline). Timestamps and durations
     /// are reported in microseconds for readability.
     pub fn to_jsonl(&self) -> String {
@@ -255,28 +228,8 @@ mod tests {
     fn stage_indices_round_trip() {
         for (i, s) in Stage::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
-            assert_eq!(Stage::from_index(i as u64), Some(*s));
         }
-        assert_eq!(Stage::from_index(Stage::COUNT as u64), None);
         assert_eq!(Stage::ALL.len(), Stage::COUNT);
-    }
-
-    #[test]
-    fn tag_round_trips() {
-        for s in Stage::ALL {
-            for kind in [EventKind::Span, EventKind::Mark] {
-                let e = Event {
-                    trace_id: 7,
-                    kind,
-                    stage: s,
-                    start_ns: 1,
-                    dur_ns: 2,
-                    value: 3,
-                };
-                assert_eq!(Event::untag(e.tag()), Some((kind, s)));
-            }
-        }
-        assert_eq!(Event::untag(u64::MAX), None);
     }
 
     #[test]

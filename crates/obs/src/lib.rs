@@ -3,8 +3,9 @@
 //! The crate sits below every other `qpp-*` crate (it depends on
 //! nothing) and provides three things:
 //!
-//! * an **event log** — a lock-free fixed-capacity ring of fixed-size
-//!   [`Event`]s with monotonic span timing ([`ring::EventRing`]);
+//! * an **event log** — a fixed-capacity window of fixed-size
+//!   [`Event`]s with monotonic span timing, and exact per-stage totals,
+//!   behind one mutex ([`ring::EventRing`]);
 //! * **metrics** — lock-free [`Counter`]s and the log2 latency
 //!   [`Histogram`] with its quantile conventions ([`metrics`]);
 //! * a **trace context** — a thread-local current trace ID so spans
@@ -54,20 +55,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Central recorder: the event ring plus per-stage accumulators and the
-/// workspace-wide answer-source counters.
+/// Central recorder: the event ring and the workspace-wide
+/// answer-source counters.
 ///
-/// The ring holds a sliding window of recent events (for trace export);
-/// the `stage_ns`/`stage_hits` accumulators are exact totals that never
-/// wrap, so per-stage summaries (bench breakdowns) don't depend on ring
-/// capacity.
+/// The ring holds a sliding window of recent events (for trace export)
+/// and, beside it, exact per-stage totals that never wrap, so per-stage
+/// summaries (bench breakdowns) don't depend on ring capacity.
 #[derive(Debug)]
 pub struct Recorder {
     epoch: Instant,
     ring: EventRing,
     next_trace: AtomicU64,
-    stage_ns: [AtomicU64; Stage::COUNT],
-    stage_hits: [AtomicU64; Stage::COUNT],
     /// Requests answered by the optimizer-cost fallback (deadline
     /// missed). First-class because the paper's predictions only help
     /// when they actually arrive in time.
@@ -83,8 +81,6 @@ impl Recorder {
             epoch: Instant::now(),
             ring: EventRing::new(capacity),
             next_trace: AtomicU64::new(0),
-            stage_ns: [const { AtomicU64::new(0) }; Stage::COUNT],
-            stage_hits: [const { AtomicU64::new(0) }; Stage::COUNT],
             fallback_answers: Counter::new(),
             kcca_answers: Counter::new(),
         }
@@ -103,7 +99,8 @@ impl Recorder {
         self.next_trace.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Records a completed span and folds it into the per-stage totals.
+    /// Records a completed span (the ring folds it into the per-stage
+    /// totals).
     // qpp-lint: hot-path
     pub fn record_span(&self, trace_id: u64, stage: Stage, start_ns: u64, dur_ns: u64, value: u64) {
         self.ring.push(&Event {
@@ -114,8 +111,6 @@ impl Recorder {
             dur_ns,
             value,
         });
-        self.stage_ns[stage.index()].fetch_add(dur_ns, Ordering::Relaxed); // ordering: statistical counter
-        self.stage_hits[stage.index()].fetch_add(1, Ordering::Relaxed); // ordering: statistical counter
     }
 
     /// Records an instantaneous marker (counted in `hits`, adds no
@@ -130,7 +125,6 @@ impl Recorder {
             dur_ns: 0,
             value,
         });
-        self.stage_hits[stage.index()].fetch_add(1, Ordering::Relaxed); // ordering: statistical counter
     }
 
     /// Total events ever recorded (monotonic, exceeds ring capacity
@@ -154,20 +148,16 @@ impl Recorder {
     /// Exact per-stage totals (hits and summed span nanoseconds) for
     /// every stage that recorded at least one event.
     pub fn stage_summary(&self) -> Vec<StageSummary> {
-        let mut out = Vec::with_capacity(Stage::COUNT);
-        for stage in Stage::ALL {
-            // ordering: totals are racy-but-monotone by contract.
-            let hits = self.stage_hits[stage.index()].load(Ordering::Relaxed);
-            if hits == 0 {
-                continue;
-            }
-            out.push(StageSummary {
+        let (hits, total_ns) = self.ring.stage_totals();
+        Stage::ALL
+            .into_iter()
+            .filter(|stage| hits[stage.index()] > 0)
+            .map(|stage| StageSummary {
                 stage,
-                hits,
-                total_ns: self.stage_ns[stage.index()].load(Ordering::Relaxed), // ordering: racy-but-monotone
-            });
-        }
-        out
+                hits: hits[stage.index()],
+                total_ns: total_ns[stage.index()],
+            })
+            .collect()
     }
 
     /// Answer-source counters as JSONL (one `{"counter":…,"value":…}`

@@ -40,12 +40,6 @@ impl Counter {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Overwrites the value (gauge semantics).
-    pub fn set(&self, v: u64) {
-        // ordering: last-writer-wins gauge; no payload to publish.
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         // ordering: any recent value is acceptable for a statistic.
@@ -243,8 +237,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.observe_max(9);
         assert_eq!(c.get(), 9);
-        c.set(2);
-        assert_eq!(c.get(), 2);
     }
 
     #[test]

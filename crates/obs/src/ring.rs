@@ -1,77 +1,42 @@
-//! Lock-free fixed-capacity event ring.
+//! Fixed-capacity event window behind one mutex.
 //!
-//! Writers claim a ticket with one `fetch_add` and publish the event
-//! into the ticket's slot; when the ring is full the oldest events are
-//! overwritten (tracing wants the most recent window, not backpressure).
-//! Every slot is a handful of `AtomicU64` words guarded by a sequence
-//! stamp — no locks, no `unsafe`, and crucially **no allocation after
-//! construction**, which is what lets the serving hot path record spans
-//! while `tests/alloc_regression.rs` still measures 0.0 allocs/request.
+//! [`EventRing::push`] locks, writes the event into the next slot and
+//! bumps the per-stage totals; when the window is full the oldest event
+//! is overwritten (tracing wants the most recent window, not
+//! backpressure). All storage is allocated once in [`EventRing::new`],
+//! so there is **no allocation after construction** — which is what
+//! lets the serving hot path record spans while
+//! `tests/alloc_regression.rs` still measures 0 allocations per request.
 //!
-//! Readers ([`EventRing::snapshot`]) are best-effort: a slot being
-//! rewritten mid-read is detected through the sequence stamp and
-//! skipped. Monitoring data may lose an event under contention; it
-//! never reports a torn one.
+//! Because every write and every read happens under the lock, a
+//! snapshot is exact: no event is torn, none is dropped, the window is
+//! the last `capacity` pushes in push order, and the stage totals count
+//! every push ever made. The critical section is a 48-byte store and
+//! three additions and calls nothing, so the lock is a leaf: it may be
+//! taken with any other lock held.
 
-use crate::event::Event;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use crate::event::{Event, Stage};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// One slot: a sequence stamp, the event's words, and a checksum.
-///
-/// Stamp protocol for ticket `t`: `2t + 1` while writing, `2t + 2` once
-/// published, `0` for never-written. Odd ⇒ in progress; even and
-/// nonzero ⇒ stable, with the ticket recoverable as `(stamp - 2) / 2`.
-///
-/// The stamp alone cannot catch one pathological interleaving: a
-/// writer preempted mid-publish while the ring completes a full lap
-/// and a later writer reuses its slot, leaving mixed fields under an
-/// even stamp. `check` (xor of the payload words) closes that hole:
-/// readers recompute it and skip any slot whose payload does not hash
-/// to its stored checksum.
+/// What the lock guards.
 #[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    trace_id: AtomicU64,
-    tag: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-    value: AtomicU64,
-    check: AtomicU64,
+struct Window {
+    /// `None` until first written; push `n` lands in slot `n % len`.
+    slots: Box<[Option<Event>]>,
+    /// Events ever pushed.
+    recorded: u64,
+    /// Spans + marks per stage, by [`Stage::index`]. Exact totals that
+    /// never wrap, so stage summaries do not depend on the capacity.
+    stage_hits: [u64; Stage::COUNT],
+    /// Summed span nanoseconds per stage (marks contribute 0).
+    stage_ns: [u64; Stage::COUNT],
 }
 
-impl Slot {
-    const fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            trace_id: AtomicU64::new(0),
-            tag: AtomicU64::new(0),
-            start_ns: AtomicU64::new(0),
-            dur_ns: AtomicU64::new(0),
-            value: AtomicU64::new(0),
-            check: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Payload checksum; mixes a constant so an all-zero event still
-/// produces a nonzero stored checksum.
-// qpp-lint: hot-path
-fn checksum(trace_id: u64, tag: u64, start_ns: u64, dur_ns: u64, value: u64) -> u64 {
-    0x9e37_79b9_7f4a_7c15
-        ^ trace_id
-        ^ tag.rotate_left(8)
-        ^ start_ns.rotate_left(16)
-        ^ dur_ns.rotate_left(24)
-        ^ value.rotate_left(32)
-}
-
-/// A lock-free multi-producer event ring of fixed (power-of-two)
-/// capacity. All storage is allocated once in [`EventRing::new`].
+/// A multi-producer window of the most recent events, of fixed
+/// (power-of-two) capacity, plus exact per-stage totals.
 #[derive(Debug)]
 pub struct EventRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    head: AtomicU64,
+    window: Mutex<Window>,
 }
 
 impl EventRing {
@@ -79,104 +44,68 @@ impl EventRing {
     /// power of two, with a floor of 8.
     pub fn new(capacity: usize) -> EventRing {
         let cap = capacity.max(8).next_power_of_two();
-        let slots: Vec<Slot> = (0..cap).map(|_| Slot::empty()).collect();
         EventRing {
-            slots: slots.into_boxed_slice(),
-            mask: (cap - 1) as u64,
-            head: AtomicU64::new(0),
+            window: Mutex::new(Window {
+                slots: vec![None; cap].into_boxed_slice(),
+                recorded: 0,
+                stage_hits: [0; Stage::COUNT],
+                stage_ns: [0; Stage::COUNT],
+            }),
         }
+    }
+
+    /// Every intermediate state of a `push` is a valid window (it
+    /// indexes in bounds and calls nothing), so a poisoned lock is
+    /// recovered, as `qpp-par` does.
+    fn lock(&self) -> MutexGuard<'_, Window> {
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.lock().slots.len()
     }
 
     /// Total events ever pushed (monotonic; exceeds `capacity()` once
-    /// the ring has wrapped).
+    /// the ring has wrapped, by the number of events overwritten).
     pub fn recorded(&self) -> u64 {
-        // ordering: a monotonic statistic; no payload hangs off it.
-        self.head.load(Ordering::Relaxed)
+        self.lock().recorded
     }
 
-    /// Publishes one event. Lock-free and allocation-free: one ticket
-    /// `fetch_add` plus six word stores.
+    /// Records one event: overwrites the oldest slot and folds the
+    /// event into its stage's totals. Allocation-free.
     // qpp-lint: hot-path
     pub fn push(&self, e: &Event) {
-        // ordering: the ticket only claims a slot index; the seq stamps
-        // below carry all payload visibility, so Relaxed suffices here.
-        let t = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(t & self.mask) as usize];
-        let tag = e.tag();
-        // ordering: odd stamp marks the write in flight before any
-        // payload store can be observed.
-        slot.seq.store(2 * t + 1, Ordering::Release);
-        slot.trace_id.store(e.trace_id, Ordering::Relaxed); // ordering: guarded by seq stamps
-        slot.tag.store(tag, Ordering::Relaxed); // ordering: guarded by seq stamps
-        slot.start_ns.store(e.start_ns, Ordering::Relaxed); // ordering: guarded by seq stamps
-        slot.dur_ns.store(e.dur_ns, Ordering::Relaxed); // ordering: guarded by seq stamps
-        slot.value.store(e.value, Ordering::Relaxed); // ordering: guarded by seq stamps
-                                                      // ordering: guarded by seq stamps; readers that race us fail the
-                                                      // checksum and drop the slot.
-        slot.check.store(
-            checksum(e.trace_id, tag, e.start_ns, e.dur_ns, e.value),
-            Ordering::Relaxed,
-        );
-        // ordering: even stamp publishes the payload; pairs with the
-        // Acquire load at the top of `snapshot`.
-        slot.seq.store(2 * t + 2, Ordering::Release);
+        let mut w = self.lock();
+        let slot = w.recorded as usize % w.slots.len();
+        w.slots[slot] = Some(*e);
+        w.recorded += 1;
+        w.stage_hits[e.stage.index()] += 1;
+        w.stage_ns[e.stage.index()] += e.dur_ns;
     }
 
-    /// Best-effort stable snapshot of the ring's current window, in
-    /// ticket (publication) order. Slots mid-write or overwritten
-    /// between the stamp checks are skipped, never returned torn.
+    /// The current window, oldest event first.
     pub fn snapshot(&self) -> Vec<Event> {
-        let mut keyed: Vec<(u64, Event)> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            // ordering: pairs with the even-stamp Release in `push`;
-            // everything stored before that stamp is visible below.
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                continue; // never written, or a write is in flight
-            }
-            let trace_id = slot.trace_id.load(Ordering::Relaxed); // ordering: validated by s1 == s2 + checksum
-            let tag = slot.tag.load(Ordering::Relaxed); // ordering: validated by s1 == s2 + checksum
-            let start_ns = slot.start_ns.load(Ordering::Relaxed); // ordering: validated by s1 == s2 + checksum
-            let dur_ns = slot.dur_ns.load(Ordering::Relaxed); // ordering: validated by s1 == s2 + checksum
-            let value = slot.value.load(Ordering::Relaxed); // ordering: validated by s1 == s2 + checksum
-            let check = slot.check.load(Ordering::Relaxed); // ordering: validated by s1 == s2 + checksum
-                                                            // ordering: the fence orders the payload loads above before
-                                                            // the re-check of seq below (the classic seqlock read).
-            fence(Ordering::Acquire);
-            // ordering: the fence above already orders this re-check.
-            let s2 = slot.seq.load(Ordering::Relaxed);
-            if s1 != s2 || check != checksum(trace_id, tag, start_ns, dur_ns, value) {
-                continue; // rewritten or mixed while we read; drop it
-            }
-            let Some((kind, stage)) = Event::untag(tag) else {
-                continue;
-            };
-            keyed.push((
-                (s1 - 2) / 2,
-                Event {
-                    trace_id,
-                    kind,
-                    stage,
-                    start_ns,
-                    dur_ns,
-                    value,
-                },
-            ));
-        }
-        keyed.sort_by_key(|(ticket, _)| *ticket);
-        keyed.into_iter().map(|(_, e)| e).collect()
+        let w = self.lock();
+        let oldest = w.recorded as usize % w.slots.len();
+        let (newer, older) = w.slots.split_at(oldest);
+        let mut out = Vec::with_capacity(w.slots.len());
+        out.extend(older.iter().chain(newer).flatten());
+        out
+    }
+
+    /// `(hits, summed span nanoseconds)` per stage, by [`Stage::index`],
+    /// over every event ever pushed.
+    pub fn stage_totals(&self) -> ([u64; Stage::COUNT], [u64; Stage::COUNT]) {
+        let w = self.lock();
+        (w.stage_hits, w.stage_ns)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, Stage};
+    use crate::event::EventKind;
     use std::sync::Arc;
 
     fn event(trace: u64, start: u64) -> Event {
@@ -254,13 +183,25 @@ mod tests {
             h.join().expect("pusher thread");
         }
         assert_eq!(ring.recorded(), THREADS * PER_THREAD);
+        // Under the mutex nothing is dropped: a full window, and totals
+        // that count every push.
         let snap = ring.snapshot();
-        assert!(!snap.is_empty());
-        assert!(snap.len() <= 64);
+        assert_eq!(snap.len(), 64);
+        let (hits, ns) = ring.stage_totals();
+        assert_eq!(hits[Stage::Predict.index()], THREADS * PER_THREAD);
+        assert_eq!(
+            ns[Stage::Predict.index()],
+            PER_THREAD * (1..=THREADS).sum::<u64>()
+        );
+        let mut last_seen = [None; THREADS as usize];
         for e in snap {
             // Cross-field consistency: all three encodings agree.
             assert_eq!(e.dur_ns, e.trace_id);
             assert_eq!(e.start_ns, e.trace_id * 1_000_000 + e.value);
+            // Each thread's events appear in the order it pushed them.
+            let last = &mut last_seen[e.trace_id as usize - 1];
+            assert!(*last < Some(e.value), "thread {} reordered", e.trace_id);
+            *last = Some(e.value);
         }
     }
 }

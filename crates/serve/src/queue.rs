@@ -5,9 +5,10 @@
 //! that every worker blocks on:
 //!
 //! - **Per-tenant quotas**: a tenant may hold at most `quota` queued
-//!   requests; submissions beyond that are rejected with
-//!   [`PushError::QuotaExceeded`] *before* the queue lock is taken, so
-//!   a flooding tenant sheds its own overload, not everyone's.
+//!   requests — the length of its own lane, read under the queue
+//!   lock; submissions beyond that are rejected with
+//!   [`PushError::QuotaExceeded`], so a flooding tenant sheds its own
+//!   overload, not everyone's.
 //! - **One capacity**: the queue holds `capacity` requests in total and
 //!   any tenant may fill all of it (quota permitting); the next push is
 //!   rejected with [`PushError::Full`], never blocked.
@@ -33,7 +34,6 @@
 use crate::tenant::TenantTable;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Why a submission was not accepted.
@@ -69,8 +69,9 @@ impl std::fmt::Display for PushError {
     }
 }
 
-/// What the lock guards: one FIFO lane per tenant plus the deficit
-/// round-robin scheduler's cursor and deficits.
+/// What the lock guards: one FIFO lane per tenant — whose length is
+/// the tenant's quota account — plus the deficit round-robin
+/// scheduler's cursor and deficits.
 #[derive(Debug)]
 struct QueueState<T> {
     lanes: Vec<VecDeque<T>>,
@@ -93,8 +94,6 @@ pub struct TenantQueue<T> {
     quotas: Vec<usize>,
     /// Numeric tenant IDs by dense tenant index (for typed rejections).
     ids: Vec<u32>,
-    /// Queued requests per tenant (quota accounting).
-    queued: Vec<AtomicUsize>,
 }
 
 impl<T> TenantQueue<T> {
@@ -114,7 +113,6 @@ impl<T> TenantQueue<T> {
             weights: tenants.weights(),
             quotas: tenants.quotas(),
             ids: tenants.specs().iter().map(|s| s.id.0).collect(),
-            queued: (0..tenants.len()).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
@@ -135,51 +133,36 @@ impl<T> TenantQueue<T> {
 
     /// Requests tenant `tenant_idx` currently holds.
     pub fn queued_for(&self, tenant_idx: usize) -> usize {
-        // ordering: Acquire pairs with the AcqRel updates in
-        // `try_push`/`drr_drain` so monitors never see a count ahead of
-        // the quota decisions it reflects.
-        self.queued[tenant_idx].load(Ordering::Acquire)
+        self.state.lock().lanes[tenant_idx].len()
     }
 
-    /// Attempts to enqueue for tenant `tenant_idx` without blocking:
-    /// quota gate first, then the capacity check under the lock.
+    /// Attempts to enqueue for tenant `tenant_idx` without blocking,
+    /// refusing in the order quota → shutdown → full.
     /// Returns the queue depth *after* the push (for depth watermarks).
     // qpp-lint: hot-path
     pub fn try_push(&self, tenant_idx: usize, item: T) -> Result<usize, PushError> {
         let quota = self.quotas[tenant_idx];
-        // ordering: AcqRel makes the quota reservation a single
-        // read-modify-write total order across tenant threads — two
-        // racing pushes cannot both observe the last free slot.
-        let held = self.queued[tenant_idx].fetch_add(1, Ordering::AcqRel);
-        if held >= quota {
-            // ordering: AcqRel keeps the rollback in the same total
-            // order as the reservation above.
-            self.queued[tenant_idx].fetch_sub(1, Ordering::AcqRel);
+        let mut state = self.state.lock();
+        if state.lanes[tenant_idx].len() >= quota {
             return Err(PushError::QuotaExceeded {
                 tenant: self.ids[tenant_idx],
                 quota,
             });
         }
-        let mut state = self.state.lock();
-        let refused = if state.shutdown {
-            PushError::ShuttingDown
-        } else if state.occupancy == self.capacity {
-            PushError::Full {
+        if state.shutdown {
+            return Err(PushError::ShuttingDown);
+        }
+        if state.occupancy == self.capacity {
+            return Err(PushError::Full {
                 capacity: self.capacity,
-            }
-        } else {
-            state.lanes[tenant_idx].push_back(item);
-            state.occupancy += 1;
-            let depth = state.occupancy;
-            drop(state);
-            self.not_empty.notify_one();
-            return Ok(depth);
-        };
+            });
+        }
+        state.lanes[tenant_idx].push_back(item);
+        state.occupancy += 1;
+        let depth = state.occupancy;
         drop(state);
-        // ordering: AcqRel keeps the rollback in the same total order
-        // as the reservation above.
-        self.queued[tenant_idx].fetch_sub(1, Ordering::AcqRel);
-        Err(refused)
+        self.not_empty.notify_one();
+        Ok(depth)
     }
 
     /// One deficit-round-robin pass over the lanes, appending up to
@@ -253,11 +236,6 @@ impl<T> TenantQueue<T> {
                             state.deficits[t] -= 1;
                             state.occupancy -= 1;
                             drained += 1;
-                            // ordering: AcqRel releases the quota slot in
-                            // the same total order `try_push` reserves it,
-                            // so a blocked tenant sees the free slot no
-                            // earlier than the drain that created it.
-                            self.queued[t].fetch_sub(1, Ordering::AcqRel);
                         }
                         None => break,
                     }
@@ -413,6 +391,47 @@ mod tests {
         let mut out = Vec::new();
         assert!(q.try_drain(16, &mut out) >= 1);
         assert!(q.try_push(capped, 4).is_ok());
+    }
+
+    /// The quota is the lane's length under the lock: four threads
+    /// racing one tenant past a quota of 8 with nothing draining get
+    /// exactly 8 acceptances, and the quota answer wins over a full
+    /// queue (callers see quota → shutdown → full).
+    #[test]
+    fn racing_pushes_admit_exactly_the_quota() {
+        let t = table(vec![TenantSpec::new(TenantId(5), "capped").quota(8)]);
+        let capped = t.resolve(TenantId(5));
+        let q: TenantQueue<u32> = TenantQueue::new(8, &t);
+        let barrier = Barrier::new(4);
+        let over_quota = PushError::QuotaExceeded {
+            tenant: 5,
+            quota: 8,
+        };
+        let accepted: usize = std::thread::scope(|s| {
+            let pushers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (0..50)
+                            .filter(|&i| match q.try_push(capped, i) {
+                                Ok(_) => true,
+                                Err(e) => {
+                                    assert_eq!(e, over_quota);
+                                    false
+                                }
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            pushers.into_iter().map(|p| p.join().unwrap()).sum()
+        });
+        assert_eq!(accepted, 8);
+        assert_eq!(q.queued_for(capped), 8);
+        // The queue is now also full: the tenant still hears about its
+        // own quota, anyone else about the capacity.
+        assert_eq!(q.try_push(capped, 0), Err(over_quota));
+        assert_eq!(q.try_push(0, 0), Err(PushError::Full { capacity: 8 }));
     }
 
     #[test]

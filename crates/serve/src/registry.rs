@@ -11,7 +11,6 @@ use qpp_core::baselines::OptimizerCostModel;
 use qpp_core::model_io;
 use qpp_core::{FeatureKind, KccaPredictor, QppError, ResultExt};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Registry key: a system-configuration name plus the feature kind the
@@ -94,23 +93,68 @@ impl std::fmt::Display for SwapRace {
     }
 }
 
+/// What the registry lock guards: the published entries and the
+/// counters that describe how they got there.
+#[derive(Debug, Default)]
+struct Published {
+    models: BTreeMap<ModelKey, Arc<ModelEntry>>,
+    /// Entries ever published — the last version minted.
+    installs: u64,
+    /// Healthy entries published over an existing one.
+    swaps: u64,
+    demotions: u64,
+}
+
+impl Published {
+    /// Mints the next version and publishes an entry carrying it. Runs
+    /// under the write lock, so versions reach the map in the order
+    /// they were minted: a reader can never see `current_version` go
+    /// backwards, and the swap / kill-switch marks enter the trace in
+    /// version order.
+    fn publish(
+        &mut self,
+        key: ModelKey,
+        predictor: KccaPredictor,
+        fallback: OptimizerCostModel,
+        degraded: bool,
+    ) -> u64 {
+        self.installs += 1;
+        let version = self.installs;
+        let entry = Arc::new(ModelEntry {
+            predictor,
+            fallback,
+            version,
+            degraded,
+        });
+        let replaced = self.models.insert(key, entry).is_some();
+        // Untraced marks (trace 0): publications happen outside any
+        // request, but the event in the exported window lets a trace
+        // reader correlate latency shifts with a mid-run hot-swap.
+        let stage = if degraded {
+            self.demotions += 1;
+            qpp_obs::Stage::KillSwitch
+        } else {
+            self.swaps += u64::from(replaced);
+            qpp_obs::Stage::ModelSwap
+        };
+        qpp_obs::recorder().record_mark(0, stage, version);
+        version
+    }
+}
+
 /// Concurrent registry of prediction models.
 ///
-/// One `BTreeMap` behind one `RwLock`: deployments install a handful of
-/// keys and `get` is a single read-lock per submit and per batch group,
-/// so every guarded operation (`swap_if_current`, `demote_if_current`)
-/// is linearized by the one write lock. A `BTreeMap` (not a hash map)
-/// keeps [`ModelRegistry::keys`] sorted by `(config, feature tag)`
-/// regardless of install order — hash-map iteration order is randomized
-/// per process and must never reach service output.
+/// One `BTreeMap` and its counters behind one `RwLock`: deployments
+/// install a handful of keys and `get` is a single read-lock per submit
+/// and per answered request, so every publication (`install`,
+/// `swap_if_current`, `demote_if_current`) is linearized by the one
+/// write lock, which is also where its version is minted. A `BTreeMap`
+/// (not a hash map) keeps [`ModelRegistry::keys`] sorted by `(config,
+/// feature tag)` regardless of install order — hash-map iteration order
+/// is randomized per process and must never reach service output.
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
-    models: RwLock<BTreeMap<ModelKey, Arc<ModelEntry>>>,
-    /// Total installs (first install counts); `swap_count()` reports
-    /// installs that *replaced* an existing entry.
-    installs: AtomicU64,
-    swaps: AtomicU64,
-    demotions: AtomicU64,
+    state: RwLock<Published>,
 }
 
 impl ModelRegistry {
@@ -128,32 +172,7 @@ impl ModelRegistry {
         predictor: KccaPredictor,
         fallback: OptimizerCostModel,
     ) -> u64 {
-        let version = self.next_version();
-        let entry = Arc::new(ModelEntry {
-            predictor,
-            fallback,
-            version,
-            degraded: false,
-        });
-        let replaced = self.models.write().insert(key, entry).is_some();
-        if replaced {
-            // ordering: pure statistic; the write lock above is what
-            // orders the install itself.
-            self.swaps.fetch_add(1, Ordering::Relaxed);
-        }
-        // Untraced marker (trace 0): installs happen outside any request,
-        // but a ModelSwap event in the exported window lets a trace
-        // reader correlate latency shifts with a mid-run hot-swap.
-        qpp_obs::recorder().record_mark(0, qpp_obs::Stage::ModelSwap, version);
-        version
-    }
-
-    /// Mints the next monotonic entry version.
-    fn next_version(&self) -> u64 {
-        // ordering: fetch_add is atomic at any ordering, which is all
-        // version uniqueness needs; monotonic publication of the entry
-        // itself rides on the map lock.
-        self.installs.fetch_add(1, Ordering::Relaxed) + 1
+        self.state.write().publish(key, predictor, fallback, false)
     }
 
     /// Installs `predictor` under `key` **only if** the currently
@@ -173,29 +192,14 @@ impl ModelRegistry {
         predictor: KccaPredictor,
         fallback: OptimizerCostModel,
     ) -> Result<u64, SwapRace> {
-        // The guard and the insert happen under one write lock, which
-        // is all the generation guard needs.
-        let mut models = self.models.write();
-        let found = models.get(&key).map(|e| e.version);
+        // The guard and the publication happen under one write lock,
+        // which is all the generation guard needs.
+        let mut state = self.state.write();
+        let found = state.models.get(&key).map(|e| e.version);
         if found != Some(expected) {
             return Err(SwapRace { expected, found });
         }
-        let version = self.next_version();
-        models.insert(
-            key,
-            Arc::new(ModelEntry {
-                predictor,
-                fallback,
-                version,
-                degraded: false,
-            }),
-        );
-        drop(models);
-        // ordering: pure statistic; the guarded swap was ordered by the
-        // write lock above.
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        qpp_obs::recorder().record_mark(0, qpp_obs::Stage::ModelSwap, version);
-        Ok(version)
+        Ok(state.publish(key, predictor, fallback, false))
     }
 
     /// Kill-switch: replaces the entry under `key` with a degraded copy
@@ -204,8 +208,8 @@ impl ModelRegistry {
     /// decided against one model can never demote a newer one that was
     /// installed while the decision was being made.
     pub fn demote_if_current(&self, key: ModelKey, expected: u64) -> Result<u64, SwapRace> {
-        let mut models = self.models.write();
-        let current = match models.get(&key) {
+        let mut state = self.state.write();
+        let current = match state.models.get(&key) {
             Some(e) if e.version == expected && !e.degraded => Arc::clone(e),
             other => {
                 return Err(SwapRace {
@@ -214,27 +218,17 @@ impl ModelRegistry {
                 })
             }
         };
-        let version = self.next_version();
-        models.insert(
+        Ok(state.publish(
             key,
-            Arc::new(ModelEntry {
-                predictor: current.predictor.clone(),
-                fallback: current.fallback.clone(),
-                version,
-                degraded: true,
-            }),
-        );
-        drop(models);
-        // ordering: pure statistic; the guarded demotion was ordered by
-        // the write lock above.
-        self.demotions.fetch_add(1, Ordering::Relaxed);
-        qpp_obs::recorder().record_mark(0, qpp_obs::Stage::KillSwitch, version);
-        Ok(version)
+            current.predictor.clone(),
+            current.fallback.clone(),
+            true,
+        ))
     }
 
     /// Version of the currently installed entry for `key`, if any.
     pub fn current_version(&self, key: &ModelKey) -> Option<u64> {
-        self.models.read().get(key).map(|e| e.version)
+        self.state.read().models.get(key).map(|e| e.version)
     }
 
     /// Installs a model from its serialized JSON envelope (see
@@ -253,30 +247,27 @@ impl ModelRegistry {
     /// valid (and internally consistent) across concurrent swaps.
     // qpp-lint: hot-path
     pub fn get(&self, key: &ModelKey) -> Option<Arc<ModelEntry>> {
-        self.models.read().get(key).cloned()
+        self.state.read().models.get(key).cloned()
     }
 
     /// Installed keys, sorted by `(config, feature tag)`.
     pub fn keys(&self) -> Vec<ModelKey> {
-        self.models.read().keys().cloned().collect()
+        self.state.read().models.keys().cloned().collect()
     }
 
     /// Number of installs that replaced an existing model.
     pub fn swap_count(&self) -> u64 {
-        // ordering: monitoring read; any recent value is acceptable.
-        self.swaps.load(Ordering::Relaxed)
+        self.state.read().swaps
     }
 
     /// Total installs, including first-time installs.
     pub fn install_count(&self) -> u64 {
-        // ordering: monitoring read; any recent value is acceptable.
-        self.installs.load(Ordering::Relaxed)
+        self.state.read().installs
     }
 
     /// Kill-switch demotions performed.
     pub fn demote_count(&self) -> u64 {
-        // ordering: monitoring read; any recent value is acceptable.
-        self.demotions.load(Ordering::Relaxed)
+        self.state.read().demotions
     }
 }
 
@@ -360,6 +351,41 @@ mod tests {
         assert!(v3 > v2);
         assert_eq!(registry.current_version(&key), Some(v3));
         assert!(!registry.get(&key).unwrap().degraded);
+    }
+
+    /// Versions are minted under the lock that publishes them, so no
+    /// install can land an older version over a newer one: every
+    /// thread sees `current_version` only ever rise, and the entry left
+    /// standing carries the highest version any install returned.
+    #[test]
+    fn racing_installs_never_publish_an_older_version() {
+        const THREADS: usize = 8;
+        const INSTALLS: usize = 1_500;
+        let registry = ModelRegistry::new();
+        let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
+        let (model, fallback) = trained(27);
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    barrier.wait();
+                    let mut seen = 0;
+                    for _ in 0..INSTALLS {
+                        let minted = registry.install(key.clone(), model.clone(), fallback.clone());
+                        let current = registry.current_version(&key).unwrap();
+                        assert!(
+                            current >= minted.max(seen),
+                            "current_version read {current} after {seen} and after minting {minted}"
+                        );
+                        seen = current;
+                    }
+                });
+            }
+        });
+        let highest = (THREADS * INSTALLS) as u64;
+        assert_eq!(registry.current_version(&key), Some(highest));
+        assert_eq!(registry.install_count(), highest);
+        assert_eq!(registry.swap_count(), highest - 1);
     }
 
     #[test]

@@ -169,7 +169,9 @@ impl Default for ServeOptions {
 }
 
 struct Queued {
-    request: PredictRequest,
+    /// Shared with the client's [`PendingPrediction`]: one request, two
+    /// readers.
+    request: Arc<PredictRequest>,
     /// Dense tenant index (resolved once at admission).
     tenant_idx: usize,
     /// Resolved tenant ID (the default tenant for unregistered IDs).
@@ -202,7 +204,7 @@ fn class_rank(class: QueryCategory) -> u8 {
 #[derive(Debug)]
 pub struct PendingPrediction {
     rx: mpsc::Receiver<Result<ServeResponse, QppError>>,
-    request: PredictRequest,
+    request: Arc<PredictRequest>,
     /// The queued request's `enqueued_ns` (same stamp, same clock).
     submitted_ns: u64,
     trace_id: u64,
@@ -409,8 +411,9 @@ impl PredictionService {
         let class = QueryCategory::of(entry.fallback.predict_elapsed(&request.plan));
         let (tx, rx) = mpsc::channel();
         let enqueued_ns = rec.now_ns();
+        let request = Arc::new(request);
         let queued = Queued {
-            request: request.clone(),
+            request: Arc::clone(&request),
             tenant_idx,
             tenant,
             class,
@@ -474,9 +477,11 @@ impl PredictionService {
     /// Point-in-time statistics, including the registry's swap and
     /// demotion counts, totalled and broken out per tenant.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.model_swaps.set(self.registry.swap_count());
-        self.stats.model_demotions.set(self.registry.demote_count());
-        self.stats.snapshot(self.queue.len())
+        self.stats.snapshot(
+            self.queue.len(),
+            self.registry.swap_count(),
+            self.registry.demote_count(),
+        )
     }
 
     /// Stops accepting work, drains what was accepted, joins workers.

@@ -83,10 +83,6 @@ pub struct ServiceStats {
     pub batched_requests: Counter,
     /// Largest queue depth observed at submission time.
     pub max_queue_depth: Counter,
-    /// Model hot-swaps observed via the registry.
-    pub model_swaps: Counter,
-    /// Kill-switch demotions observed via the registry.
-    pub model_demotions: Counter,
     /// Executed-query outcomes reported back through
     /// `observe_completion` (the adaptation feedback loop's input).
     pub observed_completions: Counter,
@@ -123,8 +119,6 @@ impl ServiceStats {
             batches: Counter::default(),
             batched_requests: Counter::default(),
             max_queue_depth: Counter::default(),
-            model_swaps: Counter::default(),
-            model_demotions: Counter::default(),
             observed_completions: Counter::default(),
             degraded_answers: Counter::default(),
         }
@@ -161,12 +155,19 @@ impl ServiceStats {
         self.max_queue_depth.observe_max(depth as u64);
     }
 
-    /// An immutable view of the counters plus derived rates/quantiles.
+    /// An immutable view of the counters plus derived rates/quantiles;
+    /// the queue depth and the registry's swap and demotion counts are
+    /// their owners' to report, so the caller passes them in.
     ///
     /// Cells fold in dense tenant order and histograms merge by summing
     /// per-bucket counts, so two snapshots of identical recorded events
     /// are identical regardless of which workers recorded them.
-    pub fn snapshot(&self, queue_depth: usize) -> StatsSnapshot {
+    pub fn snapshot(
+        &self,
+        queue_depth: usize,
+        model_swaps: u64,
+        model_demotions: u64,
+    ) -> StatsSnapshot {
         let tenants = self.labels.len();
         let mut submitted = 0u64;
         let mut completed = 0u64;
@@ -234,8 +235,8 @@ impl ServiceStats {
             p50_latency: quantile_of(&merged, 0.50),
             p95_latency: quantile_of(&merged, 0.95),
             p99_latency: quantile_of(&merged, 0.99),
-            model_swaps: self.model_swaps.get(),
-            model_demotions: self.model_demotions.get(),
+            model_swaps,
+            model_demotions,
             observed_completions: self.observed_completions.get(),
             degraded_answers: self.degraded_answers.get(),
             per_tenant,
@@ -400,7 +401,7 @@ mod tests {
         for _ in 0..10 {
             stats.cell(0).record_latency(Duration::from_micros(1024));
         }
-        let snap = stats.snapshot(0);
+        let snap = stats.snapshot(0, 0, 0);
         assert!(
             snap.p50_latency.bound_us <= 16,
             "p50 {}",
@@ -425,7 +426,7 @@ mod tests {
             stats.cell(0).record_latency(Duration::from_micros(100));
         }
         stats.cell(0).record_latency(Duration::from_secs(40));
-        let snap = stats.snapshot(0);
+        let snap = stats.snapshot(0, 0, 0);
         assert!(!snap.p50_latency.saturated);
         assert!(snap.p99_latency.saturated, "p99 {:?}", snap.p99_latency);
         assert_eq!(snap.p99_latency.bound_us, 1u64 << 25);
@@ -453,7 +454,7 @@ mod tests {
         assert_eq!(q0.bound_us, (1 << 11) - 1, "q=0 must land in bucket 10");
         // And through the snapshot path: p50 of all-slow samples cannot
         // be faster than the samples.
-        let snap = stats.snapshot(0);
+        let snap = stats.snapshot(0, 0, 0);
         assert!(
             snap.p50_latency.bound_us >= 1024,
             "p50 {:?}",
@@ -469,7 +470,7 @@ mod tests {
         stats.observe_queue_depth(3);
         stats.observe_queue_depth(7);
         stats.observe_queue_depth(2);
-        let snap = stats.snapshot(1);
+        let snap = stats.snapshot(1, 0, 0);
         assert!((snap.mean_batch_size - 6.0).abs() < 1e-12);
         assert_eq!(snap.max_queue_depth, 7);
         assert_eq!(snap.queue_depth, 1);
@@ -477,7 +478,7 @@ mod tests {
 
     #[test]
     fn empty_stats_have_zero_quantiles() {
-        let snap = single().snapshot(0);
+        let snap = single().snapshot(0, 0, 0);
         assert_eq!(snap.p50_latency.bound_us, 0);
         assert!(!snap.p50_latency.saturated);
         assert_eq!(snap.fallback_rate, 0.0);
@@ -488,9 +489,10 @@ mod tests {
     fn display_is_total() {
         let stats = single();
         stats.cell(0).record_latency(Duration::from_micros(100));
-        let text = format!("{}", stats.snapshot(2));
+        let text = format!("{}", stats.snapshot(2, 3, 1));
         assert!(text.contains("p50"));
-        assert!(text.contains("model swaps"));
+        assert!(text.contains("model swaps 3"));
+        assert!(text.contains("demotions 1"));
     }
 
     #[test]
@@ -510,7 +512,7 @@ mod tests {
         }
         stats.record_rejected_quota(1);
         stats.record_rejected_full(2);
-        let snap = stats.snapshot(0);
+        let snap = stats.snapshot(0, 0, 0);
         assert_eq!(snap.submitted, 24);
         assert_eq!(snap.completed, 12);
         assert_eq!(snap.rejected_quota, 1);
@@ -532,7 +534,7 @@ mod tests {
         assert!(snap.per_tenant[0].p50_latency.bound_us <= 127);
         assert!(snap.per_tenant[2].p50_latency.bound_us >= 256);
         // Ordered merge is reproducible.
-        let again = stats.snapshot(0);
+        let again = stats.snapshot(0, 0, 0);
         assert_eq!(snap.per_tenant, again.per_tenant);
         assert_eq!(snap.p99_latency, again.p99_latency);
     }

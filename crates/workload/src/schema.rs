@@ -96,14 +96,6 @@ impl Schema {
             .unwrap_or(0)
     }
 
-    /// Total data volume in bytes at this scale factor.
-    pub fn total_bytes(&self) -> u64 {
-        self.tables
-            .iter()
-            .map(|t| t.rows(self.scale_factor) * t.row_width())
-            .sum::<u64>()
-    }
-
     /// The TPC-DS-shaped schema at the given scale factor.
     ///
     /// Row counts are the TPC-DS SF-1 sizes; column NDVs/widths are
@@ -427,14 +419,6 @@ mod tests {
         let t = s.table("item").unwrap();
         assert_eq!(t.column("i_category").unwrap().ndv, 10);
         assert!(t.column("nope").is_none());
-    }
-
-    #[test]
-    fn total_bytes_positive_and_scales() {
-        let s = Schema::tpcds(1.0);
-        let b1 = s.total_bytes();
-        assert!(b1 > 100_000_000); // ~half a GB at SF1
-        assert!(Schema::tpcds(2.0).total_bytes() > b1);
     }
 
     #[test]

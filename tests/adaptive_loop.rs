@@ -111,7 +111,6 @@ fn adaptive_loop_recovers_from_drift_through_the_real_service() {
             drift: DriftConfig {
                 warmup: 24,
                 window: 8,
-                ..DriftConfig::default()
             },
             kill_window: 16,
             ..AdaptOptions::default()

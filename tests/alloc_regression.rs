@@ -27,9 +27,10 @@ use qpp::ml::{
 };
 use qpp::obs::{Counter, Event, EventKind, EventRing, Histogram, Recorder, Stage};
 use qpp::serve::{
-    ModelKey, ModelRegistry, PushError, ServiceStats, TenantId, TenantQueue, TenantSpec,
-    TenantTable,
+    ModelKey, ModelRegistry, PredictRequest, PredictionService, PushError, ServeOptions,
+    ServiceStats, TenantId, TenantQueue, TenantSpec, TenantTable, DEFAULT_TENANT,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 #[global_allocator]
@@ -234,7 +235,9 @@ fn obs_roots_steady_state_allocate_nothing() {
 /// The serve data plane's roots, warm: tenant resolution, the admission
 /// push (accepted, over quota and queue full), the deficit-round-robin
 /// drain into a reused batch, the per-tenant stats cells, and the
-/// registry lookup a worker makes per batch group.
+/// registry lookup a worker makes per request. Then the one root that
+/// does allocate, `submit_async`: the `Arc` client and worker share the
+/// request through and the response channel, not a copy of the request.
 #[test]
 fn serve_roots_steady_state_allocate_nothing() {
     let table = TenantTable::new(vec![
@@ -245,7 +248,7 @@ fn serve_roots_steady_state_allocate_nothing() {
     let stats = ServiceStats::for_tenants(&table);
     let train = collect_tpcds(60, 73, &SystemConfig::neoview_4(), 2);
     let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
-    let registry = ModelRegistry::new();
+    let registry = Arc::new(ModelRegistry::new());
     registry.install(
         key.clone(),
         KccaPredictor::train(&train, PredictorOptions::default()).unwrap(),
@@ -291,7 +294,7 @@ fn serve_roots_steady_state_allocate_nothing() {
         "warm serve roots performed {events} heap allocations"
     );
 
-    let snap = stats.snapshot(queue.len());
+    let snap = stats.snapshot(queue.len(), 0, 0);
     assert_eq!(version, 1);
     assert_eq!(
         snap.completed, snap.submitted,
@@ -299,4 +302,30 @@ fn serve_roots_steady_state_allocate_nothing() {
     );
     assert!(snap.rejected_queue_full > 0 && snap.rejected_quota > 0);
     assert_eq!(snap.max_queue_depth, 24);
+
+    // Nothing drains a `workers: 0` service, so each call is measured on
+    // its own and the lane's occasional growth counts against it.
+    let options = ServeOptions {
+        workers: 0,
+        ..ServeOptions::default()
+    };
+    let service = PredictionService::start(registry, options);
+    let mut pending = Vec::with_capacity(32);
+    for record in &train.records[..32] {
+        let request = PredictRequest {
+            key: key.clone(),
+            tenant: DEFAULT_TENANT,
+            spec: record.spec.clone(),
+            plan: record.optimized.plan.clone(),
+            deadline: Duration::from_secs(30),
+        };
+        let before = ALLOC.thread_allocation_events();
+        pending.push(service.submit_async(request).unwrap());
+        let events = ALLOC.thread_allocation_events() - before;
+        assert!(
+            events <= 4,
+            "submit_async performed {events} heap allocations"
+        );
+    }
+    assert_eq!(service.stats().queue_depth, 32);
 }
