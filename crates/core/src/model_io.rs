@@ -24,7 +24,12 @@ use std::path::Path;
 /// performance projection, `KccaPredictor` stores one `targets` matrix
 /// (raw metrics, or `ln(1+x)` under `log_space_average`) in place of
 /// both, and `IvfOptions` is `nlist`/`nprobe` only.
-pub const FORMAT_VERSION: u32 = 4;
+///
+/// v5: the projection is folded. `Kcca` stores `fold` (`L⁻ᵀ W`,
+/// `rank x components`), `kernel_center` (`L μ`) and `correlations` in
+/// place of the `rank x rank` pivot block and the whole `Cca` (both
+/// weight matrices, both mean vectors).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Errors from model (de)serialization.
 #[derive(Debug)]
@@ -48,6 +53,16 @@ pub enum ModelIoError {
         /// Checksum computed from the payload actually read.
         computed: String,
     },
+    /// The payload parses and matches its checksum (FNV-1a is not a
+    /// signature: anyone can re-seal an edited payload) but its parts do
+    /// not fit together — a matrix whose data is not `rows x cols`, a
+    /// width or row count that breaks the scaler → pivots → fold → index
+    /// → targets chain. Loaded anyway it would panic or mis-answer at
+    /// the first prediction.
+    Malformed {
+        /// The first part that does not fit.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for ModelIoError {
@@ -63,6 +78,7 @@ impl std::fmt::Display for ModelIoError {
                 f,
                 "model payload checksum mismatch: envelope records {recorded}, payload hashes to {computed}"
             ),
+            ModelIoError::Malformed { what } => write!(f, "model payload malformed: {what}"),
         }
     }
 }
@@ -141,9 +157,14 @@ pub fn to_json(model: &KccaPredictor) -> Result<String, ModelIoError> {
 }
 
 /// Deserializes a one-model predictor, verifying format version and
-/// payload checksum first.
+/// payload checksum first and the model's structure
+/// ([`KccaPredictor::validate`]) last.
 pub fn from_json(json: &str) -> Result<KccaPredictor, ModelIoError> {
-    Ok(serde_json::from_str(&open(json)?)?)
+    let model: KccaPredictor = serde_json::from_str(&open(json)?)?;
+    model
+        .validate()
+        .map_err(|what| ModelIoError::Malformed { what })?;
+    Ok(model)
 }
 
 /// Writes a one-model predictor to a file.
@@ -210,10 +231,26 @@ mod tests {
         assert!(json.contains(&format!("\"format_version\":{FORMAT_VERSION}")));
         assert!(json.contains("fnv1a64:"));
         // v4 ships what an answer reads: one targets matrix, no
-        // performance projection.
-        assert!(json.contains("targets"));
-        for gone in ["y_projection", "raw_performance", "log_performance"] {
-            assert!(!json.contains(gone), "{gone} is still serialized");
+        // performance projection; v5 folds the pivot block and the CCA
+        // weights and means into `fold` / `kernel_center`.
+        for kept in ["targets", "fold", "kernel_center", "correlations"] {
+            assert!(json.contains(kept), "{kept} is not serialized");
+        }
+        for gone in [
+            "y_projection",
+            "raw_performance",
+            "log_performance",
+            "x_pivot_block",
+            "cca",
+            "wx",
+            "wy",
+            "x_means",
+            "y_means",
+        ] {
+            assert!(
+                !json.contains(&format!("\\\"{gone}\\\"")),
+                "{gone} is still serialized"
+            );
         }
     }
 
@@ -222,8 +259,8 @@ mod tests {
         let (m, _) = model();
         let json = to_json(&m).unwrap();
         let current = format!("\"format_version\":{FORMAT_VERSION}");
-        // A future version, and the v3 envelope this build superseded.
-        for version in [99, 3] {
+        // A future version, and the v3 / v4 envelopes this build superseded.
+        for version in [99, 3, 4] {
             let other = json.replace(&current, &format!("\"format_version\":{version}"));
             match from_json(&other) {
                 Err(ModelIoError::UnsupportedVersion { found, supported }) => {
@@ -231,6 +268,56 @@ mod tests {
                     assert_eq!(supported, FORMAT_VERSION);
                 }
                 other => panic!("expected UnsupportedVersion, got {other:?}"),
+            }
+        }
+    }
+
+    /// Regression: FNV-1a is recomputable, so each edit below, re-sealed,
+    /// used to load. Shown at the parent: `targets` four times as wide
+    /// panicked in `Matrix::row` at the first prediction, and pivots four
+    /// times as wide were caught only by the shape check of the
+    /// embedding the fold deletes. The rest break the same chain — an
+    /// index out of range or a `zip` to the shorter side — one link each.
+    #[test]
+    fn resealed_malformed_payloads_are_typed_errors_at_load() {
+        let (_, d) = model();
+        let mut options = PredictorOptions::default();
+        options.ann.ivf_threshold = 16;
+        let model = KccaPredictor::train(&d, options).unwrap();
+        assert!(model.index().is_ivf());
+        let payload = serde_json::to_string(&model).unwrap();
+        assert!(from_json(&seal(payload.clone()).unwrap()).is_ok());
+        let (n, rank) = (model.training_size(), model.kcca().x_rank());
+        // A matrix header rewritten to another shape; the reshapes that
+        // keep `rows * cols` pass the per-matrix check and must fail the
+        // chain.
+        let reshape = |name: &str, from: (usize, usize), to: (usize, usize)| {
+            let header = |(r, c)| format!("\"{name}\":{{\"rows\":{r},\"cols\":{c},");
+            (header(from), header(to))
+        };
+        let prepend = |list: &str, value: usize| {
+            let open = format!("\"{list}\":[");
+            (format!("{open}0,"), format!("{open}{value},"))
+        };
+        let cases = [
+            reshape("targets", (n, 6), (n, 24)),
+            reshape("x_pivots", (rank, 24), (rank, 96)),
+            reshape("targets", (n, 6), (n / 2, 12)),
+            reshape("fold", (rank, 16), (rank * 2, 8)),
+            reshape("x_projection", (n, 16), (n * 2, 8)),
+            reshape("packed", (n, 16), (n * 2, 8)),
+            reshape("centroids", (1, 16), (2, 8)),
+            ("\"stds\":[".into(), "\"stds\":[1,".into()),
+            ("\"kernel_center\":[".into(), "\"kernel_center\":[0,".into()),
+            prepend("offsets", 1),
+            prepend("ids", n),
+        ];
+        for (from, to) in cases {
+            assert!(payload.contains(&from), "payload has no {from}");
+            let resealed = seal(payload.replacen(&from, &to, 1)).unwrap();
+            match from_json(&resealed).map(|_| "a loaded model") {
+                Err(ModelIoError::Malformed { what }) => assert!(!what.is_empty()),
+                other => panic!("{from} -> {to}: expected Malformed, got {other:?}"),
             }
         }
     }

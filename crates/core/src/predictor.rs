@@ -317,11 +317,34 @@ impl KccaPredictor {
         &self.index
     }
 
+    /// Structural check of a deserialized model, run by
+    /// [`crate::model_io::from_json`]: the shapes [`KccaPredictor::fit`]
+    /// guarantees and a payload need not have — scaler, pivots, fold,
+    /// index and targets chained width to width, row count to row count.
+    /// Names the first part that does not fit; without it such a model
+    /// loads and then panics, or zips to the shorter side and answers.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let width = self.scaler.means().len();
+        if self.scaler.stds().len() != width {
+            return Err("scaler means and deviations differ in length");
+        }
+        self.kcca.validate(width)?;
+        self.index.validate(self.kcca.components())?;
+        let targets = &self.targets;
+        if !targets.is_well_formed()
+            || targets.shape() != (self.index.len(), PerfMetrics::DIM)
+            || self.kcca.query_projection().rows() != targets.rows()
+        {
+            return Err("targets is not one six-metric row per index row");
+        }
+        Ok(())
+    }
+
     /// Predicts from a raw query feature vector.
     ///
     /// The one implementation of prediction (every other entry point
-    /// is a loop over it or feeds it): standardization, kernel row, ICD
-    /// embedding, CCA projection and kNN combine all write into
+    /// is a loop over it or feeds it): standardization, kernel row,
+    /// folded projection and kNN combine all write into
     /// thread-local scratch buffers, so once a thread's buffers have
     /// warmed up to the model's dimensions this performs **zero heap
     /// allocations** (guarded by the `alloc_regression` test).

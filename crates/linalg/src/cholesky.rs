@@ -76,6 +76,12 @@ impl Cholesky {
         Cholesky::new(&work)
     }
 
+    /// Wraps an already lower-triangular `l` for the substitutions
+    /// below, which read nothing above its diagonal.
+    pub(crate) fn from_factor(l: Matrix) -> Self {
+        Cholesky { l }
+    }
+
     /// The lower-triangular factor `L`.
     pub fn l(&self) -> &Matrix {
         &self.l

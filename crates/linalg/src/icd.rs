@@ -14,6 +14,7 @@
 // loops; the iterator forms clippy suggests obscure the math.
 #![allow(clippy::needless_range_loop)]
 
+use crate::cholesky::Cholesky;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -204,9 +205,10 @@ impl IncompleteCholesky {
     }
 }
 
-/// The lower-triangular pivot block of an [`IncompleteCholesky`]
-/// (triangular in selection order by construction): what a fitted model
-/// keeps to embed new points.
+/// The lower-triangular pivot block `L` of an [`IncompleteCholesky`]
+/// (triangular in selection order by construction). A fitted model folds
+/// it into its projection ([`PivotBlock::fold_linear_map`]) and does not
+/// keep it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PivotBlock {
     rows: Matrix,
@@ -224,10 +226,9 @@ impl PivotBlock {
     /// `kernel_at_pivots[t]` must be `k(x_new, pivot_t)` in pivot order.
     /// The embedding satisfies `g_new · g_iᵀ ≈ k(x_new, x_i)` for training
     /// points `i`, i.e. new points live in the same approximate feature
-    /// space as the training rows of `G`. Writes into a reusable buffer:
-    /// after warmup its capacity is retained, so steady-state embeddings
-    /// allocate nothing.
-    // qpp-lint: hot-path
+    /// space as the training rows of `G`. No prediction runs this: it is
+    /// the staged oracle `tests/fold_equivalence.rs` holds the folded
+    /// projection against.
     pub fn transform_new_into(&self, kernel_at_pivots: &[f64], out: &mut Vec<f64>) -> Result<()> {
         let r = self.rank();
         if kernel_at_pivots.len() != r {
@@ -248,6 +249,18 @@ impl PivotBlock {
             out[t] = v / row[t];
         }
         Ok(())
+    }
+
+    /// Folds the embedding into a linear map that follows it. For any
+    /// kernel row `k`, `weightsᵀ (L⁻¹ k − means) = foldᵀ (k − center)`
+    /// with `fold = L⁻ᵀ weights` (`rank() x weights.cols()`) and
+    /// `center = L means`: one back-substitution here buys every later
+    /// projection its forward substitution. Consumes the block — the
+    /// folded pair replaces it.
+    pub fn fold_linear_map(self, weights: &Matrix, means: &[f64]) -> Result<(Matrix, Vec<f64>)> {
+        let center = self.rows.matvec(means)?;
+        let fold = Cholesky::from_factor(self.rows).back_substitute_matrix(weights)?;
+        Ok((fold, center))
     }
 }
 

@@ -111,6 +111,13 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
+    /// True when `data` holds exactly `rows * cols` values. Every
+    /// constructor guarantees it; a deserialized matrix is whatever the
+    /// payload said, and one that fails this indexes out of range.
+    pub fn is_well_formed(&self) -> bool {
+        self.rows.checked_mul(self.cols) == Some(self.data.len())
+    }
+
     /// True when the matrix is square.
     #[inline]
     pub fn is_square(&self) -> bool {

@@ -18,9 +18,9 @@
 //!   centroids, fanned out with [`qpp_par::parallel_for_chunks`] and
 //!   merged in chunk order — thread-count invariant;
 //! * every row of every probed list is offered to the one top-k buffer
-//!   through the `(distance, index)`-ordered, finite-filtered
-//!   `push_top_k` the brute scan uses, so ties break as in the serial
-//!   scan whichever list a row sits in.
+//!   by the `scan_rows` loop the brute scan is (finite-filtered,
+//!   ordered by `(key, index)`), so ties break as in the serial scan
+//!   whichever list a row sits in.
 //!
 //! The rescan is *exact* over the probed cells, so whenever those cells
 //! cover the true top-k (always, when `nprobe == nlist`), results are
@@ -37,8 +37,8 @@
 
 use crate::kmeans::KMeans;
 use crate::knn::{
-    predict_with, push_top_k, DistanceMetric, KnnError, KnnScratch, NearestNeighbors, Neighbor,
-    NeighborWeighting,
+    keys_to_distances, predict_with, scan_rows, DistanceMetric, KnnError, KnnScratch,
+    NearestNeighbors, Neighbor, NeighborWeighting,
 };
 use qpp_linalg::Matrix;
 use serde::{Deserialize, Serialize};
@@ -257,22 +257,24 @@ impl IvfIndex {
         let KnnScratch {
             neighbors, probed, ..
         } = scratch;
-        neighbors.clear();
-        // 1. Coarse probe: top-nprobe centroids by (distance, index).
+        let metric = self.metric;
+        // 1. Coarse probe: top-nprobe centroids by (key, index); only
+        //    their indices are read, so the keys stay keys.
         probed.clear();
-        for c in 0..self.centroids.rows() {
-            let d = self.metric.distance(probe, self.centroids.row(c));
-            push_top_k(probed, self.nprobe, c, d);
-        }
+        let lists = 0..self.centroids.rows();
+        let nprobe = self.nprobe;
+        scan_rows(metric, probe, &self.centroids, lists, nprobe, probed, |c| c);
         // 2. Exact rescan: a sequential sweep over each probed list's
         //    packed strip, every row offered to the one top-k buffer
         //    under its original row id.
+        neighbors.clear();
         for pc in probed.iter() {
-            for p in self.offsets[pc.index]..self.offsets[pc.index + 1] {
-                let d = self.metric.distance(probe, self.packed.row(p));
-                push_top_k(neighbors, k, self.ids[p], d);
-            }
+            let strip = self.offsets[pc.index]..self.offsets[pc.index + 1];
+            scan_rows(metric, probe, &self.packed, strip, k, neighbors, |p| {
+                self.ids[p]
+            });
         }
+        keys_to_distances(metric, neighbors);
     }
 
     /// Predicts a target vector for `probe` into reusable buffers; the
@@ -363,6 +365,40 @@ impl AnnIndex {
     /// True when the index is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Structural check of a deserialized index: rows `dims` wide, every
+    /// matrix holding `rows * cols` values, and on the IVF arm one list
+    /// boundary per centroid plus one, ascending from 0 to the row count,
+    /// over ids that each name a row. Names the first part that does not
+    /// fit; [`AnnIndex::build`] cannot produce one.
+    pub fn validate(&self, dims: usize) -> Result<(), &'static str> {
+        let rows = match self {
+            AnnIndex::Brute { scan } => scan.reference(),
+            AnnIndex::Ivf { ivf } => &ivf.packed,
+        };
+        if !rows.is_well_formed() || rows.cols() != dims {
+            return Err("index rows are not rows x components");
+        }
+        let AnnIndex::Ivf { ivf } = self else {
+            return Ok(());
+        };
+        if !ivf.centroids.is_well_formed() || ivf.centroids.cols() != dims {
+            return Err("index.centroids is not nlist x components");
+        }
+        let n = ivf.packed.rows();
+        if ivf.ids.len() != n || ivf.ids.iter().any(|&id| id >= n) {
+            return Err("index.ids does not name one row per packed row");
+        }
+        let bounds = &ivf.offsets;
+        if bounds.len() != ivf.centroids.rows() + 1
+            || bounds.first() != Some(&0)
+            || bounds.last() != Some(&n)
+            || bounds.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err("index.offsets does not cut the rows into nlist lists");
+        }
+        Ok(())
     }
 
     /// True when the IVF arm is active.

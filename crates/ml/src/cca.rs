@@ -56,9 +56,9 @@ impl Default for CcaOptions {
 pub struct Cca {
     /// Canonical correlations, descending (length = components kept).
     pub correlations: Vec<f64>,
-    wx: Matrix,
+    pub(crate) wx: Matrix,
     wy: Matrix,
-    x_means: Vec<f64>,
+    pub(crate) x_means: Vec<f64>,
     y_means: Vec<f64>,
 }
 
@@ -179,14 +179,6 @@ impl Cca {
         project(row, &self.y_means, &self.wy)
     }
 
-    /// Projects one x-side row into a reusable buffer. After warmup the
-    /// buffer's capacity is retained, so steady-state calls allocate
-    /// nothing. Bitwise equal to [`Cca::project_x`].
-    // qpp-lint: hot-path
-    pub fn project_x_into(&self, row: &[f64], out: &mut Vec<f64>) {
-        project_into(row, &self.x_means, &self.wx, out)
-    }
-
     /// Projects every row of an x-side matrix.
     pub fn project_x_matrix(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(x.rows(), self.components());
@@ -231,21 +223,13 @@ fn center(m: &Matrix, means: &[f64]) -> Matrix {
     Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)] - means[j])
 }
 
+/// `wᵀ (row − means)` through [`Matrix::gemv_t_centered_into`], the
+/// kernel the folded query projection ([`crate::kcca`]) also runs.
 fn project(row: &[f64], means: &[f64], w: &Matrix) -> Vec<f64> {
-    let mut out = Vec::with_capacity(w.cols());
-    project_into(row, means, w, &mut out);
-    out
-}
-
-// The cache-blocked gemv is bitwise equal to the naive
-// center-skip-accumulate loop that used to live here (see
-// `Matrix::gemv_t_centered_into` and the property test pinning it), so
-// this stays the single projection kernel for both owned and `_into`
-// paths.
-// qpp-lint: hot-path
-fn project_into(row: &[f64], means: &[f64], w: &Matrix, out: &mut Vec<f64>) {
     debug_assert_eq!(row.len(), w.rows());
-    w.gemv_t_centered_into(row, means, out);
+    let mut out = Vec::with_capacity(w.cols());
+    w.gemv_t_centered_into(row, means, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -321,21 +305,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cca.components(), 2); // min(3, 2)
-    }
-
-    #[test]
-    fn project_into_is_bitwise_equal_to_project() {
-        let (x, y) = correlated_data(60, 11);
-        let cca = Cca::fit(&x, &y, CcaOptions::default()).unwrap();
-        let mut buf = Vec::new();
-        for i in 0..5 {
-            let owned = cca.project_x(x.row(i));
-            cca.project_x_into(x.row(i), &mut buf);
-            assert_eq!(owned.len(), buf.len());
-            for (a, b) in owned.iter().zip(buf.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]

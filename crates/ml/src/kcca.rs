@@ -3,8 +3,9 @@
 //! Pipeline:
 //!
 //! 1. Gaussian kernels over the query-feature and performance-feature
-//!    vectors, with scales set to fixed fractions (0.1 / 0.2) of the
-//!    empirical variance of the data norms — the paper's heuristic.
+//!    vectors, with scales set to fixed fractions (0.25 / 0.5, see
+//!    [`KccaOptions`]) of the mean pairwise squared distance — the
+//!    paper's 1:2 heuristic on a scale-free base.
 //! 2. Pivoted incomplete Cholesky `K ≈ G Gᵀ` on each side (Bach &
 //!    Jordan); run to full rank with zero tolerance this is exact, with
 //!    a rank cap it is the standard scalable approximation.
@@ -17,13 +18,17 @@
 //! query side is kept — prediction looks neighbors up there and reads
 //! their measured metrics, never the performance projection. New
 //! queries are projected by evaluating the kernel against the pivot
-//! points only.
+//! points only, and everything after that kernel row `k` is linear in
+//! it: with `L` the ICD pivot block, `W` / `μ` the CCA weights and
+//! means, `Wᵀ(L⁻¹k − μ) = (L⁻ᵀW)ᵀ(k − Lμ)`. [`Kcca::fit`] folds the
+//! right-hand side's two constants once, so a projection is the kernel
+//! row and one `rank x components` gemv — no triangular solve, and the
+//! fitted model keeps neither `L` nor the CCA weights. The staged
+//! left-hand side survives as the oracle of `tests/fold_equivalence.rs`.
 
 use crate::cca::{Cca, CcaOptions};
 use crate::kernel::GaussianKernel;
-use qpp_linalg::{
-    vector, IcdOptions, IncompleteCholesky, LinalgError, Matrix, MatrixView, PivotBlock,
-};
+use qpp_linalg::{vector, IcdOptions, IncompleteCholesky, LinalgError, Matrix, MatrixView};
 use serde::{Deserialize, Serialize};
 
 /// Options for [`Kcca::fit`].
@@ -65,10 +70,13 @@ pub struct Kcca {
     x_kernel: GaussianKernel,
     /// Query-side pivot points (rows of the training X at ICD pivots).
     x_pivots: Matrix,
-    /// Query-side ICD pivot block `G[pivots, :]`: all that embedding a
-    /// new query reads, so the `n x rank` factor is not kept.
-    x_pivot_block: PivotBlock,
-    cca: Cca,
+    /// `L⁻ᵀ W` (`rank x components`): ICD embedding and CCA weights
+    /// folded into the one matrix a kernel row is projected through.
+    fold: Matrix,
+    /// `L μ` (`rank`): the CCA centering, moved in front of the fold.
+    kernel_center: Vec<f64>,
+    /// Canonical correlations achieved on the training set, descending.
+    correlations: Vec<f64>,
     /// Training query projection `Kx A` (one row per training point).
     x_projection: Matrix,
 }
@@ -132,12 +140,13 @@ impl Kcca {
             )?
         };
         let x_projection = cca.project_x_matrix(x_icd.g());
-        let x_pivots = x.select_rows(x_icd.pivots());
+        let (fold, kernel_center) = x_icd.pivot_block().fold_linear_map(&cca.wx, &cca.x_means)?;
         Ok(Kcca {
             x_kernel,
-            x_pivots,
-            x_pivot_block: x_icd.pivot_block(),
-            cca,
+            x_pivots: x.select_rows(x_icd.pivots()),
+            fold,
+            kernel_center,
+            correlations: cca.correlations,
             x_projection,
         })
     }
@@ -149,17 +158,39 @@ impl Kcca {
 
     /// Canonical correlations achieved on the training set.
     pub fn correlations(&self) -> &[f64] {
-        &self.cca.correlations
+        &self.correlations
     }
 
     /// Number of canonical components.
     pub fn components(&self) -> usize {
-        self.cca.components()
+        self.fold.cols()
     }
 
     /// Achieved incomplete-Cholesky rank on the query side.
     pub fn x_rank(&self) -> usize {
-        self.x_pivot_block.rank()
+        self.x_pivots.rows()
+    }
+
+    /// Structural check of a deserialized model: every matrix holds
+    /// `rows * cols` values and pivots (`rank x width`), fold
+    /// (`rank x components`), centering (`rank`) and training projection
+    /// (`n x components`) fit together. Names the first part that does
+    /// not; [`Kcca::fit`] cannot produce one.
+    pub fn validate(&self, width: usize) -> Result<(), &'static str> {
+        let (pivots, fold, stored) = (&self.x_pivots, &self.fold, &self.x_projection);
+        if !pivots.is_well_formed() || pivots.cols() != width {
+            return Err("kcca.x_pivots is not rank x feature width");
+        }
+        if !fold.is_well_formed() || fold.rows() != pivots.rows() {
+            return Err("kcca.fold is not rank x components");
+        }
+        if self.kernel_center.len() != pivots.rows() {
+            return Err("kcca.kernel_center is not rank long");
+        }
+        if !stored.is_well_formed() || stored.cols() != fold.cols() {
+            return Err("kcca.x_projection is not rows x components");
+        }
+        Ok(())
     }
 
     /// Projects a *new* query feature vector into the query projection
@@ -172,9 +203,11 @@ impl Kcca {
     /// no longer flag it as anomalous. Callers should treat low
     /// similarity as low prediction confidence.
     ///
-    /// `scratch` holds the kernel-row and ICD-embedding buffers; once
-    /// all three buffers have warmed up to the model's dimensions, this
-    /// performs no heap allocation.
+    /// The kernel row goes through the folded map in one
+    /// [`Matrix::gemv_t_centered_into`]; once `scratch` and `out` have
+    /// warmed up to the model's dimensions this performs no heap
+    /// allocation. Fails only on a feature vector of another width than
+    /// the pivots.
     // qpp-lint: hot-path
     pub fn project_query_into(
         &self,
@@ -182,6 +215,13 @@ impl Kcca {
         scratch: &mut ProjectionScratch,
         out: &mut Vec<f64>,
     ) -> Result<f64, LinalgError> {
+        if features.len() != self.x_pivots.cols() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "kcca project_query",
+                lhs: (1, self.x_pivots.cols()),
+                rhs: (1, features.len()),
+            });
+        }
         scratch.k_row.clear();
         scratch.k_row.extend(
             self.x_pivots
@@ -189,25 +229,22 @@ impl Kcca {
                 .map(|p| self.x_kernel.eval(features, p)),
         );
         let similarity = vector::max_iter(0.0, scratch.k_row.iter().copied());
-        self.x_pivot_block
-            .transform_new_into(&scratch.k_row, &mut scratch.embedded)?;
-        self.cca.project_x_into(&scratch.embedded, out);
+        self.fold
+            .gemv_t_centered_into(&scratch.k_row, &self.kernel_center, out);
         Ok(similarity)
     }
 }
 
-/// Reusable buffers for [`Kcca::project_query_into`]: the kernel row
-/// against the pivots and the incomplete-Cholesky embedding. One scratch
-/// per worker thread is enough; buffers grow to the model's dimensions
-/// on first use and are then recycled.
+/// Reusable buffer for [`Kcca::project_query_into`]: the kernel row
+/// against the pivots. One scratch per worker thread is enough; it
+/// grows to the model's rank on first use and is then recycled.
 #[derive(Debug, Default, Clone)]
 pub struct ProjectionScratch {
     k_row: Vec<f64>,
-    embedded: Vec<f64>,
 }
 
 impl ProjectionScratch {
-    /// Empty scratch; buffers are sized lazily on first projection.
+    /// Empty scratch; the buffer is sized lazily on first projection.
     pub fn new() -> Self {
         ProjectionScratch::default()
     }

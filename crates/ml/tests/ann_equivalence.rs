@@ -10,13 +10,17 @@
 //! Every comparison is repeated under 1 and 8 worker threads — results
 //! must not depend on the pool size, at build time or query time.
 //!
-//! `ci.sh` gates on this suite actually running (≥ 8 tests), the same
-//! pattern as the svd_equivalence gate.
+//! Both arms are one strip scan (four rows at a time, keyed by squared
+//! distance, early abandon); a property test holds it to the
+//! one-row-at-a-time loop it replaced, written out here.
+//!
+//! `ci.sh` gates on this suite actually running (all 10 tests), the
+//! same pattern as the svd_equivalence gate.
 
-use qpp_linalg::Matrix;
+use qpp_linalg::{vector, Matrix};
 use qpp_ml::{
     AnnIndex, AnnOptions, DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NearestNeighbors,
-    NeighborWeighting,
+    Neighbor, NeighborWeighting,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +45,7 @@ fn blobs(clusters: usize, per: usize, seed: u64) -> Matrix {
     Matrix::from_rows(&rows).unwrap()
 }
 
-fn assert_bitwise_equal(brute: &[qpp_ml::Neighbor], ivf: &[qpp_ml::Neighbor], what: &str) {
+fn assert_bitwise_equal(brute: &[Neighbor], ivf: &[Neighbor], what: &str) {
     assert_eq!(brute.len(), ivf.len(), "{what}: neighbor count differs");
     for (i, (b, a)) in brute.iter().zip(ivf.iter()).enumerate() {
         assert_eq!(b.index, a.index, "{what}: neighbor {i} index differs");
@@ -199,6 +203,66 @@ fn non_finite_reference_rows_are_skipped_like_brute() {
         let approx = ivf.query(&probe, 5);
         assert_bitwise_equal(&brute, &approx, "corrupt-reference probe");
         assert!(approx.iter().all(|n| n.distance.is_finite()));
+    }
+}
+
+proptest::proptest! {
+    /// The strip scan — groups of four rows, squared-distance keys, a
+    /// group dropped once half its columns put all four rows past the
+    /// k-th key — returns what offering one full distance at a time
+    /// does: the same rows, the same distance bits. Coordinates sit on a
+    /// half-integer grid so equal squared distances are common, one row
+    /// in eight repeats an earlier one (exact ties, resolved by index),
+    /// one in eight carries a NaN or an infinity, widths run 1..=17 and
+    /// lengths 1..=40 (any remainder mod four), and `k` reaches past
+    /// both ends.
+    #[test]
+    fn strip_scan_is_the_one_row_at_a_time_scan(
+        seed in 0u64..u64::MAX,
+        dims in 1usize..18,
+        n in 1usize..41,
+        k_choice in 0usize..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut grid = |_, _| rng.random_range(-3i32..4) as f64 * 0.5;
+        let mut data = Matrix::from_fn(n, dims, &mut grid);
+        let probe = Matrix::from_fn(1, dims, &mut grid);
+        let probe = probe.row(0);
+        for i in 1..n {
+            match rng.random_range(0u8..8) {
+                0 => {
+                    let earlier = data.row(rng.random_range(0..i)).to_vec();
+                    data.row_mut(i).copy_from_slice(&earlier);
+                }
+                1 => {
+                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                    data.row_mut(i)[rng.random_range(0..dims)] = bad[rng.random_range(0..3)];
+                }
+                _ => {}
+            }
+        }
+        let k = [0, 1, 3, n, n + 5][k_choice];
+
+        // The loop the scan replaced: every row's full squared distance,
+        // finite ones kept in (square, index) order, the first k rooted.
+        let mut keyed: Vec<(f64, usize)> = (0..n)
+            .map(|i| (vector::sq_dist(probe, data.row(i)), i))
+            .filter(|(sq, _)| sq.is_finite())
+            .collect();
+        keyed.sort_by(|a, b| a.partial_cmp(b).expect("finite keys"));
+        keyed.truncate(k);
+        let one_at_a_time: Vec<Neighbor> = keyed
+            .iter()
+            .map(|&(sq, index)| Neighbor { index, distance: sq.sqrt() })
+            .collect();
+
+        let what = format!("seed {seed} dims {dims} n {n} k {k}");
+        let brute = NearestNeighbors::new(data.clone(), DistanceMetric::Euclidean).query(probe, k);
+        assert_bitwise_equal(&one_at_a_time, &brute, &what);
+        let nlist = n.min(3);
+        let exhaustive = IvfOptions { nlist, nprobe: nlist };
+        let ivf = IvfIndex::build(data, DistanceMetric::Euclidean, exhaustive).unwrap();
+        assert_bitwise_equal(&brute, &ivf.query(probe, k), &what);
     }
 }
 

@@ -28,7 +28,7 @@ pub enum Stage {
     ModelSwap,
     /// Standardization of one query's features (`transform_row_into`).
     PredictStandardize,
-    /// One query's kernel row + ICD embedding + CCA projection.
+    /// One query's kernel row + folded projection gemv.
     PredictProject,
     /// kNN search + neighbor-metric combine.
     PredictKnn,

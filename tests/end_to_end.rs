@@ -5,7 +5,7 @@ use qpp::core::baselines::{OptimizerCostModel, RegressionPredictor};
 use qpp::core::pipeline::{collect_tpcds, evaluate};
 use qpp::core::{FeatureKind, KccaPredictor, PredictorOptions, QueryCategory, TwoStepPredictor};
 use qpp::engine::SystemConfig;
-use qpp::ml::predictive_risk;
+use qpp::ml::{fraction_within, predictive_risk};
 
 /// Shared medium-scale pools (built once).
 fn pools() -> (qpp::core::Dataset, qpp::core::Dataset) {
@@ -129,6 +129,56 @@ fn long_and_short_queries_both_identified() {
     assert!(
         correct * 10 >= total * 8,
         "only {correct}/{total} long/short classifications correct"
+    );
+}
+
+/// Prediction-agreement gates at default settings. The predict path has
+/// two approximations, and each is held to what it approximates on 600
+/// held-out queries against a 5,000-row model: the IVF arm (default
+/// `nprobe`, 39 lists) to the brute scan over the same projection, and
+/// the folded projection to the staged one it replaced — whose
+/// within-20% count on this seed, 441 of 600, was recorded at the last
+/// commit that ran it (the fold reorders ~2% of neighbour lists there,
+/// all among training rows tied to ~1e-13).
+#[test]
+fn ivf_arm_and_folded_projection_keep_their_predictions() {
+    const STAGED_WITHIN_20PCT: usize = 441;
+    let all = collect_tpcds(5600, 424242, &SystemConfig::neoview_4(), 4);
+    let rows: Vec<usize> = (0..all.records.len()).collect();
+    let (train, held_out) = (all.subset(&rows[..5000]), all.subset(&rows[5000..]));
+    let actual = held_out.elapsed();
+    let answers = |ivf_threshold: usize| {
+        let mut options = PredictorOptions::default();
+        options.ann.ivf_threshold = ivf_threshold;
+        let model = KccaPredictor::train(&train, options).unwrap();
+        assert_eq!(model.index().is_ivf(), ivf_threshold < 5000);
+        let predictions = model.predict_dataset(&held_out).unwrap();
+        let elapsed: Vec<f64> = predictions
+            .iter()
+            .map(|p| p.metrics.elapsed_seconds)
+            .collect();
+        let within = fraction_within(&elapsed, &actual, 0.2) * actual.len() as f64;
+        (predictions, within.round() as usize)
+    };
+    let (ivf, ivf_within) = answers(PredictorOptions::default().ann.ivf_threshold);
+    let (brute, brute_within) = answers(usize::MAX);
+    let n = actual.len();
+    let same_lists = ivf
+        .iter()
+        .zip(&brute)
+        .filter(|(a, b)| a.neighbor_indices == b.neighbor_indices)
+        .count();
+    assert!(
+        same_lists * 100 >= n * 98,
+        "IVF and brute agree on only {same_lists}/{n} neighbour lists"
+    );
+    assert!(
+        ivf_within.abs_diff(brute_within) * 100 <= n,
+        "within 20%: IVF {ivf_within} vs brute {brute_within} of {n}"
+    );
+    assert!(
+        brute_within.abs_diff(STAGED_WITHIN_20PCT) * 100 <= n,
+        "within 20%: folded {brute_within} vs staged {STAGED_WITHIN_20PCT} of {n}"
     );
 }
 
