@@ -3,38 +3,20 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> qpp-lint: workspace invariants (hot path, determinism, orderings)"
-# Four token rules — no-vecvec (superseding the old Vec<Vec<f64>> grep
-# gate), no-alloc-hot-path (inside each `// qpp-lint: hot-path` body),
-# no-unordered-float-reduce, atomic-ordering-audit — plus the check that
-# every `qpp-lint:` comment is a directive the linter acts on. What a
-# type or an execution sees better lives there: panics, HashMap
-# iteration and clock reads in model crates are clippy's job
-# (unwrap_used/expect_used/panic and iter_over_hash_type in each
-# lib.rs warn list, disallowed-types in crates/{core,ml,linalg,adapt}/
-# clippy.toml; the clippy stage below), and *transitive* allocation
-# freedom is counted exactly by tests/alloc_regression.rs. Rationale and
-# fixes: cargo run -p qpp-lint -- --explain <rule>
-cargo run -q -p qpp-lint --release -- crates
-# Machine-readable run (files, marked bodies, atomic sites), a committed
-# artifact; the human gate above already failed on any violation, so
-# this run must agree.
-cargo run -q -p qpp-lint --release -- --json crates > lint.json
-grep -q '"version": 3' lint.json || { echo "lint.json: expected --json v3 output"; exit 1; }
-grep -q '"count": 0' lint.json || { echo "lint.json: violations leaked past the human gate"; exit 1; }
-for stat in files hot_fns atomic_sites atomic_justified; do
-    grep -q "\"$stat\": [1-9]" lint.json || { echo "lint.json: no \"$stat\" count"; exit 1; }
-done
-if grep -rq "allow(atomic-ordering-audit)" --include="*.rs" crates/*/src; then
-    echo "qpp-lint: an atomic-ordering-audit waiver crept in; write the // ordering: justification instead"
-    exit 1
-fi
-echo "qpp-lint OK: workspace clean, lint.json artifact written"
-
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
+# Owns the invariants a type can see, in every library's lib.rs warn
+# list: typed errors instead of panics (unwrap_used / expect_used /
+# panic), no hash-order iteration (iter_over_hash_type), and no clock
+# read in a model crate (disallowed-types in crates/{core,ml,linalg,
+# adapt}/clippy.toml). What an execution sees is the test stages' job
+# (DESIGN.md §11): allocation freedom is counted by
+# tests/alloc_regression.rs, reduction order by tests/thread_invariance.rs
+# at 1 and 8 threads, and the two conventions left — no Vec<Vec<f64>>,
+# Relaxed-only commented atomics in three files — by tests/conventions.rs,
+# which also checks the clippy lines above still exist.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test (QPP_THREADS=1)"
@@ -77,10 +59,6 @@ done
 SWAPS=$(sed -n 's/.*"counter":"canary_swaps","value":\([0-9]*\).*/\1/p' "$ADAPT_OUT")
 if [ -z "$SWAPS" ] || [ "$SWAPS" -eq 0 ]; then
     echo "adapt smoke: expected a nonzero canary_swaps counter, got '${SWAPS:-missing}'"
-    exit 1
-fi
-if grep -rq "qpp-lint: allow(" crates/adapt/src; then
-    echo "adapt smoke: crates/adapt/src carries a lint waiver; it must be clean without opt-outs"
     exit 1
 fi
 echo "adapt smoke OK: drift -> retrain -> shadow_score -> canary_swap chain traced, $SWAPS swap(s)"
@@ -165,7 +143,11 @@ echo "==> size ratchet: lines of Rust per crate"
 # their doc comments; net of the deletions the fold allowed
 # (Cca::project_x_into and its test, DistanceMetric::distance,
 # ProjectionScratch::embedded, the Cca and pivot block in Kcca).
-MAX_RUST_LINES=28683
+# PR 23 lowered it 28,683 -> 25,946 (-2,737): crates/lint is gone (2,661)
+# with the 76 directive comments it read; its four invariants are owned
+# by tests that sit outside this count (tests/conventions.rs, 119 lines;
+# tests/alloc_regression.rs, +77).
+MAX_RUST_LINES=25946
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

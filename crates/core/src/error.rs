@@ -82,7 +82,6 @@ pub type QppResult<T> = Result<T, QppError>;
 impl QppError {
     /// Attaches (or replaces) the context of a layered variant; no-op
     /// for the serving variants, whose meaning is already complete.
-    // qpp-lint: hot-path
     pub fn with_context(mut self, context: &'static str) -> Self {
         match &mut self {
             QppError::Linalg { context: c, .. }
@@ -179,7 +178,6 @@ pub trait ResultExt<T> {
 }
 
 impl<T, E: Into<QppError>> ResultExt<T> for Result<T, E> {
-    // qpp-lint: hot-path
     fn ctx(self, context: &'static str) -> QppResult<T> {
         self.map_err(|e| e.into().with_context(context))
     }

@@ -76,7 +76,6 @@ impl PlanFeatures {
 /// Adds every plan node to its operator's instance count and
 /// estimated-cardinality sum, in plan-node order (the one accumulation
 /// order, so the owned and in-place extractors agree bit for bit).
-// qpp-lint: hot-path
 fn accumulate_plan(plan: &Plan, counts: &mut [f64], sums: &mut [f64]) {
     for node in &plan.nodes {
         let k = node.kind.index();
@@ -107,7 +106,6 @@ pub fn feature_dim(kind: FeatureKind) -> usize {
 /// path. Allocates nothing. Plan features land as
 /// [`PlanFeatures::to_vec`] lays them out — counts, then
 /// `ln(1 + cardinality_sum)` per operator.
-// qpp-lint: hot-path
 pub fn query_features_to(kind: FeatureKind, spec: &QuerySpec, plan: &Plan, out: &mut [f64]) {
     assert_eq!(out.len(), feature_dim(kind), "feature row width");
     match kind {

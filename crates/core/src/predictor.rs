@@ -348,7 +348,6 @@ impl KccaPredictor {
     /// thread-local scratch buffers, so once a thread's buffers have
     /// warmed up to the model's dimensions this performs **zero heap
     /// allocations** (guarded by the `alloc_regression` test).
-    // qpp-lint: hot-path
     pub fn predict_features(&self, features: &[f64]) -> Result<Prediction, QppError> {
         SCRATCH.with(|cell| self.predict_row(features, &mut cell.borrow_mut()))
     }
@@ -358,7 +357,6 @@ impl KccaPredictor {
     /// Fails (instead of silently predicting zeros, as it once did)
     /// when no usable neighbor exists — an empty reference or a probe
     /// whose projection is entirely non-finite.
-    // qpp-lint: hot-path
     fn predict_row(
         &self,
         features: &[f64],
@@ -417,7 +415,6 @@ impl KccaPredictor {
             metrics: PerfMetrics::from_vec(&scratch.combined),
             // NeighborIds stores up to `INLINE` indices without heap;
             // k ≤ 8 in every supported configuration.
-            // qpp-lint: allow(no-alloc-hot-path)
             neighbor_indices: found.iter().map(|n| n.index).collect(),
             confidence_distance,
             max_kernel_similarity,
@@ -440,7 +437,6 @@ impl KccaPredictor {
     /// entry point (no execution required), and the call the serve
     /// worker makes per request. Features are extracted into the
     /// thread-local scratch, so a warm call allocates nothing.
-    // qpp-lint: hot-path
     pub fn predict(&self, spec: &QuerySpec, plan: &Plan) -> Result<Prediction, QppError> {
         let kind = self.options.feature_kind;
         SCRATCH.with(|cell| {

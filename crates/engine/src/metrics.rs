@@ -62,7 +62,6 @@ impl PerfMetrics {
     }
 
     /// Rebuilds from a canonical-order vector.
-    // qpp-lint: hot-path
     pub fn from_vec(v: &[f64]) -> Self {
         assert_eq!(v.len(), Self::DIM, "performance vector must have 6 entries");
         PerfMetrics {

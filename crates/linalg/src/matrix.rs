@@ -245,7 +245,6 @@ impl Matrix {
     /// zero centered components skipped, one `+=` per touched row) —
     /// blocking changes *which* elements a pass touches, never the
     /// association within one. `tests/properties.rs` pins this.
-    // qpp-lint: hot-path
     pub fn gemv_t_centered_into(&self, row: &[f64], means: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(row.len(), self.rows);
         debug_assert_eq!(means.len(), self.rows);

@@ -64,7 +64,6 @@ impl Standardizer {
     /// Standardizes one row into a reusable buffer. After warmup the
     /// buffer's capacity is retained, so steady-state calls allocate
     /// nothing.
-    // qpp-lint: hot-path
     pub fn transform_row_into(&self, row: &[f64], out: &mut Vec<f64>) {
         out.clear();
         out.extend(

@@ -5,41 +5,35 @@
 //! reductions* of the workspace: strictly sequential, left-to-right,
 //! fixed seed. Float addition is not associative, so the bitwise
 //! determinism guarantee (tests/thread_invariance.rs) requires every
-//! float reduction to pin its evaluation order — `qpp-lint`'s
-//! `no-unordered-float-reduce` rule steers all library code here. The
-//! interior `.sum()`/`.fold()` calls below are the sanctioned
-//! primitives and carry the corresponding allow annotations.
+//! float reduction to pin its evaluation order. This module is the one
+//! named place those reductions are spelled; each is bitwise equal to
+//! the bare `.sum()`/`.fold()` form it wraps, which
+//! `ordered_reductions_match_bare_spellings` below proves.
 
 /// Ordered sequential sum of a slice: left to right, seed `0.0`.
 ///
 /// Bitwise identical to `a.iter().sum::<f64>()` — this is the
 /// sanctioned spelling of that reduction in library code.
-// qpp-lint: hot-path
 #[inline]
 pub fn sum(a: &[f64]) -> f64 {
     sum_iter(a.iter().copied())
 }
 
 /// Ordered sequential sum of an iterator: left to right, seed `0.0`.
-// qpp-lint: hot-path
 #[inline]
 pub fn sum_iter(it: impl IntoIterator<Item = f64>) -> f64 {
-    // qpp-lint: allow(no-unordered-float-reduce) — the canonical ordered reduction
     it.into_iter().fold(0.0, |acc, v| acc + v)
 }
 
 /// Ordered sequential minimum: `fold(seed, f64::min)` left to right.
 #[inline]
 pub fn min_iter(seed: f64, it: impl IntoIterator<Item = f64>) -> f64 {
-    // qpp-lint: allow(no-unordered-float-reduce) — the canonical ordered reduction
     it.into_iter().fold(seed, f64::min)
 }
 
 /// Ordered sequential maximum: `fold(seed, f64::max)` left to right.
-// qpp-lint: hot-path
 #[inline]
 pub fn max_iter(seed: f64, it: impl IntoIterator<Item = f64>) -> f64 {
-    // qpp-lint: allow(no-unordered-float-reduce) — the canonical ordered reduction
     it.into_iter().fold(seed, f64::max)
 }
 
@@ -47,23 +41,19 @@ pub fn max_iter(seed: f64, it: impl IntoIterator<Item = f64>) -> f64 {
 ///
 /// Panics in debug builds when lengths differ; in release the shorter
 /// length wins (callers in this workspace always pass equal lengths).
-// qpp-lint: hot-path
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    // qpp-lint: allow(no-unordered-float-reduce) — canonical ordered kernel
     a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
 }
 
 /// Euclidean (L2) norm.
-// qpp-lint: hot-path
 #[inline]
 pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
 /// Squared Euclidean distance between two points.
-// qpp-lint: hot-path
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -73,19 +63,16 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
             let d = x - y;
             d * d
         })
-        // qpp-lint: allow(no-unordered-float-reduce) — canonical ordered kernel
         .sum()
 }
 
 /// Euclidean distance between two points.
-// qpp-lint: hot-path
 #[inline]
 pub fn dist(a: &[f64], b: &[f64]) -> f64 {
     sq_dist(a, b).sqrt()
 }
 
 /// Cosine distance `1 - cos(a, b)`; zero vectors are maximally distant.
-// qpp-lint: hot-path
 #[inline]
 pub fn cosine_dist(a: &[f64], b: &[f64]) -> f64 {
     let na = norm(a);
@@ -97,7 +84,6 @@ pub fn cosine_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// `y += alpha * x` in place.
-// qpp-lint: hot-path
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());

@@ -252,7 +252,6 @@ impl IvfIndex {
     /// A probe at a non-finite distance from every centroid (e.g. a NaN
     /// component) probes nothing and yields no neighbors — the same
     /// outcome the brute scan's finite filter produces.
-    // qpp-lint: hot-path
     pub fn query_into(&self, probe: &[f64], k: usize, scratch: &mut KnnScratch) {
         let KnnScratch {
             neighbors, probed, ..
@@ -280,7 +279,6 @@ impl IvfIndex {
     /// Predicts a target vector for `probe` into reusable buffers; the
     /// body is the brute path's [`predict_with`], so predictions agree
     /// bitwise whenever the neighbor sets do.
-    // qpp-lint: hot-path
     pub fn predict_into(
         &self,
         probe: &[f64],
@@ -416,7 +414,6 @@ impl AnnIndex {
     }
 
     /// Like [`AnnIndex::query`], writing into `scratch.neighbors`.
-    // qpp-lint: hot-path
     pub fn query_into(&self, probe: &[f64], k: usize, scratch: &mut KnnScratch) {
         match self {
             AnnIndex::Brute { scan } => scan.query_into(probe, k, &mut scratch.neighbors),
@@ -426,7 +423,6 @@ impl AnnIndex {
 
     /// Predicts a target vector for `probe` into reusable buffers —
     /// alloc-free with warm scratch on both arms.
-    // qpp-lint: hot-path
     pub fn predict_into(
         &self,
         probe: &[f64],

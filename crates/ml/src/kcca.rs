@@ -208,7 +208,6 @@ impl Kcca {
     /// warmed up to the model's dimensions this performs no heap
     /// allocation. Fails only on a feature vector of another width than
     /// the pivots.
-    // qpp-lint: hot-path
     pub fn project_query_into(
         &self,
         features: &[f64],

@@ -41,7 +41,6 @@ impl GaussianKernel {
     }
 
     /// Evaluates `k(a, b)`.
-    // qpp-lint: hot-path
     #[inline]
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         (-qpp_linalg::vector::sq_dist(a, b) / self.tau).exp()

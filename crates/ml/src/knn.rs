@@ -100,14 +100,12 @@ impl NeighborWeighting {
     /// Weights for neighbors found by [`NearestNeighbors::query`],
     /// written into a reusable buffer. Bitwise equal to
     /// [`NeighborWeighting::weights`] on the same distances.
-    // qpp-lint: hot-path
     pub fn weights_into(self, neighbors: &[Neighbor], out: &mut Vec<f64>) {
         self.weights_for(neighbors.iter().map(|n| n.distance), out)
     }
 
     /// Shared raw-weight / normalize pipeline: fill `out` with the raw
     /// scheme weights, then divide by their sum.
-    // qpp-lint: hot-path
     fn weights_for(self, distances: impl ExactSizeIterator<Item = f64>, out: &mut Vec<f64>) {
         let k = distances.len();
         out.clear();
@@ -181,7 +179,6 @@ impl NearestNeighbors {
     /// by `(distance, index)`: one serial [`scan_rows`] over the whole
     /// reference (non-finite distances skipped). Once `out` has capacity
     /// `k + 1` the scan allocates nothing, at any reference size.
-    // qpp-lint: hot-path
     pub fn query_into(&self, probe: &[f64], k: usize, out: &mut Vec<Neighbor>) {
         out.clear();
         let k = k.min(self.len());
@@ -201,7 +198,6 @@ impl NearestNeighbors {
     /// the reference is empty, or when no reference row is at a finite
     /// distance from the probe — the latter two used to yield a silent
     /// all-zero prediction with an empty neighbor list.
-    // qpp-lint: hot-path
     pub fn predict_into(
         &self,
         probe: &[f64],
@@ -222,7 +218,6 @@ impl NearestNeighbors {
 /// `query` that fills `scratch.neighbors`, so the error order
 /// (misaligned targets, then empty reference, then no finite neighbor)
 /// and the combination cannot drift apart between arms.
-// qpp-lint: hot-path
 pub(crate) fn predict_with(
     reference_rows: usize,
     targets: &Matrix,
@@ -292,7 +287,6 @@ const ABANDON_DIVISOR: usize = 2;
 ///
 /// A probe of another width than `rows` is compared over the columns
 /// both have, as `sq_dist` compares slices of unequal length.
-// qpp-lint: hot-path
 pub(crate) fn scan_rows(
     metric: DistanceMetric,
     probe: &[f64],
@@ -338,7 +332,6 @@ pub(crate) fn scan_rows(
 
 /// `sums[g] += (probe[j] − rows[g][j])²` for each column `j` in order:
 /// four accumulators, each the left-to-right chain `sq_dist` runs.
-// qpp-lint: hot-path
 #[inline(always)]
 fn add_sq_diffs(sums: &mut [f64; SCAN_GROUP], probe: &[f64], rows: [&[f64]; SCAN_GROUP]) {
     let [r0, r1, r2, r3] = rows;
@@ -353,7 +346,6 @@ fn add_sq_diffs(sums: &mut [f64; SCAN_GROUP], probe: &[f64], rows: [&[f64]; SCAN
 
 /// Ends a scan: the survivors' selection keys become distances — a
 /// `sqrt` per neighbor under `Euclidean`, nothing under `Cosine`.
-// qpp-lint: hot-path
 pub(crate) fn keys_to_distances(metric: DistanceMetric, best: &mut [Neighbor]) {
     if metric == DistanceMetric::Euclidean {
         for n in best {
@@ -380,7 +372,6 @@ pub(crate) fn keys_to_distances(metric: DistanceMetric, best: &mut [Neighbor]) {
 /// everything and would land unsorted at the front). A full buffer
 /// rejects a farther row on one float compare, inlined into the scan
 /// loop (as a call per row a 2,000-row scan takes 18 µs, not 15.5).
-// qpp-lint: hot-path
 #[inline]
 pub(crate) fn push_top_k(best: &mut Vec<Neighbor>, k: usize, index: usize, distance: f64) {
     if !distance.is_finite() {

@@ -87,13 +87,11 @@ impl Recorder {
     }
 
     /// Monotonic nanoseconds since this recorder's epoch.
-    // qpp-lint: hot-path
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Fresh trace ID; starts at 1 so 0 can mean "untraced".
-    // qpp-lint: hot-path
     pub fn next_trace_id(&self) -> u64 {
         // ordering: IDs only need uniqueness, not ordering with events.
         self.next_trace.fetch_add(1, Ordering::Relaxed) + 1
@@ -101,7 +99,6 @@ impl Recorder {
 
     /// Records a completed span (the ring folds it into the per-stage
     /// totals).
-    // qpp-lint: hot-path
     pub fn record_span(&self, trace_id: u64, stage: Stage, start_ns: u64, dur_ns: u64, value: u64) {
         self.ring.push(&Event {
             trace_id,
@@ -115,7 +112,6 @@ impl Recorder {
 
     /// Records an instantaneous marker (counted in `hits`, adds no
     /// duration).
-    // qpp-lint: hot-path
     pub fn record_mark(&self, trace_id: u64, stage: Stage, value: u64) {
         self.ring.push(&Event {
             trace_id,
@@ -203,7 +199,6 @@ static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 /// later call is a plain atomic load, so hot paths may call this
 /// freely once anything (model training, a warm-up request) has
 /// touched it.
-// qpp-lint: hot-path
 pub fn recorder() -> &'static Recorder {
     GLOBAL.get_or_init(init_recorder)
 }
@@ -219,13 +214,11 @@ thread_local! {
 
 /// Sets this thread's current trace ID (0 clears it). Prefer
 /// [`with_trace`], which restores the previous value.
-// qpp-lint: hot-path
 pub fn set_current_trace(trace_id: u64) {
     CURRENT_TRACE.with(|c| c.set(trace_id));
 }
 
 /// This thread's current trace ID (0 when untraced).
-// qpp-lint: hot-path
 pub fn current_trace() -> u64 {
     CURRENT_TRACE.with(|c| c.get())
 }
@@ -233,7 +226,6 @@ pub fn current_trace() -> u64 {
 /// Runs `f` with `trace_id` as this thread's current trace, restoring
 /// the previous trace afterwards — including on unwind, so a panicking
 /// prediction can't leak its trace ID onto the worker's next request.
-// qpp-lint: hot-path
 pub fn with_trace<R>(trace_id: u64, f: impl FnOnce() -> R) -> R {
     struct Restore(u64);
     impl Drop for Restore {
@@ -257,7 +249,6 @@ pub const TAG_PAYLOAD_BITS: u32 = 48;
 /// attribute every span without a side table. Payloads wider than 48
 /// bits are truncated; tenant IDs above `u16::MAX` wrap (tags are
 /// diagnostics, never control flow).
-// qpp-lint: hot-path
 pub fn pack_tags(tenant: u16, payload: u64) -> u64 {
     ((tenant as u64) << TAG_PAYLOAD_BITS) | (payload & ((1u64 << TAG_PAYLOAD_BITS) - 1))
 }
@@ -282,14 +273,12 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Sets the span's free-form payload (batch size, queue depth, …).
-    // qpp-lint: hot-path
     pub fn set_value(&mut self, value: u64) {
         self.value = value;
     }
 }
 
 impl Drop for SpanGuard {
-    // qpp-lint: hot-path
     fn drop(&mut self) {
         let r = recorder();
         let end = r.now_ns();
@@ -305,7 +294,6 @@ impl Drop for SpanGuard {
 
 /// Starts a span for `stage`, ending (and recording) when the returned
 /// guard drops.
-// qpp-lint: hot-path
 pub fn span(stage: Stage) -> SpanGuard {
     SpanGuard {
         stage,
@@ -317,26 +305,22 @@ pub fn span(stage: Stage) -> SpanGuard {
 /// Records a completed span on the global recorder under the thread's
 /// current trace (explicit-interval form, for when the guard shape
 /// doesn't fit).
-// qpp-lint: hot-path
 pub fn record_span(stage: Stage, start_ns: u64, dur_ns: u64, value: u64) {
     recorder().record_span(current_trace(), stage, start_ns, dur_ns, value);
 }
 
 /// Records an instantaneous marker on the global recorder under the
 /// thread's current trace.
-// qpp-lint: hot-path
 pub fn record_mark(stage: Stage, value: u64) {
     recorder().record_mark(current_trace(), stage, value);
 }
 
 /// Monotonic nanoseconds since the global recorder's epoch.
-// qpp-lint: hot-path
 pub fn now_ns() -> u64 {
     recorder().now_ns()
 }
 
 /// Fresh globally-unique (per process) trace ID; never 0.
-// qpp-lint: hot-path
 pub fn next_trace_id() -> u64 {
     recorder().next_trace_id()
 }

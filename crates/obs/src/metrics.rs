@@ -20,21 +20,18 @@ impl Counter {
     }
 
     /// Adds 1.
-    // qpp-lint: hot-path
     pub fn incr(&self) {
         // ordering: pure statistic; nothing is published through it.
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n`.
-    // qpp-lint: hot-path
     pub fn add(&self, n: u64) {
         // ordering: pure statistic; nothing is published through it.
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Raises the value to at least `v` (high-watermark semantics).
-    // qpp-lint: hot-path
     pub fn observe_max(&self, v: u64) {
         // ordering: monotone max; readers tolerate any interleaving.
         self.0.fetch_max(v, Ordering::Relaxed);
@@ -67,7 +64,6 @@ impl Gauge {
     }
 
     /// Overwrites the gauge.
-    // qpp-lint: hot-path
     pub fn set(&self, value: f64) {
         // ordering: single-word bit pattern; last-writer-wins gauge.
         self.0.store(value.to_bits(), Ordering::Relaxed);
@@ -105,7 +101,6 @@ impl Histogram {
     }
 
     /// Records one sample (microseconds; 0 is clamped into bucket 0).
-    // qpp-lint: hot-path
     pub fn record(&self, value_us: u64) {
         let v = value_us.max(1);
         let bucket = (63 - v.leading_zeros() as usize).min(BUCKETS - 1);

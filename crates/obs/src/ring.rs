@@ -74,7 +74,6 @@ impl EventRing {
 
     /// Records one event: overwrites the oldest slot and folds the
     /// event into its stage's totals. Allocation-free.
-    // qpp-lint: hot-path
     pub fn push(&self, e: &Event) {
         let mut w = self.lock();
         let slot = w.recorded as usize % w.slots.len();

@@ -139,7 +139,6 @@ impl<T> TenantQueue<T> {
     /// Attempts to enqueue for tenant `tenant_idx` without blocking,
     /// refusing in the order quota → shutdown → full.
     /// Returns the queue depth *after* the push (for depth watermarks).
-    // qpp-lint: hot-path
     pub fn try_push(&self, tenant_idx: usize, item: T) -> Result<usize, PushError> {
         let quota = self.quotas[tenant_idx];
         let mut state = self.state.lock();
@@ -168,7 +167,6 @@ impl<T> TenantQueue<T> {
     /// One deficit-round-robin pass over the lanes, appending up to
     /// `max_batch` items to `out` (which is cleared first). Returns the
     /// number drained (0: queue empty). Non-blocking.
-    // qpp-lint: hot-path
     pub fn try_drain(&self, max_batch: usize, out: &mut Vec<T>) -> usize {
         self.take(self.state.lock(), max_batch, out)
     }
@@ -177,7 +175,6 @@ impl<T> TenantQueue<T> {
     /// micro-batch into `out` and returns `true`; returns `false` once
     /// the queue is shut down *and* empty — no accepted request is ever
     /// lost. Every worker blocks here, on the same condvar.
-    // qpp-lint: hot-path
     pub fn drain(&self, max_batch: usize, out: &mut Vec<T>) -> bool {
         let mut state = self.state.lock();
         loop {
@@ -198,7 +195,6 @@ impl<T> TenantQueue<T> {
 
     /// Drains one micro-batch under the held lock, releases it, and
     /// wakes a sibling worker if work remains.
-    // qpp-lint: hot-path
     fn take(
         &self,
         mut state: MutexGuard<'_, QueueState<T>>,
@@ -221,7 +217,6 @@ impl<T> TenantQueue<T> {
     /// proportion to their weights; an emptied lane forfeits its
     /// leftover deficit (standard DRR, keeps idle tenants from hoarding
     /// credit). Deterministic: cursor and deficits advance only here.
-    // qpp-lint: hot-path
     fn drr_drain(&self, state: &mut QueueState<T>, max_batch: usize, out: &mut Vec<T>) -> usize {
         let tenants = self.weights.len();
         let mut drained = 0;

@@ -245,7 +245,6 @@ impl ModelRegistry {
 
     /// Resolves the current entry for `key`. The returned `Arc` stays
     /// valid (and internally consistent) across concurrent swaps.
-    // qpp-lint: hot-path
     pub fn get(&self, key: &ModelKey) -> Option<Arc<ModelEntry>> {
         self.state.read().models.get(key).cloned()
     }

@@ -36,7 +36,6 @@ pub struct StatsCell {
 
 impl StatsCell {
     /// Records one end-to-end request latency.
-    // qpp-lint: hot-path
     pub fn record_latency(&self, latency: Duration) {
         self.latency.record(latency.as_micros() as u64);
     }
@@ -125,32 +124,27 @@ impl ServiceStats {
     }
 
     /// The hot-path cell for `tenant`.
-    // qpp-lint: hot-path
     pub fn cell(&self, tenant: usize) -> &StatsCell {
         &self.cells[tenant]
     }
 
     /// Counts a queue-full rejection for `tenant`.
-    // qpp-lint: hot-path
     pub fn record_rejected_full(&self, tenant: usize) {
         self.rejected_full[tenant].incr();
     }
 
     /// Counts an over-quota rejection for `tenant`.
-    // qpp-lint: hot-path
     pub fn record_rejected_quota(&self, tenant: usize) {
         self.rejected_quota[tenant].incr();
     }
 
     /// Records a drained micro-batch of `len` requests.
-    // qpp-lint: hot-path
     pub fn record_batch(&self, len: usize) {
         self.batches.incr();
         self.batched_requests.add(len as u64);
     }
 
     /// Raises the max-depth watermark to at least `depth`.
-    // qpp-lint: hot-path
     pub fn observe_queue_depth(&self, depth: usize) {
         self.max_queue_depth.observe_max(depth as u64);
     }

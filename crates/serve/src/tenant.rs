@@ -122,7 +122,6 @@ impl TenantTable {
 
     /// Dense index for `id`; unregistered tenants fold into the
     /// catch-all default at index 0.
-    // qpp-lint: hot-path
     pub fn resolve(&self, id: TenantId) -> usize {
         self.specs
             .binary_search_by_key(&id, |s| s.id)

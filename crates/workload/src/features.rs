@@ -35,7 +35,6 @@ pub struct SqlTextFeatures {
 
 impl SqlTextFeatures {
     /// Extracts the features from a query spec.
-    // qpp-lint: hot-path
     pub fn from_spec(q: &QuerySpec) -> Self {
         let equality = q.predicates.iter().filter(|p| p.op.is_equality()).count() as u32;
         let total_sel = q.predicates.len() as u32

@@ -8,24 +8,38 @@
 //! is allocation-free by design. Runs in its own test binary because a
 //! process can have only one `#[global_allocator]`.
 //!
-//! This file is the *transitive* half of the `// qpp-lint: hot-path`
-//! contract. The linter checks each marked body for allocating
-//! constructs at the line that wrote them; what a marked function
-//! reaches — through calls, closures and `dyn` dispatch alike — is
-//! counted here, exactly, one test per family of roots: predict, obs,
-//! serve. The tests share a process, so each diffs the events of its
-//! own thread.
+//! This file is the whole allocation contract of the predict, serve
+//! and trace paths: a body is allocation-free because it runs inside a
+//! counted region below and the region counts 0 events. The counter
+//! sees what a root *reaches*, through calls, closures and `dyn`
+//! dispatch alike; it does not see a branch no input here takes, so a
+//! new arm on these paths brings its input with it. One test per family
+//! of roots (the tests share a process, so each diffs the events of its
+//! own thread):
+//!
+//! - predict: `KccaPredictor::{predict, predict_features, predict_batch}`
+//!   over plan and SQL-text features, brute and IVF arms, the typed
+//!   wrong-width refusal (`ResultExt::ctx` → `QppError::with_context`),
+//!   `IvfIndex::predict_into`, `NearestNeighbors::{query_into,
+//!   predict_into}` under both metrics, `vector::dist`;
+//! - obs: `Recorder::{now_ns, record_span, record_mark}`, `EventRing::push`,
+//!   the trace cell, `span`/`SpanGuard`, the free `now_ns`,
+//!   `next_trace_id`, `record_span`, `record_mark`, `Counter`, `Gauge`,
+//!   `Histogram`;
+//! - serve: `TenantTable::resolve`, `TenantQueue::{try_push, try_drain,
+//!   drain}`, the `ServiceStats` cells, `ModelRegistry::get`, and
+//!   `submit_async` (≤ 4: the shared `Arc` and the response channel).
 
 use counting_alloc::CountingAllocator;
 use qpp::core::baselines::OptimizerCostModel;
 use qpp::core::pipeline::collect_tpcds;
-use qpp::core::{FeatureKind, KccaPredictor, PredictorOptions};
+use qpp::core::{FeatureKind, KccaPredictor, PredictorOptions, QppError};
 use qpp::engine::SystemConfig;
-use qpp::linalg::Matrix;
+use qpp::linalg::{vector, LinalgError, Matrix};
 use qpp::ml::{
     DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NearestNeighbors, NeighborWeighting,
 };
-use qpp::obs::{Counter, Event, EventKind, EventRing, Histogram, Recorder, Stage};
+use qpp::obs::{Counter, Event, EventKind, EventRing, Gauge, Histogram, Recorder, Stage};
 use qpp::serve::{
     ModelKey, ModelRegistry, PredictRequest, PredictionService, PushError, ServeOptions,
     ServiceStats, TenantId, TenantQueue, TenantSpec, TenantTable, DEFAULT_TENANT,
@@ -60,6 +74,13 @@ fn predict_features_steady_state_allocates_nothing() {
     qpp::obs::with_trace(trace_id, || {
         for _ in 0..32 {
             last = Some(model.predict_features(&features).unwrap());
+            // A row of another width is refused with a typed error,
+            // and the refusal is as free as the answer.
+            let Err(QppError::Linalg { source, .. }) = model.predict_features(&features[1..])
+            else {
+                panic!("a short row is refused by the linalg layer");
+            };
+            assert!(matches!(source, LinalgError::ShapeMismatch { .. }));
         }
     });
     let events = ALLOC.thread_allocation_events() - before;
@@ -116,6 +137,27 @@ fn predict_features_steady_state_allocates_nothing() {
     );
     assert_eq!(batch.len(), 8);
 
+    // The other feature kind: nine counts read off the query spec.
+    let sql_options = PredictorOptions {
+        feature_kind: FeatureKind::SqlText,
+        ..PredictorOptions::default()
+    };
+    let sql_model = KccaPredictor::train(&train, sql_options).unwrap();
+    sql_model
+        .predict(&probe.spec, &probe.optimized.plan)
+        .unwrap();
+    let before = ALLOC.thread_allocation_events();
+    for _ in 0..32 {
+        sql_model
+            .predict(&probe.spec, &probe.optimized.plan)
+            .unwrap();
+    }
+    let events = ALLOC.thread_allocation_events() - before;
+    assert_eq!(
+        events, 0,
+        "steady-state SQL-text predict performed {events} heap allocations over 32 calls"
+    );
+
     // Same guarantee for the IVF arm of the neighbor index: once the
     // scratch has warmed up, the coarse probe, exact rescan and weighted
     // combine are all alloc-free.
@@ -123,6 +165,7 @@ fn predict_features_steady_state_allocates_nothing() {
     let targets = Matrix::from_fn(3000, 6, |i, j| ((i * 13 + j) % 97) as f64);
     let probe: Vec<f64> = data.row(997).to_vec();
     let brute = NearestNeighbors::new(data.clone(), DistanceMetric::Euclidean);
+    let cosine = NearestNeighbors::new(data.clone(), DistanceMetric::Cosine);
     let ivf = IvfIndex::build(data, DistanceMetric::Euclidean, IvfOptions::default()).unwrap();
     let mut scratch = KnnScratch::new();
     let mut combined = Vec::new();
@@ -170,6 +213,27 @@ fn predict_features_steady_state_allocates_nothing() {
         "warm 3000-row brute query_into performed {brute_events} heap allocations over 32 calls"
     );
 
+    // The brute arm's own combine, under the metric and the weighting
+    // no default selects (`dot`, `norm`, `cosine_dist`), and the plain
+    // distance only tests read.
+    let weighting = NeighborWeighting::InverseDistance;
+    cosine
+        .predict_into(&probe, &targets, 3, weighting, &mut scratch, &mut combined)
+        .unwrap();
+    let before = ALLOC.thread_allocation_events();
+    for _ in 0..32 {
+        cosine
+            .predict_into(&probe, &targets, 3, weighting, &mut scratch, &mut combined)
+            .unwrap();
+        assert_eq!(vector::dist(&probe, &probe), 0.0);
+    }
+    let cosine_events = ALLOC.thread_allocation_events() - before;
+    assert_eq!(
+        cosine_events, 0,
+        "warm cosine predict_into performed {cosine_events} heap allocations over 32 calls"
+    );
+    assert!(scratch.neighbors[0].distance < 1e-12);
+
     let train = collect_tpcds(2100, 79, &config, 2);
     let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
     assert!(!model.index().is_ivf() && model.training_size() > 2048);
@@ -185,14 +249,15 @@ fn predict_features_steady_state_allocates_nothing() {
     );
 }
 
-/// The trace layer's roots, warm: recording a span or a mark, pushing
-/// into a ring that has already wrapped, moving the thread's trace ID,
-/// bumping a counter or a histogram.
+/// The trace layer's roots, warm: recording a span or a mark (on a
+/// recorder and through the free functions), pushing into a ring that
+/// has already wrapped, moving the thread's trace ID, drawing a fresh
+/// one, bumping a counter, a gauge or a histogram.
 #[test]
 fn obs_roots_steady_state_allocate_nothing() {
     let recorder = Recorder::with_capacity(64);
     let ring = EventRing::new(64);
-    let (counter, histogram) = (Counter::new(), Histogram::new());
+    let (counter, gauge, histogram) = (Counter::new(), Gauge::new(), Histogram::new());
     // First use sizes the global recorder's ring and this thread's
     // trace cell.
     qpp::obs::with_trace(qpp::obs::next_trace_id(), || {
@@ -217,6 +282,9 @@ fn obs_roots_steady_state_allocate_nothing() {
         span.set_value(i);
         drop(span);
         qpp::obs::record_mark(Stage::Drift, i);
+        qpp::obs::record_span(Stage::Retrain, qpp::obs::now_ns(), 5, i);
+        assert!(qpp::obs::next_trace_id() > 0);
+        gauge.set(i as f64);
         counter.incr();
         counter.add(2);
         counter.observe_max(i);
@@ -230,14 +298,16 @@ fn obs_roots_steady_state_allocate_nothing() {
     );
     assert_eq!(recorder.events_recorded(), 512);
     assert_eq!((ring.recorded(), histogram.total()), (256, 256));
+    assert_eq!(gauge.get(), 256.0);
 }
 
 /// The serve data plane's roots, warm: tenant resolution, the admission
 /// push (accepted, over quota and queue full), the deficit-round-robin
-/// drain into a reused batch, the per-tenant stats cells, and the
-/// registry lookup a worker makes per request. Then the one root that
-/// does allocate, `submit_async`: the `Arc` client and worker share the
-/// request through and the response channel, not a copy of the request.
+/// drain into a reused batch (blocking and not), the per-tenant stats
+/// cells, and the registry lookup a worker makes per request. Then the
+/// one root that does allocate, `submit_async`: the `Arc` client and
+/// worker share the request through and the response channel, not a
+/// copy of the request.
 #[test]
 fn serve_roots_steady_state_allocate_nothing() {
     let table = TenantTable::new(vec![
@@ -272,14 +342,21 @@ fn serve_roots_steady_state_allocate_nothing() {
                 Err(PushError::ShuttingDown) => unreachable!("the queue is never shut down"),
             }
         }
-        while queue.try_drain(8, &mut batch) > 0 {
+        let mut serve = |batch: &[u64]| {
             stats.record_batch(batch.len());
             version = registry.get(&key).map_or(0, |entry| entry.version);
-            for &item in &batch {
+            for &item in batch {
                 let cell = stats.cell(item as usize % table.len());
                 cell.completed.incr();
                 cell.record_latency(Duration::from_micros(40 + item));
             }
+        };
+        // What a worker calls: the blocking drain, which takes its
+        // batch without waiting because the queue holds work.
+        assert!(queue.drain(8, &mut batch));
+        serve(&batch);
+        while queue.try_drain(8, &mut batch) > 0 {
+            serve(&batch);
         }
     };
     // The first round grows the lanes and the batch to working size.

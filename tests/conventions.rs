@@ -1,0 +1,119 @@
+//! Project conventions no type and no execution can see (DESIGN.md §11): each check
+//! is a pure function over `(path, text)`, fired on inline text, then run over `crates/*/src`.
+
+use std::fs;
+use std::path::PathBuf;
+
+/// The only files that may name an atomic ordering (DESIGN.md §11 "Atomics").
+const REVIEWED_ATOMICS: [&str; 3] = ["obs/src/metrics.rs", "obs/src/lib.rs", "par/src/lib.rs"];
+
+/// The data plane is contiguous matrices and views: a `Vec<Vec<f64>>`
+/// line must carry `allow-vecvec` (test fixtures do).
+fn nested_f64_rows(path: &str, text: &str) -> Vec<String> {
+    let nested = |l: &&str| l.contains("Vec<Vec<f64>>") && !l.contains("allow-vecvec");
+    let hits = text.lines().filter(nested);
+    hits.map(|l| format!("{path}: {}", l.trim())).collect()
+}
+
+/// Every atomic ordering is `Relaxed`, sits in a reviewed file, and has an
+/// `// ordering:` reason on its line or above it, back to the last statement end.
+fn atomic_sites_outside_review(path: &str, text: &str) -> Vec<String> {
+    let lines: Vec<&str> = text.lines().collect();
+    let reviewed = REVIEWED_ATOMICS.iter().any(|f| path.ends_with(f));
+    let code = |i: usize| lines[i].split("//").next().unwrap_or("").trim_end();
+    let justified = |site: usize| {
+        let above = (0..site).rev();
+        let mut near = above.take_while(|&i| !code(i).ends_with([';', '{', '}']));
+        lines[site].contains("// ordering:") || near.any(|i| lines[i].contains("// ordering:"))
+    };
+    let mut out = Vec::new();
+    for i in 0..lines.len() {
+        for variant in code(i).split("Ordering::").skip(1) {
+            let atomic = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+            let why = match atomic.iter().find(|v| variant.starts_with(**v)) {
+                None => continue, // a `std::cmp::Ordering`
+                Some(_) if !reviewed => "an atomic outside the three reviewed files",
+                Some(&"Relaxed") if justified(i) => continue,
+                Some(&"Relaxed") => "no `// ordering:` reason on the line or above it",
+                Some(_) => "not Relaxed: write the pairing into DESIGN.md §11 first",
+            };
+            out.push(format!("{path}:{}: {why}", i + 1));
+        }
+    }
+    out
+}
+
+/// Two rules are clippy's, by type: no clock read in a model crate (`clippy.toml`), no
+/// hash-order iteration in a library (`lib.rs` warn list). Drop a line and its rule is off.
+fn clippy_handover(path: &str, text: &str) -> Vec<String> {
+    let lacks = |hay: &str, n: &str| (!hay.contains(n)).then(|| format!("{path}: lacks {n}"));
+    if !path.ends_with("clippy.toml") {
+        return Vec::from_iter(lacks(text, "clippy::iter_over_hash_type"));
+    }
+    let rule = text.lines().find(|l| l.starts_with("disallowed-types"));
+    let clocks = ["std::time::Instant", "std::time::SystemTime"];
+    Vec::from_iter(clocks.iter().filter_map(|ty| lacks(rule.unwrap_or(""), ty)))
+}
+
+/// `check` over each `.rs` file under a `src/` of `crates/`; tests run from the package root.
+fn over_live_sources(check: fn(&str, &str) -> Vec<String>) -> Vec<String> {
+    let (mut stack, mut files, mut findings) = (vec![PathBuf::from("crates")], 0, Vec::new());
+    while let Some(path) = stack.pop() {
+        let rel = path.to_string_lossy();
+        if let Ok(entries) = fs::read_dir(&path) {
+            stack.extend(entries.map(|e| e.expect("dir entry").path()));
+        } else if rel.ends_with(".rs") && rel.contains("/src/") {
+            findings.extend(check(&rel, &fs::read_to_string(&path).expect("readable")));
+            files += 1;
+        }
+    }
+    assert!(files > 50, "the walk found only {files} sources");
+    findings
+}
+
+#[test]
+fn no_nested_f64_rows_in_the_data_plane() {
+    let fixture = "type P = Vec<Vec<f64>>; // allow-vecvec: test fixture\nlet v: Vec<f64>;";
+    assert_eq!(nested_f64_rows("x.rs", fixture), [""; 0]);
+    assert_eq!(nested_f64_rows("x.rs", "    rows: Vec<Vec<f64>>,").len(), 1);
+    assert_eq!(over_live_sources(nested_f64_rows), [""; 0]);
+}
+
+#[test]
+fn atomics_stay_relaxed_justified_and_confined() {
+    let (serve, metrics) = ("crates/serve/src/stats.rs", "crates/obs/src/metrics.rs");
+    let count = |path, text| atomic_sites_outside_review(path, text).len();
+    assert_eq!(count(serve, "x.load(Ordering::SeqCst); // ordering: y"), 1);
+    let bare = "f(); // ordering: of f\nn.fetch_add(1, Ordering::Relaxed);";
+    assert_eq!(count(metrics, bare), 1);
+    let paired = "// ordering: pairs with g\nx.store(1, Ordering::Release);";
+    assert_eq!(count(metrics, paired), 1);
+    let same_line = "n.fetch_add(1, Ordering::Relaxed); // ordering: a statistic";
+    assert_eq!(count(metrics, same_line), 0);
+    let cmp = "a.cmp(b) == std::cmp::Ordering::Less || c == Ordering::Equal";
+    assert_eq!(count(serve, cmp), 0);
+    assert_eq!(over_live_sources(atomic_sites_outside_review), [""; 0]);
+}
+
+#[test]
+fn clippy_owns_the_clock_and_hash_order_rules() {
+    let one_clock = "disallowed-types = [\"std::time::Instant\"]";
+    assert_eq!(clippy_handover("clippy.toml", one_clock).len(), 1);
+    assert_eq!(clippy_handover("lib.rs", "clippy::panic").len(), 1);
+    let kept = clippy_handover("lib.rs", "clippy::iter_over_hash_type");
+    assert_eq!(kept, [""; 0]);
+    let model = ["core", "ml", "linalg", "adapt"];
+    let mut files = model.map(|c| format!("crates/{c}/clippy.toml")).to_vec();
+    for entry in fs::read_dir("crates").expect("run from the package root") {
+        let name = entry.expect("dir entry").file_name();
+        // The experiments harness serves no request and trains no model.
+        if name != "bench" {
+            files.push(format!("crates/{}/src/lib.rs", name.to_string_lossy()));
+        }
+    }
+    assert_eq!(files.len(), 4 + 10, "{files:?}");
+    for rel in files {
+        let text = fs::read_to_string(&rel).unwrap_or_default();
+        assert_eq!(clippy_handover(&rel, &text), [""; 0]);
+    }
+}
