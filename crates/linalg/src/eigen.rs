@@ -1,11 +1,18 @@
-//! Symmetric eigendecomposition via the cyclic Jacobi method.
+//! Symmetric eigendecomposition, twice over.
 //!
-//! Jacobi is slow for very large matrices but unconditionally robust and
-//! delivers small, accurate eigenproblems — exactly what the reduced KCCA
-//! problem needs (a few hundred dimensions after incomplete Cholesky).
+//! [`tridiagonal_ql`] — Householder tridiagonalisation, then implicit-
+//! shift QL — is the solver the CCA fit runs ([`crate::svd`]): direct,
+//! O(n³) whatever the spectrum, serial and so bitwise reproducible.
+//!
+//! [`SymmetricEigen`] — cyclic Jacobi — is an order of magnitude slower
+//! and unconditionally robust. No fit calls it: it is the oracle
+//! [`tridiagonal_ql`] is property-tested against and the kernel of
+//! [`crate::geneig`], the dense oracle of `Cca::fit`, so the two sides
+//! of every equivalence test share no eigensolver.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
+use crate::vector::{axpy, dot, max_iter};
 
 /// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix.
 ///
@@ -122,8 +129,8 @@ impl SymmetricEigen {
 
         // Extract and sort descending. A NaN eigenvalue means the input
         // (or the rotations) produced garbage; under `partial_cmp(..)
-        // .unwrap_or(Equal)` it would land in an arbitrary position and
-        // silently flow into `top_k`, so reject it outright.
+        // .unwrap_or(Equal)` it would land in an arbitrary position of
+        // the spectrum, so reject it outright.
         let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
         if diag.iter().any(|v| v.is_nan()) {
             return Err(LinalgError::NonFinite {
@@ -145,13 +152,178 @@ impl SymmetricEigen {
             off_diagonal_residual: achieved,
         })
     }
+}
 
-    /// Returns the top-`k` eigenpairs as `(values, vectors)` where the
-    /// vector matrix is `n x k`.
-    pub fn top_k(&self, k: usize) -> (Vec<f64>, Matrix) {
-        let k = k.min(self.values.len());
-        (self.values[..k].to_vec(), self.vectors.take_cols(k))
+/// Implicit-shift QL sweeps allowed per eigenvalue — EISPACK's limit.
+/// Two or three are typical, so this never shapes a result: it turns a
+/// spin on pathological input into a typed error.
+const QL_SWEEP_BUDGET: usize = 30;
+
+/// All eigenpairs of a symmetric matrix by Householder tridiagonalisation
+/// and implicit-shift QL (EISPACK's `imtql2`): eigenvalues descending,
+/// eigenvectors as the aligned orthonormal columns.
+///
+/// Like [`SymmetricEigen::new`] the input is symmetrized first. Non-finite
+/// input is [`LinalgError::NonFinite`] before any arithmetic; a sweep
+/// budget that runs out is [`LinalgError::NoConvergence`].
+pub fn tridiagonal_ql(a: &Matrix) -> Result<(Vec<f64>, Matrix)> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        });
     }
+    let n = a.rows();
+    if n == 0 {
+        return Err(LinalgError::Empty("eigendecomposition"));
+    }
+    if !a.is_finite() {
+        return Err(LinalgError::NonFinite {
+            op: "tridiagonal ql",
+        });
+    }
+    let mut t = a.clone();
+    t.symmetrize();
+    let (mut d, mut e, mut zt) = tridiagonalize(t);
+    implicit_ql(&mut d, &mut e, &mut zt, QL_SWEEP_BUDGET)?;
+    // Finite input can still overflow on the way here.
+    if d.iter().any(|v| !v.is_finite()) {
+        return Err(LinalgError::NonFinite {
+            op: "tridiagonal ql eigenvalues",
+        });
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| descending_nans_last(d[i], d[j]));
+    let vectors = Matrix::from_fn(n, n, |k, dst| zt[(order[dst], k)]);
+    Ok((order.iter().map(|&i| d[i]).collect(), vectors))
+}
+
+/// Householder reduction `T = Qᵀ A Q` of a symmetric matrix to
+/// tridiagonal form. Returns `T`'s diagonal, its subdiagonal (`e[i]`
+/// couples `i` and `i + 1`; `e[n - 1] = 0`) and `Qᵀ`.
+fn tridiagonalize(mut a: Matrix) -> (Vec<f64>, Vec<f64>, Matrix) {
+    let n = a.rows();
+    // The last pass (a one-entry x) builds no reflector, only e[n - 2].
+    let passes = n.saturating_sub(1);
+    let mut e = vec![0.0; n];
+    let mut betas = vec![0.0; n];
+    let mut v = vec![0.0; n];
+    let mut w = vec![0.0; n];
+    for k in 0..passes {
+        // H = I − β v vᵀ sends x = A[k, k+1..] to α e₁; v = x − α e₁,
+        // with α opposite in sign to x₀ so the subtraction never cancels.
+        let lo = k + 1;
+        v[lo..].copy_from_slice(&a.row(k)[lo..]);
+        let tail = dot(&v[lo + 1..], &v[lo + 1..]);
+        if tail == 0.0 {
+            e[k] = v[lo];
+            continue;
+        }
+        let norm = (v[lo] * v[lo] + tail).sqrt();
+        let alpha = if v[lo] > 0.0 { -norm } else { norm };
+        v[lo] -= alpha;
+        let beta = 2.0 / (v[lo] * v[lo] + tail);
+        // Trailing block: H A₂₂ H = A₂₂ − v wᵀ − w vᵀ with p = β A₂₂ v
+        // and w = p − (β/2)(vᵀp) v.
+        for (i, wi) in (lo..n).zip(&mut w[lo..]) {
+            *wi = beta * dot(&a.row(i)[lo..], &v[lo..]);
+        }
+        let half = 0.5 * beta * dot(&w[lo..], &v[lo..]);
+        axpy(-half, &v[lo..], &mut w[lo..]);
+        for i in lo..n {
+            let (vi, wi) = (v[i], w[i]);
+            let row = &mut a.row_mut(i)[lo..];
+            for ((o, &vj), &wj) in row.iter_mut().zip(&v[lo..]).zip(&w[lo..]) {
+                *o -= vi * wj + wi * vj;
+            }
+        }
+        // Row k is finished with; park v there for the accumulation.
+        a.row_mut(k)[lo..].copy_from_slice(&v[lo..]);
+        e[k] = alpha;
+        betas[k] = beta;
+    }
+    let d = (0..n).map(|i| a[(i, i)]).collect();
+
+    // Qᵀ = H_{n-3} … H₀, built right to left so each reflector only
+    // meets the trailing block the later ones have filled.
+    let mut qt = Matrix::identity(n);
+    for k in (0..passes).rev() {
+        if betas[k] == 0.0 {
+            continue;
+        }
+        let v = &a.row(k)[k + 1..];
+        for i in k + 1..n {
+            let row = &mut qt.row_mut(i)[k + 1..];
+            let s = betas[k] * dot(row, v);
+            axpy(-s, v, row);
+        }
+    }
+    (d, e, qt)
+}
+
+/// Implicit-shift QL on the tridiagonal `(d, e)`, rotating the rows of
+/// `zt` along: on return `d` holds the eigenvalues (unsorted) and row
+/// `i` of `zt` the eigenvector of `d[i]`.
+fn implicit_ql(d: &mut [f64], e: &mut [f64], zt: &mut Matrix, max_sweeps: usize) -> Result<()> {
+    let n = d.len();
+    // Negligible means against the norm of the whole matrix, not a
+    // coupling's two neighbours as in `imtql2`: the Grams this solves are
+    // rank deficient, and rounding noise around zero never settles
+    // relative to itself.
+    let norm = max_iter(0.0, d.iter().zip(e.iter()).map(|(d, e)| d.abs() + e.abs()));
+    let negligible = f64::EPSILON * norm;
+    for l in 0..n {
+        let mut sweeps = 0;
+        'sweep: loop {
+            let m = (l..n - 1)
+                .find(|&m| e[m].abs() <= negligible)
+                .unwrap_or(n - 1);
+            if m == l {
+                break;
+            }
+            if sweeps == max_sweeps {
+                return Err(LinalgError::NoConvergence {
+                    algorithm: "tridiagonal ql",
+                    iterations: sweeps,
+                    residual: e[l].abs(),
+                    tolerance: negligible,
+                });
+            }
+            sweeps += 1;
+            // Wilkinson shift from the leading 2 x 2, applied implicitly:
+            // Givens rotations chase the bulge from m up to l.
+            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+            g = d[m] - d[l] + e[l] / (g + g.hypot(1.0).copysign(g));
+            let (mut s, mut c, mut p) = (1.0, 1.0, 0.0);
+            for i in (l..m).rev() {
+                let (f, b) = (s * e[i], c * e[i]);
+                let r = f.hypot(g);
+                e[i + 1] = r;
+                if r == 0.0 {
+                    // Underflow split the block at i + 1: look again.
+                    d[i + 1] -= p;
+                    e[m] = 0.0;
+                    continue 'sweep;
+                }
+                (s, c) = (f / r, g / r);
+                g = d[i + 1] - p;
+                let r = (d[i] - g) * s + 2.0 * c * b;
+                p = s * r;
+                d[i + 1] = g + p;
+                g = c * r - b;
+                let (upper, lower) = zt.as_mut_slice().split_at_mut((i + 1) * n);
+                for (a, b) in upper[i * n..].iter_mut().zip(&mut lower[..n]) {
+                    let f = *b;
+                    *b = s * *a + c * f;
+                    *a = c * *a - s * f;
+                }
+            }
+            d[l] -= p;
+            e[l] = g;
+            e[m] = 0.0;
+        }
+    }
+    Ok(())
 }
 
 /// Total descending order with NaNs sorted last: a defensive backstop
@@ -238,15 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_truncates() {
-        let a = Matrix::identity(4);
-        let e = SymmetricEigen::new(&a).unwrap();
-        let (vals, vecs) = e.top_k(2);
-        assert_eq!(vals.len(), 2);
-        assert_eq!(vecs.shape(), (4, 2));
-    }
-
-    #[test]
     fn rejects_non_square_and_empty() {
         assert!(SymmetricEigen::new(&Matrix::zeros(2, 3)).is_err());
         assert!(SymmetricEigen::new(&Matrix::zeros(0, 0)).is_err());
@@ -282,12 +445,61 @@ mod tests {
     fn nan_input_surfaces_as_error_not_arbitrary_sort_position() {
         // A NaN on the diagonal propagates into the eigenvalues; the old
         // `partial_cmp(..).unwrap_or(Equal)` sort placed it wherever the
-        // sort happened to leave it, and `top_k` then returned it.
+        // sort happened to leave it.
         let a = Matrix::from_vec(3, 3, vec![f64::NAN, 0., 0., 0., 2., 0., 0., 0., 1.]).unwrap();
         assert!(matches!(
             SymmetricEigen::new(&a),
             Err(LinalgError::NonFinite { .. })
         ));
+    }
+
+    #[test]
+    fn ql_handles_order_one_and_a_diagonal() {
+        let (values, vectors) =
+            tridiagonal_ql(&Matrix::from_vec(1, 1, vec![-2.5]).unwrap()).unwrap();
+        assert_eq!((values, vectors[(0, 0)]), (vec![-2.5], 1.0));
+        let diagonal = Matrix::from_vec(3, 3, vec![1., 0., 0., 0., 3., 0., 0., 0., 2.]).unwrap();
+        let (values, vectors) = tridiagonal_ql(&diagonal).unwrap();
+        assert_eq!(values, vec![3., 2., 1.]);
+        assert_eq!(vectors.col(0), vec![0., 1., 0.]);
+    }
+
+    #[test]
+    fn ql_rejects_non_square_empty_and_non_finite() {
+        assert!(tridiagonal_ql(&Matrix::zeros(2, 3)).is_err());
+        assert!(tridiagonal_ql(&Matrix::zeros(0, 0)).is_err());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let a = Matrix::from_vec(2, 2, vec![1., bad, bad, 1.]).unwrap();
+            assert!(matches!(
+                tridiagonal_ql(&a),
+                Err(LinalgError::NonFinite { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn ql_sweep_guard_errors_with_diagnostics_instead_of_spinning() {
+        // A coupled tridiagonal cannot deflate in zero sweeps, nor this
+        // one in one: the guard must report the coupling it was left with
+        // against the size it had to reach — not loop, and not return.
+        let sweep = |budget| {
+            let (d, e) = (&mut [2., 2., 2.], &mut [1., 1., 0.]);
+            implicit_ql(d, e, &mut Matrix::identity(3), budget)
+        };
+        match sweep(0) {
+            Err(LinalgError::NoConvergence {
+                algorithm,
+                iterations,
+                residual,
+                tolerance,
+            }) => {
+                assert_eq!((algorithm, iterations), ("tridiagonal ql", 0));
+                assert!(residual > tolerance, "{residual:e} vs {tolerance:e}");
+            }
+            other => panic!("exhausted sweep budget must be a typed error, got {other:?}"),
+        }
+        assert!(sweep(1).is_err());
+        assert!(sweep(QL_SWEEP_BUDGET).is_ok());
     }
 
     #[test]

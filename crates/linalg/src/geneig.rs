@@ -88,12 +88,6 @@ impl GeneralizedEigen {
             vectors,
         })
     }
-
-    /// Returns the top-`k` eigenpairs as `(values, n x k vectors)`.
-    pub fn top_k(&self, k: usize) -> (Vec<f64>, Matrix) {
-        let k = k.min(self.values.len());
-        (self.values[..k].to_vec(), self.vectors.take_cols(k))
-    }
 }
 
 #[cfg(test)]

@@ -17,11 +17,13 @@
 //!   oracle; the scalable KCCA factorization of Bach & Jordan.
 //! * [`qr`] — Householder QR and least-squares solves (the linear
 //!   regression baseline of the paper's §V-A).
-//! * [`eigen`] — cyclic-Jacobi symmetric eigendecomposition.
+//! * [`eigen`] — symmetric eigendecomposition: tridiagonal QL (the
+//!   solver the fit runs) and cyclic Jacobi (the oracle it is held to).
 //! * [`geneig`] — generalized symmetric-definite eigenproblem
-//!   `A v = λ B v` via Cholesky reduction (the KCCA core, §VI-A).
-//! * [`svd`] — truncated SVD via deterministic blocked subspace
-//!   iteration; the top-p eigensolver behind the scalable CCA path.
+//!   `A v = λ B v` via Cholesky reduction and Jacobi (paper §VI-A as
+//!   written): the dense oracle of the CCA fit, called by no fit.
+//! * [`svd`] — top-k singular triplets read off one eigendecomposition
+//!   of the narrow-side Gram matrix; the solve behind `Cca::fit`.
 //! * [`stats`] — means, variances, standardization helpers.
 //! * [`view`] — borrowed zero-copy [`MatrixView`] over contiguous
 //!   row-major storage, the currency of the predict path's crate

@@ -375,16 +375,6 @@ impl Matrix {
         out
     }
 
-    /// New matrix keeping only the first `k` columns.
-    pub fn take_cols(&self, k: usize) -> Matrix {
-        let k = k.min(self.cols);
-        let mut out = Matrix::zeros(self.rows, k);
-        for i in 0..self.rows {
-            out.row_mut(i).copy_from_slice(&self.row(i)[..k]);
-        }
-        out
-    }
-
     /// Largest absolute entry.
     pub fn max_abs(&self) -> f64 {
         crate::vector::max_iter(0.0, self.data.iter().map(|v| v.abs()))
@@ -552,14 +542,11 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_and_take_cols() {
+    fn select_rows_keeps_listed_rows_in_order() {
         let m = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]).unwrap();
         let s = m.select_rows(&[2, 0]);
         assert_eq!(s.row(0), &[5., 6.]);
         assert_eq!(s.row(1), &[1., 2.]);
-        let c = m.take_cols(1);
-        assert_eq!(c.shape(), (3, 1));
-        assert_eq!(c[(1, 0)], 3.0);
     }
 
     #[test]

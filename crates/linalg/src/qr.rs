@@ -91,16 +91,6 @@ impl QrDecomposition {
         Ok(QrDecomposition { qr, betas })
     }
 
-    /// Number of rows of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.qr.rows()
-    }
-
-    /// Number of columns of the factored matrix.
-    pub fn cols(&self) -> usize {
-        self.qr.cols()
-    }
-
     /// Applies `Qᵀ` to a vector in place.
     fn apply_qt(&self, b: &mut [f64]) {
         let (m, n) = self.qr.shape();
@@ -120,49 +110,6 @@ impl QrDecomposition {
                 b[i] -= s * self.qr[(i, k)];
             }
         }
-    }
-
-    /// Applies `Q` to a vector in place (reflectors in reverse order).
-    fn apply_q(&self, b: &mut [f64]) {
-        let (m, n) = self.qr.shape();
-        for k in (0..n).rev() {
-            let beta = self.betas[k];
-            if beta == 0.0 {
-                continue;
-            }
-            let mut s = b[k];
-            for i in (k + 1)..m {
-                s += self.qr[(i, k)] * b[i];
-            }
-            s *= beta;
-            b[k] -= s;
-            for i in (k + 1)..m {
-                b[i] -= s * self.qr[(i, k)];
-            }
-        }
-    }
-
-    /// The thin `Q` factor (`m x n`, orthonormal columns), materialized
-    /// by applying the stored reflectors to the leading identity
-    /// columns. Columns are orthonormal even when the factored matrix is
-    /// rank deficient (each reflector — or identity, for a skipped
-    /// zero-norm column — is orthogonal), which is what makes this a
-    /// safe re-orthonormalization primitive for subspace iteration.
-    pub fn thin_q(&self) -> Matrix {
-        let (m, n) = self.qr.shape();
-        let mut q = Matrix::zeros(m, n);
-        let mut e = vec![0.0; m];
-        for j in 0..n {
-            for v in e.iter_mut() {
-                *v = 0.0;
-            }
-            e[j] = 1.0;
-            self.apply_q(&mut e);
-            for i in 0..m {
-                q[(i, j)] = e[i];
-            }
-        }
-        q
     }
 
     /// Solves the least-squares problem `min ||a x - b||₂`.
@@ -191,18 +138,6 @@ impl QrDecomposition {
             x[i] = if r.abs() < 1e-12 { 0.0 } else { s / r };
         }
         Ok(x)
-    }
-
-    /// The `R` factor (upper triangular, `n x n`).
-    pub fn r(&self) -> Matrix {
-        let n = self.qr.cols();
-        let mut r = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                r[(i, j)] = self.qr[(i, j)];
-            }
-        }
-        r
     }
 }
 
@@ -338,32 +273,6 @@ mod tests {
     #[test]
     fn qr_rejects_wide() {
         assert!(QrDecomposition::new(&Matrix::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn thin_q_is_orthonormal_and_reconstructs() {
-        let a =
-            Matrix::from_vec(4, 3, vec![2., 1., 0.5, 1., 3., 1., 0., 1., 4., 1., 0., 2.]).unwrap();
-        let qr = QrDecomposition::new(&a).unwrap();
-        let q = qr.thin_q();
-        assert_eq!(q.shape(), (4, 3));
-        let qtq = q.transpose().matmul(&q).unwrap();
-        assert!(qtq.sub(&Matrix::identity(3)).unwrap().max_abs() < 1e-12);
-        let rec = q.matmul(&qr.r()).unwrap();
-        assert!(rec.sub(&a).unwrap().max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn thin_q_stays_orthonormal_on_rank_deficient_input() {
-        // Column 2 duplicates column 1: R gains a zero diagonal but Q's
-        // columns must remain orthonormal for subspace iteration to
-        // keep a valid basis.
-        let a =
-            Matrix::from_vec(4, 3, vec![1., 2., 2., 1., 0., 0., 1., 1., 1., 1., 3., 3.]).unwrap();
-        let qr = QrDecomposition::new(&a).unwrap();
-        let q = qr.thin_q();
-        let qtq = q.transpose().matmul(&q).unwrap();
-        assert!(qtq.sub(&Matrix::identity(3)).unwrap().max_abs() < 1e-10);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use qpp_linalg::{
-    Cholesky, GeneralizedEigen, IcdOptions, IncompleteCholesky, LeastSquares, Matrix,
-    QrDecomposition, SymmetricEigen,
+    eigen::tridiagonal_ql, Cholesky, GeneralizedEigen, IcdOptions, IncompleteCholesky,
+    LeastSquares, Matrix, QrDecomposition, SymmetricEigen,
 };
 
 const DIM: usize = 5;
@@ -27,8 +27,65 @@ fn symmetric_matrix() -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Largest order the QL property test draws.
+const MAX_ORDER: usize = 48;
+
+/// `Q D Qᵀ` with `D = diag(spectrum)` and `Q` a product of one random
+/// reflector per `MAX_ORDER` values: dense, with known eigenvalues.
+fn with_spectrum(spectrum: &[f64], reflectors: &[f64]) -> Matrix {
+    let n = spectrum.len();
+    let mut a = Matrix::from_fn(n, n, |i, j| if i == j { spectrum[i] } else { 0.0 });
+    for v in reflectors.chunks_exact(MAX_ORDER) {
+        let vtv: f64 = v[..n].iter().map(|x| x * x).sum();
+        let h = Matrix::from_fn(n, n, |i, j| {
+            (if i == j { 1.0 } else { 0.0 }) - 2.0 * v[i] * v[j] / vtv.max(1e-300)
+        });
+        a = h.matmul(&a).unwrap().matmul(&h).unwrap();
+    }
+    a.symmetrize();
+    a
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn tridiagonal_ql_matches_known_spectra_and_the_jacobi_oracle(
+        n in 1usize..=MAX_ORDER,
+        shape in 0usize..5,
+        vals in proptest::collection::vec(-1.0f64..1.0, 4 * MAX_ORDER),
+    ) {
+        // The spectra that break eigensolvers: 0 = generic, 1 = three
+        // values repeated n/3 times each, 2 = every other one exactly
+        // zero, 3 = graded from 1 down to 1e-12, 4 = generic and the
+        // matrix left diagonal.
+        let mut spectrum: Vec<f64> = (0..n)
+            .map(|i| match shape {
+                1 => [2.0, -1.0, 0.5][i % 3],
+                2 if i % 2 == 1 => 0.0,
+                3 => 10f64.powf(-12.0 * i as f64 / (n.max(2) - 1) as f64),
+                _ => vals[i],
+            })
+            .collect();
+        let a = with_spectrum(&spectrum, if shape == 4 { &[] } else { &vals[MAX_ORDER..] });
+        spectrum.sort_by(|x, y| y.total_cmp(x));
+        let (values, vectors) = tridiagonal_ql(&a).unwrap();
+        let oracle = SymmetricEigen::new(&a).unwrap();
+        let norm = spectrum.iter().fold(0.0f64, |m, l| m.max(l.abs()));
+        // Jacobi stops at a mean off-diagonal magnitude it reports; by
+        // Gershgorin its eigenvalues are within that, summed over the
+        // matrix, of the truth, and no solver can be held closer to it.
+        let oracle_slack = oracle.off_diagonal_residual * (n * n) as f64;
+        for ((got, known), jacobi) in values.iter().zip(&spectrum).zip(&oracle.values) {
+            prop_assert!((got - known).abs() <= 1e-12 * norm, "order {n} shape {shape}: {got} vs {known}");
+            prop_assert!((got - jacobi).abs() <= 1e-12 * norm + oracle_slack, "order {n} shape {shape}: {got} vs jacobi {jacobi}");
+        }
+        let lambda = Matrix::from_fn(n, n, |i, j| if i == j { values[i] } else { 0.0 });
+        let residual = a.matmul(&vectors).unwrap().sub(&vectors.matmul(&lambda).unwrap()).unwrap();
+        prop_assert!(residual.max_abs() <= 1e-10, "order {n} shape {shape}: ‖AV − VΛ‖ = {:e}", residual.max_abs());
+        let drift = vectors.transpose().matmul(&vectors).unwrap().sub(&Matrix::identity(n)).unwrap();
+        prop_assert!(drift.max_abs() <= 1e-10, "order {n} shape {shape}: ‖VᵀV − I‖ = {:e}", drift.max_abs());
+    }
 
     #[test]
     fn cholesky_reconstructs(a in spd_matrix()) {

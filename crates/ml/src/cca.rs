@@ -16,13 +16,15 @@
 //! Because `B` is block-diagonal the dense problem factors exactly: the
 //! canonical correlations are the singular values of
 //! `M = Lx⁻¹ Cxy Ly⁻ᵀ` (`p x q`, with `Bx = Lx Lxᵀ`, `By = Ly Lyᵀ`),
-//! and `wx = Lx⁻ᵀ u`, `wy = Ly⁻ᵀ v`. [`Cca::fit`] exploits this,
-//! extracting only the top `components` triplets by deterministic
-//! subspace iteration ([`qpp_linalg::svd`]) instead of Jacobi-sweeping
-//! the full `(p+q) x (p+q)` generalized problem — the difference between
-//! a ~3.7 s and a millisecond-scale eigensolve at ICD rank 256. The
-//! dense solve ([`qpp_linalg::GeneralizedEigen`]) is the oracle
-//! `tests/svd_equivalence.rs` checks this path against.
+//! and `wx = Lx⁻ᵀ u`, `wy = Ly⁻ᵀ v`. [`Cca::fit`] exploits this:
+//! `M` is at most ICD rank x ICD rank (256 x 256), so its top
+//! `components` triplets come from one direct eigendecomposition of
+//! `MᵀM` ([`qpp_linalg::svd`], ~15 ms at rank 256 whatever the
+//! spectrum) instead of Jacobi-sweeping the full `(p+q) x (p+q)`
+//! generalized problem (~3.7 s). That dense solve
+//! ([`qpp_linalg::GeneralizedEigen`]) is the oracle
+//! `tests/svd_equivalence.rs` checks this path against; the two share
+//! no eigensolver.
 
 use qpp_linalg::{stats, svd, vector, Cholesky, LinalgError, Matrix};
 use serde::{Deserialize, Serialize};
@@ -77,6 +79,8 @@ impl Cca {
             return Err(LinalgError::Empty("cca needs >= 2 rows"));
         }
         let (p, q) = (x.cols(), y.cols());
+        let mut grams = qpp_obs::span(qpp_obs::Stage::TrainEigenGrams);
+        grams.set_value(n as u64);
         let x_means = stats::column_means(x);
         let y_means = stats::column_means(y);
         let xc = center(x, &x_means);
@@ -86,6 +90,7 @@ impl Cca {
         let cxx = xc.gram().scale(scale);
         let cyy = yc.gram().scale(scale);
         let cxy = xc.transpose().matmul(&yc)?.scale(scale);
+        drop(grams);
 
         // Regularize relative to the average variance so κ means the
         // same thing across differently scaled inputs.
@@ -111,7 +116,7 @@ impl Cca {
     /// With block-diagonal `B` the generalized problem
     /// factors into a plain SVD. Factor `Bx = Lx Lxᵀ`, `By = Ly Lyᵀ`,
     /// form `M = Lx⁻¹ Cxy Ly⁻ᵀ` (`p x q`), take its top `keep` singular
-    /// triplets by subspace iteration, and back-transform
+    /// triplets from the eigendecomposition of `MᵀM`, and back-transform
     /// `wx = Lx⁻ᵀ u`, `wy = Ly⁻ᵀ v`. Each weight column satisfies
     /// `wᵀ B w = 1` on its own side.
     fn fit_reduced_svd(
@@ -140,10 +145,9 @@ impl Cca {
         };
 
         let decomposition = {
-            let mut s = qpp_obs::span(qpp_obs::Stage::TrainEigenSubspace);
-            let svd = svd::truncated_svd(&m, keep)?;
-            s.set_value(svd.iterations as u64);
-            svd
+            let mut s = qpp_obs::span(qpp_obs::Stage::TrainEigenDecompose);
+            s.set_value(p.min(q) as u64);
+            svd::truncated_svd(&m, keep)?
         };
 
         let _s = qpp_obs::span(qpp_obs::Stage::TrainEigenBacktransform);

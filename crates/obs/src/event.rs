@@ -44,12 +44,16 @@ pub enum Stage {
     /// Regularized CCA on the ICD embeddings (the generalized
     /// eigensolve of the paper's Eq. 2).
     TrainEigensolve,
+    /// Eigensolve sub-stage: centring both embeddings and forming the
+    /// three covariance Grams `Cxx`, `Cyy`, `Cxy` (`value` = rows).
+    TrainEigenGrams,
     /// Eigensolve sub-stage: Cholesky reduction to the correlation
     /// matrix `M = Lx⁻¹ Cxy Ly⁻ᵀ`.
     TrainEigenReduce,
-    /// Eigensolve sub-stage: blocked subspace iteration extracting the
-    /// top singular triplets of `M` (`value` = power iterations).
-    TrainEigenSubspace,
+    /// Eigensolve sub-stage: the dense symmetric eigendecomposition of
+    /// `MᵀM` and the top singular triplets of `M` read off it (`value` =
+    /// order of the Gram matrix solved).
+    TrainEigenDecompose,
     /// Eigensolve sub-stage: back-transforming singular vectors into
     /// canonical weights (`wx = Lx⁻ᵀ u`, `wy = Ly⁻ᵀ v`).
     TrainEigenBacktransform,
@@ -82,7 +86,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (sizes the per-stage accumulator arrays).
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 26;
 
     /// Every stage, in declaration order (stable for reports).
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -100,8 +104,9 @@ impl Stage {
         Stage::TrainKernel,
         Stage::TrainIcd,
         Stage::TrainEigensolve,
+        Stage::TrainEigenGrams,
         Stage::TrainEigenReduce,
-        Stage::TrainEigenSubspace,
+        Stage::TrainEigenDecompose,
         Stage::TrainEigenBacktransform,
         Stage::TrainKnnBuild,
         Stage::Drift,
@@ -135,8 +140,9 @@ impl Stage {
             Stage::TrainKernel => "train_kernel",
             Stage::TrainIcd => "train_icd",
             Stage::TrainEigensolve => "train_eigensolve",
+            Stage::TrainEigenGrams => "train_eigen_grams",
             Stage::TrainEigenReduce => "train_eigen_reduce",
-            Stage::TrainEigenSubspace => "train_eigen_subspace",
+            Stage::TrainEigenDecompose => "train_eigen_decompose",
             Stage::TrainEigenBacktransform => "train_eigen_backtransform",
             Stage::TrainKnnBuild => "train_knn_build",
             Stage::Drift => "drift",
