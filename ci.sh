@@ -153,7 +153,11 @@ echo "==> size ratchet: lines of Rust per crate"
 # equivalence case are paid for to the line by what only the subspace
 # iteration needed (its schedule, RNG and acceptance tiers in svd.rs;
 # thin_q / apply_q / r / rows / cols in qr.rs; top_k twice; take_cols).
-MAX_RUST_LINES=25946
+# Then lowered 25,946 -> 25,317 (-629): crates/mapreduce (576), the
+# engine's dev-only elapsed-time histogram example (69) and the log-space
+# averaging option with its test loops (25) are gone; the serve stats
+# fix and its regression test added 41.
+MAX_RUST_LINES=25317
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

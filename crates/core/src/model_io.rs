@@ -22,14 +22,18 @@ use std::path::Path;
 ///
 /// v4: the model keeps what an answer reads. `Kcca` drops the training
 /// performance projection, `KccaPredictor` stores one `targets` matrix
-/// (raw metrics, or `ln(1+x)` under `log_space_average`) in place of
+/// (then raw metrics or their `ln(1+x)`, by an option) in place of
 /// both, and `IvfOptions` is `nlist`/`nprobe` only.
 ///
 /// v5: the projection is folded. `Kcca` stores `fold` (`L⁻ᵀ W`,
 /// `rank x components`), `kernel_center` (`L μ`) and `correlations` in
 /// place of the `rank x rank` pivot block and the whole `Cca` (both
 /// weight matrices, both mean vectors).
-pub const FORMAT_VERSION: u32 = 5;
+///
+/// v6: `PredictorOptions` drops the log-space averaging flag, so
+/// `targets` always holds raw metrics. A v5 model with the flag set
+/// would otherwise load and answer `ln(1+x)` values as metrics.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Errors from model (de)serialization.
 #[derive(Debug)]
@@ -252,6 +256,8 @@ mod tests {
                 "{gone} is still serialized"
             );
         }
+        // v6: the options carry no log-space averaging flag.
+        assert!(!json.contains("log_space"), "log-space flag serialized");
     }
 
     #[test]
@@ -259,8 +265,9 @@ mod tests {
         let (m, _) = model();
         let json = to_json(&m).unwrap();
         let current = format!("\"format_version\":{FORMAT_VERSION}");
-        // A future version, and the v3 / v4 envelopes this build superseded.
-        for version in [99, 3, 4] {
+        // A future version, and the v3 / v4 / v5 envelopes this build
+        // superseded.
+        for version in [99, 3, 4, 5] {
             let other = json.replace(&current, &format!("\"format_version\":{version}"));
             match from_json(&other) {
                 Err(ModelIoError::UnsupportedVersion { found, supported }) => {

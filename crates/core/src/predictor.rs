@@ -38,13 +38,6 @@ pub struct PredictorOptions {
     pub metric: DistanceMetric,
     /// Neighbor weighting (paper: equal, Table III).
     pub weighting: NeighborWeighting,
-    /// Combine neighbor metrics geometrically (in `ln(1+x)` space)
-    /// instead of arithmetically. The paper averages raw metrics
-    /// (§VI-E.3); geometric combination is our extension — it is the
-    /// natural mean for metrics spanning orders of magnitude and
-    /// measurably tightens the relative-error tail (see the `ablation`
-    /// bench).
-    pub log_space_average: bool,
     /// Neighbor-index selection: brute scan at paper scale, a
     /// deterministic IVF index once the reference outgrows
     /// `ann.ivf_threshold` rows (DESIGN.md §15).
@@ -59,7 +52,6 @@ impl Default for PredictorOptions {
             neighbors: 3,
             metric: DistanceMetric::Euclidean,
             weighting: NeighborWeighting::Equal,
-            log_space_average: false,
             ann: AnnOptions::default(),
         }
     }
@@ -192,8 +184,7 @@ pub struct KccaPredictor {
     kcca: Kcca,
     index: AnnIndex,
     /// What the neighbors' rows are averaged from, row-aligned with the
-    /// query projection: the raw measured metrics, or their `ln(1+x)`
-    /// when `options.log_space_average` combines geometrically.
+    /// query projection: the raw measured metrics (paper §VI-E.3).
     targets: Matrix,
 }
 
@@ -282,11 +273,7 @@ impl KccaPredictor {
             scaler,
             kcca,
             index,
-            targets: if options.log_space_average {
-                y
-            } else {
-                performance
-            },
+            targets: performance,
         })
     }
 
@@ -401,11 +388,6 @@ impl KccaPredictor {
                 &mut scratch.combined,
             )
             .ctx("combining neighbor metrics")?;
-        if self.options.log_space_average {
-            for v in scratch.combined.iter_mut() {
-                *v = v.exp_m1().max(0.0);
-            }
-        }
         drop(knn_span);
         // `predict_into` never leaves an empty neighbor list on success.
         let found = &scratch.knn.neighbors;
@@ -536,24 +518,19 @@ mod tests {
     #[test]
     fn fit_on_a_datasets_own_matrices_is_train() {
         let train = dataset(120, 1);
-        for log_space_average in [false, true] {
-            let options = PredictorOptions {
-                log_space_average,
-                ..PredictorOptions::default()
-            };
-            let trained = KccaPredictor::train(&train, options).unwrap();
-            let fitted = KccaPredictor::fit(
-                &train.feature_matrix(options.feature_kind),
-                train.performance_matrix(),
-                options,
-            )
-            .unwrap();
-            // The serialized model is every bit a prediction can read.
-            assert_eq!(
-                serde_json::to_string(&fitted).unwrap(),
-                serde_json::to_string(&trained).unwrap()
-            );
-        }
+        let options = PredictorOptions::default();
+        let trained = KccaPredictor::train(&train, options).unwrap();
+        let fitted = KccaPredictor::fit(
+            &train.feature_matrix(options.feature_kind),
+            train.performance_matrix(),
+            options,
+        )
+        .unwrap();
+        // The serialized model is every bit a prediction can read.
+        assert_eq!(
+            serde_json::to_string(&fitted).unwrap(),
+            serde_json::to_string(&trained).unwrap()
+        );
         // Five metrics per row cannot fill a `Prediction`: typed, at fit.
         let x = train.feature_matrix(FeatureKind::QueryPlan);
         let narrow = KccaPredictor::fit(&x, Matrix::zeros(120, 5), PredictorOptions::default());
@@ -628,40 +605,34 @@ mod tests {
     fn batch_prediction_bitwise_matches_single() {
         let train = dataset(120, 13);
         let test = dataset(40, 14);
-        for log_space_average in [false, true] {
-            let opts = PredictorOptions {
-                log_space_average,
-                ..PredictorOptions::default()
-            };
-            let model = KccaPredictor::train(&train, opts).unwrap();
-            let singles: Vec<Prediction> = test
-                .records
-                .iter()
-                .map(|r| model.predict(&r.spec, &r.optimized.plan).unwrap())
-                .collect();
-            let queries: Vec<_> = test
-                .records
-                .iter()
-                .map(|r| (&r.spec, &r.optimized.plan))
-                .collect();
-            let batched = model.predict_batch(&queries).unwrap();
-            assert_eq!(singles.len(), batched.len());
-            for (s, b) in singles.iter().zip(batched.iter()) {
-                // Bitwise, not approximate: the batched path must run
-                // the identical FP operations in the identical order.
-                for (x, y) in s.metrics.to_vec().iter().zip(b.metrics.to_vec().iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-                assert_eq!(s.neighbor_indices, b.neighbor_indices);
-                assert_eq!(
-                    s.confidence_distance.to_bits(),
-                    b.confidence_distance.to_bits()
-                );
-                assert_eq!(
-                    s.max_kernel_similarity.to_bits(),
-                    b.max_kernel_similarity.to_bits()
-                );
+        let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
+        let singles: Vec<Prediction> = test
+            .records
+            .iter()
+            .map(|r| model.predict(&r.spec, &r.optimized.plan).unwrap())
+            .collect();
+        let queries: Vec<_> = test
+            .records
+            .iter()
+            .map(|r| (&r.spec, &r.optimized.plan))
+            .collect();
+        let batched = model.predict_batch(&queries).unwrap();
+        assert_eq!(singles.len(), batched.len());
+        for (s, b) in singles.iter().zip(batched.iter()) {
+            // Bitwise, not approximate: the batched path must run the
+            // identical FP operations in the identical order.
+            for (x, y) in s.metrics.to_vec().iter().zip(b.metrics.to_vec().iter()) {
+                assert_eq!(x.to_bits(), y.to_bits());
             }
+            assert_eq!(s.neighbor_indices, b.neighbor_indices);
+            assert_eq!(
+                s.confidence_distance.to_bits(),
+                b.confidence_distance.to_bits()
+            );
+            assert_eq!(
+                s.max_kernel_similarity.to_bits(),
+                b.max_kernel_similarity.to_bits()
+            );
         }
     }
 

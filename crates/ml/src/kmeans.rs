@@ -2,15 +2,12 @@
 //!
 //! Considered and rejected by the paper: clustering works on a *single*
 //! dataset, so query-feature clusters need not align with
-//! performance-feature clusters. Retained here because the two-step
-//! predictor and several diagnostics use single-dataset clustering, the
-//! ablation benches compare it against KCCA's "correlated pairs of
-//! clusters" — and, since the IVF index landed, it is the coarse
-//! quantizer that partitions the kNN reference set
-//! ([`crate::ann::IvfIndex`]).
+//! performance-feature clusters. Retained here as the coarse quantizer
+//! that partitions the kNN reference set ([`crate::ann::IvfIndex`]),
+//! its only caller.
 //!
-//! Because the ANN build and the qpp-adapt retrain loop call
-//! [`KMeans::fit`] with runtime-sized windows, it degrades into a typed
+//! Because the ANN build (and through it the qpp-adapt retrain loop)
+//! calls [`KMeans::fit`] with runtime-sized windows, it degrades into a typed
 //! [`KMeansError`] instead of panicking, and non-finite rows are
 //! skipped exactly like `knn.rs::query` skips non-finite distances: a
 //! corrupt row can neither become a centroid nor poison the k-means++

@@ -172,8 +172,6 @@ struct Queued {
     /// Shared with the client's [`PendingPrediction`]: one request, two
     /// readers.
     request: Arc<PredictRequest>,
-    /// Dense tenant index (resolved once at admission).
-    tenant_idx: usize,
     /// Resolved tenant ID (the default tenant for unregistered IDs).
     tenant: TenantId,
     /// Predicted cost class from the O(1) optimizer-cost estimate,
@@ -231,18 +229,23 @@ impl PendingPrediction {
     /// slow caller stretch its latency budget to submit-to-wait gap +
     /// deadline, which is exactly the bounded-latency guarantee the
     /// deadline exists to give up on time.)
+    ///
+    /// Every per-answer count (`completed` or `fallbacks`, the latency
+    /// sample, the admission decision, the recorder's answer counters)
+    /// is made here, before the answer is returned, so a snapshot read
+    /// after `wait` always includes it.
     pub fn wait(self) -> Result<ServeResponse, QppError> {
         let remaining = self
             .request
             .deadline
             .saturating_sub(elapsed_since(self.submitted_ns));
         match self.rx.recv_timeout(remaining) {
-            Ok(answer) => answer,
+            Ok(answer) => self.count(answer),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // One last non-blocking look: the worker may have
                 // answered in the instant the timeout fired.
                 if let Ok(answer) = self.rx.try_recv() {
-                    return answer;
+                    return self.count(answer);
                 }
                 self.fallback()
             }
@@ -252,6 +255,22 @@ impl PendingPrediction {
                 self.fallback()
             }
         }
+    }
+
+    /// Counts a worker's answer as it is handed to the caller.
+    fn count(&self, answer: Result<ServeResponse, QppError>) -> Result<ServeResponse, QppError> {
+        if let Ok(response) = &answer {
+            let cell = self.stats.cell(self.tenant_idx);
+            cell.completed.incr();
+            cell.record_latency(response.latency);
+            record_decision(&self.stats, &response.decision);
+            let rec = qpp_obs::recorder();
+            match response.source {
+                AnswerSource::Kcca => rec.kcca_answers.incr(),
+                AnswerSource::CostModelFallback => rec.fallback_answers.incr(),
+            }
+        }
+        answer
     }
 
     /// Answers from the registry's cost model without the worker pool.
@@ -414,7 +433,6 @@ impl PredictionService {
         let request = Arc::new(request);
         let queued = Queued {
             request: Arc::clone(&request),
-            tenant_idx,
             tenant,
             class,
             enqueued_ns,
@@ -585,14 +603,12 @@ fn answer(
             }
         }
     };
-    let decision = decide(policy, &prediction);
-    let latency = elapsed_since(queued.enqueued_ns);
     let response = ServeResponse {
+        decision: decide(policy, &prediction),
         prediction,
-        decision: decision.clone(),
         source,
         model_version: entry.version,
-        latency,
+        latency: elapsed_since(queued.enqueued_ns),
         tenant: queued.tenant,
         trace_id: queued.trace_id,
     };
@@ -607,16 +623,9 @@ fn answer(
         rec.now_ns().saturating_sub(drained_ns),
         pack_tags(queued.tenant.0 as u16, entry.version),
     );
-    if queued.responder.send(Ok(response)).is_ok() {
-        let cell = stats.cell(queued.tenant_idx);
-        cell.completed.incr();
-        cell.record_latency(latency);
-        record_decision(stats, &decision);
-        match source {
-            AnswerSource::Kcca => rec.kcca_answers.incr(),
-            AnswerSource::CostModelFallback => rec.fallback_answers.incr(),
-        }
-    } else {
+    // The client counts the answer in `wait` as it takes it; only an
+    // answer no client will read is the worker's to count.
+    if queued.responder.send(Ok(response)).is_err() {
         // Client already fell back (deadline) or went away.
         stats.late_answers.incr();
     }

@@ -6,8 +6,8 @@
 //! and one set of quantile conventions; this module is the serving
 //! view over them.
 //!
-//! Layout: one [`StatsCell`] per tenant holds the counters clients and
-//! workers bump on the hot path — submissions, completions, fallbacks,
+//! Layout: one [`StatsCell`] per tenant holds the counters the client
+//! side bumps on the hot path — submissions, completions, fallbacks,
 //! and a log-spaced latency histogram — so per-tenant latency
 //! distributions come for free; rejections are counted per tenant
 //! beside them. [`ServiceStats::snapshot`] folds the cells in dense
@@ -26,7 +26,9 @@ pub use qpp_obs::LatencyQuantile;
 pub struct StatsCell {
     /// Requests accepted into the queue for this tenant.
     pub submitted: Counter,
-    /// Requests answered by a worker through the KCCA model.
+    /// Worker answers handed to the caller, counted in
+    /// `PendingPrediction::wait` before it returns. An answer whose
+    /// `PendingPrediction` is dropped unread is not counted.
     pub completed: Counter,
     /// Requests answered client-side by the cost-model fallback after
     /// the per-request deadline expired.
@@ -249,7 +251,7 @@ pub struct TenantSnapshot {
     pub weight: u32,
     /// Requests accepted for this tenant.
     pub submitted: u64,
-    /// Requests answered through the KCCA model.
+    /// Worker answers handed to the caller (see [`StatsCell::completed`]).
     pub completed: u64,
     /// Requests answered by the deadline fallback.
     pub fallbacks: u64,
@@ -270,7 +272,7 @@ pub struct StatsSnapshot {
     pub uptime: Duration,
     /// Requests accepted into the queue (all tenants).
     pub submitted: u64,
-    /// Requests answered through the KCCA model.
+    /// Worker answers handed to the caller (see [`StatsCell::completed`]).
     pub completed: u64,
     /// Requests answered by the deadline fallback.
     pub fallbacks: u64,

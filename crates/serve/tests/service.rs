@@ -102,6 +102,36 @@ fn concurrent_smoke_every_request_answered_exactly_once() {
     assert!(snap.mean_batch_size >= 1.0);
 }
 
+/// Regression: the worker used to send its answer and only then count
+/// it, so a snapshot read right after `wait` returned could miss the
+/// request it had just been answered. About half of 5,000 sequential
+/// submissions did.
+#[test]
+fn an_answer_is_counted_before_wait_returns() {
+    let train = dataset(60, 112);
+    let (model, fallback) = trained(&train);
+    let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.install(key.clone(), model, fallback);
+    let service = PredictionService::start(
+        registry,
+        ServeOptions {
+            workers: 2,
+            ..ServeOptions::default()
+        },
+    );
+    for answered in 1..=5_000u64 {
+        let req = request(&train, answered as usize, &key, Duration::from_secs(10));
+        service.submit(req).expect("answered");
+        let snap = service.stats();
+        assert_eq!(
+            snap.completed + snap.fallbacks,
+            answered,
+            "an answer wait returned is missing from the snapshot"
+        );
+    }
+}
+
 /// A full queue rejects instantly with a typed reason and never blocks
 /// the submitter.
 #[test]

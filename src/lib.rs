@@ -3,7 +3,6 @@ pub use qpp_adapt as adapt;
 pub use qpp_core as core;
 pub use qpp_engine as engine;
 pub use qpp_linalg as linalg;
-pub use qpp_mapreduce as mapreduce;
 pub use qpp_ml as ml;
 pub use qpp_obs as obs;
 pub use qpp_par as par;

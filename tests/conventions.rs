@@ -111,7 +111,7 @@ fn clippy_owns_the_clock_and_hash_order_rules() {
             files.push(format!("crates/{}/src/lib.rs", name.to_string_lossy()));
         }
     }
-    assert_eq!(files.len(), 4 + 10, "{files:?}");
+    assert_eq!(files.len(), 4 + 9, "{files:?}");
     for rel in files {
         let text = fs::read_to_string(&rel).unwrap_or_default();
         assert_eq!(clippy_handover(&rel, &text), [""; 0]);

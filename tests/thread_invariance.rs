@@ -213,21 +213,9 @@ fn serve_ledger_is_identical_across_worker_counts() {
             );
         }
 
-        // The worker hands the answer to the client *before* bumping
-        // the completion counters (a failed hand-off must count as a
-        // late answer, not a completion), so the ledger trails the last
-        // `wait` by one scheduler beat. Let it quiesce before
-        // snapshotting.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let snap = loop {
-            let snap = service.stats();
-            if snap.completed + snap.fallbacks == snap.submitted
-                || std::time::Instant::now() > deadline
-            {
-                break snap;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        // `wait` counts each answer before returning it, so the ledger
+        // is complete once the last `wait` has returned.
+        let snap = service.stats();
         assert_eq!(snap.submitted, script.len() as u64);
         assert_eq!(snap.completed + snap.fallbacks, snap.submitted);
         snap.per_tenant
