@@ -33,6 +33,7 @@
 //! `shadow_score`, `canary_swap`, `kill_switch`), so the whole
 //! adaptation episode is reconstructible from the trace ring.
 
+#![forbid(unsafe_code)]
 // The control plane must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),

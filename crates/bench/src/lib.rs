@@ -6,6 +6,8 @@
 //! `EXPERIMENTS.md` is produced). Timing lives in `benchmark/`, the
 //! repository's one measurement harness.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod report;
 

@@ -37,8 +37,8 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Optimizes and executes `queries` on `config`, in parallel across
-    /// at most `threads` workers of the shared `qpp-par` pool. Record
+    /// Optimizes and executes `queries` on `config`, in parallel on at
+    /// most `threads` `qpp-par` workers (the caller included). Record
     /// order matches input order regardless of worker count.
     pub fn collect(
         schema: &Schema,

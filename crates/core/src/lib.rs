@@ -36,6 +36,7 @@
 //! All public fallible APIs return [`error::QppError`], the unified
 //! error of the predict path; see [`error`] for the hierarchy.
 
+#![forbid(unsafe_code)]
 // The predict path must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),

@@ -189,7 +189,7 @@ pub struct KccaPredictor {
 }
 
 /// Per-thread reusable buffers for the predict path. One instance per
-/// thread (thread-local), so concurrent serving and pool threads never
+/// thread (thread-local), so concurrent serving and `qpp-par` threads never
 /// contend, and a warmed-up thread performs zero heap allocations per
 /// [`KccaPredictor::predict`] or [`KccaPredictor::predict_features`]
 /// call.
@@ -405,9 +405,8 @@ impl KccaPredictor {
 
     /// Predicts every row of a feature matrix. Entry `i` is
     /// `self.predict_features(rows.row(i))`; large inputs fan out across
-    /// the `qpp-par` pool, each pool thread predicting through its own
-    /// thread-local scratch, so results are bitwise independent of the
-    /// thread count.
+    /// `qpp-par` threads, each predicting through its own thread-local
+    /// scratch, so results are bitwise independent of the thread count.
     pub fn predict_features_batch(
         &self,
         rows: MatrixView<'_>,
@@ -455,10 +454,10 @@ impl KccaPredictor {
 }
 
 /// `predict_one(0..n)` in row order; the first failure (in row order)
-/// is the result. More rows than one chunk fan out across the
-/// `qpp-par` pool chunk by chunk; a single chunk would run on the
-/// calling thread anyway, so it skips the pool's per-call bookkeeping
-/// and allocates only the returned vector.
+/// is the result. More rows than one chunk fan out across `qpp-par`
+/// threads chunk by chunk; a single chunk would run on the calling
+/// thread anyway, so it opens no region and allocates only the
+/// returned vector.
 fn predict_each(
     n: usize,
     predict_one: impl Fn(usize) -> Result<Prediction, QppError> + Sync,
@@ -471,7 +470,7 @@ fn predict_each(
         }
         return Ok(out);
     }
-    // Pool threads inherit the caller's trace, so a traced call keeps
+    // Helper threads inherit the caller's trace, so a traced call keeps
     // every row's spans whichever thread ran its chunk.
     let trace = qpp_obs::current_trace();
     for chunk in qpp_par::parallel_for_chunks(n, ROWS_PER_CHUNK, |chunk| {

@@ -20,6 +20,7 @@
 //!   repartitioning message traffic, plans that change with the system
 //!   configuration, and run-to-run noise.
 
+#![forbid(unsafe_code)]
 // Library code must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),

@@ -19,10 +19,10 @@ use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// Rows per parallel work chunk in the factorization loops. Fixed (not
-/// derived from the thread count) so chunk boundaries — and therefore
-/// results — never depend on how many workers ran.
-const ROW_CHUNK: usize = 256;
+/// Starting row stride of `G` when the rank is not capped below `n`;
+/// it doubles as pivots are accepted, so an uncapped factorization never
+/// reserves `n x n`.
+const UNCAPPED_START_STRIDE: usize = 32;
 
 /// Options controlling the factorization.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -56,26 +56,14 @@ impl IncompleteCholesky {
     /// Factorizes the `n x n` Gram matrix given by `gram(i, j)`.
     ///
     /// `gram` must be symmetric with non-negative diagonal (any kernel
-    /// matrix qualifies). It is evaluated from multiple worker threads
-    /// (hence `Sync`): each pivot's column of `N` kernel evaluations
-    /// and residual updates is chunked across the `qpp-par` pool, with
-    /// per-chunk results merged in row order — so the factor is bitwise
-    /// identical for any thread count.
-    pub fn factor(
-        n: usize,
-        gram: impl Fn(usize, usize) -> f64 + Sync,
-        opts: IcdOptions,
-    ) -> Result<Self> {
+    /// matrix qualifies). The factorization is one serial pass per
+    /// pivot, so its bits depend on nothing but `gram` and `opts`.
+    pub fn factor(n: usize, gram: impl Fn(usize, usize) -> f64, opts: IcdOptions) -> Result<Self> {
         if n == 0 {
             return Err(LinalgError::Empty("incomplete cholesky"));
         }
         let max_rank = opts.max_rank.min(n);
-        let mut d: Vec<f64> = qpp_par::parallel_for_chunks(n, ROW_CHUNK, |chunk| {
-            chunk.range.map(|i| gram(i, i)).collect::<Vec<f64>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let mut d: Vec<f64> = (0..n).map(|i| gram(i, i)).collect();
         let initial_trace = crate::vector::sum(&d);
         let tol = if initial_trace > 0.0 {
             opts.relative_tolerance * initial_trace
@@ -83,10 +71,18 @@ impl IncompleteCholesky {
             0.0
         };
 
-        // Accepted columns of G, stored contiguously: column `t` lives
-        // at `g_cols[t * n..(t + 1) * n]`. One growing allocation
-        // instead of one per pivot.
-        let mut g_cols: Vec<f64> = Vec::new();
+        // G row-major: row `i`'s accepted columns are contiguous at
+        // `g[i * stride..][..t]`, so a row's residual update reads one
+        // strip. A cap below `n` is reserved once: growing to it would
+        // hold the old and the new `G` at once at the last doubling.
+        // Otherwise the stride doubles when a pivot needs it.
+        let mut stride = if max_rank < n {
+            max_rank
+        } else {
+            max_rank.min(UNCAPPED_START_STRIDE)
+        };
+        let mut g: Vec<f64> = vec![0.0; n * stride];
+        let mut pivot_row: Vec<f64> = Vec::with_capacity(stride);
         let mut pivots: Vec<usize> = Vec::new();
         let mut selected = vec![false; n];
 
@@ -100,50 +96,41 @@ impl IncompleteCholesky {
                     p = i;
                 }
             }
-            let remaining = crate::vector::sum_iter(
-                d.iter()
-                    .zip(selected.iter())
-                    .filter(|(_, &s)| !s)
-                    .map(|(v, _)| v.max(0.0)),
-            );
+            // Selected rows hold exactly 0.0, so they add nothing.
+            let remaining = crate::vector::sum_iter(d.iter().map(|v| v.max(0.0)));
             if p == usize::MAX || best <= 0.0 || (t > 0 && remaining <= tol) {
                 break;
             }
             let gpp = best.sqrt();
-            // The hot loop: one kernel evaluation plus a rank-t residual
-            // update per unselected row. Chunked across the worker pool;
-            // every row's arithmetic is element-wise independent, so the
-            // values are identical to the serial loop's.
-            let g_cols_ref = &g_cols;
-            let d_ref = &d;
-            let selected_ref = &selected;
-            let parts = qpp_par::parallel_for_chunks(n, ROW_CHUNK, |chunk| {
-                let mut out = Vec::with_capacity(chunk.range.len());
-                for i in chunk.range {
-                    if selected_ref[i] || i == p {
-                        out.push((0.0, d_ref[i]));
-                        continue;
-                    }
-                    let mut v = gram(i, p);
-                    for prev in g_cols_ref.chunks_exact(n) {
-                        v -= prev[i] * prev[p];
-                    }
-                    let gi = v / gpp;
-                    out.push((gi, d_ref[i] - gi * gi));
+            if t == stride {
+                // Re-lay each row's prefix at the doubled stride, last
+                // row first so no prefix is overwritten before it moves.
+                let wider = (2 * stride).min(max_rank);
+                g.resize(n * wider, 0.0);
+                for i in (1..n).rev() {
+                    g.copy_within(i * stride..i * stride + t, i * wider);
                 }
-                out
-            });
-            let start = g_cols.len();
-            g_cols.resize(start + n, 0.0);
-            let mut i = 0;
-            for part in parts {
-                for (g_i, d_i) in part {
-                    g_cols[start + i] = g_i;
-                    d[i] = d_i;
-                    i += 1;
-                }
+                stride = wider;
             }
-            g_cols[start + p] = gpp;
+            // The hot loop: one kernel evaluation plus a rank-t residual
+            // update per unselected row, subtracting columns in ascending
+            // order against a copy of the pivot's row.
+            pivot_row.clear();
+            pivot_row.extend_from_slice(&g[p * stride..p * stride + t]);
+            for (i, row) in g.chunks_exact_mut(stride).enumerate() {
+                if selected[i] || i == p {
+                    row[t] = 0.0;
+                    continue;
+                }
+                let mut v = gram(i, p);
+                for (gi, gp) in row[..t].iter().zip(&pivot_row) {
+                    v -= gi * gp;
+                }
+                let gi = v / gpp;
+                row[t] = gi;
+                d[i] -= gi * gi;
+            }
+            g[p * stride + t] = gpp;
             selected[p] = true;
             d[p] = 0.0;
             pivots.push(p);
@@ -156,19 +143,18 @@ impl IncompleteCholesky {
             });
         }
 
+        // Close each row's gap when fewer pivots than the stride were
+        // accepted; rows only move left, first row first.
         let r = pivots.len();
-        let mut g = Matrix::zeros(n, r);
-        for (t, col) in g_cols.chunks_exact(n).enumerate() {
-            for i in 0..n {
-                g[(i, t)] = col[i];
+        if r < stride {
+            for i in 1..n {
+                g.copy_within(i * stride..i * stride + r, i * r);
             }
+            g.truncate(n * r);
+            g.shrink_to_fit();
         }
-        let residual_trace = crate::vector::sum_iter(
-            d.iter()
-                .zip(selected.iter())
-                .filter(|(_, &s)| !s)
-                .map(|(v, _)| v.max(0.0)),
-        );
+        let g = Matrix::from_vec(n, r, g)?;
+        let residual_trace = crate::vector::sum_iter(d.iter().map(|v| v.max(0.0)));
         Ok(IncompleteCholesky {
             g,
             pivots,

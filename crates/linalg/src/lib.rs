@@ -29,6 +29,7 @@
 //!   row-major storage, the currency of the predict path's crate
 //!   boundaries.
 
+#![forbid(unsafe_code)]
 // Library code must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),

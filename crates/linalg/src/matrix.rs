@@ -172,8 +172,8 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Output rows are independent, so row chunks run on the `qpp-par`
-    /// pool; each row's arithmetic is identical to the serial loop's,
+    /// Output rows are independent, so row chunks run in a `qpp-par`
+    /// region; each row's arithmetic is identical to the serial loop's,
     /// making the product bitwise independent of the thread count.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {

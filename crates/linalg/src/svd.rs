@@ -13,9 +13,9 @@
 //! the values the fit keeps — canonical correlations live in `[0, 1]`
 //! and the kept ones sit near 1 — and nothing below `√ε·σ₁`.
 //!
-//! **Determinism.** [`Matrix::gram`] is a fixed-chunk ordered reduction
-//! on the `qpp-par` pool and the eigensolve is serial, so the triplets
-//! are bitwise identical at any thread count. Signs are pinned: the
+//! **Determinism.** [`Matrix::gram`] is a `qpp-par` fixed-chunk ordered
+//! reduction and the eigensolve is serial, so the triplets are bitwise
+//! identical at any thread count. Signs are pinned: the
 //! largest-magnitude entry of each right vector is made positive
 //! (earliest index on ties).
 

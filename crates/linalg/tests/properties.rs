@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use qpp_linalg::{
-    eigen::tridiagonal_ql, Cholesky, GeneralizedEigen, IcdOptions, IncompleteCholesky,
+    eigen::tridiagonal_ql, vector, Cholesky, GeneralizedEigen, IcdOptions, IncompleteCholesky,
     LeastSquares, Matrix, QrDecomposition, SymmetricEigen,
 };
 
@@ -240,6 +240,93 @@ proptest! {
         prop_assert_eq!(blocked.len(), naive.len());
         for (b, n) in blocked.iter().zip(naive.iter()) {
             prop_assert_eq!(b.to_bits(), n.to_bits());
+        }
+    }
+}
+
+/// The factorization `IncompleteCholesky::factor` replaced, kept as its
+/// oracle: `G` column-major (column `t` at `cols[t * n..]`), each row's
+/// residual update striding `n` through every earlier column, and the
+/// transpose to `n x r` at the end. Same pivot rule, same stopping rule.
+fn column_major_icd(
+    n: usize,
+    gram: impl Fn(usize, usize) -> f64,
+    opts: IcdOptions,
+) -> (Matrix, Vec<usize>, f64) {
+    let max_rank = opts.max_rank.min(n);
+    let mut d: Vec<f64> = (0..n).map(|i| gram(i, i)).collect();
+    let tol = opts.relative_tolerance * vector::sum(&d); // a Gaussian kernel's trace is n
+    let remaining = |d: &[f64], selected: &[bool]| {
+        vector::sum_iter(
+            d.iter()
+                .zip(selected)
+                .filter(|(_, &s)| !s)
+                .map(|(v, _)| v.max(0.0)),
+        )
+    };
+    let (mut cols, mut pivots, mut selected) = (Vec::<f64>::new(), Vec::new(), vec![false; n]);
+    for t in 0..max_rank {
+        let (mut p, mut best) = (usize::MAX, 0.0);
+        for i in 0..n {
+            if !selected[i] && d[i] > best {
+                (p, best) = (i, d[i]);
+            }
+        }
+        if p == usize::MAX || best <= 0.0 || (t > 0 && remaining(&d, &selected) <= tol) {
+            break;
+        }
+        let gpp = best.sqrt();
+        let mut col = vec![0.0; n];
+        for i in (0..n).filter(|&i| !selected[i] && i != p) {
+            let mut v = gram(i, p);
+            for prev in cols.chunks_exact(n) {
+                v -= prev[i] * prev[p];
+            }
+            col[i] = v / gpp;
+            d[i] -= col[i] * col[i];
+        }
+        col[p] = gpp;
+        cols.extend(col);
+        selected[p] = true;
+        d[p] = 0.0;
+        pivots.push(p);
+    }
+    let g = Matrix::from_fn(n, pivots.len(), |i, t| cols[t * n + i]);
+    (g, pivots, remaining(&d, &selected))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn row_major_icd_is_bitwise_equal_to_the_column_major_oracle(
+        n in 60usize..160,
+        width in 0.05f64..0.5,
+        coords in proptest::collection::vec(-2.0f64..2.0, 2 * 160),
+    ) {
+        let kern = |i: usize, j: usize| {
+            let (a, b) = (&coords[2 * i..2 * i + 2], &coords[2 * j..2 * j + 2]);
+            (-vector::sq_dist(a, b) / width).exp()
+        };
+        // Capped below n (G reserved once); uncapped and stopped by the
+        // tolerance, and a cap above n (the doubling is clamped to n):
+        // both pass rank 32, so their stride doubles from 32.
+        let cases = [
+            IcdOptions { max_rank: 48, relative_tolerance: 0.0 },
+            IcdOptions { max_rank: usize::MAX, relative_tolerance: 1e-3 },
+            IcdOptions { max_rank: n + 7, relative_tolerance: 0.0 },
+        ];
+        for (case, opts) in cases.into_iter().enumerate() {
+            let icd = IncompleteCholesky::factor(n, kern, opts).unwrap();
+            let (g, pivots, residual) = column_major_icd(n, kern, opts);
+            prop_assert!(icd.rank() > 32, "case {case}: rank {} of {n}", icd.rank());
+            if case == 1 {
+                prop_assert!(icd.rank() < n, "rank {} of {n}", icd.rank());
+            }
+            prop_assert!(icd.pivots() == pivots, "case {case}: pivots differ");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert!(icd.g().shape() == g.shape() && bits(icd.g()) == bits(&g), "case {case}: G differs");
+            prop_assert!(icd.residual_trace().to_bits() == residual.to_bits(), "case {case}: residual differs");
         }
     }
 }

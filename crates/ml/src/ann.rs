@@ -12,7 +12,7 @@
 //! on, is preserved end to end:
 //!
 //! * the coarse quantizer is [`KMeans::fit`] under a fixed seed on a
-//!   deterministic stride sample, so the partition is bitwise
+//!   deterministic, evenly spaced sample, so the partition is bitwise
 //!   reproducible;
 //! * row-to-list assignment is a pure per-row function of the frozen
 //!   centroids, fanned out with [`qpp_par::parallel_for_chunks`] and
@@ -65,10 +65,10 @@ const QUANTIZER_SEED: u64 = 0x1CDE_2009;
 /// balanced, not converged; a handful of rounds is plenty.
 const QUANTIZER_ITERS: usize = 5;
 
-/// Quantizer training-sample cap: the k-means runs on an
-/// every-`stride`-th-row sample of at most this many rows (never fewer
-/// than `nlist`), then all rows are assigned in one parallel pass. Keeps
-/// build time bounded for million-row references.
+/// Quantizer training-sample cap: the k-means runs on an evenly spaced
+/// sample of at most this many rows (never fewer than `nlist`), then
+/// all rows are assigned in one parallel pass. Keeps build time bounded
+/// for million-row references.
 const TRAIN_SAMPLE_CAP: usize = 32_768;
 
 /// Build-time options for [`IvfIndex`].
@@ -135,11 +135,11 @@ impl IvfIndex {
         };
         let nprobe = options.nprobe.clamp(1, nlist);
 
-        // Deterministic stride sample for the quantizer; assignment
-        // below still covers every row.
+        // Deterministic sample for the quantizer, spread evenly over all
+        // `n` rows (a floored stride would leave the tail unsampled);
+        // assignment below still covers every row.
         let sample_len = TRAIN_SAMPLE_CAP.max(nlist).min(n);
-        let stride = n / sample_len;
-        let sample_ids: Vec<usize> = (0..sample_len).map(|i| i * stride).collect();
+        let sample_ids: Vec<usize> = (0..sample_len).map(|i| i * n / sample_len).collect();
         let sample = reference.select_rows(&sample_ids);
         let km = KMeans::fit(&sample, nlist, QUANTIZER_SEED, QUANTIZER_ITERS)?;
         let centroids = km.centroids;
@@ -534,6 +534,21 @@ mod tests {
             IvfIndex::build(data, DistanceMetric::Euclidean, IvfOptions::default()).map(|_| ()),
             Err(KnnError::IndexBuild(KMeansError::NoFiniteRows))
         );
+    }
+
+    #[test]
+    fn quantizer_sample_reaches_the_tail_rows() {
+        // Between one and two sample caps, a floored stride of 1 sampled
+        // only the first 32,768 rows: no centroid landed in a blob formed
+        // by the rest, and one list swallowed all of it.
+        let n = 40_000;
+        let data = Matrix::from_fn(n, 2, |i, j| {
+            let spread = ((i * [7919, 104_729][j]) % 1000) as f64 / 100.0;
+            spread + if i >= TRAIN_SAMPLE_CAP { 100.0 } else { 0.0 }
+        });
+        let ivf = IvfIndex::build(data, DistanceMetric::Euclidean, IvfOptions::default()).unwrap();
+        let largest = (0..ivf.nlist()).map(|c| ivf.list(c).len()).max();
+        assert!(largest < Some(1000), "largest list {largest:?}");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! * [`decision_tree`] — a small CART classifier backing the PQR-style
 //!   runtime-range baseline from the related work (§III).
 
+#![forbid(unsafe_code)]
 // Library code must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),

@@ -8,7 +8,7 @@
 //! (`nprobe == nlist`) guarantees coverage unconditionally; clustered
 //! data with the default probe width exercises the approximate regime.
 //! Every comparison is repeated under 1 and 8 worker threads — results
-//! must not depend on the pool size, at build time or query time.
+//! must not depend on the thread count, at build time or query time.
 //!
 //! Both arms are one strip scan (four rows at a time, keyed by squared
 //! distance, early abandon); a property test holds it to the
@@ -161,10 +161,10 @@ fn build_and_query_are_thread_count_invariant() {
     assert_eq!(ivf1.centroids(), ivf8.centroids());
     assert_eq!(ivf1.nlist(), ivf8.nlist());
     for c in 0..ivf1.nlist() {
-        assert_eq!(ivf1.list(c), ivf8.list(c), "list {c} differs across pools");
+        assert_eq!(ivf1.list(c), ivf8.list(c), "list {c} differs");
     }
-    // And so must every query, from either build, under either pool —
-    // all equal to the serial brute scan.
+    // And so must every query, from either build, at either thread
+    // count — all equal to the serial brute scan.
     let nn = NearestNeighbors::new(data.clone(), DistanceMetric::Euclidean);
     let mut rng = StdRng::seed_from_u64(8);
     for q in 0..50 {

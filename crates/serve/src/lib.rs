@@ -40,6 +40,7 @@
 //! Every fallible API returns [`QppError`], the workspace-level error
 //! of the predict path (re-exported for embedders).
 
+#![forbid(unsafe_code)]
 // Serving must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),

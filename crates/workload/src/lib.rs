@@ -15,6 +15,7 @@
 //! drive cost. SQL-text features are therefore nearly useless for
 //! prediction, exactly as the paper found.
 
+#![forbid(unsafe_code)]
 // Library code must degrade into typed errors, never panics.
 #![cfg_attr(
     not(test),

@@ -200,7 +200,7 @@ fn predict_features_steady_state_allocates_nothing() {
 
     // And for the brute arm at every size it is selected for (up to
     // `ivf_threshold` = 4096 rows): one prediction is one serial scan
-    // and never a fork-join on the pool.
+    // and never a parallel region.
     let mut found = Vec::new();
     brute.query_into(&probe, 3, &mut found);
     let before = ALLOC.thread_allocation_events();

@@ -55,6 +55,12 @@ fn clippy_handover(path: &str, text: &str) -> Vec<String> {
     Vec::from_iter(clocks.iter().filter_map(|ty| lacks(rule.unwrap_or(""), ty)))
 }
 
+/// No crate needs `unsafe`: each `lib.rs` forbids it, so the compiler refuses a new block.
+fn unsafe_left_open(path: &str, text: &str) -> Vec<String> {
+    let forbids = text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]");
+    Vec::from_iter((!forbids).then(|| format!("{path}: lacks #![forbid(unsafe_code)]")))
+}
+
 /// `check` over each `.rs` file under a `src/` of `crates/`; tests run from the package root.
 fn over_live_sources(check: fn(&str, &str) -> Vec<String>) -> Vec<String> {
     let (mut stack, mut files, mut findings) = (vec![PathBuf::from("crates")], 0, Vec::new());
@@ -116,4 +122,21 @@ fn clippy_owns_the_clock_and_hash_order_rules() {
         let text = fs::read_to_string(&rel).unwrap_or_default();
         assert_eq!(clippy_handover(&rel, &text), [""; 0]);
     }
+}
+
+#[test]
+fn every_library_forbids_unsafe_code() {
+    let commented = "// #![forbid(unsafe_code)]";
+    assert_eq!(unsafe_left_open("lib.rs", commented).len(), 1);
+    let forbidden = "#![forbid(unsafe_code)]\npub mod a;";
+    assert_eq!(unsafe_left_open("lib.rs", forbidden), [""; 0]);
+    let mut libs = 0;
+    for entry in fs::read_dir("crates").expect("run from the package root") {
+        let name = entry.expect("dir entry").file_name();
+        let rel = format!("crates/{}/src/lib.rs", name.to_string_lossy());
+        let text = fs::read_to_string(&rel).unwrap_or_default();
+        assert_eq!(unsafe_left_open(&rel, &text), [""; 0]);
+        libs += 1;
+    }
+    assert_eq!(libs, 10);
 }

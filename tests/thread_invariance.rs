@@ -1,7 +1,7 @@
 //! Bitwise thread-invariance of the deterministic parallel engine: the
 //! same training data must produce the same bits — projections,
-//! correlations, neighbor lists, predictions — whether the `qpp-par`
-//! pool runs with 1 thread or 8. The end-to-end legs run under active
+//! correlations, neighbor lists, predictions — whether `qpp-par`
+//! regions run with 1 thread or 8. The end-to-end legs run under active
 //! qpp-obs traces: observability records timing *around* the
 //! deterministic math, never inside it, so it must not perturb a single
 //! bit.
@@ -43,8 +43,8 @@ fn kcca_fit_is_bitwise_identical_across_thread_counts() {
     assert_eq!(serial.x_rank(), parallel.x_rank());
 }
 
-/// The batch entry points fan rows out across the pool in fixed chunks,
-/// each pool thread predicting through its own scratch: one model, 200
+/// The batch entry points fan rows out across threads in fixed chunks,
+/// each thread predicting through its own scratch: one model, 200
 /// rows, 1 thread vs 8 must agree bit for bit.
 #[test]
 fn batch_projection_is_bitwise_identical_across_thread_counts() {
