@@ -166,7 +166,15 @@ echo "==> size ratchet: lines of Rust per crate"
 # the column-major form the ICD replaced, as its bitwise oracle in
 # linalg's property tests, the IVF tail-sample fix and its regression
 # test, and a forbid(unsafe_code) line per crate.
-MAX_RUST_LINES=25228
+# Then raised 25,228 -> 25,325 (+97): the training kernels are +22 net
+# (the four-row ICD pass +34; the upper-triangle Gram, the one Gram of
+# [xc | yc] in Cca::fit and the reused projection buffer paid for by
+# deleting Cca's centred copies, its transpose product, matmul's
+# parallel region, Matrix::add, zip_with and the caller-less
+# Cca::project_y), and their gates are +75: the Gram's per-element
+# oracle and cross-block checks, the ICD's n mod 4 cases and the
+# non-finite-input regression test.
+MAX_RUST_LINES=25325
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

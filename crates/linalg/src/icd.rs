@@ -57,7 +57,9 @@ impl IncompleteCholesky {
     ///
     /// `gram` must be symmetric with non-negative diagonal (any kernel
     /// matrix qualifies). The factorization is one serial pass per
-    /// pivot, so its bits depend on nothing but `gram` and `opts`.
+    /// pivot, so its bits depend on nothing but `gram` and `opts`. A
+    /// diagonal whose trace is not finite is [`LinalgError::NonFinite`]
+    /// before any pivot is chosen.
     pub fn factor(n: usize, gram: impl Fn(usize, usize) -> f64, opts: IcdOptions) -> Result<Self> {
         if n == 0 {
             return Err(LinalgError::Empty("incomplete cholesky"));
@@ -65,6 +67,11 @@ impl IncompleteCholesky {
         let max_rank = opts.max_rank.min(n);
         let mut d: Vec<f64> = (0..n).map(|i| gram(i, i)).collect();
         let initial_trace = crate::vector::sum(&d);
+        if !initial_trace.is_finite() {
+            return Err(LinalgError::NonFinite {
+                op: "incomplete cholesky",
+            });
+        }
         let tol = if initial_trace > 0.0 {
             opts.relative_tolerance * initial_trace
         } else {
@@ -114,21 +121,48 @@ impl IncompleteCholesky {
             }
             // The hot loop: one kernel evaluation plus a rank-t residual
             // update per unselected row, subtracting columns in ascending
-            // order against a copy of the pivot's row.
+            // order against a copy of the pivot's row. Four consecutive
+            // unselected rows share one pass over it, each in its own
+            // accumulator; a group holding a selected row or `p` goes
+            // one row at a time.
             pivot_row.clear();
             pivot_row.extend_from_slice(&g[p * stride..p * stride + t]);
-            for (i, row) in g.chunks_exact_mut(stride).enumerate() {
-                if selected[i] || i == p {
-                    row[t] = 0.0;
+            for (q, quad) in g.chunks_mut(4 * stride).enumerate() {
+                let i0 = 4 * q;
+                let live = |i: usize| !selected[i] && i != p;
+                if quad.len() == 4 * stride && (i0..i0 + 4).all(live) {
+                    let (r01, r23) = quad.split_at_mut(2 * stride);
+                    let (r0, r1) = r01.split_at_mut(stride);
+                    let (r2, r3) = r23.split_at_mut(stride);
+                    let mut v: [f64; 4] = std::array::from_fn(|k| gram(i0 + k, p));
+                    let strips = r0[..t].iter().zip(&r1[..t]).zip(&r2[..t]).zip(&r3[..t]);
+                    for ((((a, b), c), e), gp) in strips.zip(&pivot_row) {
+                        v[0] -= a * gp;
+                        v[1] -= b * gp;
+                        v[2] -= c * gp;
+                        v[3] -= e * gp;
+                    }
+                    for (k, row) in [r0, r1, r2, r3].into_iter().enumerate() {
+                        let gi = v[k] / gpp;
+                        row[t] = gi;
+                        d[i0 + k] -= gi * gi;
+                    }
                     continue;
                 }
-                let mut v = gram(i, p);
-                for (gi, gp) in row[..t].iter().zip(&pivot_row) {
-                    v -= gi * gp;
+                for (k, row) in quad.chunks_exact_mut(stride).enumerate() {
+                    let i = i0 + k;
+                    if !live(i) {
+                        row[t] = 0.0;
+                        continue;
+                    }
+                    let mut v = gram(i, p);
+                    for (gi, gp) in row[..t].iter().zip(&pivot_row) {
+                        v -= gi * gp;
+                    }
+                    let gi = v / gpp;
+                    row[t] = gi;
+                    d[i] -= gi * gi;
                 }
-                let gi = v / gpp;
-                row[t] = gi;
-                d[i] -= gi * gi;
             }
             g[p * stride + t] = gpp;
             selected[p] = true;

@@ -1,4 +1,9 @@
 //! Row-major dense matrix.
+//!
+//! The one parallel kernel here is [`Matrix::gram`], the covariance
+//! kernel of the CCA fit: upper triangle only, each element a serial sum
+//! owned by one output-row block, so its bits never depend on the thread
+//! count. Everything else is serial.
 
 use crate::error::{LinalgError, Result};
 use serde::{Deserialize, Serialize};
@@ -11,6 +16,15 @@ use std::ops::{Index, IndexMut};
 /// matrix keeps hot. Covers the workspace's KCCA projections (≤ 16
 /// canonical dims) in a single pass.
 const GEMV_COL_BLOCK: usize = 16;
+
+/// Output rows per `qpp-par` chunk of [`Matrix::gram`]: at 512 columns
+/// a block's accumulators are at most 128 KB, and the triangle splits
+/// into 16 blocks for the threads to claim.
+const GRAM_OUT_BLOCK: usize = 32;
+
+/// Input rows per tile of [`Matrix::gram`]: at 512 columns a tile is
+/// 512 KB, so a block's passes over it hit L2, not memory.
+const GRAM_TILE: usize = 128;
 
 /// A dense, row-major `f64` matrix.
 ///
@@ -170,11 +184,8 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Output rows are independent, so row chunks run in a `qpp-par`
-    /// region; each row's arithmetic is identical to the serial loop's,
-    /// making the product bitwise independent of the thread count.
+    /// Matrix product `self * rhs`, serial. Only oracles and tests call
+    /// it: the fit's covariances are blocks of one [`Matrix::gram`].
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -183,36 +194,17 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let out_cols = rhs.cols;
-        // Aim for a few thousand output elements per chunk; the bounds
-        // depend only on the shapes, never on the worker count.
-        let rows_per_chunk = (32_768 / out_cols.max(1)).clamp(4, 512);
-        let parts = qpp_par::parallel_for_chunks(self.rows, rows_per_chunk, |chunk| {
-            let mut buf = vec![0.0; chunk.range.len() * out_cols];
-            for (bi, i) in chunk.range.clone().enumerate() {
-                let a_row = self.row(i);
-                let out_row = &mut buf[bi * out_cols..(bi + 1) * out_cols];
-                // i-k-j loop order: innermost loop walks contiguous rows
-                // of both `rhs` and the output, which vectorizes well.
-                for (k, &a_ik) in a_row.iter().enumerate() {
-                    if a_ik == 0.0 {
-                        continue;
-                    }
-                    for (o, &b) in out_row.iter_mut().zip(rhs.row(k).iter()) {
-                        *o += a_ik * b;
-                    }
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        for i in 0..self.rows {
+            // i-k-j loop order: the innermost loop walks contiguous rows
+            // of both `rhs` and the output.
+            for (k, &a_ik) in self.row(i).iter().enumerate() {
+                for (o, &b) in out.row_mut(i).iter_mut().zip(rhs.row(k)) {
+                    *o += a_ik * b;
                 }
             }
-            buf
-        });
-        let mut data = Vec::with_capacity(self.rows * out_cols);
-        for part in parts {
-            data.extend(part);
         }
-        if data.is_empty() {
-            return Ok(Matrix::zeros(self.rows, out_cols));
-        }
-        Matrix::from_vec(self.rows, out_cols, data)
+        Ok(out)
     }
 
     /// Matrix-vector product `self * v`.
@@ -281,54 +273,72 @@ impl Matrix {
 
     /// `selfᵀ * self` computed without forming the transpose.
     ///
-    /// Rows accumulate into per-chunk partial Gram matrices (fixed
-    /// 512-row chunks) that merge in chunk order, so the result is
-    /// deterministic for any thread count; with ≤ 512 rows the single
-    /// chunk reproduces the serial accumulation exactly.
+    /// Each upper-triangle element is one serial sum over all rows in
+    /// ascending order, then mirrored. The `qpp-par` region splits the
+    /// *output* rows into [`GRAM_OUT_BLOCK`]-row blocks, so every element
+    /// has one owner and the result is bitwise the same at any thread
+    /// count. A block reads the input in [`GRAM_TILE`]-row tiles, four
+    /// rows per pass over its accumulators.
     pub fn gram(&self) -> Matrix {
-        const GRAM_ROW_CHUNK: usize = 512;
         let n = self.cols;
-        let parts = qpp_par::parallel_for_chunks(self.rows, GRAM_ROW_CHUNK, |chunk| {
-            let mut g = vec![0.0; n * n];
-            for i in chunk.range.clone() {
-                let row = self.row(i);
-                for (a, &ra) in row.iter().enumerate() {
-                    if ra == 0.0 {
-                        continue;
+        let blocks = qpp_par::parallel_for_chunks(n, GRAM_OUT_BLOCK, |chunk| {
+            // Row `a` of the block holds columns `a0..n`; `a..n` is its
+            // share of the upper triangle.
+            let a0 = chunk.range.start;
+            let width = n - a0;
+            let mut acc = vec![0.0; chunk.range.len() * width];
+            for tile in self.data.chunks(GRAM_TILE * n) {
+                for (a, out) in chunk.range.clone().zip(acc.chunks_exact_mut(width)) {
+                    let out = &mut out[a - a0..];
+                    let mut quads = tile.chunks_exact(4 * n);
+                    for quad in &mut quads {
+                        let row = |k: usize| &quad[k * n + a..(k + 1) * n];
+                        let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
+                        let (x0, x1, x2, x3) = (r0[0], r1[0], r2[0], r3[0]);
+                        let rows = r0.iter().zip(r1).zip(r2).zip(r3);
+                        for (o, (((b0, b1), b2), b3)) in out.iter_mut().zip(rows) {
+                            *o = *o + x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3;
+                        }
                     }
-                    let g_row = &mut g[a * n..(a + 1) * n];
-                    for (o, &rb) in g_row.iter_mut().zip(row.iter()) {
-                        *o += ra * rb;
+                    for row in quads.remainder().chunks_exact(n) {
+                        let (x, row) = (row[a], &row[a..]);
+                        for (o, b) in out.iter_mut().zip(row) {
+                            *o += x * b;
+                        }
                     }
                 }
             }
-            g
+            acc
         });
-        let mut iter = parts.into_iter();
-        let mut acc = match iter.next() {
-            Some(first) => first,
-            None => return Matrix::zeros(n, n),
-        };
-        for part in iter {
-            for (o, v) in acc.iter_mut().zip(part.iter()) {
-                *o += v;
+        let mut g = Matrix::zeros(n, n);
+        for (block, acc) in blocks.iter().enumerate() {
+            let a0 = block * GRAM_OUT_BLOCK;
+            for (a, out) in (a0..).zip(acc.chunks_exact(n - a0)) {
+                for (b, &v) in (a..n).zip(&out[a - a0..]) {
+                    g.data[a * n + b] = v;
+                    g.data[b * n + a] = v;
+                }
             }
         }
-        Matrix {
-            rows: n,
-            cols: n,
-            data: acc,
-        }
-    }
-
-    /// Element-wise sum `self + rhs`.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "add", |a, b| a + b)
+        g
     }
 
     /// Element-wise difference `self - rhs`.
     pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "sub", |a, b| a - b)
+        if self.shape() != rhs.shape() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "sub",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a - b)
+            .collect();
+        Ok(Matrix { data, ..*self })
     }
 
     /// Scalar multiple.
@@ -395,31 +405,6 @@ impl Matrix {
                 self[(j, i)] = avg;
             }
         }
-    }
-
-    fn zip_with(
-        &self,
-        rhs: &Matrix,
-        op: &'static str,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<Matrix> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op,
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
     }
 }
 

@@ -13,10 +13,10 @@
 //! the values the fit keeps — canonical correlations live in `[0, 1]`
 //! and the kept ones sit near 1 — and nothing below `√ε·σ₁`.
 //!
-//! **Determinism.** [`Matrix::gram`] is a `qpp-par` fixed-chunk ordered
-//! reduction and the eigensolve is serial, so the triplets are bitwise
-//! identical at any thread count. Signs are pinned: the
-//! largest-magnitude entry of each right vector is made positive
+//! **Determinism.** Each element of [`Matrix::gram`] is one serial sum
+//! owned by one output-row block, and the eigensolve is serial, so the
+//! triplets are bitwise identical at any thread count. Signs are pinned:
+//! the largest-magnitude entry of each right vector is made positive
 //! (earliest index on ties).
 
 use crate::eigen::tridiagonal_ql;

@@ -330,3 +330,62 @@ proptest! {
         }
     }
 }
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn four_row_icd_passes_leave_every_tail_to_the_oracle() {
+    // n ≡ 1, 2, 3 mod 4: the last group of rows is short, so it goes one
+    // row at a time like every group holding a selected row.
+    let coords: Vec<f64> = (0..2 * 64).map(|k| 2.0 * (k as f64 * 0.61).sin()).collect();
+    let kern = |i: usize, j: usize| {
+        let (a, b) = (&coords[2 * i..2 * i + 2], &coords[2 * j..2 * j + 2]);
+        (-vector::sq_dist(a, b) / 0.2).exp()
+    };
+    for n in [61, 62, 63] {
+        for max_rank in [48, n] {
+            let opts = IcdOptions {
+                max_rank,
+                relative_tolerance: 0.0,
+            };
+            let icd = IncompleteCholesky::factor(n, kern, opts).unwrap();
+            let (g, pivots, residual) = column_major_icd(n, kern, opts);
+            assert_eq!(icd.pivots(), pivots, "n {n}, cap {max_rank}");
+            assert_eq!(bits(icd.g()), bits(&g), "n {n}, cap {max_rank}");
+            assert_eq!(icd.residual_trace().to_bits(), residual.to_bits());
+        }
+    }
+}
+
+/// `Matrix::gram`'s oracle: each element one serial sum over the rows in
+/// ascending order, both triangles computed.
+fn per_element_gram(m: &Matrix) -> Matrix {
+    let sum = |a, b| m.row_iter().fold(0.0, |sum, row| sum + row[a] * row[b]);
+    Matrix::from_fn(m.cols(), m.cols(), sum)
+}
+
+#[test]
+fn gram_is_bitwise_equal_to_per_element_serial_sums() {
+    // Rows cover each remainder of the four-row pass and, past 128, more
+    // than one input tile; columns the edges of the 32-row output blocks.
+    for rows in [1, 3, 4, 5, 513, 1027] {
+        for cols in [1, 31, 32, 33, 80] {
+            let m = Matrix::from_fn(rows, cols, |i, j| ((i * cols + j) as f64 * 0.7).sin());
+            let oracle = per_element_gram(&m);
+            assert_eq!(bits(&m.gram()), bits(&oracle), "{rows} x {cols}");
+        }
+    }
+}
+
+#[test]
+fn the_cross_block_of_one_gram_is_bitwise_the_product() {
+    // `Cca::fit` reads `Cxy` off the Gram of `[xc | yc]`: the same serial
+    // sums as `xcᵀ · yc`, in the same order.
+    let (n, p, q) = (1027, 33, 31);
+    let z = Matrix::from_fn(n, p + q, |i, j| ((i * (p + q) + j) as f64 * 0.37).cos());
+    let (xc, yc) = (z.block(0, 0, n, p), z.block(0, p, n, q));
+    let product = xc.transpose().matmul(&yc).unwrap();
+    assert_eq!(bits(&z.gram().block(0, p, p, q)), bits(&product));
+}

@@ -25,6 +25,11 @@
 //! ([`qpp_linalg::GeneralizedEigen`]) is the oracle
 //! `tests/svd_equivalence.rs` checks this path against; the two share
 //! no eigensolver.
+//!
+//! `Cxx`, `Cyy` and `Cxy` are the blocks of one [`Matrix::gram`] of the
+//! centred `[xc | yc]` (`n x (p+q)`), scaled by `1/n`: the rows are read
+//! in one kernel, with no transpose and no product of `xc` against `yc`.
+//! At 8,000 rows that Gram is most of the fit's operation count.
 
 use qpp_linalg::{stats, svd, vector, Cholesky, LinalgError, Matrix};
 use serde::{Deserialize, Serialize};
@@ -83,13 +88,21 @@ impl Cca {
         grams.set_value(n as u64);
         let x_means = stats::column_means(x);
         let y_means = stats::column_means(y);
-        let xc = center(x, &x_means);
-        let yc = center(y, &y_means);
-
-        let scale = 1.0 / n as f64;
-        let cxx = xc.gram().scale(scale);
-        let cyy = yc.gram().scale(scale);
-        let cxy = xc.transpose().matmul(&yc)?.scale(scale);
+        // One Gram of the centred `[xc | yc]`: its diagonal blocks are
+        // `n·Cxx` and `n·Cyy`, its upper-right block `n·Cxy`. The centred
+        // copy and the full Gram are gone before the solve.
+        let (cxx, cyy, cxy) = {
+            let z = Matrix::from_fn(n, p + q, |i, j| match j.checked_sub(p) {
+                None => x[(i, j)] - x_means[j],
+                Some(j) => y[(i, j)] - y_means[j],
+            });
+            let c = z.gram().scale(1.0 / n as f64);
+            (
+                c.block(0, 0, p, p),
+                c.block(p, p, q, q),
+                c.block(0, p, p, q),
+            )
+        };
         drop(grams);
 
         // Regularize relative to the average variance so κ means the
@@ -173,32 +186,23 @@ impl Cca {
         self.correlations.len()
     }
 
-    /// Projects one x-side row into canonical space.
+    /// Projects one x-side row into canonical space: `wxᵀ (row − x̄)`
+    /// through [`Matrix::gemv_t_centered_into`], the kernel the folded
+    /// query projection ([`crate::kcca`]) also runs.
     pub fn project_x(&self, row: &[f64]) -> Vec<f64> {
-        project(row, &self.x_means, &self.wx)
-    }
-
-    /// Projects one y-side row into canonical space.
-    pub fn project_y(&self, row: &[f64]) -> Vec<f64> {
-        project(row, &self.y_means, &self.wy)
+        let mut out = Vec::with_capacity(self.wx.cols());
+        self.wx.gemv_t_centered_into(row, &self.x_means, &mut out);
+        out
     }
 
     /// Projects every row of an x-side matrix.
     pub fn project_x_matrix(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), self.components());
-        for i in 0..x.rows() {
-            out.row_mut(i).copy_from_slice(&self.project_x(x.row(i)));
-        }
-        out
+        project_matrix(x, &self.x_means, &self.wx)
     }
 
     /// Projects every row of a y-side matrix.
     pub fn project_y_matrix(&self, y: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(y.rows(), self.components());
-        for i in 0..y.rows() {
-            out.row_mut(i).copy_from_slice(&self.project_y(y.row(i)));
-        }
-        out
+        project_matrix(y, &self.y_means, &self.wy)
     }
 }
 
@@ -223,16 +227,14 @@ fn validated_correlation(rho: f64) -> Result<f64, LinalgError> {
     Ok(rho.clamp(-1.0, 1.0))
 }
 
-fn center(m: &Matrix, means: &[f64]) -> Matrix {
-    Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)] - means[j])
-}
-
-/// `wᵀ (row − means)` through [`Matrix::gemv_t_centered_into`], the
-/// kernel the folded query projection ([`crate::kcca`]) also runs.
-fn project(row: &[f64], means: &[f64], w: &Matrix) -> Vec<f64> {
-    debug_assert_eq!(row.len(), w.rows());
-    let mut out = Vec::with_capacity(w.cols());
-    w.gemv_t_centered_into(row, means, &mut out);
+/// `wᵀ (row − means)` for every row of `m`, through one reused buffer.
+fn project_matrix(m: &Matrix, means: &[f64], w: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(m.rows(), w.cols());
+    let mut buf = Vec::with_capacity(w.cols());
+    for i in 0..m.rows() {
+        w.gemv_t_centered_into(m.row(i), means, &mut buf);
+        out.row_mut(i).copy_from_slice(&buf);
+    }
     out
 }
 

@@ -355,6 +355,21 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_training_input_is_reported_as_non_finite() {
+        // Such a row's own kernel value is NaN, so the ICD's trace is.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let (mut x, y) = nonlinear_pair(60, 5);
+            x[(17, 1)] = bad;
+            let fit = Kcca::fit(x.view(), y.view(), KccaOptions::default());
+            assert!(
+                matches!(fit, Err(LinalgError::NonFinite { .. })),
+                "{bad}: {:?}",
+                fit.err()
+            );
+        }
+    }
+
+    #[test]
     fn tiny_input_rejected() {
         let x = Matrix::zeros(2, 2);
         let y = Matrix::zeros(2, 2);

@@ -213,8 +213,9 @@ fn reduced_fit_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn truncated_svd_is_bitwise_identical_across_thread_counts() {
-    // 1,100 rows: the Gram reduction spans three of its 512-row chunks,
-    // so the thread count decides who computes which partial sum.
+    // 80 columns: the Gram's output spans three of its 32-row blocks, so
+    // the thread count decides who owns which elements; 1,100 rows are
+    // read in nine tiles.
     let mut rng = StdRng::seed_from_u64(5);
     let m = Matrix::from_fn(1100, 80, |_, _| rng.random_range(-1.0..1.0));
     let serial = qpp_par::with_threads(1, || svd::truncated_svd(&m, 12).unwrap());

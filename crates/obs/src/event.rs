@@ -44,8 +44,9 @@ pub enum Stage {
     /// Regularized CCA on the ICD embeddings (the generalized
     /// eigensolve of the paper's Eq. 2).
     TrainEigensolve,
-    /// Eigensolve sub-stage: centring both embeddings and forming the
-    /// three covariance Grams `Cxx`, `Cyy`, `Cxy` (`value` = rows).
+    /// Eigensolve sub-stage: centring both embeddings into `[xc | yc]`
+    /// and its one Gram, whose blocks are `Cxx`, `Cyy`, `Cxy`
+    /// (`value` = rows).
     TrainEigenGrams,
     /// Eigensolve sub-stage: Cholesky reduction to the correlation
     /// matrix `M = Lx⁻¹ Cxy Ly⁻ᵀ`.

@@ -43,6 +43,39 @@ fn kcca_fit_is_bitwise_identical_across_thread_counts() {
     assert_eq!(serial.x_rank(), parallel.x_rank());
 }
 
+/// FNV-1a over the bits of a fit's canonical correlations and training
+/// query projection.
+fn fit_fingerprint(model: &KccaPredictor) -> u64 {
+    let kcca = model.kcca();
+    let values = kcca.correlations().iter();
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for v in values.chain(kcca.query_projection().as_slice()) {
+        for byte in v.to_bits().to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Pins a 400-row fit's correlations and training projection to stored
+/// bits at 1 thread and at 8, so a change to the order of any training
+/// sum shows.
+#[test]
+fn a_400_row_fit_matches_its_stored_fingerprint() {
+    let train = collect_tpcds(400, 29, &SystemConfig::neoview_4(), 2);
+    for threads in [1, 8] {
+        let model = qpp_par::with_threads(threads, || {
+            KccaPredictor::train(&train, PredictorOptions::default())
+        })
+        .unwrap();
+        assert_eq!(
+            fit_fingerprint(&model),
+            0xad37_356a_5bf4_8ecf,
+            "{threads} thread(s)"
+        );
+    }
+}
+
 /// The batch entry points fan rows out across threads in fixed chunks,
 /// each thread predicting through its own scratch: one model, 200
 /// rows, 1 thread vs 8 must agree bit for bit.
