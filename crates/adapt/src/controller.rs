@@ -222,7 +222,8 @@ pub struct AdaptStats {
 
 impl AdaptStats {
     /// Counters and gauges as JSON lines, one object per line, in
-    /// fixed field order (mirrors `qpp_obs::Recorder::counters_jsonl`).
+    /// fixed field order (the shape of `StatsSnapshot::counters_jsonl`
+    /// in `qpp-serve`).
     pub fn counters_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, value) in [

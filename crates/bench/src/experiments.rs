@@ -34,6 +34,9 @@ use qpp_workload::WorkloadGenerator;
 /// Master seed for all experiments (fixed for reproducibility).
 pub const SEED: u64 = 20090401;
 
+/// Seed of the Experiment 1 train/test pool draw.
+const POOL_SEED: u64 = 23;
+
 /// Size of the generated master population the pools are drawn from.
 pub const POPULATION: usize = 20000;
 
@@ -75,10 +78,6 @@ impl Context {
         let all = collect_tpcds(population, SEED, &config, 4);
         let scale = (population as f64 / POPULATION as f64).min(1.0);
         let n = |x: usize| ((x as f64 * scale).round() as usize).max(1);
-        let pool_seed = std::env::var("QPP_POOL_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(23u64);
         let (train_idx, test_idx) = all.sample_pools(
             &[
                 (QueryCategory::Feather, n(767)),
@@ -90,7 +89,7 @@ impl Context {
                 (QueryCategory::GolfBall, n(7)),
                 (QueryCategory::BowlingBall, n(9)),
             ],
-            pool_seed,
+            POOL_SEED,
         );
         let train = all.subset(&train_idx);
         let mut test = all.subset(&test_idx);
@@ -738,17 +737,12 @@ pub fn fig17(ctx: &Context, report: &mut Report) -> ExperimentResult {
 
 /// Extension — PQR-style runtime-range baseline (related work, §III).
 pub fn pqr(ctx: &Context, report: &mut Report) -> ExperimentResult {
-    let model = PqrPredictor::train(
-        &ctx.train,
-        FeatureKind::QueryPlan,
-        PqrPredictor::default_bounds(),
-    )
-    .expect("pqr trains");
+    let model = PqrPredictor::train(&ctx.train, FeatureKind::QueryPlan).expect("pqr trains");
     let accuracy = model.range_accuracy(&ctx.test);
     // KCCA point predictions scored the same way: does the point land
     // in the same bucket as the actual time?
     let kcca = KccaPredictor::train(&ctx.train, PredictorOptions::default()).expect("trains");
-    let bounds = PqrPredictor::default_bounds();
+    let bounds = PqrPredictor::BOUNDS;
     let bucket = |t: f64| {
         bounds
             .iter()

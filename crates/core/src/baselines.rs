@@ -105,31 +105,23 @@ impl OptimizerCostModel {
 pub struct PqrPredictor {
     tree: qpp_ml::DecisionTree,
     feature_kind: FeatureKind,
-    /// Bucket upper bounds, seconds (ascending; last is +inf).
-    bounds: Vec<f64>,
 }
 
 impl PqrPredictor {
-    /// Default PQR buckets: sub-second, second-scale, the paper's
-    /// feather/golf/bowling boundaries, and beyond.
-    pub fn default_bounds() -> Vec<f64> {
-        vec![
-            1.0,
-            10.0,
-            QueryCategory::FEATHER_MAX,
-            QueryCategory::GOLF_MAX,
-            QueryCategory::BOWLING_MAX,
-            f64::INFINITY,
-        ]
-    }
+    /// PQR bucket upper bounds, seconds (ascending; last is +inf):
+    /// sub-second, second-scale, the paper's feather/golf/bowling
+    /// boundaries, and beyond.
+    pub const BOUNDS: [f64; 6] = [
+        1.0,
+        10.0,
+        QueryCategory::FEATHER_MAX,
+        QueryCategory::GOLF_MAX,
+        QueryCategory::BOWLING_MAX,
+        f64::INFINITY,
+    ];
 
     /// Trains the range tree.
-    pub fn train(
-        dataset: &Dataset,
-        feature_kind: FeatureKind,
-        bounds: Vec<f64>,
-    ) -> Result<Self, QppError> {
-        assert!(!bounds.is_empty(), "need at least one bucket bound");
+    pub fn train(dataset: &Dataset, feature_kind: FeatureKind) -> Result<Self, QppError> {
         if dataset.is_empty() {
             return Err(LinalgError::Empty("pqr training set").into());
         }
@@ -137,26 +129,19 @@ impl PqrPredictor {
         let labels: Vec<usize> = dataset
             .elapsed()
             .iter()
-            .map(|&t| bucket_of(&bounds, t))
+            .map(|&t| bucket_of(&Self::BOUNDS, t))
             .collect();
-        let tree = qpp_ml::DecisionTree::fit(&x, &labels, qpp_ml::TreeOptions::default());
-        Ok(PqrPredictor {
-            tree,
-            feature_kind,
-            bounds,
-        })
+        let tree = qpp_ml::DecisionTree::fit(&x, &labels);
+        Ok(PqrPredictor { tree, feature_kind })
     }
 
     /// Predicted elapsed-time range `(lo, hi)` in seconds.
     pub fn predict_range(&self, spec: &QuerySpec, plan: &Plan) -> (f64, f64) {
         let f = query_features(self.feature_kind, spec, plan);
+        let bounds = &Self::BOUNDS;
         let class = self.tree.predict(&f);
-        let hi = self.bounds[class.min(self.bounds.len() - 1)];
-        let lo = if class == 0 {
-            0.0
-        } else {
-            self.bounds[class - 1]
-        };
+        let hi = bounds[class.min(bounds.len() - 1)];
+        let lo = if class == 0 { 0.0 } else { bounds[class - 1] };
         (lo, hi)
     }
 
@@ -259,12 +244,7 @@ mod tests {
     fn pqr_predicts_ranges_better_than_chance() {
         let train = dataset(400, 39);
         let test = dataset(80, 40);
-        let m = PqrPredictor::train(
-            &train,
-            FeatureKind::QueryPlan,
-            PqrPredictor::default_bounds(),
-        )
-        .unwrap();
+        let m = PqrPredictor::train(&train, FeatureKind::QueryPlan).unwrap();
         let acc = m.range_accuracy(&test);
         // Six buckets; chance would be well under 40%.
         assert!(acc > 0.4, "range accuracy {acc}");
@@ -275,7 +255,7 @@ mod tests {
 
     #[test]
     fn pqr_bucketing_is_exhaustive() {
-        let bounds = PqrPredictor::default_bounds();
+        let bounds = PqrPredictor::BOUNDS;
         assert_eq!(bucket_of(&bounds, 0.1), 0);
         assert_eq!(bucket_of(&bounds, 5.0), 1);
         assert_eq!(bucket_of(&bounds, 100.0), 2);

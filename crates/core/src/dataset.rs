@@ -15,8 +15,6 @@ use serde::{Deserialize, Serialize};
 pub struct QueryRecord {
     /// The logical query.
     pub spec: QuerySpec,
-    /// Rendered SQL text.
-    pub sql: String,
     /// The optimizer's output (plan + cost + annotations).
     pub optimized: OptimizedQuery,
     /// Measured performance.
@@ -91,12 +89,7 @@ impl Dataset {
 
     /// Log-space performance matrix for kernelization.
     pub fn kernel_performance_matrix(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.len(), PerfMetrics::DIM);
-        for (i, r) in self.records.iter().enumerate() {
-            out.row_mut(i)
-                .copy_from_slice(&performance_to_kernel_space(&r.metrics.to_vec()));
-        }
-        out
+        performance_to_kernel_space(&self.performance_matrix())
     }
 
     /// Elapsed times, seconds.
@@ -179,12 +172,10 @@ fn run_query(
 ) -> QueryRecord {
     let optimized = optimize(&spec, catalog, config);
     let outcome = execute(&spec, &optimized, schema, config);
-    let sql = qpp_workload::sql::render(&spec);
     QueryRecord {
         category: QueryCategory::of(outcome.metrics.elapsed_seconds),
         metrics: outcome.metrics,
         optimized,
-        sql,
         spec,
     }
 }

@@ -58,9 +58,10 @@ pub enum QppError {
         /// Configured queue capacity.
         capacity: usize,
     },
-    /// A tenant exceeded its admission quota: the request was shed
-    /// before taking the queue lock, so one tenant flooding the
-    /// gateway cannot displace another tenant's traffic.
+    /// A tenant exceeded its admission quota: its lane already held
+    /// `quota` queued requests when the push took the queue lock, so one
+    /// tenant flooding the gateway cannot displace another tenant's
+    /// traffic.
     TenantQuotaExceeded {
         /// Numeric tenant ID whose quota was exhausted.
         tenant: u32,

@@ -15,6 +15,7 @@
 //! `ln(1+x)` transform is applied to the performance vector.
 
 use qpp_engine::{OpKind, Plan};
+use qpp_linalg::Matrix;
 use qpp_workload::{QuerySpec, SqlTextFeatures};
 use serde::{Deserialize, Serialize};
 
@@ -123,10 +124,14 @@ pub fn query_features_to(kind: FeatureKind, spec: &QuerySpec, plan: &Plan, out: 
     }
 }
 
-/// Log-transforms a raw performance vector for kernelization:
+/// Log-transforms a raw performance matrix for kernelization:
 /// `ln(1 + x)` per metric.
-pub fn performance_to_kernel_space(metrics: &[f64]) -> Vec<f64> {
-    metrics.iter().map(|&x| (1.0 + x.max(0.0)).ln()).collect()
+pub fn performance_to_kernel_space(performance: &Matrix) -> Matrix {
+    let mut out = performance.clone();
+    for x in out.as_mut_slice() {
+        *x = (1.0 + x.max(0.0)).ln();
+    }
+    out
 }
 
 #[cfg(test)]
@@ -196,9 +201,10 @@ mod tests {
 
     #[test]
     fn performance_log_transform() {
-        let v = performance_to_kernel_space(&[0.0, (std::f64::consts::E - 1.0), 1e6]);
-        assert!(v[0].abs() < 1e-12);
-        assert!((v[1] - 1.0).abs() < 1e-12);
-        assert!(v[2] > 13.0 && v[2] < 14.0);
+        let raw = Matrix::from_vec(1, 3, vec![0.0, (std::f64::consts::E - 1.0), 1e6]).unwrap();
+        let v = performance_to_kernel_space(&raw);
+        assert!(v[(0, 0)].abs() < 1e-12);
+        assert!((v[(0, 1)] - 1.0).abs() < 1e-12);
+        assert!(v[(0, 2)] > 13.0 && v[(0, 2)] < 14.0);
     }
 }

@@ -253,11 +253,7 @@ impl KccaPredictor {
             let x = scaler.transform(features);
             (scaler, x)
         };
-        let mut y = Matrix::zeros(performance.rows(), performance.cols());
-        for (i, row) in performance.row_iter().enumerate() {
-            y.row_mut(i)
-                .copy_from_slice(&performance_to_kernel_space(row));
-        }
+        let y = performance_to_kernel_space(&performance);
         let kcca = Kcca::fit(x.view(), y.view(), options.kcca).ctx("fitting kcca")?;
         let index = {
             let _s = qpp_obs::span(qpp_obs::Stage::TrainKnnBuild);
@@ -404,9 +400,7 @@ impl KccaPredictor {
     }
 
     /// Predicts every row of a feature matrix. Entry `i` is
-    /// `self.predict_features(rows.row(i))`; large inputs fan out across
-    /// `qpp-par` threads, each predicting through its own thread-local
-    /// scratch, so results are bitwise independent of the thread count.
+    /// `self.predict_features(rows.row(i))`.
     pub fn predict_features_batch(
         &self,
         rows: MatrixView<'_>,
@@ -435,8 +429,7 @@ impl KccaPredictor {
     }
 
     /// Predicts a batch of queries: entry `i` is
-    /// `self.predict(queries[i].0, queries[i].1)`, fanned out like
-    /// [`KccaPredictor::predict_features_batch`].
+    /// `self.predict(queries[i].0, queries[i].1)`.
     pub fn predict_batch(
         &self,
         queries: &[(&QuerySpec, &Plan)],
@@ -453,32 +446,15 @@ impl KccaPredictor {
     }
 }
 
-/// `predict_one(0..n)` in row order; the first failure (in row order)
-/// is the result. More rows than one chunk fan out across `qpp-par`
-/// threads chunk by chunk; a single chunk would run on the calling
-/// thread anyway, so it opens no region and allocates only the
-/// returned vector.
+/// `predict_one(0..n)` in row order on the calling thread; the first
+/// failure is the result. The returned vector is the one allocation.
 fn predict_each(
     n: usize,
-    predict_one: impl Fn(usize) -> Result<Prediction, QppError> + Sync,
+    predict_one: impl Fn(usize) -> Result<Prediction, QppError>,
 ) -> Result<Vec<Prediction>, QppError> {
-    const ROWS_PER_CHUNK: usize = 16;
     let mut out = Vec::with_capacity(n);
-    if n <= ROWS_PER_CHUNK {
-        for i in 0..n {
-            out.push(predict_one(i)?);
-        }
-        return Ok(out);
-    }
-    // Helper threads inherit the caller's trace, so a traced call keeps
-    // every row's spans whichever thread ran its chunk.
-    let trace = qpp_obs::current_trace();
-    for chunk in qpp_par::parallel_for_chunks(n, ROWS_PER_CHUNK, |chunk| {
-        qpp_obs::with_trace(trace, || chunk.range.map(&predict_one).collect::<Vec<_>>())
-    }) {
-        for prediction in chunk {
-            out.push(prediction?);
-        }
+    for i in 0..n {
+        out.push(predict_one(i)?);
     }
     Ok(out)
 }

@@ -142,28 +142,21 @@ impl IvfIndex {
         let sample_ids: Vec<usize> = (0..sample_len).map(|i| i * n / sample_len).collect();
         let sample = reference.select_rows(&sample_ids);
         let km = KMeans::fit(&sample, nlist, QUANTIZER_SEED, QUANTIZER_ITERS)?;
-        let centroids = km.centroids;
 
-        // Per-row assignment is a pure function of the frozen centroids,
+        // `KMeans::assign` is a pure function of the frozen centroids,
         // so the chunk fan-out is thread-count invariant; chunks come
         // back in index order. Rows with non-finite components land in
         // whatever cell the NaN comparison chain leaves them (cluster 0)
         // — harmless, since the query-time rescan skips them the same
         // way the brute scan does.
         let assign_chunks = qpp_par::parallel_for_chunks(n, 4096, |chunk| {
-            let mut cells = Vec::with_capacity(chunk.range.len());
-            for i in chunk.range.clone() {
-                let mut best = (0usize, f64::INFINITY);
-                for c in 0..centroids.rows() {
-                    let d = qpp_linalg::vector::sq_dist(reference.row(i), centroids.row(c));
-                    if d < best.1 {
-                        best = (c, d);
-                    }
-                }
-                cells.push(best.0);
-            }
-            cells
+            chunk
+                .range
+                .clone()
+                .map(|i| km.assign(reference.row(i)))
+                .collect::<Vec<_>>()
         });
+        let centroids = km.centroids;
 
         // CSR layout: count, prefix-sum, then place ids in ascending row
         // order within each list.

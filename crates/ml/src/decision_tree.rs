@@ -10,23 +10,11 @@
 use qpp_linalg::{vector, Matrix};
 use serde::{Deserialize, Serialize};
 
-/// Tree construction options.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TreeOptions {
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Minimum samples required to split a node.
-    pub min_samples_split: usize,
-}
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 8;
 
-impl Default for TreeOptions {
-    fn default() -> Self {
-        TreeOptions {
-            max_depth: 8,
-            min_samples_split: 8,
-        }
-    }
-}
+/// Minimum samples required to split a node.
+const MIN_SAMPLES_SPLIT: usize = 8;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Node {
@@ -52,12 +40,12 @@ impl DecisionTree {
     /// Fits a tree on `x` (one row per sample) and integer labels `y`.
     ///
     /// Panics when inputs are empty or misaligned.
-    pub fn fit(x: &Matrix, y: &[usize], opts: TreeOptions) -> DecisionTree {
+    pub fn fit(x: &Matrix, y: &[usize]) -> DecisionTree {
         assert_eq!(x.rows(), y.len(), "feature/label length mismatch");
         assert!(!y.is_empty(), "empty training set");
         let classes = y.iter().copied().max().unwrap_or(0) + 1;
         let indices: Vec<usize> = (0..y.len()).collect();
-        let root = build(x, y, &indices, classes, opts, 0);
+        let root = build(x, y, &indices, classes, 0);
         DecisionTree { root, classes }
     }
 
@@ -124,18 +112,11 @@ fn gini(counts: &[usize], total: usize) -> f64 {
     }))
 }
 
-fn build(
-    x: &Matrix,
-    y: &[usize],
-    indices: &[usize],
-    classes: usize,
-    opts: TreeOptions,
-    depth: usize,
-) -> Node {
+fn build(x: &Matrix, y: &[usize], indices: &[usize], classes: usize, depth: usize) -> Node {
     let leaf = Node::Leaf {
         class: majority(y, indices, classes),
     };
-    if depth >= opts.max_depth || indices.len() < opts.min_samples_split {
+    if depth >= MAX_DEPTH || indices.len() < MIN_SAMPLES_SPLIT {
         return leaf;
     }
     // Pure node?
@@ -209,7 +190,7 @@ fn build(
     // Weighted child Gini never exceeds the parent's, so zero-gain ties
     // are allowed: XOR-like concepts need a gainless first split before
     // the second level separates the classes. Recursion stays bounded
-    // by max_depth and the non-empty partition invariant.
+    // by MAX_DEPTH and the non-empty partition invariant.
     if score > parent_gini + 1e-12 {
         return leaf;
     }
@@ -218,8 +199,8 @@ fn build(
     Node::Split {
         feature,
         threshold,
-        left: Box::new(build(x, y, &li, classes, opts, depth + 1)),
-        right: Box::new(build(x, y, &ri, classes, opts, depth + 1)),
+        left: Box::new(build(x, y, &li, classes, depth + 1)),
+        right: Box::new(build(x, y, &ri, classes, depth + 1)),
     }
 }
 
@@ -245,7 +226,7 @@ mod tests {
     #[test]
     fn learns_nested_concept_with_depth_two() {
         let (x, y) = nested_and();
-        let tree = DecisionTree::fit(&x, &y, TreeOptions::default());
+        let tree = DecisionTree::fit(&x, &y);
         let mut correct = 0;
         for (i, &label) in y.iter().enumerate() {
             if tree.predict(x.row(i)) == label {
@@ -259,29 +240,25 @@ mod tests {
     #[test]
     fn pure_labels_make_a_leaf() {
         let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let tree = DecisionTree::fit(&x, &[1, 1, 1], TreeOptions::default());
+        let tree = DecisionTree::fit(&x, &[1, 1, 1]);
         assert_eq!(tree.depth(), 0);
         assert_eq!(tree.predict(&[99.0]), 1);
     }
 
     #[test]
     fn respects_max_depth() {
-        let (x, y) = nested_and();
-        let tree = DecisionTree::fit(
-            &x,
-            &y,
-            TreeOptions {
-                max_depth: 1,
-                min_samples_split: 2,
-            },
-        );
-        assert!(tree.depth() <= 1);
+        // Alternating labels on a line: the best split always peels off
+        // one end row, so an uncapped tree would be about 60 levels deep.
+        let x = Matrix::from_fn(64, 1, |i, _| i as f64);
+        let y: Vec<usize> = (0..64).map(|i| i % 2).collect();
+        let tree = DecisionTree::fit(&x, &y);
+        assert_eq!(tree.depth(), MAX_DEPTH);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn rejects_misaligned_inputs() {
         let x = Matrix::from_rows(&[vec![1.0]]).unwrap();
-        DecisionTree::fit(&x, &[0, 1], TreeOptions::default());
+        DecisionTree::fit(&x, &[0, 1]);
     }
 }

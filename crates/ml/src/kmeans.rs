@@ -58,10 +58,6 @@ impl std::error::Error for KMeansError {}
 pub struct KMeans {
     /// Cluster centroids as rows (`k x p`).
     pub centroids: Matrix,
-    /// Final within-cluster sum of squared distances (finite rows only).
-    pub inertia: f64,
-    /// Iterations executed.
-    pub iterations: usize,
 }
 
 impl KMeans {
@@ -76,7 +72,7 @@ impl KMeans {
     /// seeds (a NaN distance used to turn the seeding roulette's `total`
     /// into NaN, failing the `total <= 0.0` guard and silently electing
     /// row `n-1` every round) and they do not contribute to centroid
-    /// updates or inertia.
+    /// updates.
     pub fn fit(
         data: &Matrix,
         k: usize,
@@ -164,9 +160,7 @@ impl KMeans {
 
         // Lloyd iterations over the finite rows.
         let mut assignment = vec![0usize; n];
-        let mut iterations = 0;
         for it in 0..max_iters {
-            iterations = it + 1;
             let mut changed = false;
             for i in 0..n {
                 if !finite[i] {
@@ -208,17 +202,7 @@ impl KMeans {
                 // Empty clusters keep their previous centroid.
             }
         }
-
-        let inertia = vector::sum_iter(
-            (0..n)
-                .filter(|&i| finite[i])
-                .map(|i| vector::sq_dist(data.row(i), centroids.row(assignment[i]))),
-        );
-        Ok(KMeans {
-            centroids,
-            inertia,
-            iterations,
-        })
+        Ok(KMeans { centroids })
     }
 
     /// Cluster index of a point.
@@ -250,11 +234,19 @@ mod tests {
 
     #[test]
     fn separates_two_blobs() {
-        let km = KMeans::fit(&blobs(), 2, 7, 50).unwrap();
+        let data = blobs();
+        let km = KMeans::fit(&data, 2, 7, 50).unwrap();
         let a = km.assign(&[0.0, 0.0]);
         let b = km.assign(&[10.0, 10.0]);
         assert_ne!(a, b);
-        assert!(km.inertia < 1.0, "inertia {}", km.inertia);
+        // Every row joins its own blob's cell, whose centroid sits
+        // inside that blob.
+        for i in 0..data.rows() {
+            let row = data.row(i);
+            let cell = if row[0] < 5.0 { a } else { b };
+            assert_eq!(km.assign(row), cell, "row {i}");
+            assert!(vector::sq_dist(row, km.centroids.row(cell)) < 0.01);
+        }
     }
 
     #[test]
@@ -265,10 +257,15 @@ mod tests {
     }
 
     #[test]
-    fn k_equals_n_gives_zero_inertia() {
+    fn k_equals_n_puts_every_row_on_its_own_centroid() {
         let data = Matrix::from_rows(&[vec![0.0], vec![5.0], vec![9.0]]).unwrap();
         let km = KMeans::fit(&data, 3, 1, 50).unwrap();
-        assert!(km.inertia < 1e-12);
+        let mut cells: Vec<usize> = (0..3).map(|i| km.assign(data.row(i))).collect();
+        for (i, &c) in cells.iter().enumerate() {
+            assert_eq!(km.centroids.row(c), data.row(i), "row {i}");
+        }
+        cells.sort_unstable();
+        assert_eq!(cells, [0, 1, 2]);
     }
 
     #[test]
@@ -310,7 +307,6 @@ mod tests {
                 "seed {seed} produced a non-finite centroid: {:?}",
                 km.centroids
             );
-            assert!(km.inertia.is_finite(), "seed {seed} inertia {}", km.inertia);
             assert_ne!(km.assign(&[0.0, 0.0]), km.assign(&[10.0, 10.0]));
         }
     }

@@ -43,7 +43,7 @@ pub mod metrics;
 
 pub use ann::{AnnIndex, AnnOptions, IvfIndex, IvfOptions};
 pub use cca::{Cca, CcaOptions};
-pub use decision_tree::{DecisionTree, TreeOptions};
+pub use decision_tree::DecisionTree;
 pub use kcca::{Kcca, KccaOptions, ProjectionScratch};
 pub use kernel::GaussianKernel;
 pub use kmeans::{KMeans, KMeansError};

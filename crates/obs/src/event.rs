@@ -80,14 +80,11 @@ pub enum Stage {
     /// 0 = the queue was full, 1 = the tenant's own quota was
     /// exhausted).
     AdmissionReject,
-    /// One deficit-round-robin drain cycle on the serve queue (mark;
-    /// `value` = the drained batch size).
-    FairShare,
 }
 
 impl Stage {
     /// Number of stages (sizes the per-stage accumulator arrays).
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 25;
 
     /// Every stage, in declaration order (stable for reports).
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -116,7 +113,6 @@ impl Stage {
         Stage::CanarySwap,
         Stage::KillSwitch,
         Stage::AdmissionReject,
-        Stage::FairShare,
     ];
 
     /// Dense index into per-stage accumulators.
@@ -152,7 +148,6 @@ impl Stage {
             Stage::CanarySwap => "canary_swap",
             Stage::KillSwitch => "kill_switch",
             Stage::AdmissionReject => "admission_reject",
-            Stage::FairShare => "fair_share",
         }
     }
 }

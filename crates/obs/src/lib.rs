@@ -55,23 +55,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Central recorder: the event ring and the workspace-wide
-/// answer-source counters.
+/// Central recorder: the event ring, its clock and the trace-ID source.
 ///
 /// The ring holds a sliding window of recent events (for trace export)
 /// and, beside it, exact per-stage totals that never wrap, so per-stage
-/// summaries (bench breakdowns) don't depend on ring capacity.
+/// summaries (bench breakdowns) don't depend on ring capacity. Counts of
+/// answers are the serving layer's (`qpp-serve`'s `ServiceStats`), not
+/// the recorder's.
 #[derive(Debug)]
 pub struct Recorder {
     epoch: Instant,
     ring: EventRing,
     next_trace: AtomicU64,
-    /// Requests answered by the optimizer-cost fallback (deadline
-    /// missed). First-class because the paper's predictions only help
-    /// when they actually arrive in time.
-    pub fallback_answers: Counter,
-    /// Requests answered by the KCCA model in time.
-    pub kcca_answers: Counter,
 }
 
 impl Recorder {
@@ -81,8 +76,6 @@ impl Recorder {
             epoch: Instant::now(),
             ring: EventRing::new(capacity),
             next_trace: AtomicU64::new(0),
-            fallback_answers: Counter::new(),
-            kcca_answers: Counter::new(),
         }
     }
 
@@ -154,16 +147,6 @@ impl Recorder {
                 total_ns: total_ns[stage.index()],
             })
             .collect()
-    }
-
-    /// Answer-source counters as JSONL (one `{"counter":…,"value":…}`
-    /// line each), appended to trace dumps.
-    pub fn counters_jsonl(&self) -> String {
-        format!(
-            "{{\"counter\":\"kcca_answers\",\"value\":{}}}\n{{\"counter\":\"fallback_answers\",\"value\":{}}}\n",
-            self.kcca_answers.get(),
-            self.fallback_answers.get(),
-        )
     }
 }
 
@@ -478,15 +461,5 @@ mod tests {
         // Oversized payloads truncate instead of corrupting the tag.
         let packed = pack_tags(9, u64::MAX);
         assert_eq!(unpack_tags(packed), (9, (1u64 << TAG_PAYLOAD_BITS) - 1));
-    }
-
-    #[test]
-    fn counters_jsonl_shape() {
-        let r = Recorder::with_capacity(8);
-        r.kcca_answers.add(10);
-        r.fallback_answers.incr();
-        let out = r.counters_jsonl();
-        assert!(out.contains("{\"counter\":\"kcca_answers\",\"value\":10}"));
-        assert!(out.contains("{\"counter\":\"fallback_answers\",\"value\":1}"));
     }
 }

@@ -231,9 +231,8 @@ impl PendingPrediction {
     /// deadline exists to give up on time.)
     ///
     /// Every per-answer count (`completed` or `fallbacks`, the latency
-    /// sample, the admission decision, the recorder's answer counters)
-    /// is made here, before the answer is returned, so a snapshot read
-    /// after `wait` always includes it.
+    /// sample, the admission decision) is made here, before the answer
+    /// is returned, so a snapshot read after `wait` always includes it.
     pub fn wait(self) -> Result<ServeResponse, QppError> {
         let remaining = self
             .request
@@ -264,11 +263,6 @@ impl PendingPrediction {
             cell.completed.incr();
             cell.record_latency(response.latency);
             record_decision(&self.stats, &response.decision);
-            let rec = qpp_obs::recorder();
-            match response.source {
-                AnswerSource::Kcca => rec.kcca_answers.incr(),
-                AnswerSource::CostModelFallback => rec.fallback_answers.incr(),
-            }
         }
         answer
     }
@@ -286,9 +280,7 @@ impl PendingPrediction {
         record_decision(&self.stats, &decision);
         let cell = self.stats.cell(self.tenant_idx);
         cell.fallbacks.incr();
-        let rec = qpp_obs::recorder();
-        rec.record_mark(self.trace_id, Stage::Fallback, entry.version);
-        rec.fallback_answers.incr();
+        qpp_obs::recorder().record_mark(self.trace_id, Stage::Fallback, entry.version);
         let latency = elapsed_since(self.submitted_ns);
         cell.record_latency(latency);
         Ok(ServeResponse {
@@ -468,11 +460,11 @@ impl PredictionService {
                 // event, not a silent drop.
                 let reason = match &e {
                     PushError::QuotaExceeded { .. } => {
-                        self.stats.record_rejected_quota(tenant_idx);
+                        self.stats.cell(tenant_idx).rejected_quota.incr();
                         REJECT_OVER_QUOTA
                     }
                     _ => {
-                        self.stats.record_rejected_full(tenant_idx);
+                        self.stats.cell(tenant_idx).rejected_full.incr();
                         REJECT_QUEUE_FULL
                     }
                 };
@@ -535,9 +527,6 @@ fn worker_loop(
         stats.record_batch(batch.len());
         let rec = qpp_obs::recorder();
         let drained_ns = rec.now_ns();
-        // One fair_share mark per drain cycle: how large the DRR
-        // micro-batch was.
-        rec.record_mark(0, Stage::FairShare, batch.len() as u64);
         for queued in &batch {
             rec.record_span(
                 queued.trace_id,

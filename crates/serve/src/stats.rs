@@ -6,12 +6,12 @@
 //! and one set of quantile conventions; this module is the serving
 //! view over them.
 //!
-//! Layout: one [`StatsCell`] per tenant holds the counters the client
-//! side bumps on the hot path — submissions, completions, fallbacks,
+//! Layout: one [`StatsCell`] per tenant holds every per-tenant count —
+//! submissions, completions, fallbacks, the two kinds of rejection,
 //! and a log-spaced latency histogram — so per-tenant latency
-//! distributions come for free; rejections are counted per tenant
-//! beside them. [`ServiceStats::snapshot`] folds the cells in dense
-//! tenant order, histograms by summing bucket counts, so the reported
+//! distributions come for free. [`ServiceStats::snapshot`] folds the
+//! cells in dense tenant order, histograms by summing bucket counts, so
+//! the reported
 //! totals and quantiles are deterministic for a given set of recorded
 //! events regardless of worker count or timing.
 
@@ -33,6 +33,11 @@ pub struct StatsCell {
     /// Requests answered client-side by the cost-model fallback after
     /// the per-request deadline expired.
     pub fallbacks: Counter,
+    /// Submissions rejected because the queue was full.
+    pub rejected_full: Counter,
+    /// Submissions rejected because the tenant was over its admission
+    /// quota.
+    pub rejected_quota: Counter,
     latency: Histogram,
 }
 
@@ -63,11 +68,6 @@ pub struct ServiceStats {
     labels: Vec<TenantLabel>,
     /// One cell per tenant, in dense tenant order.
     cells: Vec<StatsCell>,
-    /// Per-tenant: submissions rejected because the queue was full.
-    rejected_full: Vec<Counter>,
-    /// Per-tenant: submissions rejected because the tenant was over its
-    /// admission quota.
-    rejected_quota: Vec<Counter>,
     /// Worker answers that arrived after the client had already fallen
     /// back (wasted work; the client saw exactly one answer).
     pub late_answers: Counter,
@@ -111,8 +111,6 @@ impl ServiceStats {
             started: Some(Instant::now()),
             labels,
             cells: (0..tenants).map(|_| StatsCell::default()).collect(),
-            rejected_full: (0..tenants).map(|_| Counter::default()).collect(),
-            rejected_quota: (0..tenants).map(|_| Counter::default()).collect(),
             late_answers: Counter::default(),
             admitted: Counter::default(),
             policy_rejected: Counter::default(),
@@ -128,16 +126,6 @@ impl ServiceStats {
     /// The hot-path cell for `tenant`.
     pub fn cell(&self, tenant: usize) -> &StatsCell {
         &self.cells[tenant]
-    }
-
-    /// Counts a queue-full rejection for `tenant`.
-    pub fn record_rejected_full(&self, tenant: usize) {
-        self.rejected_full[tenant].incr();
-    }
-
-    /// Counts an over-quota rejection for `tenant`.
-    pub fn record_rejected_quota(&self, tenant: usize) {
-        self.rejected_quota[tenant].incr();
     }
 
     /// Records a drained micro-batch of `len` requests.
@@ -164,20 +152,10 @@ impl ServiceStats {
         model_swaps: u64,
         model_demotions: u64,
     ) -> StatsSnapshot {
-        let tenants = self.labels.len();
-        let mut submitted = 0u64;
-        let mut completed = 0u64;
-        let mut fallbacks = 0u64;
         let mut merged = [0u64; BUCKETS];
-        let mut per_tenant = Vec::with_capacity(tenants);
-        for (t, (label, cell)) in self.labels.iter().zip(&self.cells).enumerate() {
-            let cell_submitted = cell.submitted.get();
-            let cell_completed = cell.completed.get();
-            let cell_fallbacks = cell.fallbacks.get();
+        let mut per_tenant = Vec::with_capacity(self.labels.len());
+        for (label, cell) in self.labels.iter().zip(&self.cells) {
             let cell_hist = cell.latency.counts();
-            submitted += cell_submitted;
-            completed += cell_completed;
-            fallbacks += cell_fallbacks;
             for (acc, n) in merged.iter_mut().zip(cell_hist.iter()) {
                 *acc += *n;
             }
@@ -185,17 +163,21 @@ impl ServiceStats {
                 tenant: label.id,
                 name: label.name.clone(),
                 weight: label.weight,
-                submitted: cell_submitted,
-                completed: cell_completed,
-                fallbacks: cell_fallbacks,
-                rejected_queue_full: self.rejected_full[t].get(),
-                rejected_quota: self.rejected_quota[t].get(),
+                submitted: cell.submitted.get(),
+                completed: cell.completed.get(),
+                fallbacks: cell.fallbacks.get(),
+                rejected_queue_full: cell.rejected_full.get(),
+                rejected_quota: cell.rejected_quota.get(),
                 p50_latency: quantile_of(&cell_hist, 0.50),
                 p99_latency: quantile_of(&cell_hist, 0.99),
             });
         }
-        let rejected_queue_full: u64 = per_tenant.iter().map(|t| t.rejected_queue_full).sum();
-        let rejected_quota: u64 = per_tenant.iter().map(|t| t.rejected_quota).sum();
+        let total = |count: fn(&TenantSnapshot) -> u64| per_tenant.iter().map(count).sum::<u64>();
+        let submitted = total(|t| t.submitted);
+        let completed = total(|t| t.completed);
+        let fallbacks = total(|t| t.fallbacks);
+        let rejected_queue_full = total(|t| t.rejected_queue_full);
+        let rejected_quota = total(|t| t.rejected_quota);
         let batches = self.batches.get();
         let batched = self.batched_requests.get();
         let answered = completed + fallbacks;
@@ -314,6 +296,34 @@ pub struct StatsSnapshot {
     pub degraded_answers: u64,
     /// Per-tenant breakdown in ascending tenant-ID order.
     pub per_tenant: Vec<TenantSnapshot>,
+}
+
+impl StatsSnapshot {
+    /// The snapshot's service-wide counts as JSON lines, one
+    /// `{"counter":<field name>,"value":…}` object each, in field order;
+    /// the serving examples append them to their trace dumps.
+    pub fn counters_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (name, value) in [
+            ("submitted", self.submitted),
+            ("completed", self.completed),
+            ("fallbacks", self.fallbacks),
+            ("late_answers", self.late_answers),
+            ("rejected_queue_full", self.rejected_queue_full),
+            ("rejected_quota", self.rejected_quota),
+            ("admitted", self.admitted),
+            ("policy_rejected", self.policy_rejected),
+            ("review_required", self.review_required),
+            ("max_queue_depth", self.max_queue_depth),
+            ("model_swaps", self.model_swaps),
+            ("model_demotions", self.model_demotions),
+            ("observed_completions", self.observed_completions),
+            ("degraded_answers", self.degraded_answers),
+        ] {
+            out.push_str(&format!("{{\"counter\":\"{name}\",\"value\":{value}}}\n"));
+        }
+        out
+    }
 }
 
 impl std::fmt::Display for StatsSnapshot {
@@ -506,13 +516,23 @@ mod tests {
                 cell.record_latency(Duration::from_micros(64 << tenant));
             }
         }
-        stats.record_rejected_quota(1);
-        stats.record_rejected_full(2);
+        stats.cell(1).rejected_quota.incr();
+        stats.cell(2).rejected_full.incr();
         let snap = stats.snapshot(0, 0, 0);
         assert_eq!(snap.submitted, 24);
         assert_eq!(snap.completed, 12);
         assert_eq!(snap.rejected_quota, 1);
         assert_eq!(snap.rejected_queue_full, 1);
+        // The dump lines carry the same totals under the field names.
+        let jsonl = snap.counters_jsonl();
+        assert_eq!(jsonl.lines().count(), 14);
+        for line in [
+            "{\"counter\":\"submitted\",\"value\":24}",
+            "{\"counter\":\"rejected_quota\",\"value\":1}",
+            "{\"counter\":\"fallbacks\",\"value\":0}",
+        ] {
+            assert!(jsonl.contains(line), "{line} missing from {jsonl}");
+        }
         assert_eq!(snap.per_tenant.len(), 3);
         // Dense order is ascending tenant ID with the default first.
         assert_eq!(snap.per_tenant[0].tenant, 0);

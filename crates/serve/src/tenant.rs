@@ -42,9 +42,10 @@ pub struct TenantSpec {
     /// backlogged. Clamped to at least 1.
     pub weight: u32,
     /// Admission quota: maximum requests this tenant may have queued at
-    /// once. Submissions beyond it are rejected with
-    /// `QppError::TenantQuotaExceeded` *before* taking the queue lock,
-    /// so a flooding tenant sheds its own overload instead of everyone's.
+    /// once. `TenantQueue::try_push` reads the tenant's lane length under
+    /// the queue lock and rejects a submission beyond it with
+    /// `QppError::TenantQuotaExceeded`, so a flooding tenant sheds its
+    /// own overload instead of everyone's.
     pub quota: usize,
 }
 

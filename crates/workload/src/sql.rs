@@ -1,9 +1,10 @@
 //! SQL text rendering for [`QuerySpec`]s.
 //!
-//! The rendered text is what a DBA would see in the query log; it is the
-//! input to the SQL-text feature extractor (paper Fig. 8) and makes the
-//! examples and experiment output human-readable. The renderer is
-//! deterministic: the same spec always renders to the same string.
+//! The rendered text is what a DBA would see in the query log; it makes
+//! the examples human-readable. The SQL-text feature extractor (paper
+//! Fig. 8) reads the spec, not this text (`SqlTextFeatures::from_spec`).
+//! The renderer is deterministic: the same spec always renders to the
+//! same string.
 
 use crate::spec::{JoinKind, PredOp, QuerySpec};
 use std::fmt::Write;

@@ -126,7 +126,8 @@ fn main() {
     assert_eq!(answered, PRODUCERS * per_producer, "every request answered");
     assert_eq!(failed, 0, "no request failed across the hot swap");
 
-    println!("\nservice stats:\n{}", service.stats());
+    let snapshot = service.stats();
+    println!("\nservice stats:\n{snapshot}");
 
     // Drain the workers before exporting so every queued request has
     // finished recording its spans into the ring.
@@ -134,8 +135,7 @@ fn main() {
         .unwrap_or_else(|_| panic!("producers joined, no service clones remain"))
         .shutdown();
 
-    let rec = qpp::obs::recorder();
-    let events = rec.export();
+    let events = qpp::obs::recorder().export();
     let complete = complete_traces(&events);
     println!(
         "\ntrace ring holds {} events; {} recent traces carry the full \
@@ -150,7 +150,7 @@ fn main() {
 
     if let Some(path) = trace_out {
         let mut out = qpp::obs::to_jsonl(&events);
-        out.push_str(&rec.counters_jsonl());
+        out.push_str(&snapshot.counters_jsonl());
         std::fs::write(&path, out).unwrap();
         println!("wrote {} trace events to {path}", events.len());
     }

@@ -337,8 +337,8 @@ fn serve_roots_steady_state_allocate_nothing() {
                     stats.cell(idx).submitted.incr();
                     stats.observe_queue_depth(depth);
                 }
-                Err(PushError::QuotaExceeded { .. }) => stats.record_rejected_quota(idx),
-                Err(PushError::Full { .. }) => stats.record_rejected_full(idx),
+                Err(PushError::QuotaExceeded { .. }) => stats.cell(idx).rejected_quota.incr(),
+                Err(PushError::Full { .. }) => stats.cell(idx).rejected_full.incr(),
                 Err(PushError::ShuttingDown) => unreachable!("the queue is never shut down"),
             }
         }
