@@ -25,11 +25,11 @@
 //!   (related work, §III);
 //! * [`feature_importance`] — which plan features the model keys on
 //!   (§VII-C.2);
-//! * [`workload_mgmt`], [`sizing`] — the decisions the paper motivates:
-//!   admission control, kill timeouts, system sizing, capacity
-//!   planning;
-//! * [`model_io`] — serialize trained models (the "vendor ships models
-//!   to customers" flow of Fig. 1);
+//! * [`workload_mgmt`] — the decisions the paper motivates: admission
+//!   control, kill timeouts, shortest-job-first scheduling;
+//! * [`model_io`] — a trained model to and from a versioned,
+//!   checksummed JSON envelope (the "vendor ships models to customers"
+//!   flow of Fig. 1);
 //! * [`retrain`] — sliding-window retraining (the paper's future-work
 //!   §VII-C.4).
 //!
@@ -58,7 +58,6 @@ pub mod model_io;
 pub mod pipeline;
 pub mod predictor;
 pub mod retrain;
-pub mod sizing;
 pub mod two_step;
 pub mod workload_mgmt;
 

@@ -5,9 +5,6 @@
 
 use crate::predictor::KccaPredictor;
 use serde::{Deserialize, Serialize};
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// Format version written by this build. Bump on any incompatible
 /// change to the serialized model layout.
@@ -38,13 +35,11 @@ pub const FORMAT_VERSION: u32 = 6;
 /// Errors from model (de)serialization.
 #[derive(Debug)]
 pub enum ModelIoError {
-    /// Filesystem error.
-    Io(io::Error),
     /// JSON encoding/decoding error.
     Json(serde_json::Error),
-    /// The file declares a format version this build cannot read.
+    /// The envelope declares a format version this build cannot read.
     UnsupportedVersion {
-        /// Version found in the file.
+        /// Version found in the envelope.
         found: u32,
         /// Version this build writes and reads.
         supported: u32,
@@ -72,7 +67,6 @@ pub enum ModelIoError {
 impl std::fmt::Display for ModelIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ModelIoError::Io(e) => write!(f, "model io: {e}"),
             ModelIoError::Json(e) => write!(f, "model json: {e}"),
             ModelIoError::UnsupportedVersion { found, supported } => write!(
                 f,
@@ -89,19 +83,13 @@ impl std::fmt::Display for ModelIoError {
 
 impl std::error::Error for ModelIoError {}
 
-impl From<io::Error> for ModelIoError {
-    fn from(e: io::Error) -> Self {
-        ModelIoError::Io(e)
-    }
-}
-
 impl From<serde_json::Error> for ModelIoError {
     fn from(e: serde_json::Error) -> Self {
         ModelIoError::Json(e)
     }
 }
 
-/// The on-disk wrapper: version + payload checksum + the model JSON.
+/// The shipped wrapper: version + payload checksum + the model JSON.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Envelope {
     /// Serialized-format version; see [`FORMAT_VERSION`].
@@ -171,17 +159,6 @@ pub fn from_json(json: &str) -> Result<KccaPredictor, ModelIoError> {
     Ok(model)
 }
 
-/// Writes a one-model predictor to a file.
-pub fn save(model: &KccaPredictor, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
-    fs::write(path, to_json(model)?)?;
-    Ok(())
-}
-
-/// Loads a one-model predictor from a file.
-pub fn load(path: impl AsRef<Path>) -> Result<KccaPredictor, ModelIoError> {
-    from_json(&fs::read_to_string(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,26 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_preserves_predictions() {
+    fn json_round_trip_preserves_predictions() {
         let (m, d) = model();
-        let dir = std::env::temp_dir().join("qpp_model_io_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
-        save(&m, &path).unwrap();
-        let back = load(&path).unwrap();
+        let back = from_json(&to_json(&m).unwrap()).unwrap();
         let r = &d.records[5];
         let a = m.predict(&r.spec, &r.optimized.plan).unwrap();
         let b = back.predict(&r.spec, &r.optimized.plan).unwrap();
         assert_eq!(a.metrics, b.metrics);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        assert!(matches!(
-            load("/nonexistent/q/p/p/model.json"),
-            Err(ModelIoError::Io(_))
-        ));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::dataset::Dataset;
 use crate::error::{QppError, ResultExt};
 use crate::features::{feature_dim, performance_to_kernel_space, query_features_to, FeatureKind};
 use qpp_engine::{PerfMetrics, Plan};
-use qpp_linalg::{stats::Standardizer, vector, LinalgError, Matrix, MatrixView};
+use qpp_linalg::{stats::Standardizer, vector, LinalgError, Matrix};
 use qpp_ml::{
     AnnIndex, AnnOptions, DistanceMetric, Kcca, KccaOptions, KnnScratch, NeighborWeighting,
     ProjectionScratch,
@@ -399,15 +399,6 @@ impl KccaPredictor {
         })
     }
 
-    /// Predicts every row of a feature matrix. Entry `i` is
-    /// `self.predict_features(rows.row(i))`.
-    pub fn predict_features_batch(
-        &self,
-        rows: MatrixView<'_>,
-    ) -> Result<Vec<Prediction>, QppError> {
-        predict_each(rows.rows(), |i| self.predict_features(rows.row(i)))
-    }
-
     /// Predicts for a query given its optimizer plan — the compile-time
     /// entry point (no execution required), and the call the serve
     /// worker makes per request. Features are extracted into the
@@ -654,21 +645,10 @@ mod tests {
                 bad.len()
             );
         }
-        let narrow = Matrix::zeros(3, dim - 1);
-        assert!(matches!(
-            model.predict_features_batch(narrow.view()),
-            Err(QppError::Linalg {
-                source: LinalgError::ShapeMismatch { .. },
-                ..
-            })
-        ));
-        // The right width still predicts, single and batched alike.
+        // The right width still predicts, as the plan entry point does.
         let r = &train.records[7];
         let features = query_features(FeatureKind::QueryPlan, &r.spec, &r.optimized.plan);
         let single = model.predict_features(&features).unwrap();
-        let wide = Matrix::from_vec(1, dim, features).unwrap();
-        let batched = model.predict_features_batch(wide.view()).unwrap();
-        assert_eq!(single.metrics, batched[0].metrics);
         assert_eq!(
             single.metrics,
             model.predict(&r.spec, &r.optimized.plan).unwrap().metrics

@@ -121,11 +121,6 @@ impl SlidingWindowPredictor {
     pub fn model(&self) -> Option<&KccaPredictor> {
         self.model.as_ref()
     }
-
-    /// Current window size.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +151,7 @@ mod tests {
             }
         }
         assert!(retrains >= 3, "retrained {retrains} times");
-        assert_eq!(sw.window_len(), 50); // capacity respected
+        assert_eq!(sw.window_dataset().len(), 50); // capacity respected
         let after = sw.model().unwrap().training_size();
         assert_eq!(after, 50);
         assert!(after >= before);
@@ -172,7 +167,11 @@ mod tests {
         let seed_data = dataset(40, 75);
         let newest_ids: Vec<u64> = seed_data.records[30..].iter().map(|r| r.spec.id).collect();
         let sw = SlidingWindowPredictor::new(seed_data, 10, 5, PredictorOptions::default());
-        assert_eq!(sw.window_len(), 10, "window must respect capacity at birth");
+        assert_eq!(
+            sw.window_dataset().len(),
+            10,
+            "window must respect capacity at birth"
+        );
         let window_ids: Vec<u64> = sw.window.iter().map(|r| r.spec.id).collect();
         assert_eq!(
             window_ids, newest_ids,
@@ -189,7 +188,7 @@ mod tests {
         let seed = dataset(0, 76); // empty template: config + schema only
         let feed = dataset(MIN_TRAIN_WINDOW + 4, 77);
         let mut sw = SlidingWindowPredictor::new(seed, 32, 1, PredictorOptions::default());
-        assert_eq!(sw.window_len(), 0);
+        assert_eq!(sw.window_dataset().len(), 0);
         for (i, r) in feed.records.into_iter().enumerate() {
             let retrained = sw
                 .observe(r)
@@ -220,9 +219,8 @@ mod tests {
             sw.push(r);
         }
         assert!(sw.model().is_none(), "push must not train");
-        assert_eq!(sw.window_len(), 12, "capacity still enforced");
         let ds = sw.window_dataset();
-        assert_eq!(ds.len(), 12);
+        assert_eq!(ds.len(), 12, "capacity still enforced");
         let window_ids: Vec<u64> = sw.window.iter().map(|r| r.spec.id).collect();
         let ds_ids: Vec<u64> = ds.records.iter().map(|r| r.spec.id).collect();
         assert_eq!(window_ids, ds_ids);

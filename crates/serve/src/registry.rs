@@ -259,11 +259,6 @@ impl ModelRegistry {
         self.state.read().swaps
     }
 
-    /// Total installs, including first-time installs.
-    pub fn install_count(&self) -> u64 {
-        self.state.read().installs
-    }
-
     /// Kill-switch demotions performed.
     pub fn demote_count(&self) -> u64 {
         self.state.read().demotions
@@ -305,7 +300,7 @@ mod tests {
         assert!(v2 > v1);
         assert_eq!(registry.swap_count(), 1);
         assert_eq!(registry.get(&key).unwrap().version, v2);
-        assert_eq!(registry.install_count(), 2);
+        assert_eq!(registry.current_version(&key), Some(2));
     }
 
     /// Regression: a canary rollout that resolved generation G, then
@@ -383,7 +378,6 @@ mod tests {
         });
         let highest = (THREADS * INSTALLS) as u64;
         assert_eq!(registry.current_version(&key), Some(highest));
-        assert_eq!(registry.install_count(), highest);
         assert_eq!(registry.swap_count(), highest - 1);
     }
 

@@ -1,5 +1,6 @@
 //! Project conventions no type and no execution can see (DESIGN.md §11): each check
-//! is a pure function over `(path, text)`, fired on inline text, then run over `crates/*/src`.
+//! is a pure function over `(path, text)`, fired on inline text, then run over `crates/*/src`
+//! (the examples rule: over `examples/` and `ci.sh`).
 
 use std::fs;
 use std::path::PathBuf;
@@ -59,6 +60,24 @@ fn clippy_handover(path: &str, text: &str) -> Vec<String> {
 fn unsafe_left_open(path: &str, text: &str) -> Vec<String> {
     let forbids = text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]");
     Vec::from_iter((!forbids).then(|| format!("{path}: lacks #![forbid(unsafe_code)]")))
+}
+
+/// An example stays only while CI runs it: `ci.sh` must execute each
+/// `examples/<name>.rs` as `target/release/examples/<name>` on a line
+/// that is not a comment.
+fn examples_ci_never_runs(names: &[String], ci: &str) -> Vec<String> {
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_./".contains(c);
+    let code = ci.lines().filter(|l| !l.trim_start().starts_with('#'));
+    let runs: Vec<&str> = code.flat_map(|l| l.split(|c| !path_char(c))).collect();
+    let run = |name: &String| {
+        let binary = format!("target/release/examples/{name}");
+        runs.iter().any(|t| t.trim_start_matches("./") == binary)
+    };
+    names
+        .iter()
+        .filter(|n| !run(n))
+        .map(|n| format!("examples/{n}.rs: no ci.sh run"))
+        .collect()
 }
 
 /// `check` over each `.rs` file under a `src/` of `crates/`; tests run from the package root.
@@ -139,4 +158,26 @@ fn every_library_forbids_unsafe_code() {
         libs += 1;
     }
     assert_eq!(libs, 10);
+}
+
+#[test]
+fn every_example_runs_in_ci() {
+    let names = |list: &[&str]| Vec::from_iter(list.iter().map(|n| n.to_string()));
+    let ci = "# ./target/release/examples/b\nOUT=$(./target/release/examples/a)\n";
+    assert_eq!(examples_ci_never_runs(&names(&["a"]), ci), [""; 0]);
+    assert_eq!(examples_ci_never_runs(&names(&["b", "c"]), ci).len(), 2);
+    let longer = "./target/release/examples/a_b >/dev/null";
+    assert_eq!(examples_ci_never_runs(&names(&["a"]), longer).len(), 1);
+    let mut examples = Vec::new();
+    for entry in fs::read_dir("examples").expect("run from the package root") {
+        let file = entry
+            .expect("dir entry")
+            .file_name()
+            .to_string_lossy()
+            .into_owned();
+        examples.extend(file.strip_suffix(".rs").map(String::from));
+    }
+    assert!(!examples.is_empty(), "no examples found");
+    let ci = fs::read_to_string("ci.sh").expect("ci.sh at the package root");
+    assert_eq!(examples_ci_never_runs(&examples, &ci), [""; 0]);
 }
