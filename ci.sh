@@ -190,7 +190,10 @@ echo "==> size ratchet: lines of Rust per crate"
 # install_count and SlidingWindowPredictor::window_len are gone, with the
 # three examples that were their callers; the experiments fidelity note
 # grew 5 lines to cite the test that now measures its §VII-C.3 claim.
-MAX_RUST_LINES=24997
+# Then lowered 24,997 -> 24,990 (-7): Kcca::fit factors its two sides in
+# one qpp-par region (+7), paid for by moving the non-finite-input test,
+# now run on both sides at 1 and 2 threads, to tests/thread_invariance.rs.
+MAX_RUST_LINES=24990
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

@@ -10,7 +10,7 @@ use qpp::core::pipeline::collect_tpcds;
 use qpp::core::{KccaPredictor, PredictorOptions};
 use qpp::engine::SystemConfig;
 use qpp::ml::{Kcca, KccaOptions};
-use qpp_linalg::Matrix;
+use qpp_linalg::{LinalgError, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,6 +43,34 @@ fn kcca_fit_is_bitwise_identical_across_thread_counts() {
     assert_eq!(serial.x_rank(), parallel.x_rank());
 }
 
+/// A non-finite cell on either side makes that side's kernel trace NaN,
+/// so the fit is `LinalgError::NonFinite`: whether the side's ICD ran on
+/// the calling thread or on a helper, the error comes back as a value.
+#[test]
+fn non_finite_input_on_either_side_is_reported_at_1_and_2_threads() {
+    for threads in [1, 2] {
+        for side in ["x", "y", "both"] {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let (mut x, mut y) = synthetic_pair(60, 5);
+                if side != "y" {
+                    x[(17, 1)] = bad;
+                }
+                if side != "x" {
+                    y[(17, 1)] = bad;
+                }
+                let fit = qpp_par::with_threads(threads, || {
+                    Kcca::fit(x.view(), y.view(), KccaOptions::default())
+                });
+                assert!(
+                    matches!(fit, Err(LinalgError::NonFinite { .. })),
+                    "{threads} thread(s), {side} {bad}: {:?}",
+                    fit.err()
+                );
+            }
+        }
+    }
+}
+
 /// FNV-1a over the bits of a fit's canonical correlations and training
 /// query projection.
 fn fit_fingerprint(model: &KccaPredictor) -> u64 {
@@ -58,12 +86,12 @@ fn fit_fingerprint(model: &KccaPredictor) -> u64 {
 }
 
 /// Pins a 400-row fit's correlations and training projection to stored
-/// bits at 1 thread and at 8, so a change to the order of any training
-/// sum shows.
+/// bits at 1 thread, at 2 (the two ICD sides on two threads) and at 8,
+/// so a change to the order of any training sum shows.
 #[test]
 fn a_400_row_fit_matches_its_stored_fingerprint() {
     let train = collect_tpcds(400, 29, &SystemConfig::neoview_4(), 2);
-    for threads in [1, 8] {
+    for threads in [1, 2, 8] {
         let model = qpp_par::with_threads(threads, || {
             KccaPredictor::train(&train, PredictorOptions::default())
         })
