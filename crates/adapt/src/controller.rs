@@ -29,7 +29,7 @@ use qpp_core::dataset::QueryRecord;
 use qpp_core::predictor::KccaPredictor;
 use qpp_core::retrain::{SlidingWindowPredictor, MIN_TRAIN_WINDOW};
 use qpp_core::QppError;
-use qpp_obs::{record_mark, span, Counter, Gauge, Stage};
+use qpp_obs::{record_mark, span, Counter, Stage};
 use qpp_serve::{
     AnswerSource, CompletionObserver, ModelKey, ModelRegistry, ServeResponse, SwapRace,
 };
@@ -193,7 +193,7 @@ pub enum AdaptEvent {
     KillSwitchRaced(SwapRace),
 }
 
-/// Lock-free adaptation counters and gauges (JSONL-exportable).
+/// Lock-free adaptation counters.
 #[derive(Debug, Default)]
 pub struct AdaptStats {
     /// Completed KCCA-answered queries folded into the error ledger.
@@ -212,41 +212,6 @@ pub struct AdaptStats {
     pub swap_races: Counter,
     /// Kill-switch demotions.
     pub demotions: Counter,
-    /// Recent-window mean overall error.
-    pub recent_mean_err: Gauge,
-    /// Frozen calibration mean overall error.
-    pub calibration_mean_err: Gauge,
-    /// Current Page–Hinkley statistic of the overall stream.
-    pub drift_score: Gauge,
-}
-
-impl AdaptStats {
-    /// Counters and gauges as JSON lines, one object per line, in
-    /// fixed field order (the shape of `StatsSnapshot::counters_jsonl`
-    /// in `qpp-serve`).
-    pub fn counters_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in [
-            ("observations", self.observations.get()),
-            ("drift_signals", self.drift_signals.get()),
-            ("retrains", self.retrains.get()),
-            ("shadow_evaluations", self.shadow_evaluations.get()),
-            ("canary_swaps", self.canary_swaps.get()),
-            ("canary_rejections", self.canary_rejections.get()),
-            ("swap_races", self.swap_races.get()),
-            ("demotions", self.demotions.get()),
-        ] {
-            out.push_str(&format!("{{\"counter\":\"{name}\",\"value\":{value}}}\n"));
-        }
-        for (name, value) in [
-            ("recent_mean_err", self.recent_mean_err.get()),
-            ("calibration_mean_err", self.calibration_mean_err.get()),
-            ("drift_score", self.drift_score.get()),
-        ] {
-            out.push_str(&format!("{{\"gauge\":\"{name}\",\"value\":{value:.6}}}\n"));
-        }
-        out
-    }
 }
 
 /// Everything mutable, behind the controller's one mutex.
@@ -314,9 +279,43 @@ impl AdaptiveController {
         self.state.lock().tracker.snapshot()
     }
 
-    /// Adaptation counters and gauges.
+    /// Adaptation counters.
     pub fn stats(&self) -> &AdaptStats {
         &self.stats
+    }
+
+    /// The counters, then the overall stream's drift readings as the
+    /// detector holds them now (`recent_mean_err`,
+    /// `calibration_mean_err`, `drift_score`), as JSON lines, one
+    /// object per line, in fixed order (the shape of
+    /// `StatsSnapshot::counters_jsonl` in `qpp-serve`).
+    pub fn counters_jsonl(&self) -> String {
+        let stats = &self.stats;
+        let mut out = String::new();
+        for (name, value) in [
+            ("observations", stats.observations.get()),
+            ("drift_signals", stats.drift_signals.get()),
+            ("retrains", stats.retrains.get()),
+            ("shadow_evaluations", stats.shadow_evaluations.get()),
+            ("canary_swaps", stats.canary_swaps.get()),
+            ("canary_rejections", stats.canary_rejections.get()),
+            ("swap_races", stats.swap_races.get()),
+            ("demotions", stats.demotions.get()),
+        ] {
+            out.push_str(&format!("{{\"counter\":\"{name}\",\"value\":{value}}}\n"));
+        }
+        let readings = {
+            let detector = &self.state.lock().detector;
+            [
+                ("recent_mean_err", detector.recent_mean(OVERALL)),
+                ("calibration_mean_err", detector.calibration_mean(OVERALL)),
+                ("drift_score", detector.score(OVERALL)),
+            ]
+        };
+        for (name, value) in readings {
+            out.push_str(&format!("{{\"gauge\":\"{name}\",\"value\":{value:.6}}}\n"));
+        }
+        out
     }
 
     /// Current phase of the adaptation loop.
@@ -347,13 +346,6 @@ impl AdaptiveController {
         let epoch = st.epoch;
         Self::stash(&mut st, record);
         let signal = st.detector.observe(epoch, &errors);
-        self.stats
-            .recent_mean_err
-            .set(st.detector.recent_mean(OVERALL));
-        self.stats
-            .calibration_mean_err
-            .set(st.detector.calibration_mean(OVERALL));
-        self.stats.drift_score.set(st.detector.score(OVERALL));
 
         match st.phase {
             Phase::Stable => {

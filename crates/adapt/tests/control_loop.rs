@@ -6,7 +6,10 @@
 //! *really* trained/swapped; only the serving transport (queue, worker
 //! pool) is bypassed so every step happens at a chosen moment.
 
-use qpp_adapt::{AdaptEvent, AdaptOptions, AdaptOutcome, AdaptiveController, DriftConfig, Phase};
+use qpp_adapt::{
+    AdaptEvent, AdaptOptions, AdaptOutcome, AdaptiveController, DriftConfig, DriftDetector, Phase,
+    OVERALL,
+};
 use qpp_core::baselines::OptimizerCostModel;
 use qpp_core::predictor::PredictorOptions;
 use qpp_core::retrain::SlidingWindowPredictor;
@@ -52,6 +55,16 @@ fn serve_and_observe(
         .predict(&record.spec, &record.optimized.plan)
         .expect("predict");
     controller.observe(record, &response(prediction, entry.version))
+}
+
+/// One drift reading, by name, from the controller's JSONL export.
+fn reading(controller: &AdaptiveController, name: &str) -> f64 {
+    let prefix = format!("{{\"gauge\":\"{name}\",\"value\":");
+    controller
+        .counters_jsonl()
+        .lines()
+        .find_map(|line| line.strip_prefix(&prefix)?.strip_suffix('}')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} line in the export"))
 }
 
 struct Loop {
@@ -157,7 +170,7 @@ fn drift_triggers_retrain_and_canary_swap_then_recovers() {
         assert!(event.is_none(), "stable traffic fired {event:?}");
     }
     assert_eq!(lp.controller.phase(), Phase::Stable);
-    let calibration_err = lp.controller.stats().calibration_mean_err.get();
+    let calibration_err = reading(&lp.controller, "calibration_mean_err");
     assert!(calibration_err > 0.0, "detector must be calibrated");
 
     // Phase 2: the system drifts (elapsed 3x). Per-template error on
@@ -173,7 +186,7 @@ fn drift_triggers_retrain_and_canary_swap_then_recovers() {
     }
     let signal = drift_signal.expect("drift must be detected under 3x elapsed drift");
     assert!(
-        signal.metric == 0 || signal.metric == qpp_adapt::OVERALL,
+        signal.metric == 0 || signal.metric == OVERALL,
         "drift attributed to elapsed_time or overall, got {}",
         signal.metric_name
     );
@@ -209,6 +222,14 @@ fn drift_triggers_retrain_and_canary_swap_then_recovers() {
         other => panic!("expected a canary swap, got {other:?}"),
     }
     assert_eq!(lp.controller.stats().canary_swaps.get(), 1);
+    // The swap reset the detector, and the export reads the detector
+    // as it is now, not a copy taken at the last observation.
+    let reset = DriftDetector::new(test_options().drift);
+    assert_eq!(reading(&lp.controller, "drift_score"), reset.score(OVERALL));
+    assert_eq!(
+        reading(&lp.controller, "calibration_mean_err"),
+        reset.calibration_mean(OVERALL)
+    );
     assert_eq!(
         lp.registry.current_version(&lp.key),
         Some(match outcomes[0] {

@@ -9,6 +9,8 @@
 use crate::dataset::{Dataset, QueryRecord};
 use crate::error::QppError;
 use crate::predictor::{KccaPredictor, PredictorOptions};
+use qpp_engine::SystemConfig;
+use qpp_workload::Schema;
 use std::collections::VecDeque;
 
 /// A continuously retrainable predictor over a sliding window of
@@ -21,8 +23,10 @@ pub struct SlidingWindowPredictor {
     seen_since_refresh: usize,
     options: PredictorOptions,
     model: Option<KccaPredictor>,
-    /// Dataset template (config + schema) for rebuilding.
-    template: Dataset,
+    /// The seed dataset's configuration and schema, which every window
+    /// snapshot carries.
+    config: SystemConfig,
+    schema: Schema,
 }
 
 /// Fewest records KCCA can sensibly train on; retraining is deferred
@@ -31,9 +35,10 @@ pub const MIN_TRAIN_WINDOW: usize = 8;
 
 impl SlidingWindowPredictor {
     /// Creates a window of at most `capacity` records that retrains
-    /// after every `refresh_every` new observations.
+    /// after every `refresh_every` new observations. The seed's records
+    /// move into the window; only its newest `capacity` are kept.
     pub fn new(
-        template: Dataset,
+        seed: Dataset,
         capacity: usize,
         refresh_every: usize,
         options: PredictorOptions,
@@ -43,14 +48,17 @@ impl SlidingWindowPredictor {
             "window too small to train KCCA"
         );
         assert!(refresh_every >= 1);
+        let Dataset {
+            config,
+            schema,
+            records,
+        } = seed;
         // Keep only the newest `capacity` records of an oversized
-        // template: the window invariant (len <= capacity, oldest
+        // seed: the window invariant (len <= capacity, oldest
         // evicted first) must hold from construction, not only after
         // the first `observe`.
-        let mut window: VecDeque<QueryRecord> = template.records.iter().cloned().collect();
-        while window.len() > capacity {
-            window.pop_front();
-        }
+        let mut window = VecDeque::from(records);
+        window.drain(..window.len().saturating_sub(capacity));
         SlidingWindowPredictor {
             window,
             capacity,
@@ -58,7 +66,8 @@ impl SlidingWindowPredictor {
             seen_since_refresh: 0,
             options,
             model: None,
-            template,
+            config,
+            schema,
         }
     }
 
@@ -106,8 +115,8 @@ impl SlidingWindowPredictor {
     /// exact records a retrain would train on).
     pub fn window_dataset(&self) -> Dataset {
         Dataset {
-            config: self.template.config.clone(),
-            schema: self.template.schema.clone(),
+            config: self.config.clone(),
+            schema: self.schema.clone(),
             records: self.window.iter().cloned().collect(),
         }
     }
@@ -177,6 +186,19 @@ mod tests {
             window_ids, newest_ids,
             "trimming must evict the oldest records, keeping the newest"
         );
+    }
+
+    /// The seed's records move into the window: each kept record is the
+    /// very one the caller built (its heap text at the same address),
+    /// not a clone beside a second copy of the seed.
+    #[test]
+    fn constructor_holds_each_seed_record_once() {
+        let seed_data = dataset(20, 80);
+        let address = |r: &QueryRecord| r.spec.template.as_ptr();
+        let newest: Vec<_> = seed_data.records[5..].iter().map(address).collect();
+        let sw = SlidingWindowPredictor::new(seed_data, 15, 5, PredictorOptions::default());
+        let kept: Vec<_> = sw.window.iter().map(address).collect();
+        assert_eq!(kept, newest);
     }
 
     /// Regression: `observe` used to retrain whenever `model.is_none()`,

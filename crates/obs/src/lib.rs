@@ -47,7 +47,7 @@ pub mod metrics;
 pub mod ring;
 
 pub use event::{to_jsonl, Event, EventKind, Stage};
-pub use metrics::{quantile_of, Counter, Gauge, Histogram, LatencyQuantile, BUCKETS};
+pub use metrics::{quantile_of, Counter, Histogram, LatencyQuantile, BUCKETS};
 pub use ring::EventRing;
 
 use std::cell::Cell;

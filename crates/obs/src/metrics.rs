@@ -50,38 +50,6 @@ impl Default for Counter {
     }
 }
 
-/// A lock-free `f64` gauge: a single atomic word holding the bit
-/// pattern of the last value set. Used for "current level" style
-/// metrics — recent mean error, drift score — where only the latest
-/// value matters and readers must never block a writer.
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge reading 0.0.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Overwrites the gauge.
-    pub fn set(&self, value: f64) {
-        // ordering: single-word bit pattern; last-writer-wins gauge.
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The last value set (0.0 if never set).
-    pub fn get(&self) -> f64 {
-        // ordering: any recent value is acceptable for a gauge read.
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Gauge {
-        Gauge::new()
-    }
-}
-
 /// Histogram bucket count. Bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` microseconds; the last bucket is open-ended.
 pub const BUCKETS: usize = 26; // 1 µs .. ~33 s
@@ -232,21 +200,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.observe_max(9);
         assert_eq!(c.get(), 9);
-    }
-
-    #[test]
-    fn gauge_round_trips_f64_values() {
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(3.25);
-        assert_eq!(g.get(), 3.25);
-        g.set(-0.5);
-        assert_eq!(g.get(), -0.5);
-        g.set(f64::NEG_INFINITY);
-        assert_eq!(g.get(), f64::NEG_INFINITY);
-        let nan_probe = Gauge::new();
-        nan_probe.set(f64::NAN);
-        assert!(nan_probe.get().is_nan());
     }
 
     #[test]

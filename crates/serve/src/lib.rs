@@ -16,10 +16,9 @@
 //!   deficit round-robin; reject-on-full and reject-over-quota
 //!   backpressure.
 //! - [`PredictionService`]: a worker pool where every worker blocks on
-//!   that queue, orders each fair-share micro-batch by predicted cost
-//!   class (feather / golf ball / bowling ball), and answers its
-//!   requests one by one — one `KccaPredictor::predict` call each,
-//!   under the request's own trace ID — composing the prediction with
+//!   that queue and answers each fair-share micro-batch in drain
+//!   order — one `KccaPredictor::predict` call each, under the
+//!   request's own trace ID — composing the prediction with
 //!   `qpp_core::workload_mgmt` admission policies (admit with
 //!   kill-timeout / reject / review).
 //! - Deadline fallback: when a request's deadline expires before the
@@ -59,7 +58,7 @@ pub mod stats;
 pub mod tenant;
 
 pub use qpp_core::{QppError, QppResult};
-pub use queue::{PushError, TenantQueue};
+pub use queue::TenantQueue;
 pub use registry::{ModelEntry, ModelKey, ModelRegistry, SwapRace};
 pub use service::{
     AnswerSource, CompletionObserver, PendingPrediction, PredictRequest, PredictionService,

@@ -7,11 +7,11 @@
 //! - **Per-tenant quotas**: a tenant may hold at most `quota` queued
 //!   requests — the length of its own lane, read under the queue
 //!   lock; submissions beyond that are rejected with
-//!   [`PushError::QuotaExceeded`], so a flooding tenant sheds its own
-//!   overload, not everyone's.
+//!   [`QppError::TenantQuotaExceeded`], so a flooding tenant sheds its
+//!   own overload, not everyone's.
 //! - **One capacity**: the queue holds `capacity` requests in total and
 //!   any tenant may fill all of it (quota permitting); the next push is
-//!   rejected with [`PushError::Full`], never blocked.
+//!   rejected with [`QppError::QueueFull`], never blocked.
 //! - **Deficit round-robin draining**: one FIFO lane per tenant,
 //!   drained by weighted deficit round-robin — a backlogged tenant's
 //!   completion share converges to its fair-share weight across
@@ -33,41 +33,10 @@
 
 use crate::tenant::TenantTable;
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use qpp_core::QppError;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Why a submission was not accepted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PushError {
-    /// The queue was at capacity; retry later or shed load upstream.
-    Full {
-        /// The configured capacity.
-        capacity: usize,
-    },
-    /// The tenant already holds `quota` queued requests.
-    QuotaExceeded {
-        /// Numeric tenant ID whose quota was exhausted.
-        tenant: u32,
-        /// The tenant's configured quota.
-        quota: usize,
-    },
-    /// The service is shutting down and accepts no new work.
-    ShuttingDown,
-}
-
-impl std::fmt::Display for PushError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PushError::Full { capacity } => {
-                write!(f, "request queue full (capacity {capacity})")
-            }
-            PushError::QuotaExceeded { tenant, quota } => {
-                write!(f, "tenant {tenant} over admission quota ({quota})")
-            }
-            PushError::ShuttingDown => write!(f, "service shutting down"),
-        }
-    }
-}
 
 /// What the lock guards: one FIFO lane per tenant — whose length is
 /// the tenant's quota account — plus the deficit round-robin
@@ -88,18 +57,15 @@ pub struct TenantQueue<T> {
     state: Mutex<QueueState<T>>,
     not_empty: Condvar,
     capacity: usize,
-    /// Fair-share weights by dense tenant index.
-    weights: Vec<u64>,
-    /// Admission quotas by dense tenant index.
-    quotas: Vec<usize>,
-    /// Numeric tenant IDs by dense tenant index (for typed rejections).
-    ids: Vec<u32>,
+    /// Each lane's weight, quota and tenant ID, by dense tenant index.
+    tenants: Arc<TenantTable>,
 }
 
 impl<T> TenantQueue<T> {
     /// A queue holding at most `capacity` requests (at least 1), with
-    /// per-tenant weights/quotas taken from `tenants`.
-    pub fn new(capacity: usize, tenants: &TenantTable) -> Self {
+    /// one lane per tenant of `tenants`, whose weights and quotas it
+    /// reads.
+    pub fn new(capacity: usize, tenants: Arc<TenantTable>) -> Self {
         TenantQueue {
             state: Mutex::new(QueueState {
                 lanes: (0..tenants.len()).map(|_| VecDeque::new()).collect(),
@@ -110,9 +76,7 @@ impl<T> TenantQueue<T> {
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
-            weights: tenants.weights(),
-            quotas: tenants.quotas(),
-            ids: tenants.specs().iter().map(|s| s.id.0).collect(),
+            tenants,
         }
     }
 
@@ -139,20 +103,20 @@ impl<T> TenantQueue<T> {
     /// Attempts to enqueue for tenant `tenant_idx` without blocking,
     /// refusing in the order quota → shutdown → full.
     /// Returns the queue depth *after* the push (for depth watermarks).
-    pub fn try_push(&self, tenant_idx: usize, item: T) -> Result<usize, PushError> {
-        let quota = self.quotas[tenant_idx];
+    pub fn try_push(&self, tenant_idx: usize, item: T) -> Result<usize, QppError> {
+        let spec = self.tenants.spec(tenant_idx);
         let mut state = self.state.lock();
-        if state.lanes[tenant_idx].len() >= quota {
-            return Err(PushError::QuotaExceeded {
-                tenant: self.ids[tenant_idx],
-                quota,
+        if state.lanes[tenant_idx].len() >= spec.quota {
+            return Err(QppError::TenantQuotaExceeded {
+                tenant: spec.id.0,
+                quota: spec.quota,
             });
         }
         if state.shutdown {
-            return Err(PushError::ShuttingDown);
+            return Err(QppError::ShuttingDown);
         }
         if state.occupancy == self.capacity {
-            return Err(PushError::Full {
+            return Err(QppError::QueueFull {
                 capacity: self.capacity,
             });
         }
@@ -218,12 +182,12 @@ impl<T> TenantQueue<T> {
     /// leftover deficit (standard DRR, keeps idle tenants from hoarding
     /// credit). Deterministic: cursor and deficits advance only here.
     fn drr_drain(&self, state: &mut QueueState<T>, max_batch: usize, out: &mut Vec<T>) -> usize {
-        let tenants = self.weights.len();
+        let tenants = self.tenants.len();
         let mut drained = 0;
         while drained < max_batch && state.occupancy > 0 {
             let t = state.cursor;
             if !state.lanes[t].is_empty() {
-                state.deficits[t] += self.weights[t];
+                state.deficits[t] += u64::from(self.tenants.spec(t).weight);
                 while state.deficits[t] > 0 && drained < max_batch {
                     match state.lanes[t].pop_front() {
                         Some(item) => {
@@ -256,14 +220,14 @@ impl<T> TenantQueue<T> {
 mod tests {
     use super::*;
     use crate::tenant::{TenantId, TenantSpec};
-    use std::sync::{mpsc, Arc, Barrier};
+    use std::sync::{mpsc, Barrier};
     use std::time::Instant;
 
-    fn table(specs: Vec<TenantSpec>) -> TenantTable {
-        TenantTable::new(specs)
+    fn table(specs: Vec<TenantSpec>) -> Arc<TenantTable> {
+        Arc::new(TenantTable::new(specs))
     }
 
-    fn single_tenant() -> TenantTable {
+    fn single_tenant() -> Arc<TenantTable> {
         table(Vec::new())
     }
 
@@ -273,12 +237,15 @@ mod tests {
         // be able to fill all of it, not a per-worker fraction.
         for capacity in [2usize, 512] {
             let t = single_tenant();
-            let q: TenantQueue<usize> = TenantQueue::new(capacity, &t);
+            let q: TenantQueue<usize> = TenantQueue::new(capacity, t);
             for i in 0..capacity {
-                assert_eq!(q.try_push(0, i), Ok(i + 1));
+                assert_eq!(q.try_push(0, i).ok(), Some(i + 1));
             }
             let start = Instant::now();
-            assert_eq!(q.try_push(0, capacity), Err(PushError::Full { capacity }));
+            assert!(matches!(
+                q.try_push(0, capacity),
+                Err(QppError::QueueFull { capacity: c }) if c == capacity
+            ));
             // Rejection must be immediate, never a block.
             assert!(start.elapsed() < Duration::from_millis(100));
             assert_eq!(q.len(), capacity);
@@ -288,7 +255,7 @@ mod tests {
     #[test]
     fn drain_is_fifo_and_bounded_by_batch_size() {
         let t = single_tenant();
-        let q: TenantQueue<u32> = TenantQueue::new(10, &t);
+        let q: TenantQueue<u32> = TenantQueue::new(10, t);
         for i in 0..5 {
             q.try_push(0, i).unwrap();
         }
@@ -302,10 +269,10 @@ mod tests {
     #[test]
     fn shutdown_drains_remaining_then_ends() {
         let t = single_tenant();
-        let q: TenantQueue<u32> = TenantQueue::new(10, &t);
+        let q: TenantQueue<u32> = TenantQueue::new(10, t);
         q.try_push(0, 7).unwrap();
         q.shutdown();
-        assert_eq!(q.try_push(0, 8), Err(PushError::ShuttingDown));
+        assert!(matches!(q.try_push(0, 8), Err(QppError::ShuttingDown)));
         let mut out = Vec::new();
         assert!(q.drain(4, &mut out));
         assert_eq!(out, vec![7]);
@@ -315,7 +282,7 @@ mod tests {
     #[test]
     fn blocked_consumer_wakes_on_push() {
         let t = single_tenant();
-        let q: Arc<TenantQueue<u32>> = Arc::new(TenantQueue::new(4, &t));
+        let q: Arc<TenantQueue<u32>> = Arc::new(TenantQueue::new(4, t));
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
@@ -335,7 +302,7 @@ mod tests {
     #[test]
     fn one_tenant_can_occupy_every_worker() {
         let t = single_tenant();
-        let q: Arc<TenantQueue<u32>> = Arc::new(TenantQueue::new(16, &t));
+        let q: Arc<TenantQueue<u32>> = Arc::new(TenantQueue::new(16, t));
         let barrier = Arc::new(Barrier::new(4));
         let (done, joined) = mpsc::channel();
         let consumers: Vec<_> = (0..4)
@@ -370,22 +337,45 @@ mod tests {
     fn quota_rejects_carry_the_tenant_and_release_on_drain() {
         let t = table(vec![TenantSpec::new(TenantId(5), "capped").quota(2)]);
         let capped = t.resolve(TenantId(5));
-        let q: TenantQueue<u32> = TenantQueue::new(100, &t);
+        let q: TenantQueue<u32> = TenantQueue::new(100, Arc::clone(&t));
         assert!(q.try_push(capped, 1).is_ok());
         assert!(q.try_push(capped, 2).is_ok());
-        assert_eq!(
+        assert!(matches!(
             q.try_push(capped, 3),
-            Err(PushError::QuotaExceeded {
+            Err(QppError::TenantQuotaExceeded {
                 tenant: 5,
                 quota: 2
             })
-        );
+        ));
         // The default tenant is unaffected by tenant 5's quota.
         assert!(q.try_push(0, 9).is_ok());
         // Draining releases quota.
         let mut out = Vec::new();
         assert!(q.try_drain(16, &mut out) >= 1);
         assert!(q.try_push(capped, 4).is_ok());
+    }
+
+    /// A spec written as a struct literal skips the builders, so its
+    /// quota of 0 reaches the table as is; the table clamps it to 1, or
+    /// every request of the tenant would be over quota.
+    #[test]
+    fn a_literal_zero_quota_still_admits_one_request() {
+        let t = table(vec![TenantSpec {
+            id: TenantId(5),
+            name: "literal".to_string(),
+            weight: 1,
+            quota: 0,
+        }]);
+        let literal = t.resolve(TenantId(5));
+        let q: TenantQueue<u32> = TenantQueue::new(8, Arc::clone(&t));
+        assert_eq!(q.try_push(literal, 1).ok(), Some(1));
+        assert!(matches!(
+            q.try_push(literal, 2),
+            Err(QppError::TenantQuotaExceeded {
+                tenant: 5,
+                quota: 1
+            })
+        ));
     }
 
     /// The quota is the lane's length under the lock: four threads
@@ -396,11 +386,16 @@ mod tests {
     fn racing_pushes_admit_exactly_the_quota() {
         let t = table(vec![TenantSpec::new(TenantId(5), "capped").quota(8)]);
         let capped = t.resolve(TenantId(5));
-        let q: TenantQueue<u32> = TenantQueue::new(8, &t);
+        let q: TenantQueue<u32> = TenantQueue::new(8, Arc::clone(&t));
         let barrier = Barrier::new(4);
-        let over_quota = PushError::QuotaExceeded {
-            tenant: 5,
-            quota: 8,
+        let over_quota = |r: Result<usize, QppError>| {
+            matches!(
+                r,
+                Err(QppError::TenantQuotaExceeded {
+                    tenant: 5,
+                    quota: 8
+                })
+            )
         };
         let accepted: usize = std::thread::scope(|s| {
             let pushers: Vec<_> = (0..4)
@@ -410,8 +405,8 @@ mod tests {
                         (0..50)
                             .filter(|&i| match q.try_push(capped, i) {
                                 Ok(_) => true,
-                                Err(e) => {
-                                    assert_eq!(e, over_quota);
+                                rejected => {
+                                    assert!(over_quota(rejected));
                                     false
                                 }
                             })
@@ -425,8 +420,11 @@ mod tests {
         assert_eq!(q.queued_for(capped), 8);
         // The queue is now also full: the tenant still hears about its
         // own quota, anyone else about the capacity.
-        assert_eq!(q.try_push(capped, 0), Err(over_quota));
-        assert_eq!(q.try_push(0, 0), Err(PushError::Full { capacity: 8 }));
+        assert!(over_quota(q.try_push(capped, 0)));
+        assert!(matches!(
+            q.try_push(0, 0),
+            Err(QppError::QueueFull { capacity: 8 })
+        ));
     }
 
     #[test]
@@ -437,7 +435,7 @@ mod tests {
         ]);
         let heavy = t.resolve(TenantId(1));
         let light = t.resolve(TenantId(2));
-        let q: TenantQueue<(usize, u32)> = TenantQueue::new(64, &t);
+        let q: TenantQueue<(usize, u32)> = TenantQueue::new(64, Arc::clone(&t));
         for i in 0..12 {
             q.try_push(heavy, (heavy, i)).unwrap();
             q.try_push(light, (light, i)).unwrap();

@@ -207,23 +207,23 @@ impl ModelRegistry {
     /// but only if the current entry is still `expected`, so a rollback
     /// decided against one model can never demote a newer one that was
     /// installed while the decision was being made.
+    ///
+    /// The degraded copy is deep-cloned outside the lock, so `get` never
+    /// waits on the clone; the write lock only re-checks that the entry
+    /// is still `expected` and publishes.
     pub fn demote_if_current(&self, key: ModelKey, expected: u64) -> Result<u64, SwapRace> {
-        let mut state = self.state.write();
-        let current = match state.models.get(&key) {
-            Some(e) if e.version == expected && !e.degraded => Arc::clone(e),
-            other => {
-                return Err(SwapRace {
-                    expected,
-                    found: other.map(|e| e.version),
-                })
-            }
+        let demotable = |entry: Option<&Arc<ModelEntry>>| match entry {
+            Some(e) if e.version == expected && !e.degraded => Ok(Arc::clone(e)),
+            other => Err(SwapRace {
+                expected,
+                found: other.map(|e| e.version),
+            }),
         };
-        Ok(state.publish(
-            key,
-            current.predictor.clone(),
-            current.fallback.clone(),
-            true,
-        ))
+        let current = demotable(self.get(&key).as_ref())?;
+        let (predictor, fallback) = (current.predictor.clone(), current.fallback.clone());
+        let mut state = self.state.write();
+        demotable(state.models.get(&key))?;
+        Ok(state.publish(key, predictor, fallback, true))
     }
 
     /// Version of the currently installed entry for `key`, if any.

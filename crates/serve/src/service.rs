@@ -4,22 +4,19 @@
 //!
 //! Flow per request:
 //!
-//! 1. `submit` (or `submit_async`) resolves the request's [`TenantId`],
-//!    classifies it by predicted cost (feather / golf ball / bowling
-//!    ball from the O(1) optimizer-cost estimate), and pushes onto the
-//!    tenant's lane of the queue. Admission is a real gate: an
-//!    over-quota tenant is rejected with
+//! 1. `submit` (or `submit_async`) resolves the request's [`TenantId`]
+//!    and pushes it onto the tenant's lane of the queue. Admission is a
+//!    real gate: an over-quota tenant is rejected with
 //!    [`QppError::TenantQuotaExceeded`], a full queue rejects with
 //!    [`QppError::QueueFull`] — both recorded as tagged
 //!    `admission_reject` marks carrying the request's trace ID.
 //! 2. Whichever worker is idle drains a weighted fair-share micro-batch
-//!    (deficit round-robin over tenant lanes), sorts it by cost class
-//!    so cheap feathers are not stuck behind bowling balls in the same
-//!    batch, and answers its requests in turn: one registry lookup and
-//!    one `KccaPredictor::predict` call each, under the request's own
-//!    trace ID. The micro-batch amortizes the queue lock and the
-//!    wake-up, not the model: every row of a KCCA prediction is
-//!    independent of every other, so there is no batched kernel to feed.
+//!    (deficit round-robin over tenant lanes) and answers its requests
+//!    in drain order: one registry lookup and one
+//!    `KccaPredictor::predict` call each, under the request's own trace
+//!    ID. The micro-batch amortizes the queue lock and the wake-up, not
+//!    the model: every row of a KCCA prediction is independent of every
+//!    other, so there is no batched kernel to feed.
 //! 3. The admission gateway turns the prediction into an
 //!    [`AdmissionDecision`] under the service's [`AdmissionPolicy`].
 //! 4. If the worker misses the request's deadline, the client answers
@@ -31,13 +28,13 @@
 //! worker, rejection) carries its tenant packed into the value word via
 //! [`qpp_obs::pack_tags`].
 
-use crate::queue::{PushError, TenantQueue};
+use crate::queue::TenantQueue;
 use crate::registry::{ModelEntry, ModelKey, ModelRegistry};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::tenant::{TenantId, TenantSpec, TenantTable};
 use parking_lot::RwLock;
 use qpp_core::workload_mgmt::{decide, AdmissionDecision, AdmissionPolicy};
-use qpp_core::{NeighborIds, Prediction, QppError, QueryCategory, QueryRecord};
+use qpp_core::{NeighborIds, Prediction, QppError, QueryRecord};
 use qpp_engine::{PerfMetrics, Plan};
 use qpp_obs::{pack_tags, Stage};
 use qpp_workload::QuerySpec;
@@ -121,22 +118,6 @@ pub struct ServeResponse {
     pub trace_id: u64,
 }
 
-/// Queue-level backpressure maps onto the workspace error: a full
-/// queue becomes [`QppError::QueueFull`], an exhausted tenant quota
-/// becomes [`QppError::TenantQuotaExceeded`], a draining queue becomes
-/// [`QppError::ShuttingDown`].
-impl From<PushError> for QppError {
-    fn from(e: PushError) -> Self {
-        match e {
-            PushError::Full { capacity } => QppError::QueueFull { capacity },
-            PushError::QuotaExceeded { tenant, quota } => {
-                QppError::TenantQuotaExceeded { tenant, quota }
-            }
-            PushError::ShuttingDown => QppError::ShuttingDown,
-        }
-    }
-}
-
 /// Tunables for [`PredictionService::start`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -174,9 +155,6 @@ struct Queued {
     request: Arc<PredictRequest>,
     /// Resolved tenant ID (the default tenant for unregistered IDs).
     tenant: TenantId,
-    /// Predicted cost class from the O(1) optimizer-cost estimate,
-    /// computed at admission so workers can order batches by it.
-    class: QueryCategory,
     /// The request's one timestamp, on the obs clock (which shares an
     /// epoch with every span in the trace): the queue-wait span, the
     /// response latency and the deadline's remaining time all count
@@ -184,18 +162,6 @@ struct Queued {
     enqueued_ns: u64,
     trace_id: u64,
     responder: mpsc::Sender<Result<ServeResponse, QppError>>,
-}
-
-/// Batch ordering: cheap predicted work answers first within a drained
-/// micro-batch so a feather is never stuck behind a bowling ball that
-/// happened to be drained ahead of it.
-fn class_rank(class: QueryCategory) -> u8 {
-    match class {
-        QueryCategory::Feather => 0,
-        QueryCategory::GolfBall => 1,
-        QueryCategory::BowlingBall => 2,
-        QueryCategory::WreckingBall => 3,
-    }
 }
 
 /// A submitted request the caller has not yet waited on.
@@ -348,8 +314,11 @@ impl PredictionService {
     /// Starts the worker pool against `registry`.
     pub fn start(registry: Arc<ModelRegistry>, options: ServeOptions) -> Self {
         let tenants = Arc::new(TenantTable::new(options.tenants.clone()));
-        let queue = Arc::new(TenantQueue::new(options.queue_capacity, &tenants));
-        let stats = Arc::new(ServiceStats::for_tenants(&tenants));
+        let queue = Arc::new(TenantQueue::new(
+            options.queue_capacity,
+            Arc::clone(&tenants),
+        ));
+        let stats = Arc::new(ServiceStats::for_tenants(Arc::clone(&tenants)));
         let workers = (0..options.workers)
             .map(|_| {
                 let queue = Arc::clone(&queue);
@@ -409,24 +378,19 @@ impl PredictionService {
         let rec = qpp_obs::recorder();
         let trace_id = rec.next_trace_id();
         let admit_start = rec.now_ns();
-        let Some(entry) = self.registry.get(&request.key) else {
+        if self.registry.current_version(&request.key).is_none() {
             return Err(QppError::UnknownModel {
                 key: request.key.to_string(),
             });
-        };
+        }
         let tenant_idx = self.tenants.resolve(request.tenant);
         let tenant = self.tenants.spec(tenant_idx).id;
-        // Classify by the O(1) optimizer-cost estimate so the worker
-        // can order the micro-batch by predicted cost class. This is
-        // the same estimate the fallback path would serve.
-        let class = QueryCategory::of(entry.fallback.predict_elapsed(&request.plan));
         let (tx, rx) = mpsc::channel();
         let enqueued_ns = rec.now_ns();
         let request = Arc::new(request);
         let queued = Queued {
             request: Arc::clone(&request),
             tenant,
-            class,
             enqueued_ns,
             trace_id,
             responder: tx,
@@ -459,7 +423,7 @@ impl PredictionService {
                 // the tenant tag: a shed request is still a traceable
                 // event, not a silent drop.
                 let reason = match &e {
-                    PushError::QuotaExceeded { .. } => {
+                    QppError::TenantQuotaExceeded { .. } => {
                         self.stats.cell(tenant_idx).rejected_quota.incr();
                         REJECT_OVER_QUOTA
                     }
@@ -473,7 +437,7 @@ impl PredictionService {
                     Stage::AdmissionReject,
                     pack_tags(tenant.0 as u16, reason),
                 );
-                Err(e.into())
+                Err(e)
             }
         }
     }
@@ -513,8 +477,8 @@ impl Drop for PredictionService {
     }
 }
 
-/// Worker body: drain a fair-share micro-batch, order it by predicted
-/// cost class, answer its requests in turn.
+/// Worker body: drain a fair-share micro-batch, answer its requests in
+/// drain order.
 fn worker_loop(
     queue: &TenantQueue<Queued>,
     registry: &ModelRegistry,
@@ -536,11 +500,6 @@ fn worker_loop(
                 pack_tags(queued.tenant.0 as u16, batch.len() as u64),
             );
         }
-        // Cost-class-aware micro-batching: answer predicted-cheap work
-        // first. The sort is stable, so arrival order (and with it the
-        // fair-share order the DRR drain produced) is preserved within
-        // each class.
-        batch.sort_by_key(|q| class_rank(q.class));
         for queued in batch.drain(..) {
             answer(registry, stats, policy, queued, drained_ns);
         }
@@ -630,44 +589,39 @@ mod tests {
 
     /// Every member of a multi-member micro-batch gets its own complete
     /// trace, model sub-spans included, and the batch is answered in
-    /// cost-class order (stable within a class). Deterministic: the four
-    /// requests are queued before anything drains, then the worker body
-    /// runs on this thread (shutdown drains what was accepted).
+    /// the order the deficit round-robin drained it. Deterministic: the
+    /// four requests are queued before anything drains, then the worker
+    /// body runs on this thread (shutdown drains what was accepted).
     #[test]
-    fn every_member_of_a_batch_is_traced_and_answered_in_class_order() {
+    fn every_member_of_a_batch_is_traced_and_answered_in_drain_order() {
         let queries = WorkloadGenerator::tpcds(1.0, 111).generate(60);
         let config = qpp_engine::SystemConfig::neoview_4();
         let train = Dataset::collect(&Schema::tpcds(1.0), queries, &config, 2);
         let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
         let fallback = OptimizerCostModel::train(&train).unwrap();
-        // Two requests of the most expensive class present, then two of
-        // the cheapest: the sort has to move the second pair ahead of
-        // the first and keep each pair in arrival order.
-        let rank = |r: &QueryRecord| {
-            class_rank(QueryCategory::of(
-                fallback.predict_elapsed(&r.optimized.plan),
-            ))
-        };
-        let mut by_cost: Vec<&QueryRecord> = train.records.iter().collect();
-        by_cost.sort_by_key(|r| std::cmp::Reverse(rank(r)));
-        let picks = [by_cost[0], by_cost[1], by_cost[58], by_cost[59]];
-        assert!(
-            rank(picks[1]) > rank(picks[2]),
-            "the fixture needs two cost classes"
-        );
 
         let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
         let registry = Arc::new(ModelRegistry::new());
-        registry.install(key.clone(), model, fallback.clone());
+        registry.install(key.clone(), model, fallback);
         let options = ServeOptions {
             workers: 0,
+            tenants: vec![TenantSpec::new(TenantId(7), "second")],
             ..ServeOptions::default()
         };
         let service = PredictionService::start(registry, options.clone());
-        let pending = picks.map(|r| {
+        // Two requests of the default tenant, then two of tenant 7: the
+        // equal-weight drain alternates the lanes, 0 2 1 3.
+        let tenants = [
+            crate::DEFAULT_TENANT,
+            crate::DEFAULT_TENANT,
+            TenantId(7),
+            TenantId(7),
+        ];
+        let pending = std::array::from_fn::<_, 4, _>(|i| {
+            let r = &train.records[i];
             let request = PredictRequest {
                 key: key.clone(),
-                tenant: crate::DEFAULT_TENANT,
+                tenant: tenants[i],
                 spec: r.spec.clone(),
                 plan: r.optimized.plan.clone(),
                 deadline: Duration::from_secs(30),
@@ -719,7 +673,7 @@ mod tests {
             }
             predict
         });
-        for pair in [2usize, 3, 0, 1].windows(2) {
+        for pair in [0usize, 2, 1, 3].windows(2) {
             assert!(
                 predict[pair[0]].1 <= predict[pair[1]].0,
                 "request {} predicts entirely before request {}: {predict:?}",

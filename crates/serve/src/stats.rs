@@ -17,6 +17,7 @@
 
 use crate::tenant::TenantTable;
 use qpp_obs::{quantile_of, Counter, Histogram, BUCKETS};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use qpp_obs::LatencyQuantile;
@@ -48,14 +49,6 @@ impl StatsCell {
     }
 }
 
-/// Static tenant labels carried into snapshots.
-#[derive(Debug, Clone)]
-struct TenantLabel {
-    id: u32,
-    name: String,
-    weight: u32,
-}
-
 /// Live counters for a running prediction service.
 ///
 /// All fields are lock-free: workers and clients update them without
@@ -64,8 +57,9 @@ struct TenantLabel {
 /// exact; cross-counter skew is bounded by in-flight requests).
 #[derive(Debug)]
 pub struct ServiceStats {
-    started: Option<Instant>,
-    labels: Vec<TenantLabel>,
+    started: Instant,
+    /// Each cell's tenant ID, name and weight, for the snapshot rows.
+    tenants: Arc<TenantTable>,
     /// One cell per tenant, in dense tenant order.
     cells: Vec<StatsCell>,
     /// Worker answers that arrived after the client had already fallen
@@ -94,23 +88,13 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Stats sized for the tenants of `table`, carrying the table's
-    /// names/weights into snapshots.
-    pub fn for_tenants(table: &TenantTable) -> Self {
-        let labels: Vec<TenantLabel> = table
-            .specs()
-            .iter()
-            .map(|s| TenantLabel {
-                id: s.id.0,
-                name: s.name.clone(),
-                weight: s.weight,
-            })
-            .collect();
-        let tenants = labels.len();
+    /// Stats with one cell per tenant of `tenants`, whose IDs, names
+    /// and weights label the snapshot rows.
+    pub fn for_tenants(tenants: Arc<TenantTable>) -> Self {
         ServiceStats {
-            started: Some(Instant::now()),
-            labels,
-            cells: (0..tenants).map(|_| StatsCell::default()).collect(),
+            started: Instant::now(),
+            cells: (0..tenants.len()).map(|_| StatsCell::default()).collect(),
+            tenants,
             late_answers: Counter::default(),
             admitted: Counter::default(),
             policy_rejected: Counter::default(),
@@ -153,16 +137,16 @@ impl ServiceStats {
         model_demotions: u64,
     ) -> StatsSnapshot {
         let mut merged = [0u64; BUCKETS];
-        let mut per_tenant = Vec::with_capacity(self.labels.len());
-        for (label, cell) in self.labels.iter().zip(&self.cells) {
+        let mut per_tenant = Vec::with_capacity(self.cells.len());
+        for (spec, cell) in self.tenants.specs().iter().zip(&self.cells) {
             let cell_hist = cell.latency.counts();
             for (acc, n) in merged.iter_mut().zip(cell_hist.iter()) {
                 *acc += *n;
             }
             per_tenant.push(TenantSnapshot {
-                tenant: label.id,
-                name: label.name.clone(),
-                weight: label.weight,
+                tenant: spec.id.0,
+                name: spec.name.clone(),
+                weight: spec.weight,
                 submitted: cell.submitted.get(),
                 completed: cell.completed.get(),
                 fallbacks: cell.fallbacks.get(),
@@ -181,7 +165,7 @@ impl ServiceStats {
         let batches = self.batches.get();
         let batched = self.batched_requests.get();
         let answered = completed + fallbacks;
-        let uptime = self.started.map(|s| s.elapsed()).unwrap_or_default();
+        let uptime = self.started.elapsed();
         StatsSnapshot {
             uptime,
             submitted,
@@ -394,7 +378,7 @@ mod tests {
 
     /// The default tenant only.
     fn single() -> ServiceStats {
-        ServiceStats::for_tenants(&TenantTable::new(Vec::new()))
+        ServiceStats::for_tenants(Arc::new(TenantTable::new(Vec::new())))
     }
 
     #[test]
@@ -507,7 +491,7 @@ mod tests {
             TenantSpec::new(TenantId(3), "etl").weight(2),
             TenantSpec::new(TenantId(9), "adhoc"),
         ]);
-        let stats = ServiceStats::for_tenants(&table);
+        let stats = ServiceStats::for_tenants(Arc::new(table));
         for tenant in 0..3 {
             let cell = stats.cell(tenant);
             cell.submitted.add(8);

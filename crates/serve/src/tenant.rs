@@ -39,13 +39,14 @@ pub struct TenantSpec {
     pub name: String,
     /// Fair-share weight: the deficit-round-robin scheduler serves
     /// tenants in proportion to their weights when their queues are
-    /// backlogged. Clamped to at least 1.
+    /// backlogged. [`TenantTable::new`] clamps it to at least 1.
     pub weight: u32,
     /// Admission quota: maximum requests this tenant may have queued at
     /// once. `TenantQueue::try_push` reads the tenant's lane length under
     /// the queue lock and rejects a submission beyond it with
     /// `QppError::TenantQuotaExceeded`, so a flooding tenant sheds its
-    /// own overload instead of everyone's.
+    /// own overload instead of everyone's. [`TenantTable::new`] clamps
+    /// it to at least 1.
     pub quota: usize,
 }
 
@@ -62,13 +63,13 @@ impl TenantSpec {
 
     /// Sets the fair-share weight (builder form).
     pub fn weight(mut self, weight: u32) -> Self {
-        self.weight = weight.max(1);
+        self.weight = weight;
         self
     }
 
     /// Sets the admission quota (builder form).
     pub fn quota(mut self, quota: usize) -> Self {
-        self.quota = quota.max(1);
+        self.quota = quota;
         self
     }
 }
@@ -89,7 +90,8 @@ pub struct TenantTable {
 impl TenantTable {
     /// Builds the directory from the configured specs. Duplicate IDs
     /// keep the last spec; a default-tenant spec is synthesized when
-    /// none was supplied.
+    /// none was supplied; every weight and quota is clamped to at
+    /// least 1, however the spec was built.
     pub fn new(mut specs: Vec<TenantSpec>) -> Self {
         specs.sort_by_key(|s| s.id);
         specs.dedup_by(|later, earlier| {
@@ -107,6 +109,7 @@ impl TenantTable {
         }
         for spec in &mut specs {
             spec.weight = spec.weight.max(1);
+            spec.quota = spec.quota.max(1);
         }
         TenantTable { specs }
     }
@@ -137,16 +140,6 @@ impl TenantTable {
     /// All specs in dense-index (ascending tenant-ID) order.
     pub fn specs(&self) -> &[TenantSpec] {
         &self.specs
-    }
-
-    /// Fair-share weights by dense index.
-    pub fn weights(&self) -> Vec<u64> {
-        self.specs.iter().map(|s| s.weight as u64).collect()
-    }
-
-    /// Admission quotas by dense index.
-    pub fn quotas(&self) -> Vec<usize> {
-        self.specs.iter().map(|s| s.quota).collect()
     }
 }
 
@@ -194,6 +187,6 @@ mod tests {
         let idx = table.resolve(TenantId(3));
         assert_eq!(table.spec(idx).name, "second");
         assert_eq!(table.spec(idx).weight, 1, "weight 0 clamps to 1");
-        assert_eq!(table.quotas()[idx], 4);
+        assert_eq!(table.spec(idx).quota, 4);
     }
 }

@@ -3,7 +3,8 @@
 //! weight-proportional service — each checked over hundreds of seeded
 //! arrival scripts.
 
-use qpp_serve::{PushError, TenantId, TenantQueue, TenantSpec, TenantTable};
+use qpp_serve::{QppError, TenantId, TenantQueue, TenantSpec, TenantTable};
+use std::sync::Arc;
 
 /// SplitMix64: the scripts' deterministic RNG (no external dep, stable
 /// across runs and platforms).
@@ -36,16 +37,16 @@ fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
         let quota = rng.range(2, 8) as usize;
         let floods = quota as u64 + rng.range(1, 40); // always over quota
         let bystander_n = rng.range(1, 8);
-        let table = TenantTable::new(vec![
+        let table = Arc::new(TenantTable::new(vec![
             TenantSpec::new(TenantId(1), "flooder").quota(quota),
             TenantSpec::new(TenantId(2), "bystander").quota(8),
-        ]);
+        ]));
         let flooder = table.resolve(TenantId(1));
         let bystander = table.resolve(TenantId(2));
         // Capacity 16: the flooder's *quota* (never raw capacity) is
         // the only thing that can shed its traffic, and the bystander's
         // 8 slots always fit beside the flooder's <= 8.
-        let q: TenantQueue<u64> = TenantQueue::new(16, &table);
+        let q: TenantQueue<u64> = TenantQueue::new(16, Arc::clone(&table));
 
         // Random interleaving of the two tenants' arrivals.
         let mut script: Vec<usize> = Vec::new();
@@ -61,7 +62,7 @@ fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
         for (i, &tenant) in script.iter().enumerate() {
             match q.try_push(tenant, i as u64) {
                 Ok(_) => accepts[tenant - 1] += 1,
-                Err(PushError::QuotaExceeded {
+                Err(QppError::TenantQuotaExceeded {
                     tenant: id,
                     quota: reported,
                 }) => {
@@ -105,18 +106,18 @@ fn drr_drain_order_is_reproducible_for_a_fixed_script() {
     for seed in 0..100u64 {
         let mut rng = Rng(seed.wrapping_mul(0xa076_1d64_78bd_642f) + 1);
         let weights: Vec<u32> = (0..3).map(|_| rng.range(1, 4) as u32).collect();
-        let table = TenantTable::new(vec![
+        let table = Arc::new(TenantTable::new(vec![
             TenantSpec::new(TenantId(1), "a").weight(weights[0]),
             TenantSpec::new(TenantId(2), "b").weight(weights[1]),
             TenantSpec::new(TenantId(3), "c").weight(weights[2]),
-        ]);
+        ]));
         let script: Vec<usize> = (0..rng.range(10, 60))
             .map(|_| table.resolve(TenantId(rng.range(1, 3) as u32)))
             .collect();
         let batch = rng.range(1, 7) as usize;
 
-        let run = |table: &TenantTable| -> Vec<u64> {
-            let q: TenantQueue<u64> = TenantQueue::new(1024, table);
+        let run = |table: &Arc<TenantTable>| -> Vec<u64> {
+            let q: TenantQueue<u64> = TenantQueue::new(1024, Arc::clone(table));
             for (i, &t) in script.iter().enumerate() {
                 q.try_push(t, i as u64).expect("capacity 1024 never fills");
             }
@@ -145,12 +146,12 @@ fn backlogged_drain_shares_track_weights() {
     for seed in 0..100u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9fb2_1c65_1e98_df25) + 1);
         let weights: Vec<u64> = (0..3).map(|_| rng.range(1, 5)).collect();
-        let table = TenantTable::new(vec![
+        let table = Arc::new(TenantTable::new(vec![
             TenantSpec::new(TenantId(1), "a").weight(weights[0] as u32),
             TenantSpec::new(TenantId(2), "b").weight(weights[1] as u32),
             TenantSpec::new(TenantId(3), "c").weight(weights[2] as u32),
-        ]);
-        let q: TenantQueue<(usize, u64)> = TenantQueue::new(4096, &table);
+        ]));
+        let q: TenantQueue<(usize, u64)> = TenantQueue::new(4096, Arc::clone(&table));
         // Deep backlogs: every lane always has work, so shares are
         // governed purely by the weights.
         let backlog = 100;

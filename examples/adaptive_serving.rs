@@ -248,7 +248,7 @@ fn main() {
     if let Some(path) = trace_out {
         let mut out = qpp::obs::to_jsonl(&events);
         out.push_str(&snapshot.counters_jsonl());
-        out.push_str(&controller.stats().counters_jsonl());
+        out.push_str(&controller.counters_jsonl());
         std::fs::write(&path, out).expect("write trace");
         println!("wrote {} trace events to {path}", events.len());
     }

@@ -24,7 +24,7 @@
 //!   predict_into}` under both metrics, `vector::dist`;
 //! - obs: `Recorder::{now_ns, record_span, record_mark}`, `EventRing::push`,
 //!   the trace cell, `span`/`SpanGuard`, the free `now_ns`,
-//!   `next_trace_id`, `record_span`, `record_mark`, `Counter`, `Gauge`,
+//!   `next_trace_id`, `record_span`, `record_mark`, `Counter`,
 //!   `Histogram`;
 //! - serve: `TenantTable::resolve`, `TenantQueue::{try_push, try_drain,
 //!   drain}`, the `ServiceStats` cells, `ModelRegistry::get`, and
@@ -39,10 +39,10 @@ use qpp::linalg::{vector, LinalgError, Matrix};
 use qpp::ml::{
     DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NearestNeighbors, NeighborWeighting,
 };
-use qpp::obs::{Counter, Event, EventKind, EventRing, Gauge, Histogram, Recorder, Stage};
+use qpp::obs::{Counter, Event, EventKind, EventRing, Histogram, Recorder, Stage};
 use qpp::serve::{
-    ModelKey, ModelRegistry, PredictRequest, PredictionService, PushError, ServeOptions,
-    ServiceStats, TenantId, TenantQueue, TenantSpec, TenantTable, DEFAULT_TENANT,
+    ModelKey, ModelRegistry, PredictRequest, PredictionService, ServeOptions, ServiceStats,
+    TenantId, TenantQueue, TenantSpec, TenantTable, DEFAULT_TENANT,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -252,12 +252,12 @@ fn predict_features_steady_state_allocates_nothing() {
 /// The trace layer's roots, warm: recording a span or a mark (on a
 /// recorder and through the free functions), pushing into a ring that
 /// has already wrapped, moving the thread's trace ID, drawing a fresh
-/// one, bumping a counter, a gauge or a histogram.
+/// one, bumping a counter or a histogram.
 #[test]
 fn obs_roots_steady_state_allocate_nothing() {
     let recorder = Recorder::with_capacity(64);
     let ring = EventRing::new(64);
-    let (counter, gauge, histogram) = (Counter::new(), Gauge::new(), Histogram::new());
+    let (counter, histogram) = (Counter::new(), Histogram::new());
     // First use sizes the global recorder's ring and this thread's
     // trace cell.
     qpp::obs::with_trace(qpp::obs::next_trace_id(), || {
@@ -284,7 +284,6 @@ fn obs_roots_steady_state_allocate_nothing() {
         qpp::obs::record_mark(Stage::Drift, i);
         qpp::obs::record_span(Stage::Retrain, qpp::obs::now_ns(), 5, i);
         assert!(qpp::obs::next_trace_id() > 0);
-        gauge.set(i as f64);
         counter.incr();
         counter.add(2);
         counter.observe_max(i);
@@ -298,7 +297,6 @@ fn obs_roots_steady_state_allocate_nothing() {
     );
     assert_eq!(recorder.events_recorded(), 512);
     assert_eq!((ring.recorded(), histogram.total()), (256, 256));
-    assert_eq!(gauge.get(), 256.0);
 }
 
 /// The serve data plane's roots, warm: tenant resolution, the admission
@@ -310,12 +308,12 @@ fn obs_roots_steady_state_allocate_nothing() {
 /// copy of the request.
 #[test]
 fn serve_roots_steady_state_allocate_nothing() {
-    let table = TenantTable::new(vec![
+    let table = Arc::new(TenantTable::new(vec![
         TenantSpec::new(TenantId(5), "etl").weight(3),
         TenantSpec::new(TenantId(6), "adhoc").quota(4),
-    ]);
-    let queue: TenantQueue<u64> = TenantQueue::new(24, &table);
-    let stats = ServiceStats::for_tenants(&table);
+    ]));
+    let queue: TenantQueue<u64> = TenantQueue::new(24, Arc::clone(&table));
+    let stats = ServiceStats::for_tenants(Arc::clone(&table));
     let train = collect_tpcds(60, 73, &SystemConfig::neoview_4(), 2);
     let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
     let registry = Arc::new(ModelRegistry::new());
@@ -337,9 +335,9 @@ fn serve_roots_steady_state_allocate_nothing() {
                     stats.cell(idx).submitted.incr();
                     stats.observe_queue_depth(depth);
                 }
-                Err(PushError::QuotaExceeded { .. }) => stats.cell(idx).rejected_quota.incr(),
-                Err(PushError::Full { .. }) => stats.cell(idx).rejected_full.incr(),
-                Err(PushError::ShuttingDown) => unreachable!("the queue is never shut down"),
+                Err(QppError::TenantQuotaExceeded { .. }) => stats.cell(idx).rejected_quota.incr(),
+                Err(QppError::QueueFull { .. }) => stats.cell(idx).rejected_full.incr(),
+                Err(e) => unreachable!("the queue is never shut down: {e}"),
             }
         }
         let mut serve = |batch: &[u64]| {
