@@ -199,7 +199,12 @@ echo "==> size ratchet: lines of Rust per crate"
 # Gauge type only they used) and the worker's cost-class sort are gone;
 # three regression tests (zero quota, post-swap export, seed records held
 # once) are the additions.
-MAX_RUST_LINES=24907
+# Then lowered 24,907 -> 24,906 (-1): Matrix::centred_gram and the Gram
+# kernel it shares with Matrix::gram (tiles filled and centred per block)
+# and the KCCA option checks are paid for by Cholesky::solve_matrix and
+# its test, the counting allocator's unread counters and the superseded
+# cross-block Gram test.
+MAX_RUST_LINES=24906
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

@@ -245,6 +245,10 @@ impl KccaPredictor {
             }
             .into());
         }
+        if options.neighbors == 0 {
+            let (what, value, bound) = ("neighbors (> 0)", 0.0, 0.0);
+            return Err(LinalgError::OutOfRange { what, value, bound }.into());
+        }
         let mut total = qpp_obs::span(qpp_obs::Stage::TrainTotal);
         total.set_value(features.rows() as u64);
         let (scaler, x) = {

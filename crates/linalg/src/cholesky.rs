@@ -93,27 +93,6 @@ impl Cholesky {
         self.back_substitute(&y)
     }
 
-    /// Solves `A X = B` column-wise.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.l.rows();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky solve_matrix",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve(&col)?;
-            for i in 0..n {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
-    }
-
     /// Solves `L y = b` (forward substitution).
     pub fn forward_substitute(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.l.rows();
@@ -258,15 +237,6 @@ mod tests {
         assert!(Cholesky::new(&a).is_err());
         let c = Cholesky::with_jitter(&a, 1e-10, 12).unwrap();
         assert!(c.l()[(0, 0)] > 0.0);
-    }
-
-    #[test]
-    fn solve_matrix_identity() {
-        let a = spd3();
-        let c = Cholesky::new(&a).unwrap();
-        let inv = c.solve_matrix(&Matrix::identity(3)).unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.sub(&Matrix::identity(3)).unwrap().max_abs() < 1e-9);
     }
 
     #[test]

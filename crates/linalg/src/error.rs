@@ -45,14 +45,15 @@ pub enum LinalgError {
         /// Operation that observed the non-finite value.
         op: &'static str,
     },
-    /// A computed quantity violated a mathematical bound by more than
-    /// numerical slack (e.g. a canonical correlation far above 1).
+    /// A value violated its bound: a computed quantity beyond numerical
+    /// slack (e.g. a canonical correlation far above 1), or an option a
+    /// fit cannot use (`what` names it and its valid range).
     OutOfRange {
-        /// Quantity that went out of range.
+        /// Quantity or option that went out of range.
         what: &'static str,
         /// Offending value.
         value: f64,
-        /// Bound (on the absolute value) that was violated.
+        /// Bound on a quantity's absolute value, or an option's floor.
         bound: f64,
     },
     /// The input was empty where data is required.
@@ -87,10 +88,9 @@ impl fmt::Display for LinalgError {
             LinalgError::NonFinite { op } => {
                 write!(f, "non-finite value encountered in {op}")
             }
-            LinalgError::OutOfRange { what, value, bound } => write!(
-                f,
-                "{what} out of range: |{value:e}| exceeds bound {bound:e}"
-            ),
+            LinalgError::OutOfRange { what, value, bound } => {
+                write!(f, "{what} out of range: {value} violates bound {bound}")
+            }
             LinalgError::Empty(what) => write!(f, "empty input: {what}"),
         }
     }

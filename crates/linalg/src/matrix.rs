@@ -1,9 +1,10 @@
 //! Row-major dense matrix.
 //!
-//! The one parallel kernel here is [`Matrix::gram`], the covariance
-//! kernel of the CCA fit: upper triangle only, each element a serial sum
-//! owned by one output-row block, so its bits never depend on the thread
-//! count. Everything else is serial.
+//! The one parallel kernel here is the Gram behind [`Matrix::gram`] and
+//! [`Matrix::centred_gram`], the covariance kernel of the CCA fit: upper
+//! triangle only, each element a serial sum owned by one output-row
+//! block, so its bits never depend on the thread count. Everything else
+//! is serial.
 
 use crate::error::{LinalgError, Result};
 use serde::{Deserialize, Serialize};
@@ -17,13 +18,13 @@ use std::ops::{Index, IndexMut};
 /// canonical dims) in a single pass.
 const GEMV_COL_BLOCK: usize = 16;
 
-/// Output rows per `qpp-par` chunk of [`Matrix::gram`]: at 512 columns
+/// Output rows per `qpp-par` chunk of the Gram kernel: at 512 columns
 /// a block's accumulators are at most 128 KB, and the triangle splits
 /// into 16 blocks for the threads to claim.
 const GRAM_OUT_BLOCK: usize = 32;
 
-/// Input rows per tile of [`Matrix::gram`]: at 512 columns a tile is
-/// 512 KB, so a block's passes over it hit L2, not memory.
+/// Input rows per tile of the Gram kernel: at 512 columns a tile is at
+/// most 512 KB, so a block's passes over it hit L2, not memory.
 const GRAM_TILE: usize = 128;
 
 /// A dense, row-major `f64` matrix.
@@ -271,56 +272,34 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ * self` computed without forming the transpose.
-    ///
-    /// Each upper-triangle element is one serial sum over all rows in
-    /// ascending order, then mirrored. The `qpp-par` region splits the
-    /// *output* rows into [`GRAM_OUT_BLOCK`]-row blocks, so every element
-    /// has one owner and the result is bitwise the same at any thread
-    /// count. A block reads the input in [`GRAM_TILE`]-row tiles, four
-    /// rows per pass over its accumulators.
+    /// `selfᵀ * self` without forming the transpose: the one-input,
+    /// uncentred case of [`Matrix::centred_gram`]'s kernel.
     pub fn gram(&self) -> Matrix {
-        let n = self.cols;
-        let blocks = qpp_par::parallel_for_chunks(n, GRAM_OUT_BLOCK, |chunk| {
-            // Row `a` of the block holds columns `a0..n`; `a..n` is its
-            // share of the upper triangle.
-            let a0 = chunk.range.start;
-            let width = n - a0;
-            let mut acc = vec![0.0; chunk.range.len() * width];
-            for tile in self.data.chunks(GRAM_TILE * n) {
-                for (a, out) in chunk.range.clone().zip(acc.chunks_exact_mut(width)) {
-                    let out = &mut out[a - a0..];
-                    let mut quads = tile.chunks_exact(4 * n);
-                    for quad in &mut quads {
-                        let row = |k: usize| &quad[k * n + a..(k + 1) * n];
-                        let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
-                        let (x0, x1, x2, x3) = (r0[0], r1[0], r2[0], r3[0]);
-                        let rows = r0.iter().zip(r1).zip(r2).zip(r3);
-                        for (o, (((b0, b1), b2), b3)) in out.iter_mut().zip(rows) {
-                            *o = *o + x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3;
-                        }
-                    }
-                    for row in quads.remainder().chunks_exact(n) {
-                        let (x, row) = (row[a], &row[a..]);
-                        for (o, b) in out.iter_mut().zip(row) {
-                            *o += x * b;
-                        }
-                    }
-                }
+        gram_of(self.rows, self.cols, |i, a0, tail| {
+            tail.copy_from_slice(&self.row(i)[a0..]);
+        })
+    }
+
+    /// The Gram of `[x − x̄ | y − ȳ]` (`x` is `n x p`, `y` `n x q`) without
+    /// storing it: each block centres the tile of rows it reads. A tile
+    /// entry is the `x[i][j] − x̄[j]` a centred copy would hold, so the
+    /// result is bitwise that copy's Gram.
+    pub fn centred_gram(x: &Matrix, x_means: &[f64], y: &Matrix, y_means: &[f64]) -> Matrix {
+        debug_assert_eq!(x.rows, y.rows);
+        debug_assert_eq!((x_means.len(), y_means.len()), (x.cols, y.cols));
+        let centre = |part: &mut [f64], row: &[f64], means: &[f64]| {
+            for (o, (v, mu)) in part.iter_mut().zip(row.iter().zip(means)) {
+                *o = v - mu;
             }
-            acc
-        });
-        let mut g = Matrix::zeros(n, n);
-        for (block, acc) in blocks.iter().enumerate() {
-            let a0 = block * GRAM_OUT_BLOCK;
-            for (a, out) in (a0..).zip(acc.chunks_exact(n - a0)) {
-                for (b, &v) in (a..n).zip(&out[a - a0..]) {
-                    g.data[a * n + b] = v;
-                    g.data[b * n + a] = v;
-                }
-            }
-        }
-        g
+        };
+        let p = x.cols;
+        gram_of(x.rows, p + y.cols, |i, a0, tail| {
+            // Columns `a0..p+q`: x's from `xa`, then y's from `ya`.
+            let (xa, ya) = (a0.min(p), a0.saturating_sub(p));
+            let (xs, ys) = tail.split_at_mut(p - xa);
+            centre(xs, &x.row(i)[xa..], &x_means[xa..]);
+            centre(ys, &y.row(i)[ya..], &y_means[ya..]);
+        })
     }
 
     /// Element-wise difference `self - rhs`.
@@ -406,6 +385,60 @@ impl Matrix {
             }
         }
     }
+}
+
+/// The one Gram kernel: `Zᵀ Z` for a `rows x d` input that is never
+/// stored; `fill(i, a0, tail)` writes row `i`'s columns `a0..d`. Each
+/// upper-triangle element is one serial sum over the rows in ascending
+/// order, owned by one [`GRAM_OUT_BLOCK`]-row output block, so its bits
+/// do not depend on the thread count. A block fills a [`GRAM_TILE`]-row
+/// buffer with the columns it reads and passes over it four rows at once.
+fn gram_of(rows: usize, d: usize, fill: impl Fn(usize, usize, &mut [f64]) + Sync) -> Matrix {
+    let blocks = qpp_par::parallel_for_chunks(d, GRAM_OUT_BLOCK, |chunk| {
+        // Local row `a` holds columns `a0..d`; from offset `a` on is its
+        // share of the upper triangle.
+        let a0 = chunk.range.start;
+        let width = d - a0;
+        let mut acc = vec![0.0; chunk.range.len() * width];
+        let mut tile = vec![0.0; GRAM_TILE.min(rows) * width];
+        for t0 in (0..rows).step_by(GRAM_TILE) {
+            let tile = &mut tile[..GRAM_TILE.min(rows - t0) * width];
+            for (i, tail) in (t0..).zip(tile.chunks_exact_mut(width)) {
+                fill(i, a0, tail);
+            }
+            for (a, out) in acc.chunks_exact_mut(width).enumerate() {
+                let out = &mut out[a..];
+                let mut quads = tile.chunks_exact(4 * width);
+                for quad in &mut quads {
+                    let row = |k: usize| &quad[k * width + a..(k + 1) * width];
+                    let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
+                    let (x0, x1, x2, x3) = (r0[0], r1[0], r2[0], r3[0]);
+                    let rows = r0.iter().zip(r1).zip(r2).zip(r3);
+                    for (o, (((b0, b1), b2), b3)) in out.iter_mut().zip(rows) {
+                        *o = *o + x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3;
+                    }
+                }
+                for row in quads.remainder().chunks_exact(width) {
+                    let (x, row) = (row[a], &row[a..]);
+                    for (o, b) in out.iter_mut().zip(row) {
+                        *o += x * b;
+                    }
+                }
+            }
+        }
+        acc
+    });
+    let mut g = Matrix::zeros(d, d);
+    for (block, acc) in blocks.iter().enumerate() {
+        let a0 = block * GRAM_OUT_BLOCK;
+        for (a, out) in (a0..).zip(acc.chunks_exact(d - a0)) {
+            for (b, &v) in (a..d).zip(&out[a - a0..]) {
+                g.data[a * d + b] = v;
+                g.data[b * d + a] = v;
+            }
+        }
+    }
+    g
 }
 
 impl Index<(usize, usize)> for Matrix {

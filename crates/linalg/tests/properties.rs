@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use qpp_linalg::{
-    eigen::tridiagonal_ql, vector, Cholesky, GeneralizedEigen, IcdOptions, IncompleteCholesky,
-    LeastSquares, Matrix, QrDecomposition, SymmetricEigen,
+    eigen::tridiagonal_ql, stats, vector, Cholesky, GeneralizedEigen, IcdOptions,
+    IncompleteCholesky, LeastSquares, Matrix, QrDecomposition, SymmetricEigen,
 };
 
 const DIM: usize = 5;
@@ -380,12 +380,19 @@ fn gram_is_bitwise_equal_to_per_element_serial_sums() {
 }
 
 #[test]
-fn the_cross_block_of_one_gram_is_bitwise_the_product() {
-    // `Cca::fit` reads `Cxy` off the Gram of `[xc | yc]`: the same serial
-    // sums as `xcᵀ · yc`, in the same order.
-    let (n, p, q) = (1027, 33, 31);
-    let z = Matrix::from_fn(n, p + q, |i, j| ((i * (p + q) + j) as f64 * 0.37).cos());
-    let (xc, yc) = (z.block(0, 0, n, p), z.block(0, p, n, q));
-    let product = xc.transpose().matmul(&yc).unwrap();
-    assert_eq!(bits(&z.gram().block(0, p, p, q)), bits(&product));
+fn centred_gram_is_bitwise_equal_to_per_element_serial_sums() {
+    // Each element is the serial sum of `(x_ia − x̄_a)(z_ib − z̄_b)` over
+    // `[x | y]` in row order. A 32-column block edge falls inside x, on
+    // the seam and inside y; the rows cover each n mod 4 and two tiles.
+    for (p, q) in [(40, 9), (32, 17), (9, 40)] {
+        for n in [1, 2, 3, 4, 129, 262] {
+            let z = Matrix::from_fn(n, p + q, |i, j| ((i * (p + q) + j) as f64 * 0.37).cos());
+            let means = stats::column_means(&z);
+            let centred = Matrix::from_fn(n, p + q, |i, j| z[(i, j)] - means[j]);
+            let oracle = bits(&per_element_gram(&centred));
+            let (x, y) = (z.block(0, 0, n, p), z.block(0, p, n, q));
+            let gram = Matrix::centred_gram(&x, &means[..p], &y, &means[p..]);
+            assert_eq!(bits(&gram), oracle, "{n} x {p}+{q}");
+        }
+    }
 }

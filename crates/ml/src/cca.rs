@@ -26,10 +26,10 @@
 //! `tests/svd_equivalence.rs` checks this path against; the two share
 //! no eigensolver.
 //!
-//! `Cxx`, `Cyy` and `Cxy` are the blocks of one [`Matrix::gram`] of the
-//! centred `[xc | yc]` (`n x (p+q)`), scaled by `1/n`: the rows are read
-//! in one kernel, with no transpose and no product of `xc` against `yc`.
-//! At 8,000 rows that Gram is most of the fit's operation count.
+//! `Cxx`, `Cyy` and `Cxy` are the blocks of one [`Matrix::centred_gram`]
+//! of `[x | y]`, scaled by `1/n`: one kernel reads the rows, centring
+//! each tile it reads, so the fit stores no centred copy, no transpose
+//! and no product. At 8,000 rows that Gram is most of the fit's work.
 
 use qpp_linalg::{stats, svd, vector, Cholesky, LinalgError, Matrix};
 use serde::{Deserialize, Serialize};
@@ -88,15 +88,11 @@ impl Cca {
         grams.set_value(n as u64);
         let x_means = stats::column_means(x);
         let y_means = stats::column_means(y);
-        // One Gram of the centred `[xc | yc]`: its diagonal blocks are
-        // `n·Cxx` and `n·Cyy`, its upper-right block `n·Cxy`. The centred
-        // copy and the full Gram are gone before the solve.
+        // One Gram of the centred `[x | y]`: its diagonal blocks are
+        // `n·Cxx` and `n·Cyy`, its upper-right block `n·Cxy`. The full
+        // Gram is gone before the solve.
         let (cxx, cyy, cxy) = {
-            let z = Matrix::from_fn(n, p + q, |i, j| match j.checked_sub(p) {
-                None => x[(i, j)] - x_means[j],
-                Some(j) => y[(i, j)] - y_means[j],
-            });
-            let c = z.gram().scale(1.0 / n as f64);
+            let c = Matrix::centred_gram(x, &x_means, y, &y_means).scale(1.0 / n as f64);
             (
                 c.block(0, 0, p, p),
                 c.block(p, p, q, q),

@@ -64,6 +64,27 @@ impl Default for KccaOptions {
     }
 }
 
+impl KccaOptions {
+    /// The first option a fit cannot use, as a typed error naming it: a
+    /// kernel fraction that is not positive would become the 1e-6 scale
+    /// floor (a kernel that is numerically the identity) and train.
+    fn check(&self) -> Result<(), LinalgError> {
+        let positive = [
+            ("kcca x_kernel_fraction (> 0)", self.x_kernel_fraction),
+            ("kcca y_kernel_fraction (> 0)", self.y_kernel_fraction),
+            ("kcca max_rank (> 0)", self.max_rank as f64),
+            ("kcca components (> 0)", self.components as f64),
+        ];
+        for (what, value) in positive {
+            if !(value > 0.0 && value.is_finite()) {
+                let bound = 0.0;
+                return Err(LinalgError::OutOfRange { what, value, bound });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A fitted KCCA model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Kcca {
@@ -102,6 +123,7 @@ impl Kcca {
         if n < 4 {
             return Err(LinalgError::Empty("kcca needs >= 4 rows"));
         }
+        opts.check()?;
         // Stage spans (kernel fit / ICD / eigensolve) feed the training
         // breakdown in `qpp_obs::recorder().stage_summary()`. Kernel
         // *entries* are evaluated lazily inside the ICD factorization,

@@ -3,8 +3,11 @@
 
 use qpp::core::baselines::{OptimizerCostModel, RegressionPredictor};
 use qpp::core::pipeline::{collect_tpcds, evaluate};
-use qpp::core::{FeatureKind, KccaPredictor, PredictorOptions, QueryCategory, TwoStepPredictor};
+use qpp::core::{
+    FeatureKind, KccaPredictor, PredictorOptions, QppError, QueryCategory, TwoStepPredictor,
+};
 use qpp::engine::SystemConfig;
+use qpp::linalg::LinalgError;
 use qpp::ml::{fraction_within, predictive_risk};
 
 /// Shared medium-scale pools (built once).
@@ -261,4 +264,52 @@ fn predictions_use_compile_time_information_only() {
         assert!(p.metrics.is_valid());
         assert!(p.metrics.elapsed_seconds > 0.0);
     }
+}
+
+#[test]
+fn an_option_a_fit_cannot_use_is_an_error_naming_it() {
+    // Each of these used to train: a kernel fraction that is not
+    // positive became the 1e-6 scale floor and answered, `neighbors: 0`
+    // failed every later predict, and a zero rank cap or component count
+    // surfaced as an unrelated numerics error.
+    let train = collect_tpcds(120, 5, &SystemConfig::neoview_4(), 4);
+    let base = PredictorOptions::default();
+    let with_kcca = |f: fn(&mut qpp::ml::KccaOptions)| {
+        let mut o = base;
+        f(&mut o.kcca);
+        o
+    };
+    let cases = [
+        (
+            "x_kernel_fraction",
+            with_kcca(|k| k.x_kernel_fraction = f64::NAN),
+        ),
+        (
+            "x_kernel_fraction",
+            with_kcca(|k| k.x_kernel_fraction = 0.0),
+        ),
+        (
+            "y_kernel_fraction",
+            with_kcca(|k| k.y_kernel_fraction = -0.5),
+        ),
+        ("max_rank", with_kcca(|k| k.max_rank = 0)),
+        ("components", with_kcca(|k| k.components = 0)),
+        (
+            "neighbors",
+            PredictorOptions {
+                neighbors: 0,
+                ..base
+            },
+        ),
+    ];
+    for (option, options) in cases {
+        match KccaPredictor::train(&train, options) {
+            Err(QppError::Linalg {
+                source: LinalgError::OutOfRange { what, .. },
+                ..
+            }) => assert!(what.contains(option), "{option}: {what}"),
+            other => panic!("{option}: expected its error, got {:?}", other.map(|_| ())),
+        }
+    }
+    assert!(KccaPredictor::train(&train, base).is_ok());
 }
