@@ -18,7 +18,7 @@
 //! we then ran and added was not as good").
 
 use crate::report::{hms, risk_cell, Report};
-use qpp_core::baselines::{OptimizerCostModel, PqrPredictor, RegressionPredictor};
+use qpp_core::baselines::{OptimizerCostModel, RegressionPredictor};
 use qpp_core::categories::summarize_pools;
 use qpp_core::feature_importance::{join_feature_share, rank_features};
 use qpp_core::pipeline::{collect_tpcds, evaluate, Evaluation};
@@ -732,44 +732,6 @@ pub fn fig17(ctx: &Context, report: &mut Report) -> ExperimentResult {
         id: "fig17",
         headline: risk,
         values: vec![("over10", over10 as f64), ("within20", within20)],
-    }
-}
-
-/// Extension — PQR-style runtime-range baseline (related work, §III).
-pub fn pqr(ctx: &Context, report: &mut Report) -> ExperimentResult {
-    let model = PqrPredictor::train(&ctx.train, FeatureKind::QueryPlan).expect("pqr trains");
-    let accuracy = model.range_accuracy(&ctx.test);
-    // KCCA point predictions scored the same way: does the point land
-    // in the same bucket as the actual time?
-    let kcca = KccaPredictor::train(&ctx.train, PredictorOptions::default()).expect("trains");
-    let bounds = PqrPredictor::BOUNDS;
-    let bucket = |t: f64| {
-        bounds
-            .iter()
-            .position(|&b| t < b)
-            .unwrap_or(bounds.len() - 1)
-    };
-    let kcca_bucket_acc = kcca
-        .predict_dataset(&ctx.test)
-        .expect("predicts")
-        .iter()
-        .zip(ctx.test.records.iter())
-        .filter(|(p, r)| bucket(p.metrics.elapsed_seconds) == bucket(r.metrics.elapsed_seconds))
-        .count() as f64
-        / ctx.test.len() as f64;
-    report.heading(
-        2,
-        "Extension — PQR runtime-range baseline (related work §III)",
-    );
-    report.para(&format!(
-        "PQR predicts only coarse elapsed-time *ranges* via a decision          tree over plan features, and no other metric. Measured range          accuracy over six log-spaced buckets: **{:.0}%**; the KCCA          point prediction lands in the correct bucket {:.0}% of the time          while additionally providing five more metrics and continuous          values.",
-        accuracy * 100.0,
-        kcca_bucket_acc * 100.0
-    ));
-    ExperimentResult {
-        id: "pqr",
-        headline: accuracy,
-        values: vec![("kcca_bucket_accuracy", kcca_bucket_acc)],
     }
 }
 

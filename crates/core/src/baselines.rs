@@ -8,12 +8,7 @@
 //!   a log-log line of best fit to elapsed time (Fig. 17; "since the
 //!   optimizer cost units are not time units, we cannot draw a perfect
 //!   prediction line — we instead draw a line of best fit").
-//! * [`PqrPredictor`] — the PQR approach from related work (§III):
-//!   a decision tree over plan features predicting *ranges* of
-//!   execution time only. Useful as the "single metric, coarse
-//!   granularity" contrast to KCCA's six simultaneous point estimates.
 
-use crate::categories::QueryCategory;
 use crate::dataset::Dataset;
 use crate::error::{QppError, ResultExt};
 use crate::features::{query_features, FeatureKind};
@@ -99,78 +94,6 @@ impl OptimizerCostModel {
     }
 }
 
-/// PQR-style runtime-range predictor: a classification tree over plan
-/// features whose classes are log-spaced elapsed-time buckets.
-#[derive(Debug, Clone)]
-pub struct PqrPredictor {
-    tree: qpp_ml::DecisionTree,
-    feature_kind: FeatureKind,
-}
-
-impl PqrPredictor {
-    /// PQR bucket upper bounds, seconds (ascending; last is +inf):
-    /// sub-second, second-scale, the paper's feather/golf/bowling
-    /// boundaries, and beyond.
-    pub const BOUNDS: [f64; 6] = [
-        1.0,
-        10.0,
-        QueryCategory::FEATHER_MAX,
-        QueryCategory::GOLF_MAX,
-        QueryCategory::BOWLING_MAX,
-        f64::INFINITY,
-    ];
-
-    /// Trains the range tree.
-    pub fn train(dataset: &Dataset, feature_kind: FeatureKind) -> Result<Self, QppError> {
-        if dataset.is_empty() {
-            return Err(LinalgError::Empty("pqr training set").into());
-        }
-        let x = dataset.feature_matrix(feature_kind);
-        let labels: Vec<usize> = dataset
-            .elapsed()
-            .iter()
-            .map(|&t| bucket_of(&Self::BOUNDS, t))
-            .collect();
-        let tree = qpp_ml::DecisionTree::fit(&x, &labels);
-        Ok(PqrPredictor { tree, feature_kind })
-    }
-
-    /// Predicted elapsed-time range `(lo, hi)` in seconds.
-    pub fn predict_range(&self, spec: &QuerySpec, plan: &Plan) -> (f64, f64) {
-        let f = query_features(self.feature_kind, spec, plan);
-        let bounds = &Self::BOUNDS;
-        let class = self.tree.predict(&f);
-        let hi = bounds[class.min(bounds.len() - 1)];
-        let lo = if class == 0 { 0.0 } else { bounds[class - 1] };
-        (lo, hi)
-    }
-
-    /// Fraction of `dataset` whose actual elapsed time falls inside the
-    /// predicted range.
-    pub fn range_accuracy(&self, dataset: &Dataset) -> f64 {
-        if dataset.is_empty() {
-            return 0.0;
-        }
-        let hits = dataset
-            .records
-            .iter()
-            .filter(|r| {
-                let (lo, hi) = self.predict_range(&r.spec, &r.optimized.plan);
-                let t = r.metrics.elapsed_seconds;
-                t >= lo && t < hi
-            })
-            .count();
-        hits as f64 / dataset.len() as f64
-    }
-}
-
-fn bucket_of(bounds: &[f64], t: f64) -> usize {
-    bounds
-        .iter()
-        .position(|&b| t < b)
-        .unwrap_or(bounds.len() - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,29 +161,5 @@ mod tests {
     fn cost_model_needs_data() {
         let d = dataset(1, 37);
         assert!(OptimizerCostModel::train(&d).is_err());
-    }
-
-    #[test]
-    fn pqr_predicts_ranges_better_than_chance() {
-        let train = dataset(400, 39);
-        let test = dataset(80, 40);
-        let m = PqrPredictor::train(&train, FeatureKind::QueryPlan).unwrap();
-        let acc = m.range_accuracy(&test);
-        // Six buckets; chance would be well under 40%.
-        assert!(acc > 0.4, "range accuracy {acc}");
-        // Ranges are well-formed.
-        let (lo, hi) = m.predict_range(&test.records[0].spec, &test.records[0].optimized.plan);
-        assert!(lo < hi);
-    }
-
-    #[test]
-    fn pqr_bucketing_is_exhaustive() {
-        let bounds = PqrPredictor::BOUNDS;
-        assert_eq!(bucket_of(&bounds, 0.1), 0);
-        assert_eq!(bucket_of(&bounds, 5.0), 1);
-        assert_eq!(bucket_of(&bounds, 100.0), 2);
-        assert_eq!(bucket_of(&bounds, 500.0), 3);
-        assert_eq!(bucket_of(&bounds, 3000.0), 4);
-        assert_eq!(bucket_of(&bounds, 1e9), 5);
     }
 }

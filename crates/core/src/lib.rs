@@ -20,9 +20,8 @@
 //!   k-NN → average; Figs. 5 and 7) with prediction confidence;
 //! * [`two_step`] — the two-step variant with per-category models
 //!   (Experiment 3);
-//! * [`baselines`] — linear regression (Figs. 3–4), the optimizer-cost
-//!   line of best fit (Fig. 17), and a PQR-style runtime-range tree
-//!   (related work, §III);
+//! * [`baselines`] — linear regression (Figs. 3–4) and the
+//!   optimizer-cost line of best fit (Fig. 17);
 //! * [`feature_importance`] — which plan features the model keys on
 //!   (§VII-C.2);
 //! * [`workload_mgmt`] — the decisions the paper motivates: admission

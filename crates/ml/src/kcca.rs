@@ -66,17 +66,21 @@ impl Default for KccaOptions {
 
 impl KccaOptions {
     /// The first option a fit cannot use, as a typed error naming it: a
-    /// kernel fraction that is not positive would become the 1e-6 scale
-    /// floor (a kernel that is numerically the identity) and train.
+    /// kernel fraction ≤ 0 would train an identity kernel (the 1e-6 scale
+    /// floor), a negative ridge a wrong model, a NaN tolerance as if 0.
     fn check(&self) -> Result<(), LinalgError> {
-        let positive = [
+        let options = [
             ("kcca x_kernel_fraction (> 0)", self.x_kernel_fraction),
             ("kcca y_kernel_fraction (> 0)", self.y_kernel_fraction),
             ("kcca max_rank (> 0)", self.max_rank as f64),
             ("kcca components (> 0)", self.components as f64),
+            ("kcca regularization (>= 0)", self.regularization),
+            ("kcca icd_tolerance (>= 0)", self.icd_tolerance),
         ];
-        for (what, value) in positive {
-            if !(value > 0.0 && value.is_finite()) {
+        for (what, value) in options {
+            // Each name states its bound; only "(>= 0)" admits 0.
+            let zero_ok = value == 0.0 && what.ends_with("(>= 0)");
+            if !(value.is_finite() && (value > 0.0 || zero_ok)) {
                 let bound = 0.0;
                 return Err(LinalgError::OutOfRange { what, value, bound });
             }

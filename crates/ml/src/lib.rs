@@ -16,9 +16,7 @@
 //! * [`ann`] — sub-linear neighbor lookup: a deterministic IVF index
 //!   (k-means inverted lists) with a size-triggered brute/IVF switch,
 //!   for reference sets far past paper scale;
-//! * [`metrics`] — the predictive-risk score used throughout §VI–VII;
-//! * [`decision_tree`] — a small CART classifier backing the PQR-style
-//!   runtime-range baseline from the related work (§III).
+//! * [`metrics`] — the predictive-risk score used throughout §VI–VII.
 
 #![forbid(unsafe_code)]
 // Library code must degrade into typed errors, never panics.
@@ -34,7 +32,6 @@
 
 pub mod ann;
 pub mod cca;
-pub mod decision_tree;
 pub mod kcca;
 pub mod kernel;
 pub mod kmeans;
@@ -43,7 +40,6 @@ pub mod metrics;
 
 pub use ann::{AnnIndex, AnnOptions, IvfIndex, IvfOptions};
 pub use cca::{Cca, CcaOptions};
-pub use decision_tree::DecisionTree;
 pub use kcca::{Kcca, KccaOptions, ProjectionScratch};
 pub use kernel::GaussianKernel;
 pub use kmeans::{KMeans, KMeansError};

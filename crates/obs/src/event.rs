@@ -44,9 +44,9 @@ pub enum Stage {
     /// Regularized CCA on the ICD embeddings (the generalized
     /// eigensolve of the paper's Eq. 2).
     TrainEigensolve,
-    /// Eigensolve sub-stage: centring both embeddings into `[xc | yc]`
-    /// and its one Gram, whose blocks are `Cxx`, `Cyy`, `Cxy`
-    /// (`value` = rows).
+    /// Eigensolve sub-stage: the one Gram of the centred `[x | y]`
+    /// (`Matrix::centred_gram`, which centres each tile it reads),
+    /// whose blocks are `Cxx`, `Cyy`, `Cxy` (`value` = rows).
     TrainEigenGrams,
     /// Eigensolve sub-stage: Cholesky reduction to the correlation
     /// matrix `M = Lx⁻¹ Cxy Ly⁻ᵀ`.

@@ -270,8 +270,10 @@ fn predictions_use_compile_time_information_only() {
 fn an_option_a_fit_cannot_use_is_an_error_naming_it() {
     // Each of these used to train: a kernel fraction that is not
     // positive became the 1e-6 scale floor and answered, `neighbors: 0`
-    // failed every later predict, and a zero rank cap or component count
-    // surfaced as an unrelated numerics error.
+    // failed every later predict, a zero rank cap or component count
+    // surfaced as an unrelated numerics error, a negative ridge trained a
+    // wrong model, a non-finite one failed as a Cholesky pivot, and a NaN
+    // or negative ICD tolerance trained as if it were 0.
     let train = collect_tpcds(120, 5, &SystemConfig::neoview_4(), 4);
     let base = PredictorOptions::default();
     let with_kcca = |f: fn(&mut qpp::ml::KccaOptions)| {
@@ -294,6 +296,15 @@ fn an_option_a_fit_cannot_use_is_an_error_naming_it() {
         ),
         ("max_rank", with_kcca(|k| k.max_rank = 0)),
         ("components", with_kcca(|k| k.components = 0)),
+        ("regularization", with_kcca(|k| k.regularization = -1e-3)),
+        ("regularization", with_kcca(|k| k.regularization = -0.5)),
+        ("regularization", with_kcca(|k| k.regularization = f64::NAN)),
+        (
+            "regularization",
+            with_kcca(|k| k.regularization = f64::INFINITY),
+        ),
+        ("icd_tolerance", with_kcca(|k| k.icd_tolerance = f64::NAN)),
+        ("icd_tolerance", with_kcca(|k| k.icd_tolerance = -1.0)),
         (
             "neighbors",
             PredictorOptions {
@@ -312,4 +323,5 @@ fn an_option_a_fit_cannot_use_is_an_error_naming_it() {
         }
     }
     assert!(KccaPredictor::train(&train, base).is_ok());
+    assert!(KccaPredictor::train(&train, with_kcca(|k| k.icd_tolerance = 0.0)).is_ok());
 }
