@@ -621,7 +621,7 @@ impl AdaptiveController {
     }
 
     /// Takes the released task, if there is one, without blocking.
-    pub fn try_take_task(&self) -> Option<RetrainTask> {
+    fn try_take_task(&self) -> Option<RetrainTask> {
         self.state.lock().pending.take()
     }
 

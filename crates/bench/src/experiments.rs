@@ -615,7 +615,7 @@ pub fn experiment4(ctx: &Context, report: &mut Report) -> ExperimentResult {
 pub fn fig16(report: &mut Report) -> ExperimentResult {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut disk_null = 0;
-    let mut elapsed_risks = Vec::new();
+    let (mut elapsed_risks, mut within20) = (Vec::new(), Vec::new());
     // 280 queries rerun (same specs) on each configuration. The paper
     // reran the *standard* TPC-DS templates here — not the hand-written
     // problem templates — and found every query short-running on the
@@ -645,53 +645,45 @@ pub fn fig16(report: &mut Report) -> ExperimentResult {
         let train = ds.subset(&train_idx);
         let test = ds.subset(&test_idx);
         let model = KccaPredictor::train(&train, PredictorOptions::default()).expect("trains");
-        let preds = model.predict_dataset(&test).expect("predicts");
-        let eval = evaluate(&preds, &test);
-        // The paper notes predictive risk "tends to be sensitive to
-        // outliers and in several cases improved significantly by
-        // removing the top one or two outliers" (§VI-C); with the
-        // narrow elapsed spread of the 32-node system a single miss
-        // dominates, so this table reports risks with the single worst
-        // residual removed per metric.
-        let actual = test.performance_matrix();
-        let trimmed: Vec<Option<f64>> = (0..PerfMetrics::DIM)
-            .map(|m| {
-                let a: Vec<f64> = actual.col(m);
-                let p: Vec<f64> = preds.iter().map(|pr| pr.metrics.to_vec()[m]).collect();
-                let mean = a.iter().sum::<f64>() / a.len().max(1) as f64;
-                let var: f64 = a.iter().map(|v| (v - mean) * (v - mean)).sum();
-                if var <= 1e-12 {
-                    None
-                } else {
-                    Some(predictive_risk_dropping_outliers(&p, &a, 1))
-                }
-            })
-            .collect();
-        (trimmed, eval.predictive_risk[1].is_none())
+        evaluate(&model.predict_dataset(&test).expect("predicts"), &test)
     });
-    for (cpus, (trimmed, disk_is_null)) in cpu_configs.iter().zip(per_config.iter()) {
-        if *disk_is_null {
+    for (cpus, eval) in cpu_configs.iter().zip(&per_config) {
+        if eval.predictive_risk[1].is_none() {
             disk_null += 1;
         }
-        elapsed_risks.push(trimmed[0].unwrap_or(f64::NAN));
-        let mut row = vec![format!("{cpus} nodes")];
-        row.extend(trimmed.iter().map(|r| risk_cell(*r)));
+        elapsed_risks.push(eval.predictive_risk[0].unwrap_or(f64::NAN));
+        let mut row = vec![format!("{cpus} CPUs")];
+        row.extend(eval.predictive_risk.iter().map(|r| risk_cell(*r)));
+        let within = 100.0 * eval.elapsed_within_20pct;
+        row.push(format!("{within:.0}%"));
+        within20.push(within);
         rows.push(row);
     }
+    let span = |v: &[f64]| {
+        v.iter()
+            .fold((f64::MAX, f64::MIN), |(l, h), &x| (l.min(x), h.max(x)))
+    };
+    let ((lo, hi), (lo20, hi20)) = (span(&elapsed_risks), span(&within20));
     report.heading(2, "Fig. 16 — 32-node system, 4/8/16/32-CPU configurations");
-    report.para(
+    report.para(&format!(
         "197 training / 83 test TPC-DS queries rerun per configuration \
-         (data stays partitioned across all 32 disks). Paper: effective \
-         prediction on every configuration; disk I/O risk is Null on \
-         8/16/32 CPUs because the added memory caches all tables — only \
-         the 4-CPU configuration pays disk I/O. Risks shown with the \
-         single worst residual removed per metric, following the \
-         paper's §VI-C remark on outlier sensitivity.",
-    );
-    report.table(&metric_headers(), &rows);
+         (data stays partitioned across all 32 disks). Paper: prediction \
+         is effective on every configuration, and disk I/O risk is Null \
+         on 8/16/32 CPUs because the added memory caches all tables — \
+         only the 4-CPU configuration pays disk I/O. Measured against \
+         that claim: elapsed-time risk **{lo:.3}–{hi:.3}** and \
+         **{lo20:.0}–{hi20:.0}%** of test queries within 20% of actual \
+         across the four configurations, so it holds; disk I/O is Null \
+         on {disk_null} of 4. Risks are untrimmed: each test set's \
+         variance sits in its one long query, so dropping the worst \
+         residual would score the model on the short queries alone.",
+    ));
+    let mut headers = metric_headers();
+    headers.push("elapsed within 20%");
+    report.table(&headers, &rows);
     ExperimentResult {
         id: "fig16",
-        headline: elapsed_risks.iter().cloned().fold(f64::INFINITY, f64::min),
+        headline: lo,
         values: vec![
             ("disk_null_configs", disk_null as f64),
             ("risk_4cpu", elapsed_risks[0]),

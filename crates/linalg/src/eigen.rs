@@ -46,7 +46,7 @@ impl SymmetricEigen {
     /// mass actually reached the tolerance; otherwise the error reports
     /// the residual that was achieved. (An earlier revision silently
     /// accepted anything within 100x the tolerance.)
-    pub fn with_sweep_budget(a: &Matrix, max_sweeps: usize) -> Result<Self> {
+    fn with_sweep_budget(a: &Matrix, max_sweeps: usize) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),

@@ -21,7 +21,7 @@ pub fn column_means(m: &Matrix) -> Vec<f64> {
 }
 
 /// Per-column population standard deviation.
-pub fn column_stds(m: &Matrix) -> Vec<f64> {
+fn column_stds(m: &Matrix) -> Vec<f64> {
     let (rows, cols) = m.shape();
     let means = column_means(m);
     let mut vars = vec![0.0; cols];

@@ -1,29 +1,13 @@
 //! Property tests for the multi-tenant queue: quota isolation
 //! under flooding, deterministic deficit-round-robin ordering, and
 //! weight-proportional service — each checked over hundreds of seeded
-//! arrival scripts.
+//! arrival scripts; script `seed` is `StdRng::seed_from_u64(seed)`.
 
 use qpp_serve::{QppError, TenantId, TenantQueue, TenantSpec, TenantTable};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// SplitMix64: the scripts' deterministic RNG (no external dep, stable
-/// across runs and platforms).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    /// Uniform in `[lo, hi]`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo + 1)
-    }
-}
 
 /// Backpressure property (no cross-tenant starvation): a tenant
 /// flooding past its quota is shed exactly in proportion to its
@@ -33,10 +17,10 @@ impl Rng {
 #[test]
 fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
     for seed in 0..220u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x0de1_7c5e_11ed) + 1);
-        let quota = rng.range(2, 8) as usize;
-        let floods = quota as u64 + rng.range(1, 40); // always over quota
-        let bystander_n = rng.range(1, 8);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let quota = rng.random_range(2usize..=8);
+        let floods = quota as u64 + rng.random_range(1u64..=40); // always over quota
+        let bystander_n = rng.random_range(1u64..=8);
         let table = Arc::new(TenantTable::new(vec![
             TenantSpec::new(TenantId(1), "flooder").quota(quota),
             TenantSpec::new(TenantId(2), "bystander").quota(8),
@@ -52,10 +36,7 @@ fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
         let mut script: Vec<usize> = Vec::new();
         script.extend(std::iter::repeat_n(flooder, floods as usize));
         script.extend(std::iter::repeat_n(bystander, bystander_n as usize));
-        for i in (1..script.len()).rev() {
-            let j = (rng.next() % (i as u64 + 1)) as usize;
-            script.swap(i, j);
-        }
+        script.shuffle(&mut rng);
 
         let mut rejects = [0u64; 2];
         let mut accepts = [0u64; 2];
@@ -104,17 +85,17 @@ fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
 #[test]
 fn drr_drain_order_is_reproducible_for_a_fixed_script() {
     for seed in 0..100u64 {
-        let mut rng = Rng(seed.wrapping_mul(0xa076_1d64_78bd_642f) + 1);
-        let weights: Vec<u32> = (0..3).map(|_| rng.range(1, 4) as u32).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weights: Vec<u32> = (0..3).map(|_| rng.random_range(1u32..=4)).collect();
         let table = Arc::new(TenantTable::new(vec![
             TenantSpec::new(TenantId(1), "a").weight(weights[0]),
             TenantSpec::new(TenantId(2), "b").weight(weights[1]),
             TenantSpec::new(TenantId(3), "c").weight(weights[2]),
         ]));
-        let script: Vec<usize> = (0..rng.range(10, 60))
-            .map(|_| table.resolve(TenantId(rng.range(1, 3) as u32)))
+        let script: Vec<usize> = (0..rng.random_range(10..=60))
+            .map(|_| table.resolve(TenantId(rng.random_range(1u32..=3))))
             .collect();
-        let batch = rng.range(1, 7) as usize;
+        let batch = rng.random_range(1usize..=7);
 
         let run = |table: &Arc<TenantTable>| -> Vec<u64> {
             let q: TenantQueue<u64> = TenantQueue::new(1024, Arc::clone(table));
@@ -144,8 +125,8 @@ fn drr_drain_order_is_reproducible_for_a_fixed_script() {
 #[test]
 fn backlogged_drain_shares_track_weights() {
     for seed in 0..100u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9fb2_1c65_1e98_df25) + 1);
-        let weights: Vec<u64> = (0..3).map(|_| rng.range(1, 5)).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weights: Vec<u64> = (0..3).map(|_| rng.random_range(1u64..=5)).collect();
         let table = Arc::new(TenantTable::new(vec![
             TenantSpec::new(TenantId(1), "a").weight(weights[0] as u32),
             TenantSpec::new(TenantId(2), "b").weight(weights[1] as u32),

@@ -69,7 +69,7 @@ impl WorkloadGenerator {
     }
 
     /// Generates one query from the template at `idx`.
-    pub fn generate_from(&mut self, idx: usize) -> QuerySpec {
+    fn generate_from(&mut self, idx: usize) -> QuerySpec {
         let id = self.next_id;
         self.next_id += 1;
         self.templates[idx].instantiate(&self.schema, id, &mut self.rng)

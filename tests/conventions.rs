@@ -1,6 +1,7 @@
 //! Project conventions no type and no execution can see (DESIGN.md §11): each check
 //! is a pure function over `(path, text)`, fired on inline text, then run over `crates/*/src`
-//! (the examples rule: over `examples/` and `ci.sh`).
+//! (the examples rule: over `examples/` and `ci.sh`; the dev-dependency rule: over each
+//! package's manifest and sources).
 
 use std::fs;
 use std::path::PathBuf;
@@ -78,6 +79,37 @@ fn examples_ci_never_runs(names: &[String], ci: &str) -> Vec<String> {
         .filter(|n| !run(n))
         .map(|n| format!("examples/{n}.rs: no ci.sh run"))
         .collect()
+}
+
+/// A `[dev-dependencies]` entry stays only while its package's sources name it as a
+/// path (`-` becomes `_`): one `name::` not preceded by an identifier character.
+fn dev_dependencies_never_named(path: &str, manifest: &str, sources: &str) -> Vec<String> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let named = |krate: &str| {
+        let as_path = format!("{}::", krate.replace('-', "_"));
+        let mut hits = sources.match_indices(&as_path);
+        hits.any(|(i, _)| !sources[..i].ends_with(ident))
+    };
+    let section = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[dev-dependencies]");
+    let entries = section.skip(1).take_while(|l| !l.starts_with('['));
+    let keys = entries.filter_map(|l| l.split(['.', '=', ' ']).next());
+    let keys = keys.filter(|k| !k.is_empty() && !k.starts_with('#') && !named(k));
+    keys.map(|k| format!("{path}: {k} never named")).collect()
+}
+
+/// Every `.rs` file under `dirs`, concatenated.
+fn sources_under(dirs: &[PathBuf]) -> String {
+    let (mut stack, mut text) = (dirs.to_vec(), String::new());
+    while let Some(path) = stack.pop() {
+        if let Ok(entries) = fs::read_dir(&path) {
+            stack.extend(entries.map(|e| e.expect("dir entry").path()));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            text += &fs::read_to_string(&path).expect("readable");
+        }
+    }
+    text
 }
 
 /// `check` over each `.rs` file under a `src/` of `crates/`; tests run from the package root.
@@ -180,4 +212,31 @@ fn every_example_runs_in_ci() {
     assert!(!examples.is_empty(), "no examples found");
     let ci = fs::read_to_string("ci.sh").expect("ci.sh at the package root");
     assert_eq!(examples_ci_never_runs(&examples, &ci), [""; 0]);
+}
+
+#[test]
+fn every_dev_dependency_is_named_in_its_crate() {
+    let manifest = "[dev-dependencies]\nrand.workspace = true\nqpp-workload = { path = \"w\" }\n";
+    let both = "use rand::Rng;\nqpp_workload::Schema::tpcds(1.0);";
+    assert_eq!(dev_dependencies_never_named("C", manifest, both), [""; 0]);
+    let lookalikes = "operand::x; // rand\nmy_qpp_workload::y;";
+    assert_eq!(
+        dev_dependencies_never_named("C", manifest, lookalikes).len(),
+        2
+    );
+    let normal = "[dependencies]\nserde.workspace = true\n";
+    assert_eq!(dev_dependencies_never_named("C", normal, ""), [""; 0]);
+    let mut packages = vec![(PathBuf::new(), vec!["src", "tests", "examples"])];
+    for entry in fs::read_dir("crates").expect("run from the package root") {
+        packages.push((entry.expect("dir entry").path(), vec![""]));
+    }
+    assert_eq!(packages.len(), 1 + 10);
+    let mut findings = Vec::new();
+    for (root, dirs) in packages {
+        let path = root.join("Cargo.toml").to_string_lossy().into_owned();
+        let manifest = fs::read_to_string(&path).expect("a manifest");
+        let sources = sources_under(&Vec::from_iter(dirs.iter().map(|d| root.join(d))));
+        findings.extend(dev_dependencies_never_named(&path, &manifest, &sources));
+    }
+    assert_eq!(findings, [""; 0]);
 }

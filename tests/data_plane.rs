@@ -3,9 +3,9 @@
 //! bits it produces through cold ones (and the bits its owned or
 //! whole-matrix counterpart produces, where one exists), for arbitrary
 //! inputs — the contract that lets the serving hot path reuse buffers
-//! without changing a single output bit.
+//! without changing a single output bit. Case `seed` of each property
+//! runs alone from `StdRng::seed_from_u64(seed)`.
 
-use proptest::prelude::*;
 use qpp::linalg::stats::Standardizer;
 use qpp::linalg::Matrix;
 use qpp::ml::{
@@ -59,29 +59,37 @@ fn project_cold(model: &Kcca, features: &[f64]) -> (Vec<f64>, f64) {
     (out, similarity)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Cases of each property.
+const CASES: u64 = 24;
 
-    /// The standardizer's row path (predict time) is bitwise-equal to
-    /// its whole-matrix path (fit time) on every row.
-    #[test]
-    fn standardize_row_into_matches_owned(seed in 0u64..1_000, rows in 4usize..30, cols in 1usize..8) {
-        let data = random_matrix(rows, cols, seed);
+/// The standardizer's row path (predict time) is bitwise-equal to
+/// its whole-matrix path (fit time) on every row.
+#[test]
+fn standardize_row_into_matches_owned() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data_seed = rng.random_range(0u64..1_000);
+        let rows = rng.random_range(4usize..30);
+        let cols = rng.random_range(1usize..8);
+        let data = random_matrix(rows, cols, data_seed);
         let scaler = Standardizer::fit(&data);
         let owned = scaler.transform(&data);
         let mut scratch = vec![f64::NAN; 1];
         for i in 0..rows {
             scaler.transform_row_into(data.row(i), &mut scratch);
-            prop_assert_eq!(bits(owned.row(i)), bits(&scratch));
+            assert_eq!(bits(owned.row(i)), bits(&scratch), "seed {seed}");
         }
     }
+}
 
-    /// Full KCCA query projection through a dirty, oversized, reused
-    /// scratch yields the bits a cold one does: same projection, same
-    /// max kernel similarity.
-    #[test]
-    fn kcca_projection_into_matches_owned(seed in 0u64..200) {
-        let (x, y) = correlated_pair(40, 6, 3, seed);
+/// Full KCCA query projection through a dirty, oversized, reused
+/// scratch yields the bits a cold one does: same projection, same
+/// max kernel similarity.
+#[test]
+fn kcca_projection_into_matches_owned() {
+    for seed in 0..CASES {
+        let data_seed = StdRng::seed_from_u64(seed).random_range(0u64..200);
+        let (x, y) = correlated_pair(40, 6, 3, data_seed);
         let model = Kcca::fit(x.view(), y.view(), KccaOptions::default()).unwrap();
         let probe: Vec<f64> = x.row(7).to_vec();
         let (owned, sim_owned) = project_cold(&model, &probe);
@@ -90,23 +98,33 @@ proptest! {
         // oversized, NaN-filled output buffer.
         let mut scratch = ProjectionScratch::new();
         let mut out = vec![f64::NAN; 64];
-        model.project_query_into(x.row(21), &mut scratch, &mut out).unwrap();
+        model
+            .project_query_into(x.row(21), &mut scratch, &mut out)
+            .unwrap();
         // Run twice through the same scratch: the second pass must not
         // see residue from the first.
         for _ in 0..2 {
-            let sim = model.project_query_into(&probe, &mut scratch, &mut out).unwrap();
-            prop_assert_eq!(bits(&owned), bits(&out));
-            prop_assert_eq!(sim_owned.to_bits(), sim.to_bits());
+            let sim = model
+                .project_query_into(&probe, &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(bits(&owned), bits(&out), "seed {seed}");
+            assert_eq!(sim_owned.to_bits(), sim.to_bits(), "seed {seed}");
         }
     }
+}
 
-    /// kNN prediction through reused scratch is bitwise-equal to the
-    /// same call through cold buffers: combined metrics, neighbor ids,
-    /// neighbor distances.
-    #[test]
-    fn knn_predict_into_matches_owned(seed in 0u64..500, n in 8usize..60, k in 1usize..6) {
-        let reference = random_matrix(n, 4, seed);
-        let targets = random_matrix(n, 6, seed.wrapping_add(1));
+/// kNN prediction through reused scratch is bitwise-equal to the
+/// same call through cold buffers: combined metrics, neighbor ids,
+/// neighbor distances.
+#[test]
+fn knn_predict_into_matches_owned() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data_seed = rng.random_range(0u64..500);
+        let n = rng.random_range(8usize..60);
+        let k = rng.random_range(1usize..6);
+        let reference = random_matrix(n, 4, data_seed);
+        let targets = random_matrix(n, 6, data_seed.wrapping_add(1));
         let probe: Vec<f64> = reference.row(n / 3).to_vec();
         let knn = NearestNeighbors::new(reference, DistanceMetric::Euclidean);
 
@@ -145,59 +163,73 @@ proptest! {
                 &mut combined,
             )
             .unwrap();
-            prop_assert_eq!(bits(&owned), bits(&combined));
-            prop_assert_eq!(found_owned.len(), scratch.neighbors.len());
+            assert_eq!(bits(&owned), bits(&combined), "seed {seed}");
+            assert_eq!(found_owned.len(), scratch.neighbors.len(), "seed {seed}");
             for (a, b) in found_owned.iter().zip(scratch.neighbors.iter()) {
-                prop_assert_eq!(a.index, b.index);
-                prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+                assert_eq!(a.index, b.index, "seed {seed}");
+                assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "seed {seed}");
             }
         }
     }
+}
 
-    /// IVF query through reused (and dirty) scratch is bitwise-equal to
-    /// the owned IVF path and to the brute scan; with `nprobe == nlist`
-    /// the probed lists cover the whole reference, so equality is exact
-    /// for arbitrary inputs.
-    #[test]
-    fn ivf_query_into_matches_owned_and_brute(seed in 0u64..300, n in 30usize..120, k in 1usize..6) {
-        let reference = random_matrix(n, 4, seed);
+/// IVF query through reused (and dirty) scratch is bitwise-equal to
+/// the owned IVF path and to the brute scan; with `nprobe == nlist`
+/// the probed lists cover the whole reference, so equality is exact
+/// for arbitrary inputs.
+#[test]
+fn ivf_query_into_matches_owned_and_brute() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data_seed = rng.random_range(0u64..300);
+        let n = rng.random_range(30usize..120);
+        let k = rng.random_range(1usize..6);
+        let reference = random_matrix(n, 4, data_seed);
         let ivf = IvfIndex::build(
             reference.clone(),
             DistanceMetric::Euclidean,
-            IvfOptions { nlist: 4, nprobe: 4 },
+            IvfOptions {
+                nlist: 4,
+                nprobe: 4,
+            },
         )
         .unwrap();
         let brute = NearestNeighbors::new(reference.clone(), DistanceMetric::Euclidean);
         let probe: Vec<f64> = reference.row(n / 3).to_vec();
         let owned = ivf.query(&probe, k);
         let exact = brute.query(&probe, k);
-        prop_assert_eq!(owned.len(), exact.len());
+        assert_eq!(owned.len(), exact.len(), "seed {seed}");
         for (a, b) in owned.iter().zip(exact.iter()) {
-            prop_assert_eq!(a.index, b.index);
-            prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+            assert_eq!(a.index, b.index, "seed {seed}");
+            assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "seed {seed}");
         }
         let mut scratch = KnnScratch::new();
         // Run twice through the same scratch: the second pass must not
         // see residue from the first.
         for _ in 0..2 {
             ivf.query_into(&probe, k, &mut scratch);
-            prop_assert_eq!(owned.len(), scratch.neighbors.len());
+            assert_eq!(owned.len(), scratch.neighbors.len(), "seed {seed}");
             for (a, b) in owned.iter().zip(scratch.neighbors.iter()) {
-                prop_assert_eq!(a.index, b.index);
-                prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+                assert_eq!(a.index, b.index, "seed {seed}");
+                assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "seed {seed}");
             }
         }
     }
+}
 
-    /// The inline neighbor-id set behaves exactly like a Vec for any
-    /// length, across its inline-to-spill boundary.
-    #[test]
-    fn neighbor_ids_match_vec_semantics(ids in proptest::collection::vec(0usize..10_000, 0..20)) {
+/// The inline neighbor-id set behaves exactly like a Vec for any
+/// length, across its inline-to-spill boundary.
+#[test]
+fn neighbor_ids_match_vec_semantics() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = rng.random_range(0usize..20);
+        let ids: Vec<usize> = (0..len).map(|_| rng.random_range(0usize..10_000)).collect();
         let n: NeighborIds = ids.iter().copied().collect();
-        prop_assert_eq!(n.as_slice(), ids.as_slice());
-        prop_assert_eq!(n.len(), ids.len());
+        assert_eq!(n.as_slice(), ids.as_slice(), "seed {seed}");
+        assert_eq!(n.len(), ids.len(), "seed {seed}");
         let collected: Vec<usize> = n.into_iter().copied().collect();
-        prop_assert_eq!(collected, ids);
+        assert_eq!(collected, ids, "seed {seed}");
     }
 }
 
