@@ -86,6 +86,20 @@ fi
 echo "adapt smoke OK: drift -> retrain -> shadow_score -> canary_swap chain traced, $SWAPS swap(s)"
 rm -f "$ADAPT_OUT"
 
+echo "==> experiments: the committed EXPERIMENTS.md is what the harness prints"
+# A change that moves a number must commit the regenerated file, so the
+# move shows in its diff. Only the harness-time line may differ, and the
+# output may not depend on the thread count.
+experiments_match() {
+    diff <(grep -v '^Total harness time:' EXPERIMENTS.md) \
+        <(cargo run -q --release -p qpp-bench --bin experiments | grep -v '^Total harness time:')
+}
+experiments_match \
+    || { echo "experiments: output differs from EXPERIMENTS.md; regenerate it"; exit 1; }
+QPP_THREADS=1 experiments_match \
+    || { echo "experiments: output at QPP_THREADS=1 differs from EXPERIMENTS.md"; exit 1; }
+echo "experiments OK: EXPERIMENTS.md regenerates at default threads and at 1"
+
 echo "==> benchmark: the one measurement harness builds, passes its checks, leaves no trace"
 # benchmark/ is the repository's only timing harness (BENCHMARK.json).
 # Its unit tests and a short run of all four workloads, traced and
@@ -138,82 +152,11 @@ for gate in svd_equivalence:6 ann_equivalence:10 fold_equivalence:4; do
 done
 
 echo "==> size ratchet: lines of Rust per crate"
-# ROADMAP aim 2: lines of code per crate is a tracked number and goes
-# down. The ceiling is the total after the last diet PR; lower it when a
-# PR removes code, and never raise it without a sentence here saying why.
-# PR 22 raised it 28,122 -> 28,683 (+561): the folded projection and the
-# strip scan came with the gates that make them safe — fold_equivalence
-# (201), the strip-scan property test (64), the re-sealed malformed
-# envelope cases (66) and the load-time structural validation they test
-# (~95) — and the measurements the two scan constants must carry in
-# their doc comments; net of the deletions the fold allowed
-# (Cca::project_x_into and its test, DistanceMetric::distance,
-# ProjectionScratch::embedded, the Cca and pivot block in Kcca).
-# PR 23 lowered it 28,683 -> 25,946 (-2,737): crates/lint is gone (2,661)
-# with the 76 directive comments it read; its four invariants are owned
-# by tests that sit outside this count (tests/conventions.rs, 119 lines;
-# tests/alloc_regression.rs, +77).
-# PR 24 left it at 25,946, the measured total (404 lines in, 404 out):
-# the tridiagonal-QL kernel, its property test and the clustered-top
-# equivalence case are paid for to the line by what only the subspace
-# iteration needed (its schedule, RNG and acceptance tiers in svd.rs;
-# thin_q / apply_q / r / rows / cols in qr.rs; top_k twice; take_cols).
-# Then lowered 25,946 -> 25,317 (-629): crates/mapreduce (576), the
-# engine's dev-only elapsed-time histogram example (69) and the log-space
-# averaging option with its test loops (25) are gone; the serve stats
-# fix and its regression test added 41.
-# Then lowered 25,317 -> 25,228 (-89): qpp-par's persistent pool (its
-# region bookkeeping, both unsafe impls, the worker queue, the result
-# slots) became one std::thread::scope per call (par 487 -> 302, with a
-# test that helpers run nested regions serially), and the incomplete
-# Cholesky lost its two parallel regions and its column store. Added:
-# the column-major form the ICD replaced, as its bitwise oracle in
-# linalg's property tests, the IVF tail-sample fix and its regression
-# test, and a forbid(unsafe_code) line per crate.
-# Then raised 25,228 -> 25,325 (+97): the training kernels are +22 net
-# (the four-row ICD pass +34; the upper-triangle Gram, the one Gram of
-# [xc | yc] in Cca::fit and the reused projection buffer paid for by
-# deleting Cca's centred copies, its transpose product, matmul's
-# parallel region, Matrix::add, zip_with and the caller-less
-# Cca::project_y), and their gates are +75: the Gram's per-element
-# oracle and cross-block checks, the ICD's n mod 4 cases and the
-# non-finite-input regression test.
-# Then lowered 25,325 -> 25,217 (-108): the SQL text no record read, the
-# recorder's answer counters, the fair_share mark, the rejection counters
-# kept beside the tenant cells, the IVF build's copy of the
-# nearest-centroid loop, k-means inertia and iteration count, batch
-# predict's parallel region, TreeOptions and the PQR bounds argument are
-# gone; StatsSnapshot::counters_jsonl, with its test, is the one addition.
-# Then lowered 25,217 -> 24,997 (-220): core::sizing (160), which only an
-# unrun example called, the file half of model_io (save, load and the Io
-# error), KccaPredictor::predict_features_batch, ModelRegistry::
-# install_count and SlidingWindowPredictor::window_len are gone, with the
-# three examples that were their callers; the experiments fidelity note
-# grew 5 lines to cite the test that now measures its §VII-C.3 claim.
-# Then lowered 24,997 -> 24,990 (-7): Kcca::fit factors its two sides in
-# one qpp-par region (+7), paid for by moving the non-finite-input test,
-# now run on both sides at 1 and 2 threads, to tests/thread_invariance.rs.
-# Then lowered 24,990 -> 24,907 (-83): the queue's rejection enum, its
-# copies of the tenant table's weights, quotas and IDs, the stats' tenant
-# labels, the drift gauges AdaptStats copied from the detector (and the
-# Gauge type only they used) and the worker's cost-class sort are gone;
-# three regression tests (zero quota, post-swap export, seed records held
-# once) are the additions.
-# Then lowered 24,907 -> 24,906 (-1): Matrix::centred_gram and the Gram
-# kernel it shares with Matrix::gram (tiles filled and centred per block)
-# and the KCCA option checks are paid for by Cholesky::solve_matrix and
-# its test, the counting allocator's unread counters and the superseded
-# cross-block Gram test.
-# Then lowered 24,906 -> 24,509 (-397): the PQR range tree (ml's CART
-# decision tree, PqrPredictor and the experiment that printed it, which
-# no claim of the paper or gate read) is gone; the ridge and ICD
-# tolerance checks and the fidelity note's non-reproductions are added.
-# Then lowered 24,509 -> 24,263 (-246): the vendored property-test
-# crate (313) is gone; its 25 properties are plain seeded loops over
-# rand (linalg +85, ml +7), fair_share's private SplitMix RNG and shuffle
-# went to rand (serve -19), and Fig. 16 reads the untrimmed Evaluation
-# it already had (bench -6).
-MAX_RUST_LINES=24263
+# ROADMAP aim 2: lines of Rust in crates/ and vendor/ is a tracked
+# number and goes down. The ceiling is the measured total after the last
+# change that moved it: lower it when code goes, and never raise it
+# without a stated reason. CHANGES.md records each move and its reason.
+MAX_RUST_LINES=24222
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

@@ -1,34 +1,22 @@
 //! Regenerates every table and figure of the paper's evaluation as a
-//! markdown report on stdout.
+//! markdown report on stdout. It takes no arguments:
 //!
 //! ```text
-//! cargo run --release -p qpp-bench --bin experiments            # all
-//! cargo run --release -p qpp-bench --bin experiments fig10 fig17
-//! cargo run --release -p qpp-bench --bin experiments --population 5000
+//! cargo run --release -p qpp-bench --bin experiments > EXPERIMENTS.md
 //! ```
+//!
+//! `ci.sh` fails when the output differs from the committed
+//! `EXPERIMENTS.md` in anything but the harness-time line.
 
-use qpp_bench::experiments::{self, Context};
+use qpp_bench::experiments::{self, Context, POPULATION};
 use qpp_bench::report::Report;
 use std::time::Instant;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut population = experiments::POPULATION;
-    if let Some(pos) = args.iter().position(|a| a == "--population") {
-        args.remove(pos);
-        population = args
-            .get(pos)
-            .and_then(|v| v.parse().ok())
-            .expect("--population <N>");
-        args.remove(pos);
-    }
-    let selected: Vec<String> = args;
-    let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
-
     let t0 = Instant::now();
-    eprintln!("collecting {population}-query master population …");
-    let ctx = Context::build_sized(population);
-    eprintln!("collected in {:?}", t0.elapsed());
+    eprintln!("collecting {POPULATION}-query master population and fitting the shared models …");
+    let ctx = Context::build_sized(POPULATION);
+    eprintln!("done in {:?}", t0.elapsed());
 
     let mut report = Report::new();
     report.heading(1, "EXPERIMENTS — paper vs. measured");
@@ -43,51 +31,26 @@ fn main() {
          *shapes*: which technique wins, by roughly what factor, and \
          where the failure modes appear.",
         experiments::SEED,
-        population,
+        POPULATION,
         ctx.train.len(),
         ctx.test.len(),
     ));
 
-    let mut results = Vec::new();
-    if want("fig2") {
-        results.push(experiments::fig2(&ctx, &mut report));
-    }
-    if want("fig3") || want("fig4") {
-        results.push(experiments::fig3_fig4(&ctx, &mut report));
-    }
-    if want("fig8") {
-        results.push(experiments::fig8(&ctx, &mut report));
-    }
-    if want("table1") {
-        results.push(experiments::table1(&ctx, &mut report));
-    }
-    if want("table2") {
-        results.push(experiments::table2(&ctx, &mut report));
-    }
-    if want("table3") {
-        results.push(experiments::table3(&ctx, &mut report));
-    }
-    if want("fig10") || want("fig11") || want("fig12") {
-        results.push(experiments::experiment1(&ctx, &mut report));
-    }
-    if want("fig13") {
-        results.push(experiments::experiment2(&ctx, &mut report));
-    }
-    if want("fig14") {
-        results.push(experiments::experiment3(&ctx, &mut report));
-    }
-    if want("fig15") {
-        results.push(experiments::experiment4(&ctx, &mut report));
-    }
-    if want("fig16") {
-        results.push(experiments::fig16(&mut report));
-    }
-    if want("fig17") {
-        results.push(experiments::fig17(&ctx, &mut report));
-    }
-    if want("feature_importance") {
-        results.push(experiments::feature_importance(&ctx, &mut report));
-    }
+    let mut results = vec![
+        experiments::fig2(&ctx, &mut report),
+        experiments::fig3_fig4(&ctx, &mut report),
+        experiments::fig8(&ctx, &mut report),
+    ];
+    results.extend(experiments::tables(&ctx, &mut report));
+    results.extend([
+        experiments::experiment1(&ctx, &mut report),
+        experiments::experiment2(&ctx, &mut report),
+        experiments::experiment3(&ctx, &mut report),
+        experiments::experiment4(&ctx, &mut report),
+        experiments::fig16(&mut report),
+        experiments::fig17(&ctx, &mut report),
+        experiments::feature_importance(&ctx, &mut report),
+    ]);
 
     report.heading(2, "Headline summary");
     let rows: Vec<Vec<String>> = results
@@ -109,8 +72,17 @@ fn main() {
         "Total harness time: {:.1?} (single process, {} simulated query \
          executions for the master population alone).",
         t0.elapsed(),
-        population
+        POPULATION
     ));
+
+    // The within-20% note's diagnostic of the shared fit: test queries
+    // with a neighbor whose runtime is within 20% of theirs.
+    let (train_elapsed, mut near) = (ctx.train.elapsed(), 0);
+    for (p, r) in ctx.preds.iter().zip(&ctx.test.records) {
+        let actual = r.metrics.elapsed_seconds;
+        let close = |&j: &usize| (train_elapsed[j] - actual).abs() <= 0.2 * actual;
+        near += usize::from(p.neighbor_indices.iter().any(close));
+    }
 
     report.heading(2, "Fidelity notes");
     report.para(
@@ -144,22 +116,27 @@ fn main() {
          1,000/200 and 1,200/250 queries); on the last split its mean \
          importance (0.506) is below the other features' (0.592).",
     );
-    report.para(
+    report.para(&format!(
         "**The within-20% gap.** The paper reports elapsed time within \
          20% of actual for ≥85% of test queries; this reproduction \
-         measures ~50–75% depending on the pool draw. The statistic is \
+         measures {:.0}% on the committed pool draw (Fig. 10); its spread \
+         over pool draws is ROADMAP item 2's measurement. The statistic is \
          bounded by training-pool density: a test query lands within 20% \
          essentially when the pool contains a near-duplicate (same \
          template shape and constants), and our generator intentionally \
          spans a wider structural/constant space (32 templates × 4 \
          variants × wide constant grids at a fixed 1027-query budget) \
-         than a 2009 TPC-DS-derived workload. Diagnostics confirm the \
-         bound: the fraction of test queries that have *any* training \
-         neighbor within 20% of their runtime is ~80%, and predictions \
-         approach that ceiling. Within-2x coverage is 93–100%, and the \
+         than a 2009 TPC-DS-derived workload. On this draw only {:.0}% of \
+         test queries have even one of their {} neighbors within 20% of \
+         their runtime. Within-2x coverage is {:.0}%, and the \
          long-vs-short separation that workload management actually \
-         needs is ~90% accurate.",
-    );
+         needs is held to at least 80% on the integration tests' pools \
+         (`long_and_short_queries_both_identified` in tests/end_to_end.rs).",
+        ctx.eval.elapsed_within_20pct * 100.0,
+        100.0 * near as f64 / ctx.test.len() as f64,
+        ctx.model.options().neighbors,
+        ctx.eval.elapsed_within_2x * 100.0,
+    ));
     report.para(
         "**Substitutions.** Hardware, data, and optimizer are simulated \
          per DESIGN.md; absolute numbers (seconds, byte counts) are \

@@ -1,4 +1,4 @@
-//! One function per paper table/figure.
+//! One function per paper table/figure; Tables I–III share one sweep.
 //!
 //! All experiments run against the simulated Neoview testbed with fixed
 //! seeds, using the paper's training/test pool sizes:
@@ -23,7 +23,8 @@ use qpp_core::categories::summarize_pools;
 use qpp_core::feature_importance::{join_feature_share, rank_features};
 use qpp_core::pipeline::{collect_tpcds, evaluate, Evaluation};
 use qpp_core::{
-    Dataset, FeatureKind, KccaPredictor, PredictorOptions, QueryCategory, TwoStepPredictor,
+    Dataset, FeatureKind, KccaPredictor, Prediction, PredictorOptions, QueryCategory, QueryRecord,
+    TwoStepPredictor,
 };
 use qpp_engine::{execute, optimize, Catalog, PerfMetrics, SystemConfig};
 use qpp_ml::metrics::predictive_risk_dropping_outliers;
@@ -51,10 +52,18 @@ pub struct Context {
     /// Experiment 1 test pool (45/7/9, with 6 post-"upgrade" bowling
     /// balls).
     pub test: Dataset,
+    /// The paper-default one-model KCCA, fit once on `train`.
+    pub model: KccaPredictor,
+    /// Its predictions on `test`.
+    pub preds: Vec<Prediction>,
+    /// Their evaluation: Experiment 1 and the default row of Tables I–III.
+    pub eval: Evaluation,
+    /// The paper-default two-step model, fit once on `train`.
+    pub two_step: TwoStepPredictor,
 }
 
-/// Key numbers an experiment reports (used by the binary's summary and
-/// the integration tests).
+/// Key numbers an experiment reports (the rows of the binary's headline
+/// summary).
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Experiment id, e.g. `fig10`.
@@ -66,13 +75,10 @@ pub struct ExperimentResult {
 }
 
 impl Context {
-    /// Collects the master population and draws the Experiment 1 pools.
-    pub fn build() -> Context {
-        Self::build_sized(POPULATION)
-    }
-
-    /// Like [`Context::build`] with a custom population size (tests use
-    /// a smaller population; pool sizes scale down accordingly).
+    /// Collects a `population`-query master population, draws the
+    /// Experiment 1 pools (scaled down below [`POPULATION`]; the tests
+    /// use a smaller one) and fits the paper-default models the
+    /// experiments share.
     pub fn build_sized(population: usize) -> Context {
         let config = SystemConfig::neoview_4();
         let all = collect_tpcds(population, SEED, &config, 4);
@@ -98,44 +104,61 @@ impl Context {
         // bowling balls were measured after the system drifted.
         let drift_cfg = config.clone().with_drift(1.4);
         let catalog = Catalog::new(all.schema.clone());
-        let mut replaced = 0;
-        for r in test.records.iter_mut() {
-            if r.category != QueryCategory::BowlingBall || replaced >= 6 {
-                continue;
-            }
+        let bowling = |r: &&mut QueryRecord| r.category == QueryCategory::BowlingBall;
+        for r in test.records.iter_mut().filter(bowling).take(6) {
             let opt = optimize(&r.spec, &catalog, &drift_cfg);
             let out = execute(&r.spec, &opt, &all.schema, &drift_cfg);
             r.metrics = out.metrics;
             r.optimized = opt;
-            replaced += 1;
         }
+        let (model, preds, eval) = fit(&train, PredictorOptions::default(), &test);
+        let two_step =
+            TwoStepPredictor::train(&train, PredictorOptions::default()).expect("trains");
         Context {
             config,
             all,
             train,
             test,
+            model,
+            preds,
+            eval,
+            two_step,
         }
     }
 }
 
-fn scatter_summary(report: &mut Report, predicted: &[f64], actual: &[f64], unit: &str) {
+/// Fits a one-model KCCA on `train` and evaluates it on `test`.
+fn fit(
+    train: &Dataset,
+    opts: PredictorOptions,
+    test: &Dataset,
+) -> (KccaPredictor, Vec<Prediction>, Evaluation) {
+    let model = KccaPredictor::train(train, opts).expect("trains");
+    let preds = model.predict_dataset(test).expect("predicts");
+    let eval = evaluate(&preds, test);
+    (model, preds, eval)
+}
+
+/// Predicted elapsed seconds, one per prediction.
+fn elapsed(preds: &[Prediction]) -> Vec<f64> {
+    preds.iter().map(|p| p.metrics.elapsed_seconds).collect()
+}
+
+/// The five predictions furthest from actual, in seconds.
+fn scatter_summary(report: &mut Report, predicted: &[f64], actual: &[f64]) {
     let mut pairs: Vec<(f64, f64)> = predicted
         .iter()
-        .zip(actual.iter())
-        .map(|(&p, &a)| (p, a))
+        .copied()
+        .zip(actual.iter().copied())
         .collect();
-    pairs.sort_by(|x, y| {
-        let rx = ratio(x.0, x.1);
-        let ry = ratio(y.0, y.1);
-        ry.partial_cmp(&rx).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    pairs.sort_by(|x, y| ratio(y.0, y.1).total_cmp(&ratio(x.0, x.1)));
     let rows: Vec<Vec<String>> = pairs
         .iter()
         .take(5)
         .map(|(p, a)| {
             vec![
-                format!("{p:.2} {unit}"),
-                format!("{a:.2} {unit}"),
+                format!("{p:.2} s"),
+                format!("{a:.2} s"),
                 format!("{:.1}x", ratio(*p, *a)),
             ]
         })
@@ -203,14 +226,12 @@ pub fn fig3_fig4(ctx: &Context, report: &mut Report) -> ExperimentResult {
     let preds = model.predict_dataset(&ctx.train).expect("predicts");
     let actual = ctx.train.performance_matrix();
 
-    let elapsed_pred: Vec<f64> = (0..preds.rows()).map(|i| preds[(i, 0)]).collect();
-    let elapsed_act: Vec<f64> = actual.col(0);
-    let used_pred: Vec<f64> = (0..preds.rows()).map(|i| preds[(i, 5)]).collect();
-    let used_act: Vec<f64> = actual.col(5);
+    let (elapsed_pred, elapsed_act) = (preds.col(0), actual.col(0));
+    let (used_pred, used_act) = (preds.col(5), actual.col(5));
+    let elapsed_risk = predictive_risk(&elapsed_pred, &elapsed_act);
 
     let neg_elapsed = elapsed_pred.iter().filter(|v| **v < 0.0).count();
     let neg_used = used_pred.iter().filter(|v| **v < 0.0).count();
-    let min_used = used_pred.iter().cloned().fold(f64::INFINITY, f64::min);
 
     report.heading(2, "Figs. 3 & 4 — linear regression baseline (training set)");
     report.para(&format!(
@@ -231,28 +252,25 @@ pub fn fig3_fig4(ctx: &Context, report: &mut Report) -> ExperimentResult {
         &[
             vec![
                 "elapsed time".into(),
-                format!("{:.3}", predictive_risk(&elapsed_pred, &elapsed_act)),
+                format!("{elapsed_risk:.3}"),
                 neg_elapsed.to_string(),
-                format!(
-                    "{:.1} s",
-                    elapsed_pred.iter().cloned().fold(f64::INFINITY, f64::min)
-                ),
+                format!("{:.1} s", span(&elapsed_pred).0),
             ],
             vec![
                 "records used".into(),
                 format!("{:.3}", predictive_risk(&used_pred, &used_act)),
                 neg_used.to_string(),
-                format!("{:.2e} records", min_used),
+                format!("{:.2e} records", span(&used_pred).0),
             ],
         ],
     );
-    scatter_summary(report, &elapsed_pred, &elapsed_act, "s");
+    scatter_summary(report, &elapsed_pred, &elapsed_act);
     ExperimentResult {
         id: "fig3",
         headline: neg_elapsed as f64,
         values: vec![
             ("neg_records_used", neg_used as f64),
-            ("elapsed_risk", predictive_risk(&elapsed_pred, &elapsed_act)),
+            ("elapsed_risk", elapsed_risk),
         ],
     }
 }
@@ -263,9 +281,7 @@ pub fn fig8(ctx: &Context, report: &mut Report) -> ExperimentResult {
         feature_kind: FeatureKind::SqlText,
         ..PredictorOptions::default()
     };
-    let model = KccaPredictor::train(&ctx.train, opts).expect("trains");
-    let preds = model.predict_dataset(&ctx.test).expect("predicts");
-    let eval = evaluate(&preds, &ctx.test);
+    let (_, preds, eval) = fit(&ctx.train, opts, &ctx.test);
     let risk = eval.predictive_risk[0].unwrap_or(f64::NAN);
     report.heading(2, "Fig. 8 — KCCA with SQL-text features");
     report.para(&format!(
@@ -275,8 +291,7 @@ pub fn fig8(ctx: &Context, report: &mut Report) -> ExperimentResult {
          Measured elapsed-time risk: **{risk:.3}** (within 20%: {:.0}%).",
         eval.elapsed_within_20pct * 100.0
     ));
-    let p: Vec<f64> = preds.iter().map(|x| x.metrics.elapsed_seconds).collect();
-    scatter_summary(report, &p, &ctx.test.elapsed(), "s");
+    scatter_summary(report, &elapsed(&preds), &ctx.test.elapsed());
     ExperimentResult {
         id: "fig8",
         headline: risk,
@@ -296,139 +311,99 @@ fn metric_headers() -> Vec<&'static str> {
     h
 }
 
-/// Table I — Euclidean vs. cosine neighbor distance.
-pub fn table1(ctx: &Context, report: &mut Report) -> ExperimentResult {
-    let variants = [
-        ("Euclidean distance", DistanceMetric::Euclidean),
-        ("cosine distance", DistanceMetric::Cosine),
+/// The lowest and highest of `values`.
+fn span(values: &[f64]) -> (f64, f64) {
+    values
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+            (lo.min(x), hi.max(x))
+        })
+}
+
+/// The highest minus the lowest of `values`.
+fn spread(values: &[f64]) -> f64 {
+    let (lo, hi) = span(values);
+    hi - lo
+}
+
+/// Tables I–III — distance metric, number of neighbors and neighbor
+/// weighting, one option varied at a time. The default row of each
+/// table is the shared fit in `ctx`; the seven other variants are
+/// fitted in one parallel sweep.
+pub fn tables(ctx: &Context, report: &mut Report) -> Vec<ExperimentResult> {
+    use DistanceMetric::Cosine;
+    use NeighborWeighting::{InverseDistance, RankRatio};
+    let d = PredictorOptions::default();
+    let metric = |metric| Some(PredictorOptions { metric, ..d });
+    let k = |neighbors| Some(PredictorOptions { neighbors, ..d });
+    let w = |weighting| Some(PredictorOptions { weighting, ..d });
+    // (table, row label, value name, options); `None` is the default fit.
+    let rows = [
+        (0, "Euclidean distance", "euclid", None),
+        (0, "cosine distance", "cosine", metric(Cosine)),
+        (1, "3NN", "k3", None),
+        (1, "4NN", "k4", k(4)),
+        (1, "5NN", "k5", k(5)),
+        (1, "6NN", "k6", k(6)),
+        (1, "7NN", "k7", k(7)),
+        (2, "equal", "equal", None),
+        (2, "3:2:1 ratio", "rank_ratio", w(RankRatio)),
+        (2, "distance ratio", "inverse_distance", w(InverseDistance)),
     ];
-    // Variants are independent: train/evaluate in parallel, assemble
-    // the report rows serially in variant order.
-    let evals = qpp_par::parallel_map(&variants, 1, |&(_, metric)| {
-        let opts = PredictorOptions {
-            metric,
-            ..PredictorOptions::default()
-        };
-        let model = KccaPredictor::train(&ctx.train, opts).expect("trains");
-        evaluate(
-            &model.predict_dataset(&ctx.test).expect("predicts"),
-            &ctx.test,
-        )
+    let fitted = qpp_par::parallel_map(&rows, 1, |row| {
+        row.3.map(|opts| fit(&ctx.train, opts, &ctx.test).2)
     });
-    let mut rows = Vec::new();
-    let mut euclid_risk = 0.0;
-    let mut cosine_risk = 0.0;
-    for ((label, metric), eval) in variants.iter().zip(evals.iter()) {
-        if *metric == DistanceMetric::Euclidean {
-            euclid_risk = eval.predictive_risk[0].unwrap_or(f64::NAN);
-        } else {
-            cosine_risk = eval.predictive_risk[0].unwrap_or(f64::NAN);
+    // (id, heading, prose, headline from the rows' elapsed-time risks)
+    type Headline = fn(&[f64]) -> f64;
+    let tables: [(_, _, _, Headline); 3] = [
+        (
+            "table1",
+            "Table I — distance metric for nearest neighbors",
+            "Predictive risk per metric. Paper: Euclidean distance beats \
+             cosine distance on every metric.",
+            |risks| risks[0] - risks[1],
+        ),
+        (
+            "table2",
+            "Table II — number of neighbors",
+            "Paper: negligible difference between k = 3..7; k = 3 chosen. \
+             Disk I/O risk is Null/poor because most queries do zero disk \
+             I/O on this configuration.",
+            spread,
+        ),
+        (
+            "table3",
+            "Table III — neighbor weighting",
+            "Paper: no weighting scheme wins consistently across metrics; \
+             equal weighting chosen for simplicity.",
+            spread,
+        ),
+    ];
+    let mut results = Vec::new();
+    for (table, (id, heading, prose, headline)) in tables.into_iter().enumerate() {
+        let (mut lines, mut values) = (Vec::new(), Vec::new());
+        for (row, eval) in rows.iter().zip(&fitted).filter(|(row, _)| row.0 == table) {
+            let eval = eval.as_ref().unwrap_or(&ctx.eval);
+            values.push((row.2, eval.predictive_risk[0].unwrap_or(f64::NAN)));
+            lines.push(risks_row(row.1, eval));
         }
-        rows.push(risks_row(label, eval));
+        report.heading(2, heading);
+        report.para(prose);
+        report.table(&metric_headers(), &lines);
+        let risks: Vec<f64> = values.iter().map(|v| v.1).collect();
+        results.push(ExperimentResult {
+            id,
+            headline: headline(&risks),
+            values,
+        });
     }
-    report.heading(2, "Table I — distance metric for nearest neighbors");
-    report.para(
-        "Predictive risk per metric. Paper: Euclidean distance beats \
-         cosine distance on every metric.",
-    );
-    report.table(&metric_headers(), &rows);
-    ExperimentResult {
-        id: "table1",
-        headline: euclid_risk - cosine_risk,
-        values: vec![("euclid", euclid_risk), ("cosine", cosine_risk)],
-    }
-}
-
-/// Table II — number of neighbors k ∈ 3..7.
-pub fn table2(ctx: &Context, report: &mut Report) -> ExperimentResult {
-    let ks: Vec<usize> = (3..=7).collect();
-    let evals = qpp_par::parallel_map(&ks, 1, |&k| {
-        let opts = PredictorOptions {
-            neighbors: k,
-            ..PredictorOptions::default()
-        };
-        let model = KccaPredictor::train(&ctx.train, opts).expect("trains");
-        evaluate(
-            &model.predict_dataset(&ctx.test).expect("predicts"),
-            &ctx.test,
-        )
-    });
-    let mut rows = Vec::new();
-    let mut risks = Vec::new();
-    for (k, eval) in ks.iter().zip(evals.iter()) {
-        risks.push(eval.predictive_risk[0].unwrap_or(f64::NAN));
-        rows.push(risks_row(&format!("{k}NN"), eval));
-    }
-    report.heading(2, "Table II — number of neighbors");
-    report.para(
-        "Paper: negligible difference between k = 3..7; k = 3 chosen. \
-         Disk I/O risk is Null/poor because most queries do zero disk \
-         I/O on this configuration.",
-    );
-    report.table(&metric_headers(), &rows);
-    let spread = risks.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        - risks.iter().cloned().fold(f64::INFINITY, f64::min);
-    ExperimentResult {
-        id: "table2",
-        headline: spread,
-        values: risks
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (["k3", "k4", "k5", "k6", "k7"][i], r))
-            .collect(),
-    }
-}
-
-/// Table III — neighbor weighting schemes.
-pub fn table3(ctx: &Context, report: &mut Report) -> ExperimentResult {
-    let variants = [
-        ("equal", NeighborWeighting::Equal),
-        ("3:2:1 ratio", NeighborWeighting::RankRatio),
-        ("distance ratio", NeighborWeighting::InverseDistance),
-    ];
-    let evals = qpp_par::parallel_map(&variants, 1, |&(_, weighting)| {
-        let opts = PredictorOptions {
-            weighting,
-            ..PredictorOptions::default()
-        };
-        let model = KccaPredictor::train(&ctx.train, opts).expect("trains");
-        evaluate(
-            &model.predict_dataset(&ctx.test).expect("predicts"),
-            &ctx.test,
-        )
-    });
-    let mut rows = Vec::new();
-    let mut risks = Vec::new();
-    for ((label, _), eval) in variants.iter().zip(evals.iter()) {
-        risks.push(eval.predictive_risk[0].unwrap_or(f64::NAN));
-        rows.push(risks_row(label, eval));
-    }
-    report.heading(2, "Table III — neighbor weighting");
-    report.para(
-        "Paper: no weighting scheme wins consistently across metrics; \
-         equal weighting chosen for simplicity.",
-    );
-    report.table(&metric_headers(), &rows);
-    let spread = risks.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        - risks.iter().cloned().fold(f64::INFINITY, f64::min);
-    ExperimentResult {
-        id: "table3",
-        headline: spread,
-        values: vec![
-            ("equal", risks[0]),
-            ("rank_ratio", risks[1]),
-            ("inverse_distance", risks[2]),
-        ],
-    }
+    results
 }
 
 /// Experiment 1 (Figs. 10–12) — the headline one-model KCCA result.
 pub fn experiment1(ctx: &Context, report: &mut Report) -> ExperimentResult {
-    let model = KccaPredictor::train(&ctx.train, PredictorOptions::default()).expect("trains");
-    let preds = model.predict_dataset(&ctx.test).expect("predicts");
-    let eval = evaluate(&preds, &ctx.test);
-
-    let pred_elapsed: Vec<f64> = preds.iter().map(|p| p.metrics.elapsed_seconds).collect();
+    let eval = &ctx.eval;
+    let pred_elapsed = elapsed(&ctx.preds);
     let actual_elapsed = ctx.test.elapsed();
     let risk = eval.predictive_risk[0].unwrap_or(f64::NAN);
     let risk_minus_outlier = predictive_risk_dropping_outliers(&pred_elapsed, &actual_elapsed, 1);
@@ -444,31 +419,30 @@ pub fn experiment1(ctx: &Context, report: &mut Report) -> ExperimentResult {
         ctx.train.len(),
         ctx.test.len()
     ));
-    report.table(&metric_headers(), &[risks_row("one-model KCCA", &eval)]);
+    report.table(&metric_headers(), &[risks_row("one-model KCCA", eval)]);
     report.para(&format!(
         "Elapsed-time risk dropping the worst outlier: **{risk_minus_outlier:.3}**. \
          Elapsed within 20% of actual: **{:.0}%**; within 2x: **{:.0}%**.",
         eval.elapsed_within_20pct * 100.0,
         eval.elapsed_within_2x * 100.0
     ));
-    scatter_summary(report, &pred_elapsed, &actual_elapsed, "s");
-    let mut values = vec![
-        ("risk_no_outlier", risk_minus_outlier),
-        ("within20", eval.elapsed_within_20pct),
-        ("within2x", eval.elapsed_within_2x),
-    ];
-    values.push((
-        "records_used_risk",
-        eval.predictive_risk[5].unwrap_or(f64::NAN),
-    ));
-    values.push((
-        "message_count_risk",
-        eval.predictive_risk[2].unwrap_or(f64::NAN),
-    ));
+    scatter_summary(report, &pred_elapsed, &actual_elapsed);
     ExperimentResult {
         id: "fig10",
         headline: risk,
-        values,
+        values: vec![
+            ("risk_no_outlier", risk_minus_outlier),
+            ("within20", eval.elapsed_within_20pct),
+            ("within2x", eval.elapsed_within_2x),
+            (
+                "records_used_risk",
+                eval.predictive_risk[5].unwrap_or(f64::NAN),
+            ),
+            (
+                "message_count_risk",
+                eval.predictive_risk[2].unwrap_or(f64::NAN),
+            ),
+        ],
     }
 }
 
@@ -488,9 +462,7 @@ pub fn experiment2(ctx: &Context, report: &mut Report) -> ExperimentResult {
     let small_train = ctx.all.subset(&train_idx);
     let mut opts = PredictorOptions::default();
     opts.kcca.max_rank = opts.kcca.max_rank.min(small_train.len());
-    let model = KccaPredictor::train(&small_train, opts).expect("trains");
-    let preds = model.predict_dataset(&ctx.test).expect("predicts");
-    let eval = evaluate(&preds, &ctx.test);
+    let (_, preds, eval) = fit(&small_train, opts, &ctx.test);
     let risk = eval.predictive_risk[0].unwrap_or(f64::NAN);
     report.heading(2, "Experiment 2 (Fig. 13) — balanced 30/30/30 training set");
     report.para(&format!(
@@ -502,8 +474,7 @@ pub fn experiment2(ctx: &Context, report: &mut Report) -> ExperimentResult {
         n,
         eval.elapsed_within_20pct * 100.0
     ));
-    let p: Vec<f64> = preds.iter().map(|x| x.metrics.elapsed_seconds).collect();
-    scatter_summary(report, &p, &ctx.test.elapsed(), "s");
+    scatter_summary(report, &elapsed(&preds), &ctx.test.elapsed());
     ExperimentResult {
         id: "fig13",
         headline: risk,
@@ -513,8 +484,7 @@ pub fn experiment2(ctx: &Context, report: &mut Report) -> ExperimentResult {
 
 /// Experiment 3 (Fig. 14) — two-step prediction.
 pub fn experiment3(ctx: &Context, report: &mut Report) -> ExperimentResult {
-    let model = TwoStepPredictor::train(&ctx.train, PredictorOptions::default()).expect("trains");
-    let preds = model.predict_dataset(&ctx.test).expect("predicts");
+    let preds = ctx.two_step.predict_dataset(&ctx.test).expect("predicts");
     let eval = evaluate(&preds, &ctx.test);
     let risk = eval.predictive_risk[0].unwrap_or(f64::NAN);
     report.heading(2, "Experiment 3 (Fig. 14) — two-step prediction");
@@ -527,8 +497,7 @@ pub fn experiment3(ctx: &Context, report: &mut Report) -> ExperimentResult {
          20%: {:.0}%).",
         eval.elapsed_within_20pct * 100.0
     ));
-    let p: Vec<f64> = preds.iter().map(|x| x.metrics.elapsed_seconds).collect();
-    scatter_summary(report, &p, &ctx.test.elapsed(), "s");
+    scatter_summary(report, &elapsed(&preds), &ctx.test.elapsed());
     ExperimentResult {
         id: "fig14",
         headline: risk,
@@ -543,10 +512,8 @@ pub fn experiment4(ctx: &Context, report: &mut Report) -> ExperimentResult {
     let queries = gen.generate(45);
     let customer = Dataset::collect(&customer_schema(1.0), queries, &ctx.config, 4);
 
-    let one = KccaPredictor::train(&ctx.train, PredictorOptions::default()).expect("trains");
-    let two = TwoStepPredictor::train(&ctx.train, PredictorOptions::default()).expect("trains");
-    let p1 = one.predict_dataset(&customer).expect("predicts");
-    let p2 = two.predict_dataset(&customer).expect("predicts");
+    let p1 = ctx.model.predict_dataset(&customer).expect("predicts");
+    let p2 = ctx.two_step.predict_dataset(&customer).expect("predicts");
     let actual = customer.elapsed();
 
     let summarize = |preds: &[qpp_core::Prediction]| -> (f64, f64, usize) {
@@ -637,32 +604,23 @@ pub fn fig16(report: &mut Report) -> ExperimentResult {
     // (collect + train + evaluate); fan them out and assemble the
     // table serially in configuration order.
     let cpu_configs = [4u32, 8, 16, 32];
+    let rows_280: Vec<usize> = (0..280).collect();
     let per_config = qpp_par::parallel_map(&cpu_configs, 1, |&cpus| {
-        let config = SystemConfig::neoview_32(cpus);
-        let ds = Dataset::collect(&schema, queries.clone(), &config, 4);
-        let train_idx: Vec<usize> = (0..197).collect();
-        let test_idx: Vec<usize> = (197..280).collect();
-        let train = ds.subset(&train_idx);
-        let test = ds.subset(&test_idx);
-        let model = KccaPredictor::train(&train, PredictorOptions::default()).expect("trains");
-        evaluate(&model.predict_dataset(&test).expect("predicts"), &test)
+        let ds = Dataset::collect(&schema, queries.clone(), &SystemConfig::neoview_32(cpus), 4);
+        let (train, test) = (ds.subset(&rows_280[..197]), ds.subset(&rows_280[197..]));
+        fit(&train, PredictorOptions::default(), &test).2
     });
     for (cpus, eval) in cpu_configs.iter().zip(&per_config) {
         if eval.predictive_risk[1].is_none() {
             disk_null += 1;
         }
         elapsed_risks.push(eval.predictive_risk[0].unwrap_or(f64::NAN));
-        let mut row = vec![format!("{cpus} CPUs")];
-        row.extend(eval.predictive_risk.iter().map(|r| risk_cell(*r)));
+        let mut row = risks_row(&format!("{cpus} CPUs"), eval);
         let within = 100.0 * eval.elapsed_within_20pct;
         row.push(format!("{within:.0}%"));
         within20.push(within);
         rows.push(row);
     }
-    let span = |v: &[f64]| {
-        v.iter()
-            .fold((f64::MAX, f64::MIN), |(l, h), &x| (l.min(x), h.max(x)))
-    };
     let ((lo, hi), (lo20, hi20)) = (span(&elapsed_risks), span(&within20));
     report.heading(2, "Fig. 16 — 32-node system, 4/8/16/32-CPU configurations");
     report.para(&format!(
@@ -719,7 +677,7 @@ pub fn fig17(ctx: &Context, report: &mut Report) -> ExperimentResult {
         ctx.test.len(),
         within20 * 100.0,
     ));
-    scatter_summary(report, &preds, &actual, "s");
+    scatter_summary(report, &preds, &actual);
     ExperimentResult {
         id: "fig17",
         headline: risk,
@@ -729,15 +687,19 @@ pub fn fig17(ctx: &Context, report: &mut Report) -> ExperimentResult {
 
 /// Extension — feature-importance analysis (paper §VII-C.2).
 pub fn feature_importance(ctx: &Context, report: &mut Report) -> ExperimentResult {
-    let model = KccaPredictor::train(&ctx.train, PredictorOptions::default()).expect("trains");
-    let ranking = rank_features(&model, &ctx.train, &ctx.test).expect("ranking");
+    let ranking = rank_features(&ctx.model, &ctx.train, &ctx.test).expect("ranking");
     let share = join_feature_share(&ranking);
     report.heading(
         2,
         "Extension — which plan features does the model key on? (§VII-C.2)",
     );
     report.para(&format!(
-        "Per-feature agreement between test queries and their nearest          neighbors, relative to random training pairs (1.0 = neighbors          always agree exactly; 0 = no role). The paper's cursory finding          was that join-operator counts and cardinalities contribute the          most; here join-family features carry **{:.0}%** of the total          positive importance.",
+        "Per-feature agreement between test queries and their nearest \
+         neighbors, relative to random training pairs (1.0 = neighbors \
+         always agree exactly; 0 = no role). The paper's cursory finding \
+         was that join-operator counts and cardinalities contribute the \
+         most; here join-family features carry **{:.0}%** of the total \
+         positive importance.",
         share * 100.0
     ));
     let rows: Vec<Vec<String>> = ranking
@@ -773,9 +735,15 @@ mod tests {
     use super::*;
 
     // One shared small context keeps the test suite fast; the full-size
-    // experiments run through the binary / integration tests.
+    // experiments run through the binary, whose output ci.sh diffs
+    // against EXPERIMENTS.md.
     fn small_ctx() -> Context {
         Context::build_sized(3000)
+    }
+
+    fn value(result: &ExperimentResult, key: &str) -> f64 {
+        let found = result.values.iter().find(|(k, _)| *k == key);
+        found.map(|(_, v)| *v).unwrap()
     }
 
     #[test]
@@ -791,6 +759,32 @@ mod tests {
     }
 
     #[test]
+    fn the_shared_fit_is_the_paper_default() {
+        // Fails if Context fits other options than the paper default, or
+        // if a table's default row is not that fit.
+        let ctx = small_ctx();
+        let fresh = KccaPredictor::train(&ctx.train, PredictorOptions::default()).unwrap();
+        let eval = evaluate(&fresh.predict_dataset(&ctx.test).unwrap(), &ctx.test);
+        let bits = |e: &Evaluation| {
+            let risks: Vec<_> = e
+                .predictive_risk
+                .iter()
+                .map(|r| r.map(f64::to_bits))
+                .collect();
+            let within = [e.elapsed_within_20pct, e.elapsed_within_2x].map(f64::to_bits);
+            (risks, within)
+        };
+        assert_eq!(bits(&ctx.eval), bits(&eval));
+
+        let mut report = Report::new();
+        let headline = experiment1(&ctx, &mut report).headline;
+        for table in tables(&ctx, &mut report) {
+            let default_row = table.values[0].1;
+            assert_eq!(default_row.to_bits(), headline.to_bits(), "{}", table.id);
+        }
+    }
+
+    #[test]
     fn experiment1_produces_sane_report() {
         // The pools at this reduced population are tiny, so risk
         // *orderings* are asserted at full scale by the root
@@ -800,12 +794,7 @@ mod tests {
         let mut report = Report::new();
         let e1 = experiment1(&ctx, &mut report);
         assert!(e1.headline.is_finite());
-        let within2x = e1
-            .values
-            .iter()
-            .find(|(k, _)| *k == "within2x")
-            .map(|(_, v)| *v)
-            .unwrap();
+        let within2x = value(&e1, "within2x");
         assert!(within2x > 0.5, "within 2x only {within2x}");
         let md = report.finish();
         assert!(md.contains("Experiment 1"));
@@ -833,12 +822,7 @@ mod tests {
         // the harness); the worst-case ratio must still show the
         // foreign-schema mismatch.
         assert!(r.headline.is_finite() && r.headline > 0.0);
-        let worst = r
-            .values
-            .iter()
-            .find(|(k, _)| *k == "one_model_worst")
-            .map(|(_, v)| *v)
-            .unwrap();
+        let worst = value(&r, "one_model_worst");
         assert!(worst > 2.0, "worst over-prediction only {worst}");
         assert!(report.finish().contains("customer"));
     }

@@ -10,5 +10,3 @@
 
 pub mod experiments;
 pub mod report;
-
-pub use experiments::{Context, ExperimentResult};
