@@ -131,9 +131,9 @@ echo "==> equivalence gates: each oracle suite must actually run"
 # - ann_equivalence: the IVF index returns bitwise-identical neighbors
 #   to the serial brute scan (exhaustive probe, ties, non-finite rows,
 #   thread counts, predictor wiring), a query's worst-case distance
-#   evaluations stay flat as rows grow 64x, and the four-row
-#   early-abandon strip scan both arms run equals the one-row-at-a-time
-#   loop by property test;
+#   evaluations stay flat as rows grow 64x, and the early-abandon scan
+#   both arms run, over panels of 16 column-interleaved rows, equals the
+#   one-row-at-a-time loop under both metrics by property test;
 # - fold_equivalence: Kcca::project_query_into projects through one
 #   precomputed matrix; the staged route it replaced (triangular solve,
 #   centre, CCA weights) runs nowhere else, rebuilt from public pieces,
@@ -156,7 +156,7 @@ echo "==> size ratchet: lines of Rust per crate"
 # number and goes down. The ceiling is the measured total after the last
 # change that moved it: lower it when code goes, and never raise it
 # without a stated reason. CHANGES.md records each move and its reason.
-MAX_RUST_LINES=24222
+MAX_RUST_LINES=24532
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

@@ -136,7 +136,10 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Solves `L Y = B` column-wise (forward substitution on a matrix).
+    /// Solves `L Y = B` row by row (forward substitution on a matrix):
+    /// row `i` of `Y` is row `i` of `B` less `L[i][k]` times each earlier
+    /// row `k`, in ascending `k`, over `L[i][i]` — every entry the chain
+    /// [`Cholesky::forward_substitute`] runs down its column.
     ///
     /// This is the workhorse of the reduced KCCA eigensolve: forming
     /// `Lx⁻¹ Cxy` and `(Ly⁻¹ (Lx⁻¹ Cxy)ᵀ)ᵀ` without ever inverting.
@@ -149,12 +152,17 @@ impl Cholesky {
                 rhs: b.shape(),
             });
         }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let y = self.forward_substitute(&col)?;
-            for i in 0..n {
-                out[(i, j)] = y[i];
+        let cols = b.cols();
+        let mut out = b.clone();
+        for i in 0..n {
+            let l = self.l.row(i);
+            let (solved, rest) = out.as_mut_slice().split_at_mut(i * cols);
+            let row = &mut rest[..cols];
+            for (k, earlier) in solved.chunks_exact(cols.max(1)).enumerate() {
+                crate::vector::axpy(-l[k], earlier, row);
+            }
+            for v in row.iter_mut() {
+                *v /= l[i];
             }
         }
         Ok(out)

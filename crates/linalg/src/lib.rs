@@ -25,6 +25,8 @@
 //! * [`svd`] — top-k singular triplets read off one eigendecomposition
 //!   of the narrow-side Gram matrix; the solve behind `Cca::fit`.
 //! * [`stats`] — means, variances, standardization helpers.
+//! * [`panels`] — [`RowPanels`], rows stored as column-interleaved
+//!   16-row panels: the layout of every predict-time scan.
 //! * [`view`] — borrowed zero-copy [`MatrixView`] over contiguous
 //!   row-major storage, the currency of the predict path's crate
 //!   boundaries.
@@ -47,6 +49,7 @@ pub mod error;
 pub mod geneig;
 pub mod icd;
 pub mod matrix;
+pub mod panels;
 pub mod qr;
 pub mod stats;
 pub mod svd;
@@ -59,6 +62,7 @@ pub use error::{LinalgError, Result};
 pub use geneig::GeneralizedEigen;
 pub use icd::{IcdOptions, IncompleteCholesky, PivotBlock};
 pub use matrix::Matrix;
+pub use panels::{RowPanels, PANEL_ROWS};
 pub use qr::{LeastSquares, QrDecomposition};
 pub use svd::{truncated_svd, TruncatedSvd};
 pub use view::MatrixView;

@@ -20,7 +20,7 @@
 //! * every row of every probed list is offered to the one top-k buffer
 //!   by the `scan_rows` loop the brute scan is (finite-filtered,
 //!   ordered by `(key, index)`), so ties break as in the serial scan
-//!   whichever list a row sits in.
+//!   whichever list a row sits in, and whichever panel slot it fills.
 //!
 //! The rescan is *exact* over the probed cells, so whenever those cells
 //! cover the true top-k (always, when `nprobe == nlist`), results are
@@ -40,8 +40,9 @@ use crate::knn::{
     keys_to_distances, predict_with, scan_rows, DistanceMetric, KnnError, KnnScratch,
     NearestNeighbors, Neighbor, NeighborWeighting,
 };
-use qpp_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use qpp_linalg::{Matrix, RowPanels, PANEL_ROWS};
+use serde::value::Value;
+use serde::{DeError, Deserialize, Serialize};
 
 /// Target mean inverted-list length when `nlist` is auto-sized.
 ///
@@ -93,22 +94,104 @@ impl Default for IvfOptions {
 
 /// Inverted-file index: k-means centroids plus CSR inverted lists.
 ///
-/// `offsets` has `nlist + 1` entries; list `c` occupies positions
-/// `offsets[c]..offsets[c + 1]`, original row ids (`ids`, ascending
-/// within each list by construction) side by side with a *packed* copy
-/// of the reference whose row `p` is the original row `ids[p]`. Packing
-/// is what makes the rescan sub-linear in practice, not just in
-/// distance count: each probed list is one sequential strip of memory,
-/// where gathering rows from the original matrix order costs a cache
-/// miss per row once the reference outgrows the LLC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// `offsets` has `nlist + 1` entries; list `c` holds the original row
+/// ids `ids[offsets[c]..offsets[c + 1]]` (ascending by construction).
+/// Its rows sit in `lists` from slot `starts[c]` on, in the same order:
+/// every list starts on a panel boundary and its last panel is padded
+/// with zero rows. Packing is what makes the rescan sub-linear in
+/// practice, not just in distance count: each probed list is one
+/// sequential run of panels, where gathering rows from the original
+/// matrix order costs a cache miss per row once the reference outgrows
+/// the LLC. It serializes its lists as one row-major `packed` matrix in
+/// CSR order, with no padding and no `starts`.
+#[derive(Debug, Clone)]
 pub struct IvfIndex {
-    packed: Matrix,
+    lists: RowPanels,
+    starts: Vec<usize>,
     metric: DistanceMetric,
-    centroids: Matrix,
+    centroids: RowPanels,
     offsets: Vec<usize>,
     ids: Vec<usize>,
     nprobe: usize,
+}
+
+/// The serialized form of an [`IvfIndex`].
+#[derive(Serialize, Deserialize)]
+struct IvfRecord {
+    packed: Matrix,
+    metric: DistanceMetric,
+    centroids: RowPanels,
+    offsets: Vec<usize>,
+    ids: Vec<usize>,
+    nprobe: usize,
+}
+
+impl Serialize for IvfIndex {
+    fn to_value(&self) -> Value {
+        let lists = 0..self.starts.len().saturating_sub(1);
+        let slots = lists.flat_map(|c| self.slots(c));
+        IvfRecord {
+            packed: self.lists.gather(slots),
+            metric: self.metric,
+            centroids: self.centroids.clone(),
+            offsets: self.offsets.clone(),
+            ids: self.ids.clone(),
+            nprobe: self.nprobe,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for IvfIndex {
+    /// Lays the lists out when `offsets` cut `packed` into ascending
+    /// runs; otherwise keeps no `starts`, which [`AnnIndex::validate`]
+    /// reports.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let r = IvfRecord::from_value(v)?;
+        let rows = r.packed.rows();
+        let bounds = &r.offsets;
+        let cuts = r.packed.is_well_formed()
+            && bounds.first() == Some(&0)
+            && bounds.last() == Some(&rows)
+            && bounds.windows(2).all(|w| w[0] <= w[1]);
+        let (lists, starts) = if cuts {
+            lay_out(bounds, r.packed.cols(), |p| r.packed.row(p))
+        } else {
+            (RowPanels::from(&r.packed), Vec::new())
+        };
+        Ok(IvfIndex {
+            lists,
+            starts,
+            metric: r.metric,
+            centroids: r.centroids,
+            offsets: r.offsets,
+            ids: r.ids,
+            nprobe: r.nprobe,
+        })
+    }
+}
+
+/// Lays CSR lists out as panels, each list from a panel boundary on:
+/// position `p` of the CSR order is the row `row(p)`. Returns the
+/// panels and each list's first slot, plus the end of the last.
+fn lay_out<'a>(
+    offsets: &[usize],
+    cols: usize,
+    row: impl Fn(usize) -> &'a [f64],
+) -> (RowPanels, Vec<usize>) {
+    let runs = offsets.windows(2).map(|w| w[1] - w[0]);
+    let slots = runs.map(|len| len.next_multiple_of(PANEL_ROWS)).sum();
+    let mut lists = RowPanels::with_capacity(slots, cols);
+    let mut starts = Vec::with_capacity(offsets.len());
+    for w in offsets.windows(2) {
+        starts.push(lists.rows());
+        for p in w[0]..w[1] {
+            lists.push_row(row(p));
+        }
+        lists.close_panel();
+    }
+    starts.push(lists.rows());
+    (lists, starts)
 }
 
 impl IvfIndex {
@@ -156,7 +239,7 @@ impl IvfIndex {
                 .map(|i| km.assign(reference.row(i)))
                 .collect::<Vec<_>>()
         });
-        let centroids = km.centroids;
+        let centroids = RowPanels::from(&km.centroids);
 
         // CSR layout: count, prefix-sum, then place ids in ascending row
         // order within each list.
@@ -180,12 +263,13 @@ impl IvfIndex {
             }
         }
 
-        // Pack the reference rows into list order: one contiguous strip
-        // per inverted list, so the query-time rescan streams memory
+        // Pack the reference rows into list order: one run of panels per
+        // inverted list, so the query-time rescan streams memory
         // sequentially instead of gathering scattered rows.
-        let packed = reference.select_rows(&ids);
+        let (lists, starts) = lay_out(&offsets, reference.cols(), |p| reference.row(ids[p]));
         Ok(IvfIndex {
-            packed,
+            lists,
+            starts,
             metric,
             centroids,
             offsets,
@@ -196,13 +280,13 @@ impl IvfIndex {
 
     /// Number of reference points.
     pub fn len(&self) -> usize {
-        self.packed.rows()
+        self.ids.len()
     }
 
     /// True when the index is empty (never, post-build — `build`
     /// rejects empty references — but kept for API symmetry).
     pub fn is_empty(&self) -> bool {
-        self.packed.rows() == 0
+        self.ids.is_empty()
     }
 
     /// Number of inverted lists.
@@ -216,13 +300,18 @@ impl IvfIndex {
     }
 
     /// The coarse-quantizer centroids (one row per list).
-    pub fn centroids(&self) -> &Matrix {
+    pub fn centroids(&self) -> &RowPanels {
         &self.centroids
     }
 
     /// Row ids of inverted list `c`, ascending.
     pub fn list(&self, c: usize) -> &[usize] {
         &self.ids[self.offsets[c]..self.offsets[c + 1]]
+    }
+
+    /// The slots of `lists` holding list `c`'s rows.
+    fn slots(&self, c: usize) -> std::ops::Range<usize> {
+        self.starts[c]..self.starts[c] + self.offsets[c + 1] - self.offsets[c]
     }
 
     /// The distance metric this index was built with.
@@ -257,13 +346,14 @@ impl IvfIndex {
         let nprobe = self.nprobe;
         scan_rows(metric, probe, &self.centroids, lists, nprobe, probed, |c| c);
         // 2. Exact rescan: a sequential sweep over each probed list's
-        //    packed strip, every row offered to the one top-k buffer
-        //    under its original row id.
+        //    panels, every row offered to the one top-k buffer under its
+        //    original row id.
         neighbors.clear();
         for pc in probed.iter() {
-            let strip = self.offsets[pc.index]..self.offsets[pc.index + 1];
-            scan_rows(metric, probe, &self.packed, strip, k, neighbors, |p| {
-                self.ids[p]
+            let (slots, first) = (self.slots(pc.index), self.offsets[pc.index]);
+            let start = slots.start;
+            scan_rows(metric, probe, &self.lists, slots, k, neighbors, |s| {
+                self.ids[first + (s - start)]
             });
         }
         keys_to_distances(metric, neighbors);
@@ -366,7 +456,7 @@ impl AnnIndex {
     pub fn validate(&self, dims: usize) -> Result<(), &'static str> {
         let rows = match self {
             AnnIndex::Brute { scan } => scan.reference(),
-            AnnIndex::Ivf { ivf } => &ivf.packed,
+            AnnIndex::Ivf { ivf } => &ivf.lists,
         };
         if !rows.is_well_formed() || rows.cols() != dims {
             return Err("index rows are not rows x components");
@@ -377,17 +467,15 @@ impl AnnIndex {
         if !ivf.centroids.is_well_formed() || ivf.centroids.cols() != dims {
             return Err("index.centroids is not nlist x components");
         }
-        let n = ivf.packed.rows();
+        // Loading laid the lists out only if the offsets cut the packed
+        // rows, ascending from 0 to their count.
+        let bounds = &ivf.offsets;
+        if ivf.starts.len() != bounds.len() || bounds.len() != ivf.centroids.rows() + 1 {
+            return Err("index.offsets does not cut the rows into nlist lists");
+        }
+        let n = bounds[bounds.len() - 1];
         if ivf.ids.len() != n || ivf.ids.iter().any(|&id| id >= n) {
             return Err("index.ids does not name one row per packed row");
-        }
-        let bounds = &ivf.offsets;
-        if bounds.len() != ivf.centroids.rows() + 1
-            || bounds.first() != Some(&0)
-            || bounds.last() != Some(&n)
-            || bounds.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err("index.offsets does not cut the rows into nlist lists");
         }
         Ok(())
     }

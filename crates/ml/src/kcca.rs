@@ -28,7 +28,9 @@
 
 use crate::cca::{Cca, CcaOptions};
 use crate::kernel::GaussianKernel;
-use qpp_linalg::{vector, IcdOptions, IncompleteCholesky, LinalgError, Matrix, MatrixView};
+use qpp_linalg::{
+    vector, IcdOptions, IncompleteCholesky, LinalgError, Matrix, MatrixView, RowPanels,
+};
 use serde::{Deserialize, Serialize};
 
 /// Options for [`Kcca::fit`].
@@ -93,8 +95,9 @@ impl KccaOptions {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Kcca {
     x_kernel: GaussianKernel,
-    /// Query-side pivot points (rows of the training X at ICD pivots).
-    x_pivots: Matrix,
+    /// Query-side pivot points (rows of the training X at ICD pivots),
+    /// as the panels the kernel row scans.
+    x_pivots: RowPanels,
     /// `L⁻ᵀ W` (`rank x components`): ICD embedding and CCA weights
     /// folded into the one matrix a kernel row is projected through.
     fold: Matrix,
@@ -177,7 +180,7 @@ impl Kcca {
         let (fold, kernel_center) = x_icd.pivot_block().fold_linear_map(&cca.wx, &cca.x_means)?;
         Ok(Kcca {
             x_kernel,
-            x_pivots: x.select_rows(x_icd.pivots()),
+            x_pivots: RowPanels::from_rows(x.cols(), x_icd.pivots().iter().map(|&p| x.row(p))),
             fold,
             kernel_center,
             correlations: cca.correlations,
@@ -237,8 +240,10 @@ impl Kcca {
     /// no longer flag it as anomalous. Callers should treat low
     /// similarity as low prediction confidence.
     ///
-    /// The kernel row goes through the folded map in one
-    /// [`Matrix::gemv_t_centered_into`]; once `scratch` and `out` have
+    /// The kernel row is one pass over the pivot panels, 16 squared
+    /// distances at a time, each bitwise [`GaussianKernel::eval`]'s; it
+    /// goes through the folded map in one
+    /// [`Matrix::gemv_t_centered_into`]. Once `scratch` and `out` have
     /// warmed up to the model's dimensions this performs no heap
     /// allocation. Fails only on a feature vector of another width than
     /// the pivots.
@@ -255,12 +260,10 @@ impl Kcca {
                 rhs: (1, features.len()),
             });
         }
+        let kernel = self.x_kernel;
         scratch.k_row.clear();
-        scratch.k_row.extend(
-            self.x_pivots
-                .row_iter()
-                .map(|p| self.x_kernel.eval(features, p)),
-        );
+        let sq_dists = self.x_pivots.sq_dists(features);
+        scratch.k_row.extend(sq_dists.map(|d| kernel.at_sq_dist(d)));
         let similarity = vector::max_iter(0.0, scratch.k_row.iter().copied());
         self.fold
             .gemv_t_centered_into(&scratch.k_row, &self.kernel_center, out);

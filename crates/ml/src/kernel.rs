@@ -43,7 +43,14 @@ impl GaussianKernel {
     /// Evaluates `k(a, b)`.
     #[inline]
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        (-qpp_linalg::vector::sq_dist(a, b) / self.tau).exp()
+        self.at_sq_dist(qpp_linalg::vector::sq_dist(a, b))
+    }
+
+    /// The kernel at squared distance `sq_dist`: `eval` of any pair that
+    /// far apart.
+    #[inline]
+    pub fn at_sq_dist(&self, sq_dist: f64) -> f64 {
+        (-sq_dist / self.tau).exp()
     }
 }
 

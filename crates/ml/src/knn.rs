@@ -11,7 +11,7 @@
 //!   no consistent winner, equal chosen).
 
 use crate::kmeans::KMeansError;
-use qpp_linalg::{vector, Matrix};
+use qpp_linalg::{vector, Matrix, RowPanels, PANEL_ROWS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
@@ -132,17 +132,19 @@ pub struct Neighbor {
 
 /// Nearest-neighbor index over the rows of a reference matrix.
 ///
-/// Linear scan — exact, cache-friendly, and fast at the scale of the
-/// paper's training sets (~1000 points, ≤16 projection dims).
+/// Linear scan over the rows as [`RowPanels`] — exact, and fast at the
+/// scale of the paper's training sets (~1000 points, ≤16 projection
+/// dims).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NearestNeighbors {
-    reference: Matrix,
+    reference: RowPanels,
     metric: DistanceMetric,
 }
 
 impl NearestNeighbors {
     /// Builds an index over `reference` rows with the given metric.
     pub fn new(reference: Matrix, metric: DistanceMetric) -> Self {
+        let reference = RowPanels::from(&reference);
         NearestNeighbors { reference, metric }
     }
 
@@ -162,7 +164,7 @@ impl NearestNeighbors {
     }
 
     /// The rows searched.
-    pub(crate) fn reference(&self) -> &Matrix {
+    pub(crate) fn reference(&self) -> &RowPanels {
         &self.reference
     }
 
@@ -248,98 +250,86 @@ pub(crate) fn predict_with(
     Ok(())
 }
 
-/// Rows [`scan_rows`] advances together under `Euclidean`. A row's
-/// squared distance is one dependent add chain `cols` long; four rows
-/// are four independent chains the core overlaps. Measured on
-/// `predict_large` (20,000 rows, 16 dims, ~2,000 rows rescanned per
-/// query, 2 vCPU Xeon 2.1 GHz): `ml.ann.query.us` 21.9 one row at a time
-/// with a `sqrt` each, 16.0–17.1 four at a time keyed by the square.
-const SCAN_GROUP: usize = 4;
+/// [`scan_rows`] holds a panel against the current k-th key after
+/// `cols / ABANDON_DIVISOR` columns: the first quarter. Measured on
+/// `predict_large` (20,000 rows, 16 dims, ~1,950 rows rescanned per
+/// query, 2-vCPU Xeon), `latency_p50_us` from `benchmark/run.sh` over
+/// 16-row panels, runs alternating: after half 15.2–15.8, after a third
+/// 13.9–15.4, after a quarter 13.7–15.3 (4 runs each); never 16.2–16.9
+/// where a quarter read 13.3–13.4 (2 runs each); after an eighth
+/// 13.1–14.8 where a quarter read 13.4–15.0 (4 runs each) — inside a
+/// quarter's spread, and at widths under eight columns no check at all.
+const ABANDON_DIVISOR: usize = 4;
 
-/// [`scan_rows`] holds a group against the current k-th key after
-/// `cols / ABANDON_DIVISOR` columns: the first half. Measured as above,
-/// `ml.ann.query.us` / `latency_p50_us`: never 16.0–17.1 / 23.0–24.1,
-/// after three quarters 11.6–14.2 / 19.6–21.2, after half 9.7–11.2 /
-/// 18.0–18.8, after a quarter 8.8–10.7 / 16.8–17.3 — inside the half's
-/// run-to-run spread on the query span, and at widths under four columns
-/// a quarter is no check at all.
-const ABANDON_DIVISOR: usize = 2;
-
-/// The one row scan of this crate: offers rows `range` of `rows` to the
-/// top-`k` buffer `best` under the ids `id_of` gives them. The brute
-/// scan, the IVF coarse probe and the IVF list rescan are this loop over
-/// the whole reference, the centroids and one packed list strip.
+/// The one row scan of this crate: offers the rows in slots `range` of
+/// `rows` (`range.start` on a panel boundary) to the top-`k` buffer
+/// `best` under the ids `id_of` gives them. The brute scan, the IVF
+/// coarse probe and the IVF list rescan are this loop over the whole
+/// reference, the centroids and one list.
 ///
 /// `best` is keyed by *selection key*, not distance: the cosine distance
 /// itself, but under `Euclidean` the **squared** distance — same order
 /// (up to [`push_top_k`]'s note on ties), no `sqrt` per row.
 /// [`keys_to_distances`] turns the `k` survivors into distances once
-/// every strip has been offered.
+/// every list has been offered.
 ///
-/// Under `Euclidean` rows advance [`SCAN_GROUP`] at a time, each row's
-/// terms added in [`vector::sq_dist`]'s order, so every key is bitwise
-/// that function's value. After the first half of the columns a group
-/// whose four partial sums all exceed the current k-th key is abandoned:
-/// the terms are non-negative, so in floating point a prefix sum never
-/// exceeds the full sum, and a row that is dropped could only have been
-/// rejected by `push_top_k`. A NaN partial sum compares greater than
-/// nothing, so its group runs on to `push_top_k`'s finite filter.
+/// Rows advance a [`PANEL_ROWS`] panel at a time, each row's terms
+/// added in [`vector::sq_dist`]'s (or [`vector::cosine_dist`]'s) order,
+/// so every key is bitwise that function's value. Under `Euclidean`,
+/// after the first [`ABANDON_DIVISOR`]th of the columns a panel whose
+/// live rows' partial sums all exceed the current k-th key is abandoned: the terms are
+/// non-negative, so in floating point a prefix sum never exceeds the
+/// full sum, and a row that is dropped could only have been rejected by
+/// `push_top_k`. A NaN partial sum compares greater than nothing, so its
+/// panel runs on to `push_top_k`'s finite filter. Padding slots past
+/// `range.end` are summed with their panel and never offered.
 ///
-/// A probe of another width than `rows` is compared over the columns
-/// both have, as `sq_dist` compares slices of unequal length.
+/// A probe of another width than `rows`, which no caller passes, is
+/// compared over the columns both have and never reads out of range.
 pub(crate) fn scan_rows(
     metric: DistanceMetric,
     probe: &[f64],
-    rows: &Matrix,
+    rows: &RowPanels,
     range: Range<usize>,
     k: usize,
     best: &mut Vec<Neighbor>,
     id_of: impl Fn(usize) -> usize,
 ) {
     debug_assert_eq!(probe.len(), rows.cols());
-    let mut p = range.start;
-    if metric == DistanceMetric::Euclidean {
-        let cols = rows.cols();
-        let width = cols.min(probe.len());
-        let (head, tail) = probe[..width].split_at(width / ABANDON_DIVISOR);
-        let data = rows.as_slice();
-        while p + SCAN_GROUP <= range.end {
-            let strip = &data[p * cols..(p + SCAN_GROUP) * cols];
-            let r: [&[f64]; SCAN_GROUP] = std::array::from_fn(|g| &strip[g * cols..][..width]);
-            let mut sums = [0.0; SCAN_GROUP];
-            add_sq_diffs(&mut sums, head, r.map(|row| &row[..head.len()]));
-            let kth = match best.last() {
-                Some(last) if best.len() >= k => last.distance,
-                _ => f64::INFINITY,
-            };
-            if !sums.iter().all(|&partial| partial > kth) {
-                add_sq_diffs(&mut sums, tail, r.map(|row| &row[head.len()..]));
-                for (g, &sum) in sums.iter().enumerate() {
-                    push_top_k(best, k, id_of(p + g), sum);
+    debug_assert!(range.start.is_multiple_of(PANEL_ROWS));
+    let width = rows.cols().min(probe.len());
+    let head = width / ABANDON_DIVISOR;
+    let probe_norm = vector::norm(probe);
+    for start in range.clone().step_by(PANEL_ROWS) {
+        let panel = start / PANEL_ROWS;
+        let live = PANEL_ROWS.min(range.end - start);
+        let keys = match metric {
+            DistanceMetric::Euclidean => {
+                let mut sums = [-0.0; PANEL_ROWS];
+                rows.add_sq_diffs(panel, probe, 0..head, &mut sums);
+                let kth = match best.last() {
+                    Some(last) if best.len() >= k => last.distance,
+                    _ => f64::INFINITY,
+                };
+                if sums[..live].iter().all(|&partial| partial > kth) {
+                    continue;
                 }
+                rows.add_sq_diffs(panel, probe, head..width, &mut sums);
+                sums
             }
-            p += SCAN_GROUP;
-        }
-    }
-    for p in p..range.end {
-        let key = match metric {
-            DistanceMetric::Euclidean => vector::sq_dist(probe, rows.row(p)),
-            DistanceMetric::Cosine => vector::cosine_dist(probe, rows.row(p)),
+            DistanceMetric::Cosine => {
+                let (dots, squares) = rows.dots(panel, probe);
+                std::array::from_fn(|r| {
+                    let row_norm = squares[r].sqrt();
+                    if probe_norm == 0.0 || row_norm == 0.0 {
+                        return 1.0;
+                    }
+                    1.0 - dots[r] / (probe_norm * row_norm)
+                })
+            }
         };
-        push_top_k(best, k, id_of(p), key);
-    }
-}
-
-/// `sums[g] += (probe[j] − rows[g][j])²` for each column `j` in order:
-/// four accumulators, each the left-to-right chain `sq_dist` runs.
-#[inline(always)]
-fn add_sq_diffs(sums: &mut [f64; SCAN_GROUP], probe: &[f64], rows: [&[f64]; SCAN_GROUP]) {
-    let [r0, r1, r2, r3] = rows;
-    let columns = probe.iter().zip(r0).zip(r1).zip(r2).zip(r3);
-    for ((((&x, &y0), &y1), &y2), &y3) in columns {
-        for (sum, y) in sums.iter_mut().zip([y0, y1, y2, y3]) {
-            let d = x - y;
-            *sum += d * d;
+        for (r, &key) in keys[..live].iter().enumerate() {
+            push_top_k(best, k, id_of(start + r), key);
         }
     }
 }
@@ -560,14 +550,16 @@ mod tests {
         }
         let found: Vec<usize> = best.iter().map(|n| n.index).collect();
         assert_eq!(found, vec![0, 1, 2, 3]);
-        // The same through the strip scan, on the abandon's edge: eight
-        // equal rows whose first half already *equals* the k-th key and
-        // whose second half adds nothing, offered under descending ids.
-        // The second group holds the lower ids and must not be dropped.
-        let rows = Matrix::from_fn(8, 2, |_, j| (1 - j) as f64);
+        // The same through the panel scan, on the abandon's edge: 20
+        // equal rows whose checked head column already *equals* the k-th
+        // key and whose other columns add nothing, offered under
+        // descending ids. The second panel (four live rows) holds the
+        // lower ids and must not be dropped.
+        let (n, cols) = (PANEL_ROWS + 4, ABANDON_DIVISOR);
+        let rows = RowPanels::from(&Matrix::from_fn(n, cols, |_, j| (j == 0) as u8 as f64));
         best.clear();
-        let metric = DistanceMetric::Euclidean;
-        scan_rows(metric, &[0.0, 0.0], &rows, 0..8, 2, &mut best, |p| 7 - p);
+        let (metric, probe) = (DistanceMetric::Euclidean, vec![0.0; cols]);
+        scan_rows(metric, &probe, &rows, 0..n, 2, &mut best, |p| n - 1 - p);
         let found: Vec<usize> = best.iter().map(|n| n.index).collect();
         assert_eq!(found, vec![0, 1]);
     }

@@ -10,9 +10,10 @@
 //! Every comparison is repeated under 1 and 8 worker threads — results
 //! must not depend on the thread count, at build time or query time.
 //!
-//! Both arms are one strip scan (four rows at a time, keyed by squared
-//! distance, early abandon); a property test holds it to the
-//! one-row-at-a-time loop it replaced, written out here.
+//! Both arms are one panel scan (16 rows at a time over column-interleaved
+//! panels, keyed by squared distance, early abandon); a property test
+//! holds it to the one-row-at-a-time loop it replaced, written out here,
+//! under both metrics.
 //!
 //! `ci.sh` gates on this suite actually running (all 10 tests), the
 //! same pattern as the svd_equivalence gate.
@@ -206,21 +207,21 @@ fn non_finite_reference_rows_are_skipped_like_brute() {
     }
 }
 
-/// The strip scan — groups of four rows, squared-distance keys, a
-/// group dropped once half its columns put all four rows past the
-/// k-th key — returns what offering one full distance at a time
-/// does: the same rows, the same distance bits. Coordinates sit on a
-/// half-integer grid so equal squared distances are common, one row
-/// in eight repeats an earlier one (exact ties, resolved by index),
-/// one in eight carries a NaN or an infinity, widths run 1..=17 and
-/// lengths 1..=40 (any remainder mod four), and `k` reaches past
-/// both ends.
+/// The panel scan — 16 rows a panel, squared-distance keys, a panel
+/// dropped once a quarter of its columns put all its rows past the k-th
+/// key — returns what offering one full distance at a time does: the
+/// same rows, the same distance bits, under both metrics. Coordinates
+/// sit on a half-integer grid so equal distances are common, one row in
+/// eight repeats an earlier one (exact ties, resolved by index), one in
+/// eight carries a NaN or an infinity, widths run 1..=17 and lengths
+/// 1..=50 (every remainder mod 16, and lists over three panels), and
+/// `k` reaches past both ends.
 #[test]
 fn strip_scan_is_the_one_row_at_a_time_scan() {
     for seed in 0..256 {
         let mut rng = StdRng::seed_from_u64(seed);
         let dims = rng.random_range(1usize..18);
-        let n = rng.random_range(1usize..41);
+        let n = rng.random_range(1usize..51);
         let k_choice = rng.random_range(0usize..5);
         let mut grid = |_, _| rng.random_range(-3i32..4) as f64 * 0.5;
         let mut data = Matrix::from_fn(n, dims, &mut grid);
@@ -241,32 +242,41 @@ fn strip_scan_is_the_one_row_at_a_time_scan() {
         }
         let k = [0, 1, 3, n, n + 5][k_choice];
 
-        // The loop the scan replaced: every row's full squared distance,
-        // finite ones kept in (square, index) order, the first k rooted.
-        let mut keyed: Vec<(f64, usize)> = (0..n)
-            .map(|i| (vector::sq_dist(probe, data.row(i)), i))
-            .filter(|(sq, _)| sq.is_finite())
-            .collect();
-        keyed.sort_by(|a, b| a.partial_cmp(b).expect("finite keys"));
-        keyed.truncate(k);
-        let one_at_a_time: Vec<Neighbor> = keyed
-            .iter()
-            .map(|&(sq, index)| Neighbor {
-                index,
-                distance: sq.sqrt(),
-            })
-            .collect();
+        for metric in [DistanceMetric::Euclidean, DistanceMetric::Cosine] {
+            // The loop the scan replaced: every row's full key (the
+            // square under Euclidean), finite ones kept in (key, index)
+            // order, the first k made distances.
+            let key = match metric {
+                DistanceMetric::Euclidean => vector::sq_dist,
+                DistanceMetric::Cosine => vector::cosine_dist,
+            };
+            let euclidean = metric == DistanceMetric::Euclidean;
+            let distance = |key: f64| if euclidean { key.sqrt() } else { key };
+            let mut keyed: Vec<(f64, usize)> = (0..n)
+                .map(|i| (key(probe, data.row(i)), i))
+                .filter(|(key, _)| key.is_finite())
+                .collect();
+            keyed.sort_by(|a, b| a.partial_cmp(b).expect("finite keys"));
+            keyed.truncate(k);
+            let one_at_a_time: Vec<Neighbor> = keyed
+                .iter()
+                .map(|&(key, index)| Neighbor {
+                    index,
+                    distance: distance(key),
+                })
+                .collect();
 
-        let what = format!("seed {seed} dims {dims} n {n} k {k}");
-        let brute = NearestNeighbors::new(data.clone(), DistanceMetric::Euclidean).query(probe, k);
-        assert_bitwise_equal(&one_at_a_time, &brute, &what);
-        let nlist = n.min(3);
-        let exhaustive = IvfOptions {
-            nlist,
-            nprobe: nlist,
-        };
-        let ivf = IvfIndex::build(data, DistanceMetric::Euclidean, exhaustive).unwrap();
-        assert_bitwise_equal(&brute, &ivf.query(probe, k), &what);
+            let what = format!("seed {seed} {metric:?} dims {dims} n {n} k {k}");
+            let brute = NearestNeighbors::new(data.clone(), metric).query(probe, k);
+            assert_bitwise_equal(&one_at_a_time, &brute, &what);
+            let nlist = n.min(3);
+            let exhaustive = IvfOptions {
+                nlist,
+                nprobe: nlist,
+            };
+            let ivf = IvfIndex::build(data.clone(), metric, exhaustive).unwrap();
+            assert_bitwise_equal(&brute, &ivf.query(probe, k), &what);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! runs alone from `StdRng::seed_from_u64(seed)`.
 
 use qpp::linalg::stats::Standardizer;
-use qpp::linalg::Matrix;
+use qpp::linalg::{vector, Matrix, RowPanels, PANEL_ROWS};
 use qpp::ml::{
     DistanceMetric, IvfIndex, IvfOptions, Kcca, KccaOptions, KnnScratch, NearestNeighbors,
     NeighborWeighting, ProjectionScratch,
@@ -250,5 +250,73 @@ fn batch_projection_matches_rowwise_owned() {
         let (owned, sim_owned) = project_cold(&model, row);
         assert_eq!(bits(&owned), bits(&proj));
         assert_eq!(sim_owned.to_bits(), sim.to_bits());
+    }
+}
+
+/// Row panels hold the row-major bits: every squared distance, dot
+/// product and squared norm a panel pass computes is the row-major
+/// `vector` function's value bit for bit, and `gather` gives the rows
+/// back, over 1..=50 rows (every remainder mod 16) of 1..=17 columns
+/// with NaN and ±∞ cells, a panel closed early at a random row, and
+/// probes of the rows' width.
+#[test]
+fn row_panels_hold_the_row_major_bits() {
+    for seed in 0..128 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, dims) = (rng.random_range(1usize..51), rng.random_range(1usize..18));
+        let mut m = random_matrix(n, dims, seed);
+        for _ in 0..n / 8 {
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.random_range(0..3)];
+            m[(rng.random_range(0..n), rng.random_range(0..dims))] = bad;
+        }
+        let probe = random_matrix(1, dims, seed + 1000);
+        let probe = probe.row(0);
+        let what = format!("seed {seed}: {n} x {dims}");
+
+        let panels = RowPanels::from(&m);
+        assert!(panels.is_well_formed(), "{what}");
+        let gathered = panels.gather(0..n);
+        assert_eq!(gathered.shape(), m.shape(), "{what}");
+        assert_eq!(bits(gathered.as_slice()), bits(m.as_slice()), "{what}");
+        let sq: Vec<u64> = panels.sq_dists(probe).map(f64::to_bits).collect();
+        let want: Vec<u64> = m
+            .row_iter()
+            .map(|r| vector::sq_dist(probe, r).to_bits())
+            .collect();
+        assert_eq!(sq, want, "{what}");
+        for (i, row) in m.row_iter().enumerate() {
+            let (dots, squares) = panels.dots(i / PANEL_ROWS, probe);
+            let lane = i % PANEL_ROWS;
+            assert_eq!(
+                dots[lane].to_bits(),
+                vector::dot(probe, row).to_bits(),
+                "{what}"
+            );
+            assert_eq!(
+                squares[lane].to_bits(),
+                vector::dot(row, row).to_bits(),
+                "{what}"
+            );
+        }
+
+        // Closing a panel pads it with zero rows; the next row starts
+        // the next panel.
+        let cut = rng.random_range(0..=n);
+        let mut padded = RowPanels::from_rows(dims, m.row_iter().take(cut));
+        padded.close_panel();
+        let skip = padded.rows();
+        assert_eq!(skip % PANEL_ROWS, 0, "{what}");
+        for row in m.row_iter().skip(cut) {
+            padded.push_row(row);
+        }
+        assert!(padded.is_well_formed(), "{what}");
+        let slots = (0..cut).chain(skip..skip + n - cut);
+        assert_eq!(
+            bits(padded.gather(slots).as_slice()),
+            bits(m.as_slice()),
+            "{what}"
+        );
+        let zeros = padded.gather(cut..skip);
+        assert!(zeros.as_slice().iter().all(|&v| v == 0.0), "{what}");
     }
 }

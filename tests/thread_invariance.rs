@@ -6,10 +6,11 @@
 //! deterministic math, never inside it, so it must not perturb a single
 //! bit.
 
+use qpp::core::model_io::{to_json, FORMAT_VERSION};
 use qpp::core::pipeline::collect_tpcds;
-use qpp::core::{KccaPredictor, PredictorOptions};
+use qpp::core::{Dataset, KccaPredictor, PredictorOptions};
 use qpp::engine::SystemConfig;
-use qpp::ml::{Kcca, KccaOptions};
+use qpp::ml::{AnnOptions, DistanceMetric, IvfOptions, Kcca, KccaOptions};
 use qpp_linalg::{LinalgError, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,18 +72,22 @@ fn non_finite_input_on_either_side_is_reported_at_1_and_2_threads() {
     }
 }
 
+/// FNV-1a over a stream of bytes.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in bytes {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
 /// FNV-1a over the bits of a fit's canonical correlations and training
 /// query projection.
 fn fit_fingerprint(model: &KccaPredictor) -> u64 {
     let kcca = model.kcca();
     let values = kcca.correlations().iter();
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for v in values.chain(kcca.query_projection().as_slice()) {
-        for byte in v.to_bits().to_le_bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    hash
+    let values = values.chain(kcca.query_projection().as_slice());
+    fnv1a(values.flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 /// Pins a 400-row fit's correlations and training projection to stored
@@ -101,6 +106,107 @@ fn a_400_row_fit_matches_its_stored_fingerprint() {
             0xad37_356a_5bf4_8ecf,
             "{threads} thread(s)"
         );
+    }
+}
+
+/// FNV-1a over what a model answers for every query of `test`: each
+/// prediction's six metrics, neighbour ids, confidence distance and
+/// largest kernel similarity, in that order.
+fn prediction_fingerprint(model: &KccaPredictor, test: &Dataset) -> u64 {
+    let predictions = model.predict_dataset(test).unwrap();
+    let words = predictions.iter().flat_map(|p| {
+        let metrics = p.metrics.to_vec().into_iter().map(f64::to_bits);
+        let ids = p.neighbor_indices.iter().map(|&i| i as u64);
+        let trust = [p.confidence_distance, p.max_kernel_similarity].map(f64::to_bits);
+        metrics.chain(ids).chain(trust).collect::<Vec<_>>()
+    });
+    fnv1a(words.flat_map(u64::to_le_bytes))
+}
+
+/// The four neighbour searches of a 400-row model, each with the stored
+/// hashes of its held-out predictions and of its `to_json` envelope:
+/// brute and IVF (`ivf_threshold` 16; 3 of 12 lists probed, so the
+/// coarse probe decides what is rescanned), each under both metrics.
+fn search_arms() -> [(PredictorOptions, u64, u64); 4] {
+    let ivf = AnnOptions {
+        ivf_threshold: 16,
+        ivf: IvfOptions {
+            nlist: 12,
+            nprobe: 3,
+        },
+    };
+    let arm = |metric, ann| PredictorOptions {
+        metric,
+        ann,
+        ..PredictorOptions::default()
+    };
+    let brute = AnnOptions::default();
+    [
+        (
+            arm(DistanceMetric::Euclidean, brute),
+            0x8e94_7ee1_f183_b96b,
+            0xbd86_7add_fc19_f9ee,
+        ),
+        (
+            arm(DistanceMetric::Cosine, brute),
+            0x3fd5_4dcc_487b_fd59,
+            0xb288_5a1b_bbb7_2fdf,
+        ),
+        (
+            arm(DistanceMetric::Euclidean, ivf),
+            0xde38_ab36_4801_7911,
+            0xf6e2_80b1_63eb_6dcd,
+        ),
+        (
+            arm(DistanceMetric::Cosine, ivf),
+            0xf1ab_b155_0030_c825,
+            0x84c0_88b7_0581_470d,
+        ),
+    ]
+}
+
+/// Pins what 400-row models answer for 200 held-out queries, on every
+/// neighbour search, to stored bits at 1, 2 and 8 threads: a change to
+/// the layout or the order of any predict-time sum shows.
+#[test]
+fn held_out_predictions_match_their_stored_fingerprints() {
+    let config = SystemConfig::neoview_4();
+    let train = collect_tpcds(400, 29, &config, 2);
+    let test = collect_tpcds(200, 31, &config, 2);
+    for threads in [1, 2, 8] {
+        for (options, stored, _) in search_arms() {
+            let model = qpp_par::with_threads(threads, || KccaPredictor::train(&train, options));
+            let model = model.unwrap();
+            assert_eq!(model.index().is_ivf(), options.ann.ivf_threshold == 16);
+            assert_eq!(
+                prediction_fingerprint(&model, &test),
+                stored,
+                "{:?}, ivf {}, {threads} thread(s)",
+                options.metric,
+                model.index().is_ivf()
+            );
+        }
+    }
+}
+
+/// Pins the bytes `model_io::to_json` writes for the same models: how a
+/// scan lays rows out in memory never reaches the format-6 envelope.
+#[test]
+fn a_400_row_envelope_matches_its_stored_hash() {
+    assert_eq!(FORMAT_VERSION, 6);
+    let train = collect_tpcds(400, 29, &SystemConfig::neoview_4(), 2);
+    for threads in [1, 2, 8] {
+        for (options, _, stored) in search_arms() {
+            let model = qpp_par::with_threads(threads, || KccaPredictor::train(&train, options));
+            let json = to_json(&model.unwrap()).unwrap();
+            assert_eq!(
+                fnv1a(json.bytes()),
+                stored,
+                "{:?}, ivf threshold {}, {threads} thread(s)",
+                options.metric,
+                options.ann.ivf_threshold
+            );
+        }
     }
 }
 
