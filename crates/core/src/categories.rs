@@ -8,10 +8,9 @@
 //! predictor.
 
 use qpp_linalg::vector;
-use serde::{Deserialize, Serialize};
 
 /// Runtime class of a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryCategory {
     /// Under 3 minutes.
     Feather,
@@ -64,7 +63,7 @@ impl QueryCategory {
 }
 
 /// Summary row of a category pool (the Fig. 2 table).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PoolSummary {
     /// Category.
     pub category: QueryCategory,

@@ -8,10 +8,9 @@ use qpp_linalg::Matrix;
 use qpp_workload::{QuerySpec, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One executed training/test query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryRecord {
     /// The logical query.
     pub spec: QuerySpec,
@@ -24,7 +23,7 @@ pub struct QueryRecord {
 }
 
 /// A collection of executed queries on one system configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Configuration the queries ran on.
     pub config: SystemConfig,

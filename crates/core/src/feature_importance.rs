@@ -21,10 +21,9 @@ use crate::features::PlanFeatures;
 use crate::predictor::KccaPredictor;
 use qpp_linalg::stats::Standardizer;
 use qpp_linalg::{vector, LinalgError};
-use serde::{Deserialize, Serialize};
 
 /// Importance score of one query-plan feature.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureImportance {
     /// Feature name (see [`PlanFeatures::names`]).
     pub feature: String,

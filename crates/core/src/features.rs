@@ -31,7 +31,7 @@ pub enum FeatureKind {
 
 /// The query-plan feature vector: one `(instance count, cardinality
 /// sum)` pair per operator kind in the engine's vocabulary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanFeatures {
     /// Instance count per [`OpKind`], in `OpKind::ALL` order.
     pub counts: Vec<f64>,

@@ -3,7 +3,7 @@
 //! and *ships the models* to customer sites, where predictions run
 //! without any training infrastructure.
 
-use crate::predictor::KccaPredictor;
+use crate::predictor::{KccaPredictor, Learned};
 use serde::{Deserialize, Serialize};
 
 /// Format version written by this build. Bump on any incompatible
@@ -30,7 +30,13 @@ use serde::{Deserialize, Serialize};
 /// v6: `PredictorOptions` drops the log-space averaging flag, so
 /// `targets` always holds raw metrics. A v5 model with the flag set
 /// would otherwise load and answer `ln(1+x)` values as metrics.
-pub const FORMAT_VERSION: u32 = 6;
+///
+/// v7: the payload is what a fit learned — options, scaler, `kcca` and
+/// `targets` — and no neighbor index. The index is a deterministic
+/// function of the query projection and the options, so loading builds
+/// it as a fit does; a v6 payload carried it as a second copy of the
+/// projection, 46% of the envelope at 8,000 rows.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Errors from model (de)serialization.
 #[derive(Debug)]
@@ -55,9 +61,10 @@ pub enum ModelIoError {
     /// The payload parses and matches its checksum (FNV-1a is not a
     /// signature: anyone can re-seal an edited payload) but its parts do
     /// not fit together — a matrix whose data is not `rows x cols`, a
-    /// width or row count that breaks the scaler → pivots → fold → index
-    /// → targets chain. Loaded anyway it would panic or mis-answer at
-    /// the first prediction.
+    /// width or row count that breaks the scaler → pivots → fold →
+    /// projection → targets chain, or an option or kernel scale a fit
+    /// cannot produce. Loaded anyway it would panic or mis-answer at the
+    /// first prediction.
     Malformed {
         /// The first part that does not fit.
         what: &'static str,
@@ -145,18 +152,15 @@ fn open(json: &str) -> Result<String, ModelIoError> {
 
 /// Serializes a one-model predictor to versioned, checksummed JSON.
 pub fn to_json(model: &KccaPredictor) -> Result<String, ModelIoError> {
-    seal(serde_json::to_string(model)?)
+    seal(serde_json::to_string(model.learned())?)
 }
 
 /// Deserializes a one-model predictor, verifying format version and
-/// payload checksum first and the model's structure
-/// ([`KccaPredictor::validate`]) last.
+/// payload checksum first, then the model's structure, and building its
+/// neighbor index last ([`KccaPredictor::load`]).
 pub fn from_json(json: &str) -> Result<KccaPredictor, ModelIoError> {
-    let model: KccaPredictor = serde_json::from_str(&open(json)?)?;
-    model
-        .validate()
-        .map_err(|what| ModelIoError::Malformed { what })?;
-    Ok(model)
+    let learned: Learned = serde_json::from_str(&open(json)?)?;
+    KccaPredictor::load(learned).map_err(|what| ModelIoError::Malformed { what })
 }
 
 #[cfg(test)]
@@ -179,12 +183,22 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_predictions() {
-        let (m, d) = model();
-        let back = from_json(&to_json(&m).unwrap()).unwrap();
-        let r = &d.records[5];
-        let a = m.predict(&r.spec, &r.optimized.plan).unwrap();
-        let b = back.predict(&r.spec, &r.optimized.plan).unwrap();
-        assert_eq!(a.metrics, b.metrics);
+        let (_, d) = model();
+        // Both neighbor-index arms: brute at the default threshold, IVF
+        // once the threshold is below the training size. Loading builds
+        // the index the fit built.
+        for ivf_threshold in [PredictorOptions::default().ann.ivf_threshold, 16] {
+            let mut options = PredictorOptions::default();
+            options.ann.ivf_threshold = ivf_threshold;
+            let m = KccaPredictor::train(&d, options).unwrap();
+            let back = from_json(&to_json(&m).unwrap()).unwrap();
+            assert_eq!(back.index().is_ivf(), ivf_threshold < 60);
+            let r = &d.records[5];
+            let a = m.predict(&r.spec, &r.optimized.plan).unwrap();
+            let b = back.predict(&r.spec, &r.optimized.plan).unwrap();
+            assert_eq!(a.metrics, b.metrics);
+            assert_eq!(a.neighbor_indices, b.neighbor_indices);
+        }
     }
 
     #[test]
@@ -214,6 +228,12 @@ mod tests {
             "wy",
             "x_means",
             "y_means",
+            // v7: no neighbor index.
+            "index",
+            "packed",
+            "centroids",
+            "offsets",
+            "ids",
         ] {
             assert!(
                 !json.contains(&format!("\\\"{gone}\\\"")),
@@ -229,9 +249,9 @@ mod tests {
         let (m, _) = model();
         let json = to_json(&m).unwrap();
         let current = format!("\"format_version\":{FORMAT_VERSION}");
-        // A future version, and the v3 / v4 / v5 envelopes this build
+        // A future version, and the v3 to v6 envelopes this build
         // superseded.
-        for version in [99, 3, 4, 5] {
+        for version in [99, 3, 4, 5, 6] {
             let other = json.replace(&current, &format!("\"format_version\":{version}"));
             match from_json(&other) {
                 Err(ModelIoError::UnsupportedVersion { found, supported }) => {
@@ -247,8 +267,14 @@ mod tests {
     /// used to load. Shown at the parent: `targets` four times as wide
     /// panicked in `Matrix::row` at the first prediction, and pivots four
     /// times as wide were caught only by the shape check of the
-    /// embedding the fold deletes. The rest break the same chain — an
+    /// embedding the fold deletes. `neighbors: 0` loaded and then failed
+    /// every prediction; a negative kernel scale answered `Ok` with a
+    /// kernel similarity above 1, outside its `(0, 1]`, and a zero one
+    /// failed every prediction; one under the fit's floor is no more a
+    /// fitted model than these. The rest
+    /// break the scaler → pivots → fold → projection → targets chain — an
     /// index out of range or a `zip` to the shorter side — one link each.
+    /// Each case names the part its error must name.
     #[test]
     fn resealed_malformed_payloads_are_typed_errors_at_load() {
         let (_, d) = model();
@@ -256,38 +282,52 @@ mod tests {
         options.ann.ivf_threshold = 16;
         let model = KccaPredictor::train(&d, options).unwrap();
         assert!(model.index().is_ivf());
-        let payload = serde_json::to_string(&model).unwrap();
+        let payload = serde_json::to_string(model.learned()).unwrap();
         assert!(from_json(&seal(payload.clone()).unwrap()).is_ok());
         let (n, rank) = (model.training_size(), model.kcca().x_rank());
+        let edit = |from: &str, to: &str, named| (from.to_string(), to.to_string(), named);
         // A matrix header rewritten to another shape; the reshapes that
         // keep `rows * cols` pass the per-matrix check and must fail the
         // chain.
-        let reshape = |name: &str, from: (usize, usize), to: (usize, usize)| {
+        let reshape = |name, from: (usize, usize), to: (usize, usize)| {
             let header = |(r, c)| format!("\"{name}\":{{\"rows\":{r},\"cols\":{c},");
-            (header(from), header(to))
+            edit(&header(from), &header(to), name)
         };
-        let prepend = |list: &str, value: usize| {
+        // A value put in front of a list; these keep the JSON valid.
+        let prepend = |list, value| {
             let open = format!("\"{list}\":[");
-            (format!("{open}0,"), format!("{open}{value},"))
+            edit(&open, &format!("{open}{value},"), list)
         };
+        // The query-side kernel scale, as the payload spells it.
+        let tau = payload
+            .split("\"tau\":")
+            .nth(1)
+            .and_then(|t| t.split('}').next());
+        let tau: f64 = tau.unwrap().parse().unwrap();
+        let field = |tau: f64| format!("\"tau\":{tau}}}");
+        let scale = |to| edit(&field(tau), &field(to), "tau");
         let cases = [
             reshape("targets", (n, 6), (n, 24)),
             reshape("x_pivots", (rank, 24), (rank, 96)),
             reshape("targets", (n, 6), (n / 2, 12)),
             reshape("fold", (rank, 16), (rank * 2, 8)),
             reshape("x_projection", (n, 16), (n * 2, 8)),
-            reshape("packed", (n, 16), (n * 2, 8)),
-            reshape("centroids", (1, 16), (2, 8)),
-            ("\"stds\":[".into(), "\"stds\":[1,".into()),
-            ("\"kernel_center\":[".into(), "\"kernel_center\":[0,".into()),
-            prepend("offsets", 1),
-            prepend("ids", n),
+            prepend("stds", 1.0),
+            prepend("kernel_center", 0.0),
+            edit("\"neighbors\":3,", "\"neighbors\":0,", "neighbors"),
+            scale(-tau * 1000.0),
+            scale(-tau),
+            scale(0.0),
+            // Positive, but under the 1e-6 floor a fit puts on τ.
+            scale(5e-7),
         ];
-        for (from, to) in cases {
+        for (from, to, named) in cases {
             assert!(payload.contains(&from), "payload has no {from}");
             let resealed = seal(payload.replacen(&from, &to, 1)).unwrap();
             match from_json(&resealed).map(|_| "a loaded model") {
-                Err(ModelIoError::Malformed { what }) => assert!(!what.is_empty()),
+                Err(ModelIoError::Malformed { what }) => {
+                    assert!(what.contains(named), "{from} -> {to}: {what}")
+                }
                 other => panic!("{from} -> {to}: expected Malformed, got {other:?}"),
             }
         }

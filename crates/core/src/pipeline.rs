@@ -6,10 +6,9 @@ use qpp_engine::{PerfMetrics, SystemConfig};
 use qpp_linalg::vector;
 use qpp_ml::{fraction_within, predictive_risk};
 use qpp_workload::WorkloadGenerator;
-use serde::{Deserialize, Serialize};
 
 /// Per-metric evaluation of a predictor on a test dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Evaluation {
     /// Predictive risk per metric, canonical order; `None` when the
     /// metric was constant in the test set (e.g. disk I/O ≡ 0 — the

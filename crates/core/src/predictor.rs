@@ -17,8 +17,8 @@ use crate::features::{feature_dim, performance_to_kernel_space, query_features_t
 use qpp_engine::{PerfMetrics, Plan};
 use qpp_linalg::{stats::Standardizer, vector, LinalgError, Matrix};
 use qpp_ml::{
-    AnnIndex, AnnOptions, DistanceMetric, Kcca, KccaOptions, KnnScratch, NeighborWeighting,
-    ProjectionScratch,
+    AnnIndex, AnnOptions, DistanceMetric, Kcca, KccaOptions, KnnError, KnnScratch,
+    NeighborWeighting, ProjectionScratch,
 };
 use qpp_workload::QuerySpec;
 use serde::{Deserialize, Serialize};
@@ -136,20 +136,8 @@ impl<'a> IntoIterator for &'a NeighborIds {
     }
 }
 
-impl Serialize for NeighborIds {
-    fn to_value(&self) -> serde::value::Value {
-        self.as_slice().to_vec().to_value()
-    }
-}
-
-impl Deserialize for NeighborIds {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
-        Ok(Vec::<usize>::from_value(v)?.into_iter().collect())
-    }
-}
-
 /// A prediction for one query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Prediction {
     /// Predicted values for all six metrics.
     pub metrics: PerfMetrics,
@@ -176,13 +164,21 @@ impl Prediction {
     }
 }
 
-/// A trained one-model KCCA predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A trained one-model KCCA predictor: what its fit learned, and the
+/// neighbor index over the query projection built from that.
+#[derive(Debug, Clone)]
 pub struct KccaPredictor {
+    learned: Learned,
+    index: AnnIndex,
+}
+
+/// What a fit learned, and all [`crate::model_io`] ships: the neighbor
+/// index is a deterministic function of these, so it is rebuilt at load.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct Learned {
     options: PredictorOptions,
     scaler: Standardizer,
     kcca: Kcca,
-    index: AnnIndex,
     /// What the neighbors' rows are averaged from, row-aligned with the
     /// query projection: the raw measured metrics (paper §VI-E.3).
     targets: Matrix,
@@ -259,42 +255,81 @@ impl KccaPredictor {
         };
         let y = performance_to_kernel_space(&performance);
         let kcca = Kcca::fit(x.view(), y.view(), options.kcca).ctx("fitting kcca")?;
-        let index = {
-            let _s = qpp_obs::span(qpp_obs::Stage::TrainKnnBuild);
-            AnnIndex::build(
-                kcca.query_projection().clone(),
-                options.metric,
-                &options.ann,
-            )
-            .ctx("building the neighbor index")?
-        };
-        Ok(KccaPredictor {
+        let _s = qpp_obs::span(qpp_obs::Stage::TrainKnnBuild);
+        KccaPredictor::assemble(Learned {
             options,
             scaler,
             kcca,
-            index,
             targets: performance,
         })
+        .ctx("building the neighbor index")
+    }
+
+    /// A model from what a fit learned, as
+    /// [`crate::model_io::from_json`] reads it back: the options and
+    /// shapes [`KccaPredictor::fit`] guarantees and a payload need not
+    /// have — `neighbors`, then scaler, pivots, kernel scale, fold and
+    /// targets chained width to width, row count to row count — and
+    /// then the index, built as a fit builds it. Names the first part
+    /// that does not fit; without the check such a model loads and then
+    /// panics, or zips to the shorter side and answers.
+    pub(crate) fn load(learned: Learned) -> Result<Self, &'static str> {
+        let Learned {
+            options,
+            scaler,
+            kcca,
+            targets,
+        } = &learned;
+        if options.neighbors == 0 {
+            return Err("options.neighbors is 0");
+        }
+        let width = scaler.means().len();
+        if scaler.stds().len() != width {
+            return Err("scaler.stds is not as long as scaler.means");
+        }
+        kcca.validate(width)?;
+        if !targets.is_well_formed()
+            || targets.shape() != (kcca.query_projection().rows(), PerfMetrics::DIM)
+        {
+            return Err("targets is not one six-metric row per projected row");
+        }
+        KccaPredictor::assemble(learned).map_err(|_| "kcca.x_projection builds no neighbor index")
+    }
+
+    /// The one constructor fit and load share: the neighbor index is a
+    /// deterministic function of the query projection and the options,
+    /// built here and nowhere else, so a loaded model answers bit for
+    /// bit as the fitted one.
+    fn assemble(learned: Learned) -> Result<Self, KnnError> {
+        let Learned { options, kcca, .. } = &learned;
+        let projection = kcca.query_projection().clone();
+        let index = AnnIndex::build(projection, options.metric, &options.ann)?;
+        Ok(KccaPredictor { learned, index })
+    }
+
+    /// What the model's fit learned, as [`crate::model_io`] ships it.
+    pub(crate) fn learned(&self) -> &Learned {
+        &self.learned
     }
 
     /// The options the model was trained with.
     pub fn options(&self) -> &PredictorOptions {
-        &self.options
+        &self.learned.options
     }
 
     /// Number of training queries.
     pub fn training_size(&self) -> usize {
-        self.targets.rows()
+        self.learned.targets.rows()
     }
 
     /// Canonical correlations achieved during training.
     pub fn correlations(&self) -> &[f64] {
-        self.kcca.correlations()
+        self.learned.kcca.correlations()
     }
 
     /// The underlying KCCA model.
     pub fn kcca(&self) -> &Kcca {
-        &self.kcca
+        &self.learned.kcca
     }
 
     /// The neighbor index the model predicts through — brute scan or
@@ -302,29 +337,6 @@ impl KccaPredictor {
     /// `options.ann.ivf_threshold`.
     pub fn index(&self) -> &AnnIndex {
         &self.index
-    }
-
-    /// Structural check of a deserialized model, run by
-    /// [`crate::model_io::from_json`]: the shapes [`KccaPredictor::fit`]
-    /// guarantees and a payload need not have — scaler, pivots, fold,
-    /// index and targets chained width to width, row count to row count.
-    /// Names the first part that does not fit; without it such a model
-    /// loads and then panics, or zips to the shorter side and answers.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        let width = self.scaler.means().len();
-        if self.scaler.stds().len() != width {
-            return Err("scaler means and deviations differ in length");
-        }
-        self.kcca.validate(width)?;
-        self.index.validate(self.kcca.components())?;
-        let targets = &self.targets;
-        if !targets.is_well_formed()
-            || targets.shape() != (self.index.len(), PerfMetrics::DIM)
-            || self.kcca.query_projection().rows() != targets.rows()
-        {
-            return Err("targets is not one six-metric row per index row");
-        }
-        Ok(())
     }
 
     /// Predicts from a raw query feature vector.
@@ -349,10 +361,16 @@ impl KccaPredictor {
         features: &[f64],
         scratch: &mut PredictScratch,
     ) -> Result<Prediction, QppError> {
+        let Learned {
+            options,
+            scaler,
+            kcca,
+            targets,
+        } = &self.learned;
         // A vector of another width than the model was fitted on would
         // be zipped to the shorter length downstream and yield a
         // confident wrong answer.
-        let fitted = self.scaler.means().len();
+        let fitted = scaler.means().len();
         if features.len() != fitted {
             return Err(LinalgError::ShapeMismatch {
                 op: "predict features",
@@ -363,12 +381,11 @@ impl KccaPredictor {
         }
         {
             let _s = qpp_obs::span(qpp_obs::Stage::PredictStandardize);
-            self.scaler
-                .transform_row_into(features, &mut scratch.scaled);
+            scaler.transform_row_into(features, &mut scratch.scaled);
         }
         let max_kernel_similarity = {
             let _s = qpp_obs::span(qpp_obs::Stage::PredictProject);
-            self.kcca.project_query_into(
+            kcca.project_query_into(
                 &scratch.scaled,
                 &mut scratch.projection,
                 &mut scratch.projected,
@@ -377,13 +394,13 @@ impl KccaPredictor {
         .ctx("projecting query features")?;
 
         let mut knn_span = qpp_obs::span(qpp_obs::Stage::PredictKnn);
-        knn_span.set_value(self.options.neighbors as u64);
+        knn_span.set_value(options.neighbors as u64);
         self.index
             .predict_into(
                 &scratch.projected,
-                &self.targets,
-                self.options.neighbors,
-                self.options.weighting,
+                targets,
+                options.neighbors,
+                options.weighting,
                 &mut scratch.knn,
                 &mut scratch.combined,
             )
@@ -408,7 +425,7 @@ impl KccaPredictor {
     /// worker makes per request. Features are extracted into the
     /// thread-local scratch, so a warm call allocates nothing.
     pub fn predict(&self, spec: &QuerySpec, plan: &Plan) -> Result<Prediction, QppError> {
-        let kind = self.options.feature_kind;
+        let kind = self.learned.options.feature_kind;
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             // Lend the feature buffer out so the row body can borrow the
@@ -496,10 +513,10 @@ mod tests {
             options,
         )
         .unwrap();
-        // The serialized model is every bit a prediction can read.
+        // The shipped model is every bit a prediction can read.
         assert_eq!(
-            serde_json::to_string(&fitted).unwrap(),
-            serde_json::to_string(&trained).unwrap()
+            crate::model_io::to_json(&fitted).unwrap(),
+            crate::model_io::to_json(&trained).unwrap()
         );
         // Five metrics per row cannot fill a `Prediction`: typed, at fit.
         let x = train.feature_matrix(FeatureKind::QueryPlan);
@@ -603,27 +620,6 @@ mod tests {
                 s.max_kernel_similarity.to_bits(),
                 b.max_kernel_similarity.to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let train = dataset(60, 11);
-        // Both neighbor-index arms: brute at the default threshold, IVF
-        // once the threshold is below the training size.
-        for ivf_threshold in [AnnOptions::default().ivf_threshold, 16] {
-            let mut opts = PredictorOptions::default();
-            opts.ann.ivf_threshold = ivf_threshold;
-            let model = KccaPredictor::train(&train, opts).unwrap();
-            assert_eq!(model.index().is_ivf(), ivf_threshold < 60);
-            let json = serde_json::to_string(&model).unwrap();
-            let back: KccaPredictor = serde_json::from_str(&json).unwrap();
-            assert_eq!(back.index().is_ivf(), model.index().is_ivf());
-            let r = &train.records[3];
-            let a = model.predict(&r.spec, &r.optimized.plan).unwrap();
-            let b = back.predict(&r.spec, &r.optimized.plan).unwrap();
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.neighbor_indices, b.neighbor_indices);
         }
     }
 

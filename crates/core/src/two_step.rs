@@ -19,14 +19,13 @@ use crate::features::query_features;
 use crate::predictor::{KccaPredictor, Prediction, PredictorOptions};
 use qpp_engine::Plan;
 use qpp_workload::QuerySpec;
-use serde::{Deserialize, Serialize};
 
 /// Minimum per-category training size below which the category falls
 /// back to the global model (KCCA needs a handful of points).
 const MIN_CATEGORY_TRAINING: usize = 8;
 
 /// The two-step predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TwoStepPredictor {
     classifier: KccaPredictor,
     /// Per-category specialist models (falls back to `classifier` when

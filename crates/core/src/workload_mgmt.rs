@@ -9,10 +9,9 @@
 
 use crate::predictor::Prediction;
 use qpp_linalg::vector;
-use serde::{Deserialize, Serialize};
 
 /// Admission policy limits.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdmissionPolicy {
     /// Longest acceptable predicted runtime, seconds.
     pub max_elapsed_seconds: f64,
@@ -42,7 +41,7 @@ impl Default for AdmissionPolicy {
 }
 
 /// Outcome of an admission decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionDecision {
     /// Run now; kill if it exceeds the embedded timeout (seconds).
     Admit {

@@ -1,14 +1,12 @@
 //! System configurations: the simulated hardware.
 
-use serde::{Deserialize, Serialize};
-
 /// A shared-nothing parallel database configuration.
 ///
 /// Mirrors the knobs the paper varied: number of processors used for
 /// query processing, memory per processor, and — on the 32-node system —
 /// a data layout that stays partitioned across *all* disks even when
 /// only a subset of CPUs executes operators (§VII-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Human-readable configuration name.
     pub name: String,

@@ -1,13 +1,11 @@
 //! The six performance metrics the paper predicts.
 
-use serde::{Deserialize, Serialize};
-
 /// Measured performance of one query execution — exactly the paper's
 /// performance feature vector (§VI-D): "elapsed time, disk I/Os, message
 /// count, message bytes, records accessed (the input cardinality of the
 /// file scan operator) and records used (the output cardinality of the
 /// file scan operator)".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfMetrics {
     /// Wall-clock elapsed time, seconds.
     pub elapsed_seconds: f64,

@@ -23,11 +23,10 @@ use crate::catalog::Catalog;
 use crate::config::SystemConfig;
 use crate::plan::{OpKind, Plan, PlanNode};
 use qpp_workload::spec::{JoinKind, QuerySpec};
-use serde::{Deserialize, Serialize};
 
 /// Executor-facing annotation tying a plan node back to the logical
 /// query element it implements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Annotation {
     /// Scan of `QuerySpec::tables[idx]`.
     Scan {
@@ -47,7 +46,7 @@ pub enum Annotation {
 }
 
 /// An optimized query: the physical plan plus its annotations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OptimizedQuery {
     /// The physical plan (estimated cardinalities, abstract cost).
     pub plan: Plan,

@@ -6,12 +6,11 @@
 //! condenses (Fig. 9: per-operator instance counts and cardinality
 //! sums).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Physical operator kinds — the operator vocabulary of the simulated
 /// engine (and the dimensions of the plan feature vector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Partitioned base-table scan (with pushed-down predicates).
     FileScan,
@@ -98,7 +97,7 @@ impl OpKind {
 }
 
 /// One node of a physical plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanNode {
     /// Operator kind.
     pub kind: OpKind,
@@ -116,7 +115,7 @@ pub struct PlanNode {
 
 /// A physical plan: node arena plus the root index (always the last
 /// node) and the optimizer's abstract cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Node arena; children precede parents.
     pub nodes: Vec<PlanNode>,

@@ -17,7 +17,6 @@
 use crate::cholesky::Cholesky;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Starting row stride of `G` when the rank is not capped below `n`;
 /// it doubles as pivots are accepted, so an uncapped factorization never
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 const UNCAPPED_START_STRIDE: usize = 32;
 
 /// Options controlling the factorization.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IcdOptions {
     /// Hard cap on the rank (number of pivots). `usize::MAX` = no cap.
     pub max_rank: usize,
@@ -44,7 +43,7 @@ impl Default for IcdOptions {
 
 /// The factor `G` (`n x r`), selected pivots, and the triangular pivot
 /// block needed to embed new points into the same feature space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IncompleteCholesky {
     g: Matrix,
     pivots: Vec<usize>,
@@ -229,7 +228,7 @@ impl IncompleteCholesky {
 /// (triangular in selection order by construction). A fitted model folds
 /// it into its projection ([`PivotBlock::fold_linear_map`]) and does not
 /// keep it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PivotBlock {
     rows: Matrix,
 }

@@ -41,8 +41,7 @@ use crate::knn::{
     NearestNeighbors, Neighbor, NeighborWeighting,
 };
 use qpp_linalg::{Matrix, RowPanels, PANEL_ROWS};
-use serde::value::Value;
-use serde::{DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// Target mean inverted-list length when `nlist` is auto-sized.
 ///
@@ -102,8 +101,7 @@ impl Default for IvfOptions {
 /// practice, not just in distance count: each probed list is one
 /// sequential run of panels, where gathering rows from the original
 /// matrix order costs a cache miss per row once the reference outgrows
-/// the LLC. It serializes its lists as one row-major `packed` matrix in
-/// CSR order, with no padding and no `starts`.
+/// the LLC.
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     lists: RowPanels,
@@ -113,85 +111,6 @@ pub struct IvfIndex {
     offsets: Vec<usize>,
     ids: Vec<usize>,
     nprobe: usize,
-}
-
-/// The serialized form of an [`IvfIndex`].
-#[derive(Serialize, Deserialize)]
-struct IvfRecord {
-    packed: Matrix,
-    metric: DistanceMetric,
-    centroids: RowPanels,
-    offsets: Vec<usize>,
-    ids: Vec<usize>,
-    nprobe: usize,
-}
-
-impl Serialize for IvfIndex {
-    fn to_value(&self) -> Value {
-        let lists = 0..self.starts.len().saturating_sub(1);
-        let slots = lists.flat_map(|c| self.slots(c));
-        IvfRecord {
-            packed: self.lists.gather(slots),
-            metric: self.metric,
-            centroids: self.centroids.clone(),
-            offsets: self.offsets.clone(),
-            ids: self.ids.clone(),
-            nprobe: self.nprobe,
-        }
-        .to_value()
-    }
-}
-
-impl Deserialize for IvfIndex {
-    /// Lays the lists out when `offsets` cut `packed` into ascending
-    /// runs; otherwise keeps no `starts`, which [`AnnIndex::validate`]
-    /// reports.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let r = IvfRecord::from_value(v)?;
-        let rows = r.packed.rows();
-        let bounds = &r.offsets;
-        let cuts = r.packed.is_well_formed()
-            && bounds.first() == Some(&0)
-            && bounds.last() == Some(&rows)
-            && bounds.windows(2).all(|w| w[0] <= w[1]);
-        let (lists, starts) = if cuts {
-            lay_out(bounds, r.packed.cols(), |p| r.packed.row(p))
-        } else {
-            (RowPanels::from(&r.packed), Vec::new())
-        };
-        Ok(IvfIndex {
-            lists,
-            starts,
-            metric: r.metric,
-            centroids: r.centroids,
-            offsets: r.offsets,
-            ids: r.ids,
-            nprobe: r.nprobe,
-        })
-    }
-}
-
-/// Lays CSR lists out as panels, each list from a panel boundary on:
-/// position `p` of the CSR order is the row `row(p)`. Returns the
-/// panels and each list's first slot, plus the end of the last.
-fn lay_out<'a>(
-    offsets: &[usize],
-    cols: usize,
-    row: impl Fn(usize) -> &'a [f64],
-) -> (RowPanels, Vec<usize>) {
-    let runs = offsets.windows(2).map(|w| w[1] - w[0]);
-    let slots = runs.map(|len| len.next_multiple_of(PANEL_ROWS)).sum();
-    let mut lists = RowPanels::with_capacity(slots, cols);
-    let mut starts = Vec::with_capacity(offsets.len());
-    for w in offsets.windows(2) {
-        starts.push(lists.rows());
-        for p in w[0]..w[1] {
-            lists.push_row(row(p));
-        }
-        lists.close_panel();
-    }
-    starts.push(lists.rows());
-    (lists, starts)
 }
 
 impl IvfIndex {
@@ -264,9 +183,21 @@ impl IvfIndex {
         }
 
         // Pack the reference rows into list order: one run of panels per
-        // inverted list, so the query-time rescan streams memory
-        // sequentially instead of gathering scattered rows.
-        let (lists, starts) = lay_out(&offsets, reference.cols(), |p| reference.row(ids[p]));
+        // inverted list, each from a panel boundary on, so the query-time
+        // rescan streams memory sequentially instead of gathering
+        // scattered rows.
+        let runs = offsets.windows(2).map(|w| w[1] - w[0]);
+        let slots = runs.map(|len| len.next_multiple_of(PANEL_ROWS)).sum();
+        let mut lists = RowPanels::with_capacity(slots, reference.cols());
+        let mut starts = Vec::with_capacity(nlist + 1);
+        for w in offsets.windows(2) {
+            starts.push(lists.rows());
+            for &id in &ids[w[0]..w[1]] {
+                lists.push_row(reference.row(id));
+            }
+            lists.close_panel();
+        }
+        starts.push(lists.rows());
         Ok(IvfIndex {
             lists,
             starts,
@@ -401,7 +332,7 @@ impl Default for AnnOptions {
 /// the size threshold, IVF above it. Both arms share the selection and
 /// combination code, so switching arms never changes tie-breaking — only
 /// how many rows get scanned.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum AnnIndex {
     /// Exact linear scan ([`NearestNeighbors`]) — small references, and
     /// the correctness oracle for the IVF arm.
@@ -446,38 +377,6 @@ impl AnnIndex {
     /// True when the index is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Structural check of a deserialized index: rows `dims` wide, every
-    /// matrix holding `rows * cols` values, and on the IVF arm one list
-    /// boundary per centroid plus one, ascending from 0 to the row count,
-    /// over ids that each name a row. Names the first part that does not
-    /// fit; [`AnnIndex::build`] cannot produce one.
-    pub fn validate(&self, dims: usize) -> Result<(), &'static str> {
-        let rows = match self {
-            AnnIndex::Brute { scan } => scan.reference(),
-            AnnIndex::Ivf { ivf } => &ivf.lists,
-        };
-        if !rows.is_well_formed() || rows.cols() != dims {
-            return Err("index rows are not rows x components");
-        }
-        let AnnIndex::Ivf { ivf } = self else {
-            return Ok(());
-        };
-        if !ivf.centroids.is_well_formed() || ivf.centroids.cols() != dims {
-            return Err("index.centroids is not nlist x components");
-        }
-        // Loading laid the lists out only if the offsets cut the packed
-        // rows, ascending from 0 to their count.
-        let bounds = &ivf.offsets;
-        if ivf.starts.len() != bounds.len() || bounds.len() != ivf.centroids.rows() + 1 {
-            return Err("index.offsets does not cut the rows into nlist lists");
-        }
-        let n = bounds[bounds.len() - 1];
-        if ivf.ids.len() != n || ivf.ids.iter().any(|&id| id >= n) {
-            return Err("index.ids does not name one row per packed row");
-        }
-        Ok(())
     }
 
     /// True when the IVF arm is active.

@@ -32,7 +32,6 @@
 //! and no product. At 8,000 rows that Gram is most of the fit's work.
 
 use qpp_linalg::{stats, svd, vector, Cholesky, LinalgError, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Slack on the mathematical bound `|ρ| <= 1`: values within the slack
 /// are rounding noise and are clamped; values beyond it mean the solver
@@ -41,7 +40,7 @@ use serde::{Deserialize, Serialize};
 const CORRELATION_SLACK: f64 = 1e-6;
 
 /// Options for [`Cca::fit`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CcaOptions {
     /// Number of canonical components to keep (capped by min(p, q)).
     pub components: usize,
@@ -59,7 +58,7 @@ impl Default for CcaOptions {
 }
 
 /// A fitted CCA model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cca {
     /// Canonical correlations, descending (length = components kept).
     pub correlations: Vec<f64>,

@@ -27,7 +27,7 @@
 //! left-hand side survives as the oracle of `tests/fold_equivalence.rs`.
 
 use crate::cca::{Cca, CcaOptions};
-use crate::kernel::GaussianKernel;
+use crate::kernel::{GaussianKernel, MIN_TAU};
 use qpp_linalg::{
     vector, IcdOptions, IncompleteCholesky, LinalgError, Matrix, MatrixView, RowPanels,
 };
@@ -209,14 +209,21 @@ impl Kcca {
     }
 
     /// Structural check of a deserialized model: every matrix holds
-    /// `rows * cols` values and pivots (`rank x width`), fold
+    /// `rows * cols` values, pivots (`rank x width`), fold
     /// (`rank x components`), centering (`rank`) and training projection
-    /// (`n x components`) fit together. Names the first part that does
-    /// not; [`Kcca::fit`] cannot produce one.
+    /// (`n x components`) fit together, and the kernel scale is finite
+    /// and at least the floor [`GaussianKernel::fit`] applies. Names the
+    /// first part that does not; [`Kcca::fit`] cannot produce one.
     pub fn validate(&self, width: usize) -> Result<(), &'static str> {
         let (pivots, fold, stored) = (&self.x_pivots, &self.fold, &self.x_projection);
         if !pivots.is_well_formed() || pivots.cols() != width {
             return Err("kcca.x_pivots is not rank x feature width");
+        }
+        // Below the floor a kernel row is not in (0, 1]: a negative scale
+        // grows it without bound, zero makes it NaN.
+        let tau = self.x_kernel.tau;
+        if !(tau.is_finite() && tau >= MIN_TAU) {
+            return Err("kcca.x_kernel.tau is not a kernel scale a fit can produce");
         }
         if !fold.is_well_formed() || fold.rows() != pivots.rows() {
             return Err("kcca.fold is not rank x components");

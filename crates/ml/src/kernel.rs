@@ -3,6 +3,9 @@
 use qpp_linalg::MatrixView;
 use serde::{Deserialize, Serialize};
 
+/// The smallest scale [`GaussianKernel::fit`] returns.
+pub(crate) const MIN_TAU: f64 = 1e-6;
+
 /// Gaussian (RBF) kernel `k(x, y) = exp(-||x - y||² / τ)`.
 ///
 /// The paper sets the scale `τ` to "a fixed fraction of the empirical
@@ -36,7 +39,7 @@ impl GaussianKernel {
     /// distance* (same intent: a data-driven scale, one knob), so
     /// `fraction = 1.0` puts the average pair at `k = e⁻¹`.
     pub fn fit(data: MatrixView<'_>, fraction: f64) -> Self {
-        let tau = (fraction * mean_squared_distance(data)).max(1e-6);
+        let tau = (fraction * mean_squared_distance(data)).max(MIN_TAU);
         GaussianKernel { tau }
     }
 

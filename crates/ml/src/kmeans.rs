@@ -20,7 +20,6 @@
 use qpp_linalg::{vector, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from [`KMeans::fit`].
@@ -54,7 +53,7 @@ impl fmt::Display for KMeansError {
 impl std::error::Error for KMeansError {}
 
 /// A fitted k-means model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeans {
     /// Cluster centroids as rows (`k x p`).
     pub centroids: Matrix,

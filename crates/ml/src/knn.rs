@@ -135,7 +135,7 @@ pub struct Neighbor {
 /// Linear scan over the rows as [`RowPanels`] — exact, and fast at the
 /// scale of the paper's training sets (~1000 points, ≤16 projection
 /// dims).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NearestNeighbors {
     reference: RowPanels,
     metric: DistanceMetric,
@@ -161,11 +161,6 @@ impl NearestNeighbors {
     /// True when the index is empty.
     pub fn is_empty(&self) -> bool {
         self.reference.rows() == 0
-    }
-
-    /// The rows searched.
-    pub(crate) fn reference(&self) -> &RowPanels {
-        &self.reference
     }
 
     /// The `k` nearest neighbors of `probe`, ascending by

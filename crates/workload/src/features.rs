@@ -8,10 +8,9 @@
 //! the experiments can demonstrate that failure.
 
 use crate::spec::{JoinKind, QuerySpec};
-use serde::{Deserialize, Serialize};
 
 /// The paper's 9-element SQL-text feature vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SqlTextFeatures {
     /// Number of nested subqueries.
     pub nested_subqueries: u32,

@@ -6,11 +6,9 @@
 //! dimension scaling with a square-root law, which is close enough for
 //! the cost relationships that matter here).
 
-use serde::{Deserialize, Serialize};
-
 /// A column with the statistics the optimizer and the data-generation
 /// model need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     /// Column name (TPC-DS style, e.g. `ss_sold_date_sk`).
     pub name: String,
@@ -37,7 +35,7 @@ impl Column {
 }
 
 /// A base table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table name.
     pub name: String,
@@ -73,7 +71,7 @@ impl Table {
 }
 
 /// A schema: a named set of tables plus the scale factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     /// Schema name (`tpcds` or `customer`).
     pub name: String,

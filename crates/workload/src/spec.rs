@@ -12,10 +12,8 @@
 //!   between the two is the cardinality-estimation error the paper names
 //!   as a main source of prediction difficulty (§I).
 
-use serde::{Deserialize, Serialize};
-
 /// Predicate operator, carrying what the optimizer can see.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredOp {
     /// `col = const`; the optimizer estimates `1 / ndv`.
     Eq,
@@ -47,7 +45,7 @@ impl PredOp {
 }
 
 /// A selection predicate on one table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredicateSpec {
     /// Index into [`QuerySpec::tables`].
     pub table: usize,
@@ -61,7 +59,7 @@ pub struct PredicateSpec {
 }
 
 /// Join kind as written in the SQL text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     /// Equi-join on key columns.
     Equi,
@@ -70,7 +68,7 @@ pub enum JoinKind {
 }
 
 /// A join edge between two tables of the query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinSpec {
     /// Index of the left table in [`QuerySpec::tables`].
     pub left: usize,
@@ -89,7 +87,7 @@ pub struct JoinSpec {
 }
 
 /// A nested subquery, executed as a semi-join against its table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubquerySpec {
     /// Index of the outer table the subquery correlates with.
     pub outer_table: usize,
@@ -102,7 +100,7 @@ pub struct SubquerySpec {
 }
 
 /// A complete logical query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// Template that produced this query (for bookkeeping/debugging).
     pub template: String,

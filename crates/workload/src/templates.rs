@@ -19,11 +19,10 @@ use crate::spec::{JoinKind, JoinSpec, PredOp, PredicateSpec, QuerySpec, Subquery
 use crate::world;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Broad class of a template; used to weight workload mixes and to
 /// label experiment output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemplateClass {
     /// Standard TPC-DS-style reporting query (star join + aggregate).
     Reporting,
@@ -42,7 +41,7 @@ pub enum TemplateClass {
 type DimJoin = (&'static str, &'static str, &'static str, &'static str);
 
 /// A parameterized query template.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Template {
     /// Template name, e.g. `tpcds_store_monthly`.
     pub name: String,

@@ -6,7 +6,7 @@
 //! deterministic math, never inside it, so it must not perturb a single
 //! bit.
 
-use qpp::core::model_io::{to_json, FORMAT_VERSION};
+use qpp::core::model_io::{from_json, to_json, FORMAT_VERSION};
 use qpp::core::pipeline::collect_tpcds;
 use qpp::core::{Dataset, KccaPredictor, PredictorOptions};
 use qpp::engine::SystemConfig;
@@ -145,29 +145,31 @@ fn search_arms() -> [(PredictorOptions, u64, u64); 4] {
         (
             arm(DistanceMetric::Euclidean, brute),
             0x8e94_7ee1_f183_b96b,
-            0xbd86_7add_fc19_f9ee,
+            0xd027_c240_3fe6_39d9,
         ),
         (
             arm(DistanceMetric::Cosine, brute),
             0x3fd5_4dcc_487b_fd59,
-            0xb288_5a1b_bbb7_2fdf,
+            0x70a4_c1fa_4361_9ae2,
         ),
         (
             arm(DistanceMetric::Euclidean, ivf),
             0xde38_ab36_4801_7911,
-            0xf6e2_80b1_63eb_6dcd,
+            0xbe41_5293_149c_5d87,
         ),
         (
             arm(DistanceMetric::Cosine, ivf),
             0xf1ab_b155_0030_c825,
-            0x84c0_88b7_0581_470d,
+            0xc3d2_56b0_0b1f_f1c4,
         ),
     ]
 }
 
 /// Pins what 400-row models answer for 200 held-out queries, on every
-/// neighbour search, to stored bits at 1, 2 and 8 threads: a change to
-/// the layout or the order of any predict-time sum shows.
+/// neighbour search, to stored bits at 1, 2 and 8 threads, fitted and
+/// shipped: a change to the layout or the order of any predict-time sum
+/// shows, and so does a loaded model whose rebuilt index differs from
+/// the fitted one.
 #[test]
 fn held_out_predictions_match_their_stored_fingerprints() {
     let config = SystemConfig::neoview_4();
@@ -175,25 +177,31 @@ fn held_out_predictions_match_their_stored_fingerprints() {
     let test = collect_tpcds(200, 31, &config, 2);
     for threads in [1, 2, 8] {
         for (options, stored, _) in search_arms() {
-            let model = qpp_par::with_threads(threads, || KccaPredictor::train(&train, options));
-            let model = model.unwrap();
-            assert_eq!(model.index().is_ivf(), options.ann.ivf_threshold == 16);
-            assert_eq!(
-                prediction_fingerprint(&model, &test),
-                stored,
-                "{:?}, ivf {}, {threads} thread(s)",
-                options.metric,
-                model.index().is_ivf()
-            );
+            let (fitted, loaded) = qpp_par::with_threads(threads, || {
+                let fitted = KccaPredictor::train(&train, options).unwrap();
+                let loaded = from_json(&to_json(&fitted).unwrap()).unwrap();
+                (fitted, loaded)
+            });
+            for (model, how) in [(fitted, "fitted"), (loaded, "loaded")] {
+                assert_eq!(model.index().is_ivf(), options.ann.ivf_threshold == 16);
+                assert_eq!(
+                    prediction_fingerprint(&model, &test),
+                    stored,
+                    "{how}, {:?}, ivf {}, {threads} thread(s)",
+                    options.metric,
+                    model.index().is_ivf()
+                );
+            }
         }
     }
 }
 
-/// Pins the bytes `model_io::to_json` writes for the same models: how a
-/// scan lays rows out in memory never reaches the format-6 envelope.
+/// Pins the bytes `model_io::to_json` writes for the same models: the
+/// format-7 envelope holds what a fit learned, and how a scan lays rows
+/// out in memory never reaches it.
 #[test]
 fn a_400_row_envelope_matches_its_stored_hash() {
-    assert_eq!(FORMAT_VERSION, 6);
+    assert_eq!(FORMAT_VERSION, 7);
     let train = collect_tpcds(400, 29, &SystemConfig::neoview_4(), 2);
     for threads in [1, 2, 8] {
         for (options, _, stored) in search_arms() {
