@@ -156,7 +156,7 @@ echo "==> size ratchet: lines of Rust per crate"
 # number and goes down. The ceiling is the measured total after the last
 # change that moved it: lower it when code goes, and never raise it
 # without a stated reason. CHANGES.md records each move and its reason.
-MAX_RUST_LINES=24451
+MAX_RUST_LINES=24487
 TOTAL_RUST_LINES=0
 for crate in crates/* vendor/*; do
     LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)

@@ -17,10 +17,11 @@
 use crate::cholesky::Cholesky;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
+use crate::panels::PANEL_ROWS;
 
-/// Starting row stride of `G` when the rank is not capped below `n`;
-/// it doubles as pivots are accepted, so an uncapped factorization never
-/// reserves `n x n`.
+/// Starting column stride of `G`'s panels when the rank is not capped
+/// below `n`; it doubles as pivots are accepted, so an uncapped
+/// factorization never reserves `n x n`.
 const UNCAPPED_START_STRIDE: usize = 32;
 
 /// Options controlling the factorization.
@@ -51,6 +52,23 @@ pub struct IncompleteCholesky {
     residual_trace: f64,
 }
 
+/// `sums[k] -= columns[s][k] * pivot[s]` for each column `s` in
+/// ascending order: 16 independent chains, one per row of a panel. Taken
+/// and returned by value, so the sums stay in registers.
+#[inline(always)]
+fn subtract_columns(
+    mut sums: [f64; PANEL_ROWS],
+    columns: &[[f64; PANEL_ROWS]],
+    pivot: &[f64],
+) -> [f64; PANEL_ROWS] {
+    for (column, &gp) in columns.iter().zip(pivot) {
+        for (sum, gi) in sums.iter_mut().zip(column) {
+            *sum -= gi * gp;
+        }
+    }
+    sums
+}
+
 impl IncompleteCholesky {
     /// Factorizes the `n x n` Gram matrix given by `gram(i, j)`.
     ///
@@ -77,17 +95,19 @@ impl IncompleteCholesky {
             0.0
         };
 
-        // G row-major: row `i`'s accepted columns are contiguous at
-        // `g[i * stride..][..t]`, so a row's residual update reads one
-        // strip. A cap below `n` is reserved once: growing to it would
-        // hold the old and the new `G` at once at the last doubling.
-        // Otherwise the stride doubles when a pivot needs it.
+        // G as 16-row panels stored column by column, the layout of
+        // `RowPanels`: column `s` of panel `q` is the 16 values at
+        // `g[q * 16 * stride + s * 16..]`, one per row `16q + k`. A cap
+        // below `n` is reserved once: growing to it would hold the old
+        // and the new `G` at once at the last doubling. Otherwise the
+        // stride doubles when a pivot needs it.
         let mut stride = if max_rank < n {
             max_rank
         } else {
             max_rank.min(UNCAPPED_START_STRIDE)
         };
-        let mut g: Vec<f64> = vec![0.0; n * stride];
+        let panels = n.div_ceil(PANEL_ROWS);
+        let mut g: Vec<f64> = vec![0.0; panels * PANEL_ROWS * stride];
         let mut pivot_row: Vec<f64> = Vec::with_capacity(stride);
         let mut pivots: Vec<usize> = Vec::new();
         let mut selected = vec![false; n];
@@ -109,61 +129,49 @@ impl IncompleteCholesky {
             }
             let gpp = best.sqrt();
             if t == stride {
-                // Re-lay each row's prefix at the doubled stride, last
-                // row first so no prefix is overwritten before it moves.
+                // Re-lay each panel's first `t` columns at the doubled
+                // stride, last panel first so none is overwritten before
+                // it moves.
                 let wider = (2 * stride).min(max_rank);
-                g.resize(n * wider, 0.0);
-                for i in (1..n).rev() {
-                    g.copy_within(i * stride..i * stride + t, i * wider);
+                g.resize(panels * PANEL_ROWS * wider, 0.0);
+                for q in (1..panels).rev() {
+                    let from = q * PANEL_ROWS * stride;
+                    g.copy_within(from..from + PANEL_ROWS * t, q * PANEL_ROWS * wider);
                 }
                 stride = wider;
             }
             // The hot loop: one kernel evaluation plus a rank-t residual
-            // update per unselected row, subtracting columns in ascending
-            // order against a copy of the pivot's row. Four consecutive
-            // unselected rows share one pass over it, each in its own
-            // accumulator; a group holding a selected row or `p` goes
-            // one row at a time.
+            // update per unselected row. A panel's 16 rows run as 16
+            // independent sums over one pass through its columns, which
+            // the compiler vectorizes; each sum starts from `gram(i, p)`
+            // and subtracts its row's columns in ascending order against
+            // a copy of the pivot's row, as one row alone would. The
+            // lanes of selected rows, of `p` and of padding compute sums
+            // nobody reads, and get 0 in column `t`.
+            let (pivot_panel, pivot_lane) = (p / PANEL_ROWS * PANEL_ROWS * stride, p % PANEL_ROWS);
             pivot_row.clear();
-            pivot_row.extend_from_slice(&g[p * stride..p * stride + t]);
-            for (q, quad) in g.chunks_mut(4 * stride).enumerate() {
-                let i0 = 4 * q;
-                let live = |i: usize| !selected[i] && i != p;
-                if quad.len() == 4 * stride && (i0..i0 + 4).all(live) {
-                    let (r01, r23) = quad.split_at_mut(2 * stride);
-                    let (r0, r1) = r01.split_at_mut(stride);
-                    let (r2, r3) = r23.split_at_mut(stride);
-                    let mut v: [f64; 4] = std::array::from_fn(|k| gram(i0 + k, p));
-                    let strips = r0[..t].iter().zip(&r1[..t]).zip(&r2[..t]).zip(&r3[..t]);
-                    for ((((a, b), c), e), gp) in strips.zip(&pivot_row) {
-                        v[0] -= a * gp;
-                        v[1] -= b * gp;
-                        v[2] -= c * gp;
-                        v[3] -= e * gp;
+            pivot_row.extend((0..t).map(|s| g[pivot_panel + s * PANEL_ROWS + pivot_lane]));
+            for (q, panel) in g.chunks_exact_mut(PANEL_ROWS * stride).enumerate() {
+                let i0 = q * PANEL_ROWS;
+                let live = |k: usize| i0 + k < n && !selected[i0 + k] && i0 + k != p;
+                let mut v = [0.0; PANEL_ROWS];
+                for (k, sum) in v.iter_mut().enumerate() {
+                    if live(k) {
+                        *sum = gram(i0 + k, p);
                     }
-                    for (k, row) in [r0, r1, r2, r3].into_iter().enumerate() {
+                }
+                let columns = panel.as_chunks_mut::<PANEL_ROWS>().0;
+                let v = subtract_columns(v, &columns[..t], &pivot_row);
+                for (k, out) in columns[t].iter_mut().enumerate() {
+                    *out = 0.0;
+                    if live(k) {
                         let gi = v[k] / gpp;
-                        row[t] = gi;
+                        *out = gi;
                         d[i0 + k] -= gi * gi;
                     }
-                    continue;
-                }
-                for (k, row) in quad.chunks_exact_mut(stride).enumerate() {
-                    let i = i0 + k;
-                    if !live(i) {
-                        row[t] = 0.0;
-                        continue;
-                    }
-                    let mut v = gram(i, p);
-                    for (gi, gp) in row[..t].iter().zip(&pivot_row) {
-                        v -= gi * gp;
-                    }
-                    let gi = v / gpp;
-                    row[t] = gi;
-                    d[i] -= gi * gi;
                 }
             }
-            g[p * stride + t] = gpp;
+            g[pivot_panel + t * PANEL_ROWS + pivot_lane] = gpp;
             selected[p] = true;
             d[p] = 0.0;
             pivots.push(p);
@@ -176,16 +184,27 @@ impl IncompleteCholesky {
             });
         }
 
-        // Close each row's gap when fewer pivots than the stride were
-        // accepted; rows only move left, first row first.
+        // Back to row-major `n x r` in place, first panel first: panel
+        // `q`'s rows land in `g[16q * r..16(q + 1) * r]`, at or before
+        // its own slots and ending at or before the next panel's, so the
+        // only unread values it overwrites are its own, read from a copy.
         let r = pivots.len();
-        if r < stride {
-            for i in 1..n {
-                g.copy_within(i * stride..i * stride + r, i * r);
+        let mut block: Vec<f64> = Vec::with_capacity(PANEL_ROWS * r);
+        for q in 0..panels {
+            let from = q * PANEL_ROWS * stride;
+            block.clear();
+            block.extend_from_slice(&g[from..from + PANEL_ROWS * r]);
+            let rows = PANEL_ROWS.min(n - q * PANEL_ROWS);
+            for (k, row) in g[q * PANEL_ROWS * r..][..rows * r]
+                .chunks_exact_mut(r)
+                .enumerate()
+            {
+                for (s, out) in row.iter_mut().enumerate() {
+                    *out = block[s * PANEL_ROWS + k];
+                }
             }
-            g.truncate(n * r);
-            g.shrink_to_fit();
         }
+        g.truncate(n * r);
         let g = Matrix::from_vec(n, r, g)?;
         let residual_trace = crate::vector::sum_iter(d.iter().map(|v| v.max(0.0)));
         Ok(IncompleteCholesky {

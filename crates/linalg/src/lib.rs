@@ -26,7 +26,8 @@
 //!   of the narrow-side Gram matrix; the solve behind `Cca::fit`.
 //! * [`stats`] — means, variances, standardization helpers.
 //! * [`panels`] — [`RowPanels`], rows stored as column-interleaved
-//!   16-row panels: the layout of every predict-time scan.
+//!   16-row panels: the layout of every predict-time scan and of the
+//!   incomplete Cholesky factor while it grows.
 //! * [`view`] — borrowed zero-copy [`MatrixView`] over contiguous
 //!   row-major storage, the currency of the predict path's crate
 //!   boundaries.

@@ -1,4 +1,5 @@
-//! Row panels: the layout every predict-time scan reads.
+//! Row panels: the layout every predict-time scan reads, and the one
+//! the fit's incomplete Cholesky keeps its factor in while it grows.
 //!
 //! A prediction scans stored rows twice: the kernel row against the
 //! KCCA pivots and the neighbour search in projection space. Stored row

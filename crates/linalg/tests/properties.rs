@@ -421,25 +421,40 @@ fn bits(m: &Matrix) -> Vec<u64> {
 }
 
 #[test]
-fn four_row_icd_passes_leave_every_tail_to_the_oracle() {
-    // n ≡ 1, 2, 3 mod 4: the last group of rows is short, so it goes one
-    // row at a time like every group holding a selected row.
+fn panel_icd_edges_are_bitwise_equal_to_the_column_major_oracle() {
+    // G is held as 16-row panels while it factors. n ≡ 15, 0, 1 and 15
+    // mod 16, the first a single partial panel; per n, a cap the rank
+    // reaches (r == stride), a tolerance stop below a cap (r < stride:
+    // the in-place conversion back to row-major closes the gap), and an
+    // uncapped run, past the first doubling of the stride from 32 when
+    // n allows. Every row is a pivot in the last, so one falls in the
+    // padded last panel.
     let coords: Vec<f64> = (0..2 * 64).map(|k| 2.0 * (k as f64 * 0.61).sin()).collect();
     let kern = |i: usize, j: usize| {
         let (a, b) = (&coords[2 * i..2 * i + 2], &coords[2 * j..2 * j + 2]);
         (-vector::sq_dist(a, b) / 0.2).exp()
     };
-    for n in [61, 62, 63] {
-        for max_rank in [48, n] {
+    for n in [15, 48, 49, 63] {
+        let cases = [(12, 0.0), (n - 1, 0.05), (usize::MAX, 0.0)];
+        for (max_rank, relative_tolerance) in cases {
             let opts = IcdOptions {
                 max_rank,
-                relative_tolerance: 0.0,
+                relative_tolerance,
             };
             let icd = IncompleteCholesky::factor(n, kern, opts).unwrap();
             let (g, pivots, residual) = column_major_icd(n, kern, opts);
-            assert_eq!(icd.pivots(), pivots, "n {n}, cap {max_rank}");
-            assert_eq!(bits(icd.g()), bits(&g), "n {n}, cap {max_rank}");
-            assert_eq!(icd.residual_trace().to_bits(), residual.to_bits());
+            let what = format!("n {n}, cap {max_rank}, tolerance {relative_tolerance}");
+            match max_rank {
+                12 => assert_eq!(icd.rank(), 12, "{what}"),
+                usize::MAX => {
+                    assert_eq!(icd.rank(), n, "{what}");
+                    assert!(n < 32 || icd.rank() > 32, "{what}");
+                }
+                _ => assert!(icd.rank() < max_rank, "{what}: rank {}", icd.rank()),
+            }
+            assert_eq!(icd.pivots(), pivots, "{what}");
+            assert_eq!(bits(icd.g()), bits(&g), "{what}");
+            assert_eq!(icd.residual_trace().to_bits(), residual.to_bits(), "{what}");
         }
     }
 }
