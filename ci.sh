@@ -12,13 +12,21 @@ echo "==> cargo clippy -D warnings"
 # panic), no hash-order iteration (iter_over_hash_type), and no clock
 # read in a model crate (disallowed-types in crates/{core,ml,linalg,
 # adapt}/clippy.toml). What an execution sees is the test stages' job
-# (DESIGN.md §11): allocation freedom is counted by
+# (DESIGN.md §14): allocation freedom is counted by
 # tests/alloc_regression.rs, reduction order by tests/thread_invariance.rs
 # at 1 and 8 threads, and the two conventions left — no Vec<Vec<f64>>,
 # Relaxed-only commented atomics in three files — by tests/conventions.rs,
 # which also checks the clippy lines above still exist, that every
-# crate's lib.rs forbids unsafe code, and that every example runs below.
+# crate's lib.rs forbids unsafe code, that every example runs below, that
+# the qpp-ml oracle suites keep their test counts, that the lines of Rust
+# stay under their ceiling, and that every number in README.md and
+# DESIGN.md names its source.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings"
+# DESIGN.md defers to the crates' own docs, so a broken or private
+# intra-doc link fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo test (QPP_THREADS=1)"
 QPP_THREADS=1 cargo test -q --workspace
@@ -122,51 +130,5 @@ if [ -n "$(git status --porcelain benchmark BENCHMARK.json)" ]; then
     exit 1
 fi
 echo "benchmark OK: 4 workloads x {untraced, traced} passed their output checks, tree clean"
-
-echo "==> equivalence gates: each oracle suite must actually run"
-# A filtered-out or silently skipped suite must fail CI, so each gate
-# needs at least its stated number of passing tests:
-# - svd_equivalence: Cca::fit (one direct tridiagonal-QL solve) matches
-#   the dense Jacobi oracle, clustered top spectra included;
-# - ann_equivalence: the IVF index returns bitwise-identical neighbors
-#   to the serial brute scan (exhaustive probe, ties, non-finite rows,
-#   thread counts, predictor wiring), a query's worst-case distance
-#   evaluations stay flat as rows grow 64x, and the early-abandon scan
-#   both arms run, over panels of 16 column-interleaved rows, equals the
-#   one-row-at-a-time loop under both metrics by property test;
-# - fold_equivalence: Kcca::project_query_into projects through one
-#   precomputed matrix; the staged route it replaced (triangular solve,
-#   centre, CCA weights) runs nowhere else, rebuilt from public pieces,
-#   and the fold is held to it within a stated bound.
-for gate in svd_equivalence:6 ann_equivalence:10 fold_equivalence:4; do
-    SUITE=${gate%:*}
-    MIN=${gate#*:}
-    GATE_OUT=$(cargo test -q -p qpp-ml --test "$SUITE" 2>&1) || {
-        echo "$GATE_OUT"; exit 1; }
-    GATE_PASSED=$(echo "$GATE_OUT" | sed -n 's/.*test result: ok\. \([0-9]*\) passed.*/\1/p' | head -1)
-    if [ -z "$GATE_PASSED" ] || [ "$GATE_PASSED" -lt "$MIN" ]; then
-        echo "$SUITE gate: expected >= $MIN tests to run, got '${GATE_PASSED:-none}'"
-        exit 1
-    fi
-    echo "$SUITE gate OK: $GATE_PASSED tests ran"
-done
-
-echo "==> size ratchet: lines of Rust per crate"
-# ROADMAP aim 2: lines of Rust in crates/ and vendor/ is a tracked
-# number and goes down. The ceiling is the measured total after the last
-# change that moved it: lower it when code goes, and never raise it
-# without a stated reason. CHANGES.md records each move and its reason.
-MAX_RUST_LINES=24487
-TOTAL_RUST_LINES=0
-for crate in crates/* vendor/*; do
-    LINES=$(git ls-files "$crate/*.rs" | xargs cat | wc -l)
-    printf '  %-22s %6d\n' "$crate" "$LINES"
-    TOTAL_RUST_LINES=$((TOTAL_RUST_LINES + LINES))
-done
-if [ "$TOTAL_RUST_LINES" -gt "$MAX_RUST_LINES" ]; then
-    echo "size ratchet: crates/ + vendor/ hold $TOTAL_RUST_LINES lines of Rust, ceiling $MAX_RUST_LINES"
-    exit 1
-fi
-echo "size ratchet OK: $TOTAL_RUST_LINES lines of Rust (ceiling $MAX_RUST_LINES)"
 
 echo "CI OK"

@@ -12,7 +12,7 @@
 //! [`crate::AdaptWorker`] thread in production, or synchronously via
 //! [`AdaptiveController::drain_pending`] in deterministic tests.
 //!
-//! The per-model phase machine (see DESIGN.md §13):
+//! The per-model phase machine (see DESIGN.md §11):
 //!
 //! ```text
 //! Stable --drift--> RetrainQueued --swap--> PostSwap --ok--> Stable

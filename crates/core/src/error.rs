@@ -2,7 +2,7 @@
 //!
 //! Every layer of the data plane keeps its own narrow error type —
 //! [`LinalgError`] for numerics, [`KnnError`] for neighbor search,
-//! [`ModelIoError`](crate::model_io::ModelIoError) for model
+//! [`crate::model_io::ModelIoError`] for model
 //! (de)serialization — and [`QppError`] is the single type they all
 //! converge to at the public API boundary. Embedders match on one enum;
 //! layers keep errors precise; `?` works across crate boundaries via

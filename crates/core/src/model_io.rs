@@ -157,7 +157,7 @@ pub fn to_json(model: &KccaPredictor) -> Result<String, ModelIoError> {
 
 /// Deserializes a one-model predictor, verifying format version and
 /// payload checksum first, then the model's structure, and building its
-/// neighbor index last ([`KccaPredictor::load`]).
+/// neighbor index last (`KccaPredictor::load`).
 pub fn from_json(json: &str) -> Result<KccaPredictor, ModelIoError> {
     let learned: Learned = serde_json::from_str(&open(json)?)?;
     KccaPredictor::load(learned).map_err(|what| ModelIoError::Malformed { what })

@@ -40,7 +40,7 @@ pub struct PredictorOptions {
     pub weighting: NeighborWeighting,
     /// Neighbor-index selection: brute scan at paper scale, a
     /// deterministic IVF index once the reference outgrows
-    /// `ann.ivf_threshold` rows (DESIGN.md §15).
+    /// `ann.ivf_threshold` rows (DESIGN.md §8).
     pub ann: AnnOptions,
 }
 

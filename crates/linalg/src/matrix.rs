@@ -229,7 +229,7 @@ impl Matrix {
     /// This is the projection kernel of the predict hot path: `self` is
     /// a tall-thin weight matrix (`p x keep`, row-major), and the naive
     /// loop re-touches the whole `out` vector once per matrix row. Here
-    /// each pass fixes a block of [`GEMV_COL_BLOCK`] output columns in a
+    /// each pass fixes a block of `GEMV_COL_BLOCK` output columns in a
     /// stack-resident accumulator and streams the matrix rows once per
     /// block, the lane loop unrolled 4 wide.
     ///

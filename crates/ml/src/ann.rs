@@ -75,7 +75,7 @@ const TRAIN_SAMPLE_CAP: usize = 32_768;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IvfOptions {
     /// Number of k-means cells; `0` auto-sizes to
-    /// `clamp(rows / 128, 1, 4096)` (see [`TARGET_LIST_LEN`]).
+    /// `clamp(rows / 128, 1, 4096)` (see `TARGET_LIST_LEN`).
     pub nlist: usize,
     /// Probed cells per query; clamped to `[1, nlist]` at build time.
     /// `nprobe == nlist` makes the index exact.
@@ -291,7 +291,7 @@ impl IvfIndex {
     }
 
     /// Predicts a target vector for `probe` into reusable buffers; the
-    /// body is the brute path's [`predict_with`], so predictions agree
+    /// body is the brute path's `predict_with`, so predictions agree
     /// bitwise whenever the neighbor sets do.
     pub fn predict_into(
         &self,
@@ -328,7 +328,7 @@ impl Default for AnnOptions {
     }
 }
 
-/// Neighbor index behind [`KccaPredictor`](qpp_core): brute-force below
+/// Neighbor index behind `qpp_core`'s `KccaPredictor`: brute-force below
 /// the size threshold, IVF above it. Both arms share the selection and
 /// combination code, so switching arms never changes tie-breaking — only
 /// how many rows get scanned.

@@ -173,7 +173,7 @@ impl NearestNeighbors {
     }
 
     /// Fills `out` with the `k` nearest neighbors of `probe`, ascending
-    /// by `(distance, index)`: one serial [`scan_rows`] over the whole
+    /// by `(distance, index)`: one serial `scan_rows` over the whole
     /// reference (non-finite distances skipped). Once `out` has capacity
     /// `k + 1` the scan allocates nothing, at any reference size.
     pub fn query_into(&self, probe: &[f64], k: usize, out: &mut Vec<Neighbor>) {

@@ -1,5 +1,5 @@
 //! IVF-vs-brute-force equivalence suite — the correctness oracle for
-//! the sub-linear neighbor index (DESIGN.md §15).
+//! the sub-linear neighbor index (DESIGN.md §8).
 //!
 //! The IVF rescan is exact over the probed cells, so whenever those
 //! cells cover the true top-k the result must be *bitwise* identical to
@@ -87,7 +87,7 @@ fn default_nprobe_is_bitwise_identical_on_clustered_data() {
     // The approximate regime: 8 of 24 lists probed. On separated blobs
     // the probed cells still cover the true top-k for probes near the
     // data, so equality stays bitwise — this is the recall argument of
-    // DESIGN.md §15 made executable.
+    // DESIGN.md §8 made executable.
     let data = blobs(24, 200, 3);
     let nn = NearestNeighbors::new(data.clone(), DistanceMetric::Euclidean);
     let ivf = IvfIndex::build(
