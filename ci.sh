@@ -123,12 +123,23 @@ echo "==> benchmark: the one measurement harness builds, passes its checks, leav
 # worst-case evaluations in ann_equivalence, DRR shares through the
 # workers' blocking drain in fair_share).
 (cd benchmark && cargo test --offline -q)
-bash benchmark/run.sh --seconds 2 >/dev/null
+BENCH_OUT=$(bash benchmark/run.sh --seconds 2)
+# The serve_* model sits below ivf_threshold, so it searches exactly:
+# every run of both workloads must find every neighbour the brute oracle
+# finds.
+for workload in serve_paced serve_saturated; do
+    RECALL=$(awk -v w="$workload" '/^# workload /{on = ($3 == w)} on && /^neighbor_recall /' <<<"$BENCH_OUT")
+    if [ "$(grep -c . <<<"$RECALL")" -ne 2 ] || grep -qv '^neighbor_recall 1\.000000 ' <<<"$RECALL"; then
+        echo "benchmark: $workload does not print neighbor_recall 1.000000 on both runs:"
+        echo "${RECALL:-no neighbor_recall line}"
+        exit 1
+    fi
+done
 if [ -n "$(git status --porcelain benchmark BENCHMARK.json)" ]; then
     echo "benchmark: the run modified tracked files under benchmark/ or BENCHMARK.json"
     git status --porcelain benchmark BENCHMARK.json
     exit 1
 fi
-echo "benchmark OK: 4 workloads x {untraced, traced} passed their output checks, tree clean"
+echo "benchmark OK: 4 workloads x {untraced, traced} passed their output checks, serve_* recall 1, tree clean"
 
 echo "CI OK"

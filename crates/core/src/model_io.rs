@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_predictions() {
         let (_, d) = model();
-        // Both neighbor-index arms: brute at the default threshold, IVF
+        // Both neighbor-index arms: exact at the default threshold, IVF
         // once the threshold is below the training size. Loading builds
         // the index the fit built.
         for ivf_threshold in [PredictorOptions::default().ann.ivf_threshold, 16] {

@@ -38,8 +38,8 @@ pub struct PredictorOptions {
     pub metric: DistanceMetric,
     /// Neighbor weighting (paper: equal, Table III).
     pub weighting: NeighborWeighting,
-    /// Neighbor-index selection: brute scan at paper scale, a
-    /// deterministic IVF index once the reference outgrows
+    /// Neighbor-index selection: an exact search at paper scale, `nprobe`
+    /// lists of the IVF index once the reference outgrows
     /// `ann.ivf_threshold` rows (DESIGN.md §8).
     pub ann: AnnOptions,
 }
@@ -332,8 +332,8 @@ impl KccaPredictor {
         &self.learned.kcca
     }
 
-    /// The neighbor index the model predicts through — brute scan or
-    /// IVF, depending on the training-set size vs
+    /// The neighbor index the model predicts through — exact or
+    /// approximate, depending on the training-set size vs
     /// `options.ann.ivf_threshold`.
     pub fn index(&self) -> &AnnIndex {
         &self.index

@@ -130,11 +130,10 @@ pub struct Neighbor {
     pub distance: f64,
 }
 
-/// Nearest-neighbor index over the rows of a reference matrix.
-///
-/// Linear scan over the rows as [`RowPanels`] — exact, and fast at the
-/// scale of the paper's training sets (~1000 points, ≤16 projection
-/// dims).
+/// Nearest-neighbor index over the rows of a reference matrix: one
+/// linear scan over the rows as [`RowPanels`]. No prediction runs
+/// through it; it is the oracle [`crate::ann::IvfIndex`] is tested
+/// against, exhaustive or not.
 #[derive(Debug, Clone)]
 pub struct NearestNeighbors {
     reference: RowPanels,

@@ -1,12 +1,15 @@
 //! IVF-vs-brute-force equivalence suite — the correctness oracle for
-//! the sub-linear neighbor index (DESIGN.md §8).
+//! the neighbor index (DESIGN.md §8), whose exact arm serves every model
+//! up to `ivf_threshold` rows.
 //!
 //! The IVF rescan is exact over the probed cells, so whenever those
 //! cells cover the true top-k the result must be *bitwise* identical to
 //! the serial brute scan: same neighbor indices, same distance bits,
 //! same `(distance, index)` tie-breaking. Exhaustive probing
-//! (`nprobe == nlist`) guarantees coverage unconditionally; clustered
-//! data with the default probe width exercises the approximate regime.
+//! (`nprobe == nlist`, the exact arm) guarantees coverage
+//! unconditionally; clustered data with the default probe width
+//! exercises the approximate regime. The list bound that skips far
+//! lists must change no answer of either.
 //! Every comparison is repeated under 1 and 8 worker threads — results
 //! must not depend on the thread count, at build time or query time.
 //!
@@ -309,11 +312,12 @@ fn fewer_finite_rows_than_k_yields_the_same_short_list() {
 #[test]
 fn auto_switch_arms_agree_bitwise_across_the_threshold() {
     let data = blobs(16, 150, 11); // 2400 rows
-    let brute_arm = AnnIndex::build(
+    let nn = NearestNeighbors::new(data.clone(), DistanceMetric::Euclidean);
+    let exact_arm = AnnIndex::build(
         data.clone(),
         DistanceMetric::Euclidean,
         &AnnOptions {
-            ivf_threshold: 10_000, // stay brute
+            ivf_threshold: 10_000, // stay exact
             ..AnnOptions::default()
         },
     )
@@ -330,14 +334,124 @@ fn auto_switch_arms_agree_bitwise_across_the_threshold() {
         },
     )
     .unwrap();
-    assert!(!brute_arm.is_ivf());
+    assert!(matches!(exact_arm, AnnIndex::Exact { .. }));
     assert!(ivf_arm.is_ivf());
     let mut rng = StdRng::seed_from_u64(12);
     for _ in 0..50 {
         let probe = [rng.random_range(0.0..70.0), rng.random_range(0.0..20.0)];
-        let brute = qpp_par::with_threads(1, || brute_arm.query(&probe, 3));
+        let brute = qpp_par::with_threads(1, || nn.query(&probe, 3));
+        let exact = qpp_par::with_threads(1, || exact_arm.query(&probe, 3));
         let approx = ivf_arm.query(&probe, 3);
-        assert_bitwise_equal(&brute, &approx, "auto-switch probe");
+        assert_bitwise_equal(&brute, &exact, "auto-switch probe, exact arm");
+        assert_bitwise_equal(&brute, &approx, "auto-switch probe, exhaustive IVF arm");
+    }
+}
+
+/// The brute scan over the lists `ivf` probes: the `nprobe` centroids
+/// nearest `probe` by `(key, list)`, finite keys only, as the coarse
+/// probe ranks them, and no list bound.
+fn brute_over_probed(ivf: &IvfIndex, data: &Matrix, probe: &[f64], k: usize) -> Vec<Neighbor> {
+    let key = match ivf.metric() {
+        DistanceMetric::Euclidean => vector::sq_dist,
+        DistanceMetric::Cosine => vector::cosine_dist,
+    };
+    let centroids = ivf.centroids().gather(0..ivf.nlist());
+    let mut ranked: Vec<(f64, usize)> = (0..ivf.nlist())
+        .map(|c| (key(probe, centroids.row(c)), c))
+        .filter(|(key, _)| key.is_finite())
+        .collect();
+    ranked.sort_by(|a, b| a.partial_cmp(b).expect("finite keys"));
+    let lists = ranked.iter().take(ivf.nprobe());
+    let mut rows: Vec<usize> = lists.flat_map(|&(_, c)| ivf.list(c).to_vec()).collect();
+    rows.sort_unstable();
+    let mut found = NearestNeighbors::new(data.select_rows(&rows), ivf.metric()).query(probe, k);
+    for n in &mut found {
+        n.index = rows[n.index];
+    }
+    found
+}
+
+/// The list bound changes no answer, under both metrics, on inputs built
+/// to trip it. Blobs sit 10 apart on the first axis, centred near 0,
+/// with ids interleaved across them and points on a half-integer grid,
+/// so distances tie exactly across lists: a probe midway between two
+/// blobs ties rows of both, a mirrored row ties its mirror image's list,
+/// and a far list's member can tie the k-th key with a lower id. In one
+/// dimension each blob's extreme row lies exactly on its radius, on the
+/// probe's side. One row in eight repeats an earlier one (duplicates
+/// share a list, since assignment is a function of the row); one in
+/// sixteen carries a NaN or an infinity, making its list's radius ∞.
+/// Probes include rows, centroids, NaN and ±∞; scales reach overflow
+/// (a centroid key past `f64::MAX` with members inside it) and the
+/// subnormal range; `k` runs from 0 past the row count. The exact arm
+/// and an exhaustive index over the blobs must equal the brute scan,
+/// and an index probing fewer lists the brute scan over those lists.
+#[test]
+fn list_bound_keeps_every_answer() {
+    for seed in 0..128 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (dims, blobs) = (rng.random_range(1usize..5), rng.random_range(2usize..7));
+        let n = blobs * rng.random_range(4usize..40);
+        let scale = [1.0, 1.0, 1e153, 1e-160, 1e-75][rng.random_range(0..5)];
+        let grid = |rng: &mut StdRng| rng.random_range(-4i32..5) as f64 * 0.5;
+        let mut data = Matrix::from_fn(n, dims, |i, j| {
+            let centre = ((i % blobs) as f64 - (blobs / 2) as f64) * 10.0;
+            (grid(&mut rng) + if j == 0 { centre } else { 0.0 }) * scale
+        });
+        for i in 1..n {
+            match rng.random_range(0u8..16) {
+                0 | 1 => {
+                    let earlier = data.row(rng.random_range(0..i)).to_vec();
+                    data.row_mut(i).copy_from_slice(&earlier);
+                }
+                2 => {
+                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                    data.row_mut(i)[rng.random_range(0..dims)] = bad[rng.random_range(0..3)];
+                }
+                _ => {}
+            }
+        }
+        for metric in [DistanceMetric::Euclidean, DistanceMetric::Cosine] {
+            let nn = NearestNeighbors::new(data.clone(), metric);
+            let options = AnnOptions {
+                ivf_threshold: usize::MAX,
+                ..AnnOptions::default()
+            };
+            let exact = AnnIndex::build(data.clone(), metric, &options).unwrap();
+            assert!(matches!(exact, AnnIndex::Exact { .. }));
+            // Every list probed, and fewer than every list.
+            let [listed, some] = [blobs, rng.random_range(1..blobs)].map(|nprobe| {
+                let options = IvfOptions {
+                    nlist: blobs,
+                    nprobe,
+                };
+                IvfIndex::build(data.clone(), metric, options).unwrap()
+            });
+            let centroids = listed.centroids().gather(0..listed.nlist());
+            let pick = |rng: &mut StdRng, m: &Matrix| m.row(rng.random_range(0..m.rows())).to_vec();
+            for q in 0..12 {
+                let mut probe: Vec<f64> = match q % 6 {
+                    0 => pick(&mut rng, &data),
+                    1 => pick(&mut rng, &data).iter().map(|v| -v).collect(),
+                    2 => pick(&mut rng, &centroids),
+                    3 => (0..dims)
+                        .map(|j| if j == 0 { 5.0 * scale } else { 0.0 })
+                        .collect(),
+                    _ => (0..dims).map(|_| grid(&mut rng) * 10.0 * scale).collect(),
+                };
+                if q % 6 == 5 {
+                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                    probe[rng.random_range(0..dims)] = bad[rng.random_range(0..3)];
+                }
+                let k = [0, 1, 3, 7, n, n + 3][rng.random_range(0..6)];
+                let what = format!("seed {seed} {metric:?} probe {q} k {k}");
+                let brute = nn.query(&probe, k);
+                assert_bitwise_equal(&brute, &exact.query(&probe, k), &what);
+                assert_bitwise_equal(&brute, &listed.query(&probe, k), &what);
+                let probed = brute_over_probed(&some, &data, &probe, k);
+                assert_bitwise_equal(&probed, &some.query(&probe, k), &what);
+            }
+        }
     }
 }
 

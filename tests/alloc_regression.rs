@@ -18,7 +18,7 @@
 //! own thread):
 //!
 //! - predict: `KccaPredictor::{predict, predict_features, predict_batch}`
-//!   over plan and SQL-text features, brute and IVF arms, the typed
+//!   over plan and SQL-text features, exact and IVF arms, the typed
 //!   wrong-width refusal (`ResultExt::ctx` → `QppError::with_context`),
 //!   `IvfIndex::predict_into`, `NearestNeighbors::{query_into,
 //!   predict_into}` under both metrics, `vector::dist`;
@@ -198,9 +198,7 @@ fn predict_features_steady_state_allocates_nothing() {
     );
     assert_eq!(scratch.neighbors, warm_neighbors);
 
-    // And for the brute arm at every size it is selected for (up to
-    // `ivf_threshold` = 4096 rows): one prediction is one serial scan
-    // and never a parallel region.
+    // And for the brute oracle the equivalence suites hold both arms to.
     let mut found = Vec::new();
     brute.query_into(&probe, 3, &mut found);
     let before = ALLOC.thread_allocation_events();
@@ -213,7 +211,7 @@ fn predict_features_steady_state_allocates_nothing() {
         "warm 3000-row brute query_into performed {brute_events} heap allocations over 32 calls"
     );
 
-    // The brute arm's own combine, under the metric and the weighting
+    // The oracle's own combine, under the metric and the weighting
     // no default selects (`dot`, `norm`, `cosine_dist`), and the plain
     // distance only tests read.
     let weighting = NeighborWeighting::InverseDistance;
@@ -234,6 +232,8 @@ fn predict_features_steady_state_allocates_nothing() {
     );
     assert!(scratch.neighbors[0].distance < 1e-12);
 
+    // The exact arm over 32 lists, its list bound included (the
+    // 150-row models above have two).
     let train = collect_tpcds(2100, 79, &config, 2);
     let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
     assert!(!model.index().is_ivf() && model.training_size() > 2048);
@@ -245,7 +245,7 @@ fn predict_features_steady_state_allocates_nothing() {
     let events = ALLOC.thread_allocation_events() - before;
     assert_eq!(
         events, 0,
-        "warm predict_features over a 2100-row brute model performed {events} heap allocations"
+        "warm predict_features over a 2100-row exact-arm model performed {events} heap allocations"
     );
 }
 

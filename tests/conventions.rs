@@ -269,7 +269,7 @@ fn test_targets_switched_off(path: &str, manifest: &str) -> Vec<String> {
 /// Lines of Rust in `crates/` and `vendor/` (ROADMAP aim 2): the measured total after the
 /// last change that moved it. Lower it when code goes; raise it only with a reason that
 /// CHANGES.md states.
-const MAX_RUST_LINES: usize = 24_487;
+const MAX_RUST_LINES: usize = 24_669;
 
 /// The lines of `texts`, counted as `wc -l` counts them: newlines.
 fn lines_of(texts: &[String]) -> usize {

@@ -138,7 +138,7 @@ fn long_and_short_queries_both_identified() {
 /// Prediction-agreement gates at default settings. The predict path has
 /// two approximations, and each is held to what it approximates on 600
 /// held-out queries against a 5,000-row model: the IVF arm (default
-/// `nprobe`, 39 lists) to the brute scan over the same projection, and
+/// `nprobe`, 39 lists) to the exact arm over the same projection, and
 /// the folded projection to the staged one it replaced — whose
 /// within-20% count on this seed, 441 of 600, was recorded at the last
 /// commit that ran it (the fold reorders ~2% of neighbour lists there,
@@ -164,24 +164,24 @@ fn ivf_arm_and_folded_projection_keep_their_predictions() {
         (predictions, within.round() as usize)
     };
     let (ivf, ivf_within) = answers(PredictorOptions::default().ann.ivf_threshold);
-    let (brute, brute_within) = answers(usize::MAX);
+    let (exact, exact_within) = answers(usize::MAX);
     let n = actual.len();
     let same_lists = ivf
         .iter()
-        .zip(&brute)
+        .zip(&exact)
         .filter(|(a, b)| a.neighbor_indices == b.neighbor_indices)
         .count();
     assert!(
         same_lists * 100 >= n * 98,
-        "IVF and brute agree on only {same_lists}/{n} neighbour lists"
+        "IVF and exact arms agree on only {same_lists}/{n} neighbour lists"
     );
     assert!(
-        ivf_within.abs_diff(brute_within) * 100 <= n,
-        "within 20%: IVF {ivf_within} vs brute {brute_within} of {n}"
+        ivf_within.abs_diff(exact_within) * 100 <= n,
+        "within 20%: IVF {ivf_within} vs exact {exact_within} of {n}"
     );
     assert!(
-        brute_within.abs_diff(STAGED_WITHIN_20PCT) * 100 <= n,
-        "within 20%: folded {brute_within} vs staged {STAGED_WITHIN_20PCT} of {n}"
+        exact_within.abs_diff(STAGED_WITHIN_20PCT) * 100 <= n,
+        "within 20%: folded {exact_within} vs staged {STAGED_WITHIN_20PCT} of {n}"
     );
 }
 

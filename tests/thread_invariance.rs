@@ -125,7 +125,8 @@ fn prediction_fingerprint(model: &KccaPredictor, test: &Dataset) -> u64 {
 
 /// The four neighbour searches of a 400-row model, each with the stored
 /// hashes of its held-out predictions and of its `to_json` envelope:
-/// brute and IVF (`ivf_threshold` 16; 3 of 12 lists probed, so the
+/// exact (six lists, every one probed unless the list bound rules it
+/// out) and IVF (`ivf_threshold` 16; 3 of 12 lists probed, so the
 /// coarse probe decides what is rescanned), each under both metrics.
 fn search_arms() -> [(PredictorOptions, u64, u64); 4] {
     let ivf = AnnOptions {
@@ -140,15 +141,15 @@ fn search_arms() -> [(PredictorOptions, u64, u64); 4] {
         ann,
         ..PredictorOptions::default()
     };
-    let brute = AnnOptions::default();
+    let exact = AnnOptions::default();
     [
         (
-            arm(DistanceMetric::Euclidean, brute),
+            arm(DistanceMetric::Euclidean, exact),
             0x8e94_7ee1_f183_b96b,
             0xd027_c240_3fe6_39d9,
         ),
         (
-            arm(DistanceMetric::Cosine, brute),
+            arm(DistanceMetric::Cosine, exact),
             0x3fd5_4dcc_487b_fd59,
             0x70a4_c1fa_4361_9ae2,
         ),
