@@ -120,8 +120,8 @@ echo "==> benchmark: the one measurement harness builds, passes its checks, leav
 # what the driver's parent-vs-change comparison of train_refit,
 # serve_paced and serve_saturated end-to-end metrics catches on every
 # PR; the machine-independent halves live on as cargo tests (IVF
-# worst-case evaluations in ann_equivalence, DRR shares through the
-# workers' blocking drain in fair_share).
+# worst-case evaluations in ann_equivalence, arrival order and freed
+# quotas through the workers' blocking drain in fair_share).
 (cd benchmark && cargo test --offline -q)
 BENCH_OUT=$(bash benchmark/run.sh --seconds 2)
 # The serve_* model sits below ivf_threshold, so it searches exactly:

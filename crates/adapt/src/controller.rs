@@ -41,14 +41,12 @@ use std::sync::Arc;
 /// the candidate never trained on).
 const HOLDOUT_EVERY: usize = 4;
 
-/// Most recent holdout records kept.
-const HOLDOUT_CAPACITY: usize = 64;
-
 /// Fewest holdout records required to shadow-score; below this the
 /// retrain is abandoned (better no swap than an unjudged swap).
 const MIN_HOLDOUT: usize = 8;
 
-/// Newest holdout records actually replayed per shadow score.
+/// Holdout records kept, newest last: every shadow score replays all
+/// of them.
 const SHADOW_SLICE: usize = 24;
 
 /// Demote when post-swap mean error exceeds the pre-swap (drifted) mean
@@ -262,7 +260,7 @@ impl AdaptiveController {
                 tracker: ErrorTracker::default(),
                 detector: DriftDetector::new(options.drift),
                 window,
-                holdout: VecDeque::with_capacity(HOLDOUT_CAPACITY),
+                holdout: VecDeque::with_capacity(SHADOW_SLICE),
                 epoch: 0,
                 since_holdout: 0,
                 phase: Phase::Stable,
@@ -482,7 +480,7 @@ impl AdaptiveController {
         if st.since_holdout >= HOLDOUT_EVERY {
             st.since_holdout = 0;
             st.holdout.push_back(record.clone());
-            while st.holdout.len() > HOLDOUT_CAPACITY {
+            while st.holdout.len() > SHADOW_SLICE {
                 st.holdout.pop_front();
             }
         } else {
@@ -499,8 +497,7 @@ impl AdaptiveController {
         // this task waited in the queue).
         let (dataset, holdout, predictor_options) = {
             let st = self.state.lock();
-            let skip = st.holdout.len().saturating_sub(SHADOW_SLICE);
-            let holdout: Vec<QueryRecord> = st.holdout.iter().skip(skip).cloned().collect();
+            let holdout: Vec<QueryRecord> = st.holdout.iter().cloned().collect();
             (st.window.window_dataset(), holdout, st.window.options())
         };
         if dataset.len() < MIN_TRAIN_WINDOW || holdout.len() < MIN_HOLDOUT {

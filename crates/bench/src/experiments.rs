@@ -460,9 +460,7 @@ pub fn experiment2(ctx: &Context, report: &mut Report) -> ExperimentResult {
         99,
     );
     let small_train = ctx.all.subset(&train_idx);
-    let mut opts = PredictorOptions::default();
-    opts.kcca.max_rank = opts.kcca.max_rank.min(small_train.len());
-    let (_, preds, eval) = fit(&small_train, opts, &ctx.test);
+    let (_, preds, eval) = fit(&small_train, PredictorOptions::default(), &ctx.test);
     let risk = eval.predictive_risk[0].unwrap_or(f64::NAN);
     report.heading(2, "Experiment 2 (Fig. 13) — balanced 30/30/30 training set");
     report.para(&format!(

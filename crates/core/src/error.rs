@@ -58,13 +58,13 @@ pub enum QppError {
         /// Configured queue capacity.
         capacity: usize,
     },
-    /// A tenant exceeded its admission quota: its lane already held
+    /// A tenant exceeded its admission quota: it already held
     /// `quota` queued requests when the push took the queue lock, so one
     /// tenant flooding the gateway cannot displace another tenant's
     /// traffic.
     TenantQuotaExceeded {
         /// Numeric tenant ID whose quota was exhausted.
-        tenant: u32,
+        tenant: u16,
         /// The tenant's configured quota (max queued requests).
         quota: usize,
     },

@@ -25,7 +25,7 @@
 //! * [`feature_importance`] — which plan features the model keys on
 //!   (§VII-C.2);
 //! * [`workload_mgmt`] — the decisions the paper motivates: admission
-//!   control, kill timeouts, shortest-job-first scheduling;
+//!   control and kill timeouts;
 //! * [`model_io`] — a trained model to and from a versioned,
 //!   checksummed JSON envelope (the "vendor ships models to customers"
 //!   flow of Fig. 1);

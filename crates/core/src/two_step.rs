@@ -44,12 +44,11 @@ impl TwoStepPredictor {
             let idx = dataset.of_category(cat);
             if idx.len() >= MIN_CATEGORY_TRAINING {
                 let sub = dataset.subset(&idx);
-                // Specialists see fewer points; cap the ICD rank and the
-                // number of canonical components so the reduced
-                // eigenproblem stays well-posed (a 30-query bowling-ball
-                // model cannot support 16 components).
+                // Specialists see fewer points; cap the number of
+                // canonical components so the reduced eigenproblem stays
+                // well-posed (a 30-query bowling-ball model cannot
+                // support 16 components).
                 let mut sub_opts = options;
-                sub_opts.kcca.max_rank = sub_opts.kcca.max_rank.min(idx.len());
                 sub_opts.kcca.components = sub_opts.kcca.components.min((idx.len() / 4).max(2));
                 sub_opts.neighbors = sub_opts.neighbors.min(idx.len());
                 specialists.push((cat, KccaPredictor::train(&sub, sub_opts)?));

@@ -8,7 +8,6 @@
 //! flagging from prediction confidence.
 
 use crate::predictor::Prediction;
-use qpp_linalg::vector;
 
 /// Admission policy limits.
 #[derive(Debug, Clone, Copy)]
@@ -99,27 +98,6 @@ pub fn decide(policy: &AdmissionPolicy, prediction: &Prediction) -> AdmissionDec
     }
 }
 
-/// Orders a batch of admitted queries shortest-predicted-first (a
-/// simple SJF scheduler that keeps feathers from queuing behind
-/// bowling balls). Returns indices into `predictions`.
-pub fn schedule_shortest_first(predictions: &[Prediction]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..predictions.len()).collect();
-    order.sort_by(|&a, &b| {
-        predictions[a]
-            .metrics
-            .elapsed_seconds
-            .partial_cmp(&predictions[b].metrics.elapsed_seconds)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    order
-}
-
-/// Expected makespan if the given queries run one after another — used
-/// by "can this workload finish in the batch window?" checks.
-pub fn predicted_serial_makespan(predictions: &[Prediction]) -> f64 {
-    vector::sum_iter(predictions.iter().map(|p| p.metrics.elapsed_seconds))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,16 +153,5 @@ mod tests {
             decide(&policy, &p),
             AdmissionDecision::Reject { .. }
         ));
-    }
-
-    #[test]
-    fn sjf_orders_by_predicted_time() {
-        let preds = vec![
-            prediction(50.0, 0.1),
-            prediction(5.0, 0.1),
-            prediction(500.0, 0.1),
-        ];
-        assert_eq!(schedule_shortest_first(&preds), vec![1, 0, 2]);
-        assert!((predicted_serial_makespan(&preds) - 555.0).abs() < 1e-9);
     }
 }

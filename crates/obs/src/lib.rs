@@ -230,8 +230,7 @@ pub const TAG_PAYLOAD_BITS: u32 = 48;
 /// queue-wait / worker spans (and `admission_reject` marks) with the
 /// tenant the request was accounted under, so a trace reader can
 /// attribute every span without a side table. Payloads wider than 48
-/// bits are truncated; tenant IDs above `u16::MAX` wrap (tags are
-/// diagnostics, never control flow).
+/// bits are truncated (tags are diagnostics, never control flow).
 pub fn pack_tags(tenant: u16, payload: u64) -> u64 {
     ((tenant as u64) << TAG_PAYLOAD_BITS) | (payload & ((1u64 << TAG_PAYLOAD_BITS) - 1))
 }

@@ -9,18 +9,16 @@
 //!   `Arc` replacement) without stopping the service, loaded through
 //!   `qpp_core::model_io`'s versioned, checksummed envelopes.
 //! - [`TenantId`] / [`TenantSpec`] / [`TenantTable`]: the multi-tenant
-//!   identity layer — per-tenant fair-share weights and admission
-//!   quotas, with a catch-all default tenant.
-//! - [`TenantQueue`]: one bounded queue — one lock, one condvar —
-//!   holding one FIFO lane per tenant and draining them by weighted
-//!   deficit round-robin; reject-on-full and reject-over-quota
-//!   backpressure.
+//!   identity layer — per-tenant admission quotas, with a catch-all
+//!   default tenant.
+//! - [`TenantQueue`]: one bounded FIFO — one lock, one condvar —
+//!   drained in arrival order whatever the tenant; reject-on-full and
+//!   reject-over-quota backpressure.
 //! - [`PredictionService`]: a worker pool where every worker blocks on
-//!   that queue and answers each fair-share micro-batch in drain
-//!   order — one `KccaPredictor::predict` call each, under the
-//!   request's own trace ID — composing the prediction with
-//!   `qpp_core::workload_mgmt` admission policies (admit with
-//!   kill-timeout / reject / review).
+//!   that queue and answers each micro-batch in arrival order — one
+//!   `KccaPredictor::predict` call each, under the request's own trace
+//!   ID — composing the prediction with `qpp_core::workload_mgmt`
+//!   admission policies (admit with kill-timeout / reject / review).
 //! - Deadline fallback: when a request's deadline expires before the
 //!   KCCA answer lands, the caller is answered from the O(1)
 //!   optimizer-cost baseline instead — bounded latency, graceful

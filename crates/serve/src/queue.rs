@@ -1,31 +1,24 @@
-//! Tenant-aware request queue with weighted fair-share draining and
-//! reject-on-full / reject-over-quota backpressure.
+//! Tenant-aware request queue: one FIFO with reject-on-full and
+//! reject-over-quota backpressure.
 //!
-//! One mutex-guarded set of per-tenant lanes and one condition variable
-//! that every worker blocks on:
+//! One mutex-guarded deque and one condition variable that every
+//! worker blocks on:
 //!
 //! - **Per-tenant quotas**: a tenant may hold at most `quota` queued
-//!   requests — the length of its own lane, read under the queue
-//!   lock; submissions beyond that are rejected with
+//!   requests — its queued count, read under the queue lock;
+//!   submissions beyond that are rejected with
 //!   [`QppError::TenantQuotaExceeded`], so a flooding tenant sheds its
 //!   own overload, not everyone's.
 //! - **One capacity**: the queue holds `capacity` requests in total and
 //!   any tenant may fill all of it (quota permitting); the next push is
 //!   rejected with [`QppError::QueueFull`], never blocked.
-//! - **Deficit round-robin draining**: one FIFO lane per tenant,
-//!   drained by weighted deficit round-robin — a backlogged tenant's
-//!   completion share converges to its fair-share weight across
-//!   *everything* the queue hands out, and a tenant with an empty lane
-//!   costs nothing. Any idle worker takes the next micro-batch, so one
-//!   busy tenant can occupy the whole pool.
+//! - **Arrival order**: requests leave in the order they were
+//!   accepted, whatever their tenant. Any idle worker takes the next
+//!   micro-batch, so one busy tenant can occupy the whole pool.
 //!
 //! One lock is enough here: a push or a drain holds it for a few
 //! `VecDeque` operations, against tens of microseconds of model work
 //! per request outside it.
-//!
-//! Determinism: the DRR cursor/deficit state advances only on
-//! push/drain, so a fixed arrival script drained single-threadedly
-//! yields a reproducible service order (see `tests/fair_share.rs`).
 //!
 //! The queue records no observability events itself: rejection marks
 //! (which must carry the admission trace ID) and queue-wait spans are
@@ -38,16 +31,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What the lock guards: one FIFO lane per tenant — whose length is
-/// the tenant's quota account — plus the deficit round-robin
-/// scheduler's cursor and deficits.
+/// What the lock guards: the queued items in arrival order, each with
+/// its tenant's dense index, and each tenant's queued count — its
+/// quota account.
 #[derive(Debug)]
 struct QueueState<T> {
-    lanes: Vec<VecDeque<T>>,
-    /// Items across all lanes.
-    occupancy: usize,
-    deficits: Vec<u64>,
-    cursor: usize,
+    items: VecDeque<(usize, T)>,
+    queued: Vec<usize>,
     shutdown: bool,
 }
 
@@ -57,21 +47,19 @@ pub struct TenantQueue<T> {
     state: Mutex<QueueState<T>>,
     not_empty: Condvar,
     capacity: usize,
-    /// Each lane's weight, quota and tenant ID, by dense tenant index.
+    /// Each tenant's quota and ID, by dense tenant index.
     tenants: Arc<TenantTable>,
 }
 
 impl<T> TenantQueue<T> {
     /// A queue holding at most `capacity` requests (at least 1), with
-    /// one lane per tenant of `tenants`, whose weights and quotas it
+    /// one quota account per tenant of `tenants`, whose quotas it
     /// reads.
     pub fn new(capacity: usize, tenants: Arc<TenantTable>) -> Self {
         TenantQueue {
             state: Mutex::new(QueueState {
-                lanes: (0..tenants.len()).map(|_| VecDeque::new()).collect(),
-                occupancy: 0,
-                deficits: vec![0; tenants.len()],
-                cursor: 0,
+                items: VecDeque::new(),
+                queued: vec![0; tenants.len()],
                 shutdown: false,
             }),
             not_empty: Condvar::new(),
@@ -87,7 +75,7 @@ impl<T> TenantQueue<T> {
 
     /// Current depth (racy; for monitoring only).
     pub fn len(&self) -> usize {
-        self.state.lock().occupancy
+        self.state.lock().items.len()
     }
 
     /// True when no requests are queued (racy; for monitoring only).
@@ -97,7 +85,7 @@ impl<T> TenantQueue<T> {
 
     /// Requests tenant `tenant_idx` currently holds.
     pub fn queued_for(&self, tenant_idx: usize) -> usize {
-        self.state.lock().lanes[tenant_idx].len()
+        self.state.lock().queued[tenant_idx]
     }
 
     /// Attempts to enqueue for tenant `tenant_idx` without blocking,
@@ -106,7 +94,7 @@ impl<T> TenantQueue<T> {
     pub fn try_push(&self, tenant_idx: usize, item: T) -> Result<usize, QppError> {
         let spec = self.tenants.spec(tenant_idx);
         let mut state = self.state.lock();
-        if state.lanes[tenant_idx].len() >= spec.quota {
+        if state.queued[tenant_idx] >= spec.quota {
             return Err(QppError::TenantQuotaExceeded {
                 tenant: spec.id.0,
                 quota: spec.quota,
@@ -115,34 +103,34 @@ impl<T> TenantQueue<T> {
         if state.shutdown {
             return Err(QppError::ShuttingDown);
         }
-        if state.occupancy == self.capacity {
+        if state.items.len() == self.capacity {
             return Err(QppError::QueueFull {
                 capacity: self.capacity,
             });
         }
-        state.lanes[tenant_idx].push_back(item);
-        state.occupancy += 1;
-        let depth = state.occupancy;
+        state.items.push_back((tenant_idx, item));
+        state.queued[tenant_idx] += 1;
+        let depth = state.items.len();
         drop(state);
         self.not_empty.notify_one();
         Ok(depth)
     }
 
-    /// One deficit-round-robin pass over the lanes, appending up to
-    /// `max_batch` items to `out` (which is cleared first). Returns the
-    /// number drained (0: queue empty). Non-blocking.
+    /// Moves up to `max_batch` of the oldest items into `out` (which is
+    /// cleared first). Returns the number drained (0: queue empty).
+    /// Non-blocking.
     pub fn try_drain(&self, max_batch: usize, out: &mut Vec<T>) -> usize {
         self.take(self.state.lock(), max_batch, out)
     }
 
-    /// Blocks until the queue has work, then drains a fair-share
-    /// micro-batch into `out` and returns `true`; returns `false` once
-    /// the queue is shut down *and* empty — no accepted request is ever
-    /// lost. Every worker blocks here, on the same condvar.
+    /// Blocks until the queue has work, then drains a micro-batch of
+    /// the oldest items into `out` and returns `true`; returns `false`
+    /// once the queue is shut down *and* empty — no accepted request is
+    /// ever lost. Every worker blocks here, on the same condvar.
     pub fn drain(&self, max_batch: usize, out: &mut Vec<T>) -> bool {
         let mut state = self.state.lock();
         loop {
-            if state.occupancy > 0 {
+            if !state.items.is_empty() {
                 self.take(state, max_batch, out);
                 return true;
             }
@@ -157,53 +145,25 @@ impl<T> TenantQueue<T> {
         }
     }
 
-    /// Drains one micro-batch under the held lock, releases it, and
-    /// wakes a sibling worker if work remains.
+    /// Drains one micro-batch in arrival order under the held lock,
+    /// releases it, and wakes a sibling worker if work remains.
     fn take(
         &self,
-        mut state: MutexGuard<'_, QueueState<T>>,
+        mut guard: MutexGuard<'_, QueueState<T>>,
         max_batch: usize,
         out: &mut Vec<T>,
     ) -> usize {
         out.clear();
-        let drained = self.drr_drain(&mut state, max_batch.max(1), out);
-        let more = state.occupancy > 0;
-        drop(state);
+        let state = &mut *guard;
+        let drained = max_batch.max(1).min(state.items.len());
+        for (tenant_idx, item) in state.items.drain(..drained) {
+            state.queued[tenant_idx] -= 1;
+            out.push(item);
+        }
+        let more = !state.items.is_empty();
+        drop(guard);
         if more {
             self.not_empty.notify_one();
-        }
-        drained
-    }
-
-    /// Deficit round-robin over the tenant lanes. Each visit to a
-    /// backlogged lane adds the tenant's weight to its deficit and pops
-    /// one item per deficit unit, so backlogged tenants are served in
-    /// proportion to their weights; an emptied lane forfeits its
-    /// leftover deficit (standard DRR, keeps idle tenants from hoarding
-    /// credit). Deterministic: cursor and deficits advance only here.
-    fn drr_drain(&self, state: &mut QueueState<T>, max_batch: usize, out: &mut Vec<T>) -> usize {
-        let tenants = self.tenants.len();
-        let mut drained = 0;
-        while drained < max_batch && state.occupancy > 0 {
-            let t = state.cursor;
-            if !state.lanes[t].is_empty() {
-                state.deficits[t] += u64::from(self.tenants.spec(t).weight);
-                while state.deficits[t] > 0 && drained < max_batch {
-                    match state.lanes[t].pop_front() {
-                        Some(item) => {
-                            out.push(item);
-                            state.deficits[t] -= 1;
-                            state.occupancy -= 1;
-                            drained += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if state.lanes[t].is_empty() {
-                    state.deficits[t] = 0;
-                }
-            }
-            state.cursor = (t + 1) % tenants;
         }
         drained
     }
@@ -363,7 +323,6 @@ mod tests {
         let t = table(vec![TenantSpec {
             id: TenantId(5),
             name: "literal".to_string(),
-            weight: 1,
             quota: 0,
         }]);
         let literal = t.resolve(TenantId(5));
@@ -378,7 +337,7 @@ mod tests {
         ));
     }
 
-    /// The quota is the lane's length under the lock: four threads
+    /// The quota is the tenant's queued count under the lock: four threads
     /// racing one tenant past a quota of 8 with nothing draining get
     /// exactly 8 acceptances, and the quota answer wins over a full
     /// queue (callers see quota → shutdown → full).
@@ -425,29 +384,5 @@ mod tests {
             q.try_push(0, 0),
             Err(QppError::QueueFull { capacity: 8 })
         ));
-    }
-
-    #[test]
-    fn drr_serves_backlogged_tenants_by_weight() {
-        let t = table(vec![
-            TenantSpec::new(TenantId(1), "heavy").weight(3),
-            TenantSpec::new(TenantId(2), "light").weight(1),
-        ]);
-        let heavy = t.resolve(TenantId(1));
-        let light = t.resolve(TenantId(2));
-        let q: TenantQueue<(usize, u32)> = TenantQueue::new(64, Arc::clone(&t));
-        for i in 0..12 {
-            q.try_push(heavy, (heavy, i)).unwrap();
-            q.try_push(light, (light, i)).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(q.try_drain(8, &mut out), 8);
-        let heavy_got = out.iter().filter(|(t, _)| *t == heavy).count();
-        let light_got = out.iter().filter(|(t, _)| *t == light).count();
-        assert_eq!(
-            (heavy_got, light_got),
-            (6, 2),
-            "weight 3:1 over a backlogged batch of 8: {out:?}"
-        );
     }
 }

@@ -5,18 +5,18 @@
 //! Flow per request:
 //!
 //! 1. `submit` (or `submit_async`) resolves the request's [`TenantId`]
-//!    and pushes it onto the tenant's lane of the queue. Admission is a
-//!    real gate: an over-quota tenant is rejected with
+//!    and pushes it onto the queue. Admission is a real gate: an
+//!    over-quota tenant is rejected with
 //!    [`QppError::TenantQuotaExceeded`], a full queue rejects with
 //!    [`QppError::QueueFull`] — both recorded as tagged
 //!    `admission_reject` marks carrying the request's trace ID.
-//! 2. Whichever worker is idle drains a weighted fair-share micro-batch
-//!    (deficit round-robin over tenant lanes) and answers its requests
-//!    in drain order: one registry lookup and one
-//!    `KccaPredictor::predict` call each, under the request's own trace
-//!    ID. The micro-batch amortizes the queue lock and the wake-up, not
-//!    the model: every row of a KCCA prediction is independent of every
-//!    other, so there is no batched kernel to feed.
+//! 2. Whichever worker is idle drains a micro-batch of the oldest
+//!    requests and answers them in arrival order: one registry lookup
+//!    and one `KccaPredictor::predict` call each, under the request's
+//!    own trace ID. The micro-batch amortizes the queue lock and the
+//!    wake-up, not the model: every row of a KCCA prediction is
+//!    independent of every other, so there is no batched kernel to
+//!    feed.
 //! 3. The admission gateway turns the prediction into an
 //!    [`AdmissionDecision`] under the service's [`AdmissionPolicy`].
 //! 4. If the worker misses the request's deadline, the client answers
@@ -131,9 +131,9 @@ pub struct ServeOptions {
     pub max_batch: usize,
     /// Admission policy applied to every answered request.
     pub policy: AdmissionPolicy,
-    /// Tenant directory: fair-share weights and admission quotas. A
-    /// catch-all default tenant is always present; an empty list means
-    /// single-tenant behavior (everything accounted to the default).
+    /// Tenant directory: admission quotas. A catch-all default tenant
+    /// is always present; an empty list means single-tenant behavior
+    /// (everything accounted to the default).
     pub tenants: Vec<TenantSpec>,
 }
 
@@ -404,7 +404,7 @@ impl PredictionService {
                     Stage::Admission,
                     admit_start,
                     rec.now_ns().saturating_sub(admit_start),
-                    pack_tags(tenant.0 as u16, depth as u64),
+                    pack_tags(tenant.0, depth as u64),
                 );
                 Ok(PendingPrediction {
                     rx,
@@ -435,7 +435,7 @@ impl PredictionService {
                 rec.record_mark(
                     trace_id,
                     Stage::AdmissionReject,
-                    pack_tags(tenant.0 as u16, reason),
+                    pack_tags(tenant.0, reason),
                 );
                 Err(e)
             }
@@ -477,8 +477,8 @@ impl Drop for PredictionService {
     }
 }
 
-/// Worker body: drain a fair-share micro-batch, answer its requests in
-/// drain order.
+/// Worker body: drain a micro-batch, answer its requests in arrival
+/// order.
 fn worker_loop(
     queue: &TenantQueue<Queued>,
     registry: &ModelRegistry,
@@ -497,7 +497,7 @@ fn worker_loop(
                 Stage::QueueWait,
                 queued.enqueued_ns,
                 drained_ns.saturating_sub(queued.enqueued_ns),
-                pack_tags(queued.tenant.0 as u16, batch.len() as u64),
+                pack_tags(queued.tenant.0, batch.len() as u64),
             );
         }
         for queued in batch.drain(..) {
@@ -569,7 +569,7 @@ fn answer(
         Stage::Worker,
         drained_ns,
         rec.now_ns().saturating_sub(drained_ns),
-        pack_tags(queued.tenant.0 as u16, entry.version),
+        pack_tags(queued.tenant.0, entry.version),
     );
     // The client counts the answer in `wait` as it takes it; only an
     // answer no client will read is the worker's to count.
@@ -589,9 +589,10 @@ mod tests {
 
     /// Every member of a multi-member micro-batch gets its own complete
     /// trace, model sub-spans included, and the batch is answered in
-    /// the order the deficit round-robin drained it. Deterministic: the
-    /// four requests are queued before anything drains, then the worker
-    /// body runs on this thread (shutdown drains what was accepted).
+    /// the order the queue drained it: arrival order, whatever the
+    /// tenant. Deterministic: the four requests are queued before
+    /// anything drains, then the worker body runs on this thread
+    /// (shutdown drains what was accepted).
     #[test]
     fn every_member_of_a_batch_is_traced_and_answered_in_drain_order() {
         let queries = WorkloadGenerator::tpcds(1.0, 111).generate(60);
@@ -610,7 +611,8 @@ mod tests {
         };
         let service = PredictionService::start(registry, options.clone());
         // Two requests of the default tenant, then two of tenant 7: the
-        // equal-weight drain alternates the lanes, 0 2 1 3.
+        // drain keeps arrival order, 0 1 2 3, rather than alternating
+        // tenants.
         let tenants = [
             crate::DEFAULT_TENANT,
             crate::DEFAULT_TENANT,
@@ -673,7 +675,7 @@ mod tests {
             }
             predict
         });
-        for pair in [0usize, 2, 1, 3].windows(2) {
+        for pair in [0usize, 1, 2, 3].windows(2) {
             assert!(
                 predict[pair[0]].1 <= predict[pair[1]].0,
                 "request {} predicts entirely before request {}: {predict:?}",

@@ -58,7 +58,7 @@ impl StatsCell {
 #[derive(Debug)]
 pub struct ServiceStats {
     started: Instant,
-    /// Each cell's tenant ID, name and weight, for the snapshot rows.
+    /// Each cell's tenant ID and name, for the snapshot rows.
     tenants: Arc<TenantTable>,
     /// One cell per tenant, in dense tenant order.
     cells: Vec<StatsCell>,
@@ -88,8 +88,8 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Stats with one cell per tenant of `tenants`, whose IDs, names
-    /// and weights label the snapshot rows.
+    /// Stats with one cell per tenant of `tenants`, whose IDs and
+    /// names label the snapshot rows.
     pub fn for_tenants(tenants: Arc<TenantTable>) -> Self {
         ServiceStats {
             started: Instant::now(),
@@ -146,7 +146,6 @@ impl ServiceStats {
             per_tenant.push(TenantSnapshot {
                 tenant: spec.id.0,
                 name: spec.name.clone(),
-                weight: spec.weight,
                 submitted: cell.submitted.get(),
                 completed: cell.completed.get(),
                 fallbacks: cell.fallbacks.get(),
@@ -210,11 +209,9 @@ impl ServiceStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSnapshot {
     /// Numeric tenant ID.
-    pub tenant: u32,
+    pub tenant: u16,
     /// Configured tenant name.
     pub name: String,
-    /// Configured fair-share weight.
-    pub weight: u32,
     /// Requests accepted for this tenant.
     pub submitted: u64,
     /// Worker answers handed to the caller (see [`StatsCell::completed`]).
@@ -353,11 +350,10 @@ impl std::fmt::Display for StatsSnapshot {
         for t in &self.per_tenant {
             write!(
                 f,
-                "\n  {} (id {}, weight {}): submitted {} | completed {} | fallbacks {} | \
+                "\n  {} (id {}): submitted {} | completed {} | fallbacks {} | \
                  rejected full/quota {}/{} | p50/p99 {}/{} µs",
                 t.name,
                 t.tenant,
-                t.weight,
                 t.submitted,
                 t.completed,
                 t.fallbacks,
@@ -488,7 +484,7 @@ mod tests {
     #[test]
     fn tenant_cells_merge_in_fixed_order() {
         let table = TenantTable::new(vec![
-            TenantSpec::new(TenantId(3), "etl").weight(2),
+            TenantSpec::new(TenantId(3), "etl"),
             TenantSpec::new(TenantId(9), "adhoc"),
         ]);
         let stats = ServiceStats::for_tenants(Arc::new(table));
@@ -522,7 +518,6 @@ mod tests {
         assert_eq!(snap.per_tenant[0].tenant, 0);
         assert_eq!(snap.per_tenant[1].tenant, 3);
         assert_eq!(snap.per_tenant[1].name, "etl");
-        assert_eq!(snap.per_tenant[1].weight, 2);
         assert_eq!(snap.per_tenant[2].tenant, 9);
         assert_eq!(snap.per_tenant[1].rejected_quota, 1);
         assert_eq!(snap.per_tenant[2].rejected_queue_full, 1);

@@ -4,10 +4,11 @@
 //! *enforce* decisions per workload owner: the ETL pipeline, the
 //! dashboard fleet, and the ad-hoc analysts are different tenants with
 //! different priorities, and one of them flooding the gateway must not
-//! starve the others. This module gives the serve layer that identity:
+//! crowd out the others. This module gives the serve layer that
+//! identity:
 //!
 //! - [`TenantId`]: a small copyable ID carried on every request.
-//! - [`TenantSpec`]: per-tenant fair-share weight and admission quota.
+//! - [`TenantSpec`]: per-tenant admission quota.
 //! - [`TenantTable`]: the immutable directory the service builds at
 //!   start — dense indices for per-tenant accounting, binary-search
 //!   resolution on the admission hot path, and a catch-all default
@@ -17,9 +18,11 @@
 ///
 /// `TenantId(0)` is the catch-all default: requests from unregistered
 /// tenants are accounted under it. IDs are plain numbers, not secrets —
-/// the embedder maps its own principal names onto them.
+/// the embedder maps its own principal names onto them. Sixteen bits,
+/// the width of the tenant tag `qpp_obs::pack_tags` packs into every
+/// span, so a trace names exactly the tenant the stats count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TenantId(pub u32);
+pub struct TenantId(pub u16);
 
 /// The catch-all tenant every service always has.
 pub const DEFAULT_TENANT: TenantId = TenantId(0);
@@ -37,13 +40,9 @@ pub struct TenantSpec {
     pub id: TenantId,
     /// Human-readable name for reports and benches.
     pub name: String,
-    /// Fair-share weight: the deficit-round-robin scheduler serves
-    /// tenants in proportion to their weights when their queues are
-    /// backlogged. [`TenantTable::new`] clamps it to at least 1.
-    pub weight: u32,
     /// Admission quota: maximum requests this tenant may have queued at
-    /// once. `TenantQueue::try_push` reads the tenant's lane length under
-    /// the queue lock and rejects a submission beyond it with
+    /// once. `TenantQueue::try_push` reads the tenant's queued count
+    /// under the queue lock and rejects a submission beyond it with
     /// `QppError::TenantQuotaExceeded`, so a flooding tenant sheds its
     /// own overload instead of everyone's. [`TenantTable::new`] clamps
     /// it to at least 1.
@@ -51,20 +50,13 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// A spec with weight 1 and an effectively unlimited quota.
+    /// A spec with an effectively unlimited quota.
     pub fn new(id: TenantId, name: impl Into<String>) -> Self {
         TenantSpec {
             id,
             name: name.into(),
-            weight: 1,
             quota: usize::MAX,
         }
-    }
-
-    /// Sets the fair-share weight (builder form).
-    pub fn weight(mut self, weight: u32) -> Self {
-        self.weight = weight;
-        self
     }
 
     /// Sets the admission quota (builder form).
@@ -78,10 +70,9 @@ impl TenantSpec {
 ///
 /// Tenants get dense indices in ascending-ID order; index 0 is always
 /// the catch-all [`DEFAULT_TENANT`] (either the embedder's own spec for
-/// ID 0 or an implicit weight-1 unlimited-quota one). Everything
-/// per-tenant in the serve layer — queue lanes, quota counters, stats
-/// blocks — is an array indexed by these dense indices, so the hot path
-/// never hashes.
+/// ID 0 or an implicit unlimited-quota one). Everything per-tenant in
+/// the serve layer — quota counters, stats blocks — is an array indexed
+/// by these dense indices, so the hot path never hashes.
 #[derive(Debug)]
 pub struct TenantTable {
     specs: Vec<TenantSpec>,
@@ -90,8 +81,8 @@ pub struct TenantTable {
 impl TenantTable {
     /// Builds the directory from the configured specs. Duplicate IDs
     /// keep the last spec; a default-tenant spec is synthesized when
-    /// none was supplied; every weight and quota is clamped to at
-    /// least 1, however the spec was built.
+    /// none was supplied; every quota is clamped to at least 1, however
+    /// the spec was built.
     pub fn new(mut specs: Vec<TenantSpec>) -> Self {
         specs.sort_by_key(|s| s.id);
         specs.dedup_by(|later, earlier| {
@@ -108,7 +99,6 @@ impl TenantTable {
             specs.insert(0, TenantSpec::new(DEFAULT_TENANT, "default"));
         }
         for spec in &mut specs {
-            spec.weight = spec.weight.max(1);
             spec.quota = spec.quota.max(1);
         }
         TenantTable { specs }
@@ -150,7 +140,7 @@ mod tests {
     #[test]
     fn default_tenant_is_synthesized_at_index_zero() {
         let table = TenantTable::new(vec![
-            TenantSpec::new(TenantId(7), "etl").weight(3),
+            TenantSpec::new(TenantId(7), "etl"),
             TenantSpec::new(TenantId(2), "dash"),
         ]);
         assert_eq!(table.len(), 3);
@@ -164,29 +154,20 @@ mod tests {
 
     #[test]
     fn explicit_default_spec_is_kept() {
-        let table = TenantTable::new(vec![TenantSpec::new(DEFAULT_TENANT, "everyone")
-            .weight(2)
-            .quota(5)]);
+        let table = TenantTable::new(vec![TenantSpec::new(DEFAULT_TENANT, "everyone").quota(5)]);
         assert_eq!(table.len(), 1);
         assert_eq!(table.spec(0).name, "everyone");
-        assert_eq!(table.spec(0).weight, 2);
         assert_eq!(table.spec(0).quota, 5);
     }
 
     #[test]
-    fn duplicate_ids_keep_the_last_spec_and_weights_clamp() {
+    fn duplicate_ids_keep_the_last_spec() {
         let table = TenantTable::new(vec![
-            TenantSpec::new(TenantId(3), "first").weight(9),
-            TenantSpec {
-                id: TenantId(3),
-                name: "second".to_string(),
-                weight: 0,
-                quota: 4,
-            },
+            TenantSpec::new(TenantId(3), "first").quota(9),
+            TenantSpec::new(TenantId(3), "second").quota(4),
         ]);
         let idx = table.resolve(TenantId(3));
         assert_eq!(table.spec(idx).name, "second");
-        assert_eq!(table.spec(idx).weight, 1, "weight 0 clamps to 1");
         assert_eq!(table.spec(idx).quota, 4);
     }
 }

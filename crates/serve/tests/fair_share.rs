@@ -1,7 +1,7 @@
-//! Property tests for the multi-tenant queue: quota isolation
-//! under flooding, deterministic deficit-round-robin ordering, and
-//! weight-proportional service — each checked over hundreds of seeded
-//! arrival scripts; script `seed` is `StdRng::seed_from_u64(seed)`.
+//! Property tests for the multi-tenant queue: quota isolation under
+//! flooding, and arrival-order draining that frees every quota — each
+//! checked over hundreds of seeded arrival scripts; script `seed` is
+//! `StdRng::seed_from_u64(seed)`.
 
 use qpp_serve::{QppError, TenantId, TenantQueue, TenantSpec, TenantTable};
 use rand::rngs::StdRng;
@@ -47,7 +47,7 @@ fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
                     tenant: id,
                     quota: reported,
                 }) => {
-                    assert_eq!(id, tenant as u32, "seed {seed}: reject names the tenant");
+                    assert_eq!(id, tenant as u16, "seed {seed}: reject names the tenant");
                     assert_eq!(reported, if tenant == flooder { quota } else { 8 });
                     rejects[tenant - 1] += 1;
                 }
@@ -79,93 +79,86 @@ fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
     }
 }
 
-/// Determinism property: the same seeded arrival script drained from
-/// identically configured queues yields bitwise-identical drain order,
-/// including the DRR cursor/deficit evolution across partial batches.
+/// FIFO property: seeded scripts interleave pushes from three tenants
+/// with random quotas against drains of random batch sizes, through
+/// both the non-blocking `try_drain` and the workers' blocking `drain`.
+/// Items leave in the order they were accepted, whatever their tenant;
+/// nothing is lost; and each tenant's queued count tracks what it holds
+/// back down to zero, so a freed quota admits again.
 #[test]
-fn drr_drain_order_is_reproducible_for_a_fixed_script() {
+fn drain_keeps_arrival_order_and_frees_every_quota() {
+    const CAPACITY: usize = 12;
     for seed in 0..100u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let weights: Vec<u32> = (0..3).map(|_| rng.random_range(1u32..=4)).collect();
-        let table = Arc::new(TenantTable::new(vec![
-            TenantSpec::new(TenantId(1), "a").weight(weights[0]),
-            TenantSpec::new(TenantId(2), "b").weight(weights[1]),
-            TenantSpec::new(TenantId(3), "c").weight(weights[2]),
-        ]));
-        let script: Vec<usize> = (0..rng.random_range(10..=60))
-            .map(|_| table.resolve(TenantId(rng.random_range(1u32..=3))))
-            .collect();
-        let batch = rng.random_range(1usize..=7);
-
-        let run = |table: &Arc<TenantTable>| -> Vec<u64> {
-            let q: TenantQueue<u64> = TenantQueue::new(1024, Arc::clone(table));
-            for (i, &t) in script.iter().enumerate() {
-                q.try_push(t, i as u64).expect("capacity 1024 never fills");
+        let quotas: Vec<usize> = (0..3).map(|_| rng.random_range(1usize..=4)).collect();
+        let table = Arc::new(TenantTable::new(
+            (1..=3u16)
+                .map(|id| TenantSpec::new(TenantId(id), "t").quota(quotas[usize::from(id) - 1]))
+                .collect(),
+        ));
+        let q: TenantQueue<u64> = TenantQueue::new(CAPACITY, Arc::clone(&table));
+        // Dense indices 1..=3 (the default tenant is 0).
+        let mut held = [0usize; 4];
+        let (mut accepted, mut drained) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        let mut take =
+            |q: &TenantQueue<u64>, batch: usize, blocking: bool, held: &mut [usize; 4]| {
+                if blocking {
+                    assert!(q.drain(batch, &mut out), "seed {seed}: live queue ended");
+                } else {
+                    q.try_drain(batch, &mut out);
+                }
+                assert!(out.len() <= batch, "seed {seed}: batch overrun");
+                for &i in &out {
+                    held[tenant_of(i)] -= 1;
+                }
+                drained.extend_from_slice(&out);
+            };
+        for step in 0..rng.random_range(20u64..=120) {
+            if rng.random_bool(0.3) {
+                let blocking = rng.random_bool(0.5) && !q.is_empty();
+                take(&q, rng.random_range(1usize..=5), blocking, &mut held);
+            } else {
+                let t = table.resolve(TenantId(rng.random_range(1u16..=3)));
+                // The item names its tenant in its low two bits.
+                let item = step << 2 | t as u64;
+                match q.try_push(t, item) {
+                    Ok(depth) => {
+                        accepted.push(item);
+                        held[t] += 1;
+                        assert_eq!(depth, held.iter().sum::<usize>(), "seed {seed}");
+                    }
+                    Err(QppError::TenantQuotaExceeded { quota, .. }) => {
+                        assert_eq!((held[t], quota), (quotas[t - 1], quotas[t - 1]));
+                    }
+                    Err(QppError::QueueFull { .. }) => assert_eq!(q.len(), CAPACITY),
+                    Err(e) => panic!("seed {seed}: unexpected rejection {e:?}"),
+                }
             }
-            let mut order = Vec::new();
-            let mut out = Vec::new();
-            while q.try_drain(batch, &mut out) > 0 {
-                order.extend_from_slice(&out);
+            for (t, &n) in held.iter().enumerate() {
+                assert_eq!(q.queued_for(t), n, "seed {seed}: tenant {t}'s count");
             }
-            order
-        };
-
-        let first = run(&table);
-        let second = run(&table);
-        assert_eq!(first.len(), script.len(), "seed {seed}: nothing lost");
-        assert_eq!(first, second, "seed {seed}: drain order must reproduce");
+        }
+        while !q.is_empty() {
+            take(&q, rng.random_range(1usize..=5), true, &mut held);
+        }
+        assert_eq!(
+            drained, accepted,
+            "seed {seed}: arrival order, nothing lost"
+        );
+        // Every quota is free again: each tenant is admitted up to it.
+        for t in 1..=3 {
+            assert_eq!(q.queued_for(t), 0, "seed {seed}: tenant {t} drained");
+            for _ in 0..quotas[t - 1] {
+                assert!(
+                    q.try_push(t, 0).is_ok(),
+                    "seed {seed}: tenant {t} readmitted"
+                );
+            }
+        }
     }
 }
 
-/// Fairness property: with every tenant lane fully backlogged, the
-/// deficit-round-robin drain serves each tenant within one weight
-/// quantum of its exact fair share of *everything* the queue handed
-/// out, for seeded random weights — through the worker's real blocking
-/// entry point, `drain`.
-#[test]
-fn backlogged_drain_shares_track_weights() {
-    for seed in 0..100u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let weights: Vec<u64> = (0..3).map(|_| rng.random_range(1u64..=5)).collect();
-        let table = Arc::new(TenantTable::new(vec![
-            TenantSpec::new(TenantId(1), "a").weight(weights[0] as u32),
-            TenantSpec::new(TenantId(2), "b").weight(weights[1] as u32),
-            TenantSpec::new(TenantId(3), "c").weight(weights[2] as u32),
-        ]));
-        let q: TenantQueue<(usize, u64)> = TenantQueue::new(4096, Arc::clone(&table));
-        // Deep backlogs: every lane always has work, so shares are
-        // governed purely by the weights.
-        let backlog = 100;
-        for i in 0..backlog {
-            for id in 1..=3u32 {
-                let t = table.resolve(TenantId(id));
-                q.try_push(t, (t, i as u64)).expect("fits");
-            }
-        }
-        // Drain a window that keeps every lane non-empty throughout.
-        let total_weight: u64 = weights.iter().sum();
-        let total = 20 * total_weight;
-        let mut got = [0u64; 4];
-        let mut drained = 0;
-        let mut out = Vec::new();
-        while drained < total {
-            let max_batch = (total - drained).min(16) as usize;
-            assert!(q.drain(max_batch, &mut out), "backlog cannot run dry");
-            for (t, _) in &out {
-                got[*t] += 1;
-            }
-            drained += out.len() as u64;
-        }
-        // Dense tenant indices 1..=3 (the default tenant is 0).
-        for t in 1..=3usize {
-            // |got - total * w / total_weight| <= w, in integers.
-            let w = weights[t - 1];
-            let diff = (got[t] * total_weight).abs_diff(total * w);
-            assert!(
-                diff <= w * total_weight,
-                "seed {seed}: tenant {t} served {} of {total} (weight {w} of {total_weight})",
-                got[t]
-            );
-        }
-    }
+fn tenant_of(item: u64) -> usize {
+    (item & 3) as usize
 }

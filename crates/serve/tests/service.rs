@@ -611,7 +611,7 @@ fn responses_and_stats_are_tenant_attributed() {
         ServeOptions {
             workers: 2,
             tenants: vec![
-                TenantSpec::new(TenantId(5), "etl").weight(3),
+                TenantSpec::new(TenantId(5), "etl"),
                 TenantSpec::new(TenantId(6), "adhoc"),
             ],
             ..ServeOptions::default()
@@ -645,7 +645,7 @@ fn responses_and_stats_are_tenant_attributed() {
 
     let snap = service.stats();
     assert_eq!(snap.per_tenant.len(), 3);
-    let by_id = |id: u32| {
+    let by_id = |id: u16| {
         snap.per_tenant
             .iter()
             .find(|t| t.tenant == id)
@@ -653,7 +653,6 @@ fn responses_and_stats_are_tenant_attributed() {
     };
     assert_eq!(by_id(0).submitted, 1);
     assert_eq!(by_id(5).submitted, 3);
-    assert_eq!(by_id(5).weight, 3);
     assert_eq!(by_id(6).submitted, 3);
     assert_eq!(
         snap.per_tenant.iter().map(|t| t.submitted).sum::<u64>(),

@@ -1,8 +1,6 @@
 //! Workload management on top of predictions (paper §I), routed through
-//! the multi-tenant serve gateway: per-tenant quotas and weighted fair
-//! admission first, then prediction-driven admission control, kill
-//! timeouts, and shortest-job-first scheduling so feathers never queue
-//! behind bowling balls.
+//! the multi-tenant serve gateway: per-tenant quotas first, then
+//! prediction-driven admission control and kill timeouts.
 //!
 //! ```text
 //! cargo run --release --example workload_management
@@ -10,9 +8,7 @@
 
 use qpp::core::baselines::OptimizerCostModel;
 use qpp::core::pipeline::collect_tpcds;
-use qpp::core::workload_mgmt::{
-    predicted_serial_makespan, schedule_shortest_first, AdmissionDecision, AdmissionPolicy,
-};
+use qpp::core::workload_mgmt::{AdmissionDecision, AdmissionPolicy};
 use qpp::core::{FeatureKind, KccaPredictor, PredictorOptions};
 use qpp::engine::SystemConfig;
 use qpp::serve::{
@@ -41,9 +37,9 @@ fn main() {
         ..AdmissionPolicy::default()
     };
 
-    // The tenant gateway: interactive users get 4x the weight and a
-    // deeper queue slice than the reporting batch, whose quota caps how
-    // much of the queue it can occupy at once.
+    // The tenant gateway: interactive users get a deeper queue slice
+    // than the reporting batch, whose quota caps how much of the queue
+    // it can occupy at once.
     let key = ModelKey::new(config.name.clone(), FeatureKind::QueryPlan);
     let registry = Arc::new(ModelRegistry::new());
     registry.install(key.clone(), model, fallback);
@@ -55,10 +51,8 @@ fn main() {
             queue_capacity: 64,
             policy,
             tenants: vec![
-                TenantSpec::new(INTERACTIVE, "interactive")
-                    .weight(4)
-                    .quota(8),
-                TenantSpec::new(BATCH, "batch").weight(1).quota(4),
+                TenantSpec::new(INTERACTIVE, "interactive").quota(8),
+                TenantSpec::new(BATCH, "batch").quota(4),
             ],
         },
     );
@@ -114,7 +108,6 @@ fn main() {
 
     // Collect the answers; the service applied the admission policy on
     // the worker, so each response already carries the verdict.
-    let mut admitted = Vec::new();
     for (i, tenant, p) in pending {
         let resp = p.wait().expect("generous deadline");
         let label = if tenant == INTERACTIVE {
@@ -131,7 +124,6 @@ fn main() {
                     "query {i:>2}: ADMIT   {label:<11} predicted {:>8.1}s (kill after {:>8.1}s, actual {:>8.1}s)",
                     resp.prediction.metrics.elapsed_seconds, kill_timeout_seconds, actual
                 );
-                admitted.push((i, resp.prediction.clone()));
             }
             AdmissionDecision::Reject { reason } => {
                 println!("query {i:>2}: REJECT  {label:<11} {reason} (actual {actual:.1}s)");
@@ -145,26 +137,6 @@ fn main() {
             }
         }
     }
-
-    // Schedule the admitted queries shortest-predicted-first.
-    let admitted_preds: Vec<_> = admitted.iter().map(|(_, p)| p.clone()).collect();
-    let order = schedule_shortest_first(&admitted_preds);
-    println!("\nSJF execution order (by predicted runtime):");
-    for pos in &order {
-        let (batch_idx, _) = admitted[*pos];
-        println!(
-            "  query {batch_idx:>2}: predicted {:>8.1}s",
-            admitted_preds[*pos].metrics.elapsed_seconds
-        );
-    }
-    println!(
-        "\npredicted batch makespan: {:.1}s (actual of admitted: {:.1}s)",
-        predicted_serial_makespan(&admitted_preds),
-        admitted
-            .iter()
-            .map(|(i, _)| burst.records[*i].metrics.elapsed_seconds)
-            .sum::<f64>()
-    );
 
     println!("\ngateway ledger:\n{}", service.stats());
 }

@@ -300,8 +300,8 @@ fn obs_roots_steady_state_allocate_nothing() {
 }
 
 /// The serve data plane's roots, warm: tenant resolution, the admission
-/// push (accepted, over quota and queue full), the deficit-round-robin
-/// drain into a reused batch (blocking and not), the per-tenant stats
+/// push (accepted, over quota and queue full), the arrival-order drain
+/// into a reused batch (blocking and not), the per-tenant stats
 /// cells, and the registry lookup a worker makes per request. Then the
 /// one root that does allocate, `submit_async`: the `Arc` client and
 /// worker share the request through and the response channel, not a
@@ -309,7 +309,7 @@ fn obs_roots_steady_state_allocate_nothing() {
 #[test]
 fn serve_roots_steady_state_allocate_nothing() {
     let table = Arc::new(TenantTable::new(vec![
-        TenantSpec::new(TenantId(5), "etl").weight(3),
+        TenantSpec::new(TenantId(5), "etl"),
         TenantSpec::new(TenantId(6), "adhoc").quota(4),
     ]));
     let queue: TenantQueue<u64> = TenantQueue::new(24, Arc::clone(&table));

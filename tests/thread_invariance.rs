@@ -315,10 +315,10 @@ fn serve_ledger_is_identical_across_worker_counts() {
     let pool = collect_tpcds(40, 48, &config, 2);
 
     // Fixed arrival script: 300 requests over three tenants in a
-    // deterministic interleaving (weights 3/2/1).
-    let script: Vec<u32> = (0..300u32).map(|i| 1 + (i * 7 + i / 11) % 3).collect();
+    // deterministic interleaving.
+    let script: Vec<u16> = (0..300u16).map(|i| 1 + (i * 7 + i / 11) % 3).collect();
 
-    let run = |workers: usize| -> Vec<(u32, u64, u64, u64, u64, u64)> {
+    let run = |workers: usize| -> Vec<(u16, u64, u64, u64, u64, u64)> {
         let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
         let fallback = OptimizerCostModel::train(&train).unwrap();
         let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
@@ -331,9 +331,9 @@ fn serve_ledger_is_identical_across_worker_counts() {
                 queue_capacity: 1024,
                 max_batch: 8,
                 tenants: vec![
-                    TenantSpec::new(TenantId(1), "interactive").weight(3),
-                    TenantSpec::new(TenantId(2), "reporting").weight(2),
-                    TenantSpec::new(TenantId(3), "batch").weight(1),
+                    TenantSpec::new(TenantId(1), "interactive"),
+                    TenantSpec::new(TenantId(2), "reporting"),
+                    TenantSpec::new(TenantId(3), "batch"),
                 ],
                 ..ServeOptions::default()
             },
