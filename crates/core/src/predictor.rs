@@ -394,7 +394,6 @@ impl KccaPredictor {
         .ctx("projecting query features")?;
 
         let mut knn_span = qpp_obs::span(qpp_obs::Stage::PredictKnn);
-        knn_span.set_value(options.neighbors as u64);
         self.index
             .predict_into(
                 &scratch.projected,
@@ -405,6 +404,7 @@ impl KccaPredictor {
                 &mut scratch.combined,
             )
             .ctx("combining neighbor metrics")?;
+        knn_span.set_value(scratch.knn.full_panels as u64);
         drop(knn_span);
         // `predict_into` never leaves an empty neighbor list on success.
         let found = &scratch.knn.neighbors;

@@ -12,10 +12,9 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// Output columns fixed per pass of
-/// [`Matrix::gemv_t_centered_into`] — a stack-resident accumulator
-/// block (128 bytes, two cache lines) that one streaming pass over the
-/// matrix keeps hot. Covers the workspace's KCCA projections (≤ 16
-/// canonical dims) in a single pass.
+/// [`Matrix::gemv_t_centered_into`] — 16 sums, eight SSE2 registers,
+/// held there across one streaming pass over the matrix. Covers the
+/// workspace's KCCA projections (≤ 16 canonical dims) in a single pass.
 const GEMV_COL_BLOCK: usize = 16;
 
 /// Output rows per `qpp-par` chunk of the Gram kernel: at 512 columns
@@ -229,9 +228,13 @@ impl Matrix {
     /// This is the projection kernel of the predict hot path: `self` is
     /// a tall-thin weight matrix (`p x keep`, row-major), and the naive
     /// loop re-touches the whole `out` vector once per matrix row. Here
-    /// each pass fixes a block of `GEMV_COL_BLOCK` output columns in a
-    /// stack-resident accumulator and streams the matrix rows once per
-    /// block, the lane loop unrolled 4 wide.
+    /// each pass fixes a block of output columns in a fixed-size
+    /// accumulator that stays in registers and streams the matrix rows
+    /// once per block. The block is `GEMV_COL_BLOCK` columns wide, or the
+    /// widest power of two that fits a narrower matrix; a last block
+    /// that would run past the edge is shifted left to end on it, and
+    /// its columns the previous block already wrote are computed again
+    /// and not copied out.
     ///
     /// Bitwise equal to the naive loop: per output element the partial
     /// sums accumulate in exactly the same order (ascending row index,
@@ -241,34 +244,39 @@ impl Matrix {
     pub fn gemv_t_centered_into(&self, row: &[f64], means: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(row.len(), self.rows);
         debug_assert_eq!(means.len(), self.rows);
-        let cols = self.cols;
         out.clear();
-        out.resize(cols, 0.0);
-        let mut k0 = 0;
-        while k0 < cols {
-            let width = GEMV_COL_BLOCK.min(cols - k0);
-            let mut acc = [0.0f64; GEMV_COL_BLOCK];
-            for (i, (&v, &mu)) in row.iter().zip(means.iter()).enumerate() {
+        out.resize(self.cols, 0.0);
+        match self.cols {
+            GEMV_COL_BLOCK.. => self.gemv_t_blocks::<GEMV_COL_BLOCK>(row, means, out),
+            8.. => self.gemv_t_blocks::<8>(row, means, out),
+            4.. => self.gemv_t_blocks::<4>(row, means, out),
+            2.. => self.gemv_t_blocks::<2>(row, means, out),
+            1 => self.gemv_t_blocks::<1>(row, means, out),
+            0 => {}
+        }
+    }
+
+    /// [`Matrix::gemv_t_centered_into`]'s passes, `W` (at most `cols`)
+    /// output columns each: a constant trip count over a `[f64; W]`, so
+    /// the compiler unrolls the lane loop and keeps every sum in a
+    /// register rather than reloading it per matrix row.
+    #[inline(always)]
+    fn gemv_t_blocks<const W: usize>(&self, row: &[f64], means: &[f64], out: &mut [f64]) {
+        let cols = self.cols;
+        for k0 in (0..cols).step_by(W) {
+            let base = k0.min(cols - W);
+            let mut acc = [0.0f64; W];
+            let weights = self.data.chunks_exact(cols);
+            for ((&v, &mu), w) in row.iter().zip(means).zip(weights) {
                 let c = v - mu;
                 if c == 0.0 {
                     continue;
                 }
-                let w = &self.data[i * cols + k0..i * cols + k0 + width];
-                let mut lane = 0;
-                while lane + 4 <= width {
-                    acc[lane] += c * w[lane];
-                    acc[lane + 1] += c * w[lane + 1];
-                    acc[lane + 2] += c * w[lane + 2];
-                    acc[lane + 3] += c * w[lane + 3];
-                    lane += 4;
-                }
-                while lane < width {
-                    acc[lane] += c * w[lane];
-                    lane += 1;
+                for (a, &x) in acc.iter_mut().zip(&w[base..base + W]) {
+                    *a += c * x;
                 }
             }
-            out[k0..k0 + width].copy_from_slice(&acc[..width]);
-            k0 += width;
+            out[k0..base + W].copy_from_slice(&acc[k0 - base..]);
         }
     }
 

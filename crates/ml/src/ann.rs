@@ -15,13 +15,19 @@
 //!   `(key, index)`), so ties break as in the serial scan whichever list
 //!   or panel slot a row sits in.
 //!
-//! **The list bound.** Each list records its radius (∞ if a member is
-//! not finite). Under `Euclidean`, a full buffer skips a list whose
-//! centroid distance minus radius, shrunk by a relative `1e-9`, still
-//! exceeds the k-th distance: no member could enter, even on a tie, so
-//! answers are bitwise those of the same lists scanned without it.
-//! Cosine distance skips nothing. With `nprobe == nlist` every list is
-//! visited and the answer is bitwise [`NearestNeighbors::query`]'s.
+//! **The ring bound.** Each list runs in `(reach, id)` order, a member's
+//! reach being its distance to the list's centroid (∞ if not finite),
+//! and every 16-row panel records its ring `[rmin, rmax]`: the reach of
+//! its first and last live member. A probe at distance `D` from the
+//! centroid is at least `max(D − rmax, rmin − D)` from every member of
+//! the ring (triangle inequality). Under `Euclidean`, a full buffer
+//! skips what that bound, shrunk by a relative `1e-9`, still puts past
+//! the k-th distance: a whole list (ring: its first panel's `rmin`, its
+//! last panel's `rmax`) before its rescan, and a panel inside the
+//! rescan. No skipped row could enter, even on a tie, so answers are
+//! bitwise those of the same lists scanned without it. Cosine distance
+//! skips nothing. With `nprobe == nlist` every list is visited and the
+//! answer is bitwise [`NearestNeighbors::query`]'s.
 //! `tests/ann_equivalence.rs` pins both.
 //!
 //! [`AnnIndex`] wraps the size-triggered switch: at or below the
@@ -31,8 +37,8 @@
 
 use crate::kmeans::KMeans;
 use crate::knn::{
-    keys_to_distances, predict_with, scan_rows, DistanceMetric, KnnError, KnnScratch, Neighbor,
-    NeighborWeighting,
+    keys_to_distances, kth_key, predict_with, scan_rows, DistanceMetric, KnnError, KnnScratch,
+    Neighbor, NeighborWeighting,
 };
 use qpp_linalg::{vector, Matrix, RowPanels, PANEL_ROWS};
 use serde::{Deserialize, Serialize};
@@ -66,16 +72,16 @@ const QUANTIZER_ITERS: usize = 5;
 const TRAIN_SAMPLE_CAP: usize = 32_768;
 
 /// Mean list length of [`AnnIndex::Exact`], which probes every list
-/// and lets the list bound skip the far ones. Shorter lists bound more
+/// and lets the ring bound skip the far ones. Shorter lists bound more
 /// tightly but add centroids to rank. Against a 2,000-row TPC-DS model
 /// (16 projection dimensions, `k` = 3), 1,000 live queries took, best
 /// of nine runs on a 2-vCPU Xeon: 6.5 µs each over 128-row lists, 5.3
 /// over 64-row, 5.4 over 32-row, and 10.4 by the brute scan.
 const EXACT_LIST_LEN: usize = 64;
 
-/// Relative shrink applied to the list bound before it is trusted: the
+/// Relative shrink applied to the ring bound before it is trusted: the
 /// sums it compares are rounded to ~1e-15 of their size (16 terms), so
-/// a 1e-9 margin never lets rounding skip a list that holds an answer.
+/// a 1e-9 margin never lets rounding skip a row that is an answer.
 const RADIUS_SLACK: f64 = 1e-9;
 
 /// Build-time options for [`IvfIndex`].
@@ -101,16 +107,15 @@ impl Default for IvfOptions {
 /// Inverted-file index: k-means centroids plus CSR inverted lists.
 ///
 /// `offsets` has `nlist + 1` entries; list `c` holds the original row
-/// ids `ids[offsets[c]..offsets[c + 1]]` (ascending by construction),
-/// and `radii[c]` is the largest distance from one of them to centroid
-/// `c`, ∞ when one is not finite (the module doc's list bound). Its
-/// rows sit in `lists` from slot `starts[c]` on, in the same order:
-/// every list starts on a panel boundary and its last panel is padded
-/// with zero rows. Packing is what makes the rescan sub-linear in
-/// practice, not just in distance count: each probed list is one
-/// sequential run of panels, where gathering rows from the original
-/// matrix order costs a cache miss per row once the reference outgrows
-/// the LLC.
+/// ids `ids[offsets[c]..offsets[c + 1]]`, in `(reach, id)` order (the
+/// module doc's ring bound). Its rows sit in `lists` from slot
+/// `starts[c]` on, in the same order: every list starts on a panel
+/// boundary and its last panel is padded with zero rows. `rings[p]` is
+/// panel `p`'s `[rmin, rmax]` over its live rows. Packing is what makes
+/// the rescan sub-linear in practice, not just in distance count: each
+/// probed list is one sequential run of panels, where gathering rows
+/// from the original matrix order costs a cache miss per row once the
+/// reference outgrows the LLC.
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     lists: RowPanels,
@@ -119,14 +124,15 @@ pub struct IvfIndex {
     centroids: RowPanels,
     offsets: Vec<usize>,
     ids: Vec<usize>,
-    radii: Vec<f64>,
+    rings: Vec<[f64; 2]>,
     nprobe: usize,
 }
 
 impl IvfIndex {
     /// Builds the index: quantize a deterministic sample, assign every
     /// row to its nearest centroid in parallel, lay the lists out in
-    /// CSR form and record their radii.
+    /// CSR form, each in `(reach, id)` order, and record every panel's
+    /// ring.
     ///
     /// Fails with [`KnnError::IndexBuild`] when the quantizer cannot be
     /// trained (degenerate `nlist` for the reference size, or no fully
@@ -171,7 +177,7 @@ impl IvfIndex {
         let centroids = RowPanels::from(&km.centroids);
 
         // CSR layout: count, prefix-sum, then place ids in ascending row
-        // order within each list.
+        // order within each list (sorted by reach below).
         let mut offsets = vec![0usize; nlist + 1];
         for cells in &assign_chunks {
             for &c in cells {
@@ -195,25 +201,36 @@ impl IvfIndex {
         // Pack the reference rows into list order: one run of panels per
         // inverted list, each from a panel boundary on, so the query-time
         // rescan streams memory sequentially instead of gathering
-        // scattered rows.
+        // scattered rows. Each list runs outward from its centroid, so a
+        // panel's ring is the reach of its first and last member.
         let runs = offsets.windows(2).map(|w| w[1] - w[0]);
         let slots = runs.map(|len| len.next_multiple_of(PANEL_ROWS)).sum();
         let mut lists = RowPanels::with_capacity(slots, reference.cols());
         let mut starts = Vec::with_capacity(nlist + 1);
-        let mut radii = vec![0.0f64; nlist];
+        let mut rings = Vec::with_capacity(slots / PANEL_ROWS);
+        let mut members = Vec::new();
         for (c, w) in offsets.windows(2).enumerate() {
             starts.push(lists.rows());
-            for &id in &ids[w[0]..w[1]] {
+            members.clear();
+            members.extend(ids[w[0]..w[1]].iter().map(|&id| {
                 let key = vector::sq_dist(reference.row(id), km.centroids.row(c));
-                // `f64::max` would drop a NaN; a non-finite member makes
-                // the list unbounded instead.
+                // A non-finite member sorts last and unbounds its ring.
                 let reach = if key.is_finite() {
                     key.sqrt()
                 } else {
                     f64::INFINITY
                 };
-                radii[c] = radii[c].max(reach);
+                (reach, id)
+            }));
+            members.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for (slot, &(_, id)) in ids[w[0]..w[1]].iter_mut().zip(&members) {
+                *slot = id;
                 lists.push_row(reference.row(id));
+            }
+            for panel in members.chunks(PANEL_ROWS) {
+                if let (Some(first), Some(last)) = (panel.first(), panel.last()) {
+                    rings.push([first.0, last.0]);
+                }
             }
             lists.close_panel();
         }
@@ -225,7 +242,7 @@ impl IvfIndex {
             centroids,
             offsets,
             ids,
-            radii,
+            rings,
             nprobe,
         })
     }
@@ -256,9 +273,17 @@ impl IvfIndex {
         &self.centroids
     }
 
-    /// Row ids of inverted list `c`, ascending.
+    /// Row ids of inverted list `c`, in `(reach, id)` order: by
+    /// distance to the list's centroid, non-finite members last, ties by
+    /// id.
     pub fn list(&self, c: usize) -> &[usize] {
         &self.ids[self.offsets[c]..self.offsets[c + 1]]
+    }
+
+    /// Panels of [`PANEL_ROWS`] rows the lists fill: the most one query
+    /// can compute in full (`KnnScratch::full_panels`).
+    pub fn panels(&self) -> usize {
+        self.rings.len()
     }
 
     /// The slots of `lists` holding list `c`'s rows.
@@ -290,29 +315,26 @@ impl IvfIndex {
         self.search(probe, k, scratch);
     }
 
-    /// [`IvfIndex::query_into`], returning how many lists it rescanned.
+    /// [`IvfIndex::query_into`], returning how many lists it rescanned;
+    /// `scratch.full_panels` counts their panels computed in full.
     fn search(&self, probe: &[f64], k: usize, scratch: &mut KnnScratch) -> usize {
         let KnnScratch {
-            neighbors, probed, ..
+            neighbors,
+            probed,
+            full_panels,
+            ..
         } = scratch;
-        let (metric, nlist) = (self.metric, self.nlist());
+        let (metric, nlist, nprobe) = (self.metric, self.nlist(), self.nprobe);
         // 1. Coarse probe: top-nprobe centroids by (key, index), nearest
         //    first, so the buffer fills from the lists most likely to
         //    bound the rest.
         probed.clear();
-        scan_rows(
-            metric,
-            probe,
-            &self.centroids,
-            0..nlist,
-            self.nprobe,
-            probed,
-            |c| c,
-        );
+        let (rows, all, ids, keep) = (&self.centroids, 0..nlist, |c| c, |_, _| false);
+        scan_rows(metric, probe, rows, all, nprobe, probed, ids, keep);
         // An exhaustive index visits every list: one whose centroid key
         // is not finite (an overflowing probe or centroid) goes last and
         // is never skipped.
-        if self.nprobe == nlist && probed.len() < nlist {
+        if nprobe == nlist && probed.len() < nlist {
             for c in 0..nlist {
                 if !probed.iter().any(|p| p.index == c) {
                     let distance = f64::INFINITY;
@@ -322,43 +344,45 @@ impl IvfIndex {
         }
         // 2. Exact rescan: a sequential sweep over each probed list's
         //    panels, every row offered to the one top-k buffer under its
-        //    original row id, unless the list bound rules the list out.
+        //    original row id, unless a ring rules out its list or panel.
         neighbors.clear();
+        *full_panels = 0;
         let mut rescanned = 0;
         for pc in probed.iter() {
-            let kth = match neighbors.last() {
-                Some(last) if neighbors.len() >= k => last.distance,
-                _ => f64::INFINITY,
-            };
-            if self.out_of_reach(pc.index, pc.distance, kth) {
-                continue;
-            }
             let (slots, first) = (self.slots(pc.index), self.offsets[pc.index]);
             let start = slots.start;
-            scan_rows(metric, probe, &self.lists, slots, k, neighbors, |s| {
-                self.ids[first + (s - start)]
-            });
+            let rings = &self.rings[start / PANEL_ROWS..slots.end.div_ceil(PANEL_ROWS)];
+            let (Some(inner), Some(outer)) = (rings.first(), rings.last()) else {
+                continue;
+            };
+            let centre = pc.distance.sqrt();
+            if self.out_of_reach([inner[0], outer[1]], centre, kth_key(neighbors, k)) {
+                continue;
+            }
+            let ids = |s| self.ids[first + (s - start)];
+            let skip = |p, kth| self.out_of_reach(self.rings[p], centre, kth);
+            *full_panels += scan_rows(metric, probe, &self.lists, slots, k, neighbors, ids, skip);
             rescanned += 1;
         }
         keys_to_distances(metric, neighbors);
         rescanned
     }
 
-    /// True when no row of list `c`, whose centroid sits at squared
-    /// distance `centroid_key` from the probe, can enter a full buffer
-    /// whose k-th squared distance is `kth` — not even on a tie, which
+    /// True when no member of a ring `[rmin, rmax]` around a centroid
+    /// at distance `centre` from the probe can enter a full buffer whose
+    /// k-th squared distance is `kth` — not even on a tie, which
     /// `push_top_k` settles by index. By the triangle inequality every
-    /// member is at least `√centroid_key − radius` away; that bound,
-    /// shrunk by [`RADIUS_SLACK`] of `√centroid_key + radius`, must
-    /// still square to more than `kth`. Below `√f64::MIN_POSITIVE` the
+    /// member is at least `max(centre − rmax, rmin − centre)` away; that
+    /// bound, shrunk by [`RADIUS_SLACK`] of `centre + rmax`, must still
+    /// square to more than `kth`. Below `√f64::MIN_POSITIVE` the
     /// rounding of a sum is absolute, not relative, so a smaller bound
-    /// is never trusted. Under `Cosine` nothing is out of reach.
-    fn out_of_reach(&self, c: usize, centroid_key: f64, kth: f64) -> bool {
-        if self.metric != DistanceMetric::Euclidean {
+    /// is never trusted. Under `Cosine` nothing is out of reach, and
+    /// neither is anything around a centroid at a non-finite distance.
+    fn out_of_reach(&self, [rmin, rmax]: [f64; 2], centre: f64, kth: f64) -> bool {
+        if self.metric != DistanceMetric::Euclidean || !centre.is_finite() {
             return false;
         }
-        let (centre, radius) = (centroid_key.sqrt(), self.radii[c]);
-        let gap = centre - radius - RADIUS_SLACK * (centre + radius);
+        let gap = (centre - rmax).max(rmin - centre) - RADIUS_SLACK * (centre + rmax);
         gap > 0.0 && gap * gap > kth.max(f64::MIN_POSITIVE.sqrt())
     }
 
@@ -406,8 +430,9 @@ impl Default for AnnOptions {
 /// tie-breaking — only how many lists get scanned.
 #[derive(Debug, Clone)]
 pub enum AnnIndex {
-    /// Every list of ~64 rows probed, the list bound skipping the far
-    /// ones: bitwise the [`crate::knn::NearestNeighbors`] scan's answer.
+    /// Every list of ~64 rows probed, the ring bound skipping the far
+    /// lists and panels: bitwise the [`crate::knn::NearestNeighbors`]
+    /// scan's answer.
     Exact {
         /// The wrapped index, `nprobe == nlist`.
         ivf: IvfIndex,
@@ -447,6 +472,11 @@ impl AnnIndex {
         match self {
             AnnIndex::Exact { ivf } | AnnIndex::Ivf { ivf } => ivf,
         }
+    }
+
+    /// Panels the wrapped index's lists fill ([`IvfIndex::panels`]).
+    pub fn panels(&self) -> usize {
+        self.ivf().panels()
     }
 
     /// True when the approximate arm is active.
@@ -511,10 +541,13 @@ mod tests {
         assert_eq!(big.ivf().len(), 101);
     }
 
-    /// The list bound, counted rather than timed: on a 2,000-row
-    /// reference a query at a reference row rescans under a tenth of
-    /// the exact arm's lists and still answers as the brute scan does.
-    /// Cosine distance obeys no such bound and rescans every list.
+    /// The ring bound, counted rather than timed: on a 2,000-row
+    /// reference, 200 queries at reference rows rescan 320 of the exact
+    /// arm's 6,200 lists and compute 853 panels in full, of the 27,800
+    /// the index holds for them (1,468 without the panel rings), and
+    /// still answer as the brute scan does. Cosine distance obeys no
+    /// such bound and computes every panel of every list. The counts
+    /// repeat exactly: build and scan are deterministic.
     #[test]
     fn list_bound_skips_most_lists_of_the_exact_arm() {
         let data = grid(2000);
@@ -524,28 +557,38 @@ mod tests {
             let index = AnnIndex::build(data.clone(), metric, &AnnOptions::default()).unwrap();
             let (ivf, queries) = (index.ivf(), 200);
             assert_eq!(ivf.nlist(), 2000 / EXACT_LIST_LEN);
-            let mut rescanned = 0;
+            let (mut rescanned, mut full) = (0, 0);
             for i in (0..2000).step_by(2000 / queries) {
                 rescanned += ivf.search(data.row(i), 3, &mut scratch);
+                full += scratch.full_panels;
                 assert_eq!(scratch.neighbors, nn.query(data.row(i), 3), "row {i}");
             }
-            let every = queries * ivf.nlist();
-            match metric {
-                DistanceMetric::Euclidean => assert!(rescanned * 10 < every, "{rescanned}"),
-                DistanceMetric::Cosine => assert_eq!(rescanned, every),
-            }
+            let counted = match metric {
+                DistanceMetric::Euclidean => (320, 853),
+                DistanceMetric::Cosine => (queries * ivf.nlist(), queries * ivf.panels()),
+            };
+            assert_eq!(
+                (rescanned, full),
+                counted,
+                "lists rescanned, panels in full"
+            );
         }
     }
 
+    /// The lists partition the rows, each running outward from its
+    /// centroid: by reach, ties by id.
     #[test]
-    fn csr_lists_partition_all_rows_ascending() {
-        let ivf =
-            IvfIndex::build(grid(2000), DistanceMetric::Euclidean, IvfOptions::default()).unwrap();
+    fn csr_lists_partition_all_rows_in_reach_order() {
+        let (data, metric) = (grid(2000), DistanceMetric::Euclidean);
+        let ivf = IvfIndex::build(data.clone(), metric, IvfOptions::default()).unwrap();
+        let centroids = ivf.centroids().gather(0..ivf.nlist());
         let mut seen = vec![false; 2000];
         for c in 0..ivf.nlist() {
             let list = ivf.list(c);
+            let reach = |i: usize| vector::sq_dist(data.row(i), centroids.row(c)).sqrt();
             for w in list.windows(2) {
-                assert!(w[0] < w[1], "list {c} not ascending: {list:?}");
+                let order = (reach(w[0]), w[0]).partial_cmp(&(reach(w[1]), w[1]));
+                assert_eq!(order, Some(std::cmp::Ordering::Less), "list {c}: {list:?}");
             }
             for &i in list {
                 assert!(!seen[i], "row {i} in two lists");

@@ -179,8 +179,8 @@ impl NearestNeighbors {
         out.clear();
         let k = k.min(self.len());
         out.reserve(k + 1);
-        let all = 0..self.len();
-        scan_rows(self.metric, probe, &self.reference, all, k, out, |i| i);
+        let (all, ids, keep) = (0..self.len(), |i| i, |_, _| false);
+        scan_rows(self.metric, probe, &self.reference, all, k, out, ids, keep);
         keys_to_distances(self.metric, out);
     }
 
@@ -257,9 +257,17 @@ const ABANDON_DIVISOR: usize = 4;
 
 /// The one row scan of this crate: offers the rows in slots `range` of
 /// `rows` (`range.start` on a panel boundary) to the top-`k` buffer
-/// `best` under the ids `id_of` gives them. The brute scan, the IVF
-/// coarse probe and the IVF list rescan are this loop over the whole
-/// reference, the centroids and one list.
+/// `best` under the ids `id_of` gives them, and returns how many panels
+/// it computed in full. The brute scan, the IVF coarse probe and the
+/// IVF list rescan are this loop over the whole reference, the
+/// centroids and one list.
+///
+/// Before reading a panel, the scan asks `skip` whether it can hold no
+/// row under the current k-th key (panel number, k-th key; ∞ until the
+/// buffer is full). The list rescan answers from the panel's ring
+/// (`crate::ann`'s module doc); the brute scan and the coarse probe skip
+/// nothing. A skipped panel must be one whose every row `push_top_k`
+/// would reject.
 ///
 /// `best` is keyed by *selection key*, not distance: the cosine distance
 /// itself, but under `Euclidean` the **squared** distance — same order
@@ -280,6 +288,7 @@ const ABANDON_DIVISOR: usize = 4;
 ///
 /// A probe of another width than `rows`, which no caller passes, is
 /// compared over the columns both have and never reads out of range.
+#[allow(clippy::too_many_arguments)] // the list rescan needs all eight; the other scans pass identities
 pub(crate) fn scan_rows(
     metric: DistanceMetric,
     probe: &[f64],
@@ -288,23 +297,25 @@ pub(crate) fn scan_rows(
     k: usize,
     best: &mut Vec<Neighbor>,
     id_of: impl Fn(usize) -> usize,
-) {
+    skip: impl Fn(usize, f64) -> bool,
+) -> usize {
     debug_assert_eq!(probe.len(), rows.cols());
     debug_assert!(range.start.is_multiple_of(PANEL_ROWS));
     let width = rows.cols().min(probe.len());
     let head = width / ABANDON_DIVISOR;
     let probe_norm = vector::norm(probe);
+    let mut full = 0;
     for start in range.clone().step_by(PANEL_ROWS) {
         let panel = start / PANEL_ROWS;
         let live = PANEL_ROWS.min(range.end - start);
+        let kth = kth_key(best, k);
+        if skip(panel, kth) {
+            continue;
+        }
         let keys = match metric {
             DistanceMetric::Euclidean => {
                 let mut sums = [-0.0; PANEL_ROWS];
                 rows.add_sq_diffs(panel, probe, 0..head, &mut sums);
-                let kth = match best.last() {
-                    Some(last) if best.len() >= k => last.distance,
-                    _ => f64::INFINITY,
-                };
                 if sums[..live].iter().all(|&partial| partial > kth) {
                     continue;
                 }
@@ -322,9 +333,20 @@ pub(crate) fn scan_rows(
                 })
             }
         };
+        full += 1;
         for (r, &key) in keys[..live].iter().enumerate() {
             push_top_k(best, k, id_of(start + r), key);
         }
+    }
+    full
+}
+
+/// The key a row must beat to enter `best`, a top-`k` buffer: its
+/// last key once full, ∞ before.
+pub(crate) fn kth_key(best: &[Neighbor], k: usize) -> f64 {
+    match best.last() {
+        Some(last) if best.len() >= k => last.distance,
+        _ => f64::INFINITY,
     }
 }
 
@@ -383,6 +405,10 @@ pub struct KnnScratch {
     /// Neighbors found by the last `predict_into` call, ascending by
     /// `(distance, index)`.
     pub neighbors: Vec<Neighbor>,
+    /// Panels of 16 reference rows the last IVF query computed in full:
+    /// neither ruled out by a ring nor abandoned after its first
+    /// columns. The brute scan leaves it as it was.
+    pub full_panels: usize,
     pub(crate) weights: Vec<f64>,
     /// Nearest coarse centroids (IVF probe step).
     pub(crate) probed: Vec<Neighbor>,
@@ -553,7 +579,8 @@ mod tests {
         let rows = RowPanels::from(&Matrix::from_fn(n, cols, |_, j| (j == 0) as u8 as f64));
         best.clear();
         let (metric, probe) = (DistanceMetric::Euclidean, vec![0.0; cols]);
-        scan_rows(metric, &probe, &rows, 0..n, 2, &mut best, |p| n - 1 - p);
+        let ids = |p| n - 1 - p;
+        scan_rows(metric, &probe, &rows, 0..n, 2, &mut best, ids, |_, _| false);
         let found: Vec<usize> = best.iter().map(|n| n.index).collect();
         assert_eq!(found, vec![0, 1]);
     }

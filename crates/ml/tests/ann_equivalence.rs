@@ -371,27 +371,34 @@ fn brute_over_probed(ivf: &IvfIndex, data: &Matrix, probe: &[f64], k: usize) -> 
     found
 }
 
-/// The list bound changes no answer, under both metrics, on inputs built
+/// The ring bound changes no answer, under both metrics, on inputs built
 /// to trip it. Blobs sit 10 apart on the first axis, centred near 0,
 /// with ids interleaved across them and points on a half-integer grid,
 /// so distances tie exactly across lists: a probe midway between two
 /// blobs ties rows of both, a mirrored row ties its mirror image's list,
 /// and a far list's member can tie the k-th key with a lower id. In one
-/// dimension each blob's extreme row lies exactly on its radius, on the
+/// dimension each blob's extreme row lies exactly on its ring, on the
 /// probe's side. One row in eight repeats an earlier one (duplicates
 /// share a list, since assignment is a function of the row); one in
-/// sixteen carries a NaN or an infinity, making its list's radius ∞.
-/// Probes include rows, centroids, NaN and ±∞; scales reach overflow
-/// (a centroid key past `f64::MAX` with members inside it) and the
-/// subnormal range; `k` runs from 0 past the row count. The exact arm
-/// and an exhaustive index over the blobs must equal the brute scan,
-/// and an index probing fewer lists the brute scan over those lists.
+/// sixteen carries a NaN or an infinity, sorting last in its list and
+/// making its panel's ring ∞. Every other seed gives each blob 15, 16
+/// or 17 rows, so a list's last panel is all but full, full, or one row
+/// and fifteen padding slots that must stay out of its ring. Probes
+/// include rows, centroids (where only `rmin − D` can skip), the two
+/// members either side of a list's first panel boundary and their
+/// reflections through the centroid (`D` on the edge of two rings),
+/// NaN and ±∞; scales reach overflow (a centroid key past `f64::MAX`
+/// with members inside it) and the subnormal range; `k` runs from 0
+/// past the row count. The exact arm and an exhaustive index over the
+/// blobs must equal the brute scan, and an index probing fewer lists
+/// the brute scan over those lists.
 #[test]
 fn list_bound_keeps_every_answer() {
     for seed in 0..128 {
         let mut rng = StdRng::seed_from_u64(seed);
         let (dims, blobs) = (rng.random_range(1usize..5), rng.random_range(2usize..7));
-        let n = blobs * rng.random_range(4usize..40);
+        let per = rng.random_range(4usize..40);
+        let n = blobs * [15, per, 16, per, 17, per][seed as usize % 6];
         let scale = [1.0, 1.0, 1e153, 1e-160, 1e-75][rng.random_range(0..5)];
         let grid = |rng: &mut StdRng| rng.random_range(-4i32..5) as f64 * 0.5;
         let mut data = Matrix::from_fn(n, dims, |i, j| {
@@ -429,17 +436,28 @@ fn list_bound_keeps_every_answer() {
             });
             let centroids = listed.centroids().gather(0..listed.nlist());
             let pick = |rng: &mut StdRng, m: &Matrix| m.row(rng.random_range(0..m.rows())).to_vec();
-            for q in 0..12 {
-                let mut probe: Vec<f64> = match q % 6 {
+            for q in 0..16 {
+                // A list's 16th or 17th member, and its centroid.
+                let c = rng.random_range(0..listed.nlist());
+                let list = listed.list(c);
+                let edge = list.get(15 + q / 8).or(list.last()).map(|&i| data.row(i));
+                let (edge, centroid) = (edge.unwrap_or(centroids.row(c)), centroids.row(c));
+                let mut probe: Vec<f64> = match q % 8 {
                     0 => pick(&mut rng, &data),
                     1 => pick(&mut rng, &data).iter().map(|v| -v).collect(),
-                    2 => pick(&mut rng, &centroids),
+                    2 => centroid.to_vec(),
                     3 => (0..dims)
                         .map(|j| if j == 0 { 5.0 * scale } else { 0.0 })
                         .collect(),
+                    6 => edge.to_vec(),
+                    7 => edge
+                        .iter()
+                        .zip(centroid)
+                        .map(|(x, m)| m - (x - m))
+                        .collect(),
                     _ => (0..dims).map(|_| grid(&mut rng) * 10.0 * scale).collect(),
                 };
-                if q % 6 == 5 {
+                if q % 8 == 5 {
                     let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
                     probe[rng.random_range(0..dims)] = bad[rng.random_range(0..3)];
                 }

@@ -30,7 +30,8 @@ pub enum Stage {
     PredictStandardize,
     /// One query's kernel row + folded projection gemv.
     PredictProject,
-    /// kNN search + neighbor-metric combine.
+    /// kNN search + neighbor-metric combine; the value counts the
+    /// reference panels the search computed in full.
     PredictKnn,
     /// Whole `KccaPredictor::train` call.
     TrainTotal,

@@ -369,6 +369,17 @@ fn served_request_exports_a_complete_trace() {
             .find(|e| e.stage == stage && e.kind == EventKind::Span)
             .unwrap_or_else(|| panic!("trace missing {stage} span: {events:?}"));
         assert_eq!(found.trace_id, resp.trace_id);
+        // The kNN span counts the panels its search computed in full:
+        // at least the one holding the answer, at most every one.
+        if stage == Stage::PredictKnn {
+            let entry = registry.get(&key).expect("installed");
+            let panels = entry.predictor.index().panels();
+            assert!(
+                (1..=panels as u64).contains(&found.value),
+                "{} of {panels} panels",
+                found.value
+            );
+        }
     }
     // A KCCA answer must not be tagged as a fallback.
     assert!(
