@@ -73,7 +73,14 @@ if [ -z "$FALLBACKS" ] || [ "$FALLBACKS" -eq 0 ]; then
     echo "obs smoke: expected a nonzero fallbacks counter, got '${FALLBACKS:-missing}'"
     exit 1
 fi
-echo "obs smoke OK: spans present, $FALLBACKS fallbacks tagged"
+# Every request of the example is valid, so none may fail; the line
+# must be present, or the ledger's failed count never reaches the dump.
+FAILED=$(sed -n 's/.*"counter":"failed","value":\([0-9]*\).*/\1/p' "$TRACE_OUT")
+if [ "$FAILED" != "0" ]; then
+    echo "obs smoke: expected a failed counter of 0, got '${FAILED:-missing}'"
+    exit 1
+fi
+echo "obs smoke OK: spans present, $FALLBACKS fallbacks tagged, 0 failed"
 rm -f "$TRACE_OUT"
 
 echo "==> adapt smoke: drifted workload triggers retrain + canary swap end to end"

@@ -48,6 +48,8 @@ pub struct DriftConfig {
     /// Samples used to freeze the calibration mean `μ₀` and std `σ₀`.
     pub warmup: usize,
     /// Recent-window length for the mean-ratio gate.
+    /// [`DriftDetector::new`] clamps it to at least 1: an empty window
+    /// has a mean of 0 and would never pass the gate.
     pub window: usize,
 }
 
@@ -180,6 +182,10 @@ pub struct DriftDetector {
 impl DriftDetector {
     /// Creates calibrating detectors for all streams.
     pub fn new(cfg: DriftConfig) -> DriftDetector {
+        let cfg = DriftConfig {
+            window: cfg.window.max(1),
+            ..cfg
+        };
         DriftDetector {
             cfg,
             streams: std::array::from_fn(|_| StreamState::new(cfg.window)),
@@ -312,8 +318,11 @@ mod tests {
 
     #[test]
     fn detection_is_deterministic_in_the_epoch() {
-        let run = || {
-            let cfg = DriftConfig::default();
+        let run = |window: usize| {
+            let cfg = DriftConfig {
+                window,
+                ..DriftConfig::default()
+            };
             let mut d = DriftDetector::new(cfg);
             for epoch in 0..300u64 {
                 let e = if epoch < 60 { 0.3 } else { 1.2 };
@@ -323,9 +332,13 @@ mod tests {
             }
             None
         };
-        let a = run().expect("detects");
-        let b = run().expect("detects");
+        let a = run(16).expect("detects");
+        let b = run(16).expect("detects");
         assert_eq!(a, b, "same sequence must drift at the same epoch");
+        // A zero window is clamped to one: an empty window's mean of 0
+        // never passed the ratio gate, so drift was never declared.
+        let one = run(1).expect("a one-sample window detects");
+        assert_eq!(run(0), Some(one), "window 0 drifts as window 1 does");
     }
 
     #[test]

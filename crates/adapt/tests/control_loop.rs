@@ -36,7 +36,6 @@ fn response(prediction: Prediction, version: u64) -> ServeResponse {
         source: AnswerSource::Kcca,
         model_version: version,
         latency: Duration::ZERO,
-        tenant: qpp_serve::DEFAULT_TENANT,
         trace_id: 0,
     }
 }

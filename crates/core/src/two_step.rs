@@ -1,10 +1,11 @@
 //! Two-step prediction with per-category models (paper Experiment 3).
 //!
 //! Step 1: a first KCCA model classifies the query as feather / golf
-//! ball / bowling ball from its nearest neighbors' *actual* runtimes
-//! (the paper illustrates this with a majority vote; see
-//! [`TwoStepPredictor::classify`] for the magnitude-based refinement
-//! used here).
+//! ball / bowling ball by the category of its elapsed-time prediction,
+//! which combines the nearest neighbors' *actual* runtimes. The paper
+//! illustrates this step with a neighbor majority vote; see
+//! [`TwoStepPredictor::classify`] for why the magnitude rule is used
+//! here instead.
 //!
 //! Step 2: a category-specific KCCA model — trained only on that
 //! category's queries — produces the metric predictions. The paper
@@ -61,24 +62,27 @@ impl TwoStepPredictor {
         })
     }
 
-    /// Step 1 alone: classify a query by neighbor majority vote.
+    /// Step 1 alone: the category of the classifier's elapsed-time
+    /// prediction for the query. A wrecking ball, which has no
+    /// specialist pool, is reported as a bowling ball.
+    ///
+    /// The paper describes predicting the category "from the neighbors"
+    /// and illustrates it with a majority vote. The elapsed prediction
+    /// is the neighbors' combined elapsed time: its category agrees with
+    /// the majority vote whenever the neighbors agree, and resolves
+    /// mixed neighborhoods by magnitude instead of head-count — which
+    /// matters exactly at the category boundaries the paper calls out
+    /// as the failure mode ("the test query was too close to the
+    /// temporal threshold").
     pub fn classify(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryCategory, QppError> {
         let features = query_features(self.options.feature_kind, spec, plan);
         let p = self.classifier.predict_features(&features)?;
-        Ok(self.vote(&p))
+        Ok(Self::categorize(&p))
     }
 
-    /// Step-1 classification from the first model's neighbors.
-    ///
-    /// The paper describes predicting the category "from the neighbors"
-    /// and illustrates it with a majority vote. We use the neighbors'
-    /// combined elapsed time (the first model's elapsed prediction) and
-    /// categorize that: it agrees with the majority vote whenever the
-    /// neighbors agree, and resolves mixed neighborhoods by magnitude
-    /// instead of head-count — which matters exactly at the category
-    /// boundaries the paper calls out as the failure mode ("the test
-    /// query was too close to the temporal threshold").
-    fn vote(&self, p: &Prediction) -> QueryCategory {
+    /// Step-1 category of the first model's prediction (see
+    /// [`TwoStepPredictor::classify`]).
+    fn categorize(p: &Prediction) -> QueryCategory {
         let by_elapsed = QueryCategory::of(p.metrics.elapsed_seconds);
         if by_elapsed == QueryCategory::WreckingBall {
             // No wrecking-ball pool exists; route to the longest class.
@@ -91,7 +95,7 @@ impl TwoStepPredictor {
     pub fn predict(&self, spec: &QuerySpec, plan: &Plan) -> Result<Prediction, QppError> {
         let features = query_features(self.options.feature_kind, spec, plan);
         let first = self.classifier.predict_features(&features)?;
-        let category = self.vote(&first);
+        let category = Self::categorize(&first);
         match self.specialists.iter().find(|(c, _)| *c == category) {
             Some((_, model)) => model.predict_features(&features),
             None => Ok(first),

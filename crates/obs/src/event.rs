@@ -13,11 +13,14 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Stage {
-    /// Request admission: registry lookup + queue push at submit time.
+    /// Request admission: registry lookup + queue push at submit time
+    /// (`value` = queue depth after the push).
     Admission,
-    /// Time a request sat in the bounded queue before a worker drained it.
+    /// Time a request sat in the bounded queue before a worker drained it
+    /// (`value` = size of the micro-batch that drained it).
     QueueWait,
-    /// Worker handling of one request, dequeue to response send.
+    /// Worker handling of one request, dequeue to response send
+    /// (`value` = registry version of the model that answered).
     Worker,
     /// One request's own `KccaPredictor::predict` call on the worker;
     /// its standardize / project / kNN sub-spans nest inside it.
@@ -76,10 +79,9 @@ pub enum Stage {
     /// Post-swap error regressed and the model was demoted to the
     /// optimizer-cost baseline (mark; `value` = demoted generation).
     KillSwitch,
-    /// The admission gateway shed a request (mark; `value` packs the
-    /// tenant tag — see [`crate::pack_tags`] — beside a reason code:
-    /// 0 = the queue was full, 1 = the tenant's own quota was
-    /// exhausted).
+    /// The admission gateway shed a request (mark; `value` is the
+    /// reason code: 0 = the queue was full, 1 = the tenant's own quota
+    /// was exhausted).
     AdmissionReject,
 }
 

@@ -221,28 +221,6 @@ pub fn with_trace<R>(trace_id: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Payload bits available next to the tenant tag in a packed event
-/// value (see [`pack_tags`]).
-pub const TAG_PAYLOAD_BITS: u32 = 48;
-
-/// Packs the multi-tenant serve tag into an event's free-form `value`
-/// word: `[tenant:16][payload:48]`. The serve layer stamps admission /
-/// queue-wait / worker spans (and `admission_reject` marks) with the
-/// tenant the request was accounted under, so a trace reader can
-/// attribute every span without a side table. Payloads wider than 48
-/// bits are truncated (tags are diagnostics, never control flow).
-pub fn pack_tags(tenant: u16, payload: u64) -> u64 {
-    ((tenant as u64) << TAG_PAYLOAD_BITS) | (payload & ((1u64 << TAG_PAYLOAD_BITS) - 1))
-}
-
-/// Inverse of [`pack_tags`]: `(tenant, payload)`.
-pub fn unpack_tags(value: u64) -> (u16, u64) {
-    (
-        (value >> TAG_PAYLOAD_BITS) as u16,
-        value & ((1u64 << TAG_PAYLOAD_BITS) - 1),
-    )
-}
-
 /// An in-flight span. Records itself (under the thread's current trace
 /// at drop time) when dropped; timing uses the global recorder's
 /// monotonic epoch.
@@ -445,20 +423,5 @@ mod tests {
         for t in 1..=4 {
             assert_eq!(r.export_trace(t).len(), 500);
         }
-    }
-
-    #[test]
-    fn tag_packing_round_trips() {
-        for (tenant, payload) in [
-            (0u16, 0u64),
-            (7, 12345),
-            (u16::MAX, (1u64 << TAG_PAYLOAD_BITS) - 1),
-        ] {
-            let packed = pack_tags(tenant, payload);
-            assert_eq!(unpack_tags(packed), (tenant, payload));
-        }
-        // Oversized payloads truncate instead of corrupting the tag.
-        let packed = pack_tags(9, u64::MAX);
-        assert_eq!(unpack_tags(packed), (9, (1u64 << TAG_PAYLOAD_BITS) - 1));
     }
 }

@@ -1,4 +1,4 @@
-//! qpp-serve: a concurrent, multi-tenant online prediction service.
+//! qpp-serve: a concurrent online prediction service.
 //!
 //! The paper trains KCCA models offline and ships them to customer
 //! sites; this crate is the *serving side* of that story — the piece
@@ -8,9 +8,9 @@
 //!   and feature kind in one read-mostly map, hot-swappable (atomic
 //!   `Arc` replacement) without stopping the service, loaded through
 //!   `qpp_core::model_io`'s versioned, checksummed envelopes.
-//! - [`TenantId`] / [`TenantSpec`] / [`TenantTable`]: the multi-tenant
-//!   identity layer — per-tenant admission quotas, with a catch-all
-//!   default tenant.
+//! - [`TenantId`] / [`TenantSpec`] / [`TenantTable`]: per-tenant
+//!   admission quotas, with a catch-all default tenant. A tenant is a
+//!   quota and nothing more: statistics and traces are service-wide.
 //! - [`TenantQueue`]: one bounded FIFO — one lock, one condvar —
 //!   drained in arrival order whatever the tenant; reject-on-full and
 //!   reject-over-quota backpressure.
@@ -23,15 +23,14 @@
 //!   KCCA answer lands, the caller is answered from the O(1)
 //!   optimizer-cost baseline instead — bounded latency, graceful
 //!   degradation.
-//! - [`ServiceStats`]: lock-free counters and latency histograms per
-//!   tenant, folded in fixed order into a [`StatsSnapshot`] with a
-//!   per-tenant breakdown — deterministic totals and quantiles
-//!   regardless of worker timing.
+//! - [`ServiceStats`]: one set of lock-free service-wide counters and
+//!   one latency histogram, read into a [`StatsSnapshot`]; every
+//!   accepted request whose answer is waited on is exactly one of
+//!   completed, fallback or failed.
 //! - Tracing: every request gets a `qpp_obs` trace ID at admission,
 //!   carried through the queue, the worker, and the prediction — and
-//!   through *rejections*, which record tagged `admission_reject` marks;
-//!   spans pack their tenant into the value word
-//!   (`qpp_obs::pack_tags`). The ID is returned on
+//!   through *rejections*, which record `admission_reject` marks whose
+//!   value is the `REJECT_*` reason code. The ID is returned on
 //!   [`ServeResponse::trace_id`].
 //!
 //! Every fallible API returns [`QppError`], the workspace-level error
@@ -62,5 +61,5 @@ pub use service::{
     AnswerSource, CompletionObserver, PendingPrediction, PredictRequest, PredictionService,
     ServeOptions, ServeResponse, REJECT_OVER_QUOTA, REJECT_QUEUE_FULL,
 };
-pub use stats::{LatencyQuantile, ServiceStats, StatsCell, StatsSnapshot, TenantSnapshot};
+pub use stats::{LatencyQuantile, ServiceStats, StatsSnapshot};
 pub use tenant::{TenantId, TenantSpec, TenantTable, DEFAULT_TENANT};

@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn quota_rejects_carry_the_tenant_and_release_on_drain() {
-        let t = table(vec![TenantSpec::new(TenantId(5), "capped").quota(2)]);
+        let t = table(vec![TenantSpec::new(TenantId(5)).quota(2)]);
         let capped = t.resolve(TenantId(5));
         let q: TenantQueue<u32> = TenantQueue::new(100, Arc::clone(&t));
         assert!(q.try_push(capped, 1).is_ok());
@@ -322,7 +322,6 @@ mod tests {
     fn a_literal_zero_quota_still_admits_one_request() {
         let t = table(vec![TenantSpec {
             id: TenantId(5),
-            name: "literal".to_string(),
             quota: 0,
         }]);
         let literal = t.resolve(TenantId(5));
@@ -343,7 +342,7 @@ mod tests {
     /// queue (callers see quota → shutdown → full).
     #[test]
     fn racing_pushes_admit_exactly_the_quota() {
-        let t = table(vec![TenantSpec::new(TenantId(5), "capped").quota(8)]);
+        let t = table(vec![TenantSpec::new(TenantId(5)).quota(8)]);
         let capped = t.resolve(TenantId(5));
         let q: TenantQueue<u32> = TenantQueue::new(8, Arc::clone(&t));
         let barrier = Barrier::new(4);

@@ -1,4 +1,4 @@
-//! The online prediction service: a worker pool over the multi-tenant
+//! The online prediction service: a worker pool over the quota-gated
 //! request queue, answering each request with a KCCA prediction, an
 //! admission decision, and a deadline-bounded fallback.
 //!
@@ -8,8 +8,9 @@
 //!    and pushes it onto the queue. Admission is a real gate: an
 //!    over-quota tenant is rejected with
 //!    [`QppError::TenantQuotaExceeded`], a full queue rejects with
-//!    [`QppError::QueueFull`] — both recorded as tagged
-//!    `admission_reject` marks carrying the request's trace ID.
+//!    [`QppError::QueueFull`] — both recorded as `admission_reject`
+//!    marks carrying the request's trace ID and a `REJECT_*` reason
+//!    code.
 //! 2. Whichever worker is idle drains a micro-batch of the oldest
 //!    requests and answers them in arrival order: one registry lookup
 //!    and one `KccaPredictor::predict` call each, under the request's
@@ -24,9 +25,8 @@
 //!    O(1) estimate from the plan's optimizer cost — so callers always
 //!    get a bounded-latency answer.
 //!
-//! Every span and mark a request produces (admission, queue wait,
-//! worker, rejection) carries its tenant packed into the value word via
-//! [`qpp_obs::pack_tags`].
+//! Every accepted request whose answer is waited on ends in exactly
+//! one of the service-wide `completed`, `fallbacks` or `failed` counts.
 
 use crate::queue::TenantQueue;
 use crate::registry::{ModelEntry, ModelKey, ModelRegistry};
@@ -36,17 +36,17 @@ use parking_lot::RwLock;
 use qpp_core::workload_mgmt::{decide, AdmissionDecision, AdmissionPolicy};
 use qpp_core::{NeighborIds, Prediction, QppError, QueryRecord};
 use qpp_engine::{PerfMetrics, Plan};
-use qpp_obs::{pack_tags, Stage};
+use qpp_obs::Stage;
 use qpp_workload::QuerySpec;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Reason code packed into `admission_reject` marks: the queue was at
-/// capacity.
+/// Reason code an `admission_reject` mark carries as its value: the
+/// queue was at capacity.
 pub const REJECT_QUEUE_FULL: u64 = 0;
-/// Reason code packed into `admission_reject` marks: the tenant's own
-/// quota was exhausted.
+/// Reason code an `admission_reject` mark carries as its value: the
+/// tenant's own quota was exhausted.
 pub const REJECT_OVER_QUOTA: u64 = 1;
 
 /// Observer of completed query executions: the closed-loop feedback
@@ -62,8 +62,7 @@ pub const REJECT_OVER_QUOTA: u64 = 1;
 pub trait CompletionObserver: Send + Sync {
     /// One executed query: the record carries the query, its plan, and
     /// the *measured* metrics; `response` carries what was predicted,
-    /// which model generation answered, through which path, and for
-    /// which tenant.
+    /// which model generation answered, and through which path.
     fn on_completion(&self, record: &QueryRecord, response: &ServeResponse);
 }
 
@@ -72,8 +71,9 @@ pub trait CompletionObserver: Send + Sync {
 pub struct PredictRequest {
     /// Which installed model should answer.
     pub key: ModelKey,
-    /// The tenant (workload owner) submitting; unregistered IDs fold
-    /// into the catch-all default tenant.
+    /// The tenant (workload owner) submitting, whose quota admits the
+    /// request; unregistered IDs fold into the catch-all default
+    /// tenant.
     pub tenant: TenantId,
     /// The query to predict for.
     pub spec: QuerySpec,
@@ -108,9 +108,6 @@ pub struct ServeResponse {
     pub model_version: u64,
     /// End-to-end latency from submission to answer.
     pub latency: Duration,
-    /// The tenant the request was accounted under (post-resolution:
-    /// unregistered IDs appear here as the default tenant).
-    pub tenant: TenantId,
     /// The request's trace ID: every span this request produced
     /// (admission, queue wait, worker, predict, fallback) carries it,
     /// so `qpp_obs::recorder().export_trace(trace_id)` reconstructs the
@@ -133,7 +130,7 @@ pub struct ServeOptions {
     pub policy: AdmissionPolicy,
     /// Tenant directory: admission quotas. A catch-all default tenant
     /// is always present; an empty list means single-tenant behavior
-    /// (everything accounted to the default).
+    /// (everything admitted under the default's unlimited quota).
     pub tenants: Vec<TenantSpec>,
 }
 
@@ -153,8 +150,6 @@ struct Queued {
     /// Shared with the client's [`PendingPrediction`]: one request, two
     /// readers.
     request: Arc<PredictRequest>,
-    /// Resolved tenant ID (the default tenant for unregistered IDs).
-    tenant: TenantId,
     /// The request's one timestamp, on the obs clock (which shares an
     /// epoch with every span in the trace): the queue-wait span, the
     /// response latency and the deadline's remaining time all count
@@ -172,8 +167,6 @@ pub struct PendingPrediction {
     /// The queued request's `enqueued_ns` (same stamp, same clock).
     submitted_ns: u64,
     trace_id: u64,
-    tenant_idx: usize,
-    tenant: TenantId,
     registry: Arc<ModelRegistry>,
     stats: Arc<ServiceStats>,
     policy: AdmissionPolicy,
@@ -196,9 +189,10 @@ impl PendingPrediction {
     /// deadline, which is exactly the bounded-latency guarantee the
     /// deadline exists to give up on time.)
     ///
-    /// Every per-answer count (`completed` or `fallbacks`, the latency
-    /// sample, the admission decision) is made here, before the answer
-    /// is returned, so a snapshot read after `wait` always includes it.
+    /// Every per-answer count (`completed`, `fallbacks` or `failed`,
+    /// the latency sample, the admission decision) is made here, before
+    /// the answer is returned, so a snapshot read after `wait` always
+    /// includes it.
     pub fn wait(self) -> Result<ServeResponse, QppError> {
         let remaining = self
             .request
@@ -224,38 +218,38 @@ impl PendingPrediction {
 
     /// Counts a worker's answer as it is handed to the caller.
     fn count(&self, answer: Result<ServeResponse, QppError>) -> Result<ServeResponse, QppError> {
-        if let Ok(response) = &answer {
-            let cell = self.stats.cell(self.tenant_idx);
-            cell.completed.incr();
-            cell.record_latency(response.latency);
-            record_decision(&self.stats, &response.decision);
+        match &answer {
+            Ok(response) => {
+                self.stats.completed.incr();
+                self.stats.record_latency(response.latency);
+                record_decision(&self.stats, &response.decision);
+            }
+            Err(_) => self.stats.failed.incr(),
         }
         answer
     }
 
     /// Answers from the registry's cost model without the worker pool.
     fn fallback(self) -> Result<ServeResponse, QppError> {
-        let entry = self
-            .registry
-            .get(&self.request.key)
-            .ok_or_else(|| QppError::UnknownModel {
+        let Some(entry) = self.registry.get(&self.request.key) else {
+            self.stats.failed.incr();
+            return Err(QppError::UnknownModel {
                 key: self.request.key.to_string(),
-            })?;
+            });
+        };
         let prediction = cost_model_prediction(&entry, &self.request.plan);
         let decision = decide(&self.policy, &prediction);
         record_decision(&self.stats, &decision);
-        let cell = self.stats.cell(self.tenant_idx);
-        cell.fallbacks.incr();
+        self.stats.fallbacks.incr();
         qpp_obs::recorder().record_mark(self.trace_id, Stage::Fallback, entry.version);
         let latency = elapsed_since(self.submitted_ns);
-        cell.record_latency(latency);
+        self.stats.record_latency(latency);
         Ok(ServeResponse {
             prediction,
             decision,
             source: AnswerSource::CostModelFallback,
             model_version: entry.version,
             latency,
-            tenant: self.tenant,
             trace_id: self.trace_id,
         })
     }
@@ -318,7 +312,7 @@ impl PredictionService {
             options.queue_capacity,
             Arc::clone(&tenants),
         ));
-        let stats = Arc::new(ServiceStats::for_tenants(Arc::clone(&tenants)));
+        let stats = Arc::new(ServiceStats::default());
         let workers = (0..options.workers)
             .map(|_| {
                 let queue = Arc::clone(&queue);
@@ -347,11 +341,6 @@ impl PredictionService {
         &self.registry
     }
 
-    /// The tenant directory the service admits against.
-    pub fn tenants(&self) -> &TenantTable {
-        &self.tenants
-    }
-
     /// Installs (or replaces) the completion observer that
     /// [`PredictionService::observe_completion`] forwards to.
     pub fn set_completion_observer(&self, observer: Arc<dyn CompletionObserver>) {
@@ -372,8 +361,9 @@ impl PredictionService {
 
     /// Submits a request without waiting for its answer. Fails fast
     /// with backpressure (queue full, tenant over quota) or an
-    /// unknown-model error; every rejection is recorded as a tagged
-    /// `admission_reject` mark carrying this request's trace ID.
+    /// unknown-model error; every backpressure rejection is recorded as
+    /// an `admission_reject` mark carrying this request's trace ID and
+    /// its `REJECT_*` reason code.
     pub fn submit_async(&self, request: PredictRequest) -> Result<PendingPrediction, QppError> {
         let rec = qpp_obs::recorder();
         let trace_id = rec.next_trace_id();
@@ -384,35 +374,31 @@ impl PredictionService {
             });
         }
         let tenant_idx = self.tenants.resolve(request.tenant);
-        let tenant = self.tenants.spec(tenant_idx).id;
         let (tx, rx) = mpsc::channel();
         let enqueued_ns = rec.now_ns();
         let request = Arc::new(request);
         let queued = Queued {
             request: Arc::clone(&request),
-            tenant,
             enqueued_ns,
             trace_id,
             responder: tx,
         };
         match self.queue.try_push(tenant_idx, queued) {
             Ok(depth) => {
-                self.stats.cell(tenant_idx).submitted.incr();
+                self.stats.submitted.incr();
                 self.stats.observe_queue_depth(depth);
                 rec.record_span(
                     trace_id,
                     Stage::Admission,
                     admit_start,
                     rec.now_ns().saturating_sub(admit_start),
-                    pack_tags(tenant.0, depth as u64),
+                    depth as u64,
                 );
                 Ok(PendingPrediction {
                     rx,
                     request,
                     submitted_ns: enqueued_ns,
                     trace_id,
-                    tenant_idx,
-                    tenant,
                     registry: Arc::clone(&self.registry),
                     stats: Arc::clone(&self.stats),
                     policy: self.policy,
@@ -420,23 +406,19 @@ impl PredictionService {
             }
             Err(e) => {
                 // The rejection mark carries the admission trace ID and
-                // the tenant tag: a shed request is still a traceable
+                // the reason code: a shed request is still a traceable
                 // event, not a silent drop.
                 let reason = match &e {
                     QppError::TenantQuotaExceeded { .. } => {
-                        self.stats.cell(tenant_idx).rejected_quota.incr();
+                        self.stats.rejected_quota.incr();
                         REJECT_OVER_QUOTA
                     }
                     _ => {
-                        self.stats.cell(tenant_idx).rejected_full.incr();
+                        self.stats.rejected_full.incr();
                         REJECT_QUEUE_FULL
                     }
                 };
-                rec.record_mark(
-                    trace_id,
-                    Stage::AdmissionReject,
-                    pack_tags(tenant.0, reason),
-                );
+                rec.record_mark(trace_id, Stage::AdmissionReject, reason);
                 Err(e)
             }
         }
@@ -449,7 +431,7 @@ impl PredictionService {
     }
 
     /// Point-in-time statistics, including the registry's swap and
-    /// demotion counts, totalled and broken out per tenant.
+    /// demotion counts.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot(
             self.queue.len(),
@@ -497,7 +479,7 @@ fn worker_loop(
                 Stage::QueueWait,
                 queued.enqueued_ns,
                 drained_ns.saturating_sub(queued.enqueued_ns),
-                pack_tags(queued.tenant.0, batch.len() as u64),
+                batch.len() as u64,
             );
         }
         for queued in batch.drain(..) {
@@ -557,19 +539,18 @@ fn answer(
         source,
         model_version: entry.version,
         latency: elapsed_since(queued.enqueued_ns),
-        tenant: queued.tenant,
         trace_id: queued.trace_id,
     };
     // Record the worker span *before* handing the answer over: once the
     // client holds the response it may export the trace, and the span
-    // must already be in the ring. The value word packs the tenant
-    // beside the model version that answered.
+    // must already be in the ring. The value is the model version
+    // that answered.
     rec.record_span(
         queued.trace_id,
         Stage::Worker,
         drained_ns,
         rec.now_ns().saturating_sub(drained_ns),
-        pack_tags(queued.tenant.0, entry.version),
+        entry.version,
     );
     // The client counts the answer in `wait` as it takes it; only an
     // answer no client will read is the worker's to count.
@@ -606,7 +587,7 @@ mod tests {
         registry.install(key.clone(), model, fallback);
         let options = ServeOptions {
             workers: 0,
-            tenants: vec![TenantSpec::new(TenantId(7), "second")],
+            tenants: vec![TenantSpec::new(TenantId(7))],
             ..ServeOptions::default()
         };
         let service = PredictionService::start(registry, options.clone());

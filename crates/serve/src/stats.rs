@@ -1,4 +1,5 @@
-//! Service statistics, kept per tenant.
+//! Service statistics: one set of service-wide counters and one
+//! latency histogram.
 //!
 //! The primitives live in `qpp-obs` ([`qpp_obs::Counter`],
 //! [`qpp_obs::Histogram`], [`LatencyQuantile`]) so the serving stats,
@@ -6,26 +7,26 @@
 //! and one set of quantile conventions; this module is the serving
 //! view over them.
 //!
-//! Layout: one [`StatsCell`] per tenant holds every per-tenant count —
-//! submissions, completions, fallbacks, the two kinds of rejection,
-//! and a log-spaced latency histogram — so per-tenant latency
-//! distributions come for free. [`ServiceStats::snapshot`] folds the
-//! cells in dense tenant order, histograms by summing bucket counts, so
-//! the reported
-//! totals and quantiles are deterministic for a given set of recorded
-//! events regardless of worker count or timing.
+//! Every accepted request whose answer is waited on ends in exactly one
+//! of `completed`, `fallbacks` or `failed`. The histogram sums bucket
+//! counts, so the reported quantiles are deterministic for a given set
+//! of recorded latencies regardless of worker count or timing.
 
-use crate::tenant::TenantTable;
-use qpp_obs::{quantile_of, Counter, Histogram, BUCKETS};
-use std::sync::Arc;
+use qpp_obs::{quantile_of, Counter, Histogram};
 use std::time::{Duration, Instant};
 
 pub use qpp_obs::LatencyQuantile;
 
-/// Hot-path counters for one tenant.
+/// Live counters for a running prediction service.
+///
+/// All fields are lock-free: workers and clients update them without
+/// any shared lock, and [`ServiceStats::snapshot`] reads a
+/// consistent-enough view for monitoring (individual counters are
+/// exact; cross-counter skew is bounded by in-flight requests).
 #[derive(Debug, Default)]
-pub struct StatsCell {
-    /// Requests accepted into the queue for this tenant.
+pub struct ServiceStats {
+    started: Started,
+    /// Requests accepted into the queue.
     pub submitted: Counter,
     /// Worker answers handed to the caller, counted in
     /// `PendingPrediction::wait` before it returns. An answer whose
@@ -34,34 +35,16 @@ pub struct StatsCell {
     /// Requests answered client-side by the cost-model fallback after
     /// the per-request deadline expired.
     pub fallbacks: Counter,
+    /// Worker errors handed to the caller (a plan the model cannot
+    /// predict, a model uninstalled mid-flight), counted where
+    /// `completed` is.
+    pub failed: Counter,
     /// Submissions rejected because the queue was full.
     pub rejected_full: Counter,
-    /// Submissions rejected because the tenant was over its admission
+    /// Submissions rejected because their tenant was over its admission
     /// quota.
     pub rejected_quota: Counter,
     latency: Histogram,
-}
-
-impl StatsCell {
-    /// Records one end-to-end request latency.
-    pub fn record_latency(&self, latency: Duration) {
-        self.latency.record(latency.as_micros() as u64);
-    }
-}
-
-/// Live counters for a running prediction service.
-///
-/// All fields are lock-free: workers and clients update them without
-/// any shared lock, and [`ServiceStats::snapshot`] reads a
-/// consistent-enough view for monitoring (individual counters are
-/// exact; cross-counter skew is bounded by in-flight requests).
-#[derive(Debug)]
-pub struct ServiceStats {
-    started: Instant,
-    /// Each cell's tenant ID and name, for the snapshot rows.
-    tenants: Arc<TenantTable>,
-    /// One cell per tenant, in dense tenant order.
-    cells: Vec<StatsCell>,
     /// Worker answers that arrived after the client had already fallen
     /// back (wasted work; the client saw exactly one answer).
     pub late_answers: Counter,
@@ -87,29 +70,20 @@ pub struct ServiceStats {
     pub degraded_answers: Counter,
 }
 
-impl ServiceStats {
-    /// Stats with one cell per tenant of `tenants`, whose IDs and
-    /// names label the snapshot rows.
-    pub fn for_tenants(tenants: Arc<TenantTable>) -> Self {
-        ServiceStats {
-            started: Instant::now(),
-            cells: (0..tenants.len()).map(|_| StatsCell::default()).collect(),
-            tenants,
-            late_answers: Counter::default(),
-            admitted: Counter::default(),
-            policy_rejected: Counter::default(),
-            review_required: Counter::default(),
-            batches: Counter::default(),
-            batched_requests: Counter::default(),
-            max_queue_depth: Counter::default(),
-            observed_completions: Counter::default(),
-            degraded_answers: Counter::default(),
-        }
-    }
+/// When the stats were created: the service's start, for uptime.
+#[derive(Debug)]
+struct Started(Instant);
 
-    /// The hot-path cell for `tenant`.
-    pub fn cell(&self, tenant: usize) -> &StatsCell {
-        &self.cells[tenant]
+impl Default for Started {
+    fn default() -> Self {
+        Started(Instant::now())
+    }
+}
+
+impl ServiceStats {
+    /// Records one end-to-end request latency.
+    pub fn record_latency(&self, latency: Duration) {
+        self.latency.record(latency.as_micros() as u64);
     }
 
     /// Records a drained micro-batch of `len` requests.
@@ -126,53 +100,28 @@ impl ServiceStats {
     /// An immutable view of the counters plus derived rates/quantiles;
     /// the queue depth and the registry's swap and demotion counts are
     /// their owners' to report, so the caller passes them in.
-    ///
-    /// Cells fold in dense tenant order and histograms merge by summing
-    /// per-bucket counts, so two snapshots of identical recorded events
-    /// are identical regardless of which workers recorded them.
     pub fn snapshot(
         &self,
         queue_depth: usize,
         model_swaps: u64,
         model_demotions: u64,
     ) -> StatsSnapshot {
-        let mut merged = [0u64; BUCKETS];
-        let mut per_tenant = Vec::with_capacity(self.cells.len());
-        for (spec, cell) in self.tenants.specs().iter().zip(&self.cells) {
-            let cell_hist = cell.latency.counts();
-            for (acc, n) in merged.iter_mut().zip(cell_hist.iter()) {
-                *acc += *n;
-            }
-            per_tenant.push(TenantSnapshot {
-                tenant: spec.id.0,
-                name: spec.name.clone(),
-                submitted: cell.submitted.get(),
-                completed: cell.completed.get(),
-                fallbacks: cell.fallbacks.get(),
-                rejected_queue_full: cell.rejected_full.get(),
-                rejected_quota: cell.rejected_quota.get(),
-                p50_latency: quantile_of(&cell_hist, 0.50),
-                p99_latency: quantile_of(&cell_hist, 0.99),
-            });
-        }
-        let total = |count: fn(&TenantSnapshot) -> u64| per_tenant.iter().map(count).sum::<u64>();
-        let submitted = total(|t| t.submitted);
-        let completed = total(|t| t.completed);
-        let fallbacks = total(|t| t.fallbacks);
-        let rejected_queue_full = total(|t| t.rejected_queue_full);
-        let rejected_quota = total(|t| t.rejected_quota);
+        let completed = self.completed.get();
+        let fallbacks = self.fallbacks.get();
         let batches = self.batches.get();
         let batched = self.batched_requests.get();
         let answered = completed + fallbacks;
-        let uptime = self.started.elapsed();
+        let latency = self.latency.counts();
+        let uptime = self.started.0.elapsed();
         StatsSnapshot {
             uptime,
-            submitted,
+            submitted: self.submitted.get(),
             completed,
             fallbacks,
+            failed: self.failed.get(),
             late_answers: self.late_answers.get(),
-            rejected_queue_full,
-            rejected_quota,
+            rejected_queue_full: self.rejected_full.get(),
+            rejected_quota: self.rejected_quota.get(),
             admitted: self.admitted.get(),
             policy_rejected: self.policy_rejected.get(),
             review_required: self.review_required.get(),
@@ -193,39 +142,15 @@ impl ServiceStats {
             } else {
                 fallbacks as f64 / answered as f64
             },
-            p50_latency: quantile_of(&merged, 0.50),
-            p95_latency: quantile_of(&merged, 0.95),
-            p99_latency: quantile_of(&merged, 0.99),
+            p50_latency: quantile_of(&latency, 0.50),
+            p95_latency: quantile_of(&latency, 0.95),
+            p99_latency: quantile_of(&latency, 0.99),
             model_swaps,
             model_demotions,
             observed_completions: self.observed_completions.get(),
             degraded_answers: self.degraded_answers.get(),
-            per_tenant,
         }
     }
-}
-
-/// Per-tenant slice of a [`StatsSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantSnapshot {
-    /// Numeric tenant ID.
-    pub tenant: u16,
-    /// Configured tenant name.
-    pub name: String,
-    /// Requests accepted for this tenant.
-    pub submitted: u64,
-    /// Worker answers handed to the caller (see [`StatsCell::completed`]).
-    pub completed: u64,
-    /// Requests answered by the deadline fallback.
-    pub fallbacks: u64,
-    /// Submissions shed because the queue was full.
-    pub rejected_queue_full: u64,
-    /// Submissions shed because the tenant was over quota.
-    pub rejected_quota: u64,
-    /// Median end-to-end latency for this tenant.
-    pub p50_latency: LatencyQuantile,
-    /// 99th-percentile latency for this tenant.
-    pub p99_latency: LatencyQuantile,
 }
 
 /// Point-in-time statistics view.
@@ -233,12 +158,17 @@ pub struct TenantSnapshot {
 pub struct StatsSnapshot {
     /// Time since service start.
     pub uptime: Duration,
-    /// Requests accepted into the queue (all tenants).
+    /// Requests accepted into the queue.
     pub submitted: u64,
-    /// Worker answers handed to the caller (see [`StatsCell::completed`]).
+    /// Worker answers handed to the caller (see
+    /// [`ServiceStats::completed`]).
     pub completed: u64,
     /// Requests answered by the deadline fallback.
     pub fallbacks: u64,
+    /// Worker errors handed to the caller. Once every accepted request
+    /// has been waited on, `completed + fallbacks + failed ==
+    /// submitted`.
+    pub failed: u64,
     /// Worker answers that arrived after a client fallback.
     pub late_answers: u64,
     /// Submissions rejected because the queue was full.
@@ -275,8 +205,6 @@ pub struct StatsSnapshot {
     pub observed_completions: u64,
     /// Worker answers served from the baseline due to a demoted entry.
     pub degraded_answers: u64,
-    /// Per-tenant breakdown in ascending tenant-ID order.
-    pub per_tenant: Vec<TenantSnapshot>,
 }
 
 impl StatsSnapshot {
@@ -289,6 +217,7 @@ impl StatsSnapshot {
             ("submitted", self.submitted),
             ("completed", self.completed),
             ("fallbacks", self.fallbacks),
+            ("failed", self.failed),
             ("late_answers", self.late_answers),
             ("rejected_queue_full", self.rejected_queue_full),
             ("rejected_quota", self.rejected_quota),
@@ -311,12 +240,13 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "uptime {:.2}s | submitted {} | completed {} | fallbacks {} ({:.1}%) | late {}",
+            "uptime {:.2}s | submitted {} | completed {} | fallbacks {} ({:.1}%) | failed {} | late {}",
             self.uptime.as_secs_f64(),
             self.submitted,
             self.completed,
             self.fallbacks,
             self.fallback_rate * 100.0,
+            self.failed,
             self.late_answers,
         )?;
         writeln!(
@@ -346,46 +276,23 @@ impl std::fmt::Display for StatsSnapshot {
             f,
             "adapt: observed {} | degraded answers {} | demotions {}",
             self.observed_completions, self.degraded_answers, self.model_demotions,
-        )?;
-        for t in &self.per_tenant {
-            write!(
-                f,
-                "\n  {} (id {}): submitted {} | completed {} | fallbacks {} | \
-                 rejected full/quota {}/{} | p50/p99 {}/{} µs",
-                t.name,
-                t.tenant,
-                t.submitted,
-                t.completed,
-                t.fallbacks,
-                t.rejected_queue_full,
-                t.rejected_quota,
-                t.p50_latency,
-                t.p99_latency,
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tenant::{TenantId, TenantSpec};
-
-    /// The default tenant only.
-    fn single() -> ServiceStats {
-        ServiceStats::for_tenants(Arc::new(TenantTable::new(Vec::new())))
-    }
 
     #[test]
     fn latency_quantiles_track_buckets() {
-        let stats = single();
+        let stats = ServiceStats::default();
         // 90 fast samples (~8 µs), 10 slow (~1024 µs).
         for _ in 0..90 {
-            stats.cell(0).record_latency(Duration::from_micros(8));
+            stats.record_latency(Duration::from_micros(8));
         }
         for _ in 0..10 {
-            stats.cell(0).record_latency(Duration::from_micros(1024));
+            stats.record_latency(Duration::from_micros(1024));
         }
         let snap = stats.snapshot(0, 0, 0);
         assert!(
@@ -405,13 +312,13 @@ mod tests {
 
     #[test]
     fn tail_latency_beyond_histogram_is_reported_saturated() {
-        let stats = single();
+        let stats = ServiceStats::default();
         // 40 s exceeds the last finite bucket edge (2^25 µs ≈ 33.5 s);
         // the old code reported p99 as a finite 2^26 µs ≈ 67 s bound.
         for _ in 0..5 {
-            stats.cell(0).record_latency(Duration::from_micros(100));
+            stats.record_latency(Duration::from_micros(100));
         }
-        stats.cell(0).record_latency(Duration::from_secs(40));
+        stats.record_latency(Duration::from_secs(40));
         let snap = stats.snapshot(0, 0, 0);
         assert!(!snap.p50_latency.saturated);
         assert!(snap.p99_latency.saturated, "p99 {:?}", snap.p99_latency);
@@ -427,9 +334,9 @@ mod tests {
     /// slower.
     #[test]
     fn low_quantiles_cannot_report_an_empty_bucket() {
-        let stats = single();
+        let stats = ServiceStats::default();
         for _ in 0..10 {
-            stats.cell(0).record_latency(Duration::from_micros(1024)); // bucket 10
+            stats.record_latency(Duration::from_micros(1024)); // bucket 10
         }
         let counts = {
             let mut c = [0u64; qpp_obs::BUCKETS];
@@ -450,7 +357,7 @@ mod tests {
 
     #[test]
     fn batch_and_depth_accounting() {
-        let stats = single();
+        let stats = ServiceStats::default();
         stats.record_batch(4);
         stats.record_batch(8);
         stats.observe_queue_depth(3);
@@ -464,7 +371,7 @@ mod tests {
 
     #[test]
     fn empty_stats_have_zero_quantiles() {
-        let snap = single().snapshot(0, 0, 0);
+        let snap = ServiceStats::default().snapshot(0, 0, 0);
         assert_eq!(snap.p50_latency.bound_us, 0);
         assert!(!snap.p50_latency.saturated);
         assert_eq!(snap.fallback_rate, 0.0);
@@ -473,8 +380,8 @@ mod tests {
 
     #[test]
     fn display_is_total() {
-        let stats = single();
-        stats.cell(0).record_latency(Duration::from_micros(100));
+        let stats = ServiceStats::default();
+        stats.record_latency(Duration::from_micros(100));
         let text = format!("{}", stats.snapshot(2, 3, 1));
         assert!(text.contains("p50"));
         assert!(text.contains("model swaps 3"));
@@ -482,55 +389,30 @@ mod tests {
     }
 
     #[test]
-    fn tenant_cells_merge_in_fixed_order() {
-        let table = TenantTable::new(vec![
-            TenantSpec::new(TenantId(3), "etl"),
-            TenantSpec::new(TenantId(9), "adhoc"),
-        ]);
-        let stats = ServiceStats::for_tenants(Arc::new(table));
-        for tenant in 0..3 {
-            let cell = stats.cell(tenant);
-            cell.submitted.add(8);
-            cell.completed.add(4);
-            for _ in 0..4 {
-                cell.record_latency(Duration::from_micros(64 << tenant));
-            }
-        }
-        stats.cell(1).rejected_quota.incr();
-        stats.cell(2).rejected_full.incr();
+    fn counters_jsonl_names_every_ledger_count() {
+        let stats = ServiceStats::default();
+        stats.submitted.add(24);
+        stats.completed.add(12);
+        stats.failed.add(2);
+        stats.rejected_quota.incr();
+        stats.rejected_full.incr();
         let snap = stats.snapshot(0, 0, 0);
         assert_eq!(snap.submitted, 24);
         assert_eq!(snap.completed, 12);
+        assert_eq!(snap.failed, 2);
         assert_eq!(snap.rejected_quota, 1);
         assert_eq!(snap.rejected_queue_full, 1);
         // The dump lines carry the same totals under the field names.
         let jsonl = snap.counters_jsonl();
-        assert_eq!(jsonl.lines().count(), 14);
+        assert_eq!(jsonl.lines().count(), 15);
         for line in [
             "{\"counter\":\"submitted\",\"value\":24}",
             "{\"counter\":\"rejected_quota\",\"value\":1}",
             "{\"counter\":\"fallbacks\",\"value\":0}",
+            "{\"counter\":\"failed\",\"value\":2}",
         ] {
             assert!(jsonl.contains(line), "{line} missing from {jsonl}");
         }
-        assert_eq!(snap.per_tenant.len(), 3);
-        // Dense order is ascending tenant ID with the default first.
-        assert_eq!(snap.per_tenant[0].tenant, 0);
-        assert_eq!(snap.per_tenant[1].tenant, 3);
-        assert_eq!(snap.per_tenant[1].name, "etl");
-        assert_eq!(snap.per_tenant[2].tenant, 9);
-        assert_eq!(snap.per_tenant[1].rejected_quota, 1);
-        assert_eq!(snap.per_tenant[2].rejected_queue_full, 1);
-        for t in &snap.per_tenant {
-            assert_eq!(t.submitted, 8);
-            assert_eq!(t.completed, 4);
-        }
-        // Per-tenant quantiles reflect only that tenant's samples.
-        assert!(snap.per_tenant[0].p50_latency.bound_us <= 127);
-        assert!(snap.per_tenant[2].p50_latency.bound_us >= 256);
-        // Ordered merge is reproducible.
-        let again = stats.snapshot(0, 0, 0);
-        assert_eq!(snap.per_tenant, again.per_tenant);
-        assert_eq!(snap.p99_latency, again.p99_latency);
+        assert!(format!("{snap}").contains("failed 2"));
     }
 }

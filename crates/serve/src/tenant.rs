@@ -1,45 +1,34 @@
-//! Multi-tenant identity and admission configuration.
+//! Tenant identity and admission quotas.
 //!
-//! The paper's workload-management story only works if predictions can
-//! *enforce* decisions per workload owner: the ETL pipeline, the
-//! dashboard fleet, and the ad-hoc analysts are different tenants with
-//! different priorities, and one of them flooding the gateway must not
-//! crowd out the others. This module gives the serve layer that
-//! identity:
+//! A tenant is a quota and nothing more: the serve layer counts each
+//! tenant's queued requests and sheds a submission beyond its quota,
+//! so one flooding workload owner sheds its own overload. Statistics
+//! and traces are service-wide.
 //!
 //! - [`TenantId`]: a small copyable ID carried on every request.
 //! - [`TenantSpec`]: per-tenant admission quota.
 //! - [`TenantTable`]: the immutable directory the service builds at
-//!   start — dense indices for per-tenant accounting, binary-search
-//!   resolution on the admission hot path, and a catch-all default
-//!   tenant for traffic that carries no registration.
+//!   start — dense indices for the queue's quota accounts,
+//!   binary-search resolution on the admission hot path, and a
+//!   catch-all default tenant for traffic that carries no
+//!   registration.
 
 /// Identifies one tenant (workload owner) of the prediction service.
 ///
 /// `TenantId(0)` is the catch-all default: requests from unregistered
-/// tenants are accounted under it. IDs are plain numbers, not secrets —
-/// the embedder maps its own principal names onto them. Sixteen bits,
-/// the width of the tenant tag `qpp_obs::pack_tags` packs into every
-/// span, so a trace names exactly the tenant the stats count.
+/// tenants are admitted under its quota. IDs are plain numbers, not
+/// secrets — the embedder maps its own principal names onto them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u16);
 
 /// The catch-all tenant every service always has.
 pub const DEFAULT_TENANT: TenantId = TenantId(0);
 
-impl std::fmt::Display for TenantId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "tenant-{}", self.0)
-    }
-}
-
 /// Per-tenant admission configuration.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     /// The tenant this spec configures.
     pub id: TenantId,
-    /// Human-readable name for reports and benches.
-    pub name: String,
     /// Admission quota: maximum requests this tenant may have queued at
     /// once. `TenantQueue::try_push` reads the tenant's queued count
     /// under the queue lock and rejects a submission beyond it with
@@ -51,10 +40,9 @@ pub struct TenantSpec {
 
 impl TenantSpec {
     /// A spec with an effectively unlimited quota.
-    pub fn new(id: TenantId, name: impl Into<String>) -> Self {
+    pub fn new(id: TenantId) -> Self {
         TenantSpec {
             id,
-            name: name.into(),
             quota: usize::MAX,
         }
     }
@@ -70,9 +58,8 @@ impl TenantSpec {
 ///
 /// Tenants get dense indices in ascending-ID order; index 0 is always
 /// the catch-all [`DEFAULT_TENANT`] (either the embedder's own spec for
-/// ID 0 or an implicit unlimited-quota one). Everything per-tenant in
-/// the serve layer — quota counters, stats blocks — is an array indexed
-/// by these dense indices, so the hot path never hashes.
+/// ID 0 or an implicit unlimited-quota one). The queue keeps one quota
+/// account per dense index, so the hot path never hashes.
 #[derive(Debug)]
 pub struct TenantTable {
     specs: Vec<TenantSpec>,
@@ -96,7 +83,7 @@ impl TenantTable {
             }
         });
         if specs.first().map(|s| s.id) != Some(DEFAULT_TENANT) {
-            specs.insert(0, TenantSpec::new(DEFAULT_TENANT, "default"));
+            specs.insert(0, TenantSpec::new(DEFAULT_TENANT));
         }
         for spec in &mut specs {
             spec.quota = spec.quota.max(1);
@@ -126,11 +113,6 @@ impl TenantTable {
     pub fn spec(&self, idx: usize) -> &TenantSpec {
         &self.specs[idx]
     }
-
-    /// All specs in dense-index (ascending tenant-ID) order.
-    pub fn specs(&self) -> &[TenantSpec] {
-        &self.specs
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +122,8 @@ mod tests {
     #[test]
     fn default_tenant_is_synthesized_at_index_zero() {
         let table = TenantTable::new(vec![
-            TenantSpec::new(TenantId(7), "etl"),
-            TenantSpec::new(TenantId(2), "dash"),
+            TenantSpec::new(TenantId(7)),
+            TenantSpec::new(TenantId(2)),
         ]);
         assert_eq!(table.len(), 3);
         assert_eq!(table.spec(0).id, DEFAULT_TENANT);
@@ -154,20 +136,18 @@ mod tests {
 
     #[test]
     fn explicit_default_spec_is_kept() {
-        let table = TenantTable::new(vec![TenantSpec::new(DEFAULT_TENANT, "everyone").quota(5)]);
+        let table = TenantTable::new(vec![TenantSpec::new(DEFAULT_TENANT).quota(5)]);
         assert_eq!(table.len(), 1);
-        assert_eq!(table.spec(0).name, "everyone");
         assert_eq!(table.spec(0).quota, 5);
     }
 
     #[test]
     fn duplicate_ids_keep_the_last_spec() {
         let table = TenantTable::new(vec![
-            TenantSpec::new(TenantId(3), "first").quota(9),
-            TenantSpec::new(TenantId(3), "second").quota(4),
+            TenantSpec::new(TenantId(3)).quota(9),
+            TenantSpec::new(TenantId(3)).quota(4),
         ]);
         let idx = table.resolve(TenantId(3));
-        assert_eq!(table.spec(idx).name, "second");
         assert_eq!(table.spec(idx).quota, 4);
     }
 }

@@ -15,15 +15,15 @@ use std::sync::Arc;
 /// is never rejected — over 220 seeded arrival scripts varying quota,
 /// flood volume, and interleaving.
 #[test]
-fn per_tenant_rejects_are_proportional_to_over_quota_submission() {
+fn quota_rejects_are_proportional_to_over_quota_submission() {
     for seed in 0..220u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let quota = rng.random_range(2usize..=8);
         let floods = quota as u64 + rng.random_range(1u64..=40); // always over quota
         let bystander_n = rng.random_range(1u64..=8);
         let table = Arc::new(TenantTable::new(vec![
-            TenantSpec::new(TenantId(1), "flooder").quota(quota),
-            TenantSpec::new(TenantId(2), "bystander").quota(8),
+            TenantSpec::new(TenantId(1)).quota(quota),
+            TenantSpec::new(TenantId(2)).quota(8),
         ]));
         let flooder = table.resolve(TenantId(1));
         let bystander = table.resolve(TenantId(2));
@@ -93,7 +93,7 @@ fn drain_keeps_arrival_order_and_frees_every_quota() {
         let quotas: Vec<usize> = (0..3).map(|_| rng.random_range(1usize..=4)).collect();
         let table = Arc::new(TenantTable::new(
             (1..=3u16)
-                .map(|id| TenantSpec::new(TenantId(id), "t").quota(quotas[usize::from(id) - 1]))
+                .map(|id| TenantSpec::new(TenantId(id)).quota(quotas[usize::from(id) - 1]))
                 .collect(),
         ));
         let q: TenantQueue<u64> = TenantQueue::new(CAPACITY, Arc::clone(&table));

@@ -437,29 +437,39 @@ fn unknown_model_fails_fast() {
     }
 }
 
-/// Satellite regression: a queue-full rejection must record a tagged
-/// `admission_reject` mark carrying the request's admission trace ID
-/// and tenant — a shed request stays visible to traces, not just to a
-/// counter.
+/// The `admission_reject` marks recorded between two trace IDs
+/// (exclusive) that carry `reason`. The obs recorder is global and other
+/// tests run concurrently, so a test finds its own marks by the window
+/// of trace IDs its submissions drew.
+fn reject_marks(after: u64, before: u64, reason: u64) -> Vec<qpp_obs::Event> {
+    qpp_obs::recorder()
+        .export()
+        .into_iter()
+        .filter(|e| {
+            e.stage == qpp_obs::Stage::AdmissionReject
+                && e.trace_id > after
+                && e.trace_id < before
+                && e.value == reason
+        })
+        .collect()
+}
+
+/// A queue-full rejection must record an `admission_reject` mark
+/// carrying the request's admission trace ID and its reason code — a
+/// shed request stays visible to traces, not just to a counter.
 #[test]
 fn queue_full_rejection_records_tagged_mark_with_trace_id() {
-    use qpp_obs::{unpack_tags, EventKind, Stage};
-
     let train = dataset(60, 107);
     let (model, fallback) = trained(&train);
     let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
     let registry = Arc::new(ModelRegistry::new());
     registry.install(key.clone(), model, fallback);
 
-    // Tenant 777 is unique to this test: the obs recorder is global
-    // and other tests run concurrently, so marks are filtered by the
-    // unpacked tenant tag.
     let service = PredictionService::start(
         Arc::clone(&registry),
         ServeOptions {
             workers: 0, // nothing drains: the queue fills deterministically
             queue_capacity: 2,
-            tenants: vec![TenantSpec::new(TenantId(777), "flooder")],
             ..ServeOptions::default()
         },
     );
@@ -468,62 +478,38 @@ fn queue_full_rejection_records_tagged_mark_with_trace_id() {
     for i in 0..2 {
         pending.push(
             service
-                .submit_async(request_for(
-                    &train,
-                    i,
-                    &key,
-                    Duration::from_millis(50),
-                    TenantId(777),
-                ))
+                .submit_async(request(&train, i, &key, Duration::from_millis(50)))
                 .expect("under capacity"),
         );
     }
-    match service.submit_async(request_for(
-        &train,
-        9,
-        &key,
-        Duration::from_millis(50),
-        TenantId(777),
-    )) {
+    match service.submit_async(request(&train, 9, &key, Duration::from_millis(50))) {
         Err(QppError::QueueFull { capacity }) => assert_eq!(capacity, 2),
         other => panic!("expected QueueFull, got {other:?}"),
     }
+    let after = pending[1].trace_id();
+    let before = qpp_obs::next_trace_id();
 
-    let rejects: Vec<_> = qpp_obs::recorder()
-        .export()
-        .into_iter()
-        .filter(|e| e.stage == Stage::AdmissionReject && unpack_tags(e.value).0 == 777)
-        .collect();
-    assert!(!rejects.is_empty(), "rejection must record a tagged mark");
+    let rejects = reject_marks(after, before, qpp_serve::REJECT_QUEUE_FULL);
+    assert!(!rejects.is_empty(), "rejection must record a mark");
     for mark in &rejects {
-        assert_eq!(mark.kind, EventKind::Mark);
+        assert_eq!(mark.kind, qpp_obs::EventKind::Mark);
         assert_ne!(
             mark.trace_id, 0,
             "the rejection mark must carry the admission trace ID"
         );
-        let (tenant, reason) = unpack_tags(mark.value);
-        assert_eq!(tenant, 777);
-        assert_eq!(reason, qpp_serve::REJECT_QUEUE_FULL);
     }
 
-    // And the per-tenant reject counter tracked it.
+    // And the service-wide reject counter tracked it.
     let snap = service.stats();
-    let row = snap
-        .per_tenant
-        .iter()
-        .find(|t| t.tenant == 777)
-        .expect("tenant 777 in snapshot");
-    assert_eq!(row.rejected_queue_full, 1);
-    assert_eq!(row.rejected_quota, 0);
+    assert_eq!(snap.rejected_queue_full, 1);
+    assert_eq!(snap.rejected_quota, 0);
 }
 
 /// An over-quota tenant is rejected with a typed error before touching
-/// the queue, records a tagged mark with its trace ID, and cannot
+/// the queue, records a reason-coded mark with its trace ID, and cannot
 /// displace other tenants' capacity.
 #[test]
 fn over_quota_tenant_is_rejected_with_typed_error_and_tagged_mark() {
-    use qpp_obs::{unpack_tags, EventKind, Stage};
-
     let train = dataset(60, 108);
     let (model, fallback) = trained(&train);
     let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
@@ -536,8 +522,8 @@ fn over_quota_tenant_is_rejected_with_typed_error_and_tagged_mark() {
             workers: 0, // nothing drains: quota state is deterministic
             queue_capacity: 64,
             tenants: vec![
-                TenantSpec::new(TenantId(778), "capped").quota(2),
-                TenantSpec::new(TenantId(779), "bystander"),
+                TenantSpec::new(TenantId(778)).quota(2),
+                TenantSpec::new(TenantId(779)),
             ],
             ..ServeOptions::default()
         },
@@ -570,6 +556,8 @@ fn over_quota_tenant_is_rejected_with_typed_error_and_tagged_mark() {
         }
         other => panic!("expected TenantQuotaExceeded, got {other:?}"),
     }
+    let after = pending[1].trace_id();
+    let before = qpp_obs::next_trace_id();
     // The bystander tenant is unaffected by 778's quota exhaustion.
     pending.push(
         service
@@ -583,98 +571,49 @@ fn over_quota_tenant_is_rejected_with_typed_error_and_tagged_mark() {
             .expect("bystander admits freely"),
     );
 
-    let rejects: Vec<_> = qpp_obs::recorder()
-        .export()
-        .into_iter()
-        .filter(|e| e.stage == Stage::AdmissionReject && unpack_tags(e.value).0 == 778)
-        .collect();
+    let rejects = reject_marks(after, before, qpp_serve::REJECT_OVER_QUOTA);
     assert_eq!(rejects.len(), 1, "exactly one quota rejection recorded");
-    assert_eq!(rejects[0].kind, EventKind::Mark);
+    assert_eq!(rejects[0].kind, qpp_obs::EventKind::Mark);
     assert_ne!(rejects[0].trace_id, 0);
-    assert_eq!(
-        unpack_tags(rejects[0].value).1,
-        qpp_serve::REJECT_OVER_QUOTA
-    );
 
     let snap = service.stats();
     assert_eq!(snap.rejected_quota, 1);
-    let row = snap
-        .per_tenant
-        .iter()
-        .find(|t| t.tenant == 778)
-        .expect("tenant 778 in snapshot");
-    assert_eq!(row.rejected_quota, 1);
-    assert_eq!(row.submitted, 2);
+    assert_eq!(snap.rejected_queue_full, 0);
+    assert_eq!(snap.submitted, 3);
 }
 
-/// Responses carry the resolved tenant, per-tenant stats split
-/// completions, and unregistered tenants fold into the default.
+/// Regression: a worker's error answer used to drop out of the ledger
+/// (`submitted 2 completed 1 fallbacks 0` after one bad and one good
+/// request). A plan with a NaN cardinality estimate comes back as a
+/// typed kNN error and is counted `failed`, so every accepted request
+/// is exactly one of completed, fallback or failed.
 #[test]
-fn responses_and_stats_are_tenant_attributed() {
-    let train = dataset(60, 109);
+fn a_worker_error_is_counted_failed() {
+    let train = dataset(60, 113);
     let (model, fallback) = trained(&train);
     let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
     let registry = Arc::new(ModelRegistry::new());
     registry.install(key.clone(), model, fallback);
+    let service = PredictionService::start(registry, ServeOptions::default());
 
-    let service = PredictionService::start(
-        Arc::clone(&registry),
-        ServeOptions {
-            workers: 2,
-            tenants: vec![
-                TenantSpec::new(TenantId(5), "etl"),
-                TenantSpec::new(TenantId(6), "adhoc"),
-            ],
-            ..ServeOptions::default()
-        },
-    );
-
-    for i in 0..6 {
-        let tenant = if i % 2 == 0 { TenantId(5) } else { TenantId(6) };
-        let resp = service
-            .submit(request_for(
-                &train,
-                i,
-                &key,
-                Duration::from_secs(10),
-                tenant,
-            ))
-            .expect("answered");
-        assert_eq!(resp.tenant, tenant, "response carries the tenant");
+    let mut bad = request(&train, 0, &key, Duration::from_secs(10));
+    bad.plan.nodes[0].est_rows = f64::NAN;
+    match service.submit(bad) {
+        Err(QppError::Knn { source, .. }) => {
+            assert_eq!(format!("{source:?}"), "NoFiniteNeighbors")
+        }
+        other => panic!("expected a kNN error, got {other:?}"),
     }
-    // An unregistered tenant folds into the default (tenant 0).
-    let resp = service
-        .submit(request_for(
-            &train,
-            7,
-            &key,
-            Duration::from_secs(10),
-            TenantId(999),
-        ))
+    service
+        .submit(request(&train, 1, &key, Duration::from_secs(10)))
         .expect("answered");
-    assert_eq!(resp.tenant, qpp_serve::DEFAULT_TENANT);
 
     let snap = service.stats();
-    assert_eq!(snap.per_tenant.len(), 3);
-    let by_id = |id: u16| {
-        snap.per_tenant
-            .iter()
-            .find(|t| t.tenant == id)
-            .unwrap_or_else(|| panic!("tenant {id} missing"))
-    };
-    assert_eq!(by_id(0).submitted, 1);
-    assert_eq!(by_id(5).submitted, 3);
-    assert_eq!(by_id(6).submitted, 3);
+    assert_eq!(snap.submitted, 2);
+    assert_eq!((snap.completed, snap.fallbacks, snap.failed), (1, 0, 1));
     assert_eq!(
-        snap.per_tenant.iter().map(|t| t.submitted).sum::<u64>(),
+        snap.completed + snap.fallbacks + snap.failed,
         snap.submitted
-    );
-    assert_eq!(
-        snap.per_tenant
-            .iter()
-            .map(|t| t.completed + t.fallbacks)
-            .sum::<u64>(),
-        snap.completed + snap.fallbacks
     );
 }
 

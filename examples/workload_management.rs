@@ -51,8 +51,8 @@ fn main() {
             queue_capacity: 64,
             policy,
             tenants: vec![
-                TenantSpec::new(INTERACTIVE, "interactive").quota(8),
-                TenantSpec::new(BATCH, "batch").quota(4),
+                TenantSpec::new(INTERACTIVE).quota(8),
+                TenantSpec::new(BATCH).quota(4),
             ],
         },
     );

@@ -27,7 +27,7 @@
 //!   `next_trace_id`, `record_span`, `record_mark`, `Counter`,
 //!   `Histogram`;
 //! - serve: `TenantTable::resolve`, `TenantQueue::{try_push, try_drain,
-//!   drain}`, the `ServiceStats` cells, `ModelRegistry::get`, and
+//!   drain}`, the `ServiceStats` counters, `ModelRegistry::get`, and
 //!   `submit_async` (≤ 4: the shared `Arc` and the response channel).
 
 use counting_alloc::CountingAllocator;
@@ -274,7 +274,7 @@ fn obs_roots_steady_state_allocate_nothing() {
             stage: Stage::Worker,
             start_ns: i,
             dur_ns: 1,
-            value: qpp::obs::pack_tags(3, i),
+            value: i,
         });
         qpp::obs::set_current_trace(i);
         assert_eq!(qpp::obs::current_trace(), i);
@@ -301,19 +301,19 @@ fn obs_roots_steady_state_allocate_nothing() {
 
 /// The serve data plane's roots, warm: tenant resolution, the admission
 /// push (accepted, over quota and queue full), the arrival-order drain
-/// into a reused batch (blocking and not), the per-tenant stats
-/// cells, and the registry lookup a worker makes per request. Then the
+/// into a reused batch (blocking and not), the service-wide stats
+/// counters, and the registry lookup a worker makes per request. Then the
 /// one root that does allocate, `submit_async`: the `Arc` client and
 /// worker share the request through and the response channel, not a
 /// copy of the request.
 #[test]
 fn serve_roots_steady_state_allocate_nothing() {
     let table = Arc::new(TenantTable::new(vec![
-        TenantSpec::new(TenantId(5), "etl"),
-        TenantSpec::new(TenantId(6), "adhoc").quota(4),
+        TenantSpec::new(TenantId(5)),
+        TenantSpec::new(TenantId(6)).quota(4),
     ]));
     let queue: TenantQueue<u64> = TenantQueue::new(24, Arc::clone(&table));
-    let stats = ServiceStats::for_tenants(Arc::clone(&table));
+    let stats = ServiceStats::default();
     let train = collect_tpcds(60, 73, &SystemConfig::neoview_4(), 2);
     let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
     let registry = Arc::new(ModelRegistry::new());
@@ -332,11 +332,11 @@ fn serve_roots_steady_state_allocate_nothing() {
             let idx = table.resolve(TenantId([5, 6, 9, 6][i as usize % 4]));
             match queue.try_push(idx, i) {
                 Ok(depth) => {
-                    stats.cell(idx).submitted.incr();
+                    stats.submitted.incr();
                     stats.observe_queue_depth(depth);
                 }
-                Err(QppError::TenantQuotaExceeded { .. }) => stats.cell(idx).rejected_quota.incr(),
-                Err(QppError::QueueFull { .. }) => stats.cell(idx).rejected_full.incr(),
+                Err(QppError::TenantQuotaExceeded { .. }) => stats.rejected_quota.incr(),
+                Err(QppError::QueueFull { .. }) => stats.rejected_full.incr(),
                 Err(e) => unreachable!("the queue is never shut down: {e}"),
             }
         }
@@ -344,9 +344,8 @@ fn serve_roots_steady_state_allocate_nothing() {
             stats.record_batch(batch.len());
             version = registry.get(&key).map_or(0, |entry| entry.version);
             for &item in batch {
-                let cell = stats.cell(item as usize % table.len());
-                cell.completed.incr();
-                cell.record_latency(Duration::from_micros(40 + item));
+                stats.completed.incr();
+                stats.record_latency(Duration::from_micros(40 + item));
             }
         };
         // What a worker calls: the blocking drain, which takes its

@@ -293,12 +293,12 @@ fn tracing_does_not_perturb_prediction_bits() {
     );
 }
 
-/// The multi-tenant serve pipeline is worker-count invariant: the same
-/// scripted arrival sequence produces identical per-tenant admission,
-/// completion, and rejection ledgers whether one worker drains the
-/// queue or eight workers race over it. Every count is attributed to
-/// the request's tenant, never to the worker that answered, so nothing
-/// about worker scheduling may leak into the ledger.
+/// The serve pipeline is worker-count invariant: the same scripted
+/// arrival sequence over three tenants produces an identical
+/// service-wide ledger — admission, completion, failure, rejection and
+/// gateway counts — whether one worker drains the queue or eight
+/// workers race over it. Nothing about worker scheduling may leak into
+/// the ledger.
 #[test]
 fn serve_ledger_is_identical_across_worker_counts() {
     use qpp::core::baselines::OptimizerCostModel;
@@ -318,7 +318,7 @@ fn serve_ledger_is_identical_across_worker_counts() {
     // deterministic interleaving.
     let script: Vec<u16> = (0..300u16).map(|i| 1 + (i * 7 + i / 11) % 3).collect();
 
-    let run = |workers: usize| -> Vec<(u16, u64, u64, u64, u64, u64)> {
+    let run = |workers: usize| {
         let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
         let fallback = OptimizerCostModel::train(&train).unwrap();
         let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
@@ -331,9 +331,9 @@ fn serve_ledger_is_identical_across_worker_counts() {
                 queue_capacity: 1024,
                 max_batch: 8,
                 tenants: vec![
-                    TenantSpec::new(TenantId(1), "interactive"),
-                    TenantSpec::new(TenantId(2), "reporting"),
-                    TenantSpec::new(TenantId(3), "batch"),
+                    TenantSpec::new(TenantId(1)),
+                    TenantSpec::new(TenantId(2)),
+                    TenantSpec::new(TenantId(3)),
                 ],
                 ..ServeOptions::default()
             },
@@ -344,57 +344,46 @@ fn serve_ledger_is_identical_across_worker_counts() {
             .enumerate()
             .map(|(i, &tenant)| {
                 let r = &pool.records[i % pool.records.len()];
-                let expect = TenantId(tenant);
-                let p = service
+                service
                     .submit_async(PredictRequest {
                         key: key.clone(),
-                        tenant: expect,
+                        tenant: TenantId(tenant),
                         spec: r.spec.clone(),
                         plan: r.optimized.plan.clone(),
                         deadline: Duration::from_secs(30),
                     })
-                    .expect("capacity 1024 never fills");
-                (expect, p)
+                    .expect("capacity 1024 never fills")
             })
             .collect();
-        for (expect, p) in pending {
-            let resp = p.wait().expect("generous deadline always answers");
-            assert_eq!(
-                resp.tenant, expect,
-                "responses carry the tenant they served"
-            );
+        for p in pending {
+            p.wait().expect("generous deadline always answers");
         }
 
         // `wait` counts each answer before returning it, so the ledger
         // is complete once the last `wait` has returned.
         let snap = service.stats();
         assert_eq!(snap.submitted, script.len() as u64);
-        assert_eq!(snap.completed + snap.fallbacks, snap.submitted);
-        snap.per_tenant
-            .iter()
-            .map(|t| {
-                (
-                    t.tenant,
-                    t.submitted,
-                    t.completed,
-                    t.fallbacks,
-                    t.rejected_queue_full,
-                    t.rejected_quota,
-                )
-            })
-            .collect()
+        assert_eq!(
+            snap.completed + snap.fallbacks + snap.failed,
+            snap.submitted
+        );
+        (
+            snap.submitted,
+            snap.completed,
+            snap.fallbacks,
+            snap.failed,
+            snap.rejected_queue_full,
+            snap.rejected_quota,
+            snap.admitted + snap.policy_rejected + snap.review_required,
+        )
     };
 
     let single = run(1);
     let racing = run(8);
     assert_eq!(
         single, racing,
-        "per-tenant ledger must not depend on worker count"
+        "the service-wide ledger must not depend on worker count"
     );
-    // And the script actually exercised every tenant.
-    for row in &single[1..] {
-        assert!(row.1 > 0, "tenant {} never admitted anything", row.0);
-    }
 }
 
 /// The continuous-learning bookkeeping must be observationally free on
@@ -447,7 +436,6 @@ fn adaptation_bookkeeping_does_not_perturb_prediction_bits() {
         source: AnswerSource::Kcca,
         model_version: 1,
         latency: std::time::Duration::ZERO,
-        tenant: qpp::serve::DEFAULT_TENANT,
         trace_id: 0,
     };
     // Hammer `k` completes every training record, mispredicted by a
