@@ -86,7 +86,9 @@ rm -f "$TRACE_OUT"
 echo "==> adapt smoke: drifted workload triggers retrain + canary swap end to end"
 # The adaptive example injects a 3x elapsed-time drift under a live
 # service. Its trace dump must show the whole episode — drift mark,
-# retrain span, shadow-score span — and a nonzero canary_swaps counter.
+# retrain span, shadow-score span — a nonzero canary_swaps counter, and
+# the detector's readout: a nonzero drift_signals counter and the
+# drift_score gauge, the dump's only error readout.
 ADAPT_OUT=$(mktemp /tmp/qpp_adapt.XXXXXX.jsonl)
 QPP_TRACE_OUT="$ADAPT_OUT" ./target/release/examples/adaptive_serving >/dev/null
 for stage in drift retrain shadow_score canary_swap; do
@@ -98,7 +100,14 @@ if [ -z "$SWAPS" ] || [ "$SWAPS" -eq 0 ]; then
     echo "adapt smoke: expected a nonzero canary_swaps counter, got '${SWAPS:-missing}'"
     exit 1
 fi
-echo "adapt smoke OK: drift -> retrain -> shadow_score -> canary_swap chain traced, $SWAPS swap(s)"
+DRIFTS=$(sed -n 's/.*"counter":"drift_signals","value":\([0-9]*\).*/\1/p' "$ADAPT_OUT")
+if [ -z "$DRIFTS" ] || [ "$DRIFTS" -eq 0 ]; then
+    echo "adapt smoke: expected a nonzero drift_signals counter, got '${DRIFTS:-missing}'"
+    exit 1
+fi
+grep -q '"gauge":"drift_score"' "$ADAPT_OUT" \
+    || { echo "adapt smoke: no drift_score gauge in $ADAPT_OUT"; exit 1; }
+echo "adapt smoke OK: drift -> retrain -> shadow_score -> canary_swap chain traced, $DRIFTS drift signal(s), $SWAPS swap(s)"
 rm -f "$ADAPT_OUT"
 
 echo "==> experiments: the committed EXPERIMENTS.md is what the harness prints"

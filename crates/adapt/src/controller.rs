@@ -5,7 +5,7 @@
 //! [`CompletionObserver`]: every executed query's `(prediction,
 //! observed)` pair flows through [`AdaptiveController::observe`], which
 //! is cheap (one short critical section on the controller's only mutex:
-//! error-ledger fold, window push, detector step, phase step) and never
+//! window push, detector step, phase step) and never
 //! trains, scores, or swaps inline. Heavy work is packaged into a
 //! [`RetrainTask`], left in that same state for the taker, and executed
 //! by [`AdaptiveController::run_task`] — on the background
@@ -21,8 +21,9 @@
 //!    ^                                      Demoted --install--> Stable
 //! ```
 
-use crate::drift::{DriftConfig, DriftDetector, DriftSignal, OVERALL};
-use crate::tracker::{log_ratio_errors, mean_error, ErrorSnapshot, ErrorTracker, ERR_CLAMP};
+use crate::drift::{
+    log_ratio_errors, mean_error, DriftConfig, DriftDetector, DriftSignal, ERR_CLAMP, OVERALL,
+};
 use parking_lot::{Condvar, Mutex};
 use qpp_core::baselines::OptimizerCostModel;
 use qpp_core::dataset::QueryRecord;
@@ -194,7 +195,8 @@ pub enum AdaptEvent {
 /// Lock-free adaptation counters.
 #[derive(Debug, Default)]
 pub struct AdaptStats {
-    /// Completed KCCA-answered queries folded into the error ledger.
+    /// Completed KCCA-answered queries whose errors fed the drift
+    /// detector.
     pub observations: Counter,
     /// Drift signals that queued a retrain.
     pub drift_signals: Counter,
@@ -215,7 +217,6 @@ pub struct AdaptStats {
 /// Everything mutable, behind the controller's one mutex.
 #[derive(Debug)]
 struct ControlState {
-    tracker: ErrorTracker,
     detector: DriftDetector,
     window: SlidingWindowPredictor,
     holdout: VecDeque<QueryRecord>,
@@ -257,7 +258,6 @@ impl AdaptiveController {
             options,
             stats: AdaptStats::default(),
             state: Mutex::new(ControlState {
-                tracker: ErrorTracker::default(),
                 detector: DriftDetector::new(options.drift),
                 window,
                 holdout: VecDeque::with_capacity(SHADOW_SLICE),
@@ -269,12 +269,6 @@ impl AdaptiveController {
             }),
             task_ready: Condvar::new(),
         }
-    }
-
-    /// The error ledger as of now: observations, dropped, global means
-    /// and the per-template rows, read under one lock acquisition.
-    pub fn error_snapshot(&self) -> ErrorSnapshot {
-        self.state.lock().tracker.snapshot()
     }
 
     /// Adaptation counters.
@@ -321,8 +315,8 @@ impl AdaptiveController {
         self.state.lock().phase
     }
 
-    /// Feeds one completed query. KCCA-answered queries update the
-    /// error ledger and drift detector; every executed query (any
+    /// Feeds one completed query. KCCA-answered queries step the drift
+    /// detector; every executed query (any
     /// answer source) refreshes the training window / holdout. Returns
     /// a notable event when one occurred at this observation.
     pub fn observe(&self, record: &QueryRecord, response: &ServeResponse) -> Option<AdaptEvent> {
@@ -339,7 +333,6 @@ impl AdaptiveController {
         let overall = mean_error(&errors);
 
         let mut st = self.state.lock();
-        st.tracker.record(&record.spec.template, &errors);
         st.epoch += 1;
         let epoch = st.epoch;
         Self::stash(&mut st, record);

@@ -1,5 +1,10 @@
 //! Deterministic drift detection over prediction-error streams.
 //!
+//! Each completed query whose answer came from the KCCA model yields a
+//! `(prediction, observed)` pair; [`log_ratio_errors`] turns it into six
+//! per-metric errors, and the detector reads those errors and nothing
+//! else.
+//!
 //! One Page–Hinkley test per metric stream (the six paper metrics plus
 //! a seventh "overall" stream, the mean of the six), gated by a
 //! windowed mean-ratio check so slow noise accumulation alone cannot
@@ -41,6 +46,58 @@ const LAMBDA: f64 = 8.0;
 
 /// Recent mean must exceed `μ₀ ·` this for drift to be declared.
 const MIN_RATIO: f64 = 1.4;
+
+/// Errors are clamped to this so one absurd pair cannot saturate a
+/// mean. ln-ratio 64 is astronomically wrong already.
+pub(crate) const ERR_CLAMP: f64 = 64.0;
+
+/// Additive shift inside the log-ratio so zero-valued metrics (common
+/// for disk I/O on cached runs) stay well-defined.
+const EPS: f64 = 1e-3;
+
+/// Per-metric absolute log-ratio errors of one `(predicted, observed)`
+/// pair: `|ln((pred + ε) / (obs + ε))|`, canonical metric order.
+///
+/// Scale-free (a 2× miss scores the same on 1 s as on 100 s) and
+/// symmetric (over- and under-prediction score alike), matching the
+/// paper's relative-accuracy framing.
+pub fn log_ratio_errors(
+    predicted: &PerfMetrics,
+    observed: &PerfMetrics,
+) -> [f64; PerfMetrics::DIM] {
+    [
+        one_error(predicted.elapsed_seconds, observed.elapsed_seconds),
+        one_error(predicted.disk_ios, observed.disk_ios),
+        one_error(predicted.message_count, observed.message_count),
+        one_error(predicted.message_bytes, observed.message_bytes),
+        one_error(predicted.records_accessed, observed.records_accessed),
+        one_error(predicted.records_used, observed.records_used),
+    ]
+}
+
+fn one_error(predicted: f64, observed: f64) -> f64 {
+    let p = if predicted.is_finite() && predicted > 0.0 {
+        predicted
+    } else {
+        0.0
+    };
+    let o = if observed.is_finite() && observed > 0.0 {
+        observed
+    } else {
+        0.0
+    };
+    ((p + EPS) / (o + EPS)).ln().abs().min(ERR_CLAMP)
+}
+
+/// Mean of the six per-metric errors (explicit loop: ordered, exact
+/// iteration order regardless of thread count).
+pub fn mean_error(errors: &[f64; PerfMetrics::DIM]) -> f64 {
+    let mut sum = 0.0;
+    for e in errors {
+        sum += e;
+    }
+    sum / PerfMetrics::DIM as f64
+}
 
 /// Drift-detection tunables.
 #[derive(Debug, Clone, Copy)]
@@ -159,10 +216,9 @@ impl StreamState {
 pub struct DriftSignal {
     /// Caller-supplied epoch (observation count) at declaration.
     pub epoch: u64,
-    /// Stream index: `0..6` = canonical metric, [`OVERALL`] = mean.
+    /// Stream index: `0..6` = canonical metric, [`OVERALL`] = mean;
+    /// [`stream_name`] names it.
     pub metric: usize,
-    /// Human-readable stream name.
-    pub metric_name: &'static str,
     /// Page–Hinkley statistic at declaration.
     pub score: f64,
     /// Recent-window mean error at declaration.
@@ -172,7 +228,7 @@ pub struct DriftSignal {
 }
 
 /// Per-metric drift detectors over the error streams produced by
-/// [`crate::log_ratio_errors`].
+/// [`log_ratio_errors`].
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     cfg: DriftConfig,
@@ -196,7 +252,7 @@ impl DriftDetector {
     /// first stream (lowest index) declaring drift this epoch, if any —
     /// deterministic for a deterministic error sequence.
     pub fn observe(&mut self, epoch: u64, errors: &[f64; PerfMetrics::DIM]) -> Option<DriftSignal> {
-        let overall = crate::tracker::mean_error(errors);
+        let overall = mean_error(errors);
         let mut fired: Option<DriftSignal> = None;
         for (i, stream) in self.streams.iter_mut().enumerate() {
             let x = if i == OVERALL { overall } else { errors[i] };
@@ -205,7 +261,6 @@ impl DriftDetector {
                     fired = Some(DriftSignal {
                         epoch,
                         metric: i,
-                        metric_name: stream_name(i),
                         score,
                         recent_mean: stream.recent_mean(),
                         calibration_mean: stream.mean0,
@@ -264,6 +319,48 @@ mod tests {
         [v; PerfMetrics::DIM]
     }
 
+    fn metrics(scale: f64) -> PerfMetrics {
+        PerfMetrics {
+            elapsed_seconds: 2.0 * scale,
+            disk_ios: 100.0 * scale,
+            message_count: 10.0 * scale,
+            message_bytes: 4096.0 * scale,
+            records_accessed: 1000.0 * scale,
+            records_used: 50.0 * scale,
+        }
+    }
+
+    #[test]
+    fn perfect_predictions_have_zero_error() {
+        let errs = log_ratio_errors(&metrics(1.0), &metrics(1.0));
+        assert!(errs.iter().all(|e| e.abs() < 1e-3), "{errs:?}");
+        assert!(mean_error(&errs) < 1e-3);
+    }
+
+    #[test]
+    fn log_ratio_error_is_symmetric_and_scale_free() {
+        let over = log_ratio_errors(&metrics(2.0), &metrics(1.0));
+        let under = log_ratio_errors(&metrics(1.0), &metrics(2.0));
+        for i in 0..PerfMetrics::DIM {
+            assert!(
+                (over[i] - under[i]).abs() < 1e-6,
+                "metric {i}: over {} under {}",
+                over[i],
+                under[i]
+            );
+        }
+        // A 2x miss scores ~ln 2 on every metric (± the ε shift).
+        assert!((over[0] - 2f64.ln()).abs() < 0.01, "{}", over[0]);
+    }
+
+    #[test]
+    fn zero_valued_metrics_are_well_defined() {
+        let errs = log_ratio_errors(&PerfMetrics::zero(), &PerfMetrics::zero());
+        assert!(errs.iter().all(|e| *e == 0.0));
+        let errs = log_ratio_errors(&metrics(1.0), &PerfMetrics::zero());
+        assert!(errs.iter().all(|e| e.is_finite()));
+    }
+
     #[test]
     fn no_drift_before_warmup() {
         let mut d = DriftDetector::new(DriftConfig::default());
@@ -311,7 +408,7 @@ mod tests {
         }
         let sig = fired.expect("drift must be detected");
         assert_eq!(sig.metric, 0, "first drifted stream is metric 0");
-        assert_eq!(sig.metric_name, "elapsed_time");
+        assert_eq!(stream_name(sig.metric), "elapsed_time");
         assert!(sig.score > LAMBDA);
         assert!(sig.recent_mean > sig.calibration_mean * MIN_RATIO);
     }

@@ -5,12 +5,11 @@
 //! model trained last month quietly degrades. This crate closes the
 //! loop around the serving layer:
 //!
-//! - The error ledger ([`tracker`]): count and integer error sums over
-//!   `(prediction, observed)` pairs — per query template and global,
-//!   for all six paper metrics. Plain data inside the controller's
-//!   state; read it with [`AdaptiveController::error_snapshot`].
 //! - [`DriftDetector`]: a Page–Hinkley test per metric stream gated by
-//!   a windowed mean-ratio check. Deterministic: decisions depend only
+//!   a windowed mean-ratio check, fed the six per-metric
+//!   [`log_ratio_errors`] of each `(prediction, observed)` pair and
+//!   their mean. It is the only reader of live errors: no per-template
+//!   or global error sum is kept. Deterministic: decisions depend only
 //!   on the error values and caller-supplied epochs, never a clock.
 //! - [`AdaptiveController`]: the phase machine wiring it together,
 //!   all of its mutable state behind one mutex. It plugs into
@@ -47,12 +46,13 @@
 
 pub mod controller;
 pub mod drift;
-pub mod tracker;
 pub mod worker;
 
 pub use controller::{
     AdaptEvent, AdaptOptions, AdaptOutcome, AdaptStats, AdaptiveController, Phase, RetrainTask,
 };
-pub use drift::{stream_name, DriftConfig, DriftDetector, DriftSignal, OVERALL, STREAMS};
-pub use tracker::{log_ratio_errors, mean_error, ErrorSnapshot, TemplateErrors, TEMPLATE_SLOTS};
+pub use drift::{
+    log_ratio_errors, mean_error, stream_name, DriftConfig, DriftDetector, DriftSignal, OVERALL,
+    STREAMS,
+};
 pub use worker::AdaptWorker;

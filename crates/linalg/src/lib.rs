@@ -29,8 +29,8 @@
 //!   16-row panels: the layout of every predict-time scan and of the
 //!   incomplete Cholesky factor while it grows.
 //! * [`view`] — borrowed zero-copy [`MatrixView`] over contiguous
-//!   row-major storage, the currency of the predict path's crate
-//!   boundaries.
+//!   row-major storage, what `Kcca::fit` and `GaussianKernel::fit`
+//!   take; predict passes `&[f64]` slices instead.
 
 #![forbid(unsafe_code)]
 // Library code must degrade into typed errors, never panics.

@@ -1,11 +1,12 @@
-//! Borrowed matrix views: the zero-copy currency of the data plane.
+//! Borrowed matrix views over contiguous row-major storage.
 //!
 //! A [`MatrixView`] is a `(rows, cols)` shape over a borrowed contiguous
 //! row-major `&[f64]` — exactly the layout of [`Matrix`], without the
-//! ownership. Crate boundaries on the predict path (feature extraction,
-//! kernel rows, KCCA projection, kNN probes, serve micro-batches) accept
-//! views, so callers hand over one contiguous allocation instead of
-//! copying rows through nested per-row vectors.
+//! ownership. Two fit-time entry points take one, `Kcca::fit` and
+//! `GaussianKernel::fit` in `qpp-ml`, so a caller hands over its
+//! training matrices without a copy. The predict path does not use
+//! views: it passes one query's features as a `&[f64]` slice and works
+//! in thread-local scratch buffers.
 //!
 //! Views are `Copy`; passing one is two words plus a pointer. The
 //! borrow checker ties a view's lifetime to its backing storage, so a

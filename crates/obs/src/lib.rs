@@ -6,8 +6,7 @@
 //! * an **event log** — a fixed-capacity window of fixed-size
 //!   [`Event`]s with monotonic span timing, and exact per-stage totals,
 //!   behind one mutex ([`ring::EventRing`]);
-//! * **metrics** — lock-free [`Counter`]s and the log2 latency
-//!   [`Histogram`] with its quantile conventions ([`metrics`]);
+//! * **metrics** — lock-free [`Counter`]s ([`metrics`]);
 //! * a **trace context** — a thread-local current trace ID so spans
 //!   recorded anywhere down the call stack (admission → queue → worker
 //!   → `predict`) tag themselves to the request that caused them,
@@ -47,7 +46,7 @@ pub mod metrics;
 pub mod ring;
 
 pub use event::{to_jsonl, Event, EventKind, Stage};
-pub use metrics::{quantile_of, Counter, Histogram, LatencyQuantile, BUCKETS};
+pub use metrics::Counter;
 pub use ring::EventRing;
 
 use std::cell::Cell;

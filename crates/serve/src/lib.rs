@@ -23,10 +23,11 @@
 //!   KCCA answer lands, the caller is answered from the O(1)
 //!   optimizer-cost baseline instead — bounded latency, graceful
 //!   degradation.
-//! - [`ServiceStats`]: one set of lock-free service-wide counters and
-//!   one latency histogram, read into a [`StatsSnapshot`]; every
-//!   accepted request whose answer is waited on is exactly one of
-//!   completed, fallback or failed.
+//! - [`ServiceStats`]: one set of lock-free service-wide counters,
+//!   read into a [`StatsSnapshot`]; every accepted request whose answer
+//!   is waited on is exactly one of completed, fallback or failed.
+//!   Latency is per answer ([`ServeResponse::latency`]) and per span in
+//!   the trace, not aggregated.
 //! - Tracing: every request gets a `qpp_obs` trace ID at admission,
 //!   carried through the queue, the worker, and the prediction — and
 //!   through *rejections*, which record `admission_reject` marks whose
@@ -61,5 +62,5 @@ pub use service::{
     AnswerSource, CompletionObserver, PendingPrediction, PredictRequest, PredictionService,
     ServeOptions, ServeResponse, REJECT_OVER_QUOTA, REJECT_QUEUE_FULL,
 };
-pub use stats::{LatencyQuantile, ServiceStats, StatsSnapshot};
+pub use stats::{ServiceStats, StatsSnapshot};
 pub use tenant::{TenantId, TenantSpec, TenantTable, DEFAULT_TENANT};

@@ -221,7 +221,6 @@ impl PendingPrediction {
         match &answer {
             Ok(response) => {
                 self.stats.completed.incr();
-                self.stats.record_latency(response.latency);
                 record_decision(&self.stats, &response.decision);
             }
             Err(_) => self.stats.failed.incr(),
@@ -242,14 +241,12 @@ impl PendingPrediction {
         record_decision(&self.stats, &decision);
         self.stats.fallbacks.incr();
         qpp_obs::recorder().record_mark(self.trace_id, Stage::Fallback, entry.version);
-        let latency = elapsed_since(self.submitted_ns);
-        self.stats.record_latency(latency);
         Ok(ServeResponse {
             prediction,
             decision,
             source: AnswerSource::CostModelFallback,
             model_version: entry.version,
-            latency,
+            latency: elapsed_since(self.submitted_ns),
             trace_id: self.trace_id,
         })
     }

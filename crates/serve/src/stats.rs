@@ -1,21 +1,13 @@
-//! Service statistics: one set of service-wide counters and one
-//! latency histogram.
-//!
-//! The primitives live in `qpp-obs` ([`qpp_obs::Counter`],
-//! [`qpp_obs::Histogram`], [`LatencyQuantile`]) so the serving stats,
-//! the trace recorder, and the bench harness share one implementation
-//! and one set of quantile conventions; this module is the serving
-//! view over them.
+//! Service statistics: one set of service-wide [`qpp_obs::Counter`]s.
 //!
 //! Every accepted request whose answer is waited on ends in exactly one
-//! of `completed`, `fallbacks` or `failed`. The histogram sums bucket
-//! counts, so the reported quantiles are deterministic for a given set
-//! of recorded latencies regardless of worker count or timing.
+//! of `completed`, `fallbacks` or `failed`. Latency is not aggregated
+//! here: each [`crate::ServeResponse`] carries its exact `latency` and
+//! the trace carries the admission, queue-wait and worker spans, so a
+//! caller that wants percentiles computes them from those.
 
-use qpp_obs::{quantile_of, Counter, Histogram};
+use qpp_obs::Counter;
 use std::time::{Duration, Instant};
-
-pub use qpp_obs::LatencyQuantile;
 
 /// Live counters for a running prediction service.
 ///
@@ -44,7 +36,6 @@ pub struct ServiceStats {
     /// Submissions rejected because their tenant was over its admission
     /// quota.
     pub rejected_quota: Counter,
-    latency: Histogram,
     /// Worker answers that arrived after the client had already fallen
     /// back (wasted work; the client saw exactly one answer).
     pub late_answers: Counter,
@@ -81,11 +72,6 @@ impl Default for Started {
 }
 
 impl ServiceStats {
-    /// Records one end-to-end request latency.
-    pub fn record_latency(&self, latency: Duration) {
-        self.latency.record(latency.as_micros() as u64);
-    }
-
     /// Records a drained micro-batch of `len` requests.
     pub fn record_batch(&self, len: usize) {
         self.batches.incr();
@@ -97,7 +83,7 @@ impl ServiceStats {
         self.max_queue_depth.observe_max(depth as u64);
     }
 
-    /// An immutable view of the counters plus derived rates/quantiles;
+    /// An immutable view of the counters plus derived rates;
     /// the queue depth and the registry's swap and demotion counts are
     /// their owners' to report, so the caller passes them in.
     pub fn snapshot(
@@ -111,7 +97,6 @@ impl ServiceStats {
         let batches = self.batches.get();
         let batched = self.batched_requests.get();
         let answered = completed + fallbacks;
-        let latency = self.latency.counts();
         let uptime = self.started.0.elapsed();
         StatsSnapshot {
             uptime,
@@ -142,9 +127,6 @@ impl ServiceStats {
             } else {
                 fallbacks as f64 / answered as f64
             },
-            p50_latency: quantile_of(&latency, 0.50),
-            p95_latency: quantile_of(&latency, 0.95),
-            p99_latency: quantile_of(&latency, 0.99),
             model_swaps,
             model_demotions,
             observed_completions: self.observed_completions.get(),
@@ -191,12 +173,6 @@ pub struct StatsSnapshot {
     pub throughput_per_sec: f64,
     /// Fraction of answers that came from the fallback path.
     pub fallback_rate: f64,
-    /// Median end-to-end latency (histogram bucket bound).
-    pub p50_latency: LatencyQuantile,
-    /// 95th-percentile latency.
-    pub p95_latency: LatencyQuantile,
-    /// 99th-percentile latency.
-    pub p99_latency: LatencyQuantile,
     /// Model hot-swaps performed.
     pub model_swaps: u64,
     /// Kill-switch demotions performed.
@@ -265,12 +241,8 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "latency p50/p95/p99 {}/{}/{} µs | {:.0} req/s | model swaps {}",
-            self.p50_latency,
-            self.p95_latency,
-            self.p99_latency,
-            self.throughput_per_sec,
-            self.model_swaps,
+            "throughput {:.0} req/s | model swaps {}",
+            self.throughput_per_sec, self.model_swaps,
         )?;
         write!(
             f,
@@ -283,77 +255,6 @@ impl std::fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_quantiles_track_buckets() {
-        let stats = ServiceStats::default();
-        // 90 fast samples (~8 µs), 10 slow (~1024 µs).
-        for _ in 0..90 {
-            stats.record_latency(Duration::from_micros(8));
-        }
-        for _ in 0..10 {
-            stats.record_latency(Duration::from_micros(1024));
-        }
-        let snap = stats.snapshot(0, 0, 0);
-        assert!(
-            snap.p50_latency.bound_us <= 16,
-            "p50 {}",
-            snap.p50_latency.bound_us
-        );
-        assert!(
-            snap.p99_latency.bound_us >= 1024,
-            "p99 {}",
-            snap.p99_latency.bound_us
-        );
-        assert!(!snap.p99_latency.saturated);
-        assert!(snap.p50_latency.bound_us <= snap.p95_latency.bound_us);
-        assert!(snap.p95_latency.bound_us <= snap.p99_latency.bound_us);
-    }
-
-    #[test]
-    fn tail_latency_beyond_histogram_is_reported_saturated() {
-        let stats = ServiceStats::default();
-        // 40 s exceeds the last finite bucket edge (2^25 µs ≈ 33.5 s);
-        // the old code reported p99 as a finite 2^26 µs ≈ 67 s bound.
-        for _ in 0..5 {
-            stats.record_latency(Duration::from_micros(100));
-        }
-        stats.record_latency(Duration::from_secs(40));
-        let snap = stats.snapshot(0, 0, 0);
-        assert!(!snap.p50_latency.saturated);
-        assert!(snap.p99_latency.saturated, "p99 {:?}", snap.p99_latency);
-        assert_eq!(snap.p99_latency.bound_us, 1u64 << 25);
-        let text = format!("{snap}");
-        assert!(text.contains(">=33554432"), "display: {text}");
-    }
-
-    /// Regression for the q=0 / low-q bug: the old quantile computed
-    /// `rank = ceil(total * q)` with no floor, so q small enough to
-    /// round to rank 0 matched the *empty* first bucket and reported a
-    /// finite `<= 2` µs even when every sample was orders of magnitude
-    /// slower.
-    #[test]
-    fn low_quantiles_cannot_report_an_empty_bucket() {
-        let stats = ServiceStats::default();
-        for _ in 0..10 {
-            stats.record_latency(Duration::from_micros(1024)); // bucket 10
-        }
-        let counts = {
-            let mut c = [0u64; qpp_obs::BUCKETS];
-            c[10] = 10;
-            c
-        };
-        let q0 = qpp_obs::quantile_of(&counts, 0.0);
-        assert_eq!(q0.bound_us, (1 << 11) - 1, "q=0 must land in bucket 10");
-        // And through the snapshot path: p50 of all-slow samples cannot
-        // be faster than the samples.
-        let snap = stats.snapshot(0, 0, 0);
-        assert!(
-            snap.p50_latency.bound_us >= 1024,
-            "p50 {:?}",
-            snap.p50_latency
-        );
-    }
 
     #[test]
     fn batch_and_depth_accounting() {
@@ -370,10 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_stats_have_zero_quantiles() {
+    fn empty_stats_have_zero_rates() {
         let snap = ServiceStats::default().snapshot(0, 0, 0);
-        assert_eq!(snap.p50_latency.bound_us, 0);
-        assert!(!snap.p50_latency.saturated);
         assert_eq!(snap.fallback_rate, 0.0);
         assert_eq!(snap.mean_batch_size, 0.0);
     }
@@ -381,9 +280,7 @@ mod tests {
     #[test]
     fn display_is_total() {
         let stats = ServiceStats::default();
-        stats.record_latency(Duration::from_micros(100));
         let text = format!("{}", stats.snapshot(2, 3, 1));
-        assert!(text.contains("p50"));
         assert!(text.contains("model swaps 3"));
         assert!(text.contains("demotions 1"));
     }

@@ -9,9 +9,9 @@
 //!    detector calibrates quietly.
 //! 2. **Drifted**: the simulated system slows down (`QPP_ADAPT_DRIFT`×
 //!    on elapsed time — stale statistics, a hardware downgrade, a noisy
-//!    neighbor). Per-template elapsed-time error rises, drift is
-//!    declared, and the background worker retrains + canaries a
-//!    candidate on the sliding window.
+//!    neighbor). Elapsed-time error rises, drift is declared (the run
+//!    prints the stream that fired and why), and the background worker
+//!    retrains + canaries a candidate on the sliding window.
 //! 3. **Recovery**: post-swap traffic shows the error back near the
 //!    calibration floor; the post-swap watch passes without demotion.
 //!
@@ -26,18 +26,40 @@
 //! QPP_TRACE_OUT=adapt.jsonl cargo run --release --example adaptive_serving
 //! ```
 
-use qpp::adapt::{AdaptOptions, AdaptWorker, AdaptiveController, DriftConfig};
+use qpp::adapt::{
+    stream_name, AdaptEvent, AdaptOptions, AdaptWorker, AdaptiveController, DriftConfig,
+    DriftSignal,
+};
 use qpp::core::baselines::OptimizerCostModel;
 use qpp::core::pipeline::collect_tpcds;
 use qpp::core::retrain::SlidingWindowPredictor;
-use qpp::core::{Dataset, FeatureKind, KccaPredictor, PredictorOptions};
+use qpp::core::{Dataset, FeatureKind, KccaPredictor, PredictorOptions, QueryRecord};
 use qpp::engine::SystemConfig;
 use qpp::obs::{EventKind, Stage};
 use qpp::serve::{
     CompletionObserver, ModelKey, ModelRegistry, PredictRequest, PredictionService, ServeOptions,
+    ServeResponse,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// The controller as the service's completion hook, keeping the first
+/// drift signal it declares so the run can say why it adapted.
+struct Observer {
+    controller: Arc<AdaptiveController>,
+    first_drift: Mutex<Option<DriftSignal>>,
+}
+
+impl CompletionObserver for Observer {
+    fn on_completion(&self, record: &QueryRecord, response: &ServeResponse) {
+        if let Some(AdaptEvent::DriftDetected(signal)) = self.controller.observe(record, response) {
+            self.first_drift
+                .lock()
+                .expect("drift slot")
+                .get_or_insert(signal);
+        }
+    }
+}
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -130,7 +152,11 @@ fn main() {
             ..AdaptOptions::default()
         },
     ));
-    service.set_completion_observer(Arc::clone(&controller) as Arc<dyn CompletionObserver>);
+    let observer = Arc::new(Observer {
+        controller: Arc::clone(&controller),
+        first_drift: Mutex::new(None),
+    });
+    service.set_completion_observer(Arc::clone(&observer) as Arc<dyn CompletionObserver>);
     let worker = AdaptWorker::spawn(Arc::clone(&controller));
 
     // Phase 1: stable traffic calibrates the detector.
@@ -204,16 +230,21 @@ fn main() {
     );
     assert_eq!(registry.demote_count(), 0, "no kill-switch demotion");
 
-    // Per-template error ledger.
-    println!("\nper-template elapsed-time error (top 5 by count):");
-    let mut rows = controller.error_snapshot().templates;
-    rows.sort_by_key(|row| std::cmp::Reverse(row.count));
-    for row in rows.iter().take(5) {
-        println!(
-            "  {:<28} n={:<4} elapsed err {:.3} overall {:.3}",
-            row.template, row.count, row.mean[0], row.overall
-        );
-    }
+    // Why the detector fired: the first drift signal of the episode.
+    let signal = observer
+        .first_drift
+        .lock()
+        .expect("drift slot")
+        .expect("a drift signal was declared");
+    println!(
+        "\ndrift fired on stream {} at epoch {}: score {:.2}, recent mean error {:.3} \
+         vs calibration {:.3}",
+        stream_name(signal.metric),
+        signal.epoch,
+        signal.score,
+        signal.recent_mean,
+        signal.calibration_mean,
+    );
 
     let snapshot = service.stats();
     println!("\nservice stats:\n{snapshot}");

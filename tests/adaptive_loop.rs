@@ -127,10 +127,9 @@ fn adaptive_loop_recovers_from_drift_through_the_real_service() {
     let (stable_err, events) = replay(&service, &key, &recording, &stable);
     assert!(events.is_empty(), "stable traffic fired {events:?}");
     assert_eq!(controller.phase(), Phase::Stable);
-    let calm_elapsed_mean = controller.error_snapshot().global_mean[0];
 
     // Phase 2: the simulated system slows down 3x on elapsed time.
-    // Per-template error rises, drift is declared, and a retrain task
+    // Live error rises, drift is declared, and a retrain task
     // is queued once enough drifted evidence has accumulated.
     let drifted = collect_tpcds(160, 403, &drifted_cfg, 2);
     let (drifted_err, events) = replay(&service, &key, &recording, &drifted);
@@ -147,14 +146,6 @@ fn adaptive_loop_recovers_from_drift_through_the_real_service() {
         .expect("drift must be declared under 3x elapsed drift");
     assert!(signal.recent_mean > signal.calibration_mean);
     assert_eq!(controller.phase(), Phase::RetrainQueued);
-
-    // The per-template ledger saw the same story.
-    let ledger = controller.error_snapshot();
-    assert!(!ledger.templates.is_empty(), "templates must be tracked");
-    assert!(
-        ledger.global_mean[0] > calm_elapsed_mean,
-        "per-template elapsed error must rise under drift"
-    );
 
     // Background step, run synchronously: retrain on the (now drifted)
     // sliding window, shadow-score, swap behind the generation guard.
