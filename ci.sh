@@ -80,7 +80,14 @@ if [ "$FAILED" != "0" ]; then
     echo "obs smoke: expected a failed counter of 0, got '${FAILED:-missing}'"
     exit 1
 fi
-echo "obs smoke OK: spans present, $FALLBACKS fallbacks tagged, 0 failed"
+# A worker answer is late only for a request its client already answered
+# from the fallback, so there can be no more late answers than fallbacks.
+LATE=$(sed -n 's/.*"counter":"late_answers","value":\([0-9]*\).*/\1/p' "$TRACE_OUT")
+if [ -z "$LATE" ] || [ "$LATE" -gt "$FALLBACKS" ]; then
+    echo "obs smoke: expected late_answers <= fallbacks ($FALLBACKS), got '${LATE:-missing}'"
+    exit 1
+fi
+echo "obs smoke OK: spans present, $FALLBACKS fallbacks tagged ($LATE late), 0 failed"
 rm -f "$TRACE_OUT"
 
 echo "==> adapt smoke: drifted workload triggers retrain + canary swap end to end"

@@ -25,7 +25,6 @@ use crate::drift::{
     log_ratio_errors, mean_error, DriftConfig, DriftDetector, DriftSignal, ERR_CLAMP, OVERALL,
 };
 use parking_lot::{Condvar, Mutex};
-use qpp_core::baselines::OptimizerCostModel;
 use qpp_core::dataset::QueryRecord;
 use qpp_core::predictor::KccaPredictor;
 use qpp_core::retrain::{SlidingWindowPredictor, MIN_TRAIN_WINDOW};
@@ -34,7 +33,6 @@ use qpp_obs::{record_mark, span, Counter, Stage};
 use qpp_serve::{
     AnswerSource, CompletionObserver, ModelKey, ModelRegistry, ServeResponse, SwapRace,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Every Nth completed query is diverted to the shadow-scoring holdout
@@ -46,8 +44,8 @@ const HOLDOUT_EVERY: usize = 4;
 /// retrain is abandoned (better no swap than an unjudged swap).
 const MIN_HOLDOUT: usize = 8;
 
-/// Holdout records kept, newest last: every shadow score replays all
-/// of them.
+/// Holdout rows kept, newest last: every shadow score replays all of
+/// them.
 const SHADOW_SLICE: usize = 24;
 
 /// Demote when post-swap mean error exceeds the pre-swap (drifted) mean
@@ -219,7 +217,7 @@ pub struct AdaptStats {
 struct ControlState {
     detector: DriftDetector,
     window: SlidingWindowPredictor,
-    holdout: VecDeque<QueryRecord>,
+    holdout: SlidingWindowPredictor,
     epoch: u64,
     since_holdout: usize,
     phase: Phase,
@@ -243,9 +241,9 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     /// Creates a controller adapting the model under `key` in
-    /// `registry`. `window` supplies both the sliding training set
-    /// (seed it with the initial training data) and the predictor
-    /// options candidates train with.
+    /// `registry`. `window` supplies the sliding training set (seed it
+    /// with the initial training data) and the options candidates train
+    /// with, whose feature kind the holdout rows share: the key's.
     pub fn new(
         registry: Arc<ModelRegistry>,
         key: ModelKey,
@@ -259,8 +257,8 @@ impl AdaptiveController {
             stats: AdaptStats::default(),
             state: Mutex::new(ControlState {
                 detector: DriftDetector::new(options.drift),
+                holdout: SlidingWindowPredictor::empty(SHADOW_SLICE, window.options()),
                 window,
-                holdout: VecDeque::with_capacity(SHADOW_SLICE),
                 epoch: 0,
                 since_holdout: 0,
                 phase: Phase::Stable,
@@ -466,18 +464,15 @@ impl AdaptiveController {
         self.task_ready.notify_one();
     }
 
-    /// Appends the record to the window, diverting every
+    /// Appends the record's row to the window, diverting every
     /// [`HOLDOUT_EVERY`]-th to the shadow holdout instead.
     fn stash(st: &mut ControlState, record: &QueryRecord) {
         st.since_holdout += 1;
         if st.since_holdout >= HOLDOUT_EVERY {
             st.since_holdout = 0;
-            st.holdout.push_back(record.clone());
-            while st.holdout.len() > SHADOW_SLICE {
-                st.holdout.pop_front();
-            }
+            st.holdout.push(record);
         } else {
-            st.window.push(record.clone());
+            st.window.push(record);
         }
     }
 
@@ -488,24 +483,21 @@ impl AdaptiveController {
         self.stats.retrains.incr();
         // Snapshot the freshest data (the window kept filling while
         // this task waited in the queue).
-        let (dataset, holdout, predictor_options) = {
-            let st = self.state.lock();
-            let holdout: Vec<QueryRecord> = st.holdout.iter().cloned().collect();
-            (st.window.window_dataset(), holdout, st.window.options())
-        };
-        if dataset.len() < MIN_TRAIN_WINDOW || holdout.len() < MIN_HOLDOUT {
+        let st = self.state.lock();
+        let (window, holdout) = (st.window.clone(), st.holdout.clone());
+        drop(st);
+        if window.len() < MIN_TRAIN_WINDOW || holdout.len() < MIN_HOLDOUT {
             self.back_to_stable(false);
             return AdaptOutcome::InsufficientData {
-                window: dataset.len(),
+                window: window.len(),
                 holdout: holdout.len(),
             };
         }
 
         let trained = {
             let mut retrain_span = span(Stage::Retrain);
-            retrain_span.set_value(dataset.len() as u64);
-            KccaPredictor::train(&dataset, predictor_options)
-                .and_then(|p| OptimizerCostModel::train(&dataset).map(|f| (p, f)))
+            retrain_span.set_value(window.len() as u64);
+            window.fit()
         };
         let (candidate, candidate_fallback) = match trained {
             Ok(pair) => pair,
@@ -641,21 +633,22 @@ impl CompletionObserver for AdaptiveController {
     }
 }
 
-/// Mean log-ratio error of `predictor` replayed over the holdout
-/// records, on one error stream (a metric index, or [`OVERALL`] for
-/// the mean of all six). Records the model cannot predict (feature
-/// outside its support) score the clamp maximum — a model that fails
-/// on live traffic must not win by abstaining. Returns infinity for an
-/// empty holdout so the caller's margin comparison rejects the swap.
-fn shadow_score(predictor: &KccaPredictor, holdout: &[QueryRecord], stream: usize) -> f64 {
+/// Mean log-ratio error of `predictor` replayed over the holdout rows
+/// through [`KccaPredictor::predict_features`], on one error stream (a
+/// metric index, or [`OVERALL`] for the mean of all six). Rows the
+/// model cannot predict (feature outside its support) score the clamp
+/// maximum — a model that fails on live traffic must not win by
+/// abstaining. Returns infinity for an empty holdout so the caller's
+/// margin comparison rejects the swap.
+fn shadow_score(predictor: &KccaPredictor, holdout: &SlidingWindowPredictor, stream: usize) -> f64 {
     if holdout.is_empty() {
         return f64::INFINITY;
     }
     let mut sum = 0.0;
-    for record in holdout {
-        match predictor.predict(&record.spec, &record.optimized.plan) {
+    for (features, observed, _) in holdout.rows() {
+        match predictor.predict_features(features) {
             Ok(p) => {
-                let errors = log_ratio_errors(&p.metrics, &record.metrics);
+                let errors = log_ratio_errors(&p.metrics, &observed);
                 sum += if stream == OVERALL {
                     mean_error(&errors)
                 } else {

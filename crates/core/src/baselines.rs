@@ -59,17 +59,24 @@ pub struct OptimizerCostModel {
 }
 
 impl OptimizerCostModel {
-    /// Fits the line of best fit on (cost, elapsed) pairs.
+    /// Fits on every record of `dataset`: [`OptimizerCostModel::fit`]
+    /// on its (optimizer cost, elapsed seconds) pairs.
     pub fn train(dataset: &Dataset) -> Result<Self, QppError> {
-        let n = dataset.len();
+        let records = dataset.records.iter();
+        Self::fit(records.map(|r| (r.optimized.plan.optimizer_cost, r.metrics.elapsed_seconds)))
+    }
+
+    /// Fits the line of best fit on (optimizer cost, elapsed) pairs.
+    pub fn fit(pairs: impl ExactSizeIterator<Item = (f64, f64)>) -> Result<Self, QppError> {
+        let n = pairs.len();
         if n < 2 {
             return Err(LinalgError::Empty("optimizer cost model").into());
         }
         let mut x = Matrix::zeros(n, 1);
         let mut y = Matrix::zeros(n, 1);
-        for (i, r) in dataset.records.iter().enumerate() {
-            x[(i, 0)] = r.optimized.plan.optimizer_cost.max(1e-9).ln();
-            y[(i, 0)] = r.metrics.elapsed_seconds.max(1e-9).ln();
+        for (i, (cost, elapsed)) in pairs.enumerate() {
+            x[(i, 0)] = cost.max(1e-9).ln();
+            y[(i, 0)] = elapsed.max(1e-9).ln();
         }
         let ls = LeastSquares::fit(&x, &y).ctx("fitting cost line")?;
         let coef = ls.coefficients();

@@ -81,7 +81,7 @@ impl Dataset {
     pub fn performance_matrix(&self) -> Matrix {
         let mut out = Matrix::zeros(self.len(), PerfMetrics::DIM);
         for (i, r) in self.records.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(&r.metrics.to_vec());
+            out.row_mut(i).copy_from_slice(&r.metrics.to_array());
         }
         out
     }

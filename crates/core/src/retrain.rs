@@ -2,139 +2,137 @@
 //!
 //! The paper notes KCCA training is cubic and proposes "a sliding
 //! training set of data with a larger emphasis on more recently
-//! executed queries". This module implements that: a bounded window of
-//! the most recent executed queries, refreshed into a new model when
-//! enough new observations accumulate.
+//! executed queries". This module keeps that set: a bounded window of
+//! the most recent executed queries, each held as the row a refit
+//! reads (its feature vector, six metrics and optimizer cost), not as
+//! the query record itself.
 
+use crate::baselines::OptimizerCostModel;
 use crate::dataset::{Dataset, QueryRecord};
 use crate::error::QppError;
+use crate::features::{feature_dim, query_features_to};
 use crate::predictor::{KccaPredictor, PredictorOptions};
-use qpp_engine::SystemConfig;
-use qpp_workload::Schema;
-use std::collections::VecDeque;
+use qpp_engine::PerfMetrics;
+use qpp_linalg::Matrix;
 
-/// A continuously retrainable predictor over a sliding window of
-/// recently executed queries.
+/// The sliding training window: the newest executed queries, oldest
+/// first, as rows in one flat ring, and the options a refit trains
+/// with. A row is a query's `options.feature_kind` feature vector, its
+/// six metrics in canonical order and its plan's optimizer cost. Once
+/// full, a push overwrites the oldest row in place and allocates
+/// nothing. The adaptive control plane's shadow holdout is one too.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowPredictor {
-    window: VecDeque<QueryRecord>,
-    capacity: usize,
-    refresh_every: usize,
-    seen_since_refresh: usize,
     options: PredictorOptions,
-    model: Option<KccaPredictor>,
-    /// The seed dataset's configuration and schema, which every window
-    /// snapshot carries.
-    config: SystemConfig,
-    schema: Schema,
+    capacity: usize,
+    /// Values per row: the features, six metrics, the cost.
+    width: usize,
+    /// Whole rows, at most `capacity`; the oldest is row `head`.
+    data: Vec<f64>,
+    head: usize,
 }
 
-/// Fewest records KCCA can sensibly train on; retraining is deferred
-/// until the window holds at least this many.
+/// Fewest records KCCA can sensibly train on; a refit of a smaller
+/// window is refused.
 pub const MIN_TRAIN_WINDOW: usize = 8;
 
 impl SlidingWindowPredictor {
-    /// Creates a window of at most `capacity` records that retrains
-    /// after every `refresh_every` new observations. The seed's records
-    /// move into the window; only its newest `capacity` are kept.
+    /// A window of at most `capacity` rows holding the seed's newest
+    /// `capacity` records. `refresh_every` is unused: the caller refits
+    /// when it chooses (`qpp-adapt`'s retrain task), and the parameter
+    /// stays only for the callers that still pass it.
     pub fn new(
         seed: Dataset,
         capacity: usize,
-        refresh_every: usize,
+        _refresh_every: usize,
         options: PredictorOptions,
     ) -> Self {
-        assert!(
-            capacity >= MIN_TRAIN_WINDOW,
-            "window too small to train KCCA"
-        );
-        assert!(refresh_every >= 1);
-        let Dataset {
-            config,
-            schema,
-            records,
-        } = seed;
-        // Keep only the newest `capacity` records of an oversized
-        // seed: the window invariant (len <= capacity, oldest
-        // evicted first) must hold from construction, not only after
-        // the first `observe`.
-        let mut window = VecDeque::from(records);
-        window.drain(..window.len().saturating_sub(capacity));
+        assert!(capacity >= MIN_TRAIN_WINDOW, "window too small for KCCA");
+        let mut window = SlidingWindowPredictor::empty(capacity, options);
+        let newest = seed.records.len().saturating_sub(capacity);
+        seed.records[newest..].iter().for_each(|r| window.push(r));
+        window
+    }
+
+    /// An empty window of at most `capacity` (at least 1) rows.
+    pub fn empty(capacity: usize, options: PredictorOptions) -> Self {
         SlidingWindowPredictor {
-            window,
-            capacity,
-            refresh_every,
-            seen_since_refresh: 0,
             options,
-            model: None,
-            config,
-            schema,
+            capacity: capacity.max(1),
+            width: feature_dim(options.feature_kind) + PerfMetrics::DIM + 1,
+            data: Vec::new(),
+            head: 0,
         }
     }
 
-    /// Observes one newly executed query; retrains when due. Returns
-    /// true when a retrain happened.
-    ///
-    /// Retraining is deferred until the window holds at least
-    /// [`MIN_TRAIN_WINDOW`] records: a fresh window seeded with too few
-    /// records (or none) used to retrain on the very first observation
-    /// because `model.is_none()`, handing KCCA a training set it cannot
-    /// fit.
-    pub fn observe(&mut self, record: QueryRecord) -> Result<bool, QppError> {
-        self.push(record);
-        self.seen_since_refresh += 1;
-        if self.window.len() < MIN_TRAIN_WINDOW {
-            return Ok(false);
-        }
-        if self.model.is_none() || self.seen_since_refresh >= self.refresh_every {
-            self.retrain()?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Appends one record to the window (evicting the oldest beyond
-    /// capacity) without any retraining. The adaptive control plane
-    /// uses this to keep the window fresh while retrains run on a
+    /// Appends one executed query's row, overwriting the oldest when
+    /// full. Never refits: the adaptive control plane refits on a
     /// background worker at moments *it* chooses.
-    pub fn push(&mut self, record: QueryRecord) {
-        self.window.push_back(record);
-        while self.window.len() > self.capacity {
-            self.window.pop_front();
+    pub fn push(&mut self, record: &QueryRecord) {
+        let (kind, width) = (self.options.feature_kind, self.width);
+        let at = if self.len() < self.capacity {
+            self.data.resize(self.data.len() + width, 0.0);
+            self.len() - 1
+        } else {
+            let oldest = self.head;
+            self.head = (oldest + 1) % self.capacity;
+            oldest
+        };
+        let row = &mut self.data[at * width..][..width];
+        let (features, rest) = row.split_at_mut(feature_dim(kind));
+        let plan = &record.optimized.plan;
+        query_features_to(kind, &record.spec, plan, features);
+        rest[..PerfMetrics::DIM].copy_from_slice(&record.metrics.to_array());
+        rest[PerfMetrics::DIM] = plan.optimizer_cost;
+    }
+
+    /// Rows held.
+    pub fn len(&self) -> usize {
+        self.data.len() / self.width
+    }
+
+    /// True when no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Each row as (features, metrics, cost), oldest first.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (&[f64], PerfMetrics, f64)> + '_ {
+        let (dim, width) = (feature_dim(self.options.feature_kind), self.width);
+        (0..self.len()).map(move |i| {
+            let row = &self.data[(self.head + i) % self.capacity * width..][..width];
+            let metrics = PerfMetrics::from_vec(&row[dim..width - 1]);
+            (&row[..dim], metrics, row[width - 1])
+        })
+    }
+
+    /// Fits the KCCA model through [`KccaPredictor::fit`] and the
+    /// optimizer-cost baseline through [`OptimizerCostModel::fit`] on
+    /// the rows: the matrices and pairs `train` builds from a dataset
+    /// of the same records, so the same bits.
+    pub fn fit(&self) -> Result<(KccaPredictor, OptimizerCostModel), QppError> {
+        let dim = feature_dim(self.options.feature_kind);
+        let mut features = Matrix::zeros(self.len(), dim);
+        let mut performance = Matrix::zeros(self.len(), PerfMetrics::DIM);
+        for (i, (row, metrics, _)) in self.rows().enumerate() {
+            features.row_mut(i).copy_from_slice(row);
+            performance.row_mut(i).copy_from_slice(&metrics.to_array());
         }
+        let model = KccaPredictor::fit(&features, performance, self.options)?;
+        let pairs = self.rows().map(|(_, m, cost)| (cost, m.elapsed_seconds));
+        Ok((model, OptimizerCostModel::fit(pairs)?))
     }
 
-    /// Forces a retrain on the current window.
-    pub fn retrain(&mut self) -> Result<(), QppError> {
-        let ds = self.window_dataset();
-        self.model = Some(KccaPredictor::train(&ds, self.options)?);
-        self.seen_since_refresh = 0;
-        Ok(())
-    }
-
-    /// Snapshot of the current window as a standalone dataset (the
-    /// exact records a retrain would train on).
-    pub fn window_dataset(&self) -> Dataset {
-        Dataset {
-            config: self.config.clone(),
-            schema: self.schema.clone(),
-            records: self.window.iter().cloned().collect(),
-        }
-    }
-
-    /// The predictor options a retrain would train with.
+    /// The predictor options a refit trains with.
     pub fn options(&self) -> PredictorOptions {
         self.options
-    }
-
-    /// The current model, if one has been trained.
-    pub fn model(&self) -> Option<&KccaPredictor> {
-        self.model.as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::query_features;
     use qpp_engine::SystemConfig;
     use qpp_workload::{Schema, WorkloadGenerator};
 
@@ -144,126 +142,29 @@ mod tests {
         Dataset::collect(&schema, g.generate(n), &SystemConfig::neoview_4(), 2)
     }
 
-    #[test]
-    fn window_evicts_oldest_and_retrains() {
-        let seed_data = dataset(40, 71);
-        let more = dataset(30, 72);
-        let mut sw =
-            SlidingWindowPredictor::new(seed_data.clone(), 50, 10, PredictorOptions::default());
-        sw.retrain().unwrap();
-        assert!(sw.model().is_some());
-        let before = sw.model().unwrap().training_size();
-        let mut retrains = 0;
-        for r in more.records {
-            if sw.observe(r).unwrap() {
-                retrains += 1;
-            }
-        }
-        assert!(retrains >= 3, "retrained {retrains} times");
-        assert_eq!(sw.window_dataset().len(), 50); // capacity respected
-        let after = sw.model().unwrap().training_size();
-        assert_eq!(after, 50);
-        assert!(after >= before);
+    /// What a window holding `records`, oldest first, must read back.
+    fn rows_of(records: &[QueryRecord]) -> Vec<(Vec<f64>, PerfMetrics)> {
+        let kind = PredictorOptions::default().feature_kind;
+        let row = |r: &QueryRecord| (query_features(kind, &r.spec, &r.optimized.plan), r.metrics);
+        records.iter().map(row).collect()
     }
 
-    /// Regression: the constructor used to copy the whole template into
-    /// the window without trimming, so a template larger than `capacity`
-    /// violated the window invariant (and the first retrain trained on
-    /// more records than the window was ever supposed to hold) until
-    /// enough `observe` calls flushed the excess.
+    /// Regression: the constructor kept a whole oversized seed, breaking
+    /// the window invariant until enough pushes flushed the excess.
     #[test]
     fn constructor_trims_oversized_template_to_capacity() {
-        let seed_data = dataset(40, 75);
-        let newest_ids: Vec<u64> = seed_data.records[30..].iter().map(|r| r.spec.id).collect();
-        let sw = SlidingWindowPredictor::new(seed_data, 10, 5, PredictorOptions::default());
-        assert_eq!(
-            sw.window_dataset().len(),
-            10,
-            "window must respect capacity at birth"
-        );
-        let window_ids: Vec<u64> = sw.window.iter().map(|r| r.spec.id).collect();
-        assert_eq!(
-            window_ids, newest_ids,
-            "trimming must evict the oldest records, keeping the newest"
-        );
+        let sw = SlidingWindowPredictor::new(dataset(40, 75), 10, 5, PredictorOptions::default());
+        assert_eq!(sw.len(), 10, "window must respect capacity at birth");
     }
 
-    /// The seed's records move into the window: each kept record is the
-    /// very one the caller built (its heap text at the same address),
-    /// not a clone beside a second copy of the seed.
+    /// The window holds one row per kept seed record, the newest ones,
+    /// oldest first.
     #[test]
     fn constructor_holds_each_seed_record_once() {
         let seed_data = dataset(20, 80);
-        let address = |r: &QueryRecord| r.spec.template.as_ptr();
-        let newest: Vec<_> = seed_data.records[5..].iter().map(address).collect();
+        let newest = rows_of(&seed_data.records[5..]);
         let sw = SlidingWindowPredictor::new(seed_data, 15, 5, PredictorOptions::default());
-        let kept: Vec<_> = sw.window.iter().map(address).collect();
-        assert_eq!(kept, newest);
-    }
-
-    /// Regression: `observe` used to retrain whenever `model.is_none()`,
-    /// including on the very first observation into an empty window —
-    /// KCCA then trained on a single record and failed. Retraining must
-    /// wait until the window reaches the minimum trainable size.
-    #[test]
-    fn observe_defers_retraining_until_window_is_trainable() {
-        let seed = dataset(0, 76); // empty template: config + schema only
-        let feed = dataset(MIN_TRAIN_WINDOW + 4, 77);
-        let mut sw = SlidingWindowPredictor::new(seed, 32, 1, PredictorOptions::default());
-        assert_eq!(sw.window_dataset().len(), 0);
-        for (i, r) in feed.records.into_iter().enumerate() {
-            let retrained = sw
-                .observe(r)
-                .unwrap_or_else(|e| panic!("observation {i} must not fail: {e}"));
-            if i + 1 < MIN_TRAIN_WINDOW {
-                assert!(
-                    !retrained,
-                    "retrained at window size {} (< minimum {})",
-                    i + 1,
-                    MIN_TRAIN_WINDOW
-                );
-                assert!(sw.model().is_none());
-            } else {
-                // refresh_every = 1: every observation past the minimum
-                // retrains, and the model trains on the full window.
-                assert!(retrained, "no retrain at trainable size {}", i + 1);
-                assert_eq!(sw.model().unwrap().training_size(), i + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn push_never_retrains_and_window_dataset_matches() {
-        let seed = dataset(10, 78);
-        let extra = dataset(5, 79);
-        let mut sw = SlidingWindowPredictor::new(seed, 12, 1, PredictorOptions::default());
-        for r in extra.records {
-            sw.push(r);
-        }
-        assert!(sw.model().is_none(), "push must not train");
-        let ds = sw.window_dataset();
-        assert_eq!(ds.len(), 12, "capacity still enforced");
-        let window_ids: Vec<u64> = sw.window.iter().map(|r| r.spec.id).collect();
-        let ds_ids: Vec<u64> = ds.records.iter().map(|r| r.spec.id).collect();
-        assert_eq!(window_ids, ds_ids);
-    }
-
-    #[test]
-    fn model_stays_usable_between_refreshes() {
-        let seed_data = dataset(30, 73);
-        let extra = dataset(3, 74);
-        let mut sw =
-            SlidingWindowPredictor::new(seed_data.clone(), 64, 100, PredictorOptions::default());
-        sw.retrain().unwrap();
-        for r in extra.records {
-            sw.observe(r).unwrap();
-        }
-        let r = &seed_data.records[0];
-        let p = sw
-            .model()
-            .unwrap()
-            .predict(&r.spec, &r.optimized.plan)
-            .unwrap();
-        assert!(p.metrics.is_valid());
+        let held: Vec<_> = sw.rows().map(|(f, m, _)| (f.to_vec(), m)).collect();
+        assert_eq!(held, newest);
     }
 }

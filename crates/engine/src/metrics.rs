@@ -47,9 +47,9 @@ impl PerfMetrics {
         }
     }
 
-    /// As a vector in canonical order (matches [`PerfMetrics::NAMES`]).
-    pub fn to_vec(&self) -> Vec<f64> {
-        vec![
+    /// As an array in canonical order (matches [`PerfMetrics::NAMES`]).
+    pub fn to_array(&self) -> [f64; Self::DIM] {
+        [
             self.elapsed_seconds,
             self.disk_ios,
             self.message_count,
@@ -57,6 +57,11 @@ impl PerfMetrics {
             self.records_accessed,
             self.records_used,
         ]
+    }
+
+    /// [`PerfMetrics::to_array`] as a vector.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.to_array().to_vec()
     }
 
     /// Rebuilds from a canonical-order vector.
@@ -74,7 +79,7 @@ impl PerfMetrics {
 
     /// All entries finite and non-negative.
     pub fn is_valid(&self) -> bool {
-        self.to_vec().iter().all(|x| x.is_finite() && *x >= 0.0)
+        self.to_array().iter().all(|x| x.is_finite() && *x >= 0.0)
     }
 }
 

@@ -17,8 +17,9 @@
 //!   micro-batch, so one busy tenant can occupy the whole pool.
 //!
 //! One lock is enough here: a push or a drain holds it for a few
-//! `VecDeque` operations, against tens of microseconds of model work
-//! per request outside it.
+//! `VecDeque` operations, against a model prediction per request
+//! outside it. It also counts parked workers: a notify, a syscall even
+//! with no waiter, is sent only when one is parked.
 //!
 //! The queue records no observability events itself: rejection marks
 //! (which must carry the admission trace ID) and queue-wait spans are
@@ -32,12 +33,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// What the lock guards: the queued items in arrival order, each with
-/// its tenant's dense index, and each tenant's queued count — its
-/// quota account.
+/// its tenant's dense index, each tenant's queued count — its quota
+/// account — and the workers parked on the condvar.
 #[derive(Debug)]
 struct QueueState<T> {
     items: VecDeque<(usize, T)>,
     queued: Vec<usize>,
+    parked: usize,
     shutdown: bool,
 }
 
@@ -52,25 +54,22 @@ pub struct TenantQueue<T> {
 }
 
 impl<T> TenantQueue<T> {
-    /// A queue holding at most `capacity` requests (at least 1), with
-    /// one quota account per tenant of `tenants`, whose quotas it
-    /// reads.
+    /// A queue of at most `capacity` requests (at least 1; the deque is
+    /// sized for them up front), with one quota account per tenant of
+    /// `tenants`, whose quotas it reads.
     pub fn new(capacity: usize, tenants: Arc<TenantTable>) -> Self {
+        let capacity = capacity.max(1);
         TenantQueue {
             state: Mutex::new(QueueState {
-                items: VecDeque::new(),
+                items: VecDeque::with_capacity(capacity),
                 queued: vec![0; tenants.len()],
+                parked: 0,
                 shutdown: false,
             }),
             not_empty: Condvar::new(),
-            capacity: capacity.max(1),
+            capacity,
             tenants,
         }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current depth (racy; for monitoring only).
@@ -110,9 +109,11 @@ impl<T> TenantQueue<T> {
         }
         state.items.push_back((tenant_idx, item));
         state.queued[tenant_idx] += 1;
-        let depth = state.items.len();
+        let (depth, parked) = (state.items.len(), state.parked);
         drop(state);
-        self.not_empty.notify_one();
+        if parked > 0 {
+            self.not_empty.notify_one();
+        }
         Ok(depth)
     }
 
@@ -140,13 +141,15 @@ impl<T> TenantQueue<T> {
             }
             // Timed wait so a missed notification can never wedge the
             // worker forever.
+            state.parked += 1;
             self.not_empty
                 .wait_for(&mut state, Duration::from_millis(50));
+            state.parked -= 1;
         }
     }
 
     /// Drains one micro-batch in arrival order under the held lock,
-    /// releases it, and wakes a sibling worker if work remains.
+    /// releases it, and wakes a parked sibling worker if work remains.
     fn take(
         &self,
         mut guard: MutexGuard<'_, QueueState<T>>,
@@ -160,7 +163,7 @@ impl<T> TenantQueue<T> {
             state.queued[tenant_idx] -= 1;
             out.push(item);
         }
-        let more = !state.items.is_empty();
+        let more = !state.items.is_empty() && state.parked > 0;
         drop(guard);
         if more {
             self.not_empty.notify_one();

@@ -32,13 +32,13 @@ use crate::queue::TenantQueue;
 use crate::registry::{ModelEntry, ModelKey, ModelRegistry};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::tenant::{TenantId, TenantSpec, TenantTable};
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex, RwLock};
 use qpp_core::workload_mgmt::{decide, AdmissionDecision, AdmissionPolicy};
 use qpp_core::{NeighborIds, Prediction, QppError, QueryRecord};
 use qpp_engine::{PerfMetrics, Plan};
 use qpp_obs::Stage;
 use qpp_workload::QuerySpec;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -156,13 +156,57 @@ struct Queued {
     /// from it.
     enqueued_ns: u64,
     trace_id: u64,
-    responder: mpsc::Sender<Result<ServeResponse, QppError>>,
+    slot: Arc<Slot>,
+}
+
+impl Drop for Queued {
+    /// Closes an unanswered request's slot: its client falls back at once.
+    fn drop(&mut self) {
+        self.slot.end(SlotState::Closed);
+    }
+}
+
+/// One answer's hand-off from a worker to its client: one lock, and
+/// one condvar the worker signals only if the client parked on it.
+#[derive(Debug)]
+struct Slot {
+    state: Mutex<SlotState>,
+    filled: Condvar,
+}
+
+/// `Empty` (with `waiting` set while the client is parked) until a
+/// worker's answer fills it or the request is dropped unanswered and
+/// closes it; `Abandoned` once the client fell back or took the answer.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per request, in the slot's `Arc`; a box is an allocation
+enum SlotState {
+    Empty { waiting: bool },
+    Filled(Result<ServeResponse, QppError>),
+    Abandoned,
+    Closed,
+}
+
+impl Slot {
+    /// Ends an empty slot with `end`, waking a parked client; false when
+    /// the slot had already ended (the client fell back first).
+    fn end(&self, end: SlotState) -> bool {
+        let mut state = self.state.lock();
+        let SlotState::Empty { waiting } = *state else {
+            return false;
+        };
+        *state = end;
+        drop(state);
+        if waiting {
+            self.filled.notify_one();
+        }
+        true
+    }
 }
 
 /// A submitted request the caller has not yet waited on.
 #[derive(Debug)]
 pub struct PendingPrediction {
-    rx: mpsc::Receiver<Result<ServeResponse, QppError>>,
+    slot: Arc<Slot>,
     request: Arc<PredictRequest>,
     /// The queued request's `enqueued_ns` (same stamp, same clock).
     submitted_ns: u64,
@@ -190,29 +234,33 @@ impl PendingPrediction {
     /// deadline exists to give up on time.)
     ///
     /// Every per-answer count (`completed`, `fallbacks` or `failed`,
-    /// the latency sample, the admission decision) is made here, before
-    /// the answer is returned, so a snapshot read after `wait` always
-    /// includes it.
+    /// and the admission decision) is made here, before the answer is
+    /// returned, so a snapshot read after `wait` always includes it.
     pub fn wait(self) -> Result<ServeResponse, QppError> {
-        let remaining = self
-            .request
-            .deadline
-            .saturating_sub(elapsed_since(self.submitted_ns));
-        match self.rx.recv_timeout(remaining) {
-            Ok(answer) => self.count(answer),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // One last non-blocking look: the worker may have
-                // answered in the instant the timeout fired.
-                if let Ok(answer) = self.rx.try_recv() {
-                    return self.count(answer);
+        let mut state = self.slot.state.lock();
+        let answer = loop {
+            // Whatever is not an answer ends as Abandoned: the last look
+            // and the abandoning are one step under the lock, so a worker
+            // that fills the slot later finds it abandoned.
+            match std::mem::replace(&mut *state, SlotState::Abandoned) {
+                SlotState::Filled(answer) => break Some(answer),
+                SlotState::Empty { .. } => {
+                    let since = elapsed_since(self.submitted_ns);
+                    let remaining = self.request.deadline.saturating_sub(since);
+                    if remaining.is_zero() {
+                        break None;
+                    }
+                    *state = SlotState::Empty { waiting: true };
+                    self.slot.filled.wait_for(&mut state, remaining);
                 }
-                self.fallback()
+                // Closed: the pool dropped the request; the fallback answers.
+                SlotState::Abandoned | SlotState::Closed => break None,
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Worker pool dropped the request (shutdown mid-flight);
-                // the fallback still gives the caller an answer.
-                self.fallback()
-            }
+        };
+        drop(state);
+        match answer {
+            Some(answer) => self.count(answer),
+            None => self.fallback(),
         }
     }
 
@@ -371,14 +419,17 @@ impl PredictionService {
             });
         }
         let tenant_idx = self.tenants.resolve(request.tenant);
-        let (tx, rx) = mpsc::channel();
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState::Empty { waiting: false }),
+            filled: Condvar::new(),
+        });
         let enqueued_ns = rec.now_ns();
         let request = Arc::new(request);
         let queued = Queued {
             request: Arc::clone(&request),
             enqueued_ns,
             trace_id,
-            responder: tx,
+            slot: Arc::clone(&slot),
         };
         match self.queue.try_push(tenant_idx, queued) {
             Ok(depth) => {
@@ -392,7 +443,7 @@ impl PredictionService {
                     depth as u64,
                 );
                 Ok(PendingPrediction {
-                    rx,
+                    slot,
                     request,
                     submitted_ns: enqueued_ns,
                     trace_id,
@@ -502,9 +553,10 @@ fn answer(
     // comes from one consistent entry even if a hot-swap lands
     // mid-batch.
     let Some(entry) = registry.get(&request.key) else {
-        let _ = queued.responder.send(Err(QppError::UnknownModel {
-            key: request.key.to_string(),
-        }));
+        let key = request.key.to_string();
+        queued
+            .slot
+            .end(SlotState::Filled(Err(QppError::UnknownModel { key })));
         return;
     };
     let (prediction, source) = if entry.degraded {
@@ -525,7 +577,7 @@ fn answer(
         match result {
             Ok(prediction) => (prediction, AnswerSource::Kcca),
             Err(e) => {
-                let _ = queued.responder.send(Err(e));
+                queued.slot.end(SlotState::Filled(Err(e)));
                 return;
             }
         }
@@ -551,8 +603,8 @@ fn answer(
     );
     // The client counts the answer in `wait` as it takes it; only an
     // answer no client will read is the worker's to count.
-    if queued.responder.send(Ok(response)).is_err() {
-        // Client already fell back (deadline) or went away.
+    if !queued.slot.end(SlotState::Filled(Ok(response))) {
+        // The client already fell back at its deadline.
         stats.late_answers.incr();
     }
 }
@@ -565,14 +617,13 @@ mod tests {
     use qpp_obs::EventKind;
     use qpp_workload::{Schema, WorkloadGenerator};
 
-    /// Every member of a multi-member micro-batch gets its own complete
-    /// trace, model sub-spans included, and the batch is answered in
-    /// the order the queue drained it: arrival order, whatever the
-    /// tenant. Deterministic: the four requests are queued before
-    /// anything drains, then the worker body runs on this thread
-    /// (shutdown drains what was accepted).
-    #[test]
-    fn every_member_of_a_batch_is_traced_and_answered_in_drain_order() {
+    /// A `workers: 0` service over a 60-query model, with a registered
+    /// tenant 7: only a `worker_loop` the test runs itself drains it.
+    /// Beside it, a request for training query `i`.
+    fn idle_service() -> (
+        PredictionService,
+        impl Fn(usize, TenantId, Duration) -> PredictRequest,
+    ) {
         let queries = WorkloadGenerator::tpcds(1.0, 111).generate(60);
         let config = qpp_engine::SystemConfig::neoview_4();
         let train = Dataset::collect(&Schema::tpcds(1.0), queries, &config, 2);
@@ -587,7 +638,34 @@ mod tests {
             tenants: vec![TenantSpec::new(TenantId(7))],
             ..ServeOptions::default()
         };
-        let service = PredictionService::start(registry, options.clone());
+        let request = move |i: usize, tenant, deadline| PredictRequest {
+            key: key.clone(),
+            tenant,
+            spec: train.records[i].spec.clone(),
+            plan: train.records[i].optimized.plan.clone(),
+            deadline,
+        };
+        (PredictionService::start(registry, options), request)
+    }
+
+    /// Shuts the queue and runs the worker body on this thread: it
+    /// answers everything accepted, then returns.
+    fn drain(service: &PredictionService) {
+        service.queue.shutdown();
+        let PredictionService { queue, stats, .. } = service;
+        worker_loop(queue, &service.registry, stats, &service.policy, 16);
+    }
+
+    /// Every member of a multi-member micro-batch gets its own complete
+    /// trace, model sub-spans included, and the batch is answered in
+    /// the order the queue drained it: arrival order, whatever the
+    /// tenant. Deterministic: the four requests are queued before
+    /// anything drains, then the worker body runs on this thread
+    /// (shutdown drains what was accepted). Each answer is in its slot
+    /// before `wait` looks, which takes it as a completion.
+    #[test]
+    fn every_member_of_a_batch_is_traced_and_answered_in_drain_order() {
+        let (service, request) = idle_service();
         // Two requests of the default tenant, then two of tenant 7: the
         // drain keeps arrival order, 0 1 2 3, rather than alternating
         // tenants.
@@ -598,25 +676,10 @@ mod tests {
             TenantId(7),
         ];
         let pending = std::array::from_fn::<_, 4, _>(|i| {
-            let r = &train.records[i];
-            let request = PredictRequest {
-                key: key.clone(),
-                tenant: tenants[i],
-                spec: r.spec.clone(),
-                plan: r.optimized.plan.clone(),
-                deadline: Duration::from_secs(30),
-            };
+            let request = request(i, tenants[i], Duration::from_secs(30));
             service.submit_async(request).expect("under capacity")
         });
-        service.queue.shutdown();
-        let PredictionService {
-            queue,
-            registry,
-            stats,
-            policy,
-            ..
-        } = &service;
-        worker_loop(queue, registry, stats, policy, options.max_batch);
+        drain(&service);
         assert_eq!(
             service.stats().mean_batch_size,
             4.0,
@@ -661,5 +724,33 @@ mod tests {
                 pair[1]
             );
         }
+        let s = service.stats();
+        assert_eq!((s.completed, s.fallbacks, s.late_answers), (4, 0, 0));
+    }
+
+    /// The client falls back first, so the worker's send finds the slot
+    /// abandoned: one answer reached the caller, one was wasted.
+    #[test]
+    fn a_worker_answer_after_the_fallback_is_late() {
+        let (service, request) = idle_service();
+        let pending = service.submit_async(request(0, TenantId(7), Duration::ZERO));
+        let response = pending.unwrap().wait().unwrap();
+        assert_eq!(response.source, AnswerSource::CostModelFallback);
+        drain(&service);
+        let s = service.stats();
+        assert_eq!((s.completed, s.fallbacks, s.late_answers), (0, 1, 1));
+    }
+
+    /// Dropping a `workers: 0` service drops its queued requests
+    /// unanswered, which closes their slots: `wait` falls back at once
+    /// rather than at its 30 s deadline.
+    #[test]
+    fn a_request_dropped_unanswered_falls_back_at_once() {
+        let (service, request) = idle_service();
+        let pending = service.submit_async(request(0, TenantId(7), Duration::from_secs(30)));
+        drop(service);
+        let response = pending.unwrap().wait().unwrap();
+        assert_eq!(response.source, AnswerSource::CostModelFallback);
+        assert!(response.latency < Duration::from_secs(5), "{response:?}");
     }
 }
