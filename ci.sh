@@ -95,9 +95,23 @@ echo "==> adapt smoke: drifted workload triggers retrain + canary swap end to en
 # service. Its trace dump must show the whole episode — drift mark,
 # retrain span, shadow-score span — a nonzero canary_swaps counter, and
 # the detector's readout: a nonzero drift_signals counter and the
-# drift_score gauge, the dump's only error readout.
+# drift_score gauge, the dump's only error readout. The example drains
+# released retrain tasks on its own thread between traffic rounds, so a
+# second run must print the same episode: the phase errors, the
+# drift/retrain/swap counts, the canary's version and the drift signal.
 ADAPT_OUT=$(mktemp /tmp/qpp_adapt.XXXXXX.jsonl)
-QPP_TRACE_OUT="$ADAPT_OUT" ./target/release/examples/adaptive_serving >/dev/null
+ADAPT_RUN=$(QPP_TRACE_OUT="$ADAPT_OUT" ./target/release/examples/adaptive_serving)
+ADAPT_RERUN=$(./target/release/examples/adaptive_serving)
+episode() {
+    grep -E '^  mean elapsed-time error |^  drift signals |^  canary swapped in as v|^drift fired on stream ' <<<"$1"
+}
+if [ "$(episode "$ADAPT_RUN" | grep -c .)" -ne 6 ]; then
+    echo "adapt smoke: expected 6 episode lines, got:"
+    episode "$ADAPT_RUN"
+    exit 1
+fi
+diff <(episode "$ADAPT_RUN") <(episode "$ADAPT_RERUN") \
+    || { echo "adapt smoke: a second run printed a different episode"; exit 1; }
 for stage in drift retrain shadow_score canary_swap; do
     grep -q "\"stage\":\"$stage\"" "$ADAPT_OUT" \
         || { echo "adapt smoke: no $stage event in $ADAPT_OUT"; exit 1; }
@@ -114,7 +128,7 @@ if [ -z "$DRIFTS" ] || [ "$DRIFTS" -eq 0 ]; then
 fi
 grep -q '"gauge":"drift_score"' "$ADAPT_OUT" \
     || { echo "adapt smoke: no drift_score gauge in $ADAPT_OUT"; exit 1; }
-echo "adapt smoke OK: drift -> retrain -> shadow_score -> canary_swap chain traced, $DRIFTS drift signal(s), $SWAPS swap(s)"
+echo "adapt smoke OK: drift -> retrain -> shadow_score -> canary_swap chain traced, $DRIFTS drift signal(s), $SWAPS swap(s), episode identical on a rerun"
 rm -f "$ADAPT_OUT"
 
 echo "==> experiments: the committed EXPERIMENTS.md is what the harness prints"

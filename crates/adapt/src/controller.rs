@@ -7,10 +7,11 @@
 //! is cheap (one short critical section on the controller's only mutex:
 //! window push, detector step, phase step) and never
 //! trains, scores, or swaps inline. Heavy work is packaged into a
-//! [`RetrainTask`], left in that same state for the taker, and executed
-//! by [`AdaptiveController::run_task`] — on the background
-//! [`crate::AdaptWorker`] thread in production, or synchronously via
-//! [`AdaptiveController::drain_pending`] in deterministic tests.
+//! [`RetrainTask`] and left in that same state until the caller runs
+//! [`AdaptiveController::drain_pending`], which executes it through
+//! [`AdaptiveController::run_task`] on the caller's own thread. The
+//! controller owns no thread: where in the traffic a retrain snapshots
+//! the window is the caller's choice, so an episode replays exactly.
 //!
 //! The per-model phase machine (see DESIGN.md §11):
 //!
@@ -24,7 +25,7 @@
 use crate::drift::{
     log_ratio_errors, mean_error, DriftConfig, DriftDetector, DriftSignal, ERR_CLAMP, OVERALL,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use qpp_core::dataset::QueryRecord;
 use qpp_core::predictor::KccaPredictor;
 use qpp_core::retrain::{SlidingWindowPredictor, MIN_TRAIN_WINDOW};
@@ -53,32 +54,33 @@ const SHADOW_SLICE: usize = 24;
 /// it replaced.
 const KILL_RATIO: f64 = 1.5;
 
+/// Completed canary answers watched after a swap before the
+/// kill-switch verdict.
+pub const KILL_WINDOW: usize = 32;
+
+/// The candidate must beat the incumbent's holdout error by this
+/// relative margin to be swapped in (0.05 = 5% better).
+const SHADOW_MARGIN: f64 = 0.05;
+
 /// Control-plane tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptOptions {
     /// Drift-detection configuration.
     pub drift: DriftConfig,
-    /// The candidate must beat the incumbent's holdout error by this
-    /// relative margin to be swapped in (0.05 = 5% better).
-    pub shadow_margin: f64,
     /// Completed queries observed *after* drift is declared before the
-    /// retrain task is released to the worker. Retraining at the drift
-    /// instant would train on a window still dominated by pre-drift
-    /// records; this delay lets the sliding window turn over to the
-    /// new regime first. 0 releases immediately.
+    /// retrain task is released to [`AdaptiveController::drain_pending`].
+    /// Retraining at the drift instant would train on a window still
+    /// dominated by pre-drift records; this delay lets the sliding
+    /// window turn over to the new regime first. 0 releases
+    /// immediately.
     pub retrain_delay: usize,
-    /// Completed queries watched after a swap before the kill-switch
-    /// verdict.
-    pub kill_window: usize,
 }
 
 impl Default for AdaptOptions {
     fn default() -> Self {
         AdaptOptions {
             drift: DriftConfig::default(),
-            shadow_margin: 0.05,
             retrain_delay: 64,
-            kill_window: 32,
         }
     }
 }
@@ -221,10 +223,10 @@ struct ControlState {
     epoch: u64,
     since_holdout: usize,
     phase: Phase,
-    /// The released retrain task until a worker takes it; one slot
-    /// suffices because [`Phase::RetrainQueued`] admits one in flight.
+    /// The released retrain task until `drain_pending` takes it; one
+    /// slot suffices because [`Phase::RetrainQueued`] admits one in
+    /// flight.
     pending: Option<RetrainTask>,
-    shutdown: bool,
 }
 
 /// The continuous-learning control plane for one registry entry.
@@ -235,8 +237,6 @@ pub struct AdaptiveController {
     options: AdaptOptions,
     stats: AdaptStats,
     state: Mutex<ControlState>,
-    /// Signalled when `pending` or `shutdown` (both in `state`) is set.
-    task_ready: Condvar,
 }
 
 impl AdaptiveController {
@@ -263,9 +263,7 @@ impl AdaptiveController {
                 since_holdout: 0,
                 phase: Phase::Stable,
                 pending: None,
-                shutdown: false,
             }),
-            task_ready: Condvar::new(),
         }
     }
 
@@ -347,7 +345,7 @@ impl AdaptiveController {
                     pre_err,
                 };
                 if self.options.retrain_delay == 0 {
-                    self.release(&mut st, task);
+                    Self::release(&mut st, task);
                 } else {
                     st.phase = Phase::Accumulating {
                         remaining: self.options.retrain_delay,
@@ -366,7 +364,7 @@ impl AdaptiveController {
                         task,
                     };
                 } else {
-                    self.release(&mut st, task);
+                    Self::release(&mut st, task);
                 }
                 None
             }
@@ -412,7 +410,7 @@ impl AdaptiveController {
                     } else {
                         errors[stream]
                     };
-                if observed < self.options.kill_window {
+                if observed < KILL_WINDOW {
                     st.phase = Phase::PostSwap {
                         generation,
                         stream,
@@ -456,12 +454,10 @@ impl AdaptiveController {
         }
     }
 
-    /// Leaves `task` for `wait_task` / `try_take_task` and wakes a
-    /// waiting worker.
-    fn release(&self, st: &mut ControlState, task: RetrainTask) {
+    /// Leaves `task` for [`AdaptiveController::drain_pending`].
+    fn release(st: &mut ControlState, task: RetrainTask) {
         st.phase = Phase::RetrainQueued;
         st.pending = Some(task);
-        self.task_ready.notify_one();
     }
 
     /// Appends the record's row to the window, diverting every
@@ -533,7 +529,7 @@ impl AdaptiveController {
         };
         self.stats.shadow_evaluations.incr();
 
-        if candidate_err <= incumbent_err * (1.0 - self.options.shadow_margin) {
+        if candidate_err <= incumbent_err * (1.0 - SHADOW_MARGIN) {
             match self.registry.swap_if_current(
                 self.key.clone(),
                 task.incumbent,
@@ -585,45 +581,13 @@ impl AdaptiveController {
         st.phase = Phase::Stable;
     }
 
-    /// Blocks until a task is released or [`shutdown_tasks`] is called.
-    /// The background worker's main loop.
-    ///
-    /// [`shutdown_tasks`]: AdaptiveController::shutdown_tasks
-    pub fn wait_task(&self) -> Option<RetrainTask> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(task) = st.pending.take() {
-                return Some(task);
-            }
-            if st.shutdown {
-                return None;
-            }
-            self.task_ready.wait(&mut st);
-        }
-    }
-
-    /// Takes the released task, if there is one, without blocking.
-    fn try_take_task(&self) -> Option<RetrainTask> {
-        self.state.lock().pending.take()
-    }
-
-    /// Runs every queued task synchronously on the calling thread —
-    /// deterministic single-threaded adaptation for tests and the
-    /// example's no-worker mode.
-    pub fn drain_pending(&self) -> Vec<AdaptOutcome> {
-        let mut outcomes = Vec::new();
-        while let Some(task) = self.try_take_task() {
-            outcomes.push(self.run_task(task));
-        }
-        outcomes
-    }
-
-    /// Wakes and terminates [`wait_task`] loops.
-    ///
-    /// [`wait_task`]: AdaptiveController::wait_task
-    pub fn shutdown_tasks(&self) {
-        self.state.lock().shutdown = true;
-        self.task_ready.notify_all();
+    /// Runs the released task, if there is one, on the calling thread
+    /// and returns its outcome. Observations that arrive meanwhile keep
+    /// filling the window; the phase admits no second task until this
+    /// one has finished.
+    pub fn drain_pending(&self) -> Option<AdaptOutcome> {
+        let task = self.state.lock().pending.take()?;
+        Some(self.run_task(task))
     }
 }
 

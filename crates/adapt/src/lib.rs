@@ -24,9 +24,9 @@
 //!   ([`qpp_serve::ModelRegistry::demote_if_current`]) if the canary
 //!   made things worse — serving falls back to the optimizer-cost
 //!   baseline rather than a bad model, and the loop re-arms on the
-//!   first answer from a healthy install.
-//! - [`AdaptWorker`]: the background thread that runs retrain tasks
-//!   off the serving threads.
+//!   first answer from a healthy install. A released task runs when
+//!   the caller calls [`AdaptiveController::drain_pending`], on the
+//!   caller's thread: the crate starts no thread of its own.
 //!
 //! Every decision point emits `qpp_obs` events (`drift`, `retrain`,
 //! `shadow_score`, `canary_swap`, `kill_switch`), so the whole
@@ -46,13 +46,12 @@
 
 pub mod controller;
 pub mod drift;
-pub mod worker;
 
 pub use controller::{
     AdaptEvent, AdaptOptions, AdaptOutcome, AdaptStats, AdaptiveController, Phase, RetrainTask,
+    KILL_WINDOW,
 };
 pub use drift::{
     log_ratio_errors, mean_error, stream_name, DriftConfig, DriftDetector, DriftSignal, OVERALL,
     STREAMS,
 };
-pub use worker::AdaptWorker;

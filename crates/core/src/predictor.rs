@@ -440,35 +440,17 @@ impl KccaPredictor {
         })
     }
 
-    /// Predicts a batch of queries: entry `i` is
-    /// `self.predict(queries[i].0, queries[i].1)`.
-    pub fn predict_batch(
-        &self,
-        queries: &[(&QuerySpec, &Plan)],
-    ) -> Result<Vec<Prediction>, QppError> {
-        predict_each(queries.len(), |i| self.predict(queries[i].0, queries[i].1))
-    }
-
-    /// Predicts every record of a dataset (e.g. a held-out test set).
+    /// Predicts every record of a dataset (e.g. a held-out test set), in
+    /// record order on the calling thread: entry `i` is
+    /// `self.predict` of record `i`, and the first failure is the
+    /// result. The returned vector is the one allocation.
     pub fn predict_dataset(&self, dataset: &Dataset) -> Result<Vec<Prediction>, QppError> {
-        let records = &dataset.records;
-        predict_each(records.len(), |i| {
-            self.predict(&records[i].spec, &records[i].optimized.plan)
-        })
+        let mut out = Vec::with_capacity(dataset.records.len());
+        for record in &dataset.records {
+            out.push(self.predict(&record.spec, &record.optimized.plan)?);
+        }
+        Ok(out)
     }
-}
-
-/// `predict_one(0..n)` in row order on the calling thread; the first
-/// failure is the result. The returned vector is the one allocation.
-fn predict_each(
-    n: usize,
-    predict_one: impl Fn(usize) -> Result<Prediction, QppError>,
-) -> Result<Vec<Prediction>, QppError> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(predict_one(i)?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -591,19 +573,14 @@ mod tests {
     #[test]
     fn batch_prediction_bitwise_matches_single() {
         let train = dataset(120, 13);
-        let test = dataset(40, 14);
+        let test = dataset(8, 14);
         let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
         let singles: Vec<Prediction> = test
             .records
             .iter()
             .map(|r| model.predict(&r.spec, &r.optimized.plan).unwrap())
             .collect();
-        let queries: Vec<_> = test
-            .records
-            .iter()
-            .map(|r| (&r.spec, &r.optimized.plan))
-            .collect();
-        let batched = model.predict_batch(&queries).unwrap();
+        let batched = model.predict_dataset(&test).unwrap();
         assert_eq!(singles.len(), batched.len());
         for (s, b) in singles.iter().zip(batched.iter()) {
             // Bitwise, not approximate: the batched path must run the

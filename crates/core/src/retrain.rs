@@ -66,8 +66,8 @@ impl SlidingWindowPredictor {
     }
 
     /// Appends one executed query's row, overwriting the oldest when
-    /// full. Never refits: the adaptive control plane refits on a
-    /// background worker at moments *it* chooses.
+    /// full. Never refits: the adaptive control plane refits when its
+    /// caller drains a retrain task.
     pub fn push(&mut self, record: &QueryRecord) {
         let (kind, width) = (self.options.feature_kind, self.width);
         let at = if self.len() < self.capacity {

@@ -16,11 +16,14 @@ pub enum Stage {
     /// Request admission: registry lookup + queue push at submit time
     /// (`value` = queue depth after the push).
     Admission,
-    /// Time a request sat in the bounded queue before a worker drained it
-    /// (`value` = size of the micro-batch that drained it).
+    /// Time a request waited before a worker started on it: in the
+    /// bounded queue, then behind the earlier members of its micro-batch
+    /// (`value` = size of that micro-batch).
     QueueWait,
-    /// Worker handling of one request, dequeue to response send
-    /// (`value` = registry version of the model that answered).
+    /// Worker handling of one request, from the end of the previous
+    /// batch member's answer (or the drain, for the first) to its own
+    /// response send (`value` = registry version of the model that
+    /// answered).
     Worker,
     /// One request's own `KccaPredictor::predict` call on the worker;
     /// its standardize / project / kNN sub-spans nest inside it.
@@ -67,7 +70,7 @@ pub enum Stage {
     /// The drift detector flagged a shifted error distribution
     /// (mark; `value` = canonical index of the drifted metric).
     Drift,
-    /// Background candidate retraining triggered by a drift signal
+    /// Candidate retraining triggered by a drift signal
     /// (span; `value` = training-window rows).
     Retrain,
     /// Replaying the held-out slice through candidate and incumbent

@@ -508,7 +508,9 @@ impl Drop for PredictionService {
 }
 
 /// Worker body: drain a micro-batch, answer its requests in arrival
-/// order.
+/// order. Each member's work starts where the previous member's answer
+/// ended, so the members' worker spans tile the batch and the wait
+/// inside it counts as the member's queue wait.
 fn worker_loop(
     queue: &TenantQueue<Queued>,
     registry: &ModelRegistry,
@@ -520,18 +522,17 @@ fn worker_loop(
     while queue.drain(max_batch, &mut batch) {
         stats.record_batch(batch.len());
         let rec = qpp_obs::recorder();
-        let drained_ns = rec.now_ns();
-        for queued in &batch {
+        let batch_len = batch.len() as u64;
+        let mut start_ns = rec.now_ns();
+        for queued in batch.drain(..) {
             rec.record_span(
                 queued.trace_id,
                 Stage::QueueWait,
                 queued.enqueued_ns,
-                drained_ns.saturating_sub(queued.enqueued_ns),
-                batch.len() as u64,
+                start_ns.saturating_sub(queued.enqueued_ns),
+                batch_len,
             );
-        }
-        for queued in batch.drain(..) {
-            answer(registry, stats, policy, queued, drained_ns);
+            start_ns = answer(registry, stats, policy, queued, start_ns);
         }
     }
 }
@@ -539,14 +540,15 @@ fn worker_loop(
 /// Answers one drained request: the installed model's prediction under
 /// the request's own trace ID (so its standardize / project / kNN
 /// sub-spans land in the request's trace), or the O(1) optimizer-cost
-/// baseline while the entry is kill-switched.
+/// baseline while the entry is kill-switched. The work started at
+/// `start_ns`; returns the stamp at which it ended.
 fn answer(
     registry: &ModelRegistry,
     stats: &ServiceStats,
     policy: &AdmissionPolicy,
     queued: Queued,
-    drained_ns: u64,
-) {
+    start_ns: u64,
+) -> u64 {
     let request = &queued.request;
     let rec = qpp_obs::recorder();
     // Resolved per request (a read lock and a map lookup): each answer
@@ -557,7 +559,7 @@ fn answer(
         queued
             .slot
             .end(SlotState::Filled(Err(QppError::UnknownModel { key })));
-        return;
+        return rec.now_ns();
     };
     let (prediction, source) = if entry.degraded {
         // Kill-switched entry: the KCCA model regressed post-swap and
@@ -578,7 +580,7 @@ fn answer(
             Ok(prediction) => (prediction, AnswerSource::Kcca),
             Err(e) => {
                 queued.slot.end(SlotState::Filled(Err(e)));
-                return;
+                return rec.now_ns();
             }
         }
     };
@@ -594,11 +596,12 @@ fn answer(
     // client holds the response it may export the trace, and the span
     // must already be in the ring. The value is the model version
     // that answered.
+    let end_ns = rec.now_ns();
     rec.record_span(
         queued.trace_id,
         Stage::Worker,
-        drained_ns,
-        rec.now_ns().saturating_sub(drained_ns),
+        start_ns,
+        end_ns.saturating_sub(start_ns),
         entry.version,
     );
     // The client counts the answer in `wait` as it takes it; only an
@@ -607,6 +610,7 @@ fn answer(
         // The client already fell back at its deadline.
         stats.late_answers.incr();
     }
+    end_ns
 }
 
 #[cfg(test)]
@@ -686,12 +690,13 @@ mod tests {
             "one drained batch of four"
         );
 
-        // (start, end) of each request's Predict span, in arrival order.
-        let predict = pending.map(|p| {
+        // (start, end) of each request's QueueWait, Worker and Predict
+        // spans, in arrival order.
+        let spans = pending.map(|p| {
             let resp = p.wait().expect("the worker body answered");
             assert_eq!(resp.source, AnswerSource::Kcca);
             let events = qpp_obs::recorder().export_trace(resp.trace_id);
-            let [_, _, _, predict, model_spans @ ..] = [
+            let [_, queue_wait, worker, predict, model_spans @ ..] = [
                 Stage::Admission,
                 Stage::QueueWait,
                 Stage::Worker,
@@ -714,14 +719,21 @@ mod tests {
                     "a model sub-span lies outside its request's predict span: {events:?}"
                 );
             }
-            predict
-        });
-        for pair in [0usize, 1, 2, 3].windows(2) {
             assert!(
-                predict[pair[0]].1 <= predict[pair[1]].0,
-                "request {} predicts entirely before request {}: {predict:?}",
-                pair[0],
-                pair[1]
+                worker.0 <= predict.0 && predict.1 <= worker.1,
+                "the predict span lies outside its worker span: {events:?}"
+            );
+            assert_eq!(queue_wait.1, worker.0, "queue wait ends as work starts");
+            (worker, predict)
+        });
+        // Each member's work starts where the previous one's ended: the
+        // worker spans tile the batch, and the predictions never overlap.
+        for pair in spans.windows(2) {
+            let ((worker, predict), (next_worker, next_predict)) = (pair[0], pair[1]);
+            assert_eq!(worker.1, next_worker.0, "worker spans tile: {spans:?}");
+            assert!(
+                predict.1 <= next_predict.0,
+                "a request predicts entirely before the next: {spans:?}"
             );
         }
         let s = service.stats();

@@ -7,7 +7,6 @@
 //! caller that wants percentiles computes them from those.
 
 use qpp_obs::Counter;
-use std::time::{Duration, Instant};
 
 /// Live counters for a running prediction service.
 ///
@@ -17,7 +16,6 @@ use std::time::{Duration, Instant};
 /// exact; cross-counter skew is bounded by in-flight requests).
 #[derive(Debug, Default)]
 pub struct ServiceStats {
-    started: Started,
     /// Requests accepted into the queue.
     pub submitted: Counter,
     /// Worker answers handed to the caller, counted in
@@ -61,16 +59,6 @@ pub struct ServiceStats {
     pub degraded_answers: Counter,
 }
 
-/// When the stats were created: the service's start, for uptime.
-#[derive(Debug)]
-struct Started(Instant);
-
-impl Default for Started {
-    fn default() -> Self {
-        Started(Instant::now())
-    }
-}
-
 impl ServiceStats {
     /// Records a drained micro-batch of `len` requests.
     pub fn record_batch(&self, len: usize) {
@@ -83,7 +71,7 @@ impl ServiceStats {
         self.max_queue_depth.observe_max(depth as u64);
     }
 
-    /// An immutable view of the counters plus derived rates;
+    /// An immutable view of the counters plus the mean batch size;
     /// the queue depth and the registry's swap and demotion counts are
     /// their owners' to report, so the caller passes them in.
     pub fn snapshot(
@@ -92,17 +80,12 @@ impl ServiceStats {
         model_swaps: u64,
         model_demotions: u64,
     ) -> StatsSnapshot {
-        let completed = self.completed.get();
-        let fallbacks = self.fallbacks.get();
         let batches = self.batches.get();
         let batched = self.batched_requests.get();
-        let answered = completed + fallbacks;
-        let uptime = self.started.0.elapsed();
         StatsSnapshot {
-            uptime,
             submitted: self.submitted.get(),
-            completed,
-            fallbacks,
+            completed: self.completed.get(),
+            fallbacks: self.fallbacks.get(),
             failed: self.failed.get(),
             late_answers: self.late_answers.get(),
             rejected_queue_full: self.rejected_full.get(),
@@ -117,16 +100,6 @@ impl ServiceStats {
             } else {
                 batched as f64 / batches as f64
             },
-            throughput_per_sec: if uptime.as_secs_f64() > 0.0 {
-                answered as f64 / uptime.as_secs_f64()
-            } else {
-                0.0
-            },
-            fallback_rate: if answered == 0 {
-                0.0
-            } else {
-                fallbacks as f64 / answered as f64
-            },
             model_swaps,
             model_demotions,
             observed_completions: self.observed_completions.get(),
@@ -138,8 +111,6 @@ impl ServiceStats {
 /// Point-in-time statistics view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
-    /// Time since service start.
-    pub uptime: Duration,
     /// Requests accepted into the queue.
     pub submitted: u64,
     /// Worker answers handed to the caller (see
@@ -169,10 +140,6 @@ pub struct StatsSnapshot {
     pub max_queue_depth: u64,
     /// Mean micro-batch size drained by workers.
     pub mean_batch_size: f64,
-    /// Answered requests per second of uptime.
-    pub throughput_per_sec: f64,
-    /// Fraction of answers that came from the fallback path.
-    pub fallback_rate: f64,
     /// Model hot-swaps performed.
     pub model_swaps: u64,
     /// Kill-switch demotions performed.
@@ -216,14 +183,8 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "uptime {:.2}s | submitted {} | completed {} | fallbacks {} ({:.1}%) | failed {} | late {}",
-            self.uptime.as_secs_f64(),
-            self.submitted,
-            self.completed,
-            self.fallbacks,
-            self.fallback_rate * 100.0,
-            self.failed,
-            self.late_answers,
+            "submitted {} | completed {} | fallbacks {} | failed {} | late {}",
+            self.submitted, self.completed, self.fallbacks, self.failed, self.late_answers,
         )?;
         writeln!(
             f,
@@ -239,15 +200,13 @@ impl std::fmt::Display for StatsSnapshot {
             "gateway: admitted {} | rejected {} | review {}",
             self.admitted, self.policy_rejected, self.review_required,
         )?;
-        writeln!(
-            f,
-            "throughput {:.0} req/s | model swaps {}",
-            self.throughput_per_sec, self.model_swaps,
-        )?;
         write!(
             f,
-            "adapt: observed {} | degraded answers {} | demotions {}",
-            self.observed_completions, self.degraded_answers, self.model_demotions,
+            "adapt: observed {} | degraded answers {} | model swaps {} | demotions {}",
+            self.observed_completions,
+            self.degraded_answers,
+            self.model_swaps,
+            self.model_demotions,
         )
     }
 }
@@ -273,7 +232,6 @@ mod tests {
     #[test]
     fn empty_stats_have_zero_rates() {
         let snap = ServiceStats::default().snapshot(0, 0, 0);
-        assert_eq!(snap.fallback_rate, 0.0);
         assert_eq!(snap.mean_batch_size, 0.0);
     }
 

@@ -1,7 +1,7 @@
 //! Closed-loop *adaptive* serving demo: the workload drifts under a
 //! live service, and the continuous-learning control plane notices,
-//! retrains in the background, shadow-scores the candidate, and
-//! hot-swaps it — without a human or a restart.
+//! retrains, shadow-scores the candidate, and hot-swaps it — without a
+//! human or a restart.
 //!
 //! Three traffic phases run through a real `qpp-serve` worker pool:
 //!
@@ -10,8 +10,10 @@
 //! 2. **Drifted**: the simulated system slows down (`QPP_ADAPT_DRIFT`×
 //!    on elapsed time — stale statistics, a hardware downgrade, a noisy
 //!    neighbor). Elapsed-time error rises, drift is declared (the run
-//!    prints the stream that fired and why), and the background worker
-//!    retrains + canaries a candidate on the sliding window.
+//!    prints the stream that fired and why). After each round of
+//!    traffic the main thread drains the released retrain task, which
+//!    retrains + canaries a candidate on the sliding window. Every run therefore retrains at the same point in the
+//!    traffic and prints the same episode.
 //! 3. **Recovery**: post-swap traffic shows the error back near the
 //!    calibration floor; the post-swap watch passes without demotion.
 //!
@@ -27,8 +29,7 @@
 //! ```
 
 use qpp::adapt::{
-    stream_name, AdaptEvent, AdaptOptions, AdaptWorker, AdaptiveController, DriftConfig,
-    DriftSignal,
+    stream_name, AdaptEvent, AdaptOptions, AdaptiveController, DriftConfig, DriftSignal,
 };
 use qpp::core::baselines::OptimizerCostModel;
 use qpp::core::pipeline::collect_tpcds;
@@ -149,7 +150,6 @@ fn main() {
                 ..DriftConfig::default()
             },
             retrain_delay: train_n,
-            ..AdaptOptions::default()
         },
     ));
     let observer = Arc::new(Observer {
@@ -157,7 +157,6 @@ fn main() {
         first_drift: Mutex::new(None),
     });
     service.set_completion_observer(Arc::clone(&observer) as Arc<dyn CompletionObserver>);
-    let worker = AdaptWorker::spawn(Arc::clone(&controller));
 
     // Phase 1: stable traffic calibrates the detector.
     println!("\nphase 1: stable traffic …");
@@ -181,12 +180,9 @@ fn main() {
             drifted_err = err;
         }
         rounds += 1;
-        if controller.stats().canary_swaps.get() >= 1 {
-            break;
-        }
-        // Give the background worker a moment to finish an in-flight
-        // retrain before deciding to push another round of traffic.
-        std::thread::sleep(Duration::from_millis(100));
+        // A retrain released during the round runs here, between
+        // rounds, on the window as the round left it.
+        controller.drain_pending();
         if controller.stats().canary_swaps.get() >= 1 {
             break;
         }
@@ -250,7 +246,6 @@ fn main() {
     println!("\nservice stats:\n{snapshot}");
     assert!(snapshot.observed_completions > 0);
 
-    worker.shutdown();
     service.shutdown();
 
     // The whole adaptation episode must be reconstructible from the

@@ -112,7 +112,6 @@ fn adaptive_loop_recovers_from_drift_through_the_real_service() {
                 warmup: 24,
                 window: 8,
             },
-            kill_window: 16,
             ..AdaptOptions::default()
         },
     ));
@@ -147,11 +146,11 @@ fn adaptive_loop_recovers_from_drift_through_the_real_service() {
     assert!(signal.recent_mean > signal.calibration_mean);
     assert_eq!(controller.phase(), Phase::RetrainQueued);
 
-    // Background step, run synchronously: retrain on the (now drifted)
-    // sliding window, shadow-score, swap behind the generation guard.
-    let outcomes = controller.drain_pending();
-    let generation = match outcomes.first() {
-        Some(AdaptOutcome::Swapped { generation, .. }) => *generation,
+    // The released task runs here, on this thread: retrain on the (now
+    // drifted) sliding window, shadow-score, swap behind the generation
+    // guard.
+    let generation = match controller.drain_pending() {
+        Some(AdaptOutcome::Swapped { generation, .. }) => generation,
         other => panic!("expected a canary swap, got {other:?}"),
     };
     assert!(generation > v1);

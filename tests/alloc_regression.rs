@@ -1,7 +1,7 @@
 //! Steady-state allocation regression: after warm-up, the predict path
 //! production takes — `KccaPredictor::predict(spec, plan)`, what the
 //! serve worker calls per request — must perform ZERO heap allocations,
-//! as must `predict_features` beneath it; a small `predict_batch`
+//! as must `predict_features` beneath it; a small `predict_dataset`
 //! allocates only the vector it returns. The measured calls run under
 //! an active qpp-obs trace, so the guarantee covers prediction *with
 //! observability enabled*: span recording into the pre-sized event ring
@@ -17,7 +17,7 @@
 //! of roots (the tests share a process, so each diffs the events of its
 //! own thread):
 //!
-//! - predict: `KccaPredictor::{predict, predict_features, predict_batch}`
+//! - predict: `KccaPredictor::{predict, predict_features, predict_dataset}`
 //!   over plan and SQL-text features, exact and IVF arms, the typed
 //!   wrong-width refusal (`ResultExt::ctx` → `QppError::with_context`),
 //!   `IvfIndex::predict_into`, `NearestNeighbors::{query_into,
@@ -129,18 +129,15 @@ fn predict_features_steady_state_allocates_nothing() {
     );
     assert_eq!(warm.metrics, from_plan.unwrap().metrics);
 
-    // A serve-sized batch is that same call in a loop: the one
-    // allocation is the returned vector.
-    let queries: Vec<_> = train.records[..8]
-        .iter()
-        .map(|r| (&r.spec, &r.optimized.plan))
-        .collect();
+    // A dataset of 8 is that same call in a loop: the one allocation
+    // is the returned vector.
+    let eight = train.subset(&[0, 1, 2, 3, 4, 5, 6, 7]);
     let before = ALLOC.thread_allocation_events();
-    let batch = model.predict_batch(&queries).unwrap();
+    let batch = model.predict_dataset(&eight).unwrap();
     let events = ALLOC.thread_allocation_events() - before;
     assert!(
         events <= 1,
-        "warm predict_batch of 8 performed {events} heap allocations"
+        "warm predict_dataset of 8 performed {events} heap allocations"
     );
     assert_eq!(batch.len(), 8);
 
